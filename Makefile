@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet bench bench-all bench-telemetry bench-json bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-json10 cover check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness race vet bench bench-all bench-telemetry bench-json bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 bench-json10 cover check fuzz soak-short ci
 
 all: build test
 
@@ -12,8 +12,21 @@ build:
 
 # -shuffle=on randomizes test order so inter-test state dependencies
 # cannot hide; failures print the shuffle seed for replay.
-test:
+test: test-cpus
 	$(GO) test -shuffle=on ./...
+
+# The concurrent protocols (in-band Apply, ring handoffs, the shared
+# table's reader/writer split) at every core count a box might have.
+# -count=1 defeats the test cache: a cached "ok" from a 1-CPU run once
+# hid two red tests here.
+test-cpus:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/rtc ./internal/flowtable ./internal/spsc
+
+# The wire-to-wire benchmark harness is a nested module, so ./... does
+# not reach it: vet it and run its own tests (a traced smoke of every
+# workload against this checkout). Read-only use — see bench/README.md.
+bench-harness:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The pooled marshal and batched sideband paths are the ones most worth
 # racing; run the whole tree so regressions elsewhere surface too.
@@ -183,10 +196,10 @@ cover:
 
 check: build vet test race
 
-# The three wire-facing decoders plus the symbolic-execution pipeline,
-# each under coverage-guided fuzzing for FUZZTIME. Any crasher is
-# written to the package's testdata/fuzz/ and replays as a plain test
-# case from then on.
+# The three wire-facing decoders, the symbolic-execution pipeline and the
+# flow classifier against its linear oracle, each under coverage-guided
+# fuzzing for FUZZTIME. Any crasher is written to the package's
+# testdata/fuzz/ and replays as a plain test case from then on.
 fuzz:
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz FuzzParse$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz FuzzTCP -fuzztime $(FUZZTIME)
@@ -195,6 +208,7 @@ fuzz:
 	$(GO) test ./internal/dpcproto/ -run '^$$' -fuzz FuzzReplayHintRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzExplore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soak/ -run '^$$' -fuzz FuzzParseScenario -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzClassifierOracle -fuzztime $(FUZZTIME)
 
 # Everything CI runs, in CI's order.
-ci: build vet test race fuzz
+ci: build vet test bench-harness race fuzz

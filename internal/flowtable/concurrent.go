@@ -1,5 +1,5 @@
 // Concurrent flow table access for the run-to-completion engine: a
-// single shared rule list behind an RWMutex, fronted by any number of
+// single shared rule set behind an RWMutex, fronted by any number of
 // shard-local MicroCaches. The per-packet fast path — an exact-match hit
 // on the shard's own cache — takes zero locks: freshness is one atomic
 // generation load. A stale cached result snapshots the table's mutation
@@ -19,7 +19,7 @@ import (
 
 // Concurrent wraps a Table for multi-goroutine use. Mutations (Apply,
 // Expire, Clear) take the write lock; lookups take the read lock only
-// for the priority scan and the mutation-ring snapshot. The embedded
+// for the classifier lookup and the mutation-ring snapshot. The embedded
 // microflow cache is disabled — shard-local MicroCaches replace it.
 type Concurrent struct {
 	mu sync.RWMutex
@@ -97,8 +97,8 @@ func (c *Concurrent) Register(reg *telemetry.Registry, prefix string) {
 // are plain integers owned by the shard goroutine; aggregate them at
 // window boundaries, not per packet.
 type MicroCacheStats struct {
-	Hits   uint64 // fresh exact-match hits (positive or negative)
-	Misses uint64 // fell through to the shared-lock priority scan
+	Hits   uint64 // fresh exact-match hits
+	Misses uint64 // fell through to the shared-lock classifier lookup
 	// Revalidations counts stale results proven still valid by replaying
 	// the snapshotted mutation ring outside the lock.
 	Revalidations uint64
@@ -181,10 +181,12 @@ func (mc *MicroCache) store(k microKey, e *Entry, gen uint64) {
 // Lookup finds the highest-priority rule matching p on inPort, consulting
 // the shard-local cache first. The hot path (fresh cache hit) takes zero
 // locks; a stale hit pays one bounded read-locked snapshot; only a true
-// miss pays the read-locked priority scan.
+// miss pays the read-locked classifier lookup. Like the embedded cache,
+// the shard cache admits hits only.
 func (c *Concurrent) Lookup(mc *MicroCache, p *netpkt.Packet, inPort uint16, now time.Time, frameLen int) *Entry {
 	k := microKeyFor(p, inPort)
-	if me, ok := mc.m[k]; ok {
+	me, cached := mc.m[k]
+	if cached {
 		cur := c.t.Gen()
 		if me.gen != cur {
 			// Stale: snapshot the mutation window under the read lock,
@@ -223,22 +225,22 @@ func (c *Concurrent) Lookup(mc *MicroCache, p *netpkt.Packet, inPort uint16, now
 		}
 		if me.gen == cur {
 			mc.stats.Hits++
-			if me.e == nil {
-				c.t.microHitsNeg.Inc()
-				return nil
-			}
-			c.t.microHitsPos.Inc()
+			c.t.microHits.Inc()
 			hitShared(me.e, now, frameLen)
 			return me.e
 		}
 		// Possibly affected by a mutation (or out of the ring window):
-		// fall through to the authoritative scan.
+		// fall through to the authoritative lookup.
 	}
 	mc.stats.Misses++
 	c.mu.RLock()
 	e := c.t.LookupShared(p, inPort, now, frameLen)
 	gen := c.t.Gen() // stable while the read lock pins out mutations
 	c.mu.RUnlock()
-	mc.store(k, e, gen)
+	if e != nil {
+		mc.store(k, e, gen)
+	} else if cached {
+		delete(mc.m, k) // the rule this tuple was served by is gone
+	}
 	return e
 }

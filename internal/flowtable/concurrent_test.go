@@ -78,12 +78,20 @@ func TestConcurrentLookupCacheAndRevalidate(t *testing.T) {
 		t.Fatalf("delete in scope should rescan: %+v", st)
 	}
 
-	// The negative result is cached too.
+	// The miss displaced the dead entry and is itself never stored: the
+	// repeat goes back to the table, and an add is seen by the very next
+	// lookup.
 	if e := c.Lookup(mc, &hit, 1, now, 64); e != nil {
-		t.Fatal("negative cache miss")
+		t.Fatal("lookup served a deleted rule")
 	}
-	if got := mc.Stats(); got.Hits != st.Hits+1 {
-		t.Fatalf("negative hit not cached: %+v", got)
+	if got := mc.Stats(); got.Hits != st.Hits || got.Misses != st.Misses+1 || got.Entries != 0 {
+		t.Fatalf("miss was stored in the shard cache: %+v", got)
+	}
+	if _, err := c.Apply(exactModFor(&hit, 1, 2, 10), now); err != nil {
+		t.Fatal(err)
+	}
+	if e := c.Lookup(mc, &hit, 1, now, 64); e == nil {
+		t.Fatal("add not visible to the next lookup")
 	}
 }
 

@@ -9,6 +9,7 @@ package flowtable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -25,11 +26,11 @@ var ErrTableFull = errors.New("flowtable: table full")
 type Entry struct {
 	Match       openflow.Match
 	Priority    uint16
+	NotifyRem   bool // beside Priority: fills its padding, so the chain link below costs no size class
 	Actions     []openflow.Action
 	Cookie      uint64
 	IdleTimeout time.Duration
 	HardTimeout time.Duration
-	NotifyRem   bool
 
 	Installed   time.Time
 	LastMatched time.Time
@@ -47,7 +48,8 @@ type Entry struct {
 	// list through this atomic instead.
 	actionsShared atomic.Pointer[[]openflow.Action]
 
-	seq uint64 // insertion order, breaks priority ties (first wins)
+	seq  uint64 // insertion order, breaks priority ties (first wins)
+	next *Entry // classifier chain: the next rule under the same subtable key
 }
 
 // SharedActions returns the entry's action list without the table lock.
@@ -92,25 +94,28 @@ type Removed struct {
 
 // Table is a single OpenFlow 1.0 flow table.
 //
-// Counters are kept as four disjoint atomics — every Lookup increments
-// exactly one of microHitsPos/microHitsNeg/scanMatched/scanMissed — so
-// the hot positive-cache-hit path pays a single atomic add while
-// Lookups/Matched/MicroflowHits/MicroflowMisses are derived sums that a
-// metrics scrape can read race-free from another goroutine.
+// Counters are kept as three disjoint atomics — every Lookup increments
+// exactly one of microHits/scanMatched/scanMissed — so the hot
+// cache-hit path pays a single atomic add while
+// Lookups/Matched/MicroflowMisses are derived sums that a metrics
+// scrape can read race-free from another goroutine.
 type Table struct {
 	capacity int
 	entries  []*Entry // sorted by (priority desc, seq asc)
 	nextSeq  uint64
+	cls      classifier // the same rules, indexed (see classifier.go)
 
 	// micro is the OVS-style microflow exact-match cache: the winning
-	// entry (nil for a cached miss) per exact header tuple + ingress
-	// port, consulted before the priority scan. Each cached result is
-	// stamped with the table generation it was computed under; rule-set
-	// mutations advance the generation and log their match scope, and a
-	// stale cached result is revalidated lazily by replaying the logged
-	// mutations against its packet — only lookups whose packets fall
-	// inside a mutation's scope pay a rescan, so churn in one corner of
-	// the rule set no longer empties the whole cache.
+	// entry per exact header tuple + ingress port, consulted before the
+	// classifier. Only hits are admitted: a miss costs one probe per
+	// subtable, so caching it would save nothing and would let a spoofed
+	// flood (every packet a fresh tuple) evict the benign working set.
+	// Each cached result is stamped with the table generation it was
+	// computed under; rule-set mutations advance the generation and log
+	// their match scope, and a stale cached result is revalidated lazily
+	// by replaying the logged mutations against its packet — only lookups
+	// whose packets fall inside a mutation's scope pay a rescan, so churn
+	// in one corner of the rule set no longer empties the whole cache.
 	micro        map[microKey]microEntry
 	microMaxSize int
 
@@ -123,9 +128,8 @@ type Table struct {
 	gen    atomic.Uint64
 	mutLog [mutLogSize]openflow.Match
 
-	microHitsPos telemetry.Counter // micro hit on a cached rule
-	microHitsNeg telemetry.Counter // micro hit on a cached miss
-	scanMatched  telemetry.Counter // micro miss, priority scan found a rule
+	microHits    telemetry.Counter // served by the microflow cache
+	scanMatched  telemetry.Counter // micro miss, classifier found a rule
 	scanMissed   telemetry.Counter // micro miss, table miss
 	microInvals  telemetry.Counter // whole-cache resets (capacity, Clear)
 	microRevals  telemetry.Counter // stale entries proven valid by replay
@@ -145,13 +149,13 @@ const MutLogWindow = mutLogSize
 
 // microEntry is one cached lookup outcome with its generation stamp.
 type microEntry struct {
-	e   *Entry // nil caches a miss
+	e   *Entry
 	gen uint64
 }
 
 // DefaultMicroflowSize bounds the microflow cache; when full it is reset
-// rather than evicted entry-by-entry, so a spoofed flood (every packet a
-// fresh tuple) costs one bounded map insert per packet and nothing more.
+// rather than evicted entry-by-entry. Only matched tuples count against
+// it, so it is the covered working set that has to outgrow the bound.
 const DefaultMicroflowSize = 8192
 
 // microKey is the exact-match identity of a lookup. It extends
@@ -210,12 +214,11 @@ func (t *Table) SetMicroflowSize(n int) {
 // Stats returns the counter snapshot. It reads only atomics, so it is
 // safe from any goroutine.
 func (t *Table) Stats() Stats {
-	pos, neg := t.microHitsPos.Value(), t.microHitsNeg.Value()
-	sm, sx := t.scanMatched.Value(), t.scanMissed.Value()
+	hits, sm, sx := t.microHits.Value(), t.scanMatched.Value(), t.scanMissed.Value()
 	return Stats{
-		Lookups:          pos + neg + sm + sx,
-		Matched:          pos + sm,
-		MicroflowHits:    pos + neg,
+		Lookups:          hits + sm + sx,
+		Matched:          hits + sm,
+		MicroflowHits:    hits,
 		MicroflowMisses:  sm + sx,
 		MicroflowEntries: int(t.microEntries.Value()),
 		Invalidations:    t.microInvals.Value(),
@@ -230,16 +233,11 @@ func (t *Table) Register(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc(prefix+"_lookups_total", "Flow table lookups.", func() uint64 {
-		return t.microHitsPos.Value() + t.microHitsNeg.Value() + t.scanMatched.Value() + t.scanMissed.Value()
-	})
-	reg.CounterFunc(prefix+"_matched_total", "Lookups that found a rule.", func() uint64 {
-		return t.microHitsPos.Value() + t.scanMatched.Value()
-	})
-	reg.CounterFunc(prefix+"_microflow_hits_total", "Lookups served by the microflow cache.", func() uint64 {
-		return t.microHitsPos.Value() + t.microHitsNeg.Value()
-	})
-	reg.CounterFunc(prefix+"_microflow_misses_total", "Lookups that fell through to the priority scan.", func() uint64 {
+	reg.CounterFunc(prefix+"_lookups_total", "Flow table lookups.", t.Lookups)
+	reg.CounterFunc(prefix+"_matched_total", "Lookups that found a rule.", t.Matched)
+	reg.RegisterCounter(prefix+"_microflow_hits_total",
+		"Lookups served by the microflow cache.", &t.microHits)
+	reg.CounterFunc(prefix+"_microflow_misses_total", "Lookups that fell through to the classifier.", func() uint64 {
 		return t.scanMatched.Value() + t.scanMissed.Value()
 	})
 	reg.RegisterCounter(prefix+"_microflow_invalidations_total",
@@ -320,7 +318,7 @@ func (t *Table) microFresh(me microEntry, p *netpkt.Packet, inPort uint16) bool 
 	return true
 }
 
-// cacheLookup stores a lookup outcome (e == nil caches the miss).
+// cacheLookup stores a lookup's winner.
 func (t *Table) cacheLookup(k microKey, e *Entry) {
 	if t.microMaxSize <= 0 {
 		return
@@ -347,13 +345,12 @@ func (t *Table) Capacity() int { return t.capacity }
 
 // Lookups returns the total number of Lookup calls.
 func (t *Table) Lookups() uint64 {
-	return t.microHitsPos.Value() + t.microHitsNeg.Value() +
-		t.scanMatched.Value() + t.scanMissed.Value()
+	return t.microHits.Value() + t.scanMatched.Value() + t.scanMissed.Value()
 }
 
 // Matched returns the number of Lookup calls that found a rule.
 func (t *Table) Matched() uint64 {
-	return t.microHitsPos.Value() + t.scanMatched.Value()
+	return t.microHits.Value() + t.scanMatched.Value()
 }
 
 // Entries returns a snapshot of the rules in match order.
@@ -397,67 +394,73 @@ func (t *Table) add(m openflow.FlowMod, now time.Time) error {
 		seq:         t.nextSeq,
 	}
 	e.setActions(m.Actions)
-	// An add with identical match and priority overwrites.
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match.Equal(&e.Match) {
-			e.seq = old.seq
-			t.entries[i] = e
-			t.noteMutation(&e.Match)
-			return nil
-		}
+	// An add with identical match and priority overwrites: the new rule
+	// takes the old one's seq, hence its place in every ordering.
+	if old := t.cls.get(&e.Match, e.Priority); old != nil {
+		e.seq = old.seq
+		t.entries[t.position(old)] = e
+		t.cls.remove(old)
+		t.cls.insert(e)
+		t.noteMutation(&e.Match)
+		return nil
 	}
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
 		return ErrTableFull
 	}
 	t.nextSeq++
-	t.entries = append(t.entries, e)
-	t.sortEntries()
+	t.entries = slices.Insert(t.entries, t.position(e), e)
+	t.cls.insert(e)
 	t.noteMutation(&e.Match)
 	return nil
 }
 
+// position is e's index in the match-ordered rule list — where it is if
+// installed, where it belongs if not ((priority, seq) is unique).
+func (t *Table) position(e *Entry) int {
+	return sort.Search(len(t.entries), func(i int) bool { return !t.entries[i].before(e) })
+}
+
+// modify swaps actions in place on the live *Entry (atomically, via the
+// shared-actions mirror), so cached winner pointers keep serving the
+// updated actions; which entry wins a lookup is untouched, so the
+// microflow cache needs no invalidation.
 func (t *Table) modify(m openflow.FlowMod, strict bool) {
-	changed := false
-	for _, e := range t.entries {
-		if strict {
-			if e.Priority == m.Priority && e.Match.Equal(&m.Match) {
-				e.setActions(m.Actions)
-				changed = true
-			}
-			continue
+	if strict {
+		if e := t.cls.get(&m.Match, m.Priority); e != nil {
+			e.setActions(m.Actions)
 		}
+		return
+	}
+	for _, e := range t.entries {
 		if Covers(&m.Match, &e.Match) {
 			e.setActions(m.Actions)
-			changed = true
 		}
 	}
-	// Actions are swapped in place on the live *Entry (atomically, via
-	// the shared-actions mirror), so cached winner pointers keep serving
-	// the updated actions; which entry wins a lookup is untouched, so the
-	// microflow cache needs no invalidation.
-	_ = changed
 }
 
 func (t *Table) delete(m openflow.FlowMod, strict bool) []Removed {
-	var removed []Removed
-	keep := t.entries[:0]
-	for _, e := range t.entries {
-		del := false
-		if strict {
-			del = e.Priority == m.Priority && e.Match.Equal(&m.Match)
-		} else {
-			del = Covers(&m.Match, &e.Match)
-		}
-		if del && m.OutPort != openflow.PortNone {
-			del = outputsTo(e.Actions, m.OutPort)
-		}
-		if del {
-			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedDelete})
-		} else {
-			keep = append(keep, e)
-		}
+	doomed := func(e *Entry) bool {
+		return m.OutPort == openflow.PortNone || outputsTo(e.Actions, m.OutPort)
 	}
-	t.entries = keep
+	var removed []Removed
+	if strict {
+		if e := t.cls.get(&m.Match, m.Priority); e != nil && doomed(e) {
+			i := t.position(e)
+			t.entries = slices.Delete(t.entries, i, i+1)
+			removed = []Removed{{Entry: e, Reason: openflow.RemovedDelete}}
+		}
+	} else {
+		t.entries = slices.DeleteFunc(t.entries, func(e *Entry) bool {
+			if !Covers(&m.Match, &e.Match) || !doomed(e) {
+				return false
+			}
+			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedDelete})
+			return true
+		})
+	}
+	for _, r := range removed {
+		t.cls.remove(r.Entry)
+	}
 	if len(removed) > 0 {
 		// One record covers every removed rule: each removed match is
 		// covered by m.Match (or equals it, strict), so any packet whose
@@ -478,12 +481,12 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 
 // Lookup finds the highest-priority rule matching p on inPort, updating
 // counters. It returns nil on a table miss. The microflow cache serves
-// repeats of an exact tuple without rescanning the priority list; misses
-// are cached too, since a miss is equally deterministic until the rule
-// set changes.
+// repeats of a matched tuple without consulting the classifier; a miss
+// is never cached, so an add is visible to the very next lookup.
 func (t *Table) Lookup(p *netpkt.Packet, inPort uint16, now time.Time, frameLen int) *Entry {
 	k := microKeyFor(p, inPort)
-	if me, ok := t.micro[k]; ok {
+	me, cached := t.micro[k]
+	if cached {
 		fresh := me.gen == t.gen.Load()
 		if !fresh && t.microFresh(me, p, inPort) {
 			// No mutation since the stamp touches this packet: the
@@ -494,26 +497,25 @@ func (t *Table) Lookup(p *netpkt.Packet, inPort uint16, now time.Time, frameLen 
 			fresh = true
 		}
 		if fresh {
-			if me.e == nil {
-				t.microHitsNeg.Inc()
-				return nil
-			}
-			t.microHitsPos.Inc()
+			t.microHits.Inc()
 			return t.hit(me.e, now, frameLen)
 		}
-		// Stale and possibly affected: fall through to the scan, which
-		// re-caches the authoritative result.
+		// Stale and possibly affected: fall through to the classifier,
+		// which re-caches the authoritative result.
 	}
-	for _, e := range t.entries {
-		if e.Match.Matches(p, inPort) {
-			t.scanMatched.Inc()
-			t.cacheLookup(k, e)
-			return t.hit(e, now, frameLen)
+	e := t.cls.find(p, inPort)
+	if e == nil {
+		t.scanMissed.Inc()
+		if cached {
+			// The rule this tuple was served by is gone.
+			delete(t.micro, k)
+			t.microEntries.Set(int64(len(t.micro)))
 		}
+		return nil
 	}
-	t.scanMissed.Inc()
-	t.cacheLookup(k, nil)
-	return nil
+	t.scanMatched.Inc()
+	t.cacheLookup(k, e)
+	return t.hit(e, now, frameLen)
 }
 
 func (t *Table) hit(e *Entry, now time.Time, frameLen int) *Entry {
@@ -523,22 +525,21 @@ func (t *Table) hit(e *Entry, now time.Time, frameLen int) *Entry {
 	return e
 }
 
-// LookupShared is the scan half of Lookup for callers holding a shared
-// (read) lock on the table: multiple goroutines may run it concurrently.
-// It bypasses the embedded microflow cache (shard-local MicroCaches
-// replace it — see Concurrent) and updates the matched entry's counters
-// atomically. Telemetry counters are atomics already, so the shared
-// scan is observable exactly like the owned one.
+// LookupShared is Lookup for callers holding a shared (read) lock on the
+// table: multiple goroutines may run it concurrently. It bypasses the
+// embedded microflow cache (shard-local MicroCaches replace it — see
+// Concurrent) and updates the matched entry's counters atomically.
+// Telemetry counters are atomics already, so the shared lookup is
+// observable exactly like the owned one.
 func (t *Table) LookupShared(p *netpkt.Packet, inPort uint16, now time.Time, frameLen int) *Entry {
-	for _, e := range t.entries {
-		if e.Match.Matches(p, inPort) {
-			t.scanMatched.Inc()
-			hitShared(e, now, frameLen)
-			return e
-		}
+	e := t.cls.find(p, inPort)
+	if e == nil {
+		t.scanMissed.Inc()
+		return nil
 	}
-	t.scanMissed.Inc()
-	return nil
+	t.scanMatched.Inc()
+	hitShared(e, now, frameLen)
+	return e
 }
 
 // hitShared is hit() for concurrent callers: per-entry counters become
@@ -552,32 +553,27 @@ func hitShared(e *Entry, now time.Time, frameLen int) {
 // Peek is Lookup without counter updates (used by the cache-resident-rules
 // design option to test coverage without consuming the rule).
 func (t *Table) Peek(p *netpkt.Packet, inPort uint16) *Entry {
-	for _, e := range t.entries {
-		if e.Match.Matches(p, inPort) {
-			return e
-		}
-	}
-	return nil
+	return t.cls.find(p, inPort)
 }
 
 // Expire removes idle- and hard-timed-out rules as of now.
 func (t *Table) Expire(now time.Time) []Removed {
 	var removed []Removed
-	keep := t.entries[:0]
-	for _, e := range t.entries {
+	t.entries = slices.DeleteFunc(t.entries, func(e *Entry) bool {
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout:
 			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedHardTimeout})
 		case e.IdleTimeout > 0 && now.Sub(e.effectiveLastMatched()) >= e.IdleTimeout:
 			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedIdleTimeout})
 		default:
-			keep = append(keep, e)
+			return false
 		}
-	}
-	t.entries = keep
+		return true
+	})
 	// Each expired rule's own match scopes its record: only packets the
 	// dead rule could have served pay a rescan.
 	for _, r := range removed {
+		t.cls.remove(r.Entry)
 		t.noteMutation(&r.Entry.Match)
 	}
 	return removed
@@ -586,16 +582,8 @@ func (t *Table) Expire(now time.Time) []Removed {
 // Clear removes every rule.
 func (t *Table) Clear() {
 	t.entries = nil
+	t.cls = classifier{}
 	t.invalidateMicro()
-}
-
-func (t *Table) sortEntries() {
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Priority != t.entries[j].Priority {
-			return t.entries[i].Priority > t.entries[j].Priority
-		}
-		return t.entries[i].seq < t.entries[j].seq
-	})
 }
 
 // Covers reports whether every packet matching b also matches a (a is at

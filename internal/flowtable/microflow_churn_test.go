@@ -49,9 +49,10 @@ func TestMicroflowSelectiveRetentionAcrossDelete(t *testing.T) {
 	}
 }
 
-// A cached miss survives adds whose match cannot cover the packet, and
-// is displaced the moment a covering rule lands.
-func TestMicroflowNegativeSelectiveRetention(t *testing.T) {
+// A miss is never stored: repeats of a missing tuple go back to the
+// classifier every time and occupy no cache slot, and an add is visible
+// to the very next lookup.
+func TestMicroflowMissNeverStored(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tbl := New(0)
 	a := mfPacket(0x0a000001, 0x0a000002, 80)
@@ -61,16 +62,20 @@ func TestMicroflowNegativeSelectiveRetention(t *testing.T) {
 		t.Fatal("empty table matched")
 	}
 	mfAdd(t, tbl, &other, 1, 10, nil, now) // out of a's scope
-	hits := tbl.Stats().MicroflowHits
+	before := tbl.Stats()
 	if e := tbl.Lookup(&a, 1, now, 64); e != nil {
 		t.Fatal("unrelated add made the miss a hit")
 	}
-	if tbl.Stats().MicroflowHits != hits+1 {
-		t.Error("cached miss was not retained across an unrelated add")
+	st := tbl.Stats()
+	if st.MicroflowHits != before.MicroflowHits || st.MicroflowMisses != before.MicroflowMisses+1 {
+		t.Errorf("repeated miss was served from the cache: before %+v after %+v", before, st)
+	}
+	if st.MicroflowEntries != 0 {
+		t.Errorf("misses occupy %d cache slots", st.MicroflowEntries)
 	}
 	mfAdd(t, tbl, &a, 1, 10, nil, now) // covering add
 	if e := tbl.Lookup(&a, 1, now, 64); e == nil {
-		t.Fatal("cached miss shadowed the newly added covering rule")
+		t.Fatal("add not visible to the next lookup")
 	}
 }
 

@@ -169,17 +169,16 @@ func TestMicroflowCacheHigherPrioritySupersedes(t *testing.T) {
 	}
 }
 
-func TestMicroflowCacheNegativeInvalidatedByAdd(t *testing.T) {
+func TestMicroflowCacheMissThenAdd(t *testing.T) {
 	now := time.Unix(1000, 0)
 	pkt := mfPacket(0x0a000001, 0x0a000002, 80)
 	tbl := New(0)
-	// Cache the miss.
 	if e := tbl.Lookup(&pkt, 1, now, 64); e != nil {
 		t.Fatal("lookup on empty table matched")
 	}
 	mfAdd(t, tbl, &pkt, 1, 10, nil, now)
 	if e := tbl.Lookup(&pkt, 1, now, 64); e == nil {
-		t.Fatal("cached miss shadowed a newly added rule")
+		t.Fatal("earlier miss shadowed a newly added rule")
 	}
 }
 
@@ -188,8 +187,11 @@ func TestMicroflowCacheBounded(t *testing.T) {
 	tbl := New(0)
 	tbl.SetMicroflowSize(64)
 	pkt := mfPacket(0x0a000001, 0x0a000002, 80)
-	mfAdd(t, tbl, &pkt, 1, 10, nil, now)
-	// Distinct tuples past the bound must reset, not grow, the cache.
+	mfAdd(t, tbl, &pkt, 1, 10, func(fm *openflow.FlowMod) {
+		fm.Match.Wildcards |= openflow.WildTpDst
+	}, now)
+	// Distinct matched tuples past the bound must reset, not grow, the
+	// cache.
 	for i := 0; i < 1000; i++ {
 		p := mfPacket(0x0a000001, 0x0a000002, uint16(i))
 		tbl.Lookup(&p, 1, now, 64)
@@ -204,6 +206,31 @@ func TestMicroflowCacheBounded(t *testing.T) {
 	// Correctness survives the resets.
 	if e := tbl.Lookup(&pkt, 1, now, 64); e == nil {
 		t.Fatal("lookup missed after capacity churn")
+	}
+}
+
+// A flood of fresh unmatched tuples — the spoofed-source attack — must
+// not reset the cache or displace the covered flow's entry.
+func TestMicroflowCacheIgnoresMissFlood(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tbl := New(0)
+	tbl.SetMicroflowSize(64)
+	pkt := mfPacket(0x0a000001, 0x0a000002, 80)
+	mfAdd(t, tbl, &pkt, 1, 10, nil, now)
+	prime(t, tbl, &pkt, now)
+	for i := 0; i < 1000; i++ {
+		p := mfPacket(0x0b000000+uint32(i), 0x0a000002, 80)
+		if tbl.Lookup(&p, 1, now, 64) != nil {
+			t.Fatal("spoofed tuple matched")
+		}
+	}
+	st := tbl.Stats()
+	if st.Invalidations != 0 || st.MicroflowEntries != 1 {
+		t.Fatalf("miss flood disturbed the cache: %+v", st)
+	}
+	hits := st.MicroflowHits
+	if tbl.Lookup(&pkt, 1, now, 64) == nil || tbl.Stats().MicroflowHits != hits+1 {
+		t.Fatal("covered flow lost its cache entry to the miss flood")
 	}
 }
 

@@ -103,12 +103,22 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 			}
 		}
 	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case <-ack.done:
-	case <-timer.C:
-		return ErrApplyTimeout
+	// The ack is consulted before the clock: only a wait that will block
+	// pays for a timer, and a failed enqueue — pushCtrl gives up exactly
+	// at the deadline — reports its own error, not a timeout.
+	if ack.pending.Load() > 0 {
+		if pushErr != nil {
+			return pushErr
+		}
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		select {
+		case <-ack.done:
+		case <-timer.C:
+			if ack.pending.Load() > 0 {
+				return ErrApplyTimeout
+			}
+		}
 	}
 	ack.mu.Lock()
 	err := ack.err

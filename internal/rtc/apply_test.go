@@ -150,7 +150,9 @@ func TestApplyTimeoutOnStalledShard(t *testing.T) {
 // surface under the race detector: per-shard packet producers, a
 // control-plane goroutine churning rules through Apply (including
 // broadcasts), and a scraper reading Snapshot/TableRules/TableStats —
-// all at once. Conservation must still hold when the dust settles.
+// all at once. A live scrape may land between any two packets, so what
+// it can hold the counters to is monotonicity; conservation is exact
+// once Stop has returned.
 func TestApplyChurnRace(t *testing.T) {
 	e := New(testEngineConfig(4))
 	e.Start()
@@ -208,13 +210,15 @@ func TestApplyChurnRace(t *testing.T) {
 	wg.Add(1)
 	go func() { // scraper: live reads against the serving path
 		defer wg.Done()
+		var last Snapshot
 		for !stop.Load() {
 			s := e.Snapshot()
-			if s.Forwarded+s.Misses != s.Processed {
-				t.Errorf("live conservation: fwd %d + miss %d != proc %d",
-					s.Forwarded, s.Misses, s.Processed)
+			if s.Forwarded < last.Forwarded || s.Misses < last.Misses {
+				t.Errorf("live counters ran backwards: fwd %d→%d miss %d→%d",
+					last.Forwarded, s.Forwarded, last.Misses, s.Misses)
 				return
 			}
+			last = s
 			_ = e.TableRules()
 			_ = e.TableStats()
 			time.Sleep(100 * time.Microsecond)
@@ -226,13 +230,12 @@ func TestApplyChurnRace(t *testing.T) {
 	wg.Wait()
 	e.Stop()
 
+	// Processed is derived (forwarded + misses), so this is the
+	// conservation check: every accepted frame was forwarded or missed.
 	s := e.Snapshot()
 	if s.Processed != accepted.Load() {
-		t.Fatalf("processed %d, accepted %d", s.Processed, accepted.Load())
-	}
-	if s.Forwarded+s.Misses != s.Processed {
-		t.Fatalf("conservation broken: fwd %d + miss %d != proc %d",
-			s.Forwarded, s.Misses, s.Processed)
+		t.Fatalf("conservation broken: fwd %d + miss %d = %d, accepted %d",
+			s.Forwarded, s.Misses, s.Processed, accepted.Load())
 	}
 	var applied uint64
 	for _, st := range s.Shards {

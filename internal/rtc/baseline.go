@@ -45,7 +45,7 @@ type Baseline struct {
 	ctrl      chan func()
 	cacheGone chan struct{}
 
-	processed  atomic.Uint64
+	// processed is forwarded + misses, derived on read (as in Shard).
 	forwarded  atomic.Uint64
 	misses     atomic.Uint64
 	cacheDrops atomic.Uint64
@@ -194,7 +194,8 @@ func (b *Baseline) RunOnCache(fn func()) {
 // Counters mirrors Engine.Counters (drops here are looked-channel
 // overflows rather than ring drops).
 func (b *Baseline) Counters() (processed, forwarded, misses, ringDrops uint64) {
-	return b.processed.Load(), b.forwarded.Load(), b.misses.Load(), b.cacheDrops.Load()
+	forwarded, misses = b.forwarded.Load(), b.misses.Load()
+	return forwarded + misses, forwarded, misses, b.cacheDrops.Load()
 }
 
 // CacheStats snapshots the data plane cache counters.
@@ -224,7 +225,6 @@ func (b *Baseline) lookupLoop() {
 		b.mu.Lock()
 		entry := b.table.Lookup(&it.Pkt, it.InPort, now, it.Pkt.WireLen())
 		b.mu.Unlock()
-		b.processed.Add(1)
 		if entry != nil {
 			_ = entry.SharedActions()
 			b.forwarded.Add(1)
@@ -335,9 +335,9 @@ func (b *Baseline) manualCacheLoop() {
 func (b *Baseline) Snapshot() Snapshot {
 	var snap Snapshot
 	var merged [latBuckets]uint64
-	snap.Processed = b.processed.Load()
 	snap.Forwarded = b.forwarded.Load()
 	snap.Misses = b.misses.Load()
+	snap.Processed = snap.Forwarded + snap.Misses
 	snap.CacheDrops = b.cacheDrops.Load()
 	b.lat.addInto(&merged)
 	snap.P50 = latQuantile(&merged, 0.50)

@@ -205,7 +205,8 @@ type Shard struct {
 	mc  *flowtable.MicroCache
 	obs *attrib.ShardObserver
 
-	processed  atomic.Uint64
+	// Every packet bumps exactly one of these two; processed is their sum,
+	// derived on read, so no reader can catch it between two adds.
 	forwarded  atomic.Uint64
 	misses     atomic.Uint64
 	cacheDrops atomic.Uint64
@@ -529,12 +530,11 @@ func (e *Engine) RunOnCache(fn func()) {
 // values with proper happens-before edges.
 func (e *Engine) Counters() (processed, forwarded, misses, ringDrops uint64) {
 	for _, s := range e.shards {
-		processed += s.processed.Load()
 		forwarded += s.forwarded.Load()
 		misses += s.misses.Load()
 		ringDrops += s.cacheDrops.Load()
 	}
-	return
+	return forwarded + misses, forwarded, misses, ringDrops
 }
 
 // Flushes returns how many attribution flushes shard i has completed.
@@ -642,9 +642,9 @@ func (s *Shard) run() {
 }
 
 // processOne carries one packet end-to-end on the caller's goroutine —
-// the run-to-completion body. The warm path (microflow hit, positive or
-// negative) takes zero locks and allocates nothing: one atomic
-// generation load plus shard-local state.
+// the run-to-completion body. The warm path (microflow hit) takes zero
+// locks and allocates nothing: one atomic generation load plus
+// shard-local state.
 func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
 	p := &it.Pkt
 	// Ingress classification runs here even though only the cache uses
@@ -659,7 +659,6 @@ func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
 	} else {
 		entry = s.eng.shared.Lookup(s.mc, p, it.InPort, now, p.WireLen())
 	}
-	s.processed.Add(1)
 	if entry != nil {
 		// Forwarded: in a hardware datapath the actions would be executed
 		// here; the engine accounts them and moves on.
@@ -727,7 +726,7 @@ func (s *Shard) flushGuard() {
 func (s *Shard) noteFlush(dpid uint64) {
 	s.flushes.Add(1)
 	s.jrec.Record(journal.KindShardFlush, 0, 0, dpid, uint16(s.id),
-		float64(s.processed.Load()), float64(s.misses.Load()), float64(s.cacheDrops.Load()))
+		float64(s.forwarded.Load()+s.misses.Load()), float64(s.misses.Load()), float64(s.cacheDrops.Load()))
 }
 
 // cacheLoop is the cache-stage goroutine: it drains every shard's
@@ -844,10 +843,11 @@ func (e *Engine) Snapshot() Snapshot {
 	var merged [latBuckets]uint64
 	snap.Shards = make([]ShardStats, len(e.shards))
 	for i, s := range e.shards {
+		fwd, miss := s.forwarded.Load(), s.misses.Load()
 		st := ShardStats{
-			Processed:    s.processed.Load(),
-			Forwarded:    s.forwarded.Load(),
-			Misses:       s.misses.Load(),
+			Processed:    fwd + miss,
+			Forwarded:    fwd,
+			Misses:       miss,
 			CacheDrops:   s.cacheDrops.Load(),
 			Flushes:      s.flushes.Load(),
 			Applied:      s.applied.Load(),
@@ -886,7 +886,7 @@ func (e *Engine) Register(reg *telemetry.Registry, prefix string) {
 			return n
 		}
 	}
-	reg.CounterFunc(prefix+"_processed_total", "Packets carried end-to-end by the shards.", sum(func(s *Shard) uint64 { return s.processed.Load() }))
+	reg.CounterFunc(prefix+"_processed_total", "Packets carried end-to-end by the shards.", sum(func(s *Shard) uint64 { return s.forwarded.Load() + s.misses.Load() }))
 	reg.CounterFunc(prefix+"_forwarded_total", "Packets matched and forwarded on the shard path.", sum(func(s *Shard) uint64 { return s.forwarded.Load() }))
 	reg.CounterFunc(prefix+"_missed_total", "Table-miss packets handed to the cache stage.", sum(func(s *Shard) uint64 { return s.misses.Load() }))
 	reg.CounterFunc(prefix+"_cache_ring_drops_total", "Misses dropped because the shard→cache ring was full.", sum(func(s *Shard) uint64 { return s.cacheDrops.Load() }))
