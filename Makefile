@@ -15,12 +15,12 @@ build:
 test: test-cpus
 	$(GO) test -shuffle=on ./...
 
-# The concurrent protocols (in-band Apply, ring handoffs, the shared
-# table's reader/writer split) at every core count a box might have.
+# The concurrent protocols (in-band Apply, ring handoffs, shard flush
+# against attribution roll) at every core count a box might have.
 # -count=1 defeats the test cache: a cached "ok" from a 1-CPU run once
 # hid two red tests here.
 test-cpus:
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/rtc ./internal/flowtable ./internal/spsc
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/rtc ./internal/flowtable ./internal/spsc ./internal/sketch ./internal/attrib
 
 # The wire-to-wire benchmark harness is a nested module, so ./... does
 # not reach it: vet it and run its own tests (a traced smoke of every
@@ -48,32 +48,29 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchtime=100x -benchmem -run=^$$ ./...
 
-# The observability hot paths: telemetry primitives plus the two PR-1
-# fast-path benches the instrumentation must not regress (both have a
-# 0 allocs/op budget).
+# The observability hot paths: telemetry primitives plus the sideband
+# replay framing the instrumentation must not regress (0 allocs/op
+# budget). The flow-table lookup's 0-alloc witness is a tier-1 test now
+# (flowtable.TestLookupAllocatesNothing).
 bench-telemetry:
 	$(GO) test -bench=. -benchtime=100x -benchmem -run=^$$ ./internal/telemetry/
-	$(GO) test -bench=MicroflowHit -benchtime=100x -benchmem -run=^$$ .
 	$(GO) test -bench=WriteReplay -benchtime=100x -benchmem -run=^$$ ./internal/dpcproto/
 
 # The PR-4 performance families rendered as BENCH_4.json with
-# regression gates: the two 0-alloc fast paths must stay 0-alloc, the
+# regression gates: the sideband replay framing must stay 0-alloc, the
 # warm memo must stay an order of magnitude under the cold derive, and
 # the 1000-path sequential derive has an absolute ceiling generous
 # enough for slow CI machines (~6x the reference box).
 bench-json:
 	@rm -f bench4.txt
-	$(GO) test -bench='BenchmarkMicroflowHit$$|BenchmarkDeriveRules' -benchtime=20x -benchmem -run=^$$ . | tee -a bench4.txt
+	$(GO) test -bench=BenchmarkDeriveRules -benchtime=20x -benchmem -run=^$$ . | tee -a bench4.txt
 	$(GO) test -bench=WriteReplay -benchtime=100x -benchmem -run=^$$ ./internal/dpcproto/ | tee -a bench4.txt
 	$(GO) test -bench=Concretize -benchtime=100x -benchmem -run=^$$ ./internal/solver/ | tee -a bench4.txt
-	$(GO) test -bench=MicroflowHitRetention -benchtime=10000x -benchmem -run=^$$ ./internal/flowtable/ | tee -a bench4.txt
 	$(GO) run ./cmd/benchjson -in bench4.txt -out BENCH_4.json \
-		-gate 'BenchmarkMicroflowHit(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkWriteReplay/write-replay(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkDeriveRules/paths-1000/workers-1(-|$$):ns_per_op<=60000000' \
 		-gate 'BenchmarkDeriveRulesMemo/warm/paths-1000(-|$$):ns_per_op<=6000000' \
-		-gate 'BenchmarkConcretize/entries=1024(-|$$):allocs_per_op<=16' \
-		-gate 'BenchmarkMicroflowHitRetentionUnderChurn/churn-every-16(-|$$):hitrate>=0.9'
+		-gate 'BenchmarkConcretize/entries=1024(-|$$):allocs_per_op<=16'
 
 # The PR-5 attribution hot paths rendered as BENCH_5.json: the per-packet
 # sketch Update/Estimate and the heavy-hitter Observe run on the sampled
@@ -92,17 +89,16 @@ bench-json5:
 
 # The PR-6 run-to-completion engine rendered as BENCH_6.json: the SPSC
 # ring, the per-packet shard body (0 allocs AND 0 mutex-profile waits —
-# the zero-lock witness), the cache replay hop, the shard-local flow
-# lookup, and the whole-pipeline sustained-pps macro benchmark. The pps
-# floor and p99 ceiling are deliberately generous so slow single-core CI
-# boxes pass; the architectural >=2x speedup self-asserts inside the
-# macro bench only on machines with >=4 CPUs.
+# the zero-lock witness), the cache replay hop, and the whole-pipeline
+# sustained-pps macro benchmark. The pps floor and p99 ceiling are
+# deliberately generous so slow single-core CI boxes pass; the
+# architectural >=2x speedup self-asserts inside the macro bench only on
+# machines with >=4 CPUs.
 bench-json6:
 	@rm -f bench6.txt
 	$(GO) test -bench='RingPushPop|RingBatch64' -benchtime=10000x -benchmem -run=^$$ ./internal/spsc/ | tee -a bench6.txt
 	$(GO) test -bench='ShardPerPacket|RingHandoff' -benchtime=10000x -benchmem -run=^$$ ./internal/rtc/ | tee -a bench6.txt
 	$(GO) test -bench=CacheReplay -benchtime=10000x -benchmem -run=^$$ ./internal/dpcache/ | tee -a bench6.txt
-	$(GO) test -bench=ConcurrentShardHit -benchtime=10000x -benchmem -run=^$$ ./internal/flowtable/ | tee -a bench6.txt
 	$(GO) test -bench='SustainedPPS$$' -benchtime=1x -run=^$$ ./internal/experiments/ | tee -a bench6.txt
 	$(GO) run ./cmd/benchjson -in bench6.txt -out BENCH_6.json \
 		-gate 'BenchmarkRingPushPop(-|$$):allocs_per_op<=0' \
@@ -112,7 +108,6 @@ bench-json6:
 		-gate 'BenchmarkRingHandoff(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkCacheReplay/no-hinter(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkCacheReplay/hinter(-|$$):allocs_per_op<=0' \
-		-gate 'BenchmarkConcurrentShardHit(-|$$):allocs_per_op<=0' \
 		-gate 'BenchmarkSustainedPPS/mode=sharded(-|$$):pps>=50000' \
 		-gate 'BenchmarkSustainedPPS/mode=sharded(-|$$):p99ms<=250'
 
@@ -153,10 +148,8 @@ bench-json8:
 # contention while flow_mods delete and re-add a served rule every 64
 # packets — the witness that Apply never makes the serving path take a
 # writer lock), plus the mixed lookup+Apply macro benchmark: sustained
-# pps with 1000 flow_mods/s of churn, writer-lock arm vs the
-# shard-partitioned engine. The pps floor, p99 ceiling, and flow_mod
-# floor are generous for slow CI boxes; the >=1.5x churn speedup
-# self-asserts inside the macro bench only on machines with >=4 CPUs.
+# pps with 1000 flow_mods/s of churn. The pps floor, p99 ceiling, and
+# flow_mod floor are generous for slow CI boxes.
 bench-json9:
 	@rm -f bench9.txt
 	$(GO) test -bench=ShardChurnBody -benchtime=200000x -benchmem -run=^$$ ./internal/rtc/ | tee -a bench9.txt

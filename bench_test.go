@@ -497,27 +497,6 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroflowHit(b *testing.B) {
-	tbl := flowtable.New(0)
-	g := netpkt.NewSpoofGen(1, netpkt.FloodUDP, 0)
-	now := netsim.Epoch
-	p := g.Next()
-	if _, err := tbl.Apply(openflow.FlowMod{
-		Match: openflow.ExactFrom(&p, 1), Command: openflow.FlowAdd, Priority: 10,
-		Actions: []openflow.Action{openflow.Output(2)},
-	}, now); err != nil {
-		b.Fatal(err)
-	}
-	tbl.Lookup(&p, 1, now, 64) // warm the microflow cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tbl.Lookup(&p, 1, now, 64) == nil {
-			b.Fatal("expected hit")
-		}
-	}
-}
-
 func BenchmarkSymbolicExecution(b *testing.B) {
 	progs, _ := apps.EvaluationSet()
 	for _, prog := range progs {

@@ -304,14 +304,12 @@ func sweep(shards int) error {
 	return nil
 }
 
-// pps runs the sustained-pps macro benchmark across the three
-// pipelines: the channel-hop baseline, the run-to-completion engine
-// over the legacy writer-locked table, and the shard-partitioned
-// engine. -flowmod-rate adds rule churn while traffic runs — the
-// scenario separating the locked and partitioned arms.
+// pps runs the sustained-pps macro benchmark on the channel-hop
+// baseline and on the run-to-completion engine. -flowmod-rate adds rule
+// churn while traffic runs.
 func pps(seed int64, shards int, flowModRate float64) error {
 	var results []*experiments.PPSResult
-	for _, mode := range []experiments.PPSMode{experiments.PPSChannels, experiments.PPSLocked, experiments.PPSSharded} {
+	for _, mode := range []experiments.PPSMode{experiments.PPSChannels, experiments.PPSSharded} {
 		r, err := experiments.RunPPS(experiments.PPSConfig{
 			Mode:        mode,
 			Shards:      shards,
@@ -329,9 +327,7 @@ func pps(seed int64, shards int, flowModRate float64) error {
 	if asCSV {
 		return experiments.WritePPSCSV(os.Stdout, results)
 	}
-	sharded := results[len(results)-1]
-	fmt.Fprintf(os.Stdout, "sharded/channels speedup: %.2fx\n", sharded.SustainedPPS/results[0].SustainedPPS)
-	fmt.Fprintf(os.Stdout, "sharded/locked   speedup: %.2fx\n", sharded.SustainedPPS/results[1].SustainedPPS)
+	fmt.Fprintf(os.Stdout, "sharded/channels speedup: %.2fx\n", results[1].SustainedPPS/results[0].SustainedPPS)
 	return nil
 }
 

@@ -218,8 +218,12 @@ type Attributor struct {
 
 	// tcpSrc is the bounded per-source handshake-evidence table, fed by
 	// tcpguard verdicts through the shard observers' Flush merges.
-	// Guarded by mu; pruned and re-judged at Roll.
-	tcpSrc map[uint64]*tcpEvidence
+	// Guarded by mu; pruned and re-judged at Roll. tcpRank and tcpKept are
+	// Roll's scratch, kept between windows so a flood-sized ranking is
+	// not reallocated every 50 ms.
+	tcpSrc  map[uint64]tcpEvidence
+	tcpRank []tcpRank
+	tcpKept []tcpEvidence
 
 	windows    int
 	anyBlamed  bool // snapshot of "some port blamed" for the source gate
@@ -237,7 +241,7 @@ func New(cfg Config) *Attributor {
 		ports:  make(map[uint64]*portState),
 		srcs:   sketch.NewCountMin(cfg.SketchRows, cfg.SketchCols, cfg.Seed),
 		hot:    sketch.NewSpaceSaving(cfg.TopK),
-		tcpSrc: make(map[uint64]*tcpEvidence),
+		tcpSrc: make(map[uint64]tcpEvidence),
 	}
 }
 
@@ -393,9 +397,7 @@ func (a *Attributor) Hint(origin uint64, inPort uint16, pkt *netpkt.Packet) uint
 	portBlamed := ps != nil && ps.blamed
 	anyBlamed := a.anyBlamed
 	if pkt != nil && len(a.tcpSrc) > 0 && pkt.IsIP() {
-		if ev := a.tcpSrc[uint64(pkt.NwSrc)]; ev != nil {
-			tcpOffender = ev.offender
-		}
+		tcpOffender = a.tcpSrc[uint64(pkt.NwSrc)].offender
 	}
 	a.mu.Unlock()
 	if portBlamed {

@@ -20,7 +20,7 @@ type ShardObserver struct {
 	ports map[uint64]uint64 // portKey -> samples since the last Flush
 	srcs  *sketch.CountMin  // same geometry+seed as a.srcs: Merge-compatible
 	hot   *sketch.SpaceSavingLocal
-	tcp   map[uint64]*tcpDelta // src -> handshake verdicts since last Flush
+	tcp   map[uint64]tcpDelta // src -> handshake verdicts since last Flush
 }
 
 // NewShardObserver builds a shard-local observer bound to a.
@@ -30,7 +30,7 @@ func (a *Attributor) NewShardObserver() *ShardObserver {
 		ports: make(map[uint64]uint64, 16),
 		srcs:  sketch.NewCountMin(a.cfg.SketchRows, a.cfg.SketchCols, a.cfg.Seed),
 		hot:   sketch.NewSpaceSavingLocal(a.cfg.TopK),
-		tcp:   make(map[uint64]*tcpDelta, 16),
+		tcp:   make(map[uint64]tcpDelta, 16),
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"floodguard/internal/dpcache"
+	"floodguard/internal/netpkt"
+	"floodguard/internal/tcpguard"
 )
 
 // TestShardObserverEquivalence drives the same packet stream through (a)
@@ -92,5 +94,50 @@ func TestShardObserverFlushIsIncremental(t *testing.T) {
 	}
 	if got := a.srcs.Total(); got != 10 {
 		t.Fatalf("sketch total = %d, want 10", got)
+	}
+}
+
+// TestShardMissPathAllocatesNothing pins the miss path's share of the
+// engine's allocation-free packet body: with the heavy-hitter summary
+// full, a never-seen source costs Observe an eviction and TCPVerdict a
+// map insert into buckets the last window left behind — no allocation —
+// and a steady-state Flush (the same sources window after window) merges
+// without allocating either.
+func TestShardMissPathAllocatesNothing(t *testing.T) {
+	a := New(Config{})
+	o := a.NewShardObserver()
+	const perWindow = 2048
+	src := uint32(0x0b000000)
+	pkt := tcpPkt(0, netpkt.TCPSyn)
+	spoof := func() {
+		src++
+		pkt.NwSrc = netpkt.IPv4(src)
+		o.Observe(1, 9, &pkt)
+		o.TCPVerdict(1, 9, pkt.NwSrc, tcpguard.VerdictSyn)
+	}
+	window := func() {
+		for i := 0; i < perWindow; i++ {
+			spoof()
+		}
+		o.Flush()
+	}
+	window() // grows the shard's delta map to a window's worth of buckets
+	for i := 0; i < 2*a.cfg.TopK; i++ {
+		spoof()
+	}
+	if o.hot.Len() != a.cfg.TopK {
+		t.Fatalf("summary holds %d of %d keys", o.hot.Len(), a.cfg.TopK)
+	}
+	if allocs := testing.AllocsPerRun(perWindow/2, spoof); allocs != 0 {
+		t.Errorf("Observe+TCPVerdict on a never-seen source allocates %.2f times", allocs)
+	}
+
+	steady := func() {
+		src = 0x0c000000
+		window()
+	}
+	steady()
+	if allocs := testing.AllocsPerRun(10, steady); allocs != 0 {
+		t.Errorf("a steady-state window of %d sources and its Flush allocate %.2f times", perWindow, allocs)
 	}
 }

@@ -1,7 +1,7 @@
 package attrib
 
 import (
-	"sort"
+	"slices"
 
 	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
@@ -44,75 +44,152 @@ const tcpEvidenceJournalCap = 8
 // Caller holds a.mu. The table may transiently exceed TCPMaxSources
 // between Rolls; pruning happens only at Roll so that eviction order
 // never depends on Go map iteration order.
-func (a *Attributor) mergeTCPLocked(src uint64, port uint16, syns, acks, fails, malformed uint64) {
+func (a *Attributor) mergeTCPLocked(src uint64, d tcpDelta) {
 	ev := a.tcpSrc[src]
-	if ev == nil {
-		ev = &tcpEvidence{}
-		a.tcpSrc[src] = ev
+	ev.syns += uint64(d.syns)
+	ev.acks += uint64(d.acks)
+	ev.fails += uint64(d.fails)
+	ev.malformed += uint64(d.malformed)
+	ev.port = d.port
+	a.tcpSrc[src] = ev
+}
+
+// tcpRank is one source's place in a Roll's ranking: SYN volume first,
+// the source address to make the order total.
+type tcpRank struct {
+	src, syns uint64
+	// eligible marks a source this Roll journals if the cap allows: an
+	// offender whose evidence is not on record yet.
+	eligible bool
+}
+
+func (r tcpRank) before(o tcpRank) bool {
+	return r.syns > o.syns || r.syns == o.syns && r.src < o.src
+}
+
+func cmpTCPRank(x, y tcpRank) int {
+	switch {
+	case x.before(y):
+		return -1
+	case y.before(x):
+		return 1
 	}
-	ev.syns += syns
-	ev.acks += acks
-	ev.fails += fails
-	ev.malformed += malformed
-	ev.port = port
+	return 0
+}
+
+// selectTopTCP reorders rank so that its first k elements are the k that
+// rank first, in no particular order: rank[:k] is kept as a heap with the
+// last-ranked of them on top, and every later element that outranks the
+// top takes its place. O(n log k) whatever the input order; a flood of
+// one-SYN sources, all ties, costs about one comparison per source.
+func selectTopTCP(rank []tcpRank, k int) {
+	top := rank[:k]
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && top[c].before(top[c+1]) {
+				c++
+			}
+			if !top[i].before(top[c]) {
+				return
+			}
+			top[i], top[c] = top[c], top[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(rank); i++ {
+		if rank[i].before(top[0]) {
+			top[0], rank[i] = rank[i], top[0]
+			down(0)
+		}
+	}
 }
 
 // rollTCPLocked re-judges offenders, emits journal evidence for the
 // worst of them, prunes the table back under its bound, and decays the
 // counters on the sketch cadence. Caller holds a.mu; called once per
 // Roll after the window counter advanced.
+//
+// Between Rolls a spoofed flood grows the table by one entry per source,
+// so the work per entry is kept flat: one pass over the map builds a
+// ranking, the TCPMaxSources that rank first are selected and only they
+// are sorted, and the table is rebuilt from them instead of deleting the
+// rest key by key. Judging, journalling and pruning all follow rank
+// order, never map order, so the outcome is deterministic.
 func (a *Attributor) rollTCPLocked() {
 	if len(a.tcpSrc) == 0 {
 		return
 	}
-	// Deterministic order for judging, journalling, and pruning.
-	keys := make([]uint64, 0, len(a.tcpSrc))
-	for src := range a.tcpSrc {
-		keys = append(keys, src)
+	rank := a.tcpRank[:0]
+	for src, ev := range a.tcpSrc {
+		rank = append(rank, tcpRank{src: src, syns: ev.syns,
+			eligible: a.judgeTCP(&ev) && !(ev.offender && ev.journaled)})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		x, y := a.tcpSrc[keys[i]], a.tcpSrc[keys[j]]
-		if x.syns != y.syns {
-			return x.syns > y.syns
-		}
-		return keys[i] < keys[j]
-	})
+	keep := len(rank)
+	if keep > a.cfg.TCPMaxSources {
+		keep = a.cfg.TCPMaxSources
+		selectTopTCP(rank, keep)
+	}
+	slices.SortFunc(rank[:keep], cmpTCPRank)
 
 	journaled := 0
-	for _, src := range keys {
-		ev := a.tcpSrc[src]
-		was := ev.offender
-		ev.offender = a.judgeTCP(ev)
-		if ev.offender != was {
-			ev.journaled = false
+	record := func(src uint64, ev *tcpEvidence) {
+		a.jrec.Record(journal.KindTCPEvidence, 0, 0, src, ev.port,
+			float64(ev.syns), float64(ev.acks), float64(ev.fails+ev.malformed))
+		journaled++
+	}
+	kept := a.tcpKept[:0]
+	for _, r := range rank[:keep] {
+		ev := a.tcpSrc[r.src]
+		if offender := a.judgeTCP(&ev); offender != ev.offender {
+			ev.offender, ev.journaled = offender, false
 		}
-		if ev.offender && !ev.journaled && journaled < tcpEvidenceJournalCap {
-			a.jrec.Record(journal.KindTCPEvidence, 0, 0, src, ev.port,
-				float64(ev.syns), float64(ev.acks), float64(ev.fails+ev.malformed))
+		if r.eligible && journaled < tcpEvidenceJournalCap {
+			record(r.src, &ev)
 			ev.journaled = true
-			journaled++
+		}
+		kept = append(kept, ev)
+	}
+	// The sources ranked past the bound are about to be forgotten, but
+	// journal slots the kept ones left unused still go to them, worst
+	// first.
+	if tail := rank[keep:]; journaled < tcpEvidenceJournalCap {
+		n := 0
+		for _, r := range tail {
+			if r.eligible {
+				tail[n] = r
+				n++
+			}
+		}
+		slices.SortFunc(tail[:n], cmpTCPRank)
+		for _, r := range tail[:min(n, tcpEvidenceJournalCap-journaled)] {
+			ev := a.tcpSrc[r.src]
+			record(r.src, &ev)
 		}
 	}
 
-	// Prune: keep the TCPMaxSources worst (the sort above already ranks
-	// by SYN volume, which is what the bound protects against).
-	if len(keys) > a.cfg.TCPMaxSources {
-		for _, src := range keys[a.cfg.TCPMaxSources:] {
-			delete(a.tcpSrc, src)
-		}
-	}
-
-	if a.windows%a.cfg.DecayEveryWindows == 0 {
-		for src, ev := range a.tcpSrc {
+	decay := a.windows%a.cfg.DecayEveryWindows == 0
+	clear(a.tcpSrc)
+	for i, r := range rank[:keep] {
+		ev := kept[i]
+		if decay {
 			ev.syns /= 2
 			ev.acks /= 2
 			ev.fails /= 2
 			ev.malformed /= 2
 			if ev.syns == 0 && ev.acks == 0 && ev.fails == 0 && ev.malformed == 0 {
-				delete(a.tcpSrc, src)
+				continue
 			}
 		}
+		a.tcpSrc[r.src] = ev
 	}
+	a.tcpRank, a.tcpKept = rank[:0], kept[:0]
 }
 
 // judgeTCP decides whether a record brands its source an offender: a
@@ -131,9 +208,6 @@ func (a *Attributor) TCPSourceEvidence(src netpkt.IPv4) TCPEvidence {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ev := a.tcpSrc[uint64(src)]
-	if ev == nil {
-		return TCPEvidence{}
-	}
 	return TCPEvidence{
 		Syns:        ev.syns,
 		Completions: ev.acks,
@@ -179,10 +253,6 @@ type tcpDelta struct {
 // attributor at the next Flush barrier.
 func (o *ShardObserver) TCPVerdict(dpid uint64, inPort uint16, src netpkt.IPv4, v tcpguard.Verdict) {
 	d := o.tcp[uint64(src)]
-	if d == nil {
-		d = &tcpDelta{}
-		o.tcp[uint64(src)] = d
-	}
 	switch v {
 	case tcpguard.VerdictSyn:
 		d.syns++
@@ -196,6 +266,7 @@ func (o *ShardObserver) TCPVerdict(dpid uint64, inPort uint16, src netpkt.IPv4, 
 		return
 	}
 	d.port = inPort
+	o.tcp[uint64(src)] = d
 }
 
 // flushTCPLocked merges and resets the shard-local TCP deltas. Caller
@@ -205,8 +276,7 @@ func (o *ShardObserver) flushTCPLocked() {
 		return
 	}
 	for src, d := range o.tcp {
-		o.a.mergeTCPLocked(src, d.port,
-			uint64(d.syns), uint64(d.acks), uint64(d.fails), uint64(d.malformed))
-		delete(o.tcp, src)
+		o.a.mergeTCPLocked(src, d)
 	}
+	clear(o.tcp)
 }

@@ -166,11 +166,16 @@ func TestFig13Shape(t *testing.T) {
 		}
 	}
 	// The paper's headline: of_firewall is the worst case ("contains
-	// relatively more complex data structure").
-	fw := byApp["of_firewall"].Average
+	// relatively more complex data structure"). The work Algorithm 2 does
+	// is what is compared — paths it walks, rules it derives — not the
+	// clock: the wall-clock order of two sub-millisecond loops inverts
+	// whenever another test package loads the box.
+	fw := byApp["of_firewall"]
 	for _, other := range []string{"l2_learning", "ip_balancer", "l3_learning", "mac_blocker"} {
-		if fw <= byApp[other].Average {
-			t.Errorf("of_firewall (%v) not slower than %s (%v)", fw, other, byApp[other].Average)
+		o := byApp[other]
+		if fw.Paths <= o.Paths || fw.Rules <= o.Rules {
+			t.Errorf("of_firewall (%d paths, %d rules) not costlier than %s (%d paths, %d rules)",
+				fw.Paths, fw.Rules, other, o.Paths, o.Rules)
 		}
 	}
 }

@@ -27,10 +27,6 @@ const (
 	// PPSSharded is the run-to-completion engine with shard-owned table
 	// partitions: lookups and in-band rule application take no locks.
 	PPSSharded PPSMode = "sharded"
-	// PPSLocked is the run-to-completion engine over the legacy shared
-	// table: every flow_mod takes the table-wide writer lock that stalls
-	// all shards' stale-path lookups — the churn comparison arm.
-	PPSLocked PPSMode = "locked"
 	// PPSChannels is the channel-hop baseline.
 	PPSChannels PPSMode = "channels"
 )
@@ -61,9 +57,7 @@ type PPSConfig struct {
 	// FlowModRate applies rule churn while traffic runs: this many
 	// flow_mods per second, alternately strict-deleting and re-adding
 	// installed benign flows round-robin across the producers' ports
-	// (0 = no churn). The mixed lookup+Apply scenario is where a
-	// writer-locked table collapses and shard-owned application does
-	// not.
+	// (0 = no churn) — the mixed lookup+Apply scenario.
 	FlowModRate float64
 }
 
@@ -148,10 +142,6 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	case PPSSharded:
 		eng = rtc.New(rcfg)
 		pipe = eng
-	case PPSLocked:
-		rcfg.SharedTable = true
-		eng = rtc.New(rcfg)
-		pipe = eng
 	case PPSChannels:
 		pipe = rtc.NewBaseline(rcfg)
 	default:
@@ -201,7 +191,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	// re-adds installed benign flows at FlowModRate while the producers
 	// hammer the pipeline — the mixed lookup+Apply scenario. Every mod
 	// pins in_port, so in sharded mode it routes to exactly one shard's
-	// control ring; in locked/channels mode it takes the writer lock.
+	// control ring; in channels mode it takes the table lock.
 	var flowMods, flowModErrs uint64
 	stopChurn := make(chan struct{})
 	var churnWG sync.WaitGroup

@@ -262,8 +262,6 @@ func runOracle(t *testing.T, data []byte) {
 		default:
 			p, inPort := s.packet()
 			want := cookieOf(ref.lookup(&p, inPort, now, 64))
-			// Peek first: the classifier must agree without the microflow
-			// cache's help.
 			if got := cookieOf(tbl.Peek(&p, inPort)); got != want {
 				t.Fatalf("op %d: Peek = cookie %d, oracle %d (%v port %d)", s.i, got, want, &p, inPort)
 			}
@@ -480,6 +478,35 @@ func BenchmarkTableAddOneKey(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLookupAllocatesNothing is the table's share of the engine's
+// allocation-free packet path: against the flood_install rule set neither
+// a matched lookup nor a spoofed, never-seen tuple may allocate.
+func TestLookupAllocatesNothing(t *testing.T) {
+	tbl := floodInstallTable(t, 32, 1000)
+	now := time.Unix(1000, 0)
+	hit := mfPacket(0x0a000100, 0x0a000200, 80)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if tbl.Lookup(&hit, 1, now, 64) == nil {
+			t.Fatal("covered tuple missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("a matched lookup allocates %.1f times", allocs)
+	}
+	spoof := make([]netpkt.Packet, 1024)
+	for i := range spoof {
+		spoof[i] = mfPacket(0x0b000000+uint32(i), 0x0c000000+uint32(i), uint16(i))
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(spoof)-1, func() {
+		if tbl.Lookup(&spoof[i], 1, now, 64) != nil {
+			t.Fatal("spoofed tuple matched")
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("a missed lookup allocates %.1f times", allocs)
 	}
 }
 

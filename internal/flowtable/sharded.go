@@ -1,11 +1,9 @@
 // Shard-partitioned flow table for the run-to-completion engine: the
 // rule list is split by the same port%N ownership the rtc shards use for
-// packets, so each partition is a plain single-goroutine Table — with
-// its embedded microflow cache re-enabled — owned outright by one shard.
-// Lookup and rule application on a partition take zero locks; the only
-// cross-shard traffic a mutation causes is the owning partition's
-// generation bump, so rule churn on one port no longer invalidates (or
-// even touches) any other shard's cached lookups.
+// packets, so each partition is a plain single-goroutine Table owned
+// outright by one shard. Lookup and rule application on a partition take
+// zero locks, and rule churn on one port touches no other shard's
+// partition.
 //
 // Soundness of single-partition lookup: a packet arriving on port p can
 // only match a rule whose in_port is either wildcarded or exactly p.
@@ -40,17 +38,16 @@ import (
 // Sharded is a flow table partitioned by in_port%N shard ownership.
 // The aggregate methods (RuleCount, Stats, Register) read only atomics
 // and are safe from any goroutine; everything touching a partition's
-// rule list or microflow cache (Apply, Lookup via Partition) is subject
-// to that partition's single-owner contract.
+// rule list (Apply, Lookup via Partition) is subject to that partition's
+// single-owner contract.
 type Sharded struct {
 	parts []*Table
 }
 
 // NewSharded returns n partitions bounded to capacity rules in
 // aggregate (0 = unbounded; the bound is split evenly, rounded up, per
-// partition). microSize bounds each partition's embedded microflow
-// cache (<= 0 keeps the flowtable default).
-func NewSharded(n, capacity, microSize int) *Sharded {
+// partition).
+func NewSharded(n, capacity int) *Sharded {
 	if n <= 0 {
 		n = 1
 	}
@@ -60,11 +57,7 @@ func NewSharded(n, capacity, microSize int) *Sharded {
 	}
 	s := &Sharded{parts: make([]*Table, n)}
 	for i := range s.parts {
-		t := New(per)
-		if microSize > 0 {
-			t.SetMicroflowSize(microSize)
-		}
-		s.parts[i] = t
+		s.parts[i] = New(per)
 	}
 	return s
 }
@@ -158,11 +151,6 @@ func (s *Sharded) Stats() Stats {
 		st := t.Stats()
 		sum.Lookups += st.Lookups
 		sum.Matched += st.Matched
-		sum.MicroflowHits += st.MicroflowHits
-		sum.MicroflowMisses += st.MicroflowMisses
-		sum.MicroflowEntries += st.MicroflowEntries
-		sum.Invalidations += st.Invalidations
-		sum.Revalidations += st.Revalidations
 	}
 	return sum
 }
@@ -173,21 +161,8 @@ func (s *Sharded) Register(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	sum := func(f func(Stats) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, t := range s.parts {
-				n += f(t.Stats())
-			}
-			return n
-		}
-	}
-	reg.CounterFunc(prefix+"_lookups_total", "Flow table lookups.", sum(func(st Stats) uint64 { return st.Lookups }))
-	reg.CounterFunc(prefix+"_matched_total", "Lookups that found a rule.", sum(func(st Stats) uint64 { return st.Matched }))
-	reg.CounterFunc(prefix+"_microflow_hits_total", "Lookups served by a partition's microflow cache.", sum(func(st Stats) uint64 { return st.MicroflowHits }))
-	reg.CounterFunc(prefix+"_microflow_misses_total", "Lookups that fell through to a priority scan.", sum(func(st Stats) uint64 { return st.MicroflowMisses }))
-	reg.CounterFunc(prefix+"_microflow_invalidations_total", "Whole-cache microflow invalidations across partitions.", sum(func(st Stats) uint64 { return st.Invalidations }))
-	reg.CounterFunc(prefix+"_microflow_revalidations_total", "Stale microflow entries retained after mutation-log replay.", sum(func(st Stats) uint64 { return st.Revalidations }))
+	reg.CounterFunc(prefix+"_lookups_total", "Flow table lookups.", func() uint64 { return s.Stats().Lookups })
+	reg.CounterFunc(prefix+"_matched_total", "Lookups that found a rule.", func() uint64 { return s.Stats().Matched })
 	reg.GaugeFunc(prefix+"_rules", "Installed flow rules summed over partitions (broadcast rules count once per partition).", func() float64 {
 		return float64(s.RuleCount())
 	})

@@ -35,8 +35,8 @@ func keyOf(e *Entry) lookupKey {
 // property: for random interleaved sequences of flow_mods (adds,
 // strict and non-strict deletes, modifies — some pinning in_port, some
 // wildcarding it for broadcast) and lookups, a Sharded table at 1, 2,
-// and 4 partitions must return exactly the winner the single-table
-// Concurrent+MicroCache oracle returns, at every step of the sequence.
+// and 4 partitions must return exactly the winner one plain Table
+// returns, at every step of the sequence.
 // Rule order, priority ties, and the per-partition broadcast copies
 // must all collapse to the same serving behavior.
 func TestShardedLookupShardCountInvariance(t *testing.T) {
@@ -47,13 +47,8 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(9000 + trial)))
 		gen := netpkt.NewSpoofGen(int64(trial), netpkt.FloodMixed, 16)
 
-		oracle := NewConcurrent(0)
-		mc := NewMicroCache(256)
-		shardeds := []*Sharded{
-			NewSharded(1, 0, 256),
-			NewSharded(2, 0, 256),
-			NewSharded(4, 0, 256),
-		}
+		oracle := New(0)
+		shardeds := []*Sharded{NewSharded(1, 0), NewSharded(2, 0), NewSharded(4, 0)}
 
 		// A pool of sample packets so deletes/modifies/lookups revisit
 		// installed matches instead of always missing.
@@ -72,7 +67,7 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 			if r.Intn(3) > 0 { // lookup twice as often as mutation
 				pkt := pick()
 				inPort := uint16(r.Intn(nPorts) + 1)
-				want := keyOf(oracle.Lookup(mc, &pkt, inPort, now, pkt.WireLen()))
+				want := keyOf(oracle.Lookup(&pkt, inPort, now, pkt.WireLen()))
 				for _, s := range shardeds {
 					got := keyOf(s.PartitionFor(inPort).Lookup(&pkt, inPort, now, pkt.WireLen()))
 					if got != want {
@@ -125,7 +120,7 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 		for _, pkt := range samples {
 			pkt := pkt
 			for inPort := uint16(1); inPort <= nPorts; inPort++ {
-				want := keyOf(oracle.Lookup(mc, &pkt, inPort, now, pkt.WireLen()))
+				want := keyOf(oracle.Lookup(&pkt, inPort, now, pkt.WireLen()))
 				for _, s := range shardeds {
 					got := keyOf(s.PartitionFor(inPort).Lookup(&pkt, inPort, now, pkt.WireLen()))
 					if got != want {
@@ -145,7 +140,7 @@ func TestShardedBroadcastBookkeeping(t *testing.T) {
 	now := time.Date(2015, 6, 22, 0, 0, 0, 0, time.UTC)
 	gen := netpkt.NewSpoofGen(3, netpkt.FloodUDP, 0)
 	pkt := gen.Next()
-	s := NewSharded(4, 0, 0)
+	s := NewSharded(4, 0)
 
 	wild := openflow.FlowMod{
 		Match:    openflow.ExactFrom(&pkt, 1),

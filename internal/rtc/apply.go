@@ -1,11 +1,11 @@
 // Shard-owned rule application: flow_mods travel to their owning shard
 // as in-band control events and are applied by the shard goroutine
 // against its own table partition — the serving path never takes a
-// writer lock, and a mutation bumps only the owning partition's
-// generation stamp. Mutations that wildcard in_port broadcast one event
-// per shard; each copy converges no later than the shard's next window
-// barrier (Flush sentinels drain the control ring before the
-// attribution merge), and immediately when the shard is parked idle.
+// writer lock, and a mutation touches only the owning partition.
+// Mutations that wildcard in_port broadcast one event per shard; each
+// copy converges no later than the shard's next window barrier (Flush
+// sentinels drain the control ring before the attribution merge), and
+// immediately when the shard is parked idle.
 package rtc
 
 import (
@@ -66,26 +66,20 @@ func (a *applyAck) complete(err error) {
 	}
 }
 
-// Apply installs a flow_mod. In the default partitioned engine the mod
-// is routed to its owning shard's control ring (in_port pinned) or
-// broadcast to every shard (in_port wildcarded) and applied in-band by
-// the shard goroutines; Apply blocks until every target shard applied
-// its copy and returns the first application error (e.g.
-// flowtable.ErrTableFull). Both the enqueue and the wait are bounded by
-// Config.ApplyTimeout: a full control ring returns
-// ErrApplyBackpressure, a stalled shard ErrApplyTimeout. On either
-// error a broadcast may be partially applied; flow_mod application is
-// idempotent, so the caller retries the whole mod.
+// Apply installs a flow_mod. The mod is routed to its owning shard's
+// control ring (in_port pinned) or broadcast to every shard (in_port
+// wildcarded) and applied in-band by the shard goroutines; Apply blocks
+// until every target shard applied its copy and returns the first
+// application error (e.g. flowtable.ErrTableFull). Both the enqueue and
+// the wait are bounded by Config.ApplyTimeout: a full control ring
+// returns ErrApplyBackpressure, a stalled shard ErrApplyTimeout. On
+// either error a broadcast may be partially applied; flow_mod
+// application is idempotent, so the caller retries the whole mod.
 //
 // On a quiescent engine (before Start, after Stop) the mod is applied
 // inline — the caller is the only goroutine touching the partitions
-// then. Do not call Apply concurrently with Start or Stop. In
-// SharedTable mode Apply takes the legacy writer lock instead.
+// then. Do not call Apply concurrently with Start or Stop.
 func (e *Engine) Apply(m openflow.FlowMod) error {
-	if e.shared != nil {
-		_, err := e.shared.Apply(m, time.Now())
-		return err
-	}
 	if !e.started.Load() || e.stopped.Load() {
 		_, err := e.parts.Apply(m, time.Now())
 		return err
@@ -135,13 +129,8 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 // ring); application errors are counted in the shard's ApplyErrs
 // rather than returned — callers that need them use Apply. The shard
 // goroutine must be running (or a harness must drain the control ring
-// via drainCtrl) for the event to ever apply. Not available in
-// SharedTable mode — use Apply, which is already synchronous there.
+// via drainCtrl) for the event to ever apply.
 func (e *Engine) ApplyAsync(m openflow.FlowMod) error {
-	if e.shared != nil {
-		_, err := e.shared.Apply(m, time.Now())
-		return err
-	}
 	first, last := e.applyTargets(&m.Match)
 	deadline := time.Now().Add(e.cfg.ApplyTimeout)
 	var firstErr error

@@ -1,12 +1,11 @@
 // The channel-hop baseline: the pre-sharding architecture, kept as a
 // measurable artifact. Packets hop between stage goroutines over Go
 // channels (ingress → classify → lookup → cache), the flow table is a
-// single mutex-guarded instance with its embedded microflow cache, and
-// attribution is fed per packet under the attributor's own lock. The
-// baseline is allowed the same worker parallelism as the engine has
-// shards — what it cannot shed is the per-packet channel hops and the
-// shared-lock serialization, which is exactly what the sustained-pps
-// macro benchmark quantifies.
+// single mutex-guarded instance, and attribution is fed per packet under
+// the attributor's own lock. The baseline is allowed the same worker
+// parallelism as the engine has shards — what it cannot shed is the
+// per-packet channel hops and the shared-lock serialization, which is
+// exactly what the sustained-pps macro benchmark quantifies.
 package rtc
 
 import (

@@ -25,8 +25,8 @@ func mutexWaits() int64 {
 
 // BenchmarkShardPerPacket measures the warm run-to-completion body: a
 // 3:1 benign/spoof mix where every benign flow has an installed rule
-// (microflow hits) and every spoof tuple misses the classifier (misses
-// that observe attribution and ring-push to the cache stage). A
+// and every spoof tuple misses the classifier (misses that observe
+// attribution and ring-push to the cache stage). A
 // concurrent telemetry scraper runs throughout, and the bench reports
 // the runtime mutex-profile contention delta as "mutexwaits" — gated to
 // zero in BENCH_6.json alongside allocs/op, pinning the claim that the
@@ -54,7 +54,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 	}
 	now := time.Now()
 	drain := make([]CacheItem, 256)
-	for i := range items { // warm the microflow cache
+	for i := range items { // warm the attribution sketches
 		s.processOne(&items[i], now, 1)
 	}
 	for s.toCache.PopBatch(drain) > 0 {
@@ -102,12 +102,10 @@ func BenchmarkShardPerPacket(b *testing.B) {
 // same warm 3:1 packet mix as BenchmarkShardPerPacket, but every 64
 // packets a strict-delete/re-add pair for a served benign flow arrives
 // in-band through the shard's control ring (ApplyAsync + drainCtrl, the
-// exact path a running engine takes at batch tops). The embedded
-// partition cache revalidates across the generation bumps instead of
-// rescanning, and the loop must stay at 0 allocs/op and register zero
-// mutex-profile contention while a concurrent scraper reads
-// Snapshot/TableStats — the tentpole claim that rule application never
-// makes the serving path take a writer lock.
+// exact path a running engine takes at batch tops). The loop must stay
+// at 0 allocs/op and register zero mutex-profile contention while a
+// concurrent scraper reads Snapshot/TableStats — the claim that rule
+// application never makes the serving path take a writer lock.
 func BenchmarkShardChurnBody(b *testing.B) {
 	e := New(Config{Shards: 1, CacheRingCapacity: 8192})
 	s := e.Shard(0)

@@ -3,14 +3,14 @@
 // across goroutine-per-layer channels (ingress → classifier → flow
 // table → attribution → data plane cache), the engine partitions ports
 // across N shards, and each shard carries its packets end-to-end in a
-// single goroutine: ingress classification, flow-table lookup through a
-// shard-local microflow cache, attribution observation into shard-local
+// single goroutine: ingress classification, flow-table lookup in the
+// shard's own table partition, attribution observation into shard-local
 // sketches, and — for table misses — TOS tagging plus a lock-free
 // ring-buffer handoff to the data plane cache stage.
 //
 // The per-packet shard path takes zero locks and performs zero
-// allocations: the only shared-memory traffic is one atomic generation
-// load on a warm microflow hit and the shard's own statistic counters.
+// allocations, hit or miss: the only shared-memory traffic is the
+// shard's own statistic counters.
 // Shared state is reconciled at window boundaries only — the shard
 // folds its attribution deltas (count-min cells, heavy-hitter
 // candidates, per-port sample counts) into the shared Attributor via
@@ -67,16 +67,8 @@ type Config struct {
 	// Shards is the run-to-completion shard count (<= 0 picks
 	// GOMAXPROCS). Port p belongs to shard p % Shards.
 	Shards int
-	// SharedTable routes lookups and rule application through one
-	// Concurrent table behind a writer lock, fronted by shard-local
-	// MicroCaches — the pre-partitioning architecture, kept as the
-	// measurable comparison arm for tests and the churn benchmark. The
-	// default (false) gives each shard its own flowtable partition:
-	// lookups take zero locks and flow_mods apply in-band on the owning
-	// shard (see Apply in apply.go).
-	SharedTable bool
 	// CtrlRingCapacity sizes each shard's in-band control ring, the
-	// flow_mod path into a running partitioned engine (default 256).
+	// flow_mod path into a running engine (default 256).
 	CtrlRingCapacity int
 	// ApplyTimeout bounds Apply/ApplyAsync: how long an enqueue may wait
 	// on a full control ring and how long Apply waits for shard
@@ -85,11 +77,8 @@ type Config struct {
 	// DPID identifies the datapath in attribution and cache accounting
 	// (default 1).
 	DPID uint64
-	// TableCapacity bounds the shared flow table (0 = unbounded).
+	// TableCapacity bounds the flow table in aggregate (0 = unbounded).
 	TableCapacity int
-	// MicroSize bounds each shard's microflow cache (<= 0 picks the
-	// flowtable default).
-	MicroSize int
 	// RingCapacity sizes each shard's ingress ring (default 2048).
 	RingCapacity int
 	// CacheRingCapacity sizes each shard→cache handoff ring (default
@@ -181,7 +170,7 @@ func (c *Config) normalize() {
 }
 
 // Shard is one run-to-completion worker: it owns its ingress ring, its
-// microflow cache, its attribution observer, and its statistics. All
+// table partition, its attribution observer, and its statistics. All
 // per-packet state is goroutine-local; the counters are atomics only so
 // snapshots can read them live.
 type Shard struct {
@@ -191,18 +180,14 @@ type Shard struct {
 	in      *spsc.Ring[Item]
 	toCache *spsc.Ring[CacheItem]
 
-	// part is the shard-owned flow table partition (nil in SharedTable
-	// mode): lookups and in-band rule application touch only it, with
-	// its embedded microflow cache — zero locks on the packet path.
+	// part is the shard-owned flow table partition: lookups and in-band
+	// rule application touch only it — zero locks on the packet path.
 	part *flowtable.Table
-	// ctrl is the in-band flow_mod ring into this shard (nil in
-	// SharedTable mode); ctrlMu serializes control-plane producers.
+	// ctrl is the in-band flow_mod ring into this shard; ctrlMu
+	// serializes control-plane producers.
 	ctrl   *spsc.Ring[ctrlEvent]
 	ctrlMu sync.Mutex
 
-	// mc is the shard-local cache over the shared writer-locked table —
-	// SharedTable mode only (nil otherwise).
-	mc  *flowtable.MicroCache
 	obs *attrib.ShardObserver
 
 	// Every packet bumps exactly one of these two; processed is their sum,
@@ -227,12 +212,17 @@ type Shard struct {
 // may push to it (the SPSC contract).
 func (s *Shard) Ring() *spsc.Ring[Item] { return s.in }
 
-// ShardStats is one shard's counter snapshot. Micro reports the
-// shard's lookup-cache behaviour in both architectures: the partition's
-// embedded microflow cache (partitioned mode) or the shard-local
-// MicroCache over the shared table (SharedTable mode). Applied and
-// ApplyErrs count in-band flow_mods the shard executed (partitioned
-// mode only).
+// LookupStats is a shard's table-lookup tally. The field names date from
+// the microflow cache that used to front the table and are what the
+// benchmark harness reads (bench/ is frozen while a PR claims a gain):
+// Hits counts lookups that found a rule, Misses table misses, and Resets
+// — whole-cache resets — is always zero now.
+type LookupStats struct {
+	Hits, Misses, Resets uint64
+}
+
+// ShardStats is one shard's counter snapshot. Applied and ApplyErrs
+// count in-band flow_mods the shard executed.
 type ShardStats struct {
 	Processed  uint64
 	Forwarded  uint64
@@ -248,7 +238,7 @@ type ShardStats struct {
 	// + GuardDropped.
 	SynAcked     uint64
 	GuardDropped uint64
-	Micro        flowtable.MicroCacheStats
+	Micro        LookupStats
 }
 
 // Snapshot is an engine-wide state snapshot: per-shard counters, their
@@ -271,11 +261,8 @@ type Snapshot struct {
 
 // Engine is the sharded run-to-completion pipeline.
 type Engine struct {
-	cfg Config
-	// parts is the shard-partitioned flow table (default); shared is the
-	// legacy writer-locked table (SharedTable mode). Exactly one is set.
-	parts  *flowtable.Sharded
-	shared *flowtable.Concurrent
+	cfg    Config
+	parts  *flowtable.Sharded // one partition per shard
 	attr   *attrib.Attributor
 	guard  *tcpguard.Guard
 	shards []*Shard
@@ -322,13 +309,9 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		attr:      attrib.New(cfg.Attrib),
 		sim:       netsim.NewEngine(),
+		parts:     flowtable.NewSharded(cfg.Shards, cfg.TableCapacity),
 		ctrl:      make(chan func(), 16),
 		cacheGone: make(chan struct{}),
-	}
-	if cfg.SharedTable {
-		e.shared = flowtable.NewConcurrent(cfg.TableCapacity)
-	} else {
-		e.parts = flowtable.NewSharded(cfg.Shards, cfg.TableCapacity, cfg.MicroSize)
 	}
 	e.cache = dpcache.New(e.sim, dpcache.Config{
 		QueueCapacity:  cfg.QueueCapacity,
@@ -347,17 +330,10 @@ func New(cfg Config) *Engine {
 			eng:     e,
 			in:      spsc.New[Item](cfg.RingCapacity),
 			toCache: spsc.New[CacheItem](cfg.CacheRingCapacity),
+			part:    e.parts.Partition(i),
+			ctrl:    spsc.New[ctrlEvent](cfg.CtrlRingCapacity),
 			obs:     e.attr.NewShardObserver(),
 			jrec:    cfg.Journal.ShardRec(i),
-		}
-		if cfg.SharedTable {
-			s.mc = flowtable.NewMicroCache(cfg.MicroSize)
-			// Producers partition ports by shard, so mutation replay may
-			// skip mutations pinned to foreign ports.
-			s.mc.SetOwner(i, cfg.Shards)
-		} else {
-			s.part = e.parts.Partition(i)
-			s.ctrl = spsc.New[ctrlEvent](cfg.CtrlRingCapacity)
 		}
 		e.shards[i] = s
 	}
@@ -386,24 +362,14 @@ func (e *Engine) ShardFor(port uint16) int { return int(port) % len(e.shards) }
 // Shard returns shard i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
-// TableRules returns the installed rule count (summed over partitions
-// in the default engine; broadcast rules count once per partition).
-// Safe from any goroutine — it reads mutation-point mirrors.
-func (e *Engine) TableRules() int {
-	if e.shared != nil {
-		return e.shared.RuleCount()
-	}
-	return e.parts.RuleCount()
-}
+// TableRules returns the installed rule count summed over partitions
+// (broadcast rules count once per partition). Safe from any goroutine —
+// it reads mutation-point mirrors.
+func (e *Engine) TableRules() int { return e.parts.RuleCount() }
 
 // TableStats returns the flow table counter snapshot, summed over
-// partitions in the default engine (atomics only — safe live).
-func (e *Engine) TableStats() flowtable.Stats {
-	if e.shared != nil {
-		return e.shared.Stats()
-	}
-	return e.parts.Stats()
-}
+// partitions (atomics only — safe live).
+func (e *Engine) TableStats() flowtable.Stats { return e.parts.Stats() }
 
 // Attributor exposes the shared attribution engine (verdict reads).
 func (e *Engine) Attributor() *attrib.Attributor { return e.attr }
@@ -548,38 +514,6 @@ func (e *Engine) CacheStats() dpcache.Stats { return e.cache.Stats() }
 // the controller path.
 func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 
-// MicroEntries sums the shard microflow cache occupancy — the
-// partitions' embedded caches, or the shard MicroCaches in SharedTable
-// mode. Call it only while the shards are quiescent (a manual-mode
-// barrier, or after Stop).
-func (e *Engine) MicroEntries() int {
-	n := 0
-	for _, s := range e.shards {
-		if s.part != nil {
-			n += s.part.Stats().MicroflowEntries
-		} else {
-			n += s.mc.Stats().Entries
-		}
-	}
-	return n
-}
-
-// microStats reports the shard's lookup-cache counters in either
-// architecture, normalized to the MicroCacheStats shape.
-func (s *Shard) microStats() flowtable.MicroCacheStats {
-	if s.part == nil {
-		return s.mc.Stats()
-	}
-	st := s.part.Stats()
-	return flowtable.MicroCacheStats{
-		Hits:          st.MicroflowHits,
-		Misses:        st.MicroflowMisses,
-		Revalidations: st.Revalidations,
-		Resets:        st.Invalidations,
-		Entries:       st.MicroflowEntries,
-	}
-}
-
 // run is the shard loop: drain any in-band control events, then a
 // batched pop from the ingress ring and each packet end-to-end. One
 // time.Now per batch serves lookup stamps and the window-boundary
@@ -594,7 +528,7 @@ func (s *Shard) run() {
 	nextFlush := time.Now().Add(window)
 	dpid := s.eng.cfg.DPID
 	for {
-		if s.ctrl != nil && s.ctrl.Len() > 0 {
+		if s.ctrl.Len() > 0 {
 			s.drainCtrl(time.Now())
 		}
 		n := s.in.PopBatch(batch)
@@ -603,11 +537,9 @@ func (s *Shard) run() {
 				if s.in.Len() > 0 {
 					continue // pushed between the pop and the close flag
 				}
-				if s.ctrl != nil {
-					// Apply any straggling control events so no Apply
-					// caller is left waiting on its ack.
-					s.drainCtrl(time.Now())
-				}
+				// Apply any straggling control events so no Apply caller
+				// is left waiting on its ack.
+				s.drainCtrl(time.Now())
 				s.obs.Flush() // final merge before the ring goes away
 				s.flushGuard()
 				s.noteFlush(dpid)
@@ -622,9 +554,7 @@ func (s *Shard) run() {
 				// In-band window barrier: converge pending rule mutations
 				// (the broadcast guarantee), then merge everything popped
 				// so far.
-				if s.ctrl != nil {
-					s.drainCtrl(now)
-				}
+				s.drainCtrl(now)
 				s.obs.Flush()
 				s.flushGuard()
 				s.noteFlush(dpid)
@@ -642,24 +572,15 @@ func (s *Shard) run() {
 }
 
 // processOne carries one packet end-to-end on the caller's goroutine —
-// the run-to-completion body. The warm path (microflow hit) takes zero
-// locks and allocates nothing: one atomic generation load plus
-// shard-local state.
+// the run-to-completion body. It takes zero locks and allocates nothing,
+// hit or miss.
 func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
 	p := &it.Pkt
 	// Ingress classification runs here even though only the cache uses
 	// the class downstream — the run-to-completion contract is that every
 	// layer's per-packet work happens on this goroutine.
 	_ = dpcache.Classify(p)
-	var entry *flowtable.Entry
-	if s.part != nil {
-		// Shard-owned partition: no locks at all, embedded microflow
-		// cache, generation stamps private to this shard.
-		entry = s.part.Lookup(p, it.InPort, now, p.WireLen())
-	} else {
-		entry = s.eng.shared.Lookup(s.mc, p, it.InPort, now, p.WireLen())
-	}
-	if entry != nil {
+	if entry := s.part.Lookup(p, it.InPort, now, p.WireLen()); entry != nil {
 		// Forwarded: in a hardware datapath the actions would be executed
 		// here; the engine accounts them and moves on.
 		_ = entry.SharedActions()
@@ -854,7 +775,7 @@ func (e *Engine) Snapshot() Snapshot {
 			ApplyErrs:    s.applyErrs.Load(),
 			SynAcked:     s.synAcked.Load(),
 			GuardDropped: s.guardDrops.Load(),
-			Micro:        s.microStats(),
+			Micro:        LookupStats{Hits: fwd, Misses: miss},
 		}
 		snap.Shards[i] = st
 		snap.Processed += st.Processed
@@ -895,11 +816,7 @@ func (e *Engine) Register(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_tcp_guard_dropped_total", "Invalid TCP segments dropped by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.guardDrops.Load() }))
 	reg.CounterFunc(prefix+"_flowmods_applied_total", "In-band flow_mods executed by the shards.", sum(func(s *Shard) uint64 { return s.applied.Load() }))
 	reg.CounterFunc(prefix+"_flowmod_errors_total", "In-band flow_mods that failed to apply.", sum(func(s *Shard) uint64 { return s.applyErrs.Load() }))
-	if e.shared != nil {
-		e.shared.Register(reg, prefix+"_table")
-	} else {
-		e.parts.Register(reg, prefix+"_table")
-	}
+	e.parts.Register(reg, prefix+"_table")
 	e.cache.Register(reg, prefix+"_cache")
 	e.attr.Register(reg, prefix+"_attrib")
 }

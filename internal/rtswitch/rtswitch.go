@@ -25,8 +25,7 @@ type PortFunc func(pkt netpkt.Packet)
 // Switch is a real-time OpenFlow switch connected to a controller over
 // TCP. The flow table is partitioned by in_port%N shard ownership
 // (flowtable.Sharded) with one small mutex per partition: an Inject
-// locks only the ingress port's partition — whose embedded microflow
-// cache makes the warm path a map probe — and a flow_mod locks only the
+// locks only the ingress port's partition and a flow_mod locks only the
 // partition owning its match (each partition in turn for an in_port
 // wildcard), so rule application never takes a table-wide writer lock
 // and never stalls forwarding on other ports. Controller stats scrapes
@@ -34,8 +33,8 @@ type PortFunc func(pkt netpkt.Packet)
 type Switch struct {
 	dpid  uint64
 	parts *flowtable.Sharded
-	// locks[i] guards partition i: its rule list and its embedded
-	// microflow cache. Padded so two partitions never share a line.
+	// locks[i] guards partition i's rule list. Padded so two partitions
+	// never share a line.
 	locks []partitionLock
 
 	mu      sync.Mutex // control plane: ports, buffer, conn, xid
@@ -93,7 +92,7 @@ func New(cfg Config) *Switch {
 	}
 	return &Switch{
 		dpid:        cfg.DPID,
-		parts:       flowtable.NewSharded(cfg.Shards, cfg.TableSize, 0),
+		parts:       flowtable.NewSharded(cfg.Shards, cfg.TableSize),
 		locks:       make([]partitionLock, cfg.Shards),
 		ports:       make(map[uint16]PortFunc),
 		noFlood:     make(map[uint16]bool),
@@ -239,8 +238,7 @@ func (s *Switch) Inject(pkt netpkt.Packet, inPort uint16) {
 	// needs the computed wire length. The lookup locks only the ingress
 	// port's partition — a bounded critical section that never overlaps
 	// with control-plane work on s.mu, nor with lookups or rule
-	// mutations on any other partition — and a warm hit inside it is an
-	// exact-match probe of the partition's embedded microflow cache.
+	// mutations on any other partition.
 	frameLen := pkt.WireLen()
 	i := int(inPort) % s.parts.N()
 	s.locks[i].mu.Lock()

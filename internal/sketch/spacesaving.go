@@ -18,12 +18,25 @@ type Entry struct {
 // mutex-guarded SpaceSaving and the single-goroutine SpaceSavingLocal:
 // it tracks at most capacity candidate keys, replacing the minimum-count
 // slot when a new key arrives, so every key whose true frequency exceeds
-// N/capacity is guaranteed to be present. observe is O(1) amortised for
-// tracked keys and O(capacity) on eviction.
+// N/capacity is guaranteed to be present. observe is O(1) for tracked
+// keys and O(log capacity) amortised on eviction.
+//
+// The eviction victim is exactly the lowest-indexed slot among those with
+// the minimum Count, and slots keeps its order: every seeded output
+// downstream depends on both. The victim comes from a lazily repaired
+// min-heap of slot indices ordered by (seen, index), where seen[i] is
+// slot i's Count when the heap last placed it. Between decays counts only
+// grow, so seen[i] <= Count always; a root whose seen is current is
+// therefore the true minimum (any other slot has Count >= seen >= the
+// root's, and a larger index on a tie), and a stale root is refreshed and
+// sifted down — once per increment it absorbed, which is what bounds the
+// amortised cost. A tracked increment never touches the heap.
 type ssCore struct {
 	cap   int
 	slots []Entry
 	idx   map[uint64]int // key -> slot index
+	heap  []int32        // valid iff len(heap) == len(slots); rebuilt on demand
+	seen  []uint64       // per slot, see above
 }
 
 func newSSCore(capacity int) ssCore {
@@ -34,6 +47,8 @@ func newSSCore(capacity int) ssCore {
 		cap:   capacity,
 		slots: make([]Entry, 0, capacity),
 		idx:   make(map[uint64]int, capacity*2),
+		heap:  make([]int32, 0, capacity),
+		seen:  make([]uint64, capacity),
 	}
 }
 
@@ -49,16 +64,58 @@ func (t *ssCore) observe(key uint64, inc uint64) {
 	}
 	// Evict the minimum-count slot (the evicted slot's count becomes the
 	// new key's error bound, per the algorithm).
-	min := 0
-	for i := 1; i < len(t.slots); i++ {
-		if t.slots[i].Count < t.slots[min].Count {
-			min = i
-		}
-	}
+	min := t.victim()
 	old := t.slots[min]
 	delete(t.idx, old.Key)
 	t.idx[key] = min
 	t.slots[min] = Entry{Key: key, Count: old.Count + inc, Err: old.Count}
+}
+
+// victim returns the lowest index among the minimum-Count slots. It
+// leaves that slot at the heap root with a stale seen, so the caller's
+// overwrite is repaired by the next call like any other increment.
+func (t *ssCore) victim() int {
+	if len(t.heap) != len(t.slots) {
+		t.heap = t.heap[:0]
+		for i := range t.slots {
+			t.heap = append(t.heap, int32(i))
+			t.seen[i] = t.slots[i].Count
+		}
+		for i := len(t.heap)/2 - 1; i >= 0; i-- {
+			t.siftDown(i)
+		}
+	}
+	for {
+		r := t.heap[0]
+		if t.seen[r] == t.slots[r].Count {
+			return int(r)
+		}
+		t.seen[r] = t.slots[r].Count
+		t.siftDown(0)
+	}
+}
+
+// before is the heap order: (seen, index) ascending.
+func (t *ssCore) before(a, b int32) bool {
+	return t.seen[a] < t.seen[b] || t.seen[a] == t.seen[b] && a < b
+}
+
+func (t *ssCore) siftDown(i int) {
+	h := t.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && t.before(h[c+1], h[c]) {
+			c++
+		}
+		if !t.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func (t *ssCore) count(key uint64) uint64 {
@@ -83,13 +140,13 @@ func (t *ssCore) decay() {
 	for i, e := range t.slots {
 		t.idx[e.Key] = i
 	}
+	t.heap = t.heap[:0] // counts shrank and indices moved
 }
 
 func (t *ssCore) reset() {
 	t.slots = t.slots[:0]
-	for k := range t.idx {
-		delete(t.idx, k)
-	}
+	t.heap = t.heap[:0]
+	clear(t.idx)
 }
 
 // SpaceSaving is the shared stream-summary: the core guarded by a mutex

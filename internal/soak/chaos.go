@@ -7,8 +7,8 @@ import (
 // windowChaos is the fault plan for one window: Outage zeroes the
 // replay rate for the window (the sideband to the controller is down —
 // the Degraded regime), Churn deletes and re-installs one hot rule at
-// the window barrier (generation bump: every shard microcache must
-// revalidate without ever misclassifying a hot flow).
+// the window barrier (the owning shard applies both in-band without ever
+// misclassifying a hot flow).
 type windowChaos struct {
 	Outage bool
 	Churn  bool

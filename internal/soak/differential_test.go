@@ -39,10 +39,9 @@ func diffCfg(shards int) soak.Config {
 
 // normalized strips the fields whose values legitimately depend on the
 // pipeline architecture: the heavy-hitter summary contents depend on
-// merge order, and only the engine has a microcache.
+// merge order.
 func normalized(ws soak.WindowStats) soak.WindowStats {
 	ws.TrackedSources = 0
-	ws.MicroEntries = 0
 	return ws
 }
 

@@ -20,13 +20,12 @@ func (v Violation) String() string {
 // checker holds the soak invariant catalog and the cross-window state
 // the liveness checks need (blame streaks, drain deadlines).
 type checker struct {
-	cfg         *Config
-	atks        []*attacker
-	plan        []windowChaos
-	floorPPS    float64 // attribution blame floor (3x per-port benign rate)
-	healHor     int     // attrib heal windows + configured slack
-	topK        int
-	microBudget int // shards x per-shard microcache size (0 = not checked)
+	cfg      *Config
+	atks     []*attacker
+	plan     []windowChaos
+	floorPPS float64 // attribution blame floor (3x per-port benign rate)
+	healHor  int     // attrib heal windows + configured slack
+	topK     int
 
 	aboveSince []int // per attacker: start of current above-floor-unblamed streak (-1 none)
 	everBlamed []bool
@@ -39,18 +38,17 @@ type checker struct {
 	overdueNow int
 }
 
-func newChecker(cfg *Config, atks []*attacker, plan []windowChaos, floorPPS float64, healWindows, topK, microBudget int) *checker {
+func newChecker(cfg *Config, atks []*attacker, plan []windowChaos, floorPPS float64, healWindows, topK int) *checker {
 	c := &checker{
-		cfg:         cfg,
-		atks:        atks,
-		plan:        plan,
-		floorPPS:    floorPPS,
-		healHor:     healWindows + cfg.HealSlackWindows,
-		topK:        topK,
-		microBudget: microBudget,
-		aboveSince:  make([]int, len(atks)),
-		everBlamed:  make([]bool, len(atks)),
-		drainBy:     -1,
+		cfg:        cfg,
+		atks:       atks,
+		plan:       plan,
+		floorPPS:   floorPPS,
+		healHor:    healWindows + cfg.HealSlackWindows,
+		topK:       topK,
+		aboveSince: make([]int, len(atks)),
+		everBlamed: make([]bool, len(atks)),
+		drainBy:    -1,
 	}
 	for i := range c.aboveSince {
 		c.aboveSince[i] = -1
@@ -141,9 +139,6 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 	}
 	if ws.TrackedSources > c.topK {
 		add("memory", "heavy-hitter entries %d > top-k %d", ws.TrackedSources, c.topK)
-	}
-	if c.microBudget > 0 && ws.MicroEntries > c.microBudget {
-		add("memory", "microcache entries %d > budget %d", ws.MicroEntries, c.microBudget)
 	}
 	if lim := c.cfg.HotFlows + 1; ws.TableRules > lim {
 		add("memory", "flow table rules %d > budget %d", ws.TableRules, lim)

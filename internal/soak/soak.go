@@ -77,7 +77,6 @@ type WindowStats struct {
 	TrackedPorts   int
 	TrackedSources int
 	SampleTotal    uint64
-	MicroEntries   int
 	TableRules     int
 
 	ReplayWaitP99Millis float64
@@ -278,8 +277,6 @@ func attribConfigFor(cfg *Config) attrib.Config {
 	return a
 }
 
-const soakMicroSize = 4096
-
 // Run executes one soak: build the pipeline in manual (virtual-time)
 // mode, install the hot-flow rules, then march window by window —
 // inject the benign+attack schedule with backpressure, quiesce,
@@ -302,7 +299,6 @@ func Run(cfg Config) (*Result, error) {
 	box := &synackBox{}
 	rcfg := rtc.Config{
 		Shards:            cfg.Shards,
-		MicroSize:         soakMicroSize,
 		RingCapacity:      4096,
 		CacheRingCapacity: 16384,
 		QueueCapacity:     cfg.QueueCapacity,
@@ -335,11 +331,7 @@ func Run(cfg Config) (*Result, error) {
 	atks := buildAttackers(&cfg)
 	plan := chaosPlan(&cfg)
 	acfg := attribConfigFor(&cfg)
-	microBudget := 0
-	if eng != nil {
-		microBudget = cfg.Shards * soakMicroSize
-	}
-	chk := newChecker(&cfg, atks, plan, acfg.SuspectRatePPS, acfg.HealWindows, 64, microBudget)
+	chk := newChecker(&cfg, atks, plan, acfg.SuspectRatePPS, acfg.HealWindows, 64)
 
 	// Install the zipf-head rules: the benign hot path forwards in the
 	// data plane; only the cold tail and the attack reach the cache tier.
@@ -407,8 +399,7 @@ func Run(cfg Config) (*Result, error) {
 		jnl.SetWindow(w)
 
 		// Chaos, applied at the barrier while the pipeline is quiescent:
-		// rule churn (generation bump every shard must revalidate) and
-		// replay outages for the coming window.
+		// rule churn and replay outages for the coming window.
 		if plan[w].Churn && cfg.HotFlows > 0 {
 			f := w % cfg.HotFlows
 			del := hotFlowMod(gen, f)
@@ -682,7 +673,7 @@ func Run(cfg Config) (*Result, error) {
 		ws.SLO = worst.String()
 		res.Windows = append(res.Windows, ws)
 
-		frac := memFrac(&ws, &cfg, len(atks), microBudget)
+		frac := memFrac(&ws, &cfg, len(atks))
 		if frac > res.MaxMemFrac {
 			res.MaxMemFrac = frac
 		}
@@ -821,7 +812,6 @@ func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *beni
 		ReplayWaitP99Millis: tally.p99Reset(),
 	}
 	if eng != nil {
-		ws.MicroEntries = eng.MicroEntries()
 		ws.TableRules = eng.TableRules()
 		if g := eng.TCPGuard(); g != nil {
 			ws.SynAcked, ws.GuardDropped = eng.GuardCounters()
@@ -850,7 +840,7 @@ func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *beni
 
 // memFrac is the worst occupancy/budget ratio of the bounded
 // structures — the run's RSS proxy, reported to the benchmark tier.
-func memFrac(ws *WindowStats, cfg *Config, attackers, microBudget int) float64 {
+func memFrac(ws *WindowStats, cfg *Config, attackers int) float64 {
 	frac := func(n, lim int) float64 {
 		if lim <= 0 {
 			return 0
@@ -859,9 +849,6 @@ func memFrac(ws *WindowStats, cfg *Config, attackers, microBudget int) float64 {
 	}
 	out := frac(ws.TrackedPorts, cfg.Ports+attackers)
 	if f := frac(ws.TrackedSources, 64); f > out {
-		out = f
-	}
-	if f := frac(ws.MicroEntries, microBudget); f > out {
 		out = f
 	}
 	if f := frac(ws.TableRules, cfg.HotFlows+1); f > out {

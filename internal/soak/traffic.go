@@ -58,8 +58,8 @@ func (g *tcpConnGen) syn() (netpkt.Packet, uint16) {
 
 // benignGen draws the benign workload: a zipf head over the flow
 // population mixed with a sequential tail sweep, so the head produces
-// realistic skew (and microflow-cache hits) while the sweep guarantees
-// the whole distinct-flow population is actually exercised.
+// realistic skew while the sweep guarantees the whole distinct-flow
+// population is actually exercised.
 type benignGen struct {
 	cfg  *Config
 	rng  *rand.Rand

@@ -23,15 +23,26 @@ import (
 type cacheLinePad [64]byte
 
 // Ring is a bounded single-producer/single-consumer queue of T.
+//
+// Each side keeps a private copy of the other side's index next to its
+// own and reads the shared one only when the copy cannot satisfy the
+// call: the producer re-reads head when headSeen leaves too little room,
+// the consumer re-reads tail when tailSeen leaves too few elements. A
+// stale copy errs on the safe side (head and tail only advance), so
+// results are what they would be reading the shared index every time —
+// but while the ring is neither full nor empty a push touches only the
+// producer's cache line and a pop only the consumer's.
 type Ring[T any] struct {
 	buf  []T
 	mask uint64
 
-	_    cacheLinePad
-	head atomic.Uint64 // next slot to pop; advanced only by the consumer
-	_    cacheLinePad
-	tail atomic.Uint64 // next slot to push; advanced only by the producer
-	_    cacheLinePad
+	_        cacheLinePad
+	head     atomic.Uint64 // next slot to pop; advanced only by the consumer
+	tailSeen uint64        // consumer-private: tail at the consumer's last look
+	_        cacheLinePad
+	tail     atomic.Uint64 // next slot to push; advanced only by the producer
+	headSeen uint64        // producer-private: head at the producer's last look
+	_        cacheLinePad
 
 	closed atomic.Bool
 	parked atomic.Bool
@@ -62,8 +73,10 @@ func (r *Ring[T]) Len() int { return int(r.tail.Load() - r.head.Load()) }
 // Push enqueues v, returning false when the ring is full. Producer only.
 func (r *Ring[T]) Push(v T) bool {
 	t := r.tail.Load()
-	if t-r.head.Load() > r.mask {
-		return false
+	if t-r.headSeen > r.mask {
+		if r.headSeen = r.head.Load(); t-r.headSeen > r.mask {
+			return false
+		}
 	}
 	r.buf[t&r.mask] = v
 	r.tail.Store(t + 1)
@@ -75,10 +88,12 @@ func (r *Ring[T]) Push(v T) bool {
 // index store, and returns how many were taken. Producer only.
 func (r *Ring[T]) PushBatch(vs []T) int {
 	t := r.tail.Load()
-	free := r.mask + 1 - (t - r.head.Load())
 	n := uint64(len(vs))
-	if n > free {
-		n = free
+	if free := r.mask + 1 - (t - r.headSeen); n > free {
+		r.headSeen = r.head.Load()
+		if free = r.mask + 1 - (t - r.headSeen); n > free {
+			n = free
+		}
 	}
 	for i := uint64(0); i < n; i++ {
 		r.buf[(t+i)&r.mask] = vs[i]
@@ -93,9 +108,11 @@ func (r *Ring[T]) PushBatch(vs []T) int {
 // Pop dequeues one element. Consumer only.
 func (r *Ring[T]) Pop() (T, bool) {
 	h := r.head.Load()
-	if h == r.tail.Load() {
-		var zero T
-		return zero, false
+	if h == r.tailSeen {
+		if r.tailSeen = r.tail.Load(); h == r.tailSeen {
+			var zero T
+			return zero, false
+		}
 	}
 	v := r.buf[h&r.mask]
 	r.head.Store(h + 1)
@@ -106,10 +123,12 @@ func (r *Ring[T]) Pop() (T, bool) {
 // with a single index store, and returns the count. Consumer only.
 func (r *Ring[T]) PopBatch(dst []T) int {
 	h := r.head.Load()
-	avail := r.tail.Load() - h
 	n := uint64(len(dst))
-	if n > avail {
-		n = avail
+	if avail := r.tailSeen - h; n > avail {
+		r.tailSeen = r.tail.Load()
+		if avail = r.tailSeen - h; n > avail {
+			n = avail
+		}
 	}
 	for i := uint64(0); i < n; i++ {
 		dst[i] = r.buf[(h+i)&r.mask]

@@ -155,6 +155,130 @@ func TestRingSoak(t *testing.T) {
 	}
 }
 
+// TestRingWrapAtFullAndEmpty walks a small ring many times around its
+// index space while holding it at each edge in turn. Each side works
+// from a private copy of the other's index and re-reads the shared one
+// only when the copy cannot satisfy the call, so the edges are where a
+// stale copy would show: a push refused although a slot was freed, a pop
+// that misses a published element, an element overwritten before it was
+// popped.
+func TestRingWrapAtFullAndEmpty(t *testing.T) {
+	r := New[int](4)
+	next, want := 0, 0
+	push := func() bool {
+		if !r.Push(next) {
+			return false
+		}
+		next++
+		return true
+	}
+	pop := func() {
+		t.Helper()
+		v, ok := r.Pop()
+		if !ok || v != want {
+			t.Fatalf("Pop = %d, %v; want %d", v, ok, want)
+		}
+		want++
+	}
+
+	// At empty: one in, one out, three times round; the ring never holds
+	// more than one element and every pop starts from a stale tail.
+	for i := 0; i < 12; i++ {
+		if _, ok := r.Pop(); ok {
+			t.Fatalf("step %d: pop from an empty ring succeeded", i)
+		}
+		if n := r.PopBatch(make([]int, 3)); n != 0 {
+			t.Fatalf("step %d: PopBatch on an empty ring = %d", i, n)
+		}
+		if !push() {
+			t.Fatalf("step %d: push into an empty ring refused", i)
+		}
+		pop()
+	}
+
+	// At full: fill, then one out, one in; every push starts from a stale
+	// head and the slot it takes is the one just freed.
+	for push() {
+	}
+	if r.Len() != r.Cap() {
+		t.Fatalf("ring holds %d of %d after filling", r.Len(), r.Cap())
+	}
+	for i := 0; i < 12; i++ {
+		if push() {
+			t.Fatalf("step %d: push into a full ring succeeded", i)
+		}
+		if n := r.PushBatch([]int{-1, -2}); n != 0 {
+			t.Fatalf("step %d: PushBatch into a full ring took %d", i, n)
+		}
+		pop()
+		if !push() {
+			t.Fatalf("step %d: push refused with one slot free", i)
+		}
+	}
+
+	// Batches across both edges: drain everything, then refill past
+	// capacity in one call, mid-wrap.
+	buf := make([]int, 8)
+	if n := r.PopBatch(buf); n != r.Cap() {
+		t.Fatalf("PopBatch drained %d of a full ring of %d", n, r.Cap())
+	}
+	for _, v := range buf[:r.Cap()] {
+		if v != want {
+			t.Fatalf("drain order: got %d, want %d", v, want)
+		}
+		want++
+	}
+	if n := r.PushBatch([]int{next, next + 1, next + 2, next + 3, next + 4, next + 5}); n != r.Cap() {
+		t.Fatalf("PushBatch of 6 into an empty ring of %d took %d", r.Cap(), n)
+	}
+	next += r.Cap()
+	for want < next {
+		pop()
+	}
+	if _, ok := r.Pop(); ok {
+		t.Fatal("pop from a drained ring succeeded")
+	}
+}
+
+// TestRingLockstep runs producer and consumer flat out through a
+// two-slot ring, so that nearly every push finds it full or every pop
+// finds it empty, across a hundred thousand wraps.
+func TestRingLockstep(t *testing.T) {
+	const total = 200_000
+	r := New[uint64](2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := uint64(0); v < total; v++ {
+			for !r.Push(v) {
+				runtime.Gosched()
+			}
+		}
+	}()
+	for want := uint64(0); want < total; {
+		v, ok := r.Pop()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		if v != want {
+			t.Errorf("popped %d, want %d", v, want)
+			break
+		}
+		want++
+	}
+	// Unblock the producer if the loop above bailed out early.
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			r.Pop()
+			runtime.Gosched()
+		}
+	}
+}
+
 // TestRingParkWake pins the blocking path: a consumer parked on an empty
 // ring must wake for a push and for Close.
 func TestRingParkWake(t *testing.T) {

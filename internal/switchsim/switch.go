@@ -49,10 +49,6 @@ type Stats struct {
 	DroppedNoRule uint64
 	PacketIns     uint64
 	AmplifiedIns  uint64
-	// MicroflowHits/Misses expose the flow table's exact-match cache:
-	// hits skip the priority-ordered rule scan entirely.
-	MicroflowHits   uint64
-	MicroflowMisses uint64
 }
 
 // Switch is one simulated OpenFlow switch.
@@ -222,20 +218,17 @@ func (s *Switch) expire() {
 // Stats returns a health snapshot. Safe to call from any goroutine: every
 // field reads an atomic or a mirrored gauge.
 func (s *Switch) Stats() Stats {
-	ts := s.table.Stats()
 	return Stats{
-		MissRatePPS:     s.missRatePPS.Value(),
-		BufferUsed:      int(s.bufUsed.Value()),
-		BufferSlots:     s.profile.BufferSlots,
-		TableRules:      s.table.RuleCount(),
-		TableCapacity:   s.profile.TableCapacity,
-		Forwarded:       s.forwarded.Value(),
-		Missed:          s.missed.Value(),
-		DroppedNoRule:   s.droppedNoRul.Value(),
-		PacketIns:       s.packetIns.Value(),
-		AmplifiedIns:    s.amplifiedIns.Value(),
-		MicroflowHits:   ts.MicroflowHits,
-		MicroflowMisses: ts.MicroflowMisses,
+		MissRatePPS:   s.missRatePPS.Value(),
+		BufferUsed:    int(s.bufUsed.Value()),
+		BufferSlots:   s.profile.BufferSlots,
+		TableRules:    s.table.RuleCount(),
+		TableCapacity: s.profile.TableCapacity,
+		Forwarded:     s.forwarded.Value(),
+		Missed:        s.missed.Value(),
+		DroppedNoRule: s.droppedNoRul.Value(),
+		PacketIns:     s.packetIns.Value(),
+		AmplifiedIns:  s.amplifiedIns.Value(),
 	}
 }
 
