@@ -126,7 +126,7 @@ experiments:
   chaos           seeded sideband flaps mid-Defense: degraded drops and recovery
   attrib          collateral damage to benign traffic: blanket vs selective migration
   sweep           multi-seed bandwidth sweep sharded across -shards workers
-  pps             sustained-pps macro benchmark: sharded engine vs channel baseline
+  pps             sustained-pps macro benchmark of the sharded engine (-shards, -flowmod-rate)
   soak            adversarial soak: zipfian flows + adaptive attackers + chaos,
                   invariants asserted every window (-duration/-flows/-profile/-scenario)
   synflood        TCP SYN-flood sweep: benign handshake completion and controller
@@ -304,30 +304,21 @@ func sweep(shards int) error {
 	return nil
 }
 
-// pps runs the sustained-pps macro benchmark on the channel-hop
-// baseline and on the run-to-completion engine. -flowmod-rate adds rule
-// churn while traffic runs.
+// pps runs the sustained-pps macro benchmark on the run-to-completion
+// engine. -flowmod-rate adds rule churn while traffic runs.
 func pps(seed int64, shards int, flowModRate float64) error {
-	var results []*experiments.PPSResult
-	for _, mode := range []experiments.PPSMode{experiments.PPSChannels, experiments.PPSSharded} {
-		r, err := experiments.RunPPS(experiments.PPSConfig{
-			Mode:        mode,
-			Shards:      shards,
-			Seed:        seed,
-			FlowModRate: flowModRate,
-		})
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-		if !asCSV {
-			r.Print(os.Stdout)
-		}
+	r, err := experiments.RunPPS(experiments.PPSConfig{
+		Shards:      shards,
+		Seed:        seed,
+		FlowModRate: flowModRate,
+	})
+	if err != nil {
+		return err
 	}
 	if asCSV {
-		return experiments.WritePPSCSV(os.Stdout, results)
+		return experiments.WritePPSCSV(os.Stdout, []*experiments.PPSResult{r})
 	}
-	fmt.Fprintf(os.Stdout, "sharded/channels speedup: %.2fx\n", results[1].SustainedPPS/results[0].SustainedPPS)
+	r.Print(os.Stdout)
 	return nil
 }
 

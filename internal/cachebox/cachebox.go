@@ -375,10 +375,10 @@ func (b *Box) Close() {
 }
 
 // Shim is the switch-side forwarder: attach its Deliver method as the
-// cache port's peer (e.g. an rtswitch PortFunc) and migrated frames flow
-// to the box over TCP, stamped with the switch's datapath id. The
-// channel self-heals; frames offered while it is down are counted and
-// dropped (the data plane cannot wait — that is the cache's job).
+// cache port's peer and migrated frames flow to the box over TCP,
+// stamped with the switch's datapath id. The channel self-heals; frames
+// offered while it is down are counted and dropped (the data plane
+// cannot wait — that is the cache's job).
 type Shim struct {
 	dpid    uint64
 	ch      *dpcproto.Redial
@@ -403,11 +403,11 @@ func NewShim(boxAddr string, dpid uint64) (*Shim, error) {
 	return &Shim{dpid: dpid, ch: ch}, nil
 }
 
-// Deliver forwards one migrated frame; it matches the rtswitch PortFunc
-// signature. Marshalling uses pooled scratch (the Writer copies the
-// frame before returning) and records coalesce into batched writes
-// during attack bursts. A write against a down channel fails fast and
-// counts a drop; the background redial heals the channel.
+// Deliver forwards one migrated frame. Marshalling uses pooled scratch
+// (the Writer copies the frame before returning) and records coalesce
+// into batched writes during attack bursts. A write against a down
+// channel fails fast and counts a drop; the background redial heals the
+// channel.
 func (s *Shim) Deliver(pkt netpkt.Packet) {
 	fb := netpkt.GetFrame()
 	fb.B = pkt.MarshalAppend(fb.B)

@@ -1,26 +1,22 @@
 package cachebox
 
 import (
-	"net"
 	"testing"
-	"time"
 
 	"floodguard/internal/dpcache"
 	"floodguard/internal/netpkt"
-	"floodguard/internal/openflow"
-	"floodguard/internal/rtswitch"
 )
 
-// TestRealTimeMigrationPipeline wires the paper's full packet-migration
-// data path over real TCP sockets: an rtswitch with a migration wildcard
-// rule forwards TOS-tagged table-miss frames out its cache port; a Shim
-// relays them to the standalone cache Box; the Box round-robins and
-// rate-limits them back to the agent endpoint, which recovers the origin
-// datapath and INPORT.
+// TestRealTimeMigrationPipeline wires the packet-migration data path
+// over real TCP sockets from the switch's cache port onward: frames
+// TOS-tagged the way a migration rule's set_nw_tos action tags them go
+// to a Shim, which relays them to the standalone cache Box; the Box
+// round-robins and rate-limits them back to the agent endpoint, which
+// recovers the origin datapath and INPORT.
 func TestRealTimeMigrationPipeline(t *testing.T) {
 	const (
-		dpid      = uint64(0x99)
-		cachePort = uint16(63)
+		dpid   = uint64(0x99)
+		inPort = uint16(2)
 	)
 
 	col := &agentCollector{}
@@ -41,110 +37,32 @@ func TestRealTimeMigrationPipeline(t *testing.T) {
 	}
 	defer box.Close()
 
-	// A real-time switch whose cache port feeds the shim. No controller
-	// needed: we install the migration rules straight into its table.
-	sw := rtswitch.New(rtswitch.Config{DPID: dpid})
 	shim, err := NewShim(ingestAddr.String(), dpid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shim.Close()
-	sw.AttachPort(1, func(netpkt.Packet) {})
-	sw.AttachPort(2, func(netpkt.Packet) {})
-	sw.AttachPort(cachePort, shim.Deliver)
-	sw.SetNoFlood(cachePort, true)
-	defer sw.Close()
 
-	if err := installRules(sw, dpcache.MigrationRules([]uint16{1, 2}, cachePort)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Spoofed flood into port 2: everything is migrated, nothing misses.
+	// A spoofed flood that missed the table on port 2 and was migrated.
 	gen := netpkt.NewSpoofGen(12, netpkt.FloodMixed, 48)
 	for i := 0; i < 50; i++ {
-		sw.Inject(gen.Next(), 2)
+		pkt := gen.Next()
+		pkt.NwTOS = dpcache.EncodeInPortTOS(inPort)
+		shim.Deliver(pkt)
 	}
 	waitFor(t, func() bool { return col.replayCount() == 50 }, "50 replays through the pipeline")
 
-	pis, misses, forwarded, _ := sw.Stats()
-	if pis != 0 || misses != 0 {
-		t.Errorf("switch emitted %d packet_ins / %d misses; migration rule must absorb all", pis, misses)
-	}
-	if forwarded != 50 {
-		t.Errorf("forwarded = %d, want 50", forwarded)
-	}
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	for i, r := range col.replays {
 		if r.dpid != dpid {
 			t.Fatalf("replay %d origin = %#x, want %#x", i, r.dpid, dpid)
 		}
-		if r.inPort != 2 {
-			t.Fatalf("replay %d inPort = %d, want 2 (TOS tag round trip)", i, r.inPort)
+		if r.inPort != inPort {
+			t.Fatalf("replay %d inPort = %d, want %d (TOS tag round trip)", i, r.inPort, inPort)
 		}
 		if r.pkt.NwTOS != 0 {
 			t.Fatalf("replay %d TOS tag not stripped", i)
 		}
 	}
 }
-
-// installRules drives a minimal one-shot OpenFlow controller session
-// over loopback TCP to install flow_mods into the rtswitch (which, by
-// design, exposes no direct table mutator).
-func installRules(sw *rtswitch.Switch, fms []openflow.FlowMod) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		// Minimal controller: hello, flow_mods, barrier, wait for reply.
-		if err := openflow.WriteMessage(conn, 1, openflow.Hello{}); err != nil {
-			done <- err
-			return
-		}
-		for i, fm := range fms {
-			if err := openflow.WriteMessage(conn, uint32(2+i), fm); err != nil {
-				done <- err
-				return
-			}
-		}
-		if err := openflow.WriteMessage(conn, 99, openflow.BarrierRequest{}); err != nil {
-			done <- err
-			return
-		}
-		for {
-			f, err := openflow.ReadMessage(conn)
-			if err != nil {
-				done <- err
-				return
-			}
-			if _, ok := f.Msg.(openflow.BarrierReply); ok {
-				done <- nil
-				return
-			}
-		}
-	}()
-	if err := sw.Dial(ln.Addr().String()); err != nil {
-		return err
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(5 * time.Second):
-		return errTimeout
-	}
-}
-
-var errTimeout = timeoutErr{}
-
-type timeoutErr struct{}
-
-func (timeoutErr) Error() string { return "cachebox test: barrier timeout" }

@@ -1,11 +1,13 @@
 package controller
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"floodguard/internal/netpkt"
 	"floodguard/internal/netsim"
 	"floodguard/internal/openflow"
 )
@@ -322,6 +324,114 @@ func TestReconnectReplacesStaleSession(t *testing.T) {
 	fresh, _ := srv.Session(0x8)
 	if cur != fresh {
 		t.Error("controller datapath is not the fresh session")
+	}
+}
+
+// readMsg reads the next message the controller sent, failing the test
+// if none arrives within five seconds.
+func readMsg(t *testing.T, conn net.Conn) openflow.Message {
+	t.Helper()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := openflow.ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("read from controller: %v", err)
+	}
+	return f.Msg
+}
+
+// TestTCPEndToEndL2Learning is the one test in which an app behind the
+// TCP server answers real packet_ins over a socket: two switches are
+// connected at once, each played by hand. On each, a frame for an
+// unknown MAC comes back as a flood packet_out, and once the reverse
+// direction has been seen, a frame for the learned MAC comes back as a
+// flow_mod plus a packet_out carrying the unbuffered frame. Learning is
+// per datapath: what the first switch taught the app must not leak into
+// the second.
+func TestTCPEndToEndL2Learning(t *testing.T) {
+	srv, addr, runner := startServer(t)
+	app := l2App(0)
+	app.PerDatapath = true
+	runner.Do(func() { srv.ctrl.Register(app) })
+
+	macA := netpkt.MustMAC("00:00:00:00:00:0a")
+	macB := netpkt.MustMAC("00:00:00:00:00:0b")
+	flow := netpkt.Flow{
+		SrcMAC: macA, DstMAC: macB,
+		SrcIP: netpkt.MustIPv4("10.0.0.1"), DstIP: netpkt.MustIPv4("10.0.0.2"),
+		Proto: netpkt.ProtoUDP, SrcPort: 1000, DstPort: 2000,
+	}
+	packetIn := func(conn net.Conn, pkt netpkt.Packet, inPort uint16) []byte {
+		frame := pkt.Marshal()
+		if err := openflow.WriteMessage(conn, 7, openflow.PacketIn{
+			BufferID: openflow.NoBuffer,
+			TotalLen: uint16(len(frame)),
+			InPort:   inPort,
+			Reason:   openflow.ReasonNoMatch,
+			Data:     frame,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	floods := func(m openflow.Message, inPort uint16, frame []byte) {
+		t.Helper()
+		po, ok := m.(openflow.PacketOut)
+		if !ok {
+			t.Fatalf("expected packet_out, got %v", m.MsgType())
+		}
+		if po.InPort != inPort || len(po.Actions) != 1 || po.Actions[0] != openflow.Action(openflow.Output(openflow.PortFlood)) {
+			t.Fatalf("packet_out = %+v, want a flood from port %d", po, inPort)
+		}
+		if !bytes.Equal(po.Data, frame) {
+			t.Fatalf("packet_out carries %d bytes, want the %d-byte frame back", len(po.Data), len(frame))
+		}
+	}
+
+	var conns []net.Conn
+	for _, dpid := range []uint64{0x42, 0x43} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		handshakeAs(t, conn, dpid)
+		// Controller.Connect greets the registered datapath once more.
+		if _, ok := readMsg(t, conn).(openflow.Hello); !ok {
+			t.Fatal("expected the controller core's hello")
+		}
+		if _, ok := readMsg(t, conn).(openflow.FeaturesRequest); !ok {
+			t.Fatal("expected the controller core's features_request")
+		}
+		conns = append(conns, conn)
+	}
+	waitSessions(t, srv, 2)
+
+	for _, conn := range conns {
+		// b speaks first, towards a MAC nobody has seen: flood, and b's
+		// MAC is learned on port 2.
+		frame := packetIn(conn, flow.Reverse().Packet(64), 2)
+		floods(readMsg(t, conn), 2, frame)
+
+		// a -> b: the destination is known now, so the app installs
+		// dl_dst=b -> output 2 and forwards the frame it was handed.
+		frame = packetIn(conn, flow.Packet(64), 1)
+		fm, ok := readMsg(t, conn).(openflow.FlowMod)
+		if !ok {
+			t.Fatalf("expected flow_mod first")
+		}
+		want := openflow.Action(openflow.Output(2))
+		if fm.Command != openflow.FlowAdd || fm.Match.DlDst != macB || len(fm.Actions) != 1 || fm.Actions[0] != want {
+			t.Fatalf("flow_mod = %+v, want add dl_dst=%v -> output:2", fm, macB)
+		}
+		po, ok := readMsg(t, conn).(openflow.PacketOut)
+		if !ok {
+			t.Fatalf("expected packet_out after the flow_mod")
+		}
+		if po.InPort != 1 || len(po.Actions) != 1 || po.Actions[0] != want || !bytes.Equal(po.Data, frame) {
+			t.Fatalf("packet_out = %+v, want the frame out of port 2", po)
+		}
 	}
 }
 

@@ -28,6 +28,26 @@ func (h *flipHinter) Hint(origin uint64, inPort uint16, pkt *netpkt.Packet) uint
 	return HintBenign
 }
 
+// replayFixture builds a cache with warm queues (so pops never run dry
+// mid-iteration) and the tagged packets to keep feeding it.
+func replayFixture(hinter bool) (*Cache, *nullSink, []netpkt.Packet) {
+	sink := &nullSink{}
+	c := New(netsim.NewEngine(), Config{QueueCapacity: 1024, ProcessingDelay: 0}, sink)
+	if hinter {
+		c.SetHinter(&flipHinter{})
+	}
+	g := netpkt.NewSpoofGen(1, netpkt.FloodMixed, 0)
+	pkts := make([]netpkt.Packet, 256)
+	for i := range pkts {
+		pkts[i] = g.Next()
+		pkts[i].NwTOS = EncodeInPortTOS(uint16(i % 8))
+	}
+	for i := 0; i < 64; i++ {
+		c.Ingest(1, pkts[i])
+	}
+	return c, sink, pkts
+}
+
 // BenchmarkCacheReplay measures one ingest + one scheduled delivery per
 // iteration, with and without an attribution hinter. Both paths must be
 // allocation-free: the no-hinter case proves the WRR short-circuit pays
@@ -36,22 +56,7 @@ func (h *flipHinter) Hint(origin uint64, inPort uint16, pkt *netpkt.Packet) uint
 func BenchmarkCacheReplay(b *testing.B) {
 	for _, mode := range []string{"no-hinter", "hinter"} {
 		b.Run(mode, func(b *testing.B) {
-			eng := netsim.NewEngine()
-			sink := &nullSink{}
-			c := New(eng, Config{QueueCapacity: 1024, ProcessingDelay: 0}, sink)
-			if mode == "hinter" {
-				c.SetHinter(&flipHinter{})
-			}
-			g := netpkt.NewSpoofGen(1, netpkt.FloodMixed, 0)
-			pkts := make([]netpkt.Packet, 256)
-			for i := range pkts {
-				pkts[i] = g.Next()
-				pkts[i].NwTOS = EncodeInPortTOS(uint16(i % 8))
-			}
-			// Warm the queues so pops never run dry mid-iteration.
-			for i := 0; i < 64; i++ {
-				c.Ingest(1, pkts[i%len(pkts)])
-			}
+			c, sink, pkts := replayFixture(mode == "hinter")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -26,7 +26,6 @@ import (
 	"floodguard/internal/netpkt"
 	"floodguard/internal/netsim"
 	"floodguard/internal/openflow"
-	"floodguard/internal/tcpguard"
 	"floodguard/internal/telemetry"
 )
 
@@ -259,14 +258,6 @@ type Stats struct {
 	// BenignServed / SuspectServed split deliveries by verdict.
 	BenignServed  uint64
 	SuspectServed uint64
-	// CookieAnswered counts SYNs the TCP tier answered with cookie
-	// SYN-ACKs at the cache — connection attempts that never consumed
-	// queue space or controller budget. GuardDropped counts segments the
-	// tier consumed as invalid (cookie failures, malformed, strays).
-	// Both are zero without SetTCPGuard; neither enters the Enqueued ==
-	// Emitted + Dropped + Backlog conservation set.
-	CookieAnswered uint64
-	GuardDropped   uint64
 }
 
 // Cache is one data plane cache instance. It attaches to a switch port
@@ -294,13 +285,6 @@ type Cache struct {
 
 	// rules, when set, is the §IV.E cache-resident proactive rule table.
 	rules *flowtable.Table
-
-	// tcpGuard, when set, is the SYN-proxy tier: table-missed TCP is run
-	// through it before queueing, so SYNs are answered at the cache and
-	// only ESTABLISHED flows' packets are eligible for benign-queue
-	// replay. Shard 0 of the guard serves the whole cache (the cache is
-	// single-goroutine).
-	tcpGuard *tcpguard.Guard
 
 	// jrec, when set, records verdict flips and backlog watermarks into
 	// the decision journal. lastHint remembers each (origin, inPort)'s
@@ -330,11 +314,6 @@ type Cache struct {
 	// Attribution-split accounting: served by verdict class.
 	benignSrvd  telemetry.Counter
 	suspectSrvd telemetry.Counter
-
-	// TCP-tier accounting: SYNs answered at the cache and segments the
-	// guard consumed as invalid.
-	cookieAns telemetry.Counter
-	guardDrop telemetry.Counter
 
 	// trace, when set, feeds cache residence time into the pipeline
 	// cache_wait histogram (nil-safe).
@@ -384,16 +363,6 @@ func (c *Cache) SetHinter(h Hinter) { c.hinter = h }
 // SetObserver installs the ingest observer (nil disables). Call on the
 // engine/runner goroutine.
 func (c *Cache) SetObserver(o Observer) { c.observer = o }
-
-// SetTCPGuard installs the SYN-proxy tier (nil disables). The guard's
-// shard 0 is used for all cache traffic; deployments that shard the
-// guard across rtc goroutines run it in the shard body instead and
-// leave the cache tier unset. Call on the engine/runner goroutine
-// before traffic starts.
-func (c *Cache) SetTCPGuard(g *tcpguard.Guard) { c.tcpGuard = g }
-
-// TCPGuard returns the installed SYN-proxy tier (may be nil).
-func (c *Cache) TCPGuard() *tcpguard.Guard { return c.tcpGuard }
 
 // Start arms the round-robin scheduler at the current rate.
 func (c *Cache) Start() { c.arm() }
@@ -457,22 +426,6 @@ func (c *Cache) Ingest(origin uint64, pkt netpkt.Packet) {
 	p.NwTOS = 0 // strip the tag
 	if c.observer != nil {
 		c.observer(origin, inPort, p)
-	}
-	// The TCP tier consumes handshake traffic before it can take queue
-	// space: SYNs are answered with stateless cookie SYN-ACKs, invalid
-	// or malformed segments are dropped, and only packets the guard
-	// passes (ESTABLISHED flows and their completing ACKs) queue for
-	// replay. Consumed packets never count as Enqueued — the queue
-	// conservation equation is about queued traffic only.
-	if c.tcpGuard != nil && p.EthType == netpkt.EtherTypeIPv4 && p.NwProto == netpkt.ProtoTCP {
-		switch c.tcpGuard.Process(0, origin, inPort, p) {
-		case tcpguard.ActionAnswer:
-			c.cookieAns.Inc()
-			return
-		case tcpguard.ActionDrop:
-			c.guardDrop.Inc()
-			return
-		}
 	}
 	c.enqueued.Inc()
 	e := entry{origin: origin, pkt: *p, inPort: inPort, arrived: c.eng.Now()}
@@ -683,8 +636,6 @@ func (c *Cache) Stats() Stats {
 		BenignServed:   c.benignSrvd.Value(),
 		SuspectServed:  c.suspectSrvd.Value(),
 		MaxBacklog:     int(c.maxBacklog.Value()),
-		CookieAnswered: c.cookieAns.Value(),
-		GuardDropped:   c.guardDrop.Value(),
 	}
 	for i, q := range c.queues {
 		s.PerQueue[i] = int(q.depth.Value())
@@ -724,8 +675,6 @@ func (c *Cache) Register(reg *telemetry.Registry, prefix string) {
 	reg.RegisterGauge(prefix+"_backlog_high_watermark", "Most packets ever resident across all queues at once.", &c.maxBacklog)
 	reg.RegisterCounter(prefix+"_benign_served_total", "Deliveries of likely-benign (or unclassified) packets.", &c.benignSrvd)
 	reg.RegisterCounter(prefix+"_suspect_served_total", "Deliveries of attribution-blamed packets.", &c.suspectSrvd)
-	reg.RegisterCounter(prefix+"_tcp_cookie_answered_total", "SYNs answered with stateless cookie SYN-ACKs at the cache.", &c.cookieAns)
-	reg.RegisterCounter(prefix+"_tcp_guard_dropped_total", "Segments the TCP tier consumed as invalid or malformed.", &c.guardDrop)
 	for i, q := range c.queues {
 		cls := QueueClass(i).String()
 		reg.RegisterGauge(prefix+`_queue_depth{class="`+cls+`"}`, "Current protocol queue depth.", &q.depth)

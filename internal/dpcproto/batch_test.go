@@ -354,3 +354,22 @@ func BenchmarkReadStats(b *testing.B) {
 		}
 	})
 }
+
+// TestWriteReplayAllocatesNothing is the absolute witness for the
+// sideband replay framing's 0 allocs/op budget, on the buffered writer
+// the cache box and shim use.
+func TestWriteReplayAllocatesNothing(t *testing.T) {
+	pkt := netpkt.NewSpoofGen(1, netpkt.FloodUDP, 64).Next()
+	frame := pkt.Marshal()
+	w := NewBufferedWriter(io.Discard, 0, -1)
+	if a := testing.AllocsPerRun(1000, func() {
+		if err := w.WriteReplay(1, 2, frame); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("WriteReplay allocates %v, want 0", a)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,136 @@
+package experiments
+
+// Golden tier: the seeded outputs a refactor must leave byte-identical,
+// rendered in-process through the same writers `fgsim -csv` uses and
+// compared with testdata/golden/. Every config field that shapes an
+// output is pinned here (no flag defaults, no GOMAXPROCS-derived shard
+// counts). There is no -update flag: a failing case writes the bytes it
+// got to a directory it names, and regenerating is copying that file
+// over the golden.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"floodguard/internal/soak"
+)
+
+const goldenSeed = 0xF100D
+
+// goldenSoakConfig is the soak whose CSV and journal dump are pinned:
+// every adaptive attacker, chaos, the SYN-proxy tier under a SYN flood
+// with benign handshakes.
+func goldenSoakConfig() soak.Config {
+	return soak.Config{
+		Seed:        goldenSeed,
+		Duration:    5 * time.Second,
+		Window:      100 * time.Millisecond,
+		Flows:       100_000,
+		HotFlows:    256,
+		Ports:       8,
+		Shards:      2,
+		Profile:     soak.ProfileAll,
+		BenignPPS:   40_000,
+		Chaos:       true,
+		TCPGuardOn:  true,
+		SynFloodPPS: 2000,
+		TCPConns:    200,
+		Journal:     true,
+	}
+}
+
+// goldenHeader records the architecture the goldens were taken on:
+// fused multiply-add on other architectures changes float results, so
+// the comparison is only meaningful on the same one.
+func goldenHeader() string { return "# goarch=" + runtime.GOARCH + "\n" }
+
+// checkGolden compares got (prefixed with the arch header) with
+// testdata/golden/name, reporting the first differing line.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	head, _, _ := strings.Cut(string(want), "\n")
+	if head+"\n" != goldenHeader() {
+		t.Skipf("%s was recorded with %q; this is %s — float results differ across architectures", path, head, runtime.GOARCH)
+	}
+	got = append([]byte(goldenHeader()), got...)
+	if bytes.Equal(got, want) {
+		return
+	}
+	dir, err := os.MkdirTemp("", "fg-golden-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, name)
+	if err := os.WriteFile(out, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s differs at line %d\n got:  %s\n want: %s\nfull output written to %s (copy it over %s only if the change is intended)",
+				name, i+1, g, w, out, path)
+			return
+		}
+	}
+}
+
+func TestGoldenOutputs(t *testing.T) {
+	t.Run("soak", func(t *testing.T) {
+		res, err := soak.Run(goldenSoakConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Violations); n > 0 {
+			t.Fatalf("%d invariant violations, first: %s", n, res.Violations[0])
+		}
+		var buf bytes.Buffer
+		if err := WriteSoakCSV(&buf, res.Windows); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "soak.csv", buf.Bytes())
+		// The dump is tens of kB of JSONL; its digest and length are the golden.
+		checkGolden(t, "soak.journal.sum",
+			[]byte(fmt.Sprintf("sha256=%x len=%d\n", sha256.Sum256(res.JournalDump), len(res.JournalDump))))
+	})
+	type csvWriter = interface{ WriteCSV(io.Writer) error }
+	csvCase := func(name string, run func() (csvWriter, error)) {
+		t.Run(name, func(t *testing.T) {
+			r, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := r.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+".csv", buf.Bytes())
+		})
+	}
+	csvCase("attrib", func() (csvWriter, error) { return RunAttrib(goldenSeed, []float64{40, 80, 160}) })
+	csvCase("sweep", func() (csvWriter, error) {
+		cfg := DefaultSweep()
+		cfg.Shards = 2
+		return RunSweep(cfg)
+	})
+	csvCase("synflood", func() (csvWriter, error) { return RunSynFlood(goldenSeed) })
+}

@@ -1,10 +1,10 @@
 // Sustained-pps macro benchmark: the whole-pipeline throughput and
 // latency experiment behind the run-to-completion engine. It drives an
-// attack+benign mix through either the sharded engine or the
-// channel-hop baseline for a wall-clock duration, with one producer per
-// shard offering packets as fast as the pipeline accepts them, and
-// reports sustained pps, offered load, p50/p99 pipeline latency, and
-// the attack-time accounting (forwarded / migrated / drops / replayed).
+// attack+benign mix through the sharded engine for a wall-clock
+// duration, with one producer per shard offering packets as fast as the
+// pipeline accepts them, and reports sustained pps, offered load,
+// p50/p99 pipeline latency, and the attack-time accounting (forwarded /
+// migrated / drops / replayed).
 package experiments
 
 import (
@@ -14,28 +14,14 @@ import (
 	"sync"
 	"time"
 
-	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/openflow"
 	"floodguard/internal/rtc"
 )
 
-// PPSMode selects the pipeline under test.
-type PPSMode string
-
-const (
-	// PPSSharded is the run-to-completion engine with shard-owned table
-	// partitions: lookups and in-band rule application take no locks.
-	PPSSharded PPSMode = "sharded"
-	// PPSChannels is the channel-hop baseline.
-	PPSChannels PPSMode = "channels"
-)
-
 // PPSConfig parameterises a sustained-pps run.
 type PPSConfig struct {
-	Mode PPSMode
-	// Shards is the engine shard count / baseline worker count
-	// (<= 0 picks GOMAXPROCS).
+	// Shards is the engine shard count (<= 0 picks GOMAXPROCS).
 	Shards int
 	// Duration is the wall-clock measurement length (default 1s).
 	Duration time.Duration
@@ -51,9 +37,6 @@ type PPSConfig struct {
 	// LatencySample stamps one packet in N for the latency quantiles
 	// (default rtc.DefaultLatencySample).
 	LatencySample int
-	// Journal arms the decision journal on the engine (sharded mode
-	// only) — the forensics-overhead measurement flag.
-	Journal bool
 	// FlowModRate applies rule churn while traffic runs: this many
 	// flow_mods per second, alternately strict-deleting and re-adding
 	// installed benign flows round-robin across the producers' ports
@@ -62,9 +45,6 @@ type PPSConfig struct {
 }
 
 func (c *PPSConfig) normalize() {
-	if c.Mode == "" {
-		c.Mode = PPSSharded
-	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -92,7 +72,6 @@ func (c *PPSConfig) normalize() {
 
 // PPSResult is one sustained-pps measurement.
 type PPSResult struct {
-	Mode     PPSMode
 	Shards   int
 	Duration time.Duration
 
@@ -114,15 +93,6 @@ type PPSResult struct {
 	P50, P99     time.Duration
 }
 
-// pipeline is the common surface of rtc.Engine and rtc.Baseline the
-// harness drives.
-type pipeline interface {
-	Apply(m openflow.FlowMod) error
-	Start()
-	Stop()
-	Snapshot() rtc.Snapshot
-}
-
 // RunPPS executes one sustained-pps measurement.
 func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	cfg.normalize()
@@ -132,26 +102,12 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		Window:        50 * time.Millisecond,
 		LatencySample: cfg.LatencySample,
 	}
-	if cfg.Journal && cfg.Mode == PPSSharded {
-		rcfg.Journal = journal.ForEngine(cfg.Shards)
-	}
-
-	var pipe pipeline
-	var eng *rtc.Engine
-	switch cfg.Mode {
-	case PPSSharded:
-		eng = rtc.New(rcfg)
-		pipe = eng
-	case PPSChannels:
-		pipe = rtc.NewBaseline(rcfg)
-	default:
-		return nil, fmt.Errorf("pps: unknown mode %q", cfg.Mode)
-	}
+	eng := rtc.New(rcfg)
 
 	// Per-producer working sets: BenignFlows installed flows on the
 	// producer's own port, plus a spoof generator for the attack share.
-	// Ports are chosen so producer i owns exactly shard i in sharded
-	// mode (port ≡ i mod Shards), honouring the SPSC contract.
+	// Ports are chosen so producer i owns exactly shard i (port ≡ i mod
+	// Shards), honouring the SPSC contract.
 	type producer struct {
 		port    uint16
 		benign  []netpkt.Packet
@@ -171,7 +127,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		bg := netpkt.NewSpoofGen(cfg.Seed+int64(i), netpkt.FloodUDP, 0)
 		for f := 0; f < cfg.BenignFlows; f++ {
 			pkt := bg.Next()
-			if err := pipe.Apply(openflow.FlowMod{
+			if err := eng.Apply(openflow.FlowMod{
 				Match:    openflow.ExactFrom(&pkt, p.port),
 				Command:  openflow.FlowAdd,
 				Priority: 100,
@@ -184,14 +140,13 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		producers[i] = p
 	}
 
-	pipe.Start()
+	eng.Start()
 	deadline := time.Now().Add(cfg.Duration)
 
 	// Rule churn: one control-plane goroutine strict-deletes and
 	// re-adds installed benign flows at FlowModRate while the producers
 	// hammer the pipeline — the mixed lookup+Apply scenario. Every mod
-	// pins in_port, so in sharded mode it routes to exactly one shard's
-	// control ring; in channels mode it takes the table lock.
+	// pins in_port, so it routes to exactly one shard's control ring.
 	var flowMods, flowModErrs uint64
 	stopChurn := make(chan struct{})
 	var churnWG sync.WaitGroup
@@ -224,7 +179,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 					} else {
 						mod.Command = openflow.FlowAdd
 					}
-					if err := pipe.Apply(mod); err != nil {
+					if err := eng.Apply(mod); err != nil {
 						flowModErrs++
 					} else {
 						flowMods++
@@ -240,12 +195,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 		wg.Add(1)
 		go func(i int, p *producer) {
 			defer wg.Done()
-			inject := func(it rtc.Item) bool {
-				if eng != nil {
-					return eng.Shard(i).Ring().Push(it)
-				}
-				return pipe.(*rtc.Baseline).InjectItem(it)
-			}
+			ring := eng.Shard(i).Ring()
 			n := 0
 			for time.Now().Before(deadline) {
 				// Offer a burst between clock checks.
@@ -260,7 +210,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 						it.IngressNanos = time.Now().UnixNano()
 					}
 					p.offered++
-					if !inject(it) {
+					if !ring.Push(it) {
 						// Pipeline full: brief backoff, drop the offer.
 						runtime.Gosched()
 					}
@@ -272,11 +222,10 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	wg.Wait()
 	close(stopChurn)
 	churnWG.Wait()
-	pipe.Stop()
+	eng.Stop()
 
-	snap := pipe.Snapshot()
+	snap := eng.Snapshot()
 	res := &PPSResult{
-		Mode:      cfg.Mode,
 		Shards:    cfg.Shards,
 		Duration:  cfg.Duration,
 		Processed: snap.Processed,
@@ -304,8 +253,8 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 
 // Print renders the measurement human-readably.
 func (r *PPSResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "sustained-pps macro benchmark — mode=%s shards=%d duration=%s\n",
-		r.Mode, r.Shards, r.Duration)
+	fmt.Fprintf(w, "sustained-pps macro benchmark — mode=sharded shards=%d duration=%s\n",
+		r.Shards, r.Duration)
 	fmt.Fprintf(w, "  offered    %12.0f pps\n", r.OfferedPPS)
 	fmt.Fprintf(w, "  sustained  %12.0f pps\n", r.SustainedPPS)
 	fmt.Fprintf(w, "  latency    p50=%v p99=%v\n", r.P50, r.P99)
@@ -316,7 +265,8 @@ func (r *PPSResult) Print(w io.Writer) {
 	}
 }
 
-// WriteCSV emits one row per result:
+// WritePPSCSV emits one row per result (the mode column is constant
+// since the comparison arms were deleted; it stays so old CSVs line up):
 // mode,shards,duration_s,offered_pps,sustained_pps,p50_us,p99_us,
 // forwarded,migrated,ring_drops,replayed,cache_dropped,backlog,flowmods.
 func WritePPSCSV(w io.Writer, rs []*PPSResult) error {
@@ -324,8 +274,8 @@ func WritePPSCSV(w io.Writer, rs []*PPSResult) error {
 		return err
 	}
 	for _, r := range rs {
-		if _, err := fmt.Fprintf(w, "%s,%d,%.3f,%.0f,%.0f,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Mode, r.Shards, r.Duration.Seconds(), r.OfferedPPS, r.SustainedPPS,
+		if _, err := fmt.Fprintf(w, "sharded,%d,%.3f,%.0f,%.0f,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d\n",
+			r.Shards, r.Duration.Seconds(), r.OfferedPPS, r.SustainedPPS,
 			float64(r.P50.Nanoseconds())/1e3, float64(r.P99.Nanoseconds())/1e3,
 			r.Forwarded, r.Misses, r.RingDrops, r.Replayed, r.CacheDrop, r.Backlog, r.FlowMods); err != nil {
 			return err

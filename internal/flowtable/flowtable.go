@@ -39,8 +39,7 @@ type Entry struct {
 
 	// actionsShared mirrors Actions for readers outside the owner's
 	// critical section: modify() swaps the plain field in place, so a
-	// caller that keeps the winner pointer past the lookup (rtswitch
-	// executes actions after releasing its partition lock) must read the
+	// caller that keeps the winner pointer past the lookup must read the
 	// action list through this atomic instead.
 	actionsShared atomic.Pointer[[]openflow.Action]
 

@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkJournalAppend is the raw hot-path append: one Record call
 // into a shard recorder, with a same-goroutine periodic drain standing
 // in for the cache-loop consumer (the SPSC contract permits
-// producer == consumer on one goroutine). BENCH_8.json gates this at
-// 0 allocs/op.
+// producer == consumer on one goroutine). The 0 allocs/op budget is a
+// tier-1 test (TestAppendAllocatesNothing).
 func BenchmarkJournalAppend(b *testing.B) {
 	j := ForEngine(1)
 	rec := j.ShardRec(0)

@@ -23,42 +23,69 @@ func mutexWaits() int64 {
 	return total
 }
 
-// BenchmarkShardPerPacket measures the warm run-to-completion body: a
-// 3:1 benign/spoof mix where every benign flow has an installed rule
-// and every spoof tuple misses the classifier (misses that observe
-// attribution and ring-push to the cache stage). A
-// concurrent telemetry scraper runs throughout, and the bench reports
-// the runtime mutex-profile contention delta as "mutexwaits" — gated to
-// zero in BENCH_6.json alongside allocs/op, pinning the claim that the
-// per-packet shard path shares no lock with the control plane's scrape
-// path.
-func BenchmarkShardPerPacket(b *testing.B) {
-	e := New(Config{Shards: 1, CacheRingCapacity: 8192})
-	s := e.Shard(0)
+// warmShard builds a one-shard engine holding the shard-body working
+// set — 48 installed benign flows and 16 spoofed tuples in a 3:1 mix —
+// and runs it once so the attribution sketches are warm. It returns a
+// drain func that empties the shard→cache ring (same-goroutine drain is
+// legal: SPSC needs *one* producer and *one* consumer, and a caller
+// driving processOne by hand is both).
+func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, drain func()) {
+	tb.Helper()
+	cfg.Shards, cfg.CacheRingCapacity = 1, 8192
+	e = New(cfg)
+	s = e.Shard(0)
 	const port = 1
-
-	// Working set: 48 installed benign flows, 16 spoofed tuples.
 	bg := netpkt.NewSpoofGen(1, netpkt.FloodUDP, 0)
 	sg := netpkt.NewSpoofGen(2, netpkt.FloodMixed, 0)
-	items := make([]Item, 64)
+	items = make([]Item, 64)
 	for i := range items {
 		if i%4 != 0 {
 			p := bg.Next()
 			if err := e.Apply(exactMod(&p, port, 2)); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			items[i] = Item{Pkt: p, InPort: port}
 		} else {
 			items[i] = Item{Pkt: sg.Next(), InPort: port}
 		}
 	}
+	buf := make([]CacheItem, 256)
+	drain = func() {
+		for s.toCache.PopBatch(buf) > 0 {
+		}
+	}
 	now := time.Now()
-	drain := make([]CacheItem, 256)
-	for i := range items { // warm the attribution sketches
+	for i := range items {
 		s.processOne(&items[i], now, 1)
 	}
-	for s.toCache.PopBatch(drain) > 0 {
-	}
+	drain()
+	return e, s, items, drain
+}
+
+// churnPair prebuilds the strict-delete/re-add pair for one served flow
+// of warmShard's working set, so a loop applying it allocates nothing of
+// its own.
+func churnPair(items []Item) (del, add openflow.FlowMod) {
+	pkt := &items[len(items)-1].Pkt // a benign, installed flow
+	del = exactMod(pkt, 1, 2)
+	del.Command = openflow.FlowDeleteStrict
+	del.OutPort = openflow.PortNone
+	return del, exactMod(pkt, 1, 2)
+}
+
+// BenchmarkShardPerPacket measures the warm run-to-completion body: a
+// 3:1 benign/spoof mix where every benign flow has an installed rule
+// and every spoof tuple misses the classifier (misses that observe
+// attribution and ring-push to the cache stage). A
+// concurrent telemetry scraper runs throughout, and the bench reports
+// the runtime mutex-profile contention delta as "mutexwaits": the
+// witness that the per-packet shard path shares no lock with the control
+// plane's scrape path. It is reported, not gated — the profile is
+// process-wide and reads nonzero on a 2-CPU box at any commit. The
+// 0 allocs/op budget is a tier-1 test (TestShardBodyAllocatesNothing).
+func BenchmarkShardPerPacket(b *testing.B) {
+	e, s, items, drain := warmShard(b, Config{})
+	now := time.Now()
 
 	// Concurrent control plane: scrape engine-wide stats while the shard
 	// runs. If the per-packet path took any shared mutex, this would
@@ -81,10 +108,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.processOne(&items[i&63], now, 1)
 		if i&1023 == 0 {
-			// Same-goroutine drain is legal: SPSC producer and consumer
-			// just have to be *one* goroutine each, and here both are us.
-			for s.toCache.PopBatch(drain) > 0 {
-			}
+			drain()
 		}
 	}
 	b.StopTimer()
@@ -102,45 +126,14 @@ func BenchmarkShardPerPacket(b *testing.B) {
 // same warm 3:1 packet mix as BenchmarkShardPerPacket, but every 64
 // packets a strict-delete/re-add pair for a served benign flow arrives
 // in-band through the shard's control ring (ApplyAsync + drainCtrl, the
-// exact path a running engine takes at batch tops). The loop must stay
-// at 0 allocs/op and register zero mutex-profile contention while a
-// concurrent scraper reads Snapshot/TableStats — the claim that rule
-// application never makes the serving path take a writer lock.
+// exact path a running engine takes at batch tops), while a concurrent
+// scraper reads Snapshot/TableStats. It reports the mutex-profile
+// contention delta and the flow_mods applied; the 0 allocs/op budget is
+// a tier-1 test (TestShardBodyAllocatesNothing).
 func BenchmarkShardChurnBody(b *testing.B) {
-	e := New(Config{Shards: 1, CacheRingCapacity: 8192})
-	s := e.Shard(0)
-	const port = 1
-
-	bg := netpkt.NewSpoofGen(1, netpkt.FloodUDP, 0)
-	sg := netpkt.NewSpoofGen(2, netpkt.FloodMixed, 0)
-	items := make([]Item, 64)
-	var churnPkt netpkt.Packet
-	for i := range items {
-		if i%4 != 0 {
-			p := bg.Next()
-			if err := e.Apply(exactMod(&p, port, 2)); err != nil {
-				b.Fatal(err)
-			}
-			items[i] = Item{Pkt: p, InPort: port}
-			churnPkt = p
-		} else {
-			items[i] = Item{Pkt: sg.Next(), InPort: port}
-		}
-	}
-	// The churn pair, prebuilt so the loop allocates nothing: one flow
-	// torn down and re-installed over and over.
-	del := exactMod(&churnPkt, port, 2)
-	del.Command = openflow.FlowDeleteStrict
-	del.OutPort = openflow.PortNone
-	add := exactMod(&churnPkt, port, 2)
-
+	e, s, items, drain := warmShard(b, Config{})
+	del, add := churnPair(items)
 	now := time.Now()
-	drain := make([]CacheItem, 256)
-	for i := range items {
-		s.processOne(&items[i], now, 1)
-	}
-	for s.toCache.PopBatch(drain) > 0 {
-	}
 
 	var stop atomic.Bool
 	scraped := make(chan struct{})
@@ -172,8 +165,7 @@ func BenchmarkShardChurnBody(b *testing.B) {
 			s.drainCtrl(now)
 		}
 		if i&1023 == 0 {
-			for s.toCache.PopBatch(drain) > 0 {
-			}
+			drain()
 		}
 	}
 	b.StopTimer()

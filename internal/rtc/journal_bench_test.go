@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"floodguard/internal/journal"
-	"floodguard/internal/netpkt"
 )
 
 // BenchmarkJournalShardBody is the journal on/off delta on the warm
@@ -14,46 +13,21 @@ import (
 // as BenchmarkShardPerPacket, run once with no journal attached and
 // once with a live journal (shard recorder armed, drops sampled, a
 // same-goroutine drain standing in for the cache-loop consumer).
-// BENCH_8.json gates the journal-on case at 0 allocs/op and 0
-// mutex-profile waits — attaching forensics must not put an
-// allocation or a lock on the packet path.
+// Attaching forensics must not put an allocation or a lock on the
+// packet path: the allocation half is a tier-1 test
+// (TestShardBodyAllocatesNothing), the mutex-profile delta is reported.
 func BenchmarkJournalShardBody(b *testing.B) {
 	for _, on := range []struct {
 		name    string
 		journal bool
 	}{{"journal-off", false}, {"journal-on", true}} {
 		b.Run(on.name, func(b *testing.B) {
-			cfg := Config{Shards: 1, CacheRingCapacity: 8192}
 			var jnl *journal.Journal
 			if on.journal {
 				jnl = journal.ForEngine(1)
-				cfg.Journal = jnl
 			}
-			e := New(cfg)
-			s := e.Shard(0)
-			const port = 1
-
-			bg := netpkt.NewSpoofGen(1, netpkt.FloodUDP, 0)
-			sg := netpkt.NewSpoofGen(2, netpkt.FloodMixed, 0)
-			items := make([]Item, 64)
-			for i := range items {
-				if i%4 != 0 {
-					p := bg.Next()
-					if err := e.Apply(exactMod(&p, port, 2)); err != nil {
-						b.Fatal(err)
-					}
-					items[i] = Item{Pkt: p, InPort: port}
-				} else {
-					items[i] = Item{Pkt: sg.Next(), InPort: port}
-				}
-			}
+			_, s, items, drain := warmShard(b, Config{Journal: jnl})
 			now := time.Now()
-			drain := make([]CacheItem, 256)
-			for i := range items {
-				s.processOne(&items[i], now, 1)
-			}
-			for s.toCache.PopBatch(drain) > 0 {
-			}
 
 			prev := runtime.SetMutexProfileFraction(1)
 			before := mutexWaits()
@@ -65,8 +39,7 @@ func BenchmarkJournalShardBody(b *testing.B) {
 					// Periodic barrier + consumer, as the real engine's
 					// window cadence would produce.
 					s.noteFlush(1)
-					for s.toCache.PopBatch(drain) > 0 {
-					}
+					drain()
 					jnl.Drain()
 				}
 			}

@@ -168,54 +168,6 @@ func TestEngineBlamesAttackPort(t *testing.T) {
 	}
 }
 
-// TestBaselineConservation drives the channel pipeline with the same
-// accounting contract, so the macro benchmark compares equals.
-func TestBaselineConservation(t *testing.T) {
-	b := NewBaseline(testEngineConfig(2))
-	b.Start()
-	g := netpkt.NewSpoofGen(3, netpkt.FloodUDP, 0)
-	benignPkt := g.Next()
-	if err := b.Apply(exactMod(&benignPkt, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	sg := netpkt.NewSpoofGen(4, netpkt.FloodMixed, 0)
-	var benign, spoofed uint64
-	for i := 0; i < 8000; i++ {
-		var it Item
-		if i%4 != 0 {
-			it = Item{Pkt: benignPkt, InPort: 1}
-		} else {
-			it = Item{Pkt: sg.Next(), InPort: 1}
-		}
-		if i%DefaultLatencySample == 0 {
-			it.IngressNanos = time.Now().UnixNano()
-		}
-		for !b.InjectItem(it) {
-			time.Sleep(time.Microsecond)
-		}
-		if i%4 != 0 {
-			benign++
-		} else {
-			spoofed++
-		}
-	}
-	b.Stop()
-
-	s := b.Snapshot()
-	if s.Processed != benign+spoofed || s.Forwarded != benign {
-		t.Fatalf("processed %d forwarded %d, want %d/%d", s.Processed, s.Forwarded, benign+spoofed, benign)
-	}
-	if got := s.Cache.Enqueued + s.CacheDrops; got != spoofed {
-		t.Fatalf("cache enqueued %d + drops %d != spoofed %d", s.Cache.Enqueued, s.CacheDrops, spoofed)
-	}
-	if s.Cache.Enqueued != s.Cache.Emitted+s.Cache.Dropped+uint64(s.Cache.Backlog) {
-		t.Fatalf("cache conservation broken: %+v", s.Cache)
-	}
-	if s.P99 == 0 {
-		t.Fatal("no latency samples")
-	}
-}
-
 // TestLatQuantileMonotone sanity-checks the octave histogram math.
 func TestLatQuantileMonotone(t *testing.T) {
 	var h latHist

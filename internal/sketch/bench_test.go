@@ -3,8 +3,8 @@ package sketch
 import "testing"
 
 // The attribution data path updates a sketch per sampled packet_in, so
-// Update and Estimate carry a 0 allocs/op budget (gated in CI via
-// BENCH_5.json).
+// Update and Estimate carry a 0 allocs/op budget (pinned by the tier-1
+// test TestSketchesAllocateNothing).
 
 func BenchmarkCountMinUpdate(b *testing.B) {
 	s := NewCountMin(4, 2048, 0xF100D)

@@ -8,13 +8,16 @@ import (
 // BenchmarkSoakQuality is the tier-C quality benchmark: one full
 // adversarial soak per iteration (all four attacker profiles plus the
 // seeded chaos plan), reporting the run's quality numbers as custom
-// metrics so cmd/benchjson can gate them in CI:
+// metrics. Nothing gates them here: zero violations, the benign-loss
+// ceiling, the memory budgets and detection are assertions of the
+// tier-1 TestSoak* tests (and checks of the soak_adaptive benchmark
+// workload), which is where a regression fails.
 //
-//	violations  invariant violations across the run (gate: 0)
-//	benign_loss cumulative ground-truth benign collateral loss (gate: ceiling)
-//	mem_frac    worst occupancy/budget ratio of the bounded structures (gate: <= 1)
-//	detected    1 if every above-floor attacker was blamed (gate: >= 1)
-//	pps         simulated packets processed per wall-clock second (gate: floor)
+//	violations  invariant violations across the run
+//	benign_loss cumulative ground-truth benign collateral loss
+//	mem_frac    worst occupancy/budget ratio of the bounded structures
+//	detected    1 if every above-floor attacker was blamed
+//	pps         simulated packets processed per wall-clock second
 func BenchmarkSoakQuality(b *testing.B) {
 	cfg := Config{
 		Seed:      0xBE7C4,

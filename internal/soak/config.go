@@ -1,6 +1,5 @@
 // Package soak is the adversarial soak harness: it drives the
-// run-to-completion engine (or the channel baseline) with zipfian
-// benign traffic over millions of distinct flows, composes it with
+// run-to-completion engine with zipfian benign traffic over millions of distinct flows, composes it with
 // adaptive attacker profiles — ramp, pulse, rotate-source, slow-DDoS —
 // and chaos flaps, and asserts a catalog of invariants *every window*:
 // packet conservation across the shard/cache/replay pipeline, a benign
@@ -130,25 +129,19 @@ type Config struct {
 	// FlowModsPerWindow applies rule churn at every window barrier: this
 	// many hot flows, round-robin, are strict-deleted and immediately
 	// re-added (two flow_mods each), exercising shard-owned in-band rule
-	// application — or the baseline's locked path — under sustained
-	// traffic. Capped to HotFlows by Normalize; 0 = no churn.
+	// application under sustained traffic. Capped to HotFlows by Normalize; 0 = no churn.
 	FlowModsPerWindow int
-	// Baseline drives rtc.Baseline instead of rtc.Engine — the
-	// differential-comparison mode.
-	Baseline bool
 	// HeavyHitterFrac overrides the attribution heavy-hitter fraction
 	// when > 0 (the differential tier pins it high so hint verdicts
 	// reduce to port blame, which both pipelines compute identically).
 	HeavyHitterFrac float64
-	// Journal arms the decision journal and flight recorder on the
-	// Engine pipeline (ignored under Baseline, which has no journal
-	// hooks); the run's JSONL dump comes back in Result.JournalDump.
+	// Journal arms the decision journal and flight recorder; the run's
+	// JSONL dump comes back in Result.JournalDump.
 	// Deliberately not a scenario key: the CLI owns the artifact path,
 	// so it sets this directly.
 	Journal bool
 	// TCPGuardOn arms the SYN-proxy tier on the engine's shard miss path
-	// (scenario key tcpguard=on). Rejected under Baseline, which has no
-	// guard hooks.
+	// (scenario key tcpguard=on).
 	TCPGuardOn bool
 	// SynFloodPPS > 0 adds a ProfileSynFlood attacker at that absolute
 	// simulated rate (scenario key synflood=).
@@ -408,15 +401,6 @@ func applyScenarioKey(c *Config, key, val string) error {
 			return fmt.Errorf("soak: loss_ceiling %v out of range (0, 1]", f)
 		}
 		c.BenignLossCeiling = f
-	case "baseline":
-		switch val {
-		case "on", "true", "1":
-			c.Baseline = true
-		case "off", "false", "0":
-			c.Baseline = false
-		default:
-			return fmt.Errorf("soak: baseline=%q (want on/off)", val)
-		}
 	case "tcpguard":
 		switch val {
 		case "on", "true", "1":
@@ -461,7 +445,7 @@ func scenarioKeys() []string {
 		"seed", "duration", "window", "flows", "hot_flows", "ports",
 		"shards", "profile", "benign_pps", "attack_factor", "zipf_share",
 		"zipf_s", "replay_pps", "queue_capacity", "chaos", "loss_ceiling",
-		"baseline", "flowmods", "tcpguard", "synflood", "slowshake",
+		"flowmods", "tcpguard", "synflood", "slowshake",
 		"malformed", "tcp_conns",
 	}
 	sort.Strings(ks)
@@ -473,9 +457,6 @@ func scenarioKeys() []string {
 func (c *Config) Validate() error {
 	if c.Duration < c.Window {
 		return fmt.Errorf("soak: duration %v shorter than window %v", c.Duration, c.Window)
-	}
-	if c.Baseline && c.TCPGuardOn {
-		return fmt.Errorf("soak: tcpguard=on requires the rtc engine (baseline has no guard hooks)")
 	}
 	attackers := len(attackersFor(c.Profile)) + c.tcpAttackers()
 	if c.Ports+attackers > maxPorts {

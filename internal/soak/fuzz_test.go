@@ -17,7 +17,7 @@ func FuzzParseScenario(f *testing.F) {
 		"profile=rotate,duration=3s,window=50ms,flows=1000,ports=4,seed=0x7,chaos=on,benign_pps=8000",
 		"profile=all,duration=60s,flows=1048576,shards=4",
 		"seed=42,hot_flows=256,attack_factor=6,zipf_share=0.5,zipf_s=1.2",
-		"replay_pps=80000,queue_capacity=8192,loss_ceiling=0.01,baseline=true",
+		"replay_pps=80000,queue_capacity=8192,loss_ceiling=0.01,flowmods=8",
 		"duration=-5s", "window=0s", "benign_pps=nan", "flows=0", "ports=200",
 		"profile=nope", "garbage", "chaos=maybe", "duration=50ms,window=1s",
 		"zipf_s=0.5", "loss_ceiling=2", "seed=0xzz", "flows=99999999999999999999",

@@ -105,17 +105,25 @@ type Result struct {
 	JournalDump []byte
 }
 
-// pipeline is the manual-mode surface shared by rtc.Engine and
-// rtc.Baseline that the harness drives.
+// pipeline is the manual-mode surface of rtc.Engine the harness drives.
+// It is an interface only so the differential tier can substitute its
+// sequential reference model (reference_test.go); every method is one
+// the engine already has. A Flush item injected on port i reaches shard
+// i, and Flushes(i) counts the barriers that shard has completed.
 type pipeline interface {
 	Apply(m openflow.FlowMod) error
 	Start()
 	Stop()
 	InjectItem(it rtc.Item) bool
+	Shards() int
+	Flushes(i int) uint64
 	SetSimTarget(d time.Duration)
 	SimReached() time.Duration
 	RunOnCache(fn func())
 	Counters() (processed, forwarded, misses, ringDrops uint64)
+	GuardCounters() (synAcked, guardDropped uint64)
+	TCPGuard() *tcpguard.Guard
+	TableRules() int
 	CacheStats() dpcache.Stats
 	Attributor() *attrib.Attributor
 	Cache() *dpcache.Cache
@@ -285,6 +293,10 @@ func attribConfigFor(cfg *Config) attrib.Config {
 // invariant checker. Any violation is recorded, never fatal: the full
 // run's evidence comes back in the Result.
 func Run(cfg Config) (*Result, error) {
+	return run(cfg, func(rcfg rtc.Config) pipeline { return rtc.New(rcfg) })
+}
+
+func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -293,7 +305,7 @@ func Run(cfg Config) (*Result, error) {
 
 	tally := &replayTally{}
 	var jnl *journal.Journal
-	if cfg.Journal && !cfg.Baseline {
+	if cfg.Journal {
 		jnl = journal.ForEngine(cfg.Shards)
 	}
 	box := &synackBox{}
@@ -317,14 +329,7 @@ func Run(cfg Config) (*Result, error) {
 			SynAck:           box.collect,
 		}
 	}
-	var pipe pipeline
-	var eng *rtc.Engine
-	if cfg.Baseline {
-		pipe = rtc.NewBaseline(rcfg)
-	} else {
-		eng = rtc.New(rcfg)
-		pipe = eng
-	}
+	pipe := build(rcfg)
 
 	gen := newBenignGen(&cfg)
 	tgen := &tcpConnGen{cfg: &cfg}
@@ -347,13 +352,10 @@ func Run(cfg Config) (*Result, error) {
 	winSecs := cfg.Window.Seconds()
 	benignAcc := 0.0
 	var cumInjBenign, cumInjAttack, cumInjTCP uint64
-	// guardConsumed is the guard's miss-path take — part of every
-	// handoff-quiescence equation once the tier is armed.
+	// guardConsumed is the guard's miss-path take (zero with the tier
+	// off) — part of every handoff-quiescence equation.
 	guardConsumed := func() uint64 {
-		if eng == nil || eng.TCPGuard() == nil {
-			return 0
-		}
-		syn, drop := eng.GuardCounters()
+		syn, drop := pipe.GuardCounters()
 		return syn + drop
 	}
 	attackerBlamed := make([]bool, len(atks))
@@ -417,10 +419,8 @@ func Run(cfg Config) (*Result, error) {
 		// Scenario-driven rule churn, distinct from the chaos single-flow
 		// bump above: FlowModsPerWindow hot flows are strict-deleted and
 		// re-installed at every barrier, round-robin over the zipf head.
-		// This drives the shard-owned apply path (in-band control events
-		// in Engine mode, the writer lock in Baseline) at a sustained
-		// rate while the invariant catalog keeps asserting; both modes
-		// see the identical flow_mod sequence so the differential holds.
+		// This drives the shard-owned apply path (in-band control events)
+		// at a sustained rate while the invariant catalog keeps asserting.
 		for i := 0; i < cfg.FlowModsPerWindow; i++ {
 			f := (w*cfg.FlowModsPerWindow + i) % cfg.HotFlows
 			del := hotFlowMod(gen, f)
@@ -562,17 +562,14 @@ func Run(cfg Config) (*Result, error) {
 
 		// Merge the shard attribution deltas, in shard order so the
 		// sketch merge sequence is identical run to run.
-		if eng != nil {
-			for i := 0; i < eng.Shards(); i++ {
-				want := eng.Flushes(i) + 1
-				ring := eng.Shard(i).Ring()
-				for !ring.Push(rtc.Item{Flush: true}) {
-					runtime.Gosched()
-				}
-				i := i
-				if err := waitFor(func() bool { return eng.Flushes(i) >= want }, "shard flush"); err != nil {
-					return fail(err)
-				}
+		for i := 0; i < pipe.Shards(); i++ {
+			want := pipe.Flushes(i) + 1
+			for !pipe.InjectItem(rtc.Item{Flush: true, InPort: uint16(i)}) {
+				runtime.Gosched()
+			}
+			i := i
+			if err := waitFor(func() bool { return pipe.Flushes(i) >= want }, "shard flush"); err != nil {
+				return fail(err)
 			}
 		}
 
@@ -588,8 +585,8 @@ func Run(cfg Config) (*Result, error) {
 		// The guard's cookie window advances in lockstep with the
 		// detection window: a cookie minted in window N validates through
 		// N+1 and is rejected from N+2.
-		if eng != nil && eng.TCPGuard() != nil {
-			eng.TCPGuard().AdvanceWindow()
+		if g := pipe.TCPGuard(); g != nil {
+			g.AdvanceWindow()
 		}
 		verdicts := pipe.Attributor().Roll(cfg.Window)
 		blamedPorts := 0
@@ -623,7 +620,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		ws := collectWindow(w, &cfg, pipe, eng, gen, tally)
+		ws := collectWindow(w, &cfg, pipe, gen, tally)
 		ws.InjBenign = uint64(benignN)
 		ws.InjTCP = winTCP
 		ws.CumInjBenign = cumInjBenign
@@ -780,7 +777,7 @@ func hotFlowMod(gen *benignGen, f int) openflow.FlowMod {
 }
 
 // collectWindow reads the barrier snapshot into a WindowStats row.
-func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *benignGen, tally *replayTally) WindowStats {
+func collectWindow(w int, cfg *Config, pipe pipeline, gen *benignGen, tally *replayTally) WindowStats {
 	p, f, m, rd := pipe.Counters()
 	cs := pipe.CacheStats()
 	attr := pipe.Attributor()
@@ -809,21 +806,17 @@ func collectWindow(w int, cfg *Config, pipe pipeline, eng *rtc.Engine, gen *beni
 		TrackedPorts:        attr.TrackedPorts(),
 		TrackedSources:      attr.TrackedSources(),
 		SampleTotal:         attr.SampleTotal(),
+		TableRules:          pipe.TableRules(),
+		TCPOffenders:        attr.TCPOffenders(),
 		ReplayWaitP99Millis: tally.p99Reset(),
 	}
-	if eng != nil {
-		ws.TableRules = eng.TableRules()
-		if g := eng.TCPGuard(); g != nil {
-			ws.SynAcked, ws.GuardDropped = eng.GuardCounters()
-			gs := g.Stats()
-			ws.Established = gs.Established
-			ws.ConnEntries = gs.Entries
-			ws.ConnWatermark = gs.Watermark
-			ws.ConnBudget = gs.EntryBudget
-		}
-		ws.TCPOffenders = attr.TCPOffenders()
-	} else {
-		ws.TableRules = cfg.HotFlows
+	if g := pipe.TCPGuard(); g != nil {
+		ws.SynAcked, ws.GuardDropped = pipe.GuardCounters()
+		gs := g.Stats()
+		ws.Established = gs.Established
+		ws.ConnEntries = gs.Entries
+		ws.ConnWatermark = gs.Watermark
+		ws.ConnBudget = gs.EntryBudget
 	}
 	// Ground-truth cumulative benign loss: cold benign offered, minus
 	// replayed, minus what is still waiting in the benign UDP queue.

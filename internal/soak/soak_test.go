@@ -113,35 +113,25 @@ func TestSoakAllProfilesWithChaos(t *testing.T) {
 // churn — 32 hot flows strict-deleted and re-installed every window via
 // the shard-owned apply path — and demands the same clean invariant
 // sheet: conservation at every seam and the benign-loss ceiling must
-// survive rules being torn down and rebuilt under load, in both the
-// partitioned Engine and the locked Baseline.
+// survive rules being torn down and rebuilt under load.
 func TestSoakFlowModChurn(t *testing.T) {
-	for _, baseline := range []bool{false, true} {
-		baseline := baseline
-		name := "engine"
-		if baseline {
-			name = "baseline"
+	t.Run("engine", func(t *testing.T) {
+		cfg := tierACfg(ProfileAll)
+		cfg.FlowModsPerWindow = 32
+		res := mustRun(t, cfg)
+		if !res.Detected {
+			t.Errorf("above-floor attackers were never blamed under churn")
 		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg := tierACfg(ProfileAll)
-			cfg.FlowModsPerWindow = 32
-			cfg.Baseline = baseline
-			res := mustRun(t, cfg)
-			if !res.Detected {
-				t.Errorf("above-floor attackers were never blamed under churn")
-			}
-			last := res.Windows[len(res.Windows)-1]
-			if last.Processed == 0 || last.Misses == 0 {
-				t.Errorf("degenerate churn run: processed=%d misses=%d", last.Processed, last.Misses)
-			}
-			// Every deleted rule was re-installed, so the table must end
-			// at full strength: churn must not leak or lose rules.
-			if last.TableRules != cfg.HotFlows {
-				t.Errorf("table rules after churn = %d, want %d", last.TableRules, cfg.HotFlows)
-			}
-		})
-	}
+		last := res.Windows[len(res.Windows)-1]
+		if last.Processed == 0 || last.Misses == 0 {
+			t.Errorf("degenerate churn run: processed=%d misses=%d", last.Processed, last.Misses)
+		}
+		// Every deleted rule was re-installed, so the table must end
+		// at full strength: churn must not leak or lose rules.
+		if last.TableRules != cfg.HotFlows {
+			t.Errorf("table rules after churn = %d, want %d", last.TableRules, cfg.HotFlows)
+		}
+	})
 }
 
 // TestSoakScenarioRoundTrip pins the parser on a representative string.
@@ -162,7 +152,7 @@ func TestSoakScenarioRoundTrip(t *testing.T) {
 		"flows=0", "ports=200", "profile=nope", "garbage", "chaos=maybe",
 		"duration=50ms,window=1s", "zipf_s=0.5", "loss_ceiling=2",
 		"flowmods=-1", "flowmods=x",
-		"tcpguard=maybe", "tcpguard=on,baseline=on", "synflood=-1",
+		"tcpguard=maybe", "baseline=on", "synflood=-1",
 		"slowshake=nan", "malformed=-0.5", "tcp_conns=-1",
 	} {
 		if _, err := ParseScenario(bad); err == nil {

@@ -6,9 +6,10 @@ import (
 	"floodguard/internal/netpkt"
 )
 
-// The gated hot paths: cookie mint, cookie validation, and the sharded
+// The hot paths: cookie mint, cookie validation, and the sharded
 // state-table lookup all sit on the per-packet shard body and must
-// stay at 0 allocs/op (BENCH_10.json).
+// stay at 0 allocs/op (pinned by the tier-1 test
+// TestGuardAllocatesNothing).
 
 func BenchmarkCookieEncode(b *testing.B) {
 	c := NewCodec(0xF100D)
