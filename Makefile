@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness race vet bench bench-all bench-telemetry cover check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness race vet bench bench-all bench-telemetry profile-paper cover check fuzz soak-short ci
 
 all: build test
 
@@ -65,6 +65,22 @@ bench-telemetry:
 soak-short:
 	$(GO) test -short -count=1 -run 'TestSoak|TestDifferential' ./internal/soak/
 
+# Where the paper stack's time goes: a CPU profile of the Figure 10
+# software-switch points (the paper_defense workload's inner loop: the
+# testbed with and without FloodGuard at 130 and 500 pps), cumulative,
+# this module's frames only. One iteration is ~0.2 s of samples — enough
+# to see a 40 % frame, not a 4 % one; raise PROFILE_BENCHTIME (20x) to
+# size something small. The test binary and profile stay under
+# PROFILE_DIR, outside the tree.
+PROFILE_DIR ?= /tmp/fg-profile
+PROFILE_BENCHTIME ?= 1x
+profile-paper:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'Fig10Software$$' -benchtime $(PROFILE_BENCHTIME) \
+		-o $(PROFILE_DIR)/floodguard.test -cpuprofile $(PROFILE_DIR)/paper.cpu .
+	$(GO) tool pprof -top -cum -nodecount 60 -focus 'floodguard/' -show 'floodguard/' \
+		$(PROFILE_DIR)/floodguard.test $(PROFILE_DIR)/paper.cpu
+
 # Coverage over the whole tree; cover.out is the artifact CI uploads.
 cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
@@ -72,8 +88,9 @@ cover:
 
 check: build vet test race
 
-# The three wire-facing decoders, the symbolic-execution pipeline and the
-# flow classifier against its linear oracle, each under coverage-guided
+# The three wire-facing decoders, the symbolic-execution pipeline, the
+# derivation memo against a cold Algorithm 2 run after every mutation, and
+# the flow classifier against its linear oracle, each under coverage-guided
 # fuzzing for FUZZTIME. Any crasher is written to the package's
 # testdata/fuzz/ and replays as a plain test case from then on.
 fuzz:
@@ -83,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/dpcproto/ -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dpcproto/ -run '^$$' -fuzz FuzzReplayHintRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzExplore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzMemoDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soak/ -run '^$$' -fuzz FuzzParseScenario -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzClassifierOracle -fuzztime $(FUZZTIME)
 

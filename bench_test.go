@@ -268,7 +268,7 @@ func BenchmarkAblationUpdateStrategy(b *testing.B) {
 
 type nopTarget struct{}
 
-func (nopTarget) InstallProactive(openflow.FlowMod) {}
+func (nopTarget) InstallProactive(openflow.FlowMod) error { return nil }
 
 // BenchmarkAblationCacheResidentRules compares the §IV.E design options:
 // proactive rules in switch TCAM versus in the data plane cache, by

@@ -350,7 +350,7 @@ func TestBindMatchFieldAllFields(t *testing.T) {
 			t.Errorf("BindMatchField(%v): %v", f, err)
 		}
 		all := openflow.MatchAll()
-		if m.Key() == all.Key() {
+		if m.Normalized() == all.Normalized() {
 			t.Errorf("BindMatchField(%v) left match fully wildcarded", f)
 		}
 	}

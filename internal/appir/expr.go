@@ -171,6 +171,45 @@ func UsedGlobals(e Expr) []string {
 	return out
 }
 
+// KeyedOnly reports whether every read of the global named table inside
+// e is a membership test or lookup on the exact table keyed directly by
+// pkt.f. Such an expression can observe the one entry at the packet's f
+// value and nothing else of the table, which is what lets a derivation
+// be re-solved entry by entry.
+func KeyedOnly(e Expr, table string, f Field) bool {
+	byField := func(t string, key Expr) bool {
+		if t != table {
+			return KeyedOnly(key, table, f)
+		}
+		fr, ok := key.(FieldRef)
+		return ok && fr.F == f
+	}
+	switch x := e.(type) {
+	case Eq:
+		return KeyedOnly(x.A, table, f) && KeyedOnly(x.B, table, f)
+	case And:
+		return KeyedOnly(x.A, table, f) && KeyedOnly(x.B, table, f)
+	case Or:
+		return KeyedOnly(x.A, table, f) && KeyedOnly(x.B, table, f)
+	case Not:
+		return KeyedOnly(x.A, table, f)
+	case HighBit:
+		return KeyedOnly(x.A, table, f)
+	case InTable:
+		return byField(x.Table, x.Key)
+	case Lookup:
+		return byField(x.Table, x.Key)
+	case InPrefixTable:
+		return x.Table != table && KeyedOnly(x.Key, table, f)
+	case LookupPrefix:
+		return x.Table != table && KeyedOnly(x.Key, table, f)
+	case ScalarRef:
+		return x.Name != table
+	default:
+		return true // FieldRef, Const
+	}
+}
+
 // CondsString renders a conjunction of (expr, want) pairs — a path
 // condition in the paper's sense.
 func CondsString(conds []Cond) string {

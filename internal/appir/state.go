@@ -31,6 +31,30 @@ type State struct {
 	// Derivation caches key on these: a path whose referenced globals
 	// all carry unchanged epochs must concretize identically.
 	gvers map[string]uint64
+	// journals holds, per exact table, which keys its most recent
+	// mutations touched, so a derivation cache can re-solve the entries
+	// that changed instead of the whole table (TableChanges).
+	journals map[string]*tableJournal
+}
+
+// journalCap is how many entry mutations of one exact table the change
+// journal remembers. It bounds the journal's memory per table whatever
+// the number of Learn calls; a reader further behind than this re-reads
+// the whole table, so the figure trades nothing but the cost of that
+// one derivation.
+const journalCap = 64
+
+// tableJournal is the fixed-capacity ring of one exact table's latest
+// entry mutations, oldest overwritten first.
+type tableJournal struct {
+	ring [journalCap]struct {
+		epoch uint64
+		key   Value
+	}
+	n int // mutations recorded so far; the live ones are the last min(n, journalCap)
+	// floor is the newest epoch the ring cannot answer for: every
+	// mutation of this global after floor is in the ring.
+	floor uint64
 }
 
 // NewState returns an empty store.
@@ -40,6 +64,7 @@ func NewState() *State {
 		prefixes: make(map[string][]PrefixEntry),
 		scalars:  make(map[string]Value),
 		gvers:    make(map[string]uint64),
+		journals: make(map[string]*tableJournal),
 	}
 }
 
@@ -50,10 +75,58 @@ func (s *State) Version() uint64 {
 	return s.version
 }
 
-// bump must be called with mu held for writing.
+// bump records a mutation of the named prefix table or scalar. It must
+// be called with mu held for writing.
 func (s *State) bump(name string) {
 	s.version++
 	s.gvers[name] = s.version
+	if j := s.journals[name]; j != nil {
+		// An exact table shares the name (and so the epoch): this write is
+		// one its journal cannot describe.
+		j.floor = s.version
+	}
+}
+
+// bumpEntry records a mutation of one entry of an exact table. It must
+// be called with mu held for writing.
+func (s *State) bumpEntry(table string, key Value) {
+	j := s.journals[table]
+	if j == nil {
+		j = &tableJournal{floor: s.gvers[table]}
+		s.journals[table] = j
+	}
+	s.version++
+	s.gvers[table] = s.version
+	slot := &j.ring[j.n%journalCap]
+	if j.n >= journalCap {
+		j.floor = slot.epoch
+	}
+	slot.epoch, slot.key = s.version, key
+	j.n++
+}
+
+// TableChanges appends to buf the key of every entry of the exact table
+// that was written or removed after epoch since (a key written twice
+// appears twice). ok is false when the journal does not reach back to
+// since — more than journalCap entry mutations have happened, or the
+// name was also written as a prefix table or scalar — and the caller
+// must read the whole table instead.
+func (s *State) TableChanges(table string, since uint64, buf []Value) (keys []Value, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j := s.journals[table]
+	if j == nil {
+		return buf, s.gvers[table] <= since
+	}
+	if since < j.floor {
+		return buf, false
+	}
+	for i := max(0, j.n-journalCap); i < j.n; i++ {
+		if e := &j.ring[i%journalCap]; e.epoch > since {
+			buf = append(buf, e.key)
+		}
+	}
+	return buf, true
 }
 
 // GlobalVersion returns the epoch of one named global: the value of the
@@ -90,7 +163,7 @@ func (s *State) Learn(table string, key, val Value) {
 		return // no-op writes do not invalidate derived rules
 	}
 	t[key] = val
-	s.bump(table)
+	s.bumpEntry(table, key)
 }
 
 // Unlearn removes table[key].
@@ -105,7 +178,7 @@ func (s *State) Unlearn(table string, key Value) {
 		return
 	}
 	delete(t, key)
-	s.bump(table)
+	s.bumpEntry(table, key)
 }
 
 // Contains tests exact-table membership.
@@ -141,12 +214,7 @@ func (s *State) TableEntries(table string) []struct{ Key, Val Value } {
 	for k, v := range t {
 		out = append(out, struct{ Key, Val Value }{k, v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Kind != out[j].Key.Kind {
-			return out[i].Key.Kind < out[j].Key.Kind
-		}
-		return out[i].Key.Bits < out[j].Key.Bits
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Compare(out[j].Key) < 0 })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package appir
 
 import (
+	"slices"
 	"testing"
 
 	"floodguard/internal/netpkt"
@@ -92,5 +93,83 @@ func TestGlobalVersionsBatchAndClone(t *testing.T) {
 	cl.SetScalar("s1", U16Value(4))
 	if cl.GlobalVersion("s1") == st.GlobalVersion("s1") {
 		t.Fatal("clone epoch map aliases the original")
+	}
+}
+
+// The change journal must name exactly the keys written after an epoch,
+// admit when it no longer can, and stay the same size however many
+// entries are learned.
+func TestTableChangesJournal(t *testing.T) {
+	mac := func(i int) Value { return MACValue(netpkt.MACFromUint64(uint64(i))) }
+	st := NewState()
+	if keys, ok := st.TableChanges("macs", 0, nil); !ok || len(keys) != 0 {
+		t.Fatalf("never-written table: keys %v ok %v, want none, true", keys, ok)
+	}
+
+	st.Learn("macs", mac(1), U16Value(1))
+	e1 := st.GlobalVersion("macs")
+	st.Learn("macs", mac(2), U16Value(2))
+	st.Learn("macs", mac(2), U16Value(2)) // no-op: not journaled
+	st.Learn("macs", mac(1), U16Value(9)) // re-learn with a new value
+	st.Unlearn("macs", mac(2))
+	st.SetScalar("other", U16Value(1)) // another global: no entry, no gap
+	keys, ok := st.TableChanges("macs", e1, nil)
+	if want := []Value{mac(2), mac(1), mac(2)}; !ok || !slices.Equal(keys, want) {
+		t.Fatalf("changes since %d = %v ok %v, want %v", e1, keys, ok, want)
+	}
+	if keys, ok := st.TableChanges("macs", 0, nil); !ok || len(keys) != 4 {
+		t.Fatalf("changes since 0 = %v ok %v, want all four writes", keys, ok)
+	}
+	if keys, ok := st.TableChanges("macs", st.GlobalVersion("macs"), nil); !ok || len(keys) != 0 {
+		t.Fatalf("changes since now = %v ok %v, want none", keys, ok)
+	}
+
+	// Exactly journalCap writes after an epoch are still covered; one more
+	// is not, and from then on only recent epochs are.
+	since := st.GlobalVersion("macs")
+	for i := 0; i < journalCap; i++ {
+		st.Learn("macs", mac(100+i), U16Value(1))
+	}
+	if keys, ok := st.TableChanges("macs", since, nil); !ok || len(keys) != journalCap {
+		t.Fatalf("%d writes: got %d keys ok %v, want all covered", journalCap, len(keys), ok)
+	}
+	st.Learn("macs", mac(999), U16Value(1))
+	if _, ok := st.TableChanges("macs", since, nil); ok {
+		t.Fatal("journal claims to cover more writes than it holds")
+	}
+	if keys, ok := st.TableChanges("macs", st.GlobalVersion("macs")-1, nil); !ok || !slices.Equal(keys, []Value{mac(999)}) {
+		t.Fatalf("latest write = %v ok %v, want [mac 999]", keys, ok)
+	}
+	for i := 0; i < 10*journalCap; i++ {
+		st.Learn("macs", mac(2000+i), U16Value(1))
+	}
+	if n := len(st.journals); n != 1 {
+		t.Fatalf("%d journals for one table", n)
+	}
+
+	// A prefix table or scalar written under the same name moves the same
+	// epoch with no entry to show for it: the journal must report a gap.
+	since = st.GlobalVersion("macs")
+	st.Learn("macs", mac(5), U16Value(5))
+	st.AddPrefix("macs", IPValue(netpkt.MustIPv4("10.0.0.0")), 8, U16Value(1))
+	if _, ok := st.TableChanges("macs", since, nil); ok {
+		t.Fatal("journal covers an epoch in which the name was written as a prefix table")
+	}
+	since = st.GlobalVersion("macs")
+	st.Learn("macs", mac(6), U16Value(6))
+	if keys, ok := st.TableChanges("macs", since, nil); !ok || !slices.Equal(keys, []Value{mac(6)}) {
+		t.Fatalf("after the gap: %v ok %v, want [mac 6]", keys, ok)
+	}
+
+	// A clone starts without the journal: it must refuse epochs it has no
+	// record of and journal its own writes from then on.
+	cl := st.Clone()
+	if _, ok := cl.TableChanges("macs", since, nil); ok {
+		t.Fatal("clone claims coverage it does not have")
+	}
+	since = cl.GlobalVersion("macs")
+	cl.Unlearn("macs", mac(6))
+	if keys, ok := cl.TableChanges("macs", since, nil); !ok || !slices.Equal(keys, []Value{mac(6)}) {
+		t.Fatalf("clone's own write: %v ok %v, want [mac 6]", keys, ok)
 	}
 }

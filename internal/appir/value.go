@@ -16,6 +16,7 @@
 package appir
 
 import (
+	"cmp"
 	"fmt"
 
 	"floodguard/internal/netpkt"
@@ -57,6 +58,12 @@ func (k Kind) String() string {
 type Value struct {
 	Kind Kind
 	Bits uint64
+}
+
+// Compare orders values by kind, then by bits (-1, 0, +1) — the order
+// TableEntries enumerates keys in, hence the order of derived rules.
+func (v Value) Compare(o Value) int {
+	return cmp.Or(cmp.Compare(v.Kind, o.Kind), cmp.Compare(v.Bits, o.Bits))
 }
 
 // MACValue wraps a MAC address.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,15 +18,21 @@ import (
 // RuleTarget abstracts where proactive flow rules land: switch flow
 // tables (the default) or the data plane cache's resident table (§IV.E).
 type RuleTarget interface {
-	// InstallProactive applies a flow_mod derived by the analyzer.
-	InstallProactive(fm openflow.FlowMod)
+	// InstallProactive applies a flow_mod derived by the analyzer. A
+	// non-nil error means the rule did not land (e.g. the table is
+	// full): the analyzer does not book it and offers it again at the
+	// next sync.
+	InstallProactive(fm openflow.FlowMod) error
 }
 
-// datapathTarget installs into a switch via its controller session.
+// datapathTarget installs into a switch via its controller session. The
+// send is asynchronous; a switch-side rejection arrives, if at all, as
+// an OpenFlow error message, not here.
 type datapathTarget struct{ dp controller.Datapath }
 
-func (t datapathTarget) InstallProactive(fm openflow.FlowMod) {
+func (t datapathTarget) InstallProactive(fm openflow.FlowMod) error {
 	t.dp.Send(openflow.Framed{Msg: fm})
+	return nil
 }
 
 // tableTarget installs into an in-memory table (the cache's rule table).
@@ -33,10 +41,12 @@ type tableTarget struct {
 	now func() time.Time
 }
 
-func (t tableTarget) InstallProactive(fm openflow.FlowMod) {
-	// Best-effort: capacity errors surface as missing coverage, which is
-	// safe (packets fall back to the ordinary queues).
-	_, _ = t.tbl.Apply(fm, t.now())
+// A capacity error costs only coverage (uncovered packets fall back to
+// the ordinary queues), but it is returned so the analyzer's books match
+// the table.
+func (t tableTarget) InstallProactive(fm openflow.FlowMod) error {
+	_, err := t.tbl.Apply(fm, t.now())
+	return err
 }
 
 // appAnalysis is the per-application offline artifact of Algorithm 1.
@@ -49,8 +59,8 @@ type appAnalysis struct {
 	// pendingChanges counts version bumps since the last sync (for
 	// UpdateEveryN), per scope.
 	pendingChanges map[uint64]uint64
-	// memos holds the per-scope epoch-keyed derivation caches when
-	// cfg.Memoize is on (guarded by Analyzer.memoMu).
+	// memos holds the per-scope derivation caches the tracker derives
+	// through (guarded by Analyzer.memoMu).
 	memos map[uint64]*symexec.Memo
 }
 
@@ -72,9 +82,12 @@ type Analyzer struct {
 	cfg  AnalyzerConfig
 	apps []*appAnalysis
 
-	// installed tracks the currently installed proactive rules keyed by
-	// match identity, for differential updates (Figure 8).
-	installed map[string]openflow.FlowMod
+	// installed tracks the currently installed proactive rules by
+	// identity, for differential updates (Figure 8).
+	installed map[ruleID]openflow.FlowMod
+	// desiredHint sizes the next sync's desired-rule map (guarded by
+	// deriveMu).
+	desiredHint int
 
 	// deriveMu serializes derivation runs (computeDesired / DeriveAll):
 	// the epoch memos are single-deriver structures, and with AsyncDerive
@@ -92,9 +105,11 @@ type Analyzer struct {
 	// Derivations counts Algorithm 2 executions (overhead accounting).
 	// Atomic: the compute phase may increment it off the engine goroutine.
 	Derivations telemetry.Counter
-	// RulesInstalled and RulesRemoved count dispatcher actions.
+	// RulesInstalled and RulesRemoved count dispatcher actions that
+	// landed; RulesRejected counts those a target refused.
 	RulesInstalled telemetry.Counter
 	RulesRemoved   telemetry.Counter
+	RulesRejected  telemetry.Counter
 	// LastDeriveDuration is the wall-clock cost of the most recent
 	// derivation (the Figure 13 quantity).
 	LastDeriveDuration time.Duration
@@ -102,7 +117,7 @@ type Analyzer struct {
 
 // NewAnalyzer builds an analyzer over the controller's registered apps.
 func NewAnalyzer(cfg AnalyzerConfig, apps []*controller.App) (*Analyzer, error) {
-	a := &Analyzer{cfg: cfg, installed: make(map[string]openflow.FlowMod)}
+	a := &Analyzer{cfg: cfg, installed: make(map[ruleID]openflow.FlowMod)}
 	for _, app := range apps {
 		a.apps = append(a.apps, &appAnalysis{
 			app:            app,
@@ -126,21 +141,29 @@ func (a *Analyzer) Register(reg *telemetry.Registry) {
 		"Proactive rules dispatched to targets.", &a.RulesInstalled)
 	reg.RegisterCounter("fg_analyzer_rules_removed_total",
 		"Stale proactive rules withdrawn from targets.", &a.RulesRemoved)
+	reg.RegisterCounter("fg_analyzer_rules_rejected_total",
+		"Proactive rule changes a target refused (e.g. table full); retried at the next sync.", &a.RulesRejected)
 	reg.CounterFunc("fg_analyzer_memo_hits_total",
 		"Per-path derivations served from the epoch memo.", func() uint64 {
-			h, _ := a.MemoStats()
+			h, _, _ := a.MemoStats()
 			return h
 		})
 	reg.CounterFunc("fg_analyzer_memo_misses_total",
 		"Per-path derivations the epoch memo had to re-solve.", func() uint64 {
-			_, m := a.MemoStats()
+			_, m, _ := a.MemoStats()
 			return m
+		})
+	reg.CounterFunc("fg_analyzer_memo_entries_resolved_total",
+		"Table entries re-solved one by one in place of a whole path.", func() uint64 {
+			_, _, e := a.MemoStats()
+			return e
 		})
 }
 
-// MemoStats sums per-path cache hits and misses across every app's epoch
-// memos. Zeroes when memoization is off. Safe from any goroutine.
-func (a *Analyzer) MemoStats() (hits, misses uint64) {
+// MemoStats sums, across every app's epoch memos, the per-path cache
+// hits and misses and the table entries re-solved individually. Safe
+// from any goroutine.
+func (a *Analyzer) MemoStats() (hits, misses, entries uint64) {
 	a.memoMu.Lock()
 	defer a.memoMu.Unlock()
 	for _, aa := range a.apps {
@@ -148,20 +171,17 @@ func (a *Analyzer) MemoStats() (hits, misses uint64) {
 			h, mi := m.Stats()
 			hits += h
 			misses += mi
+			entries += m.EntriesResolved()
 		}
 	}
-	return hits, misses
+	return hits, misses, entries
 }
 
-// deriveFor runs Algorithm 2 for one app scope, through the epoch memo
-// when enabled. The memo guarantees the same rules in the same order as
-// a direct derivation; it just re-solves only the paths whose globals
-// moved since the last run.
+// deriveFor runs Algorithm 2 for one app scope through its epoch memo:
+// the same rules in the same order as a direct derivation, re-solving
+// only the paths — and of the table-driven paths only the entries —
+// that moved since the last run.
 func (a *Analyzer) deriveFor(aa *appAnalysis, scope uint64, st *appir.State) ([]symexec.ProactiveRule, error) {
-	opts := symexec.DeriveOptions{Workers: a.cfg.DeriveWorkers}
-	if !a.cfg.Memoize {
-		return symexec.DeriveRulesOpts(aa.paths, st, opts)
-	}
 	a.memoMu.Lock()
 	m := aa.memos[scope]
 	if m == nil {
@@ -169,7 +189,7 @@ func (a *Analyzer) deriveFor(aa *appAnalysis, scope uint64, st *appir.State) ([]
 		aa.memos[scope] = m
 	}
 	a.memoMu.Unlock()
-	return m.Derive(st, opts)
+	return m.Derive(st, symexec.DeriveOptions{Workers: a.cfg.DeriveWorkers})
 }
 
 // Prepare runs Algorithm 1 for every application — the offline
@@ -211,7 +231,8 @@ func (a *Analyzer) StateSensitiveReport() map[string][]string {
 }
 
 // DeriveAll runs Algorithm 2 for every app against its live state and
-// returns the merged rule set (deduplicated by match+priority).
+// returns the merged rule set (deduplicated by match+priority). It is
+// the direct, cold run — no memo — that Figure 13 measures.
 func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 	a.deriveMu.Lock()
 	defer a.deriveMu.Unlock()
@@ -224,12 +245,12 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 	}()
 
 	var merged []appir.ConcreteRule
-	seen := make(map[string]bool)
+	seen := make(map[ruleID]struct{})
 	for _, aa := range a.apps {
 		if aa.paths == nil {
 			return nil, fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
 		}
-		rules, err := a.deriveFor(aa, sharedScope, aa.app.State)
+		rules, err := symexec.DeriveRulesOpts(aa.paths, aa.app.State, symexec.DeriveOptions{Workers: a.cfg.DeriveWorkers})
 		if err != nil {
 			return nil, fmt.Errorf("derive %s: %w", aa.app.Name(), err)
 		}
@@ -241,19 +262,35 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 			if o := a.cfg.RuleIdleTimeoutOverride; o > 0 {
 				rule.IdleTimeout = o
 			}
-			key := ruleKey(rule.Match, rule.Priority)
-			if seen[key] {
+			id := ruleID{scope: sharedScope, match: rule.Match.Normalized(), priority: rule.Priority}
+			if _, dup := seen[id]; dup {
 				continue
 			}
-			seen[key] = true
+			seen[id] = struct{}{}
 			merged = append(merged, rule)
 		}
 	}
 	return merged, nil
 }
 
-func ruleKey(m openflow.Match, prio uint16) string {
-	return fmt.Sprintf("%s|%d", m.Key(), prio)
+// ruleID is a proactive rule's identity: the datapath scope it is
+// dispatched to (sharedScope or a dpid) and what it matches at which
+// priority. It is a comparable value, so the tracker's maps are keyed
+// by it directly and a tick formats nothing.
+type ruleID struct {
+	scope    uint64
+	match    openflow.Match // normalized
+	priority uint16
+}
+
+// compare orders identities for dispatch: priority descending, then the
+// normalized match fields, then scope.
+func (id ruleID) compare(o ruleID) int {
+	return cmp.Or(
+		cmp.Compare(o.priority, id.priority),
+		id.match.Compare(&o.match),
+		cmp.Compare(id.scope, o.scope),
+	)
 }
 
 // Sync derives the current proactive rule set and reconciles the targets
@@ -277,13 +314,6 @@ func (a *Analyzer) SyncScoped(scoped map[uint64]RuleTarget, shared []RuleTarget)
 	return a.applyOutcome(a.computeDesired(), scoped, shared)
 }
 
-// desiredRule is one rule the analyzer wants live, with its dispatch
-// scope (sharedScope or a dpid).
-type desiredRule struct {
-	fm    openflow.FlowMod
-	scope uint64
-}
-
 // scopeVersion snapshots an app scope's state version at derivation
 // time, to be committed into the tracker bookkeeping at apply time.
 type scopeVersion struct {
@@ -295,7 +325,7 @@ type scopeVersion struct {
 // deriveOutcome is the result of the compute phase of a sync: the
 // desired rule set plus the bookkeeping to commit when it is applied.
 type deriveOutcome struct {
-	next     map[string]desiredRule
+	next     map[ruleID]openflow.FlowMod
 	versions []scopeVersion
 	err      error
 	duration time.Duration
@@ -312,15 +342,15 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 	a.deriveMu.Lock()
 	defer a.deriveMu.Unlock()
 	start := time.Now()
-	o := &deriveOutcome{next: make(map[string]desiredRule)}
+	o := &deriveOutcome{next: make(map[ruleID]openflow.FlowMod, a.desiredHint)}
 	defer func() {
+		a.desiredHint = len(o.next)
 		o.duration = time.Since(start)
 		if a.deriveSeconds != nil {
 			a.deriveSeconds.ObserveDuration(o.duration)
 		}
 	}()
 
-	seen := make(map[string]bool)
 	for _, aa := range a.apps {
 		if aa.paths == nil {
 			o.err = fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
@@ -342,12 +372,11 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 				if ov := a.cfg.RuleIdleTimeoutOverride; ov > 0 {
 					rule.IdleTimeout = ov
 				}
-				key := fmt.Sprintf("%d|%s", scope, ruleKey(rule.Match, rule.Priority))
-				if seen[key] {
+				id := ruleID{scope: scope, match: rule.Match.Normalized(), priority: rule.Priority}
+				if _, dup := o.next[id]; dup {
 					continue
 				}
-				seen[key] = true
-				o.next[key] = desiredRule{scope: scope, fm: openflow.FlowMod{
+				o.next[id] = openflow.FlowMod{
 					Match:       rule.Match,
 					Command:     openflow.FlowAdd,
 					IdleTimeout: rule.IdleTimeout,
@@ -356,7 +385,7 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 					BufferID:    openflow.NoBuffer,
 					OutPort:     openflow.PortNone,
 					Actions:     rule.Actions,
-				}}
+				}
 			}
 		}
 	}
@@ -364,9 +393,13 @@ func (a *Analyzer) computeDesired() *deriveOutcome {
 }
 
 // applyOutcome is the dispatch half of a sync: it commits the tracker
-// bookkeeping and reconciles the targets with the desired rule set.
-// It mutates analyzer state and sends to targets, so it must run on the
-// engine goroutine.
+// bookkeeping and reconciles the targets with the desired rule set. A
+// rule is booked as installed (or removed) only once every target it is
+// dispatched to accepted it; a refused one is counted in RulesRejected
+// and comes up again at the next sync. The delta goes out in ruleID
+// order, so which rules fit a bounded table does not depend on map
+// iteration order. It mutates analyzer state and sends to targets, so
+// it must run on the engine goroutine.
 func (a *Analyzer) applyOutcome(o *deriveOutcome, scoped map[uint64]RuleTarget, shared []RuleTarget) (int, int, error) {
 	a.LastDeriveDuration = o.duration
 	if o.err != nil {
@@ -377,37 +410,60 @@ func (a *Analyzer) applyOutcome(o *deriveOutcome, scoped map[uint64]RuleTarget, 
 		sv.aa.pendingChanges[sv.scope] = 0
 	}
 
-	dispatch := func(scope uint64, fm openflow.FlowMod) {
+	// dispatch offers fm to every target of its scope and reports the
+	// first refusal; the remaining targets are still offered it.
+	dispatch := func(scope uint64, fm openflow.FlowMod) (err error) {
+		offer := func(t RuleTarget) {
+			if e := t.InstallProactive(fm); e != nil && err == nil {
+				err = e
+			}
+		}
 		if scope == sharedScope {
 			for _, t := range scoped {
-				t.InstallProactive(fm)
+				offer(t)
 			}
 		} else if t, ok := scoped[scope]; ok {
-			t.InstallProactive(fm)
+			offer(t)
 		}
 		for _, t := range shared {
-			t.InstallProactive(fm)
+			offer(t)
 		}
+		return err
 	}
 
+	var stale, fresh []ruleID
+	for id := range a.installed {
+		if _, keep := o.next[id]; !keep {
+			stale = append(stale, id)
+		}
+	}
+	for id, fm := range o.next {
+		if old, ok := a.installed[id]; !ok || !slices.Equal(old.Actions, fm.Actions) {
+			fresh = append(fresh, id)
+		}
+	}
+	slices.SortFunc(stale, ruleID.compare)
+	slices.SortFunc(fresh, ruleID.compare)
+
 	installed, removed := 0, 0
-	for key, fm := range a.installed {
-		if _, keep := o.next[key]; keep {
+	for _, id := range stale {
+		del := a.installed[id]
+		del.Command = openflow.FlowDeleteStrict
+		if dispatch(id.scope, del) != nil {
+			a.RulesRejected.Inc()
 			continue
 		}
-		del := fm
-		del.Command = openflow.FlowDeleteStrict
-		dispatch(scopeOfKey(key), del)
-		delete(a.installed, key)
+		delete(a.installed, id)
 		removed++
 		a.RulesRemoved.Inc()
 	}
-	for key, d := range o.next {
-		if old, ok := a.installed[key]; ok && openflow.ActionsString(old.Actions) == openflow.ActionsString(d.fm.Actions) {
+	for _, id := range fresh {
+		fm := o.next[id]
+		if dispatch(id.scope, fm) != nil {
+			a.RulesRejected.Inc()
 			continue
 		}
-		dispatch(d.scope, d.fm)
-		a.installed[key] = d.fm
+		a.installed[id] = fm
 		installed++
 		a.RulesInstalled.Inc()
 	}
@@ -425,20 +481,12 @@ func (a *Analyzer) StartAsync() <-chan *deriveOutcome {
 	return ch
 }
 
-func scopeOfKey(key string) uint64 {
-	var scope uint64
-	for i := 0; i < len(key) && key[i] != '|'; i++ {
-		scope = scope*10 + uint64(key[i]-'0')
-	}
-	return scope
-}
-
 // InstalledCount returns the number of live proactive rules.
 func (a *Analyzer) InstalledCount() int { return len(a.installed) }
 
 // Forget clears the installed-rule bookkeeping (e.g. after the defense
 // ends and timeouts reclaim the rules).
-func (a *Analyzer) Forget() { a.installed = make(map[string]openflow.FlowMod) }
+func (a *Analyzer) Forget() { a.installed = make(map[ruleID]openflow.FlowMod) }
 
 // NeedsUpdate applies the configured §IV.D strategy to decide whether any
 // app's state has drifted enough to warrant re-derivation. Interval

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,12 +20,13 @@ type recordingTarget struct {
 	deletes []openflow.FlowMod
 }
 
-func (r *recordingTarget) InstallProactive(fm openflow.FlowMod) {
+func (r *recordingTarget) InstallProactive(fm openflow.FlowMod) error {
 	if fm.Command == openflow.FlowDeleteStrict || fm.Command == openflow.FlowDelete {
 		r.deletes = append(r.deletes, fm)
-		return
+		return nil
 	}
 	r.adds = append(r.adds, fm)
+	return nil
 }
 
 func l2Analyzer(t *testing.T, cfg AnalyzerConfig) (*Analyzer, *appir.State) {
@@ -208,9 +211,121 @@ func TestTableTargetRespectsCapacity(t *testing.T) {
 	tgt := tableTarget{tbl: tbl, now: func() time.Time { return t0 }}
 	p1 := netpkt.Packet{EthType: netpkt.EtherTypeIPv4, NwDst: netpkt.MustIPv4("10.0.0.1"), NwProto: netpkt.ProtoUDP}
 	p2 := netpkt.Packet{EthType: netpkt.EtherTypeIPv4, NwDst: netpkt.MustIPv4("10.0.0.2"), NwProto: netpkt.ProtoUDP}
-	tgt.InstallProactive(openflow.FlowMod{Match: openflow.ExactFrom(&p1, 1), Command: openflow.FlowAdd, Priority: 5})
-	tgt.InstallProactive(openflow.FlowMod{Match: openflow.ExactFrom(&p2, 1), Command: openflow.FlowAdd, Priority: 5})
+	if err := tgt.InstallProactive(openflow.FlowMod{Match: openflow.ExactFrom(&p1, 1), Command: openflow.FlowAdd, Priority: 5}); err != nil {
+		t.Errorf("install into an empty table: %v", err)
+	}
+	err := tgt.InstallProactive(openflow.FlowMod{Match: openflow.ExactFrom(&p2, 1), Command: openflow.FlowAdd, Priority: 5})
+	if !errors.Is(err, flowtable.ErrTableFull) {
+		t.Errorf("install into a full table = %v, want ErrTableFull", err)
+	}
 	if tbl.Len() != 1 {
 		t.Errorf("table len = %d, want 1 (capacity respected, overflow dropped)", tbl.Len())
+	}
+}
+
+// learnedAnalyzer returns an l2_learning analyzer with n MACs learned
+// and their rules synced to a recording target.
+func learnedAnalyzer(t *testing.T, n int) (*Analyzer, *appir.State, *recordingTarget) {
+	t.Helper()
+	an, st := l2Analyzer(t, DefaultAnalyzer())
+	for i := 1; i <= n; i++ {
+		st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(uint64(i))), appir.U16Value(uint16(i%8+1)))
+	}
+	tgt := &recordingTarget{}
+	if inst, _, err := an.Sync([]RuleTarget{tgt}); err != nil || inst != n {
+		t.Fatalf("initial sync installed %d of %d rules, err %v", inst, n, err)
+	}
+	return an, st, tgt
+}
+
+// One tracker tick pays for what changed: with 2 000 rules installed, one
+// more learned MAC costs one entry through the solver and one flow_mod,
+// and the tick allocates no more per installed rule than it does at 200.
+func TestTrackerTickSolvesOnlyDelta(t *testing.T) {
+	next := uint64(1 << 20)
+	tickAllocs := func(n int) float64 {
+		an, st, tgt := learnedAnalyzer(t, n)
+		targets := []RuleTarget{tgt}
+		return testing.AllocsPerRun(20, func() {
+			next++
+			st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(next)), appir.U16Value(3))
+			if inst, rem, err := an.Sync(targets); err != nil || inst != 1 || rem != 0 {
+				t.Fatalf("tick at %d rules = (%d, %d, %v), want (1, 0, nil)", n, inst, rem, err)
+			}
+		})
+	}
+
+	an, st, tgt := learnedAnalyzer(t, 2000)
+	_, _, before := an.MemoStats()
+	adds := len(tgt.adds)
+	st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(next)), appir.U16Value(3))
+	if inst, rem, err := an.Sync([]RuleTarget{tgt}); err != nil || inst != 1 || rem != 0 {
+		t.Fatalf("delta sync = (%d, %d, %v), want (1, 0, nil)", inst, rem, err)
+	}
+	if _, _, after := an.MemoStats(); after-before != 1 {
+		t.Errorf("one Learn re-solved %d entries, want exactly 1", after-before)
+	}
+	if got := len(tgt.adds) - adds; got != 1 {
+		t.Errorf("one Learn dispatched %d flow_mods, want 1", got)
+	}
+
+	small, large := tickAllocs(200), tickAllocs(2000)
+	t.Logf("allocs per tick: %.1f at 200 rules, %.1f at 2000", small, large)
+	if large > small+16 {
+		t.Errorf("tick allocations grow with the installed set: %.1f at 200 rules, %.1f at 2000", small, large)
+	}
+}
+
+// A full table refuses rules; the analyzer must not book them, must
+// offer them again once there is room, and must pick the same survivors
+// every time.
+func TestAnalyzerBooksOnlyWhatLanded(t *testing.T) {
+	const capacity, learned = 5, 12
+	survivors := func() (*Analyzer, *appir.State, *flowtable.Table, []openflow.Match) {
+		an, st := l2Analyzer(t, DefaultAnalyzer())
+		for i := 1; i <= learned; i++ {
+			learnMAC(st, byte(i), uint16(i))
+		}
+		tbl := flowtable.New(capacity)
+		tgt := tableTarget{tbl: tbl, now: func() time.Time { return t0 }}
+		inst, _, err := an.Sync([]RuleTarget{tgt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst != capacity || an.InstalledCount() != capacity || tbl.Len() != capacity {
+			t.Fatalf("booked %d (count %d) with %d in a table of %d", inst, an.InstalledCount(), tbl.Len(), capacity)
+		}
+		if got := an.RulesRejected.Value(); got != learned-capacity {
+			t.Fatalf("RulesRejected = %d, want %d", got, learned-capacity)
+		}
+		if got := an.RulesInstalled.Value(); got != capacity {
+			t.Fatalf("RulesInstalled = %d, want %d", got, capacity)
+		}
+		var landed []openflow.Match
+		for _, e := range tbl.Entries() {
+			landed = append(landed, e.Match.Normalized())
+		}
+		return an, st, tbl, landed
+	}
+
+	an, st, tbl, first := survivors()
+	for run := 0; run < 5; run++ {
+		if _, _, _, again := survivors(); !slices.Equal(first, again) {
+			t.Fatalf("survivor set differs between identical runs:\n%v\n%v", first, again)
+		}
+	}
+
+	// Make room: one survivor's MAC is forgotten. The next sync removes
+	// its rule and the freed slot goes to one of the rejected rules.
+	st.Unlearn("macToPort", appir.MACValue(netpkt.MACFromUint64(1)))
+	inst, rem, err := an.Sync([]RuleTarget{tableTarget{tbl: tbl, now: func() time.Time { return t0 }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rem != 1 || inst != 1 {
+		t.Errorf("sync after freeing a slot = (%d, %d), want (1, 1)", inst, rem)
+	}
+	if an.InstalledCount() != tbl.Len() || tbl.Len() != capacity {
+		t.Errorf("analyzer books %d rules, table holds %d of %d", an.InstalledCount(), tbl.Len(), capacity)
 	}
 }

@@ -95,12 +95,6 @@ type AnalyzerConfig struct {
 	// rules' idle timeout (seconds) so proactive rules survive the
 	// attack window.
 	RuleIdleTimeoutOverride uint16
-	// Memoize caches per-path derivation results keyed by global-variable
-	// epochs: repeat derivations re-solve only the paths whose globals
-	// actually moved, making repeat Init→Defense transitions near-free.
-	// Off by default so the Figure 13 experiments measure a cold
-	// Algorithm 2 run; the output is identical either way.
-	Memoize bool
 	// DeriveWorkers caps the parallel path-concretization worker pool
 	// (0 = GOMAXPROCS, 1 = sequential). The parallel output is
 	// bit-identical to a sequential run.

@@ -124,18 +124,36 @@ type entry struct {
 // the packet buffer queue will be dropped"). The queue itself is owned
 // by the engine goroutine; depth and dropped are atomics so a metrics
 // scrape can read them from any thread.
+//
+// The ring starts empty and doubles on demand up to capacity: a cache
+// has nine of these, and most of them — on most testbeds all of them —
+// never hold more than a handful of packets.
 type fifo struct {
-	buf     []entry
-	head    int
-	n       int
-	dropped telemetry.Counter
-	depth   telemetry.Gauge // mirrors n
+	buf      []entry
+	capacity int
+	head     int
+	n        int
+	dropped  telemetry.Counter
+	depth    telemetry.Gauge // mirrors n
 }
 
-func newFIFO(capacity int) *fifo { return &fifo{buf: make([]entry, capacity)} }
+func newFIFO(capacity int) *fifo { return &fifo{capacity: capacity} }
+
+// grow doubles the ring (unwrapping it to start at index 0) and reports
+// false once it is at capacity.
+func (f *fifo) grow() bool {
+	if len(f.buf) >= f.capacity {
+		return false
+	}
+	buf := make([]entry, min(max(2*len(f.buf), 16), f.capacity))
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+	return true
+}
 
 func (f *fifo) push(e entry) {
-	if f.n == len(f.buf) {
+	if f.n == len(f.buf) && !f.grow() {
 		// Drop the oldest to make room.
 		f.head = (f.head + 1) % len(f.buf)
 		f.n--
@@ -152,7 +170,7 @@ func (f *fifo) push(e entry) {
 // packet is by construction the oldest in the queue, so dropping it is
 // exactly the drop-oldest overflow policy.
 func (f *fifo) pushFront(e entry) bool {
-	if f.n == len(f.buf) {
+	if f.n == len(f.buf) && !f.grow() {
 		f.dropped.Inc()
 		return false
 	}

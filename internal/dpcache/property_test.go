@@ -58,6 +58,108 @@ func TestFIFOPropertyDropAccounting(t *testing.T) {
 	}
 }
 
+// TestFIFOGrowsOnDemand holds the growing ring to a plain-slice model of a
+// bounded drop-oldest queue: growth with the head wrapped, pushFront on a
+// queue that never allocated, and a capacity (40) the doubling does not
+// land on, where drop-oldest must begin exactly and not one push sooner.
+func TestFIFOGrowsOnDemand(t *testing.T) {
+	const capacity = 40
+	check := func(q *fifo, model []uint64, drops int) {
+		t.Helper()
+		if q.len() != len(model) || int(q.dropped.Value()) != drops || len(q.buf) > capacity {
+			t.Fatalf("len %d dropped %d ring %d, want len %d dropped %d ring <= %d",
+				q.len(), q.dropped.Value(), len(q.buf), len(model), drops, capacity)
+		}
+		for i, want := range model {
+			if got := q.buf[(q.head+i)%len(q.buf)].origin; got != want {
+				t.Fatalf("slot %d holds %d, want %d (model %v)", i, got, want, model)
+			}
+		}
+	}
+
+	q := newFIFO(capacity)
+	if !q.pushFront(entry{origin: 7}) || len(q.buf) == 0 {
+		t.Fatal("pushFront on a never-grown queue was refused")
+	}
+	check(q, []uint64{7}, 0)
+
+	// Fill the first ring, pop half and refill, so the head sits mid-ring
+	// when the next push has to grow it.
+	q = newFIFO(capacity)
+	var model []uint64
+	id := uint64(0)
+	push := func() {
+		id++
+		q.push(entry{origin: id})
+		model = append(model, id)
+	}
+	for len(q.buf) == 0 || q.len() < len(q.buf) {
+		push()
+	}
+	first := len(q.buf)
+	for i := 0; i < first/2; i++ {
+		q.pop()
+		model = model[1:]
+	}
+	for q.len() < first {
+		push()
+	}
+	if q.head == 0 {
+		t.Fatal("test setup: head did not wrap")
+	}
+	push() // grows across the wrapped head
+	if len(q.buf) <= first {
+		t.Fatalf("ring stayed at %d with %d queued", len(q.buf), q.len())
+	}
+	check(q, model, 0)
+
+	// Up to capacity nothing is lost; the push after that drops exactly
+	// the oldest, and a pushFront is refused.
+	for q.len() < capacity {
+		push()
+		check(q, model, 0)
+	}
+	push()
+	model = model[1:]
+	check(q, model, 1)
+	if q.pushFront(entry{origin: 999}) {
+		t.Fatal("pushFront accepted on a full queue")
+	}
+	check(q, model, 2)
+
+	// Random walk against the model.
+	r := rand.New(rand.NewSource(40))
+	q, model, id = newFIFO(capacity), nil, 0
+	drops := 0
+	for step := 0; step < 5000; step++ {
+		switch op := r.Intn(10); {
+		case op < 5:
+			push()
+			if len(model) > capacity {
+				model, drops = model[1:], drops+1
+			}
+		case op < 6:
+			id++
+			if ok := q.pushFront(entry{origin: id}); ok != (len(model) < capacity) {
+				t.Fatalf("pushFront = %v with %d of %d queued", ok, len(model), capacity)
+			} else if ok {
+				model = append([]uint64{id}, model...)
+			} else {
+				drops++
+			}
+		default:
+			e, ok := q.pop()
+			if ok != (len(model) > 0) || (ok && e.origin != model[0]) {
+				t.Fatalf("pop = (%d, %v), model %v", e.origin, ok, model)
+			}
+			if ok {
+				model = model[1:]
+			}
+		}
+		check(q, model, drops)
+	}
+}
+
 // TestCachePropertyConservation: enqueued == emitted + dropped + backlog
 // after any interleaving of ingests and scheduler runs.
 func TestCachePropertyConservation(t *testing.T) {

@@ -83,7 +83,7 @@ func TestExpireNeverRemovesFreshRules(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		tbl := New(0)
 		type expect struct {
-			key      string
+			key      openflow.Match
 			deadline time.Time
 		}
 		var expects []expect
@@ -107,13 +107,13 @@ func TestExpireNeverRemovesFreshRules(t *testing.T) {
 					deadline = d
 				}
 			}
-			expects = append(expects, expect{key: fm.Match.Key(), deadline: deadline})
+			expects = append(expects, expect{key: fm.Match.Normalized(), deadline: deadline})
 		}
 		at := base.Add(time.Duration(r.Intn(25)) * time.Second)
 		tbl.Expire(at)
-		remaining := make(map[string]bool)
+		remaining := make(map[openflow.Match]bool)
 		for _, e := range tbl.Entries() {
-			remaining[e.Match.Key()] = true
+			remaining[e.Match.Normalized()] = true
 		}
 		for _, ex := range expects {
 			shouldLive := at.Before(ex.deadline)

@@ -15,7 +15,7 @@ import (
 type lookupKey struct {
 	hit      bool
 	priority uint16
-	match    string
+	match    openflow.Match
 	actions  string
 }
 
@@ -26,7 +26,7 @@ func keyOf(e *Entry) lookupKey {
 	return lookupKey{
 		hit:      true,
 		priority: e.Priority,
-		match:    e.Match.Key(),
+		match:    e.Match.Normalized(),
 		actions:  openflow.ActionsString(e.Actions),
 	}
 }

@@ -6,52 +6,77 @@
 // scenario driven from a seeded RNG reproduces exactly.
 package netsim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event is a scheduled callback. Cancel prevents a pending event from
 // firing.
 type Event struct {
-	at    time.Time
-	seq   uint64
-	fn    func()
-	index int // heap index, -1 when popped/cancelled
-	dead  bool
+	at   time.Time
+	key  int64 // at, as nanoseconds since Epoch: what the queue orders by
+	seq  uint64
+	fn   func()
+	dead bool
 }
 
 // Cancel prevents the event from firing. Safe to call multiple times and
 // after the event fired.
 func (ev *Event) Cancel() { ev.dead = true }
 
+// before is the determinism contract: time, then schedule order.
+func (ev *Event) before(o *Event) bool {
+	if ev.key != o.key {
+		return ev.key < o.key
+	}
+	return ev.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events under before. It is written
+// out rather than built on container/heap because every simulated packet
+// is a handful of pushes and pops: through the interface each of those
+// boxes the event and calls Less and Swap indirectly.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (h *eventHeap) push(ev *Event) {
+	q := append(*h, ev)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top, last := q[0], q[len(q)-1]
+	q[len(q)-1] = nil
+	q = q[:len(q)-1]
+	*h = q
+	if len(q) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if r := child + 1; r < len(q) && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // Epoch is the conventional start instant of every simulation. Using a
@@ -87,9 +112,9 @@ func (e *Engine) At(t time.Time, fn func()) *Event {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	ev := &Event{at: t, key: int64(t.Sub(Epoch)), seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.pq, ev)
+	e.pq.push(ev)
 	return ev
 }
 
@@ -97,7 +122,7 @@ func (e *Engine) At(t time.Time, fn func()) *Event {
 // is empty.
 func (e *Engine) Step() bool {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*Event)
+		ev := e.pq.pop()
 		if ev.dead {
 			continue
 		}
@@ -117,7 +142,7 @@ func (e *Engine) RunUntil(t time.Time) int {
 		// Skip over cancelled heads without advancing time.
 		head := e.pq[0]
 		if head.dead {
-			heap.Pop(&e.pq)
+			e.pq.pop()
 			continue
 		}
 		if head.at.After(t) {

@@ -218,3 +218,55 @@ func TestEWMA(t *testing.T) {
 		t.Errorf("Value = %v", got)
 	}
 }
+
+// The queue's pop order must be exactly (time, schedule order) — ties,
+// cancellations and events scheduled from inside callbacks included.
+func TestEngineOrderMatchesStableSort(t *testing.T) {
+	e := NewEngine()
+	r := rand.New(rand.NewSource(7))
+	type planned struct {
+		at  time.Duration
+		id  int
+		off bool
+	}
+	var plan []planned
+	var fired []int
+	schedule := func(at time.Duration) *Event {
+		id := len(plan)
+		plan = append(plan, planned{at: at, id: id})
+		return e.At(Epoch.Add(at), func() { fired = append(fired, id) })
+	}
+	var events []*Event
+	for i := 0; i < 3000; i++ {
+		events = append(events, schedule(time.Duration(r.Intn(200))*time.Millisecond))
+	}
+	for i := 0; i < 300; i++ {
+		k := r.Intn(len(events))
+		events[k].Cancel()
+		plan[k].off = true
+	}
+	// Half-way through, a callback schedules more: some due at once (a
+	// tie with already-queued events, ordered after them), some later.
+	e.At(Epoch.Add(100*time.Millisecond), func() {
+		for i := 0; i < 500; i++ {
+			schedule(100*time.Millisecond + time.Duration(r.Intn(3))*50*time.Millisecond)
+		}
+	})
+	e.RunFor(time.Second)
+
+	sort.SliceStable(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
+	var want []int
+	for _, p := range plan {
+		if !p.off {
+			want = append(want, p.id)
+		}
+	}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("event %d fired was #%d, want #%d", i, fired[i], want[i])
+		}
+	}
+}

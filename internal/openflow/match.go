@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -203,19 +205,10 @@ func ExactFrom(p *netpkt.Packet, inPort uint16) Match {
 	return m
 }
 
-// Key returns a canonical string identity for m (normalising wildcarded
-// field values to zero) so rule sets can be diffed.
-func (m *Match) Key() string {
-	n := m.normalized()
-	return fmt.Sprintf("%08x|%d|%v|%v|%d|%d|%04x|%d|%d|%v/%d|%v/%d|%d|%d",
-		n.Wildcards, n.InPort, n.DlSrc, n.DlDst, n.DlVLAN, n.DlVLANPCP, n.DlType,
-		n.NwTOS, n.NwProto, n.NwSrc, m.NwSrcMaskLen(), n.NwDst, m.NwDstMaskLen(),
-		n.TpSrc, n.TpDst)
-}
-
-// normalized zeroes every wildcarded field so logically equal matches
-// compare equal.
-func (m *Match) normalized() Match {
+// Normalized zeroes every wildcarded field and the host bits of every
+// prefix, so logically equal matches are equal as values: the result is
+// a comparable identity (a map key) that costs no formatting.
+func (m *Match) Normalized() Match {
 	n := *m
 	if n.Wildcards&WildInPort != 0 {
 		n.InPort = 0
@@ -268,7 +261,28 @@ func (m *Match) normalized() Match {
 // compares the normalized structs directly — no string building — so
 // strict flow_mod application stays allocation-free on the shard's
 // in-band control path.
-func (m *Match) Equal(o *Match) bool { return m.normalized() == o.normalized() }
+func (m *Match) Equal(o *Match) bool { return m.Normalized() == o.Normalized() }
+
+// Compare orders matches field by field in declaration order (-1, 0, +1).
+// On normalized matches it is a total order consistent with ==, which
+// is what makes a sorted rule dispatch reproducible.
+func (m *Match) Compare(o *Match) int {
+	return cmp.Or(
+		cmp.Compare(m.Wildcards, o.Wildcards),
+		cmp.Compare(m.InPort, o.InPort),
+		bytes.Compare(m.DlSrc[:], o.DlSrc[:]),
+		bytes.Compare(m.DlDst[:], o.DlDst[:]),
+		cmp.Compare(m.DlVLAN, o.DlVLAN),
+		cmp.Compare(m.DlVLANPCP, o.DlVLANPCP),
+		cmp.Compare(m.DlType, o.DlType),
+		cmp.Compare(m.NwTOS, o.NwTOS),
+		cmp.Compare(m.NwProto, o.NwProto),
+		cmp.Compare(m.NwSrc, o.NwSrc),
+		cmp.Compare(m.NwDst, o.NwDst),
+		cmp.Compare(m.TpSrc, o.TpSrc),
+		cmp.Compare(m.TpDst, o.TpDst),
+	)
+}
 
 // String renders only the concrete (non-wildcarded) fields.
 func (m *Match) String() string {

@@ -154,8 +154,8 @@ func TestMatchKeyNormalisesWildcardedFields(t *testing.T) {
 	b := MatchAll()
 	b.DlSrc = netpkt.MustMAC("de:ad:be:ef:00:01") // wildcarded, must not matter
 	b.TpDst = 9999
-	if a.Key() != b.Key() {
-		t.Errorf("keys differ for logically equal matches:\n %s\n %s", a.Key(), b.Key())
+	if a.Normalized() != b.Normalized() {
+		t.Errorf("identities differ for logically equal matches:\n %+v\n %+v", a.Normalized(), b.Normalized())
 	}
 	if !a.Equal(&b) {
 		t.Error("Equal() = false for logically equal matches")
@@ -176,8 +176,12 @@ func TestMatchKeyNormalisesPrefixHostBits(t *testing.T) {
 	a.SetNwDstMaskLen(16)
 	b := a
 	b.NwDst = netpkt.MustIPv4("10.1.9.9") // same /16
-	if a.Key() != b.Key() {
-		t.Error("keys differ for prefixes equal up to mask length")
+	if a.Normalized() != b.Normalized() {
+		t.Error("identities differ for prefixes equal up to mask length")
+	}
+	an, bn := a.Normalized(), b.Normalized()
+	if a.Compare(&b) == 0 || an.Compare(&bn) != 0 {
+		t.Error("Compare must order raw host bits apart and normalized matches together")
 	}
 }
 

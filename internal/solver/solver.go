@@ -338,6 +338,37 @@ func Concretize(conds []appir.Cond, st *appir.State) []Assignment {
 // repeated calls reuse the same working set instead of re-allocating it.
 // The result never aliases arena memory.
 func ConcretizeArena(conds []appir.Cond, st *appir.State, ar *Arena) []Assignment {
+	return concretize(conds, st, ar, nil)
+}
+
+// ConcretizeEntry is ConcretizeArena with every fan-out over the exact
+// table restricted to the entry at key (to nothing, when the table does
+// not hold key): the assignments under which the condition holds for
+// that one entry. For a condition that reads the table only through the
+// field it fans out on, these are exactly the assignments the full
+// enumeration yields for key, in the same order.
+func ConcretizeEntry(conds []appir.Cond, st *appir.State, ar *Arena, table string, key appir.Value) []Assignment {
+	return concretize(conds, st, ar, &entryPin{table: table, key: key})
+}
+
+// entryPin narrows the enumeration of one exact table to one key.
+type entryPin struct {
+	table string
+	key   appir.Value
+}
+
+// entries lists what an InTable constraint on table fans out over.
+func (p *entryPin) entries(st *appir.State, table string) []struct{ Key, Val appir.Value } {
+	if p == nil || p.table != table {
+		return st.TableEntries(table)
+	}
+	if v, ok := st.LookupTable(table, p.key); ok {
+		return []struct{ Key, Val appir.Value }{{p.key, v}}
+	}
+	return nil
+}
+
+func concretize(conds []appir.Cond, st *appir.State, ar *Arena, pin *entryPin) []Assignment {
 	work := append(ar.work[:0], ar.get())
 	ar.work = work
 
@@ -347,7 +378,7 @@ func ConcretizeArena(conds []appir.Cond, st *appir.State, ar *Arena) []Assignmen
 			continue
 		}
 		var err error
-		work, err = applyPositive(work, c.Expr, st, ar)
+		work, err = applyPositive(work, c.Expr, st, ar, pin)
 		if err != nil || len(work) == 0 {
 			ar.putAll(work)
 			return nil
@@ -374,7 +405,7 @@ func ConcretizeArena(conds []appir.Cond, st *appir.State, ar *Arena) []Assignmen
 // applyPositive narrows every assignment by one positive constraint.
 // Dropped and fanned-out work items are returned to the arena; on error
 // the input list is recycled too (the caller abandons the derivation).
-func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena) ([]*Assignment, error) {
+func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena, pin *entryPin) ([]*Assignment, error) {
 	switch x := e.(type) {
 	case appir.Eq:
 		if fr, ok := x.A.(appir.FieldRef); ok {
@@ -405,7 +436,7 @@ func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena)
 			ar.putAll(work)
 			return nil, fmt.Errorf("solver: membership key %s is not a field", x.Key)
 		}
-		entries := st.TableEntries(x.Table)
+		entries := pin.entries(st, x.Table)
 		next := ar.next[:0]
 		for _, a := range work {
 			for _, ent := range entries {

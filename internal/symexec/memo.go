@@ -1,11 +1,13 @@
 package symexec
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"floodguard/internal/appir"
 	"floodguard/internal/netpkt"
+	"floodguard/internal/solver"
 )
 
 // Memo caches per-path derivation results keyed by the epochs of the
@@ -16,6 +18,14 @@ import (
 // the stale paths. A repeat Init→Defense transition with unchanged
 // state then costs one version fetch and a slice concatenation instead
 // of a full Algorithm 2 run.
+//
+// A stale path is not necessarily re-solved whole. The table-driven
+// paths — one rule group per entry of the table they fan out over, see
+// entryShape — are kept per entry: when that table is the only global
+// that moved and the state's change journal still names the keys that
+// did (appir.State.TableChanges), only those entries go back through
+// the solver. What the tracker pays per tick is then set by how much
+// changed, not by how many MACs an attacker got the app to learn.
 //
 // Derive is not safe for concurrent calls (the analyzer runs one
 // derivation at a time); Stats is safe from any goroutine.
@@ -35,8 +45,9 @@ type Memo struct {
 	last   []ProactiveRule
 	lastOK bool
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	entries atomic.Uint64
 
 	// match caches MatchPath results for concrete packets under the
 	// same epoch regime: any global mutation empties it.
@@ -47,6 +58,23 @@ type Memo struct {
 type memoSlot struct {
 	valid bool
 	vers  []uint64 // dep epochs at derivation time, aligned with deps[i]
+	rules []ProactiveRule
+
+	// byEntry marks a path of entry shape. Its rules live in groups, not
+	// in rules: one group per key of table that yields any, in
+	// TableEntries order — which is the order a whole-path solve emits
+	// them in, so concatenating the groups reproduces it exactly.
+	byEntry  bool
+	table    string
+	field    appir.Field
+	tableDep int // position of table in deps[i] / vers
+	groups   []entryGroup
+	changed  []appir.Value // scratch: journal read-out
+}
+
+// entryGroup is the rules one table entry contributes to its path.
+type entryGroup struct {
+	key   appir.Value
 	rules []ProactiveRule
 }
 
@@ -98,9 +126,69 @@ func NewMemo(paths []Path) *Memo {
 			di = append(di, j)
 		}
 		m.deps[i] = di
-		m.slots[i].vers = make([]uint64, len(di))
+		s := &m.slots[i]
+		s.vers = make([]uint64, len(di))
+		if s.table, s.field, s.byEntry = entryShape(&paths[i]); s.byEntry {
+			s.tableDep = sort.SearchStrings(names, s.table)
+		}
 	}
 	return m
+}
+
+// entryShape recognises the paths whose derivation decomposes per table
+// entry: exactly one fan-out, a positive membership test of packet field
+// f in exact table T, and no other view of T than the entry at that same
+// f (negated membership, lookups in match values and actions). Binding f
+// to one key then fixes everything the path can read of T, so the rules
+// for that key depend on that entry alone, and — the fan-out being the
+// only one — a whole solve emits them key by key in TableEntries order.
+// Every table-driven install path of the bundled apps has this shape
+// (l2_learning, l3_learning, mac_blocker, of_firewall's port block); a
+// path that fans out over a prefix table, over two tables, or reads T
+// at some other key does not, and is re-solved whole.
+func entryShape(p *Path) (table string, f appir.Field, ok bool) {
+	if len(p.Installs) == 0 {
+		return "", 0, false
+	}
+	fanOuts := 0
+	for _, c := range p.Conds {
+		if !c.Want {
+			continue
+		}
+		switch x := c.Expr.(type) {
+		case appir.InPrefixTable:
+			return "", 0, false
+		case appir.InTable:
+			fr, isField := x.Key.(appir.FieldRef)
+			if !isField {
+				return "", 0, false
+			}
+			table, f = x.Table, fr.F
+			fanOuts++
+		}
+	}
+	if fanOuts != 1 {
+		return "", 0, false
+	}
+	keyed := func(e appir.Expr) bool { return e == nil || appir.KeyedOnly(e, table, f) }
+	for _, c := range p.Conds {
+		if !keyed(c.Expr) {
+			return "", 0, false
+		}
+	}
+	for _, r := range p.Installs {
+		for _, mf := range r.Match {
+			if !keyed(mf.Val) {
+				return "", 0, false
+			}
+		}
+		for _, a := range r.Actions {
+			if !keyed(actionExpr(a)) {
+				return "", 0, false
+			}
+		}
+	}
+	return table, f, true
 }
 
 // pathGlobals returns the sorted, deduplicated global names a path's
@@ -136,15 +224,16 @@ func pathGlobals(p *Path) []string {
 func (m *Memo) Paths() []Path { return m.paths }
 
 // Derive returns the rules DeriveRulesOpts would produce for the live
-// state, re-solving only paths whose referenced globals mutated since
-// their last derivation. The returned slice is freshly assembled but
-// shares per-rule storage with the cache: callers must not modify it.
+// state, re-solving only what mutated since the last derivation: stale
+// paths, and of a stale entry-shaped path only the changed entries. The
+// returned slice is freshly assembled but shares per-rule storage with
+// the cache: callers must not modify it.
 func (m *Memo) Derive(st *appir.State, opts DeriveOptions) ([]ProactiveRule, error) {
 	m.vers = st.GlobalVersions(m.union, m.vers[:0])
 	m.stale = m.stale[:0]
 	for i := range m.slots {
 		s := &m.slots[i]
-		if s.valid && depsFresh(s.vers, m.deps[i], m.vers) {
+		if s.valid && m.staleDeps(i) == 0 {
 			m.hits.Add(1)
 			continue
 		}
@@ -154,35 +243,128 @@ func (m *Memo) Derive(st *appir.State, opts DeriveOptions) ([]ProactiveRule, err
 	if len(m.stale) == 0 && m.lastOK {
 		return m.last, nil
 	}
-	if len(m.stale) > 0 {
-		results, err := deriveSubset(m.paths, m.stale, st, opts.Workers)
-		if err != nil {
-			m.lastOK = false
-			return nil, err
-		}
-		for k, i := range m.stale {
-			s := &m.slots[i]
-			s.rules = results[k]
-			for d, j := range m.deps[i] {
-				s.vers[d] = m.vers[j]
-			}
-			s.valid = true
-		}
+	m.lastOK = false
+	err := forEachPath(len(m.stale), opts.Workers, func(k int, ar *solver.Arena) error {
+		return m.resolve(m.stale[k], st, ar)
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := make([][]ProactiveRule, len(m.slots))
+
+	total := 0
 	for i := range m.slots {
-		out[i] = m.slots[i].rules
+		total += len(m.slots[i].rules)
+		for _, g := range m.slots[i].groups {
+			total += len(g.rules)
+		}
 	}
-	m.last = concatRules(out)
+	m.last = nil // the sequential convention: no rules is a nil slice
+	if total > 0 {
+		m.last = make([]ProactiveRule, 0, total)
+	}
+	for i := range m.slots {
+		m.last = append(m.last, m.slots[i].rules...)
+		for _, g := range m.slots[i].groups {
+			m.last = append(m.last, g.rules...)
+		}
+	}
 	m.lastOK = true
 	return m.last, nil
 }
 
-func depsFresh(have []uint64, deps []int, cur []uint64) bool {
-	for d, j := range deps {
-		if have[d] != cur[j] {
-			return false
+// staleDeps counts the globals of path i whose epoch moved since the
+// slot was derived.
+func (m *Memo) staleDeps(i int) int {
+	n := 0
+	for d, j := range m.deps[i] {
+		if m.slots[i].vers[d] != m.vers[j] {
+			n++
 		}
+	}
+	return n
+}
+
+// resolve brings slot i up to the epochs in m.vers. It runs on a pool
+// worker and touches nothing but its own slot.
+func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
+	s, p := &m.slots[i], &m.paths[i]
+	// On any failure the slot may be half-updated: it stays invalid and
+	// the next Derive re-solves it whole.
+	wasValid := s.valid
+	s.valid = false
+	switch {
+	case !s.byEntry:
+		rules, err := derivePath(p, st, ar)
+		if err != nil {
+			return err
+		}
+		s.rules = rules
+	case wasValid && m.onlyTableStale(i) && m.resolveChanged(s, p, st, ar):
+		// The table moved, nothing else did, and the journal named the
+		// keys: the other entries' groups stand.
+	default:
+		// Whole solve, cut into per-key groups. The path's only fan-out is
+		// over the table, so assignments arrive in runs of one key each.
+		s.groups = s.groups[:0]
+		asgs := solver.ConcretizeArena(p.Conds, st, ar)
+		for lo := 0; lo < len(asgs); {
+			key := asgs[lo].Field(s.field).Exact
+			hi := lo + 1
+			for hi < len(asgs) && asgs[hi].Field(s.field).Exact == key {
+				hi++
+			}
+			rules, err := instantiate(p, asgs[lo:hi], st)
+			if err != nil {
+				return err
+			}
+			if len(rules) > 0 {
+				s.groups = append(s.groups, entryGroup{key: key, rules: rules})
+			}
+			lo = hi
+		}
+	}
+	for d, j := range m.deps[i] {
+		s.vers[d] = m.vers[j]
+	}
+	s.valid = true
+	return nil
+}
+
+// onlyTableStale reports whether entry-shaped slot i is stale in its
+// fan-out table and in nothing else.
+func (m *Memo) onlyTableStale(i int) bool {
+	s := &m.slots[i]
+	return m.staleDeps(i) == 1 && s.vers[s.tableDep] != m.vers[m.deps[i][s.tableDep]]
+}
+
+// resolveChanged re-solves only the entries of s.table the journal says
+// changed since the slot's epoch, each through the ordinary solver with
+// the fan-out pinned to that key. It reports false — fall back to the
+// whole solve — when the journal no longer reaches back that far or an
+// entry fails to derive.
+func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.Arena) bool {
+	var ok bool
+	if s.changed, ok = st.TableChanges(s.table, s.vers[s.tableDep], s.changed[:0]); !ok {
+		return false
+	}
+	for n, key := range s.changed {
+		if slices.Contains(s.changed[:n], key) {
+			continue // already re-solved against the live state
+		}
+		rules, err := instantiate(p, solver.ConcretizeEntry(p.Conds, st, ar, s.table, key), st)
+		if err != nil {
+			return false // the whole solve reports it
+		}
+		at, found := slices.BinarySearchFunc(s.groups, key, func(g entryGroup, k appir.Value) int { return g.key.Compare(k) })
+		switch {
+		case len(rules) == 0 && found:
+			s.groups = slices.Delete(s.groups, at, at+1)
+		case len(rules) > 0 && found:
+			s.groups[at].rules = rules
+		case len(rules) > 0:
+			s.groups = slices.Insert(s.groups, at, entryGroup{key: key, rules: rules})
+		}
+		m.entries.Add(1)
 	}
 	return true
 }
@@ -203,6 +385,10 @@ func (m *Memo) Invalidate() {
 func (m *Memo) Stats() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
+
+// EntriesResolved returns how many table entries stale paths re-solved
+// one by one instead of being re-solved whole. Safe from any goroutine.
+func (m *Memo) EntriesResolved() uint64 { return m.entries.Load() }
 
 // MatchPath is the memoized form of the package-level MatchPath: repeat
 // queries for the same packet under unchanged globals return the cached

@@ -71,7 +71,7 @@ func TestMemoDeriveSelectiveInvalidation(t *testing.T) {
 	}
 }
 
-// Memoized derivation must agree with the direct one across the real
+// Derivation through the memo must agree with the direct one across the real
 // evaluation apps as their states mutate.
 func TestMemoDeriveMatchesDirectAcrossMutations(t *testing.T) {
 	progs, states := apps.EvaluationSet()
@@ -138,7 +138,7 @@ func TestMemoWarmDeriveFasterThanCold(t *testing.T) {
 	}
 }
 
-// Memoized MatchPath: cache hits under unchanged globals, invalidation
+// MatchPath through the memo: cache hits under unchanged globals, invalidation
 // on mutation, agreement with the direct call throughout.
 func TestMemoMatchPath(t *testing.T) {
 	prog, st := apps.L2Learning()

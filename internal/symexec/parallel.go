@@ -26,7 +26,11 @@ type DeriveOptions struct {
 // results are concatenated in path order — the output is bit-identical
 // to a sequential run, whatever the worker count or scheduling.
 func DeriveRulesOpts(paths []Path, st *appir.State, opts DeriveOptions) ([]ProactiveRule, error) {
-	results, err := deriveSubset(paths, nil, st, opts.Workers)
+	results := make([][]ProactiveRule, len(paths))
+	err := forEachPath(len(paths), opts.Workers, func(i int, ar *solver.Arena) (err error) {
+		results[i], err = derivePath(&paths[i], st, ar)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -50,24 +54,12 @@ func concatRules(results [][]ProactiveRule) []ProactiveRule {
 	return out
 }
 
-// deriveSubset derives the paths selected by idxs (nil selects all),
-// returning one result slice per selection, aligned with idxs (or with
-// paths when idxs is nil). Every selection is attempted even after a
-// failure, so the reported error is deterministic — the first failing
-// selection in order, regardless of which worker hit it first.
-func deriveSubset(paths []Path, idxs []int, st *appir.State, workers int) ([][]ProactiveRule, error) {
-	n := len(paths)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	pathAt := func(i int) *Path {
-		if idxs != nil {
-			return &paths[idxs[i]]
-		}
-		return &paths[i]
-	}
-
-	results := make([][]ProactiveRule, n)
+// forEachPath calls solve(i, arena) for every i in [0, n) on a bounded
+// worker pool, each worker with its own solver arena; solve(i) must
+// touch only selection i's result. Every selection is attempted even
+// after a failure, so the reported error is deterministic — the first
+// failing selection in order, regardless of which worker hit it first.
+func forEachPath(n, workers int, solve func(i int, ar *solver.Arena) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -77,18 +69,15 @@ func deriveSubset(paths []Path, idxs []int, st *appir.State, workers int) ([][]P
 	if workers <= 1 || n < minParallelPaths {
 		ar := solver.NewArena()
 		for i := 0; i < n; i++ {
-			rules, err := derivePath(pathAt(i), st, ar)
-			if err != nil {
-				return nil, err
+			if err := solve(i, ar); err != nil {
+				return err
 			}
-			results[i] = rules
 		}
-		return results, nil
+		return nil
 	}
 
 	errs := make([]error, n)
 	var next atomic.Int64
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -100,23 +89,15 @@ func deriveSubset(paths []Path, idxs []int, st *appir.State, workers int) ([][]P
 				if i >= n {
 					return
 				}
-				rules, err := derivePath(pathAt(i), st, ar)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				results[i] = rules
+				errs[i] = solve(i, ar)
 			}
 		}()
 	}
 	wg.Wait()
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }

@@ -250,15 +250,24 @@ func StateSensitiveVariables(paths []Path) []string {
 }
 
 func actionGlobals(a appir.ActionTemplate) []string {
+	if e := actionExpr(a); e != nil {
+		return appir.UsedGlobals(e)
+	}
+	return nil
+}
+
+// actionExpr returns the expression an action template evaluates against
+// the live state, nil for actions that read none.
+func actionExpr(a appir.ActionTemplate) appir.Expr {
 	switch x := a.(type) {
 	case appir.ActOutput:
-		return appir.UsedGlobals(x.Port)
+		return x.Port
 	case appir.ActSetNwDst:
-		return appir.UsedGlobals(x.IP)
+		return x.IP
 	case appir.ActSetNwSrc:
-		return appir.UsedGlobals(x.IP)
+		return x.IP
 	case appir.ActSetDlDst:
-		return appir.UsedGlobals(x.MAC)
+		return x.MAC
 	default:
 		return nil
 	}
@@ -288,7 +297,12 @@ func derivePath(p *Path, st *appir.State, ar *solver.Arena) ([]ProactiveRule, er
 	if len(p.Installs) == 0 {
 		return nil, nil // only Modify State Message paths (Algorithm 2, line 4)
 	}
-	assignments := solver.ConcretizeArena(p.Conds, st, ar)
+	return instantiate(p, solver.ConcretizeArena(p.Conds, st, ar), st)
+}
+
+// instantiate evaluates every install template of p under each of the
+// given satisfying assignments, in order.
+func instantiate(p *Path, assignments []solver.Assignment, st *appir.State) ([]ProactiveRule, error) {
 	var out []ProactiveRule
 	for i := range assignments {
 		for _, tmpl := range p.Installs {
