@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness race vet bench bench-all bench-telemetry profile-paper cover check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness race vet bench bench-all bench-telemetry profile-paper profile-soak cover check fuzz soak-short ci
 
 all: build test
 
@@ -70,16 +70,40 @@ soak-short:
 # testbed with and without FloodGuard at 130 and 500 pps), cumulative,
 # this module's frames only. One iteration is ~0.2 s of samples — enough
 # to see a 40 % frame, not a 4 % one; raise PROFILE_BENCHTIME (20x) to
-# size something small. The test binary and profile stay under
-# PROFILE_DIR, outside the tree.
+# size something small. PROFILE_MODE=alloc profiles allocations instead
+# (every one recorded) and prints the top allocation sites by bytes and
+# by object count. The test binary and profile stay under PROFILE_DIR,
+# outside the tree.
 PROFILE_DIR ?= /tmp/fg-profile
 PROFILE_BENCHTIME ?= 1x
+PROFILE_MODE ?= cpu
+cpu-top = $(GO) tool pprof -top -cum -nodecount 60 -focus 'floodguard/' -show 'floodguard/' $(1) $(2)
+alloc-tops = for idx in alloc_space alloc_objects; do \
+	$(GO) tool pprof -top -nodecount 25 -sample_index=$$idx -show 'floodguard/' $(1) $(2) || exit 1; done
 profile-paper:
 	mkdir -p $(PROFILE_DIR)
+ifeq ($(PROFILE_MODE),alloc)
+	$(GO) test -run '^$$' -bench 'Fig10Software$$' -benchtime $(PROFILE_BENCHTIME) -memprofilerate 1 \
+		-o $(PROFILE_DIR)/floodguard.test -memprofile $(PROFILE_DIR)/paper.mem .
+	$(call alloc-tops,$(PROFILE_DIR)/floodguard.test,$(PROFILE_DIR)/paper.mem)
+else
 	$(GO) test -run '^$$' -bench 'Fig10Software$$' -benchtime $(PROFILE_BENCHTIME) \
 		-o $(PROFILE_DIR)/floodguard.test -cpuprofile $(PROFILE_DIR)/paper.cpu .
-	$(GO) tool pprof -top -cum -nodecount 60 -focus 'floodguard/' -show 'floodguard/' \
-		$(PROFILE_DIR)/floodguard.test $(PROFILE_DIR)/paper.cpu
+	$(call cpu-top,$(PROFILE_DIR)/floodguard.test,$(PROFILE_DIR)/paper.cpu)
+endif
+
+# The same two views of the soak_adaptive shape (the guarded
+# SoakQuality sub-benchmark: one shard, SYN-proxy tier on, SYN flood):
+# a CPU profile, then a separate run recording every allocation, so
+# the allocation profiling does not skew the CPU one.
+profile-soak:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'SoakQuality$$/^guarded$$' -benchtime $(PROFILE_BENCHTIME) \
+		-o $(PROFILE_DIR)/soak.test -cpuprofile $(PROFILE_DIR)/soak.cpu ./internal/soak
+	$(call cpu-top,$(PROFILE_DIR)/soak.test,$(PROFILE_DIR)/soak.cpu)
+	$(GO) test -run '^$$' -bench 'SoakQuality$$/^guarded$$' -benchtime $(PROFILE_BENCHTIME) -memprofilerate 1 \
+		-o $(PROFILE_DIR)/soak.test -memprofile $(PROFILE_DIR)/soak.mem ./internal/soak
+	$(call alloc-tops,$(PROFILE_DIR)/soak.test,$(PROFILE_DIR)/soak.mem)
 
 # Coverage over the whole tree; cover.out is the artifact CI uploads.
 cover:

@@ -112,10 +112,16 @@ func (e *Engine) At(t time.Time, fn func()) *Event {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	ev := &Event{at: t, key: int64(t.Sub(Epoch)), seq: e.seq, fn: fn}
+	ev := &Event{fn: fn}
+	e.push(ev, t)
+	return ev
+}
+
+// push queues ev at instant t behind everything already scheduled for t.
+func (e *Engine) push(ev *Event, t time.Time) {
+	ev.at, ev.key, ev.seq = t, int64(t.Sub(Epoch)), e.seq
 	e.seq++
 	e.pq.push(ev)
-	return ev
 }
 
 // Step fires the earliest pending event. It returns false when the queue
@@ -172,38 +178,46 @@ func (e *Engine) Pending() int {
 }
 
 // Ticker invokes fn every interval until cancelled.
+//
+// It owns its event: every firing re-pushes the same Event with a fresh
+// schedule sequence, so a running ticker allocates nothing. That is safe
+// because the event is re-pushed only after Step popped it (arm runs
+// from fire, or once from NewTicker), so it is never in the queue twice.
 type Ticker struct {
 	eng      *Engine
 	interval time.Duration
 	fn       func()
-	ev       *Event
+	ev       Event
 	stopped  bool
 }
 
 // NewTicker starts a periodic task; the first firing is one interval from
-// now.
+// now. It panics if interval is not positive, as time.NewTicker does: a
+// zero interval would re-arm at the current instant forever.
 func (e *Engine) NewTicker(interval time.Duration, fn func()) *Ticker {
+	if interval <= 0 {
+		panic("netsim: non-positive interval for NewTicker")
+	}
 	t := &Ticker{eng: e, interval: interval, fn: fn}
+	t.ev.fn = t.fire
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.eng.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.eng.push(&t.ev, t.eng.now.Add(t.interval)) }
+
+func (t *Ticker) fire() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels the ticker.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.ev.Cancel()
 }

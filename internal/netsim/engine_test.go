@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -146,6 +148,134 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 	e.RunFor(time.Second)
 	if n != 3 {
 		t.Errorf("ticks = %d, want 3", n)
+	}
+}
+
+func TestTickerRejectsNonPositiveInterval(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Millisecond} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTicker(%v) did not panic", d)
+				}
+			}()
+			NewEngine().NewTicker(d, func() {})
+		}()
+	}
+}
+
+// refTicker is the closure-per-firing ticker Ticker replaced: each
+// firing schedules a fresh event through Schedule. The order test holds
+// the owned-event Ticker to it.
+type refTicker struct {
+	eng      *Engine
+	interval time.Duration
+	fn       func()
+	ev       *Event
+	stopped  bool
+}
+
+func (t *refTicker) arm() {
+	t.ev = t.eng.Schedule(t.interval, func() {
+		if t.stopped {
+			return
+		}
+		t.fn()
+		if !t.stopped {
+			t.arm()
+		}
+	})
+}
+
+func (t *refTicker) Stop() {
+	t.stopped = true
+	t.ev.Cancel()
+}
+
+// tickerScenario runs tickers and one-shot events that collide at the
+// same instants — including Stops issued from another event or ticker
+// due at the very instant the stopped ticker is — and logs every firing.
+func tickerScenario(newTicker func(e *Engine, d time.Duration, fn func()) interface{ Stop() }) []string {
+	e := NewEngine()
+	var log []string
+	mark := func(name string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%v", name, e.Elapsed())) }
+	}
+	ms := time.Millisecond
+	a := newTicker(e, 10*ms, mark("a"))
+	newTicker(e, 5*ms, mark("b"))
+	c := newTicker(e, 10*ms, mark("c"))
+	e.At(Epoch.Add(10*ms), mark("at10"))
+	e.At(Epoch.Add(20*ms), func() { mark("stop-c")(); c.Stop() })
+	var d interface{ Stop() }
+	e.At(Epoch.Add(30*ms), func() {
+		mark("stop-a")()
+		a.Stop()
+		d = newTicker(e, 10*ms, mark("d"))
+	})
+	var f interface{ Stop() }
+	f = newTicker(e, 15*ms, func() {
+		mark("f")()
+		if e.Elapsed() == 45*ms {
+			d.Stop()
+			f.Stop()
+		}
+	})
+	e.Schedule(40*ms, mark("at40"))
+	e.RunFor(100 * ms)
+	return log
+}
+
+func TestTickerOrderMatchesClosureTicker(t *testing.T) {
+	got := tickerScenario(func(e *Engine, d time.Duration, fn func()) interface{ Stop() } {
+		return e.NewTicker(d, fn)
+	})
+	want := tickerScenario(func(e *Engine, d time.Duration, fn func()) interface{ Stop() } {
+		rt := &refTicker{eng: e, interval: d, fn: fn}
+		rt.arm()
+		return rt
+	})
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d = %s, want %s\n got %v\nwant %v", i, got[i], want[i], got, want)
+		}
+	}
+	// The collisions the scenario is built around did happen: c was
+	// stopped before its own 20 ms firing, d and f stopped at 45 ms.
+	for _, absent := range []string{"c@20ms", "a@30ms", "d@50ms", "f@60ms"} {
+		if slices.Contains(got, absent) {
+			t.Errorf("%s fired after its Stop: %v", absent, got)
+		}
+	}
+	if !slices.Contains(got, "d@40ms") || !slices.Contains(got, "f@45ms") {
+		t.Errorf("scenario did not reach its 40-45 ms collisions: %v", got)
+	}
+}
+
+// TestTickerAllocatesNothing is the witness behind the owned event: a
+// running ticker's fire-and-re-arm allocates nothing, while a one-shot
+// At pays exactly its Event.
+func TestTickerAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.NewTicker(time.Microsecond, func() { n++ })
+	if a := testing.AllocsPerRun(1000, func() { e.Step() }); a != 0 {
+		t.Errorf("ticker fire + re-arm allocates %v, want 0", a)
+	}
+	if n == 0 {
+		t.Fatal("ticker never fired")
+	}
+
+	e = NewEngine()
+	fn := func() { n++ }
+	if a := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now(), fn)
+		e.Step()
+	}); a != 1 {
+		t.Errorf("At + fire allocates %v, want 1 (the Event)", a)
 	}
 }
 

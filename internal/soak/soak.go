@@ -2,11 +2,12 @@ package soak
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -199,14 +200,16 @@ func (t *replayTally) p99Reset() float64 {
 // shards x this value every window.
 const soakConnCapacity = 1024
 
-// synackBox collects the guard's cookie SYN-ACKs. The callback runs on
-// shard goroutines (hence the mutex); the harness drains it at window
-// barriers, after shard quiescence, so every SYN offered this window
-// has its answer in the box. Records are sorted before use — collection
-// order across shards is scheduling-dependent, the completed set is not.
+// synackBox collects the guard's cookie SYN-ACKs to the benign client
+// plan. The callback runs on shard goroutines (hence the mutex); the
+// harness drains it at window barriers, after shard quiescence, so every
+// client SYN offered this window has its answer in the box. Records are
+// sorted before use — collection order across shards is
+// scheduling-dependent, the completed set is not.
 type synackBox struct {
-	mu  sync.Mutex
-	got []synackRec
+	mu   sync.Mutex
+	got  []synackRec // client SYN-ACKs since the last take
+	acks []synackRec // the last take's ACKs; reused by the next one
 }
 
 type synackRec struct {
@@ -214,26 +217,27 @@ type synackRec struct {
 	pkt    netpkt.Packet
 }
 
+// collect keeps only SYN-ACKs addressed to the client plan. Every
+// attacker SYN is answered too — the guard mints the cookie either way —
+// but attackers never complete, so their answers are dropped here,
+// before the lock, instead of being buffered for a window.
 func (b *synackBox) collect(_ uint64, inPort uint16, sa netpkt.Packet) {
+	if !isTCPClientSrc(sa.NwDst) { // SYN-ACK's destination is the client
+		return
+	}
 	b.mu.Lock()
 	b.got = append(b.got, synackRec{inPort: inPort, pkt: sa})
 	b.mu.Unlock()
 }
 
 // takeClientAcks drains the box and returns the closed-loop completing
-// ACKs for the benign TCP client plan (attacker SYN-ACKs are discarded
-// — attackers never complete), in deterministic order.
+// ACKs for the benign TCP client plan, in deterministic order. The
+// returned slice is valid until the next call.
 func (b *synackBox) takeClientAcks() []synackRec {
 	b.mu.Lock()
-	got := b.got
-	b.got = nil
-	b.mu.Unlock()
-	var out []synackRec
-	for _, r := range got {
+	out := b.acks[:0]
+	for _, r := range b.got {
 		sa := r.pkt
-		if !isTCPClientSrc(sa.NwDst) { // SYN-ACK's destination is the client
-			continue
-		}
 		out = append(out, synackRec{inPort: r.inPort, pkt: netpkt.Packet{
 			EthSrc:   sa.EthDst,
 			EthDst:   sa.EthSrc,
@@ -248,19 +252,19 @@ func (b *synackBox) takeClientAcks() []synackRec {
 			TCPAck:   sa.TCPSeq + 1,
 		}})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.inPort != b.inPort {
-			return a.inPort < b.inPort
-		}
-		if a.pkt.NwSrc != b.pkt.NwSrc {
-			return a.pkt.NwSrc < b.pkt.NwSrc
-		}
-		if a.pkt.TpSrc != b.pkt.TpSrc {
-			return a.pkt.TpSrc < b.pkt.TpSrc
-		}
-		return a.pkt.TCPAck < b.pkt.TCPAck
+	b.got = b.got[:0]
+	b.mu.Unlock()
+	// Every client connection is a distinct (source, source port), so
+	// the keys are unique and any sort yields the same order.
+	slices.SortFunc(out, func(a, b synackRec) int {
+		return cmp.Or(
+			cmp.Compare(a.inPort, b.inPort),
+			cmp.Compare(a.pkt.NwSrc, b.pkt.NwSrc),
+			cmp.Compare(a.pkt.TpSrc, b.pkt.TpSrc),
+			cmp.Compare(a.pkt.TCPAck, b.pkt.TCPAck),
+		)
 	})
+	b.acks = out
 	return out
 }
 
@@ -361,6 +365,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	attackerBlamed := make([]bool, len(atks))
 	attackerInj := make([]int, len(atks))
 	var slots []uint8
+	var benignBlamed []uint16
 	outage := false
 
 	// Control-plane journal recorder (all methods nil-safe when the
@@ -590,7 +595,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		}
 		verdicts := pipe.Attributor().Roll(cfg.Window)
 		blamedPorts := 0
-		var benignBlamed []uint16
+		benignBlamed = benignBlamed[:0]
 		for i := range attackerBlamed {
 			attackerBlamed[i] = false
 		}
