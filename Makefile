@@ -113,7 +113,8 @@ cover:
 check: build vet test race
 
 # The three wire-facing decoders, the symbolic-execution pipeline, the
-# derivation memo against a cold Algorithm 2 run after every mutation, and
+# derivation memo against a cold Algorithm 2 run after every mutation, the
+# delta tracker against a cold rebuild-and-diff reference, and
 # the flow classifier against its linear oracle, each under coverage-guided
 # fuzzing for FUZZTIME. Any crasher is written to the package's
 # testdata/fuzz/ and replays as a plain test case from then on.
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test ./internal/dpcproto/ -run '^$$' -fuzz FuzzReplayHintRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzExplore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzMemoDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzTrackerDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soak/ -run '^$$' -fuzz FuzzParseScenario -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzClassifierOracle -fuzztime $(FUZZTIME)
 

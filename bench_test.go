@@ -224,9 +224,11 @@ func (f sinkFunc) CacheEmit(origin uint64, inPort uint16, pkt netpkt.Packet, que
 
 // BenchmarkAblationUpdateStrategy compares the §IV.D rule-update
 // strategies under state churn: derivations performed (overhead) per
-// refresh delivered (accuracy).
+// refresh delivered (accuracy), and the wall-clock cost of one sync.
+// Interval is modelled as a tracker ticker that fires once per ten
+// state changes.
 func BenchmarkAblationUpdateStrategy(b *testing.B) {
-	run := func(strategy core.UpdateStrategy, everyN uint64) (derivations uint64) {
+	run := func(strategy core.UpdateStrategy, everyN uint64, pollEvery int) (derivations uint64, syncTime time.Duration) {
 		prog, st := apps.L2Learning()
 		app := &controller.App{Prog: prog, State: st}
 		cfg := core.DefaultAnalyzer()
@@ -243,27 +245,35 @@ func BenchmarkAblationUpdateStrategy(b *testing.B) {
 		if _, _, err := an.Sync([]core.RuleTarget{tgt}); err != nil {
 			b.Fatal(err)
 		}
-		// 200 state changes, tracker polled after each.
+		// 200 state changes, tracker polled after every pollEvery-th.
 		for i := 0; i < 200; i++ {
 			st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(uint64(i+1))), appir.U16Value(uint16(i%8+1)))
-			if an.NeedsUpdate() {
+			if (i+1)%pollEvery == 0 && an.NeedsUpdate() {
+				start := time.Now()
 				if _, _, err := an.Sync([]core.RuleTarget{tgt}); err != nil {
 					b.Fatal(err)
 				}
+				syncTime += time.Since(start)
 			}
 		}
-		return an.Derivations.Value()
+		return an.Derivations.Value(), syncTime
 	}
-	b.Run("every-change", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.ReportMetric(float64(run(core.UpdateEveryChange, 0)), "derivations")
-		}
-	})
-	b.Run("every-20", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.ReportMetric(float64(run(core.UpdateEveryN, 20)), "derivations")
-		}
-	})
+	leg := func(name string, strategy core.UpdateStrategy, everyN uint64, pollEvery int) {
+		b.Run(name, func(b *testing.B) {
+			var derivations uint64
+			var syncTime time.Duration
+			for i := 0; i < b.N; i++ {
+				d, t := run(strategy, everyN, pollEvery)
+				derivations += d
+				syncTime += t
+			}
+			b.ReportMetric(float64(derivations)/float64(b.N), "derivations")
+			b.ReportMetric(float64(syncTime.Nanoseconds())/float64(derivations-uint64(b.N)), "ns/sync")
+		})
+	}
+	leg("every-change", core.UpdateEveryChange, 0, 1)
+	leg("every-20", core.UpdateEveryN, 20, 1)
+	leg("interval", core.UpdateInterval, 0, 10)
 }
 
 type nopTarget struct{}

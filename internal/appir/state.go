@@ -218,6 +218,21 @@ func (s *State) TableEntries(table string) []struct{ Key, Val Value } {
 	return out
 }
 
+// Entries returns the number of rows over every exact and prefix table:
+// the size concretization enumerates.
+func (s *State) Entries() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, t := range s.tables {
+		n += len(t)
+	}
+	for _, rows := range s.prefixes {
+		n += len(rows)
+	}
+	return n
+}
+
 // AddPrefix inserts (or replaces) a prefix route.
 func (s *State) AddPrefix(table string, prefix Value, length int, val Value) {
 	s.mu.Lock()

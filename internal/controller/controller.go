@@ -41,7 +41,8 @@ type App struct {
 	// port-valued state (macToPort) to be meaningful across switches.
 	PerDatapath bool
 
-	states map[uint64]*appir.State
+	states   map[uint64]*appir.State
+	dpStates []DatapathState // states in creation order
 
 	busy      time.Duration
 	busyTotal time.Duration
@@ -61,19 +62,23 @@ func (a *App) StateFor(dpid uint64) *appir.State {
 	if !ok {
 		st = a.State.Clone()
 		a.states[dpid] = st
+		a.dpStates = append(a.dpStates, DatapathState{DPID: dpid, State: st})
 	}
 	return st
 }
 
-// DatapathStates returns the per-datapath states created so far (empty
-// for shared-state apps).
-func (a *App) DatapathStates() map[uint64]*appir.State {
-	out := make(map[uint64]*appir.State, len(a.states))
-	for k, v := range a.states {
-		out[k] = v
-	}
-	return out
+// DatapathState is one datapath's private copy of a PerDatapath app's
+// state.
+type DatapathState struct {
+	DPID  uint64
+	State *appir.State
 }
+
+// DatapathStates returns the per-datapath states created so far, in
+// creation order (empty for shared-state apps). The slice is the app's
+// own, so reading it allocates nothing; callers must not modify it, and
+// must read it on the goroutine that dispatches the app's events.
+func (a *App) DatapathStates() []DatapathState { return a.dpStates }
 
 // Name returns the program name.
 func (a *App) Name() string { return a.Prog.Name }

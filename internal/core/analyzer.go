@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"floodguard/internal/appir"
@@ -60,24 +60,30 @@ type appAnalysis struct {
 	// UpdateEveryN), per scope.
 	pendingChanges map[uint64]uint64
 	// memos holds the per-scope derivation caches the tracker derives
-	// through (guarded by Analyzer.memoMu).
+	// through.
 	memos map[uint64]*symexec.Memo
+	// shared is the one-scope list scopes returns for a shared-state app.
+	shared [1]controller.DatapathState
 }
 
 // sharedScope keys bookkeeping for apps whose state is shared across
 // datapaths.
 const sharedScope uint64 = 0
 
-func (aa *appAnalysis) scopes() map[uint64]*appir.State {
-	if !aa.app.PerDatapath {
-		return map[uint64]*appir.State{sharedScope: aa.app.State}
+// scopes lists the app's state scopes without allocating: the shared
+// state under sharedScope, or every datapath's private copy.
+func (aa *appAnalysis) scopes() []controller.DatapathState {
+	if aa.app.PerDatapath {
+		return aa.app.DatapathStates()
 	}
-	return aa.app.DatapathStates()
+	aa.shared[0] = controller.DatapathState{DPID: sharedScope, State: aa.app.State}
+	return aa.shared[:]
 }
 
 // Analyzer is the proactive flow rule analyzer module: symbolic execution
 // engine (offline), application tracker and proactive flow rule
-// dispatcher (runtime).
+// dispatcher (runtime). It runs on the engine goroutine; only MemoStats
+// and the telemetry counters may be read from elsewhere.
 type Analyzer struct {
 	cfg  AnalyzerConfig
 	apps []*appAnalysis
@@ -85,25 +91,30 @@ type Analyzer struct {
 	// installed tracks the currently installed proactive rules by
 	// identity, for differential updates (Figure 8).
 	installed map[ruleID]openflow.FlowMod
-	// desiredHint sizes the next sync's desired-rule map (guarded by
-	// deriveMu).
-	desiredHint int
+	// desired is the derived rule set by identity. A sync folds each
+	// scope's memo delta into it in place instead of rebuilding it.
+	desired map[ruleID]desiredRule
+	// pending holds every identity whose desired and installed rules may
+	// differ: touched by a delta, refused by a target, or re-offered by
+	// Forget. A sync dispatches from it alone, so it costs what changed.
+	pending map[ruleID]struct{}
+	// rebuild is set when a delta touches an identity whose derived rules
+	// disagree: the first in derivation order wins there, which a count
+	// cannot tell, so desired is rebuilt from the memos' whole sets.
+	rebuild bool
+	// versions, stale and fresh are per-sync scratch.
+	versions     []scopeVersion
+	stale, fresh []ruleID
 
-	// deriveMu serializes derivation runs (computeDesired / DeriveAll):
-	// the epoch memos are single-deriver structures, and with AsyncDerive
-	// a background derivation may still be in flight when an engine-side
-	// caller asks for a synchronous one.
-	deriveMu sync.Mutex
-	// memoMu guards the per-app memo maps: the compute phase may run on a
-	// background goroutine while a telemetry scrape sums memo stats.
-	memoMu sync.Mutex
+	// memoList publishes every memo for MemoStats: copied on write (once
+	// per new scope), so a scrape reads it without a lock.
+	memoList atomic.Pointer[[]*symexec.Memo]
 
 	// deriveSeconds, when armed by Register, observes every derivation's
 	// wall-clock cost.
 	deriveSeconds *telemetry.Histogram
 
 	// Derivations counts Algorithm 2 executions (overhead accounting).
-	// Atomic: the compute phase may increment it off the engine goroutine.
 	Derivations telemetry.Counter
 	// RulesInstalled and RulesRemoved count dispatcher actions that
 	// landed; RulesRejected counts those a target refused.
@@ -115,9 +126,31 @@ type Analyzer struct {
 	LastDeriveDuration time.Duration
 }
 
+// desiredRule is one identity of the derived set: the flow_mod to
+// install and how many derived rules (across scopes and apps) carry it.
+type desiredRule struct {
+	fm   openflow.FlowMod
+	refs int
+	// mixed marks an identity some of whose derived rules differ from fm.
+	mixed bool
+}
+
+// scopeVersion snapshots an app scope's state version at derivation
+// time, committed into the tracker bookkeeping once the sync succeeds.
+type scopeVersion struct {
+	aa    *appAnalysis
+	scope uint64
+	ver   uint64
+}
+
 // NewAnalyzer builds an analyzer over the controller's registered apps.
 func NewAnalyzer(cfg AnalyzerConfig, apps []*controller.App) (*Analyzer, error) {
-	a := &Analyzer{cfg: cfg, installed: make(map[ruleID]openflow.FlowMod)}
+	a := &Analyzer{
+		cfg:       cfg,
+		installed: make(map[ruleID]openflow.FlowMod),
+		desired:   make(map[ruleID]desiredRule),
+		pending:   make(map[ruleID]struct{}),
+	}
 	for _, app := range apps {
 		a.apps = append(a.apps, &appAnalysis{
 			app:            app,
@@ -164,10 +197,8 @@ func (a *Analyzer) Register(reg *telemetry.Registry) {
 // hits and misses and the table entries re-solved individually. Safe
 // from any goroutine.
 func (a *Analyzer) MemoStats() (hits, misses, entries uint64) {
-	a.memoMu.Lock()
-	defer a.memoMu.Unlock()
-	for _, aa := range a.apps {
-		for _, m := range aa.memos {
+	if list := a.memoList.Load(); list != nil {
+		for _, m := range *list {
 			h, mi := m.Stats()
 			hits += h
 			misses += mi
@@ -177,19 +208,21 @@ func (a *Analyzer) MemoStats() (hits, misses, entries uint64) {
 	return hits, misses, entries
 }
 
-// deriveFor runs Algorithm 2 for one app scope through its epoch memo:
-// the same rules in the same order as a direct derivation, re-solving
-// only the paths — and of the table-driven paths only the entries —
-// that moved since the last run.
-func (a *Analyzer) deriveFor(aa *appAnalysis, scope uint64, st *appir.State) ([]symexec.ProactiveRule, error) {
-	a.memoMu.Lock()
+// memoFor returns the epoch memo of one app scope, creating it on the
+// scope's first derivation.
+func (a *Analyzer) memoFor(aa *appAnalysis, scope uint64) *symexec.Memo {
 	m := aa.memos[scope]
 	if m == nil {
 		m = symexec.NewMemo(aa.paths)
 		aa.memos[scope] = m
+		var list []*symexec.Memo
+		if old := a.memoList.Load(); old != nil {
+			list = append(list, *old...)
+		}
+		list = append(list, m)
+		a.memoList.Store(&list)
 	}
-	a.memoMu.Unlock()
-	return m.Derive(st, symexec.DeriveOptions{Workers: a.cfg.DeriveWorkers})
+	return m
 }
 
 // Prepare runs Algorithm 1 for every application — the offline
@@ -234,15 +267,8 @@ func (a *Analyzer) StateSensitiveReport() map[string][]string {
 // returns the merged rule set (deduplicated by match+priority). It is
 // the direct, cold run — no memo — that Figure 13 measures.
 func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
-	a.deriveMu.Lock()
-	defer a.deriveMu.Unlock()
 	start := time.Now()
-	defer func() {
-		a.LastDeriveDuration = time.Since(start)
-		if a.deriveSeconds != nil {
-			a.deriveSeconds.ObserveDuration(a.LastDeriveDuration)
-		}
-	}()
+	defer a.observeDerive(start)
 
 	var merged []appir.ConcreteRule
 	seen := make(map[ruleID]struct{})
@@ -250,7 +276,7 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 		if aa.paths == nil {
 			return nil, fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
 		}
-		rules, err := symexec.DeriveRulesOpts(aa.paths, aa.app.State, symexec.DeriveOptions{Workers: a.cfg.DeriveWorkers})
+		rules, err := symexec.DeriveRulesOpts(aa.paths, aa.app.State, symexec.DeriveOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("derive %s: %w", aa.app.Name(), err)
 		}
@@ -273,6 +299,14 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 	return merged, nil
 }
 
+// observeDerive records a derivation's wall-clock cost.
+func (a *Analyzer) observeDerive(start time.Time) {
+	a.LastDeriveDuration = time.Since(start)
+	if a.deriveSeconds != nil {
+		a.deriveSeconds.ObserveDuration(a.LastDeriveDuration)
+	}
+}
+
 // ruleID is a proactive rule's identity: the datapath scope it is
 // dispatched to (sharedScope or a dpid) and what it matches at which
 // priority. It is a comparable value, so the tracker's maps are keyed
@@ -293,6 +327,32 @@ func (id ruleID) compare(o ruleID) int {
 	)
 }
 
+// flowMod is a derived rule's identity in scope and the flow_mod that
+// installs it, with the configured idle timeout override applied.
+func (a *Analyzer) flowMod(scope uint64, rule appir.ConcreteRule) (ruleID, openflow.FlowMod) {
+	if ov := a.cfg.RuleIdleTimeoutOverride; ov > 0 {
+		rule.IdleTimeout = ov
+	}
+	return ruleID{scope: scope, match: rule.Match.Normalized(), priority: rule.Priority},
+		openflow.FlowMod{
+			Match:       rule.Match,
+			Command:     openflow.FlowAdd,
+			IdleTimeout: rule.IdleTimeout,
+			HardTimeout: rule.HardTimeout,
+			Priority:    rule.Priority,
+			BufferID:    openflow.NoBuffer,
+			OutPort:     openflow.PortNone,
+			Actions:     rule.Actions,
+		}
+}
+
+// sameRule reports whether two flow_mods of one identity are the same
+// derived rule.
+func sameRule(x, y *openflow.FlowMod) bool {
+	return x.Match == y.Match && x.IdleTimeout == y.IdleTimeout &&
+		x.HardTimeout == y.HardTimeout && slices.Equal(x.Actions, y.Actions)
+}
+
 // Sync derives the current proactive rule set and reconciles the targets
 // with it: new rules are installed, stale ones removed ("the variation
 // should be quite simple as adding or removing a few matching rules",
@@ -302,218 +362,244 @@ func (id ruleID) compare(o ruleID) int {
 // every target. Multi-switch deployments with per-datapath apps use
 // SyncScoped.
 func (a *Analyzer) Sync(targets []RuleTarget) (int, int, error) {
-	shared := targets
-	return a.SyncScoped(nil, shared)
+	return a.SyncScoped(nil, targets)
 }
 
 // SyncScoped reconciles proactive rules with datapath scoping: rules
 // derived from a per-datapath app state are dispatched only to that
 // datapath's target (plus the shared targets, e.g. a cache table);
 // rules from shared-state apps go everywhere.
+//
+// A sync costs what changed: each scope's memo reports the rules it
+// removed and added, those are folded into the desired set, and only
+// the identities they touched (plus any a target refused before) are
+// diffed against the installed set and dispatched.
 func (a *Analyzer) SyncScoped(scoped map[uint64]RuleTarget, shared []RuleTarget) (int, int, error) {
-	return a.applyOutcome(a.computeDesired(), scoped, shared)
-}
-
-// scopeVersion snapshots an app scope's state version at derivation
-// time, to be committed into the tracker bookkeeping at apply time.
-type scopeVersion struct {
-	aa    *appAnalysis
-	scope uint64
-	ver   uint64
-}
-
-// deriveOutcome is the result of the compute phase of a sync: the
-// desired rule set plus the bookkeeping to commit when it is applied.
-type deriveOutcome struct {
-	next     map[ruleID]openflow.FlowMod
-	versions []scopeVersion
-	err      error
-	duration time.Duration
-}
-
-// computeDesired is the derivation half of a sync: it runs Algorithm 2
-// for every app scope and assembles the desired rule map. It touches
-// only immutable path sets, thread-safe app states, and atomics, so it
-// is safe to run off the engine goroutine while the FSM stays live —
-// the engine-side bookkeeping is deferred to applyOutcome. deriveMu
-// serializes it against a concurrent DeriveAll or a second sync: the
-// epoch memos admit one deriver at a time.
-func (a *Analyzer) computeDesired() *deriveOutcome {
-	a.deriveMu.Lock()
-	defer a.deriveMu.Unlock()
 	start := time.Now()
-	o := &deriveOutcome{next: make(map[ruleID]openflow.FlowMod, a.desiredHint)}
-	defer func() {
-		a.desiredHint = len(o.next)
-		o.duration = time.Since(start)
-		if a.deriveSeconds != nil {
-			a.deriveSeconds.ObserveDuration(o.duration)
-		}
-	}()
+	err := a.derive()
+	a.observeDerive(start)
+	if err != nil {
+		return 0, 0, err
+	}
+	inst, rem := a.dispatch(scoped, shared)
+	return inst, rem, nil
+}
 
+// derive runs Algorithm 2 for every app scope through its epoch memo
+// and folds the reported changes into the desired set. The tracker
+// bookkeeping is committed only if every scope derived.
+func (a *Analyzer) derive() error {
+	a.versions = a.versions[:0]
 	for _, aa := range a.apps {
 		if aa.paths == nil {
-			o.err = fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
-			return o
+			return fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
 		}
-		for scope, st := range aa.scopes() {
+		for _, sc := range aa.scopes() {
 			// Version captured before deriving: a mutation racing the
 			// derivation re-derives next round instead of being missed.
-			ver := st.Version()
-			rules, err := a.deriveFor(aa, scope, st)
+			ver := sc.State.Version()
+			removed, added, err := a.memoFor(aa, sc.DPID).DeriveDelta(sc.State, symexec.DeriveOptions{})
+			// A failed delta still carries the slots that did re-solve.
+			a.fold(sc.DPID, removed, added)
 			if err != nil {
-				o.err = fmt.Errorf("derive %s: %w", aa.app.Name(), err)
-				return o
+				return fmt.Errorf("derive %s: %w", aa.app.Name(), err)
 			}
 			a.Derivations.Inc()
-			o.versions = append(o.versions, scopeVersion{aa: aa, scope: scope, ver: ver})
-			for _, r := range rules {
-				rule := r.Rule
-				if ov := a.cfg.RuleIdleTimeoutOverride; ov > 0 {
-					rule.IdleTimeout = ov
-				}
-				id := ruleID{scope: scope, match: rule.Match.Normalized(), priority: rule.Priority}
-				if _, dup := o.next[id]; dup {
-					continue
-				}
-				o.next[id] = openflow.FlowMod{
-					Match:       rule.Match,
-					Command:     openflow.FlowAdd,
-					IdleTimeout: rule.IdleTimeout,
-					HardTimeout: rule.HardTimeout,
-					Priority:    rule.Priority,
-					BufferID:    openflow.NoBuffer,
-					OutPort:     openflow.PortNone,
-					Actions:     rule.Actions,
-				}
-			}
+			a.versions = append(a.versions, scopeVersion{aa: aa, scope: sc.DPID, ver: ver})
 		}
 	}
-	return o
-}
-
-// applyOutcome is the dispatch half of a sync: it commits the tracker
-// bookkeeping and reconciles the targets with the desired rule set. A
-// rule is booked as installed (or removed) only once every target it is
-// dispatched to accepted it; a refused one is counted in RulesRejected
-// and comes up again at the next sync. The delta goes out in ruleID
-// order, so which rules fit a bounded table does not depend on map
-// iteration order. It mutates analyzer state and sends to targets, so
-// it must run on the engine goroutine.
-func (a *Analyzer) applyOutcome(o *deriveOutcome, scoped map[uint64]RuleTarget, shared []RuleTarget) (int, int, error) {
-	a.LastDeriveDuration = o.duration
-	if o.err != nil {
-		return 0, 0, o.err
+	if a.rebuild {
+		if err := a.rebuildDesired(); err != nil {
+			return err
+		}
 	}
-	for _, sv := range o.versions {
+	for _, sv := range a.versions {
 		sv.aa.lastVersion[sv.scope] = sv.ver
 		sv.aa.pendingChanges[sv.scope] = 0
 	}
+	return nil
+}
 
-	// dispatch offers fm to every target of its scope and reports the
-	// first refusal; the remaining targets are still offered it.
-	dispatch := func(scope uint64, fm openflow.FlowMod) (err error) {
-		offer := func(t RuleTarget) {
-			if e := t.InstallProactive(fm); e != nil && err == nil {
-				err = e
+// fold applies one scope's memo delta to the desired set, removals
+// first, and marks every identity it touches pending. Identities whose
+// derived rules all agree are reference-counted; a delta that makes or
+// touches a disagreement asks for a rebuild instead.
+func (a *Analyzer) fold(scope uint64, removed, added []symexec.ProactiveRule) {
+	if a.rebuild {
+		return // the rebuild recomputes everything
+	}
+	for _, r := range removed {
+		id, fm := a.flowMod(scope, r.Rule)
+		a.pending[id] = struct{}{}
+		d, ok := a.desired[id]
+		if !ok || d.mixed || !sameRule(&d.fm, &fm) {
+			a.rebuild = true
+			return
+		}
+		if d.refs--; d.refs == 0 {
+			delete(a.desired, id)
+		} else {
+			a.desired[id] = d
+		}
+	}
+	for _, r := range added {
+		if !a.add(a.flowMod(scope, r.Rule)) {
+			a.rebuild = true
+			return
+		}
+	}
+}
+
+// add counts one more derived rule under id, marks id pending, and
+// reports whether every rule under id still agrees with the first.
+func (a *Analyzer) add(id ruleID, fm openflow.FlowMod) bool {
+	a.pending[id] = struct{}{}
+	d, ok := a.desired[id]
+	if !ok {
+		a.desired[id] = desiredRule{fm: fm, refs: 1}
+		return true
+	}
+	d.refs++
+	d.mixed = d.mixed || !sameRule(&d.fm, &fm)
+	a.desired[id] = d
+	return !d.mixed
+}
+
+// rebuildDesired recomputes the desired set from every memo's whole
+// rule set, in derivation order: per identity the first rule wins, as a
+// direct derivation deduplicates. Every identity it held before or
+// holds after is marked pending. Only a disagreement between two
+// derived rules of one identity brings the tracker here.
+func (a *Analyzer) rebuildDesired() error {
+	for id := range a.desired {
+		a.pending[id] = struct{}{}
+	}
+	clear(a.desired)
+	for _, aa := range a.apps {
+		for _, sc := range aa.scopes() {
+			rules, err := a.memoFor(aa, sc.DPID).Derive(sc.State, symexec.DeriveOptions{})
+			if err != nil {
+				return fmt.Errorf("derive %s: %w", aa.app.Name(), err)
+			}
+			for _, r := range rules {
+				a.add(a.flowMod(sc.DPID, r.Rule))
 			}
 		}
-		if scope == sharedScope {
-			for _, t := range scoped {
-				offer(t)
-			}
-		} else if t, ok := scoped[scope]; ok {
-			offer(t)
-		}
-		for _, t := range shared {
-			offer(t)
-		}
-		return err
 	}
+	a.rebuild = false
+	return nil
+}
 
-	var stale, fresh []ruleID
-	for id := range a.installed {
-		if _, keep := o.next[id]; !keep {
-			stale = append(stale, id)
+// dispatch reconciles the targets with the desired set over the pending
+// identities: stale rules are withdrawn, then fresh ones (new, or with
+// actions that differ from the installed rule's) are installed, each in
+// ruleID order, so which rules fit a bounded table does not depend on
+// map iteration order. A rule is booked as installed (or removed) only
+// once every target it is dispatched to accepted it; a refused one is
+// counted in RulesRejected and stays pending, so the next sync offers
+// it again.
+func (a *Analyzer) dispatch(scoped map[uint64]RuleTarget, shared []RuleTarget) (installed, removed int) {
+	peak := len(a.pending)
+	a.stale, a.fresh = a.stale[:0], a.fresh[:0]
+	for id := range a.pending {
+		want, isDesired := a.desired[id]
+		old, isInstalled := a.installed[id]
+		switch {
+		case !isDesired && isInstalled:
+			a.stale = append(a.stale, id)
+		case isDesired && (!isInstalled || !slices.Equal(old.Actions, want.fm.Actions)):
+			a.fresh = append(a.fresh, id)
+		default:
+			delete(a.pending, id) // already in agreement
 		}
 	}
-	for id, fm := range o.next {
-		if old, ok := a.installed[id]; !ok || !slices.Equal(old.Actions, fm.Actions) {
-			fresh = append(fresh, id)
-		}
-	}
-	slices.SortFunc(stale, ruleID.compare)
-	slices.SortFunc(fresh, ruleID.compare)
+	slices.SortFunc(a.stale, ruleID.compare)
+	slices.SortFunc(a.fresh, ruleID.compare)
 
-	installed, removed := 0, 0
-	for _, id := range stale {
+	for _, id := range a.stale {
 		del := a.installed[id]
 		del.Command = openflow.FlowDeleteStrict
-		if dispatch(id.scope, del) != nil {
+		if offer(id.scope, del, scoped, shared) != nil {
 			a.RulesRejected.Inc()
 			continue
 		}
 		delete(a.installed, id)
+		delete(a.pending, id)
 		removed++
 		a.RulesRemoved.Inc()
 	}
-	for _, id := range fresh {
-		fm := o.next[id]
-		if dispatch(id.scope, fm) != nil {
+	for _, id := range a.fresh {
+		fm := a.desired[id].fm
+		if offer(id.scope, fm, scoped, shared) != nil {
 			a.RulesRejected.Inc()
 			continue
 		}
 		a.installed[id] = fm
+		delete(a.pending, id)
 		installed++
 		a.RulesInstalled.Inc()
 	}
-	return installed, removed, nil
+	if len(a.pending) == 0 && peak > 64 {
+		// A map never shrinks and ranging over one costs its peak size:
+		// once a cold sync drained it, every later tick would pay that.
+		a.pending = make(map[ruleID]struct{})
+	}
+	return installed, removed
 }
 
-// StartAsync launches the compute phase on its own goroutine and
-// returns a buffered channel that will deliver the outcome. The caller
-// (the guard's completion poller) applies it engine-side with
-// applyOutcome. At most one derivation may be in flight at a time: the
-// epoch memos are not safe for concurrent Derive calls.
-func (a *Analyzer) StartAsync() <-chan *deriveOutcome {
-	ch := make(chan *deriveOutcome, 1)
-	go func() { ch <- a.computeDesired() }()
-	return ch
+// offer sends fm to every target of its scope and reports the first
+// refusal; the remaining targets are still offered it.
+func offer(scope uint64, fm openflow.FlowMod, scoped map[uint64]RuleTarget, shared []RuleTarget) (err error) {
+	try := func(t RuleTarget) {
+		if e := t.InstallProactive(fm); e != nil && err == nil {
+			err = e
+		}
+	}
+	if scope == sharedScope {
+		for _, t := range scoped {
+			try(t)
+		}
+	} else if t, ok := scoped[scope]; ok {
+		try(t)
+	}
+	for _, t := range shared {
+		try(t)
+	}
+	return err
 }
 
 // InstalledCount returns the number of live proactive rules.
 func (a *Analyzer) InstalledCount() int { return len(a.installed) }
 
 // Forget clears the installed-rule bookkeeping (e.g. after the defense
-// ends and timeouts reclaim the rules).
-func (a *Analyzer) Forget() { a.installed = make(map[ruleID]openflow.FlowMod) }
+// ends and timeouts reclaim the rules): the whole desired set is
+// offered again at the next sync. It is the tracker's only O(rules)
+// step.
+func (a *Analyzer) Forget() {
+	clear(a.installed)
+	for id := range a.desired {
+		a.pending[id] = struct{}{}
+	}
+}
 
 // NeedsUpdate applies the configured §IV.D strategy to decide whether any
 // app's state has drifted enough to warrant re-derivation. Interval
 // strategy always reports true (the caller invokes it on its ticker).
 func (a *Analyzer) NeedsUpdate() bool {
-	switch a.cfg.Strategy {
-	case UpdateInterval:
-		return a.dirty(1)
-	case UpdateEveryN:
-		n := a.cfg.EveryN
-		if n == 0 {
-			n = 1
-		}
-		return a.dirty(n)
-	default:
-		return a.dirty(1)
+	if a.cfg.Strategy == UpdateEveryN && a.cfg.EveryN > 0 {
+		return a.dirty(a.cfg.EveryN)
 	}
+	return a.dirty(1)
 }
 
 func (a *Analyzer) dirty(n uint64) bool {
 	for _, aa := range a.apps {
-		for scope, st := range aa.scopes() {
-			v := st.Version()
-			if v > aa.lastVersion[scope] {
-				aa.pendingChanges[scope] = v - aa.lastVersion[scope]
+		for _, sc := range aa.scopes() {
+			v, last := sc.State.Version(), aa.lastVersion[sc.DPID]
+			if v > last {
+				aa.pendingChanges[sc.DPID] = v - last
 			}
-			if aa.pendingChanges[scope] >= n {
+			if aa.pendingChanges[sc.DPID] >= n {
 				return true
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func (r *recordingTarget) InstallProactive(fm openflow.FlowMod) error {
 	return nil
 }
 
-func l2Analyzer(t *testing.T, cfg AnalyzerConfig) (*Analyzer, *appir.State) {
+func l2Analyzer(t testing.TB, cfg AnalyzerConfig) (*Analyzer, *appir.State) {
 	t.Helper()
 	prog, st := apps.L2Learning()
 	app := &controller.App{Prog: prog, State: st}
@@ -225,7 +226,7 @@ func TestTableTargetRespectsCapacity(t *testing.T) {
 
 // learnedAnalyzer returns an l2_learning analyzer with n MACs learned
 // and their rules synced to a recording target.
-func learnedAnalyzer(t *testing.T, n int) (*Analyzer, *appir.State, *recordingTarget) {
+func learnedAnalyzer(t testing.TB, n int) (*Analyzer, *appir.State, *recordingTarget) {
 	t.Helper()
 	an, st := l2Analyzer(t, DefaultAnalyzer())
 	for i := 1; i <= n; i++ {
@@ -240,17 +241,26 @@ func learnedAnalyzer(t *testing.T, n int) (*Analyzer, *appir.State, *recordingTa
 
 // One tracker tick pays for what changed: with 2 000 rules installed, one
 // more learned MAC costs one entry through the solver and one flow_mod,
-// and the tick allocates no more per installed rule than it does at 200.
+// and the tick allocates exactly as much as it does at 200.
 func TestTrackerTickSolvesOnlyDelta(t *testing.T) {
 	next := uint64(1 << 20)
+	// Each run learns one key and unlearns it again, two ticks. After
+	// AllocsPerRun's warm-up run no map or slice on the path grows any
+	// more, so no amortized growth hides in the truncated mean and the
+	// two sizes must agree exactly.
 	tickAllocs := func(n int) float64 {
 		an, st, tgt := learnedAnalyzer(t, n)
 		targets := []RuleTarget{tgt}
+		key := appir.MACValue(netpkt.MACFromUint64(next))
 		return testing.AllocsPerRun(20, func() {
-			next++
-			st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(next)), appir.U16Value(3))
+			tgt.adds, tgt.deletes = tgt.adds[:0], tgt.deletes[:0]
+			st.Learn("macToPort", key, appir.U16Value(3))
 			if inst, rem, err := an.Sync(targets); err != nil || inst != 1 || rem != 0 {
-				t.Fatalf("tick at %d rules = (%d, %d, %v), want (1, 0, nil)", n, inst, rem, err)
+				t.Fatalf("learn tick at %d rules = (%d, %d, %v), want (1, 0, nil)", n, inst, rem, err)
+			}
+			st.Unlearn("macToPort", key)
+			if inst, rem, err := an.Sync(targets); err != nil || inst != 0 || rem != 1 {
+				t.Fatalf("unlearn tick at %d rules = (%d, %d, %v), want (0, 1, nil)", n, inst, rem, err)
 			}
 		})
 	}
@@ -270,9 +280,31 @@ func TestTrackerTickSolvesOnlyDelta(t *testing.T) {
 	}
 
 	small, large := tickAllocs(200), tickAllocs(2000)
-	t.Logf("allocs per tick: %.1f at 200 rules, %.1f at 2000", small, large)
-	if large > small+16 {
-		t.Errorf("tick allocations grow with the installed set: %.1f at 200 rules, %.1f at 2000", small, large)
+	t.Logf("allocs per learn+unlearn tick pair: %.0f at 200 rules, %.0f at 2000", small, large)
+	if large != small {
+		t.Errorf("tick allocations depend on the installed set: %.1f at 200 rules, %.1f at 2000", small, large)
+	}
+}
+
+// BenchmarkTrackerTick times one dirty tracker tick — one more learned
+// MAC, one sync dispatching its one rule — at three installed-set
+// sizes. ns/op should read flat across them.
+func BenchmarkTrackerTick(b *testing.B) {
+	for _, n := range []int{200, 2000, 20000} {
+		b.Run("rules-"+strconv.Itoa(n), func(b *testing.B) {
+			an, st, tgt := learnedAnalyzer(b, n)
+			targets := []RuleTarget{tgt}
+			next := uint64(1 << 30)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next++
+				st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(next)), appir.U16Value(3))
+				if inst, _, err := an.Sync(targets); err != nil || inst != 1 {
+					b.Fatalf("tick installed %d rules, err %v", inst, err)
+				}
+			}
+		})
 	}
 }
 

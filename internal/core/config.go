@@ -95,17 +95,6 @@ type AnalyzerConfig struct {
 	// rules' idle timeout (seconds) so proactive rules survive the
 	// attack window.
 	RuleIdleTimeoutOverride uint16
-	// DeriveWorkers caps the parallel path-concretization worker pool
-	// (0 = GOMAXPROCS, 1 = sequential). The parallel output is
-	// bit-identical to a sequential run.
-	DeriveWorkers int
-	// AsyncDerive runs Algorithm 2 off the engine goroutine: the FSM and
-	// detector stay responsive during large derivations, and the rules
-	// are installed by a completion poller on the engine.
-	AsyncDerive bool
-	// DerivePollInterval is the async completion poll period (0 picks a
-	// 2ms default).
-	DerivePollInterval time.Duration
 	// ModeledDeriveLatency, when positive, is the derivation latency the
 	// guard charges to virtual time for the Init→Defense handoff instead
 	// of the measured wall-clock cost. Measured cost tracks the host

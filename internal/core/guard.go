@@ -75,12 +75,6 @@ type Guard struct {
 	statsTicker  *netsim.Ticker
 	drainTicker  *netsim.Ticker
 
-	// Async derivation state (cfg.Analyzer.AsyncDerive): at most one
-	// background derivation in flight, completed by derivePoll on the
-	// engine goroutine.
-	deriveCh   <-chan *deriveOutcome
-	derivePoll *netsim.Ticker
-
 	// Degradation state: sideband health as reported through
 	// SetCacheReachable, and the direct-dispatch budget consumed in the
 	// current detection window while degraded.
@@ -393,7 +387,7 @@ func (g *Guard) Start() error {
 
 // Stop disarms all periodic work.
 func (g *Guard) Stop() {
-	for _, t := range []*netsim.Ticker{g.detectTicker, g.trackTicker, g.rateTicker, g.statsTicker, g.drainTicker, g.derivePoll} {
+	for _, t := range []*netsim.Ticker{g.detectTicker, g.trackTicker, g.rateTicker, g.statsTicker, g.drainTicker} {
 		if t != nil {
 			t.Stop()
 		}
@@ -656,12 +650,6 @@ func (g *Guard) onAttackDetected() {
 
 	// 3. Analyzer: substitute live globals into the offline path
 	// conditions and install the proactive rules; Defense once ready.
-	// With AsyncDerive the derivation runs off the engine goroutine and
-	// the completion poller installs the rules and enters Defense.
-	if g.cfg.Analyzer.AsyncDerive {
-		g.startDerive()
-		return
-	}
 	scoped, shared := g.ruleTargets()
 	if _, _, err := g.analyzer.SyncScoped(scoped, shared); err != nil {
 		return
@@ -683,55 +671,6 @@ func (g *Guard) enterDefense() {
 	g.trackTicker = g.eng.NewTicker(g.cfg.Analyzer.TrackInterval, g.track)
 	if !g.cacheReachable {
 		g.degrade()
-	}
-}
-
-// startDerive launches one background derivation and arms the
-// completion poller. A derivation already in flight is left to finish:
-// the epoch memos admit one Derive at a time, and the pending outcome
-// will complete the transition (the tracker refreshes any staleness).
-func (g *Guard) startDerive() {
-	if g.deriveCh != nil {
-		return
-	}
-	g.deriveCh = g.analyzer.StartAsync()
-	if g.derivePoll == nil {
-		interval := g.cfg.Analyzer.DerivePollInterval
-		if interval <= 0 {
-			interval = 2 * time.Millisecond
-		}
-		g.derivePoll = g.eng.NewTicker(interval, g.pollDerive)
-	}
-}
-
-// pollDerive completes an async derivation on the engine goroutine: the
-// background compute phase only reads thread-safe state, and all rule
-// dispatch and tracker bookkeeping happen here, preserving the engine's
-// single-threaded invariants.
-func (g *Guard) pollDerive() {
-	if g.deriveCh == nil {
-		if g.derivePoll != nil {
-			g.derivePoll.Stop()
-			g.derivePoll = nil
-		}
-		return
-	}
-	select {
-	case o := <-g.deriveCh:
-		g.deriveCh = nil
-		if g.derivePoll != nil {
-			g.derivePoll.Stop()
-			g.derivePoll = nil
-		}
-		scoped, shared := g.ruleTargets()
-		if _, _, err := g.analyzer.applyOutcome(o, scoped, shared); err != nil {
-			return
-		}
-		if g.fsm.State() == StateInit {
-			g.enterDefense()
-		}
-	default:
-		// still deriving; the engine stays responsive
 	}
 }
 
@@ -886,14 +825,7 @@ func (g *Guard) track() {
 	if st := g.fsm.State(); st != StateDefense && st != StateDegraded {
 		return
 	}
-	if g.deriveCh != nil {
-		return // a derivation is already in flight; its outcome is pending
-	}
 	if !g.analyzer.NeedsUpdate() {
-		return
-	}
-	if g.cfg.Analyzer.AsyncDerive {
-		g.startDerive()
 		return
 	}
 	scoped, shared := g.ruleTargets()

@@ -16,11 +16,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"floodguard/internal/soak"
+	"floodguard/internal/switchsim"
 )
 
 const goldenSeed = 0xF100D
@@ -94,6 +96,58 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// paperGolden renders the paper stack's own outputs: one seeded Figure 10
+// software sweep — benign bits per (rate, guard) point plus the counts
+// behind core.rules_installed, controller.packet_ins and
+// switchsim.misses, measured as the paper_defense workload measures a
+// point — followed by the Table IV delays.
+func paperGolden() ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString("attack_pps,floodguard,bits,rules_installed,packet_ins,misses\n")
+	profile := switchsim.SoftwareProfile()
+	for _, rate := range Fig10Rates {
+		for _, fg := range []bool{false, true} {
+			tb, err := NewTestbed(TestbedConfig{
+				Profile:            profile,
+				WithFloodGuard:     fg,
+				GuardConfig:        DefaultGuardConfig(),
+				ControllerBaseCost: 200 * time.Microsecond,
+				FloodSeed:          goldenSeed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			tb.WarmUp()
+			if rate > 0 {
+				tb.Flooder.Start(rate)
+			}
+			tb.Eng.RunFor(3 * time.Second)
+			const samples = 30
+			share := 0.0
+			for i := 0; i < samples; i++ {
+				tb.Eng.RunFor(100 * time.Millisecond)
+				share += tb.Switch.GoodputShare()
+			}
+			rules := 0
+			if tb.Guard != nil {
+				rules = tb.Guard.Analyzer().InstalledCount()
+			}
+			fmt.Fprintf(&buf, "%.0f,%v,%s,%d,%d,%d\n", rate, fg,
+				strconv.FormatFloat(share/samples*profile.DataRateBits, 'g', -1, 64),
+				rules, tb.Ctrl.PacketIns(), tb.Switch.Stats().Missed)
+			tb.Close()
+		}
+	}
+	tab4, err := RunTab4(5)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(&buf, "tab4_ns,baseline=%d,no_guard=%d/%v,guarded=%d,cache=%d,after_migration=%d\n",
+		tab4.Baseline, tab4.UnderAttackNoGuard, tab4.NoGuardDelivered,
+		tab4.Guarded, tab4.CacheResidence, tab4.AfterMigration)
+	return buf.Bytes(), nil
+}
+
 func TestGoldenOutputs(t *testing.T) {
 	t.Run("soak", func(t *testing.T) {
 		res, err := soak.Run(goldenSoakConfig())
@@ -133,4 +187,18 @@ func TestGoldenOutputs(t *testing.T) {
 		return RunSweep(cfg)
 	})
 	csvCase("synflood", func() (csvWriter, error) { return RunSynFlood(goldenSeed) })
+	// The paper stack: Figures 10-12 and Table IV run on the virtual
+	// clock with fixed flood seeds and a modelled derivation latency, so
+	// a change to core, symexec or the simulated switch cannot move the
+	// reproduction silently. (Figure 13 times wall-clock derivations and
+	// is not pinned.)
+	t.Run("paper", func(t *testing.T) {
+		got, err := paperGolden()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "paper.csv", got)
+	})
+	csvCase("fig11", func() (csvWriter, error) { return RunFig11() })
+	csvCase("fig12", func() (csvWriter, error) { return RunFig12() })
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"floodguard/internal/appir"
-	"floodguard/internal/netpkt"
 	"floodguard/internal/solver"
 )
 
@@ -39,20 +38,17 @@ type Memo struct {
 	deps  [][]int
 	slots []memoSlot
 	stale []int // scratch: indices needing re-derivation
-	// last is the previous Derive's assembled result, reusable verbatim
-	// when every slot is fresh (lastOK): the fully-warm path then costs
-	// one epoch sweep and no allocation at all.
+	// last is the assembled rule set, built only when Derive asks for it
+	// and reusable verbatim while every slot stays fresh (lastOK): the
+	// fully-warm path then costs one epoch sweep and no allocation.
 	last   []ProactiveRule
 	lastOK bool
+	// removed and added are DeriveDelta's reused result buffers.
+	removed, added []ProactiveRule
 
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	entries atomic.Uint64
-
-	// match caches MatchPath results for concrete packets under the
-	// same epoch regime: any global mutation empties it.
-	match     map[matchKey]*Path
-	matchVers []uint64
 }
 
 type memoSlot struct {
@@ -70,37 +66,17 @@ type memoSlot struct {
 	tableDep int // position of table in deps[i] / vers
 	groups   []entryGroup
 	changed  []appir.Value // scratch: journal read-out
+
+	// removed and added record what the slot's last re-solve took out
+	// of and put into its rules, in group order. Each slot owns its
+	// pair, so pool workers never share one.
+	removed, added []ProactiveRule
 }
 
 // entryGroup is the rules one table entry contributes to its path.
 type entryGroup struct {
 	key   appir.Value
 	rules []ProactiveRule
-}
-
-// matchKey is the comparable header view a match predicate can read:
-// every scalar Packet field. TCPOptions is a slice and deliberately
-// excluded — no path condition references option bytes.
-type matchKey struct {
-	pkt    netpkt.FlowKey
-	arpOp  uint16
-	nwTOS  uint8
-	flags  uint8
-	hasVL  bool
-	vlanID uint16
-	inPort uint16
-}
-
-func newMatchKey(p *netpkt.Packet, inPort uint16) matchKey {
-	return matchKey{
-		pkt:    p.Key(),
-		arpOp:  p.ARPOp,
-		nwTOS:  p.NwTOS,
-		flags:  p.TCPFlags,
-		hasVL:  p.HasVLAN,
-		vlanID: p.VLANID,
-		inPort: inPort,
-	}
 }
 
 // NewMemo prepares a memo over the given paths, extracting each path's
@@ -110,7 +86,6 @@ func NewMemo(paths []Path) *Memo {
 		paths: paths,
 		deps:  make([][]int, len(paths)),
 		slots: make([]memoSlot, len(paths)),
-		match: make(map[matchKey]*Path),
 	}
 	idx := make(map[string]int)
 	for i := range paths {
@@ -220,37 +195,18 @@ func pathGlobals(p *Path) []string {
 	return out
 }
 
-// Paths returns the memoized path set.
-func (m *Memo) Paths() []Path { return m.paths }
-
 // Derive returns the rules DeriveRulesOpts would produce for the live
 // state, re-solving only what mutated since the last derivation: stale
 // paths, and of a stale entry-shaped path only the changed entries. The
-// returned slice is freshly assembled but shares per-rule storage with
-// the cache: callers must not modify it.
+// returned slice shares per-rule storage with the cache and is reused
+// while nothing changes: callers must not modify it.
 func (m *Memo) Derive(st *appir.State, opts DeriveOptions) ([]ProactiveRule, error) {
-	m.vers = st.GlobalVersions(m.union, m.vers[:0])
-	m.stale = m.stale[:0]
-	for i := range m.slots {
-		s := &m.slots[i]
-		if s.valid && m.staleDeps(i) == 0 {
-			m.hits.Add(1)
-			continue
-		}
-		m.misses.Add(1)
-		m.stale = append(m.stale, i)
-	}
-	if len(m.stale) == 0 && m.lastOK {
-		return m.last, nil
-	}
-	m.lastOK = false
-	err := forEachPath(len(m.stale), opts.Workers, func(k int, ar *solver.Arena) error {
-		return m.resolve(m.stale[k], st, ar)
-	})
-	if err != nil {
+	if err := m.refresh(st, opts); err != nil {
 		return nil, err
 	}
-
+	if m.lastOK {
+		return m.last, nil
+	}
 	total := 0
 	for i := range m.slots {
 		total += len(m.slots[i].rules)
@@ -272,6 +228,53 @@ func (m *Memo) Derive(st *appir.State, opts DeriveOptions) ([]ProactiveRule, err
 	return m.last, nil
 }
 
+// DeriveDelta brings the memo up to the live state like Derive but
+// reports only what changed since the previous Derive or DeriveDelta:
+// the rules taken out of and put into the derived set, each in slot →
+// group order, so removed-then-added applied to the previous set yields
+// Derive's result as a multiset. A re-solved rule that did not change
+// is reported in both lists. Its cost is set by the change, not by the
+// size of the set: nothing is reassembled.
+//
+// On error the lists still carry the change of every slot that did
+// re-solve (those slots are committed); the failing slot keeps its
+// previous rules and is re-solved next call. Both slices are reused by
+// the next call.
+func (m *Memo) DeriveDelta(st *appir.State, opts DeriveOptions) (removed, added []ProactiveRule, err error) {
+	err = m.refresh(st, opts)
+	m.removed, m.added = m.removed[:0], m.added[:0]
+	for _, i := range m.stale {
+		s := &m.slots[i]
+		m.removed = append(m.removed, s.removed...)
+		m.added = append(m.added, s.added...)
+	}
+	return m.removed, m.added, err
+}
+
+// refresh re-solves the slots whose dependencies moved, leaving their
+// indices in m.stale.
+func (m *Memo) refresh(st *appir.State, opts DeriveOptions) error {
+	m.vers = st.GlobalVersions(m.union, m.vers[:0])
+	m.stale = m.stale[:0]
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.valid && m.staleDeps(i) == 0 {
+			m.hits.Add(1)
+			continue
+		}
+		m.misses.Add(1)
+		m.stale = append(m.stale, i)
+		s.removed, s.added = s.removed[:0], s.added[:0]
+	}
+	if len(m.stale) == 0 {
+		return nil
+	}
+	m.lastOK = false
+	return forEachPath(len(m.stale), opts.workers(st), func(k int, ar *solver.Arena) error {
+		return m.resolve(m.stale[k], st, ar)
+	})
+}
+
 // staleDeps counts the globals of path i whose epoch moved since the
 // slot was derived.
 func (m *Memo) staleDeps(i int) int {
@@ -284,12 +287,13 @@ func (m *Memo) staleDeps(i int) int {
 	return n
 }
 
-// resolve brings slot i up to the epochs in m.vers. It runs on a pool
-// worker and touches nothing but its own slot.
+// resolve brings slot i up to the epochs in m.vers, recording what it
+// removed and added in the slot's delta. It runs on a pool worker and
+// touches nothing but its own slot.
 func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 	s, p := &m.slots[i], &m.paths[i]
-	// On any failure the slot may be half-updated: it stays invalid and
-	// the next Derive re-solves it whole.
+	// On any failure the slot stays invalid and the next call re-solves
+	// it whole; what it holds is still what its delta has reported.
 	wasValid := s.valid
 	s.valid = false
 	switch {
@@ -298,6 +302,8 @@ func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 		if err != nil {
 			return err
 		}
+		s.removed = append(s.removed, s.rules...)
+		s.added = append(s.added, rules...)
 		s.rules = rules
 	case wasValid && m.onlyTableStale(i) && m.resolveChanged(s, p, st, ar):
 		// The table moved, nothing else did, and the journal named the
@@ -305,7 +311,7 @@ func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 	default:
 		// Whole solve, cut into per-key groups. The path's only fan-out is
 		// over the table, so assignments arrive in runs of one key each.
-		s.groups = s.groups[:0]
+		var groups []entryGroup
 		asgs := solver.ConcretizeArena(p.Conds, st, ar)
 		for lo := 0; lo < len(asgs); {
 			key := asgs[lo].Field(s.field).Exact
@@ -318,10 +324,17 @@ func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 				return err
 			}
 			if len(rules) > 0 {
-				s.groups = append(s.groups, entryGroup{key: key, rules: rules})
+				groups = append(groups, entryGroup{key: key, rules: rules})
 			}
 			lo = hi
 		}
+		for _, g := range s.groups {
+			s.removed = append(s.removed, g.rules...)
+		}
+		for _, g := range groups {
+			s.added = append(s.added, g.rules...)
+		}
+		s.groups = groups
 	}
 	for d, j := range m.deps[i] {
 		s.vers[d] = m.vers[j]
@@ -356,6 +369,10 @@ func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.
 			return false // the whole solve reports it
 		}
 		at, found := slices.BinarySearchFunc(s.groups, key, func(g entryGroup, k appir.Value) int { return g.key.Compare(k) })
+		if found {
+			s.removed = append(s.removed, s.groups[at].rules...)
+		}
+		s.added = append(s.added, rules...)
 		switch {
 		case len(rules) == 0 && found:
 			s.groups = slices.Delete(s.groups, at, at+1)
@@ -369,15 +386,13 @@ func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.
 	return true
 }
 
-// Invalidate drops every cached result (and the MatchPath cache); the
-// next Derive re-solves all paths.
+// Invalidate drops every cached result; the next Derive re-solves all
+// paths.
 func (m *Memo) Invalidate() {
 	for i := range m.slots {
 		m.slots[i].valid = false
 	}
 	m.lastOK = false
-	clear(m.match)
-	m.matchVers = m.matchVers[:0]
 }
 
 // Stats returns the cumulative per-path cache hits and misses across
@@ -389,39 +404,3 @@ func (m *Memo) Stats() (hits, misses uint64) {
 // EntriesResolved returns how many table entries stale paths re-solved
 // one by one instead of being re-solved whole. Safe from any goroutine.
 func (m *Memo) EntriesResolved() uint64 { return m.entries.Load() }
-
-// MatchPath is the memoized form of the package-level MatchPath: repeat
-// queries for the same packet under unchanged globals return the cached
-// path. Like Derive, it is not safe for concurrent calls.
-func (m *Memo) MatchPath(st *appir.State, pkt *netpkt.Packet, inPort uint16) (*Path, error) {
-	cur := st.GlobalVersions(m.union, m.vers[:0])
-	m.vers = cur
-	if !versEqual(m.matchVers, cur) {
-		clear(m.match)
-		m.matchVers = append(m.matchVers[:0], cur...)
-	}
-	key := newMatchKey(pkt, inPort)
-	if p, ok := m.match[key]; ok {
-		m.hits.Add(1)
-		return p, nil
-	}
-	m.misses.Add(1)
-	p, err := MatchPath(m.paths, st, pkt, inPort)
-	if err != nil {
-		return nil, err
-	}
-	m.match[key] = p
-	return p, nil
-}
-
-func versEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

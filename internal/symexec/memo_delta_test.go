@@ -1,6 +1,8 @@
 package symexec
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"floodguard/internal/appir"
 	"floodguard/internal/apps"
 	"floodguard/internal/netpkt"
+	"floodguard/internal/openflow"
 )
 
 // deltaSubject is one program under the memo-vs-Algorithm-2 comparison:
@@ -175,9 +178,53 @@ func (s *deltaSubject) mutate(t testing.TB, next func() byte) {
 	}
 }
 
+// ruleCounts is a derived rule set as a multiset.
+type ruleCounts map[ruleKey]int
+
+type ruleKey struct {
+	path       int
+	match      openflow.Match
+	prio, idle uint16
+	hard       uint16
+	actions    string
+}
+
+func keyOf(r ProactiveRule) ruleKey {
+	return ruleKey{r.PathID, r.Rule.Match, r.Rule.Priority, r.Rule.IdleTimeout, r.Rule.HardTimeout, openflow.ActionsString(r.Rule.Actions)}
+}
+
+// apply folds one DeriveDelta result in, failing on a removal of a rule
+// the set does not hold.
+func (c ruleCounts) apply(t testing.TB, what string, removed, added []ProactiveRule) {
+	t.Helper()
+	for _, r := range removed {
+		k := keyOf(r)
+		if c[k] == 0 {
+			t.Fatalf("%s: delta removes %+v, which it never added", what, k)
+		}
+		if c[k]--; c[k] == 0 {
+			delete(c, k)
+		}
+	}
+	for _, r := range added {
+		c[keyOf(r)]++
+	}
+}
+
+func (c ruleCounts) equal(rules []ProactiveRule) bool {
+	want := make(ruleCounts, len(rules))
+	for _, r := range rules {
+		want[keyOf(r)]++
+	}
+	return maps.Equal(want, c)
+}
+
 // runMemoDelta drives one mutation per step into one of the subjects and,
 // after each, holds its memo to a cold Algorithm 2 run: same rules, same
-// order. It returns how many entries the memos re-solved one by one.
+// order. A second memo per subject reports through DeriveDelta only; the
+// deltas summed up must be the same rule set (a failed step's partial
+// delta included). It returns how many entries the memos re-solved one
+// by one.
 func runMemoDelta(t testing.TB, prog, script []byte) (entries uint64) {
 	pos := 0
 	next := func() byte {
@@ -189,8 +236,12 @@ func runMemoDelta(t testing.TB, prog, script []byte) (entries uint64) {
 	}
 	subjects := deltaSubjects(t, prog)
 	memos := make([]*Memo, len(subjects))
+	deltas := make([]*Memo, len(subjects))
+	sums := make([]ruleCounts, len(subjects))
 	for i := range subjects {
 		memos[i] = NewMemo(subjects[i].paths)
+		deltas[i] = NewMemo(subjects[i].paths)
+		sums[i] = ruleCounts{}
 	}
 	for step := 0; step < len(subjects) || pos < len(script); step++ {
 		// The first pass derives every subject cold; from then on each step
@@ -209,6 +260,14 @@ func runMemoDelta(t testing.TB, prog, script []byte) (entries uint64) {
 		if wantErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s step %d: memo diverges from Algorithm 2 (%d vs %d rules)\n got %v\nwant %v",
 				s.name, step, len(got), len(want), got, want)
+		}
+		removed, added, deltaErr := deltas[i].DeriveDelta(s.st, DeriveOptions{Workers: 1 + step%2*3})
+		if (wantErr == nil) != (deltaErr == nil) {
+			t.Fatalf("%s step %d: direct err %v, delta err %v", s.name, step, wantErr, deltaErr)
+		}
+		sums[i].apply(t, fmt.Sprintf("%s step %d", s.name, step), removed, added)
+		if wantErr == nil && !sums[i].equal(want) {
+			t.Fatalf("%s step %d: summed deltas diverge from Algorithm 2 (%d rules)", s.name, step, len(want))
 		}
 	}
 	for _, m := range memos {

@@ -137,56 +137,3 @@ func TestMemoWarmDeriveFasterThanCold(t *testing.T) {
 		t.Errorf("warm derive %v not ≥3× faster than cold %v", warm, cold)
 	}
 }
-
-// MatchPath through the memo: cache hits under unchanged globals, invalidation
-// on mutation, agreement with the direct call throughout.
-func TestMemoMatchPath(t *testing.T) {
-	prog, st := apps.L2Learning()
-	paths, err := Explore(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Learn("macToPort", appir.MACValue(netpkt.MustMAC("00:00:00:00:00:0a")), appir.U16Value(1))
-	m := NewMemo(paths)
-	pkt := &netpkt.Packet{
-		EthSrc:  netpkt.MustMAC("00:00:00:00:00:0b"),
-		EthDst:  netpkt.MustMAC("00:00:00:00:00:0a"),
-		EthType: netpkt.EtherTypeIPv4,
-	}
-
-	direct, err := MatchPath(paths, st, pkt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.MatchPath(st, pkt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != direct.ID {
-		t.Fatalf("memo matched path %d, direct %d", got.ID, direct.ID)
-	}
-	_, missesBefore := m.Stats()
-	if again, _ := m.MatchPath(st, pkt, 2); again.ID != got.ID {
-		t.Fatal("repeat query changed paths")
-	}
-	if _, misses := m.Stats(); misses != missesBefore {
-		t.Fatal("repeat query missed the cache")
-	}
-
-	// Mutating a referenced global empties the cache and re-resolves.
-	st.Learn("macToPort", appir.MACValue(pkt.EthDst), appir.U16Value(9))
-	fresh, err := m.MatchPath(st, pkt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := m.Stats(); misses == missesBefore {
-		t.Fatal("mutation did not invalidate the MatchPath cache")
-	}
-	directAfter, err := MatchPath(paths, st, pkt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.ID != directAfter.ID {
-		t.Fatalf("post-mutation memo matched path %d, direct %d", fresh.ID, directAfter.ID)
-	}
-}

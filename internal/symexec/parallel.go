@@ -13,11 +13,28 @@ import (
 // not worth paying and derivation runs inline.
 const minParallelPaths = 8
 
+// minParallelEntries is the state size (State.Entries) below which
+// automatic sizing derives inline: over 8 of_firewall paths the pool
+// loses ~8 % at ~100 entries and wins ~1.6x at 10 000 (EXPERIMENTS.md).
+const minParallelEntries = 1024
+
 // DeriveOptions tunes rule derivation.
 type DeriveOptions struct {
-	// Workers caps the concurrent path workers. 0 means GOMAXPROCS; 1
-	// forces sequential derivation.
+	// Workers caps the concurrent path workers. 0 means GOMAXPROCS once
+	// the state holds minParallelEntries rows and inline below; 1 forces
+	// sequential derivation.
 	Workers int
+}
+
+// workers resolves o against the state's size.
+func (o DeriveOptions) workers(st *appir.State) int {
+	switch {
+	case o.Workers != 0:
+		return o.Workers
+	case st.Entries() < minParallelEntries:
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // DeriveRulesOpts is DeriveRules with explicit tuning. Each path's
@@ -27,7 +44,7 @@ type DeriveOptions struct {
 // to a sequential run, whatever the worker count or scheduling.
 func DeriveRulesOpts(paths []Path, st *appir.State, opts DeriveOptions) ([]ProactiveRule, error) {
 	results := make([][]ProactiveRule, len(paths))
-	err := forEachPath(len(paths), opts.Workers, func(i int, ar *solver.Arena) (err error) {
+	err := forEachPath(len(paths), opts.workers(st), func(i int, ar *solver.Arena) (err error) {
 		results[i], err = derivePath(&paths[i], st, ar)
 		return err
 	})
@@ -60,12 +77,7 @@ func concatRules(results [][]ProactiveRule) []ProactiveRule {
 // after a failure, so the reported error is deterministic — the first
 // failing selection in order, regardless of which worker hit it first.
 func forEachPath(n, workers int, solve func(i int, ar *solver.Arena) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers <= 1 || n < minParallelPaths {
 		ar := solver.NewArena()
 		for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,4 +138,26 @@ func TestDeriveRulesParallelRaceWithMutations(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// Automatic sizing derives inline over a small state and hands the
+// pool an explicit or a large-state request.
+func TestAutoWorkersSizeByState(t *testing.T) {
+	_, small := genPaths(8, 4, 16)
+	_, large := genPaths(8, 4, minParallelEntries/4)
+	for _, c := range []struct {
+		st      *appir.State
+		workers int
+		want    int
+	}{
+		{small, 0, 1},
+		{small, 4, 4},
+		{large, 0, runtime.GOMAXPROCS(0)},
+		{large, 1, 1},
+	} {
+		if got := (DeriveOptions{Workers: c.workers}).workers(c.st); got != c.want {
+			t.Errorf("Workers %d over %d entries: got %d, want %d",
+				c.workers, c.st.Entries(), got, c.want)
+		}
+	}
 }
