@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness race vet bench bench-all bench-telemetry profile-paper profile-soak cover check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover check fuzz soak-short ci
 
 all: build test
 
@@ -39,6 +39,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Go source lines outside the nested bench/ module, non-test and test:
+# the size figure a simplification quotes.
+loc:
+	@printf 'non-test %s\ntest     %s\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)" \
+		"$$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 
 # Substrate microbenches only (-run=^$ skips tests). The root package's
 # scenario benches each replay a full experiment per iteration, so bench

@@ -44,7 +44,7 @@ func BenchmarkSec2SwitchCollapse(b *testing.B) {
 func benchBandwidthPoint(b *testing.B, profile switchsim.Profile, withFG bool, rate float64, metric string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		bw, err := experiments.MeasureBandwidth(profile, withFG, rate)
+		bw, err := experiments.MeasureBandwidth(profile, withFG, rate, experiments.BandwidthSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

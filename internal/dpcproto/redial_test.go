@@ -280,6 +280,9 @@ func TestRedialStateChangeNotifications(t *testing.T) {
 	if err := c.Connect(); err != nil {
 		t.Fatal(err)
 	}
+	// Connect returns once the client's dial completes, which can be
+	// before the server's Accept: dropping then would find no connection.
+	waitCond(t, func() bool { return srv.connCount() == 1 }, "server accept")
 	srv.dropConn()
 	// Poke the channel until the failure is observed and healed.
 	waitCond(t, func() bool {

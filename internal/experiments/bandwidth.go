@@ -28,65 +28,54 @@ type BandwidthResult struct {
 	Guarded  BandwidthCurve // with FloodGuard
 }
 
-// MeasureBandwidth runs one testbed at one attack rate and returns the
-// achievable benign bandwidth in bits/second. The benign load is modelled
-// as a fluid probe: the switch's goodput share — which emerges from the
-// observed miss rate, buffer state and per-packet lookup cost — is
-// sampled over the measurement window and scaled by the profile's data
-// rate.
-func MeasureBandwidth(profile switchsim.Profile, withFG bool, attackPPS float64) (float64, error) {
-	bw, _, err := MeasureBandwidthWindows(profile, withFG, attackPPS)
-	return bw, err
+// BandwidthSeed is the flood seed of the Figure 10/11 curves.
+const BandwidthSeed = 7
+
+// bandwidthSamples is how many goodput readings a Figure 10/11 point
+// averages: a 3 s measurement window.
+const bandwidthSamples = 30
+
+// measure runs the measurement protocol every testbed point shares, on a
+// warmed-up testbed whose attack has just started: a 3 s attack warm-in
+// (detection, migration, EWMA convergence), then `samples` goodput-share
+// readings 100 ms apart. It returns their mean and the controller's
+// packet_in rate over the sampled window.
+func (tb *Testbed) measure(samples int) (share, packetInRate float64) {
+	const every = 100 * time.Millisecond
+	tb.Eng.RunFor(3 * time.Second)
+	ins := tb.Ctrl.PacketIns()
+	for i := 0; i < samples; i++ {
+		tb.Eng.RunFor(every)
+		share += tb.Switch.GoodputShare()
+	}
+	window := time.Duration(samples) * every
+	return share / float64(samples), float64(tb.Ctrl.PacketIns()-ins) / window.Seconds()
 }
 
-// MeasureBandwidthSeeded is MeasureBandwidth with an explicit flood
-// seed, for sweeps that average over attack realizations.
-func MeasureBandwidthSeeded(profile switchsim.Profile, withFG bool, attackPPS float64, seed int64) (float64, error) {
-	bw, _, err := measureBandwidth(profile, withFG, attackPPS, seed)
-	return bw, err
-}
-
-// MeasureBandwidthWindows is MeasureBandwidth plus the per-window
-// telemetry timeline sampled over the whole run (attack warm-in and
-// measurement) at 100ms resolution.
-func MeasureBandwidthWindows(profile switchsim.Profile, withFG bool, attackPPS float64) (float64, []TelemetryWindow, error) {
-	return measureBandwidth(profile, withFG, attackPPS, 7)
-}
-
-func measureBandwidth(profile switchsim.Profile, withFG bool, attackPPS float64, seed int64) (float64, []TelemetryWindow, error) {
-	cfg := TestbedConfig{
+// MeasureBandwidth runs one testbed at one attack rate, flooding from
+// seed, and returns the achievable benign bandwidth in bits/second. The
+// benign load is modelled as a fluid probe: the switch's goodput share —
+// which emerges from the observed miss rate, buffer state and per-packet
+// lookup cost — is sampled over the measurement window and scaled by the
+// profile's data rate.
+func MeasureBandwidth(profile switchsim.Profile, withFG bool, attackPPS float64, seed int64) (float64, error) {
+	tb, err := NewTestbed(TestbedConfig{
 		Profile:            profile,
 		WithFloodGuard:     withFG,
 		GuardConfig:        DefaultGuardConfig(),
 		ControllerBaseCost: 200 * time.Microsecond,
 		FloodSeed:          seed,
-	}
-	tb, err := NewTestbed(cfg)
+	})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer tb.Close()
 	tb.WarmUp()
-
-	sampler := NewWindowSampler(tb, tb.Eng.Now())
-	sampler.Start(100 * time.Millisecond)
-	defer sampler.Stop()
 	if attackPPS > 0 {
 		tb.Flooder.Start(attackPPS)
 	}
-	// Warm the attack in (detection, migration, EWMA convergence).
-	tb.Eng.RunFor(3 * time.Second)
-
-	// Measurement window: average the goodput share.
-	const samples = 30
-	share := 0.0
-	for i := 0; i < samples; i++ {
-		tb.Eng.RunFor(100 * time.Millisecond)
-		share += tb.Switch.GoodputShare()
-	}
-	share /= samples
-	sampler.Stop()
-	return share * profile.DataRateBits, sampler.Windows, nil
+	share, _ := tb.measure(bandwidthSamples)
+	return share * profile.DataRateBits, nil
 }
 
 // RunBandwidthSweep reproduces Figure 10 (software profile) or Figure 11
@@ -99,13 +88,13 @@ func RunBandwidthSweep(title string, profile switchsim.Profile, rates []float64)
 		Guarded:  BandwidthCurve{Label: "OpenFlow + FloodGuard"},
 	}
 	for _, r := range rates {
-		bw, err := MeasureBandwidth(profile, false, r)
+		bw, err := MeasureBandwidth(profile, false, r, BandwidthSeed)
 		if err != nil {
 			return nil, err
 		}
 		res.Baseline.Points = append(res.Baseline.Points, BandwidthPoint{AttackPPS: r, BandwidthBits: bw})
 
-		bw, err = MeasureBandwidth(profile, true, r)
+		bw, err = MeasureBandwidth(profile, true, r, BandwidthSeed)
 		if err != nil {
 			return nil, err
 		}

@@ -77,9 +77,7 @@ func RunChaos(seed int64, flaps int) (*ChaosResult, error) {
 
 	const attackPPS = 200
 	start := tb.Eng.Now()
-	sampler := NewWindowSampler(tb, start)
-	sampler.Start(100 * time.Millisecond)
-	defer sampler.Stop()
+	sampler := sampleWindows(tb, 100*time.Millisecond)
 	tb.Flooder.Start(attackPPS)
 	tb.Eng.RunFor(2 * time.Second)
 
@@ -126,8 +124,7 @@ func RunChaos(seed int64, flaps int) (*ChaosResult, error) {
 	res.Replayed = tb.Guard.Replayed()
 	res.Cache = cache.Stats()
 	res.Drained = tb.Guard.State() == core.StateIdle && cache.Drained()
-	sampler.Stop()
-	res.Windows = sampler.Windows
+	res.Windows = sampler.stop()
 	res.Events = tb.Guard.Events()
 	return res, nil
 }

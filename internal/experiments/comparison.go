@@ -5,9 +5,9 @@ import (
 	"io"
 	"time"
 
-	"floodguard/internal/avantguard"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/switchsim"
+	"floodguard/internal/tcpguard"
 )
 
 // DefenseKind selects the defense under comparison.
@@ -75,39 +75,29 @@ func runComparisonCell(defense DefenseKind, flood netpkt.FloodProtocol, attackPP
 		return ComparisonCell{}, err
 	}
 	defer tb.Close()
-
-	var proxy *avantguard.Proxy
-	if defense == DefenseAvantGuard {
-		proxy = avantguard.New(tb.Eng, tb.Switch, 4096)
-		// Route the attacker's traffic through the proxy, as AvantGuard's
-		// data plane extension would.
-		tb.Flooder = switchsim.NewFlooder(tb.Attacker, cfg.FloodSeed+1, flood, 64)
-		_ = proxy
-	}
 	tb.WarmUp()
 
-	pktIns := tb.Ctrl.PacketIns()
 	if defense == DefenseAvantGuard {
-		// Drive the flood manually through the proxy at attackPPS.
+		// AvantGuard's connection migration is a SYN proxy in front of the
+		// switch's miss path — the fast stack's SYN-proxy tier. A
+		// table-miss TCP segment reaches the switch only when the proxy
+		// passes it (a completed handshake); everything else is not the
+		// proxy's business and misses to the controller as usual.
+		proxy := tcpguard.New(tcpguard.Config{})
 		gen := netpkt.NewSpoofGen(cfg.FloodSeed+1, flood, 64)
-		interval := time.Duration(float64(time.Second) / attackPPS)
-		tk := tb.Eng.NewTicker(interval, func() { proxy.Inject(gen.Next(), 3) })
+		tk := tb.Eng.NewTicker(time.Duration(float64(time.Second)/attackPPS), func() {
+			pkt := gen.Next()
+			if pkt.IsIP() && pkt.NwProto == netpkt.ProtoTCP && tb.Switch.Table().Peek(&pkt, 3) == nil &&
+				proxy.Process(0, tb.Switch.DPID, 3, &pkt) != tcpguard.ActionPass {
+				return
+			}
+			tb.Switch.Inject(pkt, 3)
+		})
 		defer tk.Stop()
 	} else {
 		tb.Flooder.Start(attackPPS)
 	}
-	tb.Eng.RunFor(3 * time.Second)
-
-	// Measurement window.
-	pktIns = tb.Ctrl.PacketIns()
-	share := 0.0
-	const samples = 20
-	for i := 0; i < samples; i++ {
-		tb.Eng.RunFor(100 * time.Millisecond)
-		share += tb.Switch.GoodputShare()
-	}
-	share /= samples
-	rate := float64(tb.Ctrl.PacketIns()-pktIns) / 2.0 // over the 2s window
+	share, rate := tb.measure(20)
 	return ComparisonCell{
 		Defense:      defense,
 		Flood:        flood,

@@ -45,21 +45,21 @@ func TestFig10Shape(t *testing.T) {
 	prof := switchsim.SoftwareProfile()
 	base := prof.DataRateBits
 
-	noFG130, err := MeasureBandwidth(prof, false, 130)
+	noFG130, err := MeasureBandwidth(prof, false, 130, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noFG130 < 0.35*base || noFG130 > 0.65*base {
 		t.Errorf("no-FG bandwidth at 130 PPS = %.0f, want ~half of %.0f", noFG130, base)
 	}
-	noFG500, err := MeasureBandwidth(prof, false, 500)
+	noFG500, err := MeasureBandwidth(prof, false, 500, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noFG500 > 0.05*base {
 		t.Errorf("no-FG bandwidth at 500 PPS = %.0f, want near zero", noFG500)
 	}
-	fg500, err := MeasureBandwidth(prof, true, 500)
+	fg500, err := MeasureBandwidth(prof, true, 500, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,28 +75,28 @@ func TestFig11Shape(t *testing.T) {
 	prof := switchsim.HardwareProfile()
 	base := prof.DataRateBits
 
-	noFG150, err := MeasureBandwidth(prof, false, 150)
+	noFG150, err := MeasureBandwidth(prof, false, 150, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noFG150 < 0.35*base || noFG150 > 0.65*base {
 		t.Errorf("no-FG bandwidth at 150 PPS = %.0f, want ~half", noFG150)
 	}
-	noFG1000, err := MeasureBandwidth(prof, false, 1000)
+	noFG1000, err := MeasureBandwidth(prof, false, 1000, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noFG1000 > 0.05*base {
 		t.Errorf("no-FG bandwidth at 1000 PPS = %.0f, want near zero", noFG1000)
 	}
-	fg200, err := MeasureBandwidth(prof, true, 200)
+	fg200, err := MeasureBandwidth(prof, true, 200, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fg200 < 0.9*base {
 		t.Errorf("FG bandwidth at 200 PPS = %.0f, want ~%.0f (paper: 8.3 of 8.4 Mbps)", fg200, base)
 	}
-	fg1000, err := MeasureBandwidth(prof, true, 1000)
+	fg1000, err := MeasureBandwidth(prof, true, 1000, BandwidthSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

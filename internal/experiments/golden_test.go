@@ -121,19 +121,13 @@ func paperGolden() ([]byte, error) {
 			if rate > 0 {
 				tb.Flooder.Start(rate)
 			}
-			tb.Eng.RunFor(3 * time.Second)
-			const samples = 30
-			share := 0.0
-			for i := 0; i < samples; i++ {
-				tb.Eng.RunFor(100 * time.Millisecond)
-				share += tb.Switch.GoodputShare()
-			}
+			share, _ := tb.measure(bandwidthSamples)
 			rules := 0
 			if tb.Guard != nil {
 				rules = tb.Guard.Analyzer().InstalledCount()
 			}
 			fmt.Fprintf(&buf, "%.0f,%v,%s,%d,%d,%d\n", rate, fg,
-				strconv.FormatFloat(share/samples*profile.DataRateBits, 'g', -1, 64),
+				fullFloat(share*profile.DataRateBits),
 				rules, tb.Ctrl.PacketIns(), tb.Switch.Stats().Missed)
 			tb.Close()
 		}
@@ -201,4 +195,50 @@ func TestGoldenOutputs(t *testing.T) {
 	})
 	csvCase("fig11", func() (csvWriter, error) { return RunFig11() })
 	csvCase("fig12", func() (csvWriter, error) { return RunFig12() })
+	// §II, §III and the chaos run, at full precision: the fgsim -csv
+	// writers round to a few decimals, which would hide drift.
+	t.Run("sec2", func(t *testing.T) {
+		pts, err := RunSec2Baseline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.WriteString("attack_pps,goodput_share,buffer_used,amplified_ins,packet_ins\n")
+		for _, p := range pts {
+			fmt.Fprintf(&buf, "%s,%s,%d,%d,%d\n", fullFloat(p.AttackPPS), fullFloat(p.GoodputShare),
+				p.BufferUsed, p.AmplifiedIns, p.PacketIns)
+		}
+		checkGolden(t, "sec2.csv", buf.Bytes())
+	})
+	t.Run("compare", func(t *testing.T) {
+		cells, err := RunComparison(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.WriteString("defense,flood,goodput_share,packet_in_rate_pps\n")
+		for _, c := range cells {
+			fmt.Fprintf(&buf, "%s,%s,%s,%s\n", c.Defense, c.Flood, fullFloat(c.GoodputShare), fullFloat(c.PacketInRate))
+		}
+		checkGolden(t, "compare.csv", buf.Bytes())
+	})
+	t.Run("chaos", func(t *testing.T) {
+		r, err := RunChaos(goldenSeed, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.WriteString("flap,at_ns,down_ns,degraded_drops,recovery_ns\n")
+		for _, f := range r.Flaps {
+			fmt.Fprintf(&buf, "%d,%d,%d,%d,%d\n", f.Index, f.At, f.Down, f.Drops, f.Recovery)
+		}
+		fmt.Fprintf(&buf, "degraded_entries=%d,degraded_drops=%d,replayed=%d,drain_ns=%d,drained=%v\ncache=%+v\n",
+			r.DegradedEntries, r.DegradedDrops, r.Replayed, r.DrainTime, r.Drained, r.Cache)
+		if err := WriteCSVWindows(&buf, r.Windows); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "chaos.csv", buf.Bytes())
+	})
 }
+
+func fullFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

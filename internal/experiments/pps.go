@@ -25,24 +25,23 @@ type PPSConfig struct {
 	Shards int
 	// Duration is the wall-clock measurement length (default 1s).
 	Duration time.Duration
-	// AttackEvery is the spoofed-miss mix divisor: one packet in
-	// AttackEvery is a table-miss attack packet (default 4; negative
-	// disables the attack entirely).
-	AttackEvery int
-	// BenignFlows is the number of installed benign flows per producer
-	// (default 32).
-	BenignFlows int
 	// Seed keys the generators.
 	Seed int64
-	// LatencySample stamps one packet in N for the latency quantiles
-	// (default rtc.DefaultLatencySample).
-	LatencySample int
 	// FlowModRate applies rule churn while traffic runs: this many
 	// flow_mods per second, alternately strict-deleting and re-adding
 	// installed benign flows round-robin across the producers' ports
 	// (0 = no churn) — the mixed lookup+Apply scenario.
 	FlowModRate float64
 }
+
+// The offered mix: one packet in ppsAttackEvery is a spoofed table-miss
+// attack packet, the rest cycle through ppsBenignFlows installed flows
+// per producer; one packet in rtc.DefaultLatencySample carries a latency
+// stamp.
+const (
+	ppsAttackEvery = 4
+	ppsBenignFlows = 32
+)
 
 func (c *PPSConfig) normalize() {
 	if c.Shards <= 0 {
@@ -51,22 +50,8 @@ func (c *PPSConfig) normalize() {
 	if c.Duration <= 0 {
 		c.Duration = time.Second
 	}
-	switch {
-	case c.AttackEvery == 0:
-		c.AttackEvery = 4
-	case c.AttackEvery < 0:
-		c.AttackEvery = 1 << 62 // effectively never: attack disabled
-	case c.AttackEvery == 1:
-		c.AttackEvery = 2 // keep some benign traffic to forward
-	}
-	if c.BenignFlows <= 0 {
-		c.BenignFlows = 32
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.LatencySample <= 0 {
-		c.LatencySample = rtc.DefaultLatencySample
 	}
 }
 
@@ -96,15 +81,13 @@ type PPSResult struct {
 // RunPPS executes one sustained-pps measurement.
 func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 	cfg.normalize()
-	rcfg := rtc.Config{
-		Shards:        cfg.Shards,
-		ReplayPPS:     10000,
-		Window:        50 * time.Millisecond,
-		LatencySample: cfg.LatencySample,
-	}
-	eng := rtc.New(rcfg)
+	eng := rtc.New(rtc.Config{
+		Shards:    cfg.Shards,
+		ReplayPPS: 10000,
+		Window:    50 * time.Millisecond,
+	})
 
-	// Per-producer working sets: BenignFlows installed flows on the
+	// Per-producer working sets: ppsBenignFlows installed flows on the
 	// producer's own port, plus a spoof generator for the attack share.
 	// Ports are chosen so producer i owns exactly shard i (port ≡ i mod
 	// Shards), honouring the SPSC contract.
@@ -125,7 +108,7 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 			spoof: netpkt.NewSpoofGen(cfg.Seed+int64(1000+i), netpkt.FloodMixed, 0),
 		}
 		bg := netpkt.NewSpoofGen(cfg.Seed+int64(i), netpkt.FloodUDP, 0)
-		for f := 0; f < cfg.BenignFlows; f++ {
+		for f := 0; f < ppsBenignFlows; f++ {
 			pkt := bg.Next()
 			if err := eng.Apply(openflow.FlowMod{
 				Match:    openflow.ExactFrom(&pkt, p.port),
@@ -201,12 +184,12 @@ func RunPPS(cfg PPSConfig) (*PPSResult, error) {
 				// Offer a burst between clock checks.
 				for b := 0; b < 512; b++ {
 					var it rtc.Item
-					if n%cfg.AttackEvery == 0 {
+					if n%ppsAttackEvery == 0 {
 						it = rtc.Item{Pkt: p.spoof.Next(), InPort: p.port}
 					} else {
 						it = rtc.Item{Pkt: p.benign[n%len(p.benign)], InPort: p.port}
 					}
-					if n%cfg.LatencySample == 0 {
+					if n%rtc.DefaultLatencySample == 0 {
 						it.IngressNanos = time.Now().UnixNano()
 					}
 					p.offered++

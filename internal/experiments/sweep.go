@@ -108,12 +108,12 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 func runSweepJob(j SweepJob) (SweepPoint, error) {
-	base, err := MeasureBandwidthSeeded(j.Profile, false, j.AttackPPS, j.Seed)
+	base, err := MeasureBandwidth(j.Profile, false, j.AttackPPS, j.Seed)
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("sweep job %d (%s seed %d @ %.0f pps, baseline): %w",
 			j.Index, j.Profile.Name, j.Seed, j.AttackPPS, err)
 	}
-	guarded, err := MeasureBandwidthSeeded(j.Profile, true, j.AttackPPS, j.Seed)
+	guarded, err := MeasureBandwidth(j.Profile, true, j.AttackPPS, j.Seed)
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("sweep job %d (%s seed %d @ %.0f pps, guarded): %w",
 			j.Index, j.Profile.Name, j.Seed, j.AttackPPS, err)

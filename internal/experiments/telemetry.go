@@ -53,38 +53,30 @@ type TelemetryWindow struct {
 	SwitchPacketIns  uint64
 }
 
-// WindowSampler collects TelemetryWindow rows on the engine goroutine.
-// Arm it with Start (an engine ticker keeps sampling in-discipline) and
-// read Windows after the run; the slice must not be read while the
-// engine is running.
-type WindowSampler struct {
-	tb      *Testbed
-	start   time.Time
-	ticker  *netsim.Ticker
-	Windows []TelemetryWindow
+// windowSampler collects TelemetryWindow rows on the engine goroutine:
+// an engine ticker keeps sampling in-discipline.
+type windowSampler struct {
+	tb     *Testbed
+	start  time.Time
+	ticker *netsim.Ticker
+	rows   []TelemetryWindow
 }
 
-// NewWindowSampler prepares a sampler over the testbed; origin anchors
-// the At column (typically the scenario start).
-func NewWindowSampler(tb *Testbed, origin time.Time) *WindowSampler {
-	return &WindowSampler{tb: tb, start: origin}
+// sampleWindows starts sampling tb every period; the At column counts
+// from now.
+func sampleWindows(tb *Testbed, every time.Duration) *windowSampler {
+	ws := &windowSampler{tb: tb, start: tb.Eng.Now()}
+	ws.ticker = tb.Eng.NewTicker(every, ws.sample)
+	return ws
 }
 
-// Start arms periodic sampling at the given window width.
-func (ws *WindowSampler) Start(every time.Duration) {
-	ws.ticker = ws.tb.Eng.NewTicker(every, ws.Sample)
+// stop disarms the ticker and returns the rows.
+func (ws *windowSampler) stop() []TelemetryWindow {
+	ws.ticker.Stop()
+	return ws.rows
 }
 
-// Stop disarms the ticker.
-func (ws *WindowSampler) Stop() {
-	if ws.ticker != nil {
-		ws.ticker.Stop()
-	}
-}
-
-// Sample appends one row; safe only on the engine goroutine (or with the
-// engine parked between RunFor calls).
-func (ws *WindowSampler) Sample() {
+func (ws *windowSampler) sample() {
 	tb := ws.tb
 	row := TelemetryWindow{
 		At:              tb.Eng.Now().Sub(ws.start),
@@ -101,7 +93,7 @@ func (ws *WindowSampler) Sample() {
 			row.CacheBacklog = caches[0].Stats().Backlog
 		}
 	}
-	ws.Windows = append(ws.Windows, row)
+	ws.rows = append(ws.rows, row)
 }
 
 // WriteCSVWindows emits per-window telemetry rows.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"floodguard/internal/netpkt"
@@ -37,29 +36,8 @@ type Entry struct {
 	Packets     uint64
 	Bytes       uint64
 
-	// actionsShared mirrors Actions for readers outside the owner's
-	// critical section: modify() swaps the plain field in place, so a
-	// caller that keeps the winner pointer past the lookup must read the
-	// action list through this atomic instead.
-	actionsShared atomic.Pointer[[]openflow.Action]
-
 	seq  uint64 // insertion order, breaks priority ties (first wins)
 	next *Entry // classifier chain: the next rule under the same subtable key
-}
-
-// SharedActions returns the entry's action list without the table lock.
-// It is the only safe way to read actions from a winner pointer held
-// past the lookup; a flow_mod modify is observed atomically.
-func (e *Entry) SharedActions() []openflow.Action {
-	if p := e.actionsShared.Load(); p != nil {
-		return *p
-	}
-	return e.Actions
-}
-
-func (e *Entry) setActions(acts []openflow.Action) {
-	e.Actions = acts
-	e.actionsShared.Store(&acts)
 }
 
 // String renders the rule in ovs-ofctl style.
@@ -182,11 +160,11 @@ func (t *Table) add(m openflow.FlowMod, now time.Time) error {
 		IdleTimeout: time.Duration(m.IdleTimeout) * time.Second,
 		HardTimeout: time.Duration(m.HardTimeout) * time.Second,
 		NotifyRem:   m.Flags&openflow.FlagSendFlowRem != 0,
+		Actions:     m.Actions,
 		Installed:   now,
 		LastMatched: now,
 		seq:         t.nextSeq,
 	}
-	e.setActions(m.Actions)
 	// An add with identical match and priority overwrites: the new rule
 	// takes the old one's seq, hence its place in every ordering.
 	if old := t.cls.get(&e.Match, e.Priority); old != nil {
@@ -213,18 +191,18 @@ func (t *Table) position(e *Entry) int {
 	return sort.Search(len(t.entries), func(i int) bool { return !t.entries[i].before(e) })
 }
 
-// modify swaps actions in place on the live *Entry (atomically, via the
-// shared-actions mirror); which entry wins a lookup is untouched.
+// modify swaps actions in place on the live *Entry; which entry wins a
+// lookup is untouched.
 func (t *Table) modify(m openflow.FlowMod, strict bool) {
 	if strict {
 		if e := t.cls.get(&m.Match, m.Priority); e != nil {
-			e.setActions(m.Actions)
+			e.Actions = m.Actions
 		}
 		return
 	}
 	for _, e := range t.entries {
 		if Covers(&m.Match, &e.Match) {
-			e.setActions(m.Actions)
+			e.Actions = m.Actions
 		}
 	}
 }

@@ -126,6 +126,33 @@ func TestAddOverwritesSameMatchAndPriority(t *testing.T) {
 	}
 }
 
+// TestFlowAddAllocatesOnlyTheEntry pins what a rule install costs the
+// heap: the Entry and nothing beside it. An overwrite-add keeps the rule
+// list and the classifier at their size (a second rule keeps the shape's
+// subtable alive), so only the install is counted.
+func TestFlowAddAllocatesOnlyTheEntry(t *testing.T) {
+	tbl := New(0)
+	p := udpPacket()
+	other := udpPacket()
+	other.TpDst = 54
+	addExact(t, tbl, &other, 1, 10, 2)
+	fm := openflow.FlowMod{
+		Match:    openflow.ExactFrom(&p, 1),
+		Command:  openflow.FlowAdd,
+		Priority: 10,
+		Actions:  []openflow.Action{openflow.Output(2)},
+	}
+	apply := func() {
+		if _, err := tbl.Apply(fm, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	if got := testing.AllocsPerRun(100, apply); got != 1 {
+		t.Errorf("FlowAdd allocates %v objects, want 1 (the Entry)", got)
+	}
+}
+
 func TestCapacityEnforced(t *testing.T) {
 	tbl := New(3)
 	g := netpkt.NewSpoofGen(3, netpkt.FloodUDP, 0)

@@ -21,7 +21,7 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		_, s, items, drain := warmShard(t, Config{})
 		i := 0
 		if a := testing.AllocsPerRun(4096, func() {
-			s.processOne(&items[i&63], now, 1)
+			s.processOne(&items[i&63], now)
 			if i++; i&1023 == 0 {
 				drain()
 			}
@@ -34,9 +34,9 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		_, s, items, drain := warmShard(t, Config{Journal: jnl})
 		i := 0
 		if a := testing.AllocsPerRun(4096, func() {
-			s.processOne(&items[i&63], now, 1)
+			s.processOne(&items[i&63], now)
 			if i++; i&1023 == 0 {
-				s.noteFlush(1)
+				s.noteFlush()
 				drain()
 				jnl.Drain()
 			}
@@ -56,7 +56,7 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		const packets, pairs = 4096, 4096 / 64
 		total := testing.AllocsPerRun(1, func() {
 			for i := 1; i <= packets; i++ {
-				s.processOne(&items[i&63], now, 1)
+				s.processOne(&items[i&63], now)
 				if i&63 == 0 {
 					if err := e.ApplyAsync(del); err != nil {
 						t.Fatal(err)

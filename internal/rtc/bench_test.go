@@ -56,7 +56,7 @@ func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, dr
 	}
 	now := time.Now()
 	for i := range items {
-		s.processOne(&items[i], now, 1)
+		s.processOne(&items[i], now)
 	}
 	drain()
 	return e, s, items, drain
@@ -106,7 +106,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.processOne(&items[i&63], now, 1)
+		s.processOne(&items[i&63], now)
 		if i&1023 == 0 {
 			drain()
 		}
@@ -152,7 +152,7 @@ func BenchmarkShardChurnBody(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.processOne(&items[i&63], now, 1)
+		s.processOne(&items[i&63], now)
 		if i&63 == 63 {
 			// In-band rule churn, exactly as the running shard loop
 			// drains it at the top of each batch.

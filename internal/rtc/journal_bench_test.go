@@ -34,11 +34,11 @@ func BenchmarkJournalShardBody(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.processOne(&items[i&63], now, 1)
+				s.processOne(&items[i&63], now)
 				if i&1023 == 0 {
 					// Periodic barrier + consumer, as the real engine's
 					// window cadence would produce.
-					s.noteFlush(1)
+					s.noteFlush()
 					drain()
 					jnl.Drain()
 				}

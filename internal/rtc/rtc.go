@@ -42,7 +42,7 @@ import (
 
 // Item is one packet entering the engine. IngressNanos, when nonzero,
 // is the producer's wall-clock stamp (UnixNano) for latency sampling;
-// producers stamp one packet in Config.LatencySample. An Item with
+// producers stamp one packet in DefaultLatencySample. An Item with
 // Flush set carries no packet: it makes the owning shard fold its
 // attribution deltas into the shared Attributor the moment it is
 // popped, giving a manual-mode harness an in-band, FIFO-ordered window
@@ -74,9 +74,6 @@ type Config struct {
 	// on a full control ring and how long Apply waits for shard
 	// acknowledgement (default 2s).
 	ApplyTimeout time.Duration
-	// DPID identifies the datapath in attribution and cache accounting
-	// (default 1).
-	DPID uint64
 	// TableCapacity bounds the flow table in aggregate (0 = unbounded).
 	TableCapacity int
 	// RingCapacity sizes each shard's ingress ring (default 2048).
@@ -92,14 +89,8 @@ type Config struct {
 	// Window is the attribution window and the shard merge period
 	// (default 50ms).
 	Window time.Duration
-	// LatencySample is the producer-side sampling divisor recorded for
-	// documentation (the engine accepts whatever stamps producers set);
-	// DefaultLatencySample is the convention.
-	LatencySample int
 	// Attrib parameterises the shared attribution engine.
 	Attrib attrib.Config
-	// Batch is the shard pop-batch size (default 256).
-	Batch int
 	// Manual switches the engine to harness-driven virtual time: the
 	// cache stage pumps the discrete-event engine to the target set by
 	// SetSimTarget instead of the wall clock, never rolls the attribution
@@ -131,14 +122,20 @@ type Config struct {
 }
 
 // DefaultLatencySample is the conventional 1-in-N latency stamp rate.
+// The engine accepts whatever stamps producers set.
 const DefaultLatencySample = 8
+
+const (
+	// datapathID identifies the engine's datapath in attribution, cache
+	// and journal accounting.
+	datapathID uint64 = 1
+	// shardBatch is the shard's ingress pop-batch size.
+	shardBatch = 256
+)
 
 func (c *Config) normalize() {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.DPID == 0 {
-		c.DPID = 1
 	}
 	if c.RingCapacity <= 0 {
 		c.RingCapacity = 2048
@@ -154,12 +151,6 @@ func (c *Config) normalize() {
 	}
 	if c.Window <= 0 {
 		c.Window = 50 * time.Millisecond
-	}
-	if c.LatencySample <= 0 {
-		c.LatencySample = DefaultLatencySample
-	}
-	if c.Batch <= 0 {
-		c.Batch = 256
 	}
 	if c.CtrlRingCapacity <= 0 {
 		c.CtrlRingCapacity = 256
@@ -522,11 +513,10 @@ func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 func (s *Shard) run() {
 	defer s.eng.wgShards.Done()
 	defer s.toCache.Close()
-	batch := make([]Item, s.eng.cfg.Batch)
+	batch := make([]Item, shardBatch)
 	window := s.eng.cfg.Window
 	manual := s.eng.cfg.Manual
 	nextFlush := time.Now().Add(window)
-	dpid := s.eng.cfg.DPID
 	for {
 		if s.ctrl.Len() > 0 {
 			s.drainCtrl(time.Now())
@@ -542,7 +532,7 @@ func (s *Shard) run() {
 				s.drainCtrl(time.Now())
 				s.obs.Flush() // final merge before the ring goes away
 				s.flushGuard()
-				s.noteFlush(dpid)
+				s.noteFlush()
 				return
 			}
 			s.in.Wait()
@@ -557,15 +547,15 @@ func (s *Shard) run() {
 				s.drainCtrl(now)
 				s.obs.Flush()
 				s.flushGuard()
-				s.noteFlush(dpid)
+				s.noteFlush()
 				continue
 			}
-			s.processOne(&batch[i], now, dpid)
+			s.processOne(&batch[i], now)
 		}
 		if !manual && now.After(nextFlush) {
 			s.obs.Flush()
 			s.flushGuard()
-			s.noteFlush(dpid)
+			s.noteFlush()
 			nextFlush = now.Add(window)
 		}
 	}
@@ -574,7 +564,7 @@ func (s *Shard) run() {
 // processOne carries one packet end-to-end on the caller's goroutine —
 // the run-to-completion body. It takes zero locks and allocates nothing,
 // hit or miss.
-func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
+func (s *Shard) processOne(it *Item, now time.Time) {
 	p := &it.Pkt
 	// Ingress classification runs here even though only the cache uses
 	// the class downstream — the run-to-completion contract is that every
@@ -583,20 +573,19 @@ func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
 	if entry := s.part.Lookup(p, it.InPort, now, p.WireLen()); entry != nil {
 		// Forwarded: in a hardware datapath the actions would be executed
 		// here; the engine accounts them and moves on.
-		_ = entry.SharedActions()
 		s.forwarded.Add(1)
 	} else {
 		s.misses.Add(1)
-		s.obs.Observe(dpid, it.InPort, p)
-		if !s.guardConsumed(p, it.InPort, dpid) {
+		s.obs.Observe(datapathID, it.InPort, p)
+		if !s.guardConsumed(p, it.InPort) {
 			tagged := *p
 			tagged.NwTOS = dpcache.EncodeInPortTOS(it.InPort)
-			if !s.toCache.Push(CacheItem{Origin: dpid, Pkt: tagged}) {
+			if !s.toCache.Push(CacheItem{Origin: datapathID, Pkt: tagged}) {
 				d := s.cacheDrops.Add(1)
 				// Power-of-two sampled: a sustained overload journals
 				// O(log drops) events, not one per packet.
 				if d&(d-1) == 0 {
-					s.jrec.Record(journal.KindRingDrop, 0, 0, dpid, it.InPort, float64(d), 0, 0)
+					s.jrec.Record(journal.KindRingDrop, 0, 0, datapathID, it.InPort, float64(d), 0, 0)
 				}
 			}
 		}
@@ -612,18 +601,18 @@ func (s *Shard) processOne(it *Item, now time.Time, dpid uint64) {
 // whether the tier consumed the packet — answered its SYN with a
 // cookie SYN-ACK or dropped an invalid segment — in which case the
 // packet must not be handed to the cache.
-func (s *Shard) guardConsumed(p *netpkt.Packet, inPort uint16, dpid uint64) bool {
+func (s *Shard) guardConsumed(p *netpkt.Packet, inPort uint16) bool {
 	g := s.eng.guard
 	if g == nil || p.EthType != netpkt.EtherTypeIPv4 || p.NwProto != netpkt.ProtoTCP {
 		return false
 	}
-	switch g.Process(s.id, dpid, inPort, p) {
+	switch g.Process(s.id, datapathID, inPort, p) {
 	case tcpguard.ActionAnswer:
 		n := s.synAcked.Add(1)
 		// Power-of-two sampled, like ring drops: a SYN flood journals
 		// O(log answered) cookie events.
 		if n&(n-1) == 0 {
-			s.jrec.Record(journal.KindTCPCookie, 0, 0, dpid, inPort, float64(n), 0, 0)
+			s.jrec.Record(journal.KindTCPCookie, 0, 0, datapathID, inPort, float64(n), 0, 0)
 		}
 		return true
 	case tcpguard.ActionDrop:
@@ -644,9 +633,9 @@ func (s *Shard) flushGuard() {
 // noteFlush counts a window-barrier merge and journals the shard's
 // cumulative counters at the barrier — the per-shard heartbeat a dump
 // reader uses to align shard progress with control-plane decisions.
-func (s *Shard) noteFlush(dpid uint64) {
+func (s *Shard) noteFlush() {
 	s.flushes.Add(1)
-	s.jrec.Record(journal.KindShardFlush, 0, 0, dpid, uint16(s.id),
+	s.jrec.Record(journal.KindShardFlush, 0, 0, datapathID, uint16(s.id),
 		float64(s.forwarded.Load()+s.misses.Load()), float64(s.misses.Load()), float64(s.cacheDrops.Load()))
 }
 
