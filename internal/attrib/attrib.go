@@ -21,8 +21,10 @@ package attrib
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"floodguard/internal/dpcache"
@@ -212,37 +214,62 @@ type Attributor struct {
 
 	// jrec, when set, receives suspect/blame/heal evidence events from
 	// Roll. Roll has a single caller goroutine per deployment (the guard
-	// engine or the rtc cache loop), satisfying the recorder's SPSC
-	// contract.
+	// engine, the rtc cache loop or the soak harness), satisfying the
+	// recorder's SPSC contract.
 	jrec *journal.Recorder
 
+	// view is what Hint reads, without a lock: every input of a verdict
+	// that changes only at Roll. Roll publishes a new one when it differs.
+	// blamedScratch and offScratch are Roll's working copies.
+	view          atomic.Pointer[hintView]
+	blamedScratch []uint64
+	offScratch    []uint64
+	verdicts      []Verdict // Roll's result, reused
+
 	// tcpSrc is the bounded per-source handshake-evidence table, fed by
-	// tcpguard verdicts through the shard observers' Flush merges.
-	// Guarded by mu; pruned and re-judged at Roll. tcpRank and tcpKept are
-	// Roll's scratch, kept between windows so a flood-sized ranking is
-	// not reallocated every 50 ms.
+	// tcpguard verdicts through the shard observers' delta maps. Guarded
+	// by mu; the pending deltas are folded in, and the table pruned and
+	// re-judged, at Roll. tcpRank, tcpEv and tcpFold are Roll's scratch,
+	// kept between windows so a flood-sized ranking is not reallocated
+	// every 50 ms.
 	tcpSrc  map[uint64]tcpEvidence
 	tcpRank []tcpRank
-	tcpKept []tcpEvidence
+	tcpEv   []tcpEvidence
+	tcpFold []map[uint64]tcpDelta
+
+	// tcpMu guards the hand-over of shard delta maps: tcpPend holds the
+	// maps shards flushed since the last Roll, in flush order; tcpFree
+	// the emptied maps Roll returns for the next Flush to take.
+	tcpMu   sync.Mutex
+	tcpPend []map[uint64]tcpDelta
+	tcpFree []map[uint64]tcpDelta
 
 	windows    int
-	anyBlamed  bool // snapshot of "some port blamed" for the source gate
 	blamedN    telemetry.Gauge
 	blameEvts  telemetry.Counter
 	healEvts   telemetry.Counter
 	srcSuspect telemetry.Counter
 }
 
+// hintView is one Roll's immutable answer to "which ports are blamed and
+// which sources are TCP offenders", both sorted for binary search.
+type hintView struct {
+	blamed    []uint64 // port keys
+	offenders []uint64 // source addresses
+}
+
 // New builds an attribution engine.
 func New(cfg Config) *Attributor {
 	cfg.normalize()
-	return &Attributor{
+	a := &Attributor{
 		cfg:    cfg,
 		ports:  make(map[uint64]*portState),
 		srcs:   sketch.NewCountMin(cfg.SketchRows, cfg.SketchCols, cfg.Seed),
 		hot:    sketch.NewSpaceSaving(cfg.TopK),
 		tcpSrc: make(map[uint64]tcpEvidence),
 	}
+	a.view.Store(&hintView{})
+	return a
 }
 
 // ObservePacket feeds one sampled packet_in header: the Guard calls it
@@ -286,8 +313,9 @@ func (a *Attributor) SetJournal(rec *journal.Recorder) {
 }
 
 // Roll closes the current detection window of the given length and
-// returns the per-port verdicts. The Guard calls it once per sample
-// interval; a non-positive window is ignored (nil verdicts).
+// returns the per-port verdicts, valid until the next Roll. The Guard
+// calls it once per sample interval; a non-positive window is ignored
+// (nil verdicts).
 func (a *Attributor) Roll(window time.Duration) []Verdict {
 	secs := window.Seconds()
 	if secs <= 0 || math.IsNaN(secs) {
@@ -296,8 +324,8 @@ func (a *Attributor) Roll(window time.Duration) []Verdict {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	verdicts := make([]Verdict, 0, len(a.ports))
-	blamed := 0
+	verdicts := a.verdicts[:0]
+	blamed := a.blamedScratch[:0]
 	for _, k := range a.keys {
 		ps := a.ports[k]
 		rate := float64(ps.count) / secs
@@ -355,7 +383,7 @@ func (a *Attributor) Roll(window time.Duration) []Verdict {
 			}
 		}
 		if ps.blamed {
-			blamed++
+			blamed = append(blamed, k)
 		}
 		v := Verdict{
 			DPID:     ps.dpid,
@@ -373,47 +401,59 @@ func (a *Attributor) Roll(window time.Duration) []Verdict {
 		}
 		verdicts = append(verdicts, v)
 	}
-	a.blamedN.Set(int64(blamed))
-	a.anyBlamed = blamed > 0
+	a.verdicts = verdicts
+	a.blamedN.Set(int64(len(blamed)))
 
 	a.windows++
 	if a.windows%a.cfg.DecayEveryWindows == 0 {
 		a.srcs.Decay()
 		a.hot.Decay()
 	}
-	a.rollTCPLocked()
+	offenders := a.rollTCPLocked(a.offScratch[:0])
+	a.publishView(blamed, offenders)
 	return verdicts
+}
+
+// publishView stores a new Hint view when this Roll's blamed ports or
+// offenders differ from the published ones; an unchanged Roll allocates
+// nothing. blamed arrives sorted (a.keys order); offenders is sorted
+// here. Both are kept as the next Roll's scratch. Caller holds a.mu.
+func (a *Attributor) publishView(blamed, offenders []uint64) {
+	slices.Sort(offenders)
+	a.blamedScratch, a.offScratch = blamed, offenders
+	if v := a.view.Load(); slices.Equal(v.blamed, blamed) && slices.Equal(v.offenders, offenders) {
+		return
+	}
+	buf := append(append(make([]uint64, 0, len(blamed)+len(offenders)), blamed...), offenders...)
+	a.view.Store(&hintView{blamed: buf[:len(blamed):len(blamed)], offenders: buf[len(blamed):]})
 }
 
 // Hint implements dpcache.Hinter: a packet is suspect when its ingress
 // port is blamed, or — while any port is blamed — when its source owns
 // more than HeavyHitterFrac of the sampled stream. The attack-in-progress
 // gate keeps a lone benign talker (100% of a quiet stream) from being
-// branded a heavy hitter outside attacks.
+// branded a heavy hitter outside attacks. It takes no lock: the port and
+// handshake verdicts come from the view the last Roll published.
 func (a *Attributor) Hint(origin uint64, inPort uint16, pkt *netpkt.Packet) uint8 {
-	var tcpOffender bool
-	a.mu.Lock()
-	ps := a.ports[portKey(origin, inPort)]
-	portBlamed := ps != nil && ps.blamed
-	anyBlamed := a.anyBlamed
-	if pkt != nil && len(a.tcpSrc) > 0 && pkt.IsIP() {
-		tcpOffender = a.tcpSrc[uint64(pkt.NwSrc)].offender
-	}
-	a.mu.Unlock()
-	if portBlamed {
+	v := a.view.Load()
+	if _, blamed := slices.BinarySearch(v.blamed, portKey(origin, inPort)); blamed {
 		return dpcache.HintSuspect
 	}
-	if tcpOffender {
+	if pkt == nil || !pkt.IsIP() {
+		return dpcache.HintBenign
+	}
+	src := uint64(pkt.NwSrc)
+	if _, offender := slices.BinarySearch(v.offenders, src); offender {
 		// Handshake evidence stands on its own: a source whose SYNs never
 		// turn into valid ACKs is suspect even before any port-level rate
 		// excursion accumulates.
 		a.srcSuspect.Inc()
 		return dpcache.HintSuspect
 	}
-	if anyBlamed && pkt != nil && pkt.IsIP() {
+	if len(v.blamed) > 0 {
 		total := a.srcs.Total()
 		if total >= a.cfg.MinSampleTotal {
-			est := a.srcs.Estimate(uint64(pkt.NwSrc))
+			est := a.srcs.Estimate(src)
 			if float64(est) >= a.cfg.HeavyHitterFrac*float64(total) {
 				a.srcSuspect.Inc()
 				return dpcache.HintSuspect

@@ -61,7 +61,8 @@ func TestHealVerdictCarriesEvidence(t *testing.T) {
 	for w := 0; w < 10 && healV == nil; w++ {
 		feed(1)
 		if v := verdictFor(a.Roll(window)); v.Healed {
-			healV = v
+			kept := *v // Roll's slice is reused by the next Roll
+			healV = &kept
 		}
 	}
 	if healV == nil {

@@ -1,9 +1,9 @@
 // Shard-local attribution observation for the run-to-completion engine.
 // Each engine shard owns a ShardObserver and feeds it from its packet
-// loop without taking any lock; at window boundaries the shard folds the
-// accumulated deltas into the shared Attributor in one bounded merge.
-// The shard-local count-min sketch is built with the Attributor's own
-// geometry and seed, so the merge is the exact cell-wise sum the
+// loop without taking any lock or atomic; at window boundaries the shard
+// folds the accumulated deltas into the shared Attributor in one bounded
+// merge. The shard-local count-min sketch is built with the Attributor's
+// own geometry and seed, so the merge is the exact cell-wise sum the
 // CountMin merge bound requires.
 package attrib
 
@@ -17,8 +17,8 @@ import (
 // state; Flush merges into the parent Attributor and resets the locals.
 type ShardObserver struct {
 	a     *Attributor
-	ports map[uint64]uint64 // portKey -> samples since the last Flush
-	srcs  *sketch.CountMin  // same geometry+seed as a.srcs: Merge-compatible
+	ports map[uint64]uint64     // portKey -> samples since the last Flush
+	srcs  *sketch.CountMinLocal // same geometry+seed as a.srcs
 	hot   *sketch.SpaceSavingLocal
 	tcp   map[uint64]tcpDelta // src -> handshake verdicts since last Flush
 }
@@ -28,15 +28,15 @@ func (a *Attributor) NewShardObserver() *ShardObserver {
 	return &ShardObserver{
 		a:     a,
 		ports: make(map[uint64]uint64, 16),
-		srcs:  sketch.NewCountMin(a.cfg.SketchRows, a.cfg.SketchCols, a.cfg.Seed),
+		srcs:  sketch.NewCountMinLocal(a.cfg.SketchRows, a.cfg.SketchCols, a.cfg.Seed),
 		hot:   sketch.NewSpaceSavingLocal(a.cfg.TopK),
 		tcp:   make(map[uint64]tcpDelta, 16),
 	}
 }
 
 // Observe feeds one sampled packet_in header. Owner goroutine only; it
-// touches only shard-local state (the count-min cells are atomics, but
-// uncontended here — no lock, no allocation once the port is known).
+// touches only shard-local plain memory — no lock, no atomic, no
+// allocation once the port is known.
 func (o *ShardObserver) Observe(origin uint64, inPort uint16, pkt *netpkt.Packet) {
 	o.ports[portKey(origin, inPort)]++
 	if pkt != nil && pkt.IsIP() {
@@ -52,9 +52,11 @@ func (o *ShardObserver) Pending() int { return len(o.ports) }
 
 // Flush folds the buffered observations into the parent Attributor —
 // the window-boundary merge. Port counts join the open detection window
-// under the Attributor's lock; the source sketch merges cell-wise; the
-// heavy-hitter candidates are re-observed into the shared summary. The
-// locals are reset, keeping their buckets for the next window.
+// under the Attributor's lock; the source sketch is absorbed cell-wise;
+// the heavy-hitter candidates are re-observed into the shared summary.
+// The TCP delta map is handed over whole, in O(1), for the next Roll to
+// fold in, and a recycled empty one takes its place. The locals are
+// reset, keeping their buckets for the next window.
 func (o *ShardObserver) Flush() {
 	a := o.a
 	if len(o.ports) > 0 {
@@ -66,16 +68,13 @@ func (o *ShardObserver) Flush() {
 		clear(o.ports)
 	}
 	if o.srcs.Total() > 0 {
-		// Same rows/cols/seed by construction — Merge cannot fail.
-		_ = a.srcs.Merge(o.srcs)
-		o.srcs.Reset()
+		// Same rows/cols/seed by construction — AbsorbLocal cannot fail.
+		_ = a.srcs.AbsorbLocal(o.srcs)
 	}
 	if o.hot.Len() > 0 {
 		a.hot.AbsorbLocal(o.hot)
 	}
 	if len(o.tcp) > 0 {
-		a.mu.Lock()
-		o.flushTCPLocked()
-		a.mu.Unlock()
+		o.tcp = a.handOverTCP(o.tcp)
 	}
 }

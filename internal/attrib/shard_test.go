@@ -100,9 +100,10 @@ func TestShardObserverFlushIsIncremental(t *testing.T) {
 // TestShardMissPathAllocatesNothing pins the miss path's share of the
 // engine's allocation-free packet body: with the heavy-hitter summary
 // full, a never-seen source costs Observe an eviction and TCPVerdict a
-// map insert into buckets the last window left behind — no allocation —
-// and a steady-state Flush (the same sources window after window) merges
-// without allocating either.
+// map insert into buckets an earlier window left behind — no allocation
+// — and a steady-state window (the same sources window after window),
+// its Flush and the Roll that folds the handed-over delta map and
+// returns it for reuse allocate nothing either.
 func TestShardMissPathAllocatesNothing(t *testing.T) {
 	a := New(Config{})
 	o := a.NewShardObserver()
@@ -115,13 +116,17 @@ func TestShardMissPathAllocatesNothing(t *testing.T) {
 		o.Observe(1, 9, &pkt)
 		o.TCPVerdict(1, 9, pkt.NwSrc, tcpguard.VerdictSyn)
 	}
-	window := func() {
+	oneWindow := func() {
 		for i := 0; i < perWindow; i++ {
 			spoof()
 		}
 		o.Flush()
+		a.Roll(window)
 	}
-	window() // grows the shard's delta map to a window's worth of buckets
+	// Grows the delta maps to a window's worth of buckets; the second
+	// window's Flush takes back the map the first Roll returned.
+	oneWindow()
+	oneWindow()
 	for i := 0; i < 2*a.cfg.TopK; i++ {
 		spoof()
 	}
@@ -134,10 +139,10 @@ func TestShardMissPathAllocatesNothing(t *testing.T) {
 
 	steady := func() {
 		src = 0x0c000000
-		window()
+		oneWindow()
 	}
 	steady()
 	if allocs := testing.AllocsPerRun(10, steady); allocs != 0 {
-		t.Errorf("a steady-state window of %d sources and its Flush allocate %.2f times", perWindow, allocs)
+		t.Errorf("a steady-state window of %d sources, its Flush and Roll allocate %.2f times", perWindow, allocs)
 	}
 }

@@ -1,8 +1,6 @@
 package attrib
 
 import (
-	"slices"
-
 	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/tcpguard"
@@ -40,24 +38,39 @@ type TCPEvidence struct {
 // retention useful under rotating-source floods.
 const tcpEvidenceJournalCap = 8
 
-// mergeTCPLocked folds one shard's flushed delta into the table.
-// Caller holds a.mu. The table may transiently exceed TCPMaxSources
-// between Rolls; pruning happens only at Roll so that eviction order
-// never depends on Go map iteration order.
-func (a *Attributor) mergeTCPLocked(src uint64, d tcpDelta) {
-	ev := a.tcpSrc[src]
+// add folds one shard delta into a record; the delta's port, the later
+// one in flush order, wins.
+func (ev *tcpEvidence) add(d tcpDelta) {
 	ev.syns += uint64(d.syns)
 	ev.acks += uint64(d.acks)
 	ev.fails += uint64(d.fails)
 	ev.malformed += uint64(d.malformed)
 	ev.port = d.port
-	a.tcpSrc[src] = ev
+}
+
+// handOverTCP queues a shard's delta map for the next Roll and returns
+// an empty one for the shard to fill next — a recycled map when Roll has
+// returned one. O(1), under tcpMu only.
+func (a *Attributor) handOverTCP(d map[uint64]tcpDelta) map[uint64]tcpDelta {
+	a.tcpMu.Lock()
+	a.tcpPend = append(a.tcpPend, d)
+	var next map[uint64]tcpDelta
+	if n := len(a.tcpFree); n > 0 {
+		next = a.tcpFree[n-1]
+		a.tcpFree = a.tcpFree[:n-1]
+	}
+	a.tcpMu.Unlock()
+	if next == nil {
+		next = make(map[uint64]tcpDelta, 16)
+	}
+	return next
 }
 
 // tcpRank is one source's place in a Roll's ranking: SYN volume first,
 // the source address to make the order total.
 type tcpRank struct {
 	src, syns uint64
+	ev        int32 // the source's record in Roll's evidence scratch
 	// eligible marks a source this Roll journals if the cap allows: an
 	// offender whose evidence is not on record yet.
 	eligible bool
@@ -67,14 +80,25 @@ func (r tcpRank) before(o tcpRank) bool {
 	return r.syns > o.syns || r.syns == o.syns && r.src < o.src
 }
 
-func cmpTCPRank(x, y tcpRank) int {
-	switch {
-	case x.before(y):
-		return -1
-	case y.before(x):
-		return 1
+// firstEligible returns, in rank order, the first len(top) entries of
+// rank that are eligible for the journal, using top as the buffer. One
+// pass with an insertion into a buffer of tcpEvidenceJournalCap.
+func firstEligible(rank []tcpRank, top []tcpRank) []tcpRank {
+	n := 0
+	for _, r := range rank {
+		if !r.eligible || n == len(top) && !r.before(top[n-1]) {
+			continue
+		}
+		if n < len(top) {
+			n++
+		}
+		i := n - 1
+		for ; i > 0 && r.before(top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = r
 	}
-	return 0
+	return top[:n]
 }
 
 // selectTopTCP reorders rank so that its first k elements are the k that
@@ -111,73 +135,92 @@ func selectTopTCP(rank []tcpRank, k int) {
 	}
 }
 
-// rollTCPLocked re-judges offenders, emits journal evidence for the
-// worst of them, prunes the table back under its bound, and decays the
-// counters on the sketch cadence. Caller holds a.mu; called once per
-// Roll after the window counter advanced.
+// rollTCPLocked folds in the deltas shards handed over since the last
+// Roll, re-judges offenders, emits journal evidence for the worst of
+// them, prunes the table back under its bound, and decays the counters
+// on the sketch cadence. It appends the sources the table then holds as
+// offenders to offenders and returns it. Caller holds a.mu; called once
+// per Roll after the window counter advanced.
 //
-// Between Rolls a spoofed flood grows the table by one entry per source,
-// so the work per entry is kept flat: one pass over the map builds a
-// ranking, the TCPMaxSources that rank first are selected and only they
-// are sorted, and the table is rebuilt from them instead of deleting the
-// rest key by key. Judging, journalling and pruning all follow rank
-// order, never map order, so the outcome is deterministic.
-func (a *Attributor) rollTCPLocked() {
-	if len(a.tcpSrc) == 0 {
-		return
+// Between Rolls a spoofed flood brings one fresh source per SYN, so the
+// work per source is kept flat and off the table: each source the table
+// holds is looked up in the deltas, and a source seen only in deltas
+// joins the ranking directly, summed over every delta that holds it. The
+// TCPMaxSources that rank first are selected, and the table is rebuilt
+// from them instead of deleting the rest key by key. Nothing is sorted
+// but the few sources the journal takes, in rank order. Pruning and
+// journalling follow rank order, never map order, and deltas fold in
+// flush order, so the outcome is deterministic and the same as merging
+// every delta into the table at its Flush.
+func (a *Attributor) rollTCPLocked(offenders []uint64) []uint64 {
+	a.tcpMu.Lock()
+	pend := append(a.tcpFold[:0], a.tcpPend...)
+	clear(a.tcpPend)
+	a.tcpPend = a.tcpPend[:0]
+	a.tcpMu.Unlock()
+	if len(a.tcpSrc) == 0 && len(pend) == 0 {
+		return offenders
 	}
-	rank := a.tcpRank[:0]
-	for src, ev := range a.tcpSrc {
-		rank = append(rank, tcpRank{src: src, syns: ev.syns,
+
+	rank, evs := a.tcpRank[:0], a.tcpEv[:0]
+	join := func(src uint64, ev tcpEvidence) {
+		rank = append(rank, tcpRank{src: src, syns: ev.syns, ev: int32(len(evs)),
 			eligible: a.judgeTCP(&ev) && !(ev.offender && ev.journaled)})
+		evs = append(evs, ev)
+	}
+	// A source the table holds takes its deltas first, in flush order,
+	// and leaves the deltas holding only sources the table does not.
+	for src, ev := range a.tcpSrc {
+		for _, d := range pend {
+			if dd, ok := d[src]; ok {
+				ev.add(dd)
+				delete(d, src)
+			}
+		}
+		join(src, ev)
+	}
+	// A fresh source joins from the first delta that holds it, summed
+	// over the later ones.
+	for j, d := range pend {
+		for src, dd := range d {
+			var ev tcpEvidence
+			ev.add(dd)
+			for _, later := range pend[j+1:] {
+				if dl, ok := later[src]; ok {
+					ev.add(dl)
+					delete(later, src)
+				}
+			}
+			join(src, ev)
+		}
 	}
 	keep := len(rank)
 	if keep > a.cfg.TCPMaxSources {
 		keep = a.cfg.TCPMaxSources
 		selectTopTCP(rank, keep)
 	}
-	slices.SortFunc(rank[:keep], cmpTCPRank)
-
-	journaled := 0
-	record := func(src uint64, ev *tcpEvidence) {
-		a.jrec.Record(journal.KindTCPEvidence, 0, 0, src, ev.port,
-			float64(ev.syns), float64(ev.acks), float64(ev.fails+ev.malformed))
-		journaled++
-	}
-	kept := a.tcpKept[:0]
 	for _, r := range rank[:keep] {
-		ev := a.tcpSrc[r.src]
-		if offender := a.judgeTCP(&ev); offender != ev.offender {
+		ev := &evs[r.ev]
+		if offender := a.judgeTCP(ev); offender != ev.offender {
 			ev.offender, ev.journaled = offender, false
 		}
-		if r.eligible && journaled < tcpEvidenceJournalCap {
-			record(r.src, &ev)
-			ev.journaled = true
-		}
-		kept = append(kept, ev)
 	}
-	// The sources ranked past the bound are about to be forgotten, but
-	// journal slots the kept ones left unused still go to them, worst
-	// first.
-	if tail := rank[keep:]; journaled < tcpEvidenceJournalCap {
-		n := 0
-		for _, r := range tail {
-			if r.eligible {
-				tail[n] = r
-				n++
-			}
-		}
-		slices.SortFunc(tail[:n], cmpTCPRank)
-		for _, r := range tail[:min(n, tcpEvidenceJournalCap-journaled)] {
-			ev := a.tcpSrc[r.src]
-			record(r.src, &ev)
-		}
+	// Journal the worst eligible sources, worst first. Every kept source
+	// ranks before every pruned one, so a pruned offender gets a slot only
+	// if the kept ones leave it unused: it is journalled in the Roll that
+	// forgets it.
+	var top [tcpEvidenceJournalCap]tcpRank
+	for _, r := range firstEligible(rank, top[:]) {
+		ev := &evs[r.ev]
+		a.jrec.Record(journal.KindTCPEvidence, 0, 0, r.src, ev.port,
+			float64(ev.syns), float64(ev.acks), float64(ev.fails+ev.malformed))
+		ev.journaled = true
 	}
 
 	decay := a.windows%a.cfg.DecayEveryWindows == 0
 	clear(a.tcpSrc)
-	for i, r := range rank[:keep] {
-		ev := kept[i]
+	for _, r := range rank[:keep] {
+		ev := evs[r.ev]
 		if decay {
 			ev.syns /= 2
 			ev.acks /= 2
@@ -188,8 +231,22 @@ func (a *Attributor) rollTCPLocked() {
 			}
 		}
 		a.tcpSrc[r.src] = ev
+		if ev.offender {
+			offenders = append(offenders, r.src)
+		}
 	}
-	a.tcpRank, a.tcpKept = rank[:0], kept[:0]
+
+	// Empty the folded maps outside tcpMu, then return them for the next
+	// Flushes to take.
+	for _, d := range pend {
+		clear(d)
+	}
+	a.tcpMu.Lock()
+	a.tcpFree = append(a.tcpFree, pend...)
+	a.tcpMu.Unlock()
+	clear(pend)
+	a.tcpRank, a.tcpEv, a.tcpFold = rank[:0], evs[:0], pend[:0]
+	return offenders
 }
 
 // judgeTCP decides whether a record brands its source an offender: a
@@ -203,7 +260,9 @@ func (a *Attributor) judgeTCP(ev *tcpEvidence) bool {
 	return ev.fails >= a.cfg.TCPMinSyns || ev.malformed >= a.cfg.TCPMinSyns
 }
 
-// TCPSourceEvidence returns the handshake record for one source.
+// TCPSourceEvidence returns the handshake record for one source as of
+// the last Roll: evidence a shard flushed since then joins the table at
+// the next Roll.
 func (a *Attributor) TCPSourceEvidence(src netpkt.IPv4) TCPEvidence {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -249,8 +308,8 @@ type tcpDelta struct {
 }
 
 // TCPVerdict implements tcpguard.Observer for ShardObserver: verdicts
-// accumulate shard-locally (single-writer, no locks) and merge into the
-// attributor at the next Flush barrier.
+// accumulate shard-locally (single-writer, no locks); the next Flush
+// hands them to the attributor and the Roll after it folds them in.
 func (o *ShardObserver) TCPVerdict(dpid uint64, inPort uint16, src netpkt.IPv4, v tcpguard.Verdict) {
 	d := o.tcp[uint64(src)]
 	switch v {
@@ -267,16 +326,4 @@ func (o *ShardObserver) TCPVerdict(dpid uint64, inPort uint16, src netpkt.IPv4, 
 	}
 	d.port = inPort
 	o.tcp[uint64(src)] = d
-}
-
-// flushTCPLocked merges and resets the shard-local TCP deltas. Caller
-// holds a.mu (Flush).
-func (o *ShardObserver) flushTCPLocked() {
-	if len(o.tcp) == 0 {
-		return
-	}
-	for src, d := range o.tcp {
-		o.a.mergeTCPLocked(src, d)
-	}
-	clear(o.tcp)
 }

@@ -152,44 +152,49 @@ func (f *fifo) grow() bool {
 	return true
 }
 
-func (f *fifo) push(e entry) {
+// slot enqueues one entry at the tail and returns its slot for the
+// caller to fill, every field: on a full queue at capacity that is the
+// oldest entry's slot, overwritten in place (drop-oldest).
+func (f *fifo) slot() *entry {
 	if f.n == len(f.buf) && !f.grow() {
-		// Drop the oldest to make room.
+		e := &f.buf[f.head]
 		f.head = (f.head + 1) % len(f.buf)
-		f.n--
 		f.dropped.Inc()
-		f.depth.Dec()
+		return e
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = e
 	f.n++
 	f.depth.Inc()
+	return &f.buf[(f.head+f.n-1)%len(f.buf)]
 }
 
-// pushFront returns an entry to the head of the queue (a failed
-// delivery being put back). A full queue refuses it: the returned
-// packet is by construction the oldest in the queue, so dropping it is
-// exactly the drop-oldest overflow policy.
-func (f *fifo) pushFront(e entry) bool {
+// slotFront enqueues one entry at the head (a failed delivery being put
+// back) and returns its slot for the caller to fill. A full queue
+// refuses it (nil): the returned packet is by construction the oldest
+// in the queue, so dropping it is exactly the drop-oldest overflow
+// policy.
+func (f *fifo) slotFront() *entry {
 	if f.n == len(f.buf) && !f.grow() {
 		f.dropped.Inc()
-		return false
+		return nil
 	}
 	f.head = (f.head - 1 + len(f.buf)) % len(f.buf)
-	f.buf[f.head] = e
 	f.n++
 	f.depth.Inc()
-	return true
+	return &f.buf[f.head]
 }
 
-func (f *fifo) pop() (entry, bool) {
+// pop dequeues the oldest entry and returns its slot (nil when empty).
+// The slot is free again: it stays valid only until the next slot or
+// slotFront on this queue.
+func (f *fifo) pop() *entry {
 	if f.n == 0 {
-		return entry{}, false
+		return nil
 	}
-	e := f.buf[f.head]
+	e := &f.buf[f.head]
 	f.head = (f.head + 1) % len(f.buf)
 	f.n--
 	f.depth.Dec()
-	return e, true
+	return e
 }
 
 func (f *fifo) len() int { return f.n }
@@ -284,6 +289,9 @@ type Cache struct {
 	eng  *netsim.Engine
 	cfg  Config
 	sink Sink
+	// hintSink is sink as a HintSink, resolved once in New (nil when the
+	// sink does not implement it).
+	hintSink HintSink
 
 	// queues holds likely-benign traffic (and, without a hinter, all of
 	// it); suspects holds hint-classified attack traffic. The scheduler
@@ -347,6 +355,7 @@ type Cache struct {
 // New creates a cache on the engine; Start arms the scheduler.
 func New(eng *netsim.Engine, cfg Config, sink Sink) *Cache {
 	c := &Cache{eng: eng, cfg: cfg, sink: sink, rate: cfg.InitialRatePPS}
+	c.hintSink, _ = sink.(HintSink)
 	if c.cfg.BenignWeight <= 0 {
 		c.cfg.BenignWeight = DefaultBenignWeight
 	}
@@ -446,25 +455,21 @@ func (c *Cache) Ingest(origin uint64, pkt netpkt.Packet) {
 		c.observer(origin, inPort, p)
 	}
 	c.enqueued.Inc()
-	e := entry{origin: origin, pkt: *p, inPort: inPort, arrived: c.eng.Now()}
+	hint := HintNone
 	if c.hinter != nil {
-		e.hint = c.hinter.Hint(origin, inPort, p)
+		hint = c.hinter.Hint(origin, inPort, p)
 		if c.jrec != nil {
 			k := origin<<16 | uint64(inPort)
 			if old, ok := c.lastHint[k]; !ok {
-				c.lastHint[k] = e.hint
-			} else if old != e.hint {
-				c.jrec.Record(journal.KindVerdictFlip, e.hint, 0, origin, inPort, float64(old), 0, 0)
-				c.lastHint[k] = e.hint
+				c.lastHint[k] = hint
+			} else if old != hint {
+				c.jrec.Record(journal.KindVerdictFlip, hint, 0, origin, inPort, float64(old), 0, 0)
+				c.lastHint[k] = hint
 			}
 		}
 	}
-	if c.rules != nil && c.rules.Peek(p, inPort) != nil {
-		c.priority.push(e)
-		c.noteBacklog()
-		return
-	}
-	c.queueFor(&e).push(e)
+	e := c.queueFor(p, inPort, hint).slot()
+	e.origin, e.pkt, e.inPort, e.hint, e.arrived = origin, *p, inPort, hint, c.eng.Now()
 	c.noteBacklog()
 }
 
@@ -481,15 +486,19 @@ func (c *Cache) noteBacklog() {
 	}
 }
 
-// queueFor picks the buffer queue an entry belongs to: its protocol
-// class (or the single collapsed queue under the ablation), on the
-// suspect side when attribution blamed it.
-func (c *Cache) queueFor(e *entry) *fifo {
+// queueFor picks the buffer queue a packet belongs to: the priority
+// queue when it matches a cache-resident rule, else its protocol class
+// (or the single collapsed queue under the ablation), on the suspect
+// side when attribution blamed it.
+func (c *Cache) queueFor(p *netpkt.Packet, inPort uint16, hint uint8) *fifo {
+	if c.rules != nil && c.rules.Peek(p, inPort) != nil {
+		return c.priority
+	}
 	cls := QueueDefault
 	if !c.cfg.SingleQueue {
-		cls = Classify(&e.pkt)
+		cls = Classify(p)
 	}
-	if e.hint == HintSuspect {
+	if hint == HintSuspect {
 		return c.suspects[cls]
 	}
 	return c.queues[cls]
@@ -506,19 +515,16 @@ func (c *Cache) Requeue(origin uint64, inPort uint16, pkt netpkt.Packet, queued 
 	c.requeued.Inc()
 	c.scratch = pkt
 	p := &c.scratch
-	e := entry{origin: origin, pkt: *p, inPort: inPort, arrived: c.eng.Now().Add(-queued)}
+	hint := HintNone
 	if c.hinter != nil {
 		// Re-classify: the verdict is deterministic per window, so the
 		// packet lands back on the side it was served from (or migrates
 		// to the fresher verdict, which is strictly better).
-		e.hint = c.hinter.Hint(origin, inPort, p)
+		hint = c.hinter.Hint(origin, inPort, p)
 	}
-	if c.rules != nil && c.rules.Peek(p, inPort) != nil {
-		c.priority.pushFront(e)
-		c.noteBacklog()
-		return
+	if e := c.queueFor(p, inPort, hint).slotFront(); e != nil {
+		e.origin, e.pkt, e.inPort, e.hint, e.arrived = origin, *p, inPort, hint, c.eng.Now().Add(-queued)
 	}
-	c.queueFor(&e).pushFront(e)
 	c.noteBacklog()
 }
 
@@ -542,7 +548,7 @@ func (a *Adapter) DeliverFromSwitch(pkt netpkt.Packet) { a.c.Ingest(a.origin, pk
 // Whichever side is empty yields its slot to the other, so the link is
 // never idled by the split.
 func (c *Cache) emitOne() {
-	if e, ok := c.priority.pop(); ok {
+	if e := c.priority.pop(); e != nil {
 		c.prioSrvd.Inc()
 		c.deliver(e)
 		return
@@ -552,55 +558,48 @@ func (c *Cache) emitOne() {
 		// so skip the credit bookkeeping and serve the legacy plain
 		// round-robin directly. The suspect fallback only drains leftovers
 		// queued while a hinter was still installed.
-		if e, ok := c.popRR(&c.queues, &c.next); ok {
+		if e := c.popRR(&c.queues, &c.next); e != nil {
 			c.deliver(e)
-			return
-		}
-		if e, ok := c.popRR(&c.suspects, &c.susNext); ok {
+		} else if e := c.popRR(&c.suspects, &c.susNext); e != nil {
 			c.deliver(e)
 		}
 		return
 	}
-	benignFirst := true
-	if c.credit <= 0 {
-		benignFirst = false
-	}
-	if benignFirst {
-		if e, ok := c.popRR(&c.queues, &c.next); ok {
+	if c.credit > 0 {
+		if e := c.popRR(&c.queues, &c.next); e != nil {
 			c.credit--
 			c.deliver(e)
-			return
-		}
-		if e, ok := c.popRR(&c.suspects, &c.susNext); ok {
+		} else if e := c.popRR(&c.suspects, &c.susNext); e != nil {
 			c.deliver(e)
-			return
 		}
 		return
 	}
 	c.credit = c.cfg.BenignWeight
-	if e, ok := c.popRR(&c.suspects, &c.susNext); ok {
+	if e := c.popRR(&c.suspects, &c.susNext); e != nil {
 		c.deliver(e)
-		return
-	}
-	if e, ok := c.popRR(&c.queues, &c.next); ok {
+	} else if e := c.popRR(&c.queues, &c.next); e != nil {
 		c.deliver(e)
 	}
 }
 
 // popRR pops one entry round-robin from a queue set, advancing its
-// cursor.
-func (c *Cache) popRR(set *[numQueues]*fifo, cursor *QueueClass) (entry, bool) {
+// cursor; nil when every queue in the set is empty.
+func (c *Cache) popRR(set *[numQueues]*fifo, cursor *QueueClass) *entry {
 	for i := 0; i < int(numQueues); i++ {
 		q := set[*cursor]
 		*cursor = (*cursor + 1) % numQueues
-		if e, ok := q.pop(); ok {
-			return e, true
+		if e := q.pop(); e != nil {
+			return e
 		}
 	}
-	return entry{}, false
+	return nil
 }
 
-func (c *Cache) deliver(e entry) {
+// deliver hands a popped entry to the sink. e is the freed queue slot:
+// the sink may Requeue (or a zero-delay path Ingest) into that very
+// slot, so nothing reads e once the sink has been called, and the
+// delayed path copies it before scheduling.
+func (c *Cache) deliver(e *entry) {
 	c.emitted.Inc()
 	if e.hint == HintSuspect {
 		c.suspectSrvd.Inc()
@@ -616,14 +615,15 @@ func (c *Cache) deliver(e entry) {
 		c.emitTo(e, queued)
 		return
 	}
+	held := *e
 	c.eng.Schedule(c.cfg.ProcessingDelay, func() {
-		c.emitTo(e, queued+c.cfg.ProcessingDelay)
+		c.emitTo(&held, queued+c.cfg.ProcessingDelay)
 	})
 }
 
-func (c *Cache) emitTo(e entry, queued time.Duration) {
-	if hs, ok := c.sink.(HintSink); ok {
-		hs.CacheEmitHint(e.origin, e.inPort, e.hint, e.pkt, queued)
+func (c *Cache) emitTo(e *entry, queued time.Duration) {
+	if c.hintSink != nil {
+		c.hintSink.CacheEmitHint(e.origin, e.inPort, e.hint, e.pkt, queued)
 		return
 	}
 	c.sink.CacheEmit(e.origin, e.inPort, e.pkt, queued)

@@ -18,7 +18,7 @@ func TestFIFOPropertyOrderPreserved(t *testing.T) {
 		capacity := int(capRaw%16) + 1
 		q := newFIFO(capacity)
 		for i, v := range seq {
-			q.push(entry{inPort: v, origin: uint64(i)})
+			*q.slot() = entry{inPort: v, origin: uint64(i)}
 		}
 		// Expected survivors: the last min(len, capacity) entries.
 		start := 0
@@ -30,13 +30,11 @@ func TestFIFOPropertyOrderPreserved(t *testing.T) {
 			return false
 		}
 		for _, w := range want {
-			e, ok := q.pop()
-			if !ok || e.inPort != w {
+			if e := q.pop(); e == nil || e.inPort != w {
 				return false
 			}
 		}
-		_, ok := q.pop()
-		return !ok // drained
+		return q.pop() == nil // drained
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -49,7 +47,7 @@ func TestFIFOPropertyDropAccounting(t *testing.T) {
 		capacity := int(capRaw%32) + 1
 		q := newFIFO(capacity)
 		for i := 0; i < int(n%512); i++ {
-			q.push(entry{})
+			*q.slot() = entry{}
 		}
 		return int(q.dropped.Value())+q.len() == int(n%512)
 	}
@@ -59,7 +57,7 @@ func TestFIFOPropertyDropAccounting(t *testing.T) {
 }
 
 // TestFIFOGrowsOnDemand holds the growing ring to a plain-slice model of a
-// bounded drop-oldest queue: growth with the head wrapped, pushFront on a
+// bounded drop-oldest queue: growth with the head wrapped, slotFront on a
 // queue that never allocated, and a capacity (40) the doubling does not
 // land on, where drop-oldest must begin exactly and not one push sooner.
 func TestFIFOGrowsOnDemand(t *testing.T) {
@@ -78,8 +76,10 @@ func TestFIFOGrowsOnDemand(t *testing.T) {
 	}
 
 	q := newFIFO(capacity)
-	if !q.pushFront(entry{origin: 7}) || len(q.buf) == 0 {
-		t.Fatal("pushFront on a never-grown queue was refused")
+	if e := q.slotFront(); e == nil || len(q.buf) == 0 {
+		t.Fatal("slotFront on a never-grown queue was refused")
+	} else {
+		e.origin = 7
 	}
 	check(q, []uint64{7}, 0)
 
@@ -90,7 +90,7 @@ func TestFIFOGrowsOnDemand(t *testing.T) {
 	id := uint64(0)
 	push := func() {
 		id++
-		q.push(entry{origin: id})
+		*q.slot() = entry{origin: id}
 		model = append(model, id)
 	}
 	for len(q.buf) == 0 || q.len() < len(q.buf) {
@@ -114,7 +114,7 @@ func TestFIFOGrowsOnDemand(t *testing.T) {
 	check(q, model, 0)
 
 	// Up to capacity nothing is lost; the push after that drops exactly
-	// the oldest, and a pushFront is refused.
+	// the oldest, and a slotFront is refused.
 	for q.len() < capacity {
 		push()
 		check(q, model, 0)
@@ -122,8 +122,8 @@ func TestFIFOGrowsOnDemand(t *testing.T) {
 	push()
 	model = model[1:]
 	check(q, model, 1)
-	if q.pushFront(entry{origin: 999}) {
-		t.Fatal("pushFront accepted on a full queue")
+	if q.slotFront() != nil {
+		t.Fatal("slotFront accepted on a full queue")
 	}
 	check(q, model, 2)
 
@@ -140,19 +140,20 @@ func TestFIFOGrowsOnDemand(t *testing.T) {
 			}
 		case op < 6:
 			id++
-			if ok := q.pushFront(entry{origin: id}); ok != (len(model) < capacity) {
-				t.Fatalf("pushFront = %v with %d of %d queued", ok, len(model), capacity)
-			} else if ok {
+			if e := q.slotFront(); (e != nil) != (len(model) < capacity) {
+				t.Fatalf("slotFront = %v with %d of %d queued", e != nil, len(model), capacity)
+			} else if e != nil {
+				e.origin = id
 				model = append([]uint64{id}, model...)
 			} else {
 				drops++
 			}
 		default:
-			e, ok := q.pop()
-			if ok != (len(model) > 0) || (ok && e.origin != model[0]) {
-				t.Fatalf("pop = (%d, %v), model %v", e.origin, ok, model)
+			e := q.pop()
+			if (e != nil) != (len(model) > 0) || (e != nil && e.origin != model[0]) {
+				t.Fatalf("pop = %+v, model %v", e, model)
 			}
-			if ok {
+			if e != nil {
 				model = model[1:]
 			}
 		}

@@ -11,7 +11,7 @@
 // the controller/harness) owns a private Recorder backed by an SPSC
 // ring from internal/spsc, so the hot-path append is a couple of
 // atomic loads plus a ring push — no locks, no allocations. A single
-// consumer (the engine's cache loop while running, the harness after
+// consumer (the engine's cache stage while running, the harness after
 // shutdown) drains every ring into per-recorder bounded retention
 // buffers: the flight recorder. Because retention is per-recorder
 // FIFO, the set of retained events is independent of *when* the
@@ -302,7 +302,7 @@ func (j *Journal) Window() int {
 // Drain moves pending events from every recorder ring into the
 // per-recorder retention buffers and reports how many moved. It must
 // be called from a single consumer goroutine at a time; the pipeline
-// calls it from the cache loop while running and the harness calls it
+// calls it from the cache stage while running and the harness calls it
 // after shutdown (a sequential handoff, which the SPSC contract
 // permits).
 func (j *Journal) Drain() int {

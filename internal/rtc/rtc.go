@@ -15,12 +15,17 @@
 // folds its attribution deltas (count-min cells, heavy-hitter
 // candidates, per-port sample counts) into the shared Attributor via
 // the sketch merge path, exactly like the sweep shard-invariance
-// contract in internal/experiments.
+// contract in internal/experiments, and hands its TCP handshake deltas
+// over whole for the next Roll to fold in.
 //
-// The cache stage is its own goroutine: it owns a dpcache.Cache on a
-// discrete-event netsim.Engine and pumps that engine against the wall
-// clock, so the paper's rate-limited replay ticker fires in real time
-// while ingest arrives over the per-shard SPSC rings.
+// The cache stage owns a dpcache.Cache on a discrete-event
+// netsim.Engine. Against the wall clock it is its own goroutine: it
+// pumps that engine in real time, so the paper's rate-limited replay
+// ticker fires while ingest arrives over the per-shard SPSC rings. In
+// manual (virtual-time) mode it has no goroutine at all: the harness is
+// the rings' single consumer and drives the stage itself through
+// DrainCache and Advance, so no packet pays a hand-off to a third
+// goroutine and replay runs on the harness's critical path.
 package rtc
 
 import (
@@ -91,17 +96,20 @@ type Config struct {
 	Window time.Duration
 	// Attrib parameterises the shared attribution engine.
 	Attrib attrib.Config
-	// Manual switches the engine to harness-driven virtual time: the
-	// cache stage pumps the discrete-event engine to the target set by
-	// SetSimTarget instead of the wall clock, never rolls the attribution
-	// window on its own (the harness calls Attributor().Roll at its own
+	// Manual switches the engine to harness-driven virtual time. Start
+	// launches only the shards; the cache stage runs on the harness's
+	// goroutine, in DrainCache (ingest the shard handoff rings in shard
+	// order) and Advance (pump the discrete-event engine to a virtual
+	// time), never against the wall clock. The attribution window never
+	// rolls on its own (the harness calls Attributor().Roll at its own
 	// barriers), and shards flush their attribution deltas only on Flush
 	// sentinel items. Two manual runs fed the same item sequence produce
 	// identical counters — the soak harness's determinism contract.
 	Manual bool
 	// ReplayObserver, when set, sees every packet the cache stage replays
 	// to the controller path, with its virtual-time queue residency.
-	// Called on the cache-stage goroutine.
+	// Called on the cache-stage goroutine (in manual mode, Advance's
+	// caller).
 	ReplayObserver func(origin uint64, origInPort uint16, pkt netpkt.Packet, queued time.Duration)
 	// TCPGuard, when set, enables the SYN-proxy tier on the shard miss
 	// path: table-miss TCP segments run the stateless-cookie handshake
@@ -116,8 +124,8 @@ type Config struct {
 	// recorder slot (flush barriers, sampled handoff-ring drops), the
 	// cache stage takes the cache slot (verdict flips, watermarks), and
 	// attribution takes its slot (suspect/blame/heal evidence). The cache
-	// loop doubles as the journal's drain consumer while the engine runs;
-	// after Stop the harness may Drain/Events it freely.
+	// stage doubles as the journal's drain consumer while the engine
+	// runs; after Stop the harness may Drain/Events it freely.
 	Journal *journal.Journal
 }
 
@@ -261,16 +269,8 @@ type Engine struct {
 	sim      *netsim.Engine
 	cache    *dpcache.Cache
 	replayed atomic.Uint64
-
-	// Manual-mode state: the harness-set virtual time target, the target
-	// the cache stage has pumped the sim to, and a control queue of
-	// closures the cache stage executes between drain iterations (so the
-	// harness can touch cache-owned state — SetRate, rule tables —
-	// without racing the discrete-event engine).
-	simTarget atomic.Int64
-	simDone   atomic.Int64
-	ctrl      chan func()
-	cacheGone chan struct{}
+	// drainBuf is DrainCache's ring pop batch (manual mode).
+	drainBuf []CacheItem
 
 	wgShards sync.WaitGroup
 	wgCache  sync.WaitGroup
@@ -293,16 +293,15 @@ func (s replaySink) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packe
 	}
 }
 
-// New builds an engine; Start spins up the shard and cache goroutines.
+// New builds an engine; Start spins up its goroutines.
 func New(cfg Config) *Engine {
 	cfg.normalize()
 	e := &Engine{
-		cfg:       cfg,
-		attr:      attrib.New(cfg.Attrib),
-		sim:       netsim.NewEngine(),
-		parts:     flowtable.NewSharded(cfg.Shards, cfg.TableCapacity),
-		ctrl:      make(chan func(), 16),
-		cacheGone: make(chan struct{}),
+		cfg:      cfg,
+		attr:     attrib.New(cfg.Attrib),
+		sim:      netsim.NewEngine(),
+		parts:    flowtable.NewSharded(cfg.Shards, cfg.TableCapacity),
+		drainBuf: make([]CacheItem, 256),
 	}
 	e.cache = dpcache.New(e.sim, dpcache.Config{
 		QueueCapacity:  cfg.QueueCapacity,
@@ -380,9 +379,10 @@ func (e *Engine) GuardCounters() (synAcked, guardDropped uint64) {
 	return
 }
 
-// Cache exposes the data plane cache. It is owned by the cache-stage
-// goroutine: mutate it (SetRate, rule table) only from RunOnCache
-// closures while the engine runs, or freely after Stop.
+// Cache exposes the data plane cache. It is owned by the cache stage:
+// in manual mode that is the harness, which may mutate it (SetRate,
+// rule table) between DrainCache and Advance calls; against the wall
+// clock it is the cache goroutine, so mutate it only after Stop.
 func (e *Engine) Cache() *dpcache.Cache { return e.cache }
 
 // Inject pushes one packet to its owning shard's ring, returning false
@@ -398,7 +398,8 @@ func (e *Engine) InjectItem(it Item) bool {
 	return e.shards[e.ShardFor(it.InPort)].in.Push(it)
 }
 
-// Start launches the shard and cache-stage goroutines.
+// Start launches the shard goroutines and, outside manual mode, the
+// cache-stage goroutine.
 func (e *Engine) Start() {
 	if !e.started.CompareAndSwap(false, true) {
 		return
@@ -408,15 +409,18 @@ func (e *Engine) Start() {
 		e.wgShards.Add(1)
 		go s.run()
 	}
-	e.wgCache.Add(1)
-	go e.cacheLoop()
+	if !e.cfg.Manual {
+		e.wgCache.Add(1)
+		go e.cacheLoop()
+	}
 }
 
 // Stop closes the ingress rings, waits for the shards to drain (each
 // applies any queued control events before exiting, so no Apply caller
-// is left waiting), flush their final attribution deltas, then waits
-// for the cache stage to drain the handoff rings. The engine cannot be
-// restarted; Apply on a stopped engine applies inline.
+// is left waiting) and flush their final attribution deltas, then
+// waits for the cache stage to drain the handoff rings — in manual mode
+// Stop drains them itself, on the caller's goroutine. The engine cannot
+// be restarted; Apply on a stopped engine applies inline.
 func (e *Engine) Stop() {
 	if !e.started.Load() || e.stopped.Load() {
 		return
@@ -425,6 +429,10 @@ func (e *Engine) Stop() {
 		s.in.Close()
 	}
 	e.wgShards.Wait()
+	if e.cfg.Manual {
+		e.DrainCache()
+		e.cache.Stop()
+	}
 	e.wgCache.Wait()
 	e.stopped.Store(true)
 	if !e.cfg.Manual {
@@ -432,52 +440,37 @@ func (e *Engine) Stop() {
 	}
 }
 
-// SetSimTarget advances the manual-mode virtual clock target to d past
-// the sim epoch (monotonic; a smaller target is ignored). The cache
-// stage pumps the discrete-event engine — replay ticks, scheduled
-// events — up to the target; poll SimReached to learn when it caught
-// up. No-op outside manual mode.
-func (e *Engine) SetSimTarget(d time.Duration) {
-	for {
-		cur := e.simTarget.Load()
-		if int64(d) <= cur {
-			return
-		}
-		if e.simTarget.CompareAndSwap(cur, int64(d)) {
-			return
+// DrainCache ingests everything the shards have handed off so far into
+// the cache, shard by shard in shard order, and drains the journal —
+// the cache stage's work, on the caller's goroutine. Manual mode only:
+// the caller is the handoff rings' single consumer, and must call it
+// often enough that no ring fills (a full ring drops the miss). It
+// pumps no virtual time, so replay waits for Advance.
+func (e *Engine) DrainCache() {
+	for _, s := range e.shards {
+		for {
+			n := s.toCache.PopBatch(e.drainBuf)
+			if n == 0 {
+				break
+			}
+			for i := range e.drainBuf[:n] {
+				e.cache.Ingest(e.drainBuf[i].Origin, e.drainBuf[i].Pkt)
+			}
 		}
 	}
+	e.cfg.Journal.Drain()
 }
 
-// SimReached returns the virtual time target the cache stage has
-// finished pumping to.
-func (e *Engine) SimReached() time.Duration { return time.Duration(e.simDone.Load()) }
-
-// RunOnCache executes fn on the cache-stage goroutine, between drain
-// iterations, and blocks until it ran — the safe way for a manual-mode
-// harness to adjust cache-owned state (replay rate, rule tables). If
-// the cache stage has already exited (after Stop), fn runs inline: the
-// cache is quiescent then and single-threaded access is safe.
-func (e *Engine) RunOnCache(fn func()) {
-	done := make(chan struct{})
-	wrapped := func() { fn(); close(done) }
-	select {
-	case e.ctrl <- wrapped:
-	case <-e.cacheGone:
-		fn()
-		return
-	}
-	select {
-	case <-done:
-	case <-e.cacheGone:
-		// The cache stage exited after accepting but the queue drains on
-		// exit; if fn never ran, run it inline now.
-		select {
-		case <-done:
-		default:
-			fn()
-		}
-	}
+// Advance drains the handoff rings, pumps the discrete-event engine —
+// replay ticks, scheduled events — to d past the sim epoch, and drains
+// the journal, all on the caller's goroutine. Manual mode only. The
+// ingest → pump order is fixed, so the sequence of sim events (and thus
+// every replay emission and drop) is a pure function of the item
+// sequence and the Advance schedule.
+func (e *Engine) Advance(d time.Duration) {
+	e.DrainCache()
+	e.sim.RunUntil(netsim.Epoch.Add(d))
+	e.cfg.Journal.Drain()
 }
 
 // Counters returns the engine-wide packet accounting from the shard
@@ -639,18 +632,13 @@ func (s *Shard) noteFlush() {
 		float64(s.forwarded.Load()+s.misses.Load()), float64(s.misses.Load()), float64(s.cacheDrops.Load()))
 }
 
-// cacheLoop is the cache-stage goroutine: it drains every shard's
-// handoff ring into the dpcache and pumps the discrete-event engine
-// against the wall clock so the replay ticker fires in real time. It
-// also rolls the attribution window — verdict computation belongs to
+// cacheLoop is the wall-clock cache-stage goroutine: it drains every
+// shard's handoff ring into the dpcache and pumps the discrete-event
+// engine against the wall clock so the replay ticker fires in real time.
+// It also rolls the attribution window — verdict computation belongs to
 // the control plane, not the packet path.
 func (e *Engine) cacheLoop() {
 	defer e.wgCache.Done()
-	defer close(e.cacheGone)
-	if e.cfg.Manual {
-		e.manualCacheLoop()
-		return
-	}
 	start := time.Now()
 	lastRoll := start
 	batch := make([]CacheItem, 256)
@@ -693,55 +681,6 @@ func (e *Engine) cacheLoop() {
 		if drained == 0 {
 			// Idle: let the replay ticker interval pass without spinning.
 			time.Sleep(100 * time.Microsecond)
-		}
-	}
-}
-
-// manualCacheLoop is the cache-stage loop under harness-driven virtual
-// time: drain the shard handoff rings, run any queued control closures,
-// and pump the discrete-event engine only to the harness's target —
-// never the wall clock, never a self-rolled attribution window. The
-// ingest → pump ordering inside one iteration is fixed, so the sequence
-// of sim events (and thus every replay emission and drop) is a pure
-// function of the item sequence and the target schedule.
-func (e *Engine) manualCacheLoop() {
-	batch := make([]CacheItem, 256)
-	for {
-		drained := 0
-		alive := false
-		for _, s := range e.shards {
-			n := s.toCache.PopBatch(batch)
-			for i := 0; i < n; i++ {
-				e.cache.Ingest(batch[i].Origin, batch[i].Pkt)
-			}
-			drained += n
-			if n > 0 || !s.toCache.Closed() || s.toCache.Len() > 0 {
-				alive = true
-			}
-		}
-		for {
-			select {
-			case fn := <-e.ctrl:
-				fn()
-				continue
-			default:
-			}
-			break
-		}
-		if target := e.simTarget.Load(); target > e.simDone.Load() {
-			e.sim.RunUntil(netsim.Epoch.Add(time.Duration(target)))
-			e.simDone.Store(target)
-		}
-		// The cache loop is the journal's single drain consumer while
-		// the engine runs; retention is FIFO per recorder, so drain
-		// timing cannot change what a dump retains.
-		e.cfg.Journal.Drain()
-		if !alive {
-			e.cache.Stop()
-			return
-		}
-		if drained == 0 {
-			time.Sleep(20 * time.Microsecond)
 		}
 	}
 }

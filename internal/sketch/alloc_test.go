@@ -15,6 +15,15 @@ func TestSketchesAllocateNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { _ = cm.Estimate(i); i++ }); a != 0 {
 		t.Errorf("CountMin.Estimate allocates %v, want 0", a)
 	}
+	local := NewCountMinLocal(4, 2048, 0xF100D)
+	if a := testing.AllocsPerRun(1000, func() {
+		local.Update(i, 1)
+		if i++; i&63 == 0 {
+			_ = cm.AbsorbLocal(local)
+		}
+	}); a != 0 {
+		t.Errorf("CountMinLocal.Update + CountMin.AbsorbLocal allocate %v, want 0", a)
+	}
 	ss := NewSpaceSaving(64)
 	for k := uint64(0); k < 64; k++ {
 		ss.Observe(k, 1)

@@ -45,14 +45,39 @@ func TestShardedMergeInvariance(t *testing.T) {
 				t.Fatalf("shards=%d: merge: %v", shards, err)
 			}
 		}
-		if merged.Total() != single.Total() {
-			t.Fatalf("shards=%d: Total %d != %d", shards, merged.Total(), single.Total())
+		// The same split through unlocked shard-local sketches, absorbed in
+		// two halves of the stream (a local is reused after AbsorbLocal).
+		absorbed := NewCountMin(rows, cols, seed)
+		locals := make([]*CountMinLocal, shards)
+		for i := range locals {
+			locals[i] = NewCountMinLocal(rows, cols, seed)
 		}
-		for _, k := range keys {
-			if got, want := merged.Estimate(k), single.Estimate(k); got != want {
-				t.Fatalf("shards=%d: Estimate(%d) = %d, want %d", shards, k, got, want)
+		for half := 0; half < 2; half++ {
+			for i := half * n / 2; i < (half+1)*n/2; i++ {
+				locals[i%shards].Update(keys[i], 1)
+			}
+			for _, l := range locals {
+				if err := absorbed.AbsorbLocal(l); err != nil {
+					t.Fatalf("shards=%d: absorb: %v", shards, err)
+				}
+				if l.Total() != 0 {
+					t.Fatalf("shards=%d: AbsorbLocal left total %d in the local", shards, l.Total())
+				}
 			}
 		}
+		for name, got := range map[string]*CountMin{"merged": merged, "absorbed": absorbed} {
+			if got.Total() != single.Total() {
+				t.Fatalf("shards=%d %s: Total %d != %d", shards, name, got.Total(), single.Total())
+			}
+			for _, k := range keys {
+				if g, want := got.Estimate(k), single.Estimate(k); g != want {
+					t.Fatalf("shards=%d %s: Estimate(%d) = %d, want %d", shards, name, k, g, want)
+				}
+			}
+		}
+	}
+	if err := NewCountMin(4, 256, 1).AbsorbLocal(NewCountMinLocal(4, 256, 2)); err == nil {
+		t.Fatal("AbsorbLocal accepted a sketch with different seeds")
 	}
 }
 

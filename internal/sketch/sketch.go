@@ -9,7 +9,9 @@
 //
 // Counters are updated and read with atomics, so a telemetry scrape or a
 // snapshot taken from another goroutine never blocks the packet path and
-// never tears a 64-bit read. Periodic Decay halves every counter, giving
+// never tears a 64-bit read. The *Local variants are the exception: one
+// goroutine owns each, so they use plain memory and are folded into a
+// shared sketch at window boundaries. Periodic Decay halves every counter, giving
 // the estimates an exponential horizon so a source that stops attacking
 // ages out instead of staying blamed forever.
 package sketch
@@ -184,3 +186,50 @@ func (s *CountMin) Merge(other *CountMin) error {
 	atomic.AddUint64(&s.total, atomic.LoadUint64(&other.total))
 	return nil
 }
+
+// AbsorbLocal adds a shard-local sketch's cells into s and zeroes the
+// local — the window-boundary merge of the run-to-completion engine.
+// Only nonzero cells cost an atomic add. The sketches must share
+// dimensions and seeds; the caller must be o's owner goroutine.
+func (s *CountMin) AbsorbLocal(o *CountMinLocal) error {
+	if !s.Compatible(&o.cm) {
+		return fmt.Errorf("sketch: absorb of incompatible sketch (%dx%d vs %dx%d)",
+			s.rows, s.cols, o.cm.rows, o.cm.cols)
+	}
+	for i, v := range o.cm.counts {
+		if v != 0 {
+			atomic.AddUint64(&s.counts[i], v)
+			o.cm.counts[i] = 0
+		}
+	}
+	atomic.AddUint64(&s.total, o.cm.total)
+	o.cm.total = 0
+	return nil
+}
+
+// CountMinLocal is the unlocked count-min sketch for a run-to-completion
+// shard: exactly one goroutine may touch it, so Update is plain adds.
+// Fold it into a shared CountMin of the same geometry and seed at
+// window boundaries with AbsorbLocal.
+type CountMinLocal struct {
+	cm CountMin // counts and total accessed without atomics
+}
+
+// NewCountMinLocal builds an unlocked rows × cols sketch; the arguments
+// mean what they mean for NewCountMin.
+func NewCountMinLocal(rows, cols int, seed uint64) *CountMinLocal {
+	return &CountMinLocal{cm: *NewCountMin(rows, cols, seed)}
+}
+
+// Update adds delta to key's counters. Owner goroutine only.
+func (s *CountMinLocal) Update(key uint64, delta uint64) {
+	c := &s.cm
+	mask := uint64(c.cols - 1)
+	for r := 0; r < c.rows; r++ {
+		c.counts[r*c.cols+int(splitmix64(key^c.seeds[r])&mask)] += delta
+	}
+	c.total += delta
+}
+
+// Total returns the sum of all deltas since the last AbsorbLocal.
+func (s *CountMinLocal) Total() uint64 { return s.cm.total }

@@ -34,7 +34,6 @@ type reference struct {
 	forwarded, misses, synAcked, guardDropped, replayed uint64
 
 	flushes []uint64
-	simDone time.Duration
 }
 
 // refDPID is rtc.Config's default datapath id.
@@ -101,10 +100,7 @@ func (r *reference) InjectItem(it rtc.Item) bool {
 	return true
 }
 
-func (r *reference) SetSimTarget(d time.Duration) {
-	r.sim.RunUntil(netsim.Epoch.Add(d))
-	r.simDone = d
-}
+func (r *reference) Advance(d time.Duration) { r.sim.RunUntil(netsim.Epoch.Add(d)) }
 
 func (r *reference) Apply(m openflow.FlowMod) error {
 	_, err := r.table.Apply(m, time.Time{})
@@ -115,8 +111,7 @@ func (r *reference) Start()                         { r.cache.Start() }
 func (r *reference) Stop()                          { r.cache.Stop() }
 func (r *reference) Shards() int                    { return r.shards }
 func (r *reference) Flushes(i int) uint64           { return r.flushes[i] }
-func (r *reference) SimReached() time.Duration      { return r.simDone }
-func (r *reference) RunOnCache(fn func())           { fn() }
+func (r *reference) DrainCache()                    {}
 func (r *reference) GuardCounters() (a, d uint64)   { return r.synAcked, r.guardDropped }
 func (r *reference) TCPGuard() *tcpguard.Guard      { return r.guard }
 func (r *reference) TableRules() int                { return r.table.Len() }

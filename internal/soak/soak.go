@@ -110,7 +110,9 @@ type Result struct {
 // It is an interface only so the differential tier can substitute its
 // sequential reference model (reference_test.go); every method is one
 // the engine already has. A Flush item injected on port i reaches shard
-// i, and Flushes(i) counts the barriers that shard has completed.
+// i, and Flushes(i) counts the barriers that shard has completed. The
+// harness goroutine is the cache stage: DrainCache and Advance run it,
+// and Cache() is the harness's to touch between them.
 type pipeline interface {
 	Apply(m openflow.FlowMod) error
 	Start()
@@ -118,9 +120,8 @@ type pipeline interface {
 	InjectItem(it rtc.Item) bool
 	Shards() int
 	Flushes(i int) uint64
-	SetSimTarget(d time.Duration)
-	SimReached() time.Duration
-	RunOnCache(fn func())
+	DrainCache()
+	Advance(d time.Duration)
 	Counters() (processed, forwarded, misses, ringDrops uint64)
 	GuardCounters() (synAcked, guardDropped uint64)
 	TCPGuard() *tcpguard.Guard
@@ -132,9 +133,9 @@ type pipeline interface {
 }
 
 // replayTally is the ground-truth view of the controller-path replay
-// stream, fed by the rtc ReplayObserver on the cache goroutine and read
-// by the harness at window barriers (the SetSimTarget/SimReached atomic
-// pair orders the accesses).
+// stream, fed by the rtc ReplayObserver inside Advance and read at the
+// window barrier right after it — both on the harness goroutine, so it
+// needs no synchronization.
 type replayTally struct {
 	benign  uint64
 	attack  uint64
@@ -401,6 +402,15 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		pipe.Stop()
 		return nil, err
 	}
+	// inject offers one item, draining the handoff rings while a full
+	// ingress ring refuses it: the wait is the cache stage's time to
+	// ingest, and a shard whose ring to the cache is full drops the miss.
+	inject := func(it rtc.Item) {
+		for !pipe.InjectItem(it) {
+			pipe.DrainCache()
+			runtime.Gosched()
+		}
+	}
 
 	for w := 0; w < windows; w++ {
 		jnl.SetWindow(w)
@@ -444,8 +454,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 			if outage {
 				rate = 0
 			}
-			c := pipe.Cache()
-			pipe.RunOnCache(func() { c.SetRate(rate) })
+			pipe.Cache().SetRate(rate)
 			code := uint8(2)
 			if outage {
 				code = 1
@@ -489,9 +498,10 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		}
 
 		// Inject with backpressure: a full ingress ring retries (never
-		// drops the offer), and every 512 packets the producer lets the
-		// cache stage catch up so the shard→cache rings cannot overflow —
-		// the determinism contract needs exactly zero ring drops.
+		// drops the offer), and the harness — the shard→cache rings' only
+		// consumer — drains them every 512 packets and while it waits, so
+		// they cannot overflow: the determinism contract needs exactly
+		// zero ring drops.
 		for i, s := range slots {
 			var it rtc.Item
 			if s == 0 {
@@ -500,16 +510,9 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 				a := atks[s-1]
 				it.Pkt, it.InPort = a.packet(w), a.port
 			}
-			for !pipe.InjectItem(it) {
-				runtime.Gosched()
-			}
+			inject(it)
 			if i%512 == 511 {
-				if err := waitFor(func() bool {
-					_, _, m, rd := pipe.Counters()
-					return m-(pipe.CacheStats().Enqueued+rd+guardConsumed()) <= 2048
-				}, "cache handoff backpressure"); err != nil {
-					return fail(err)
-				}
+				pipe.DrainCache()
 			}
 		}
 		cumInjBenign += uint64(benignN)
@@ -523,15 +526,16 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		var winTCP uint64
 		for i := 0; i < cfg.TCPConns; i++ {
 			pkt, port := tgen.syn()
-			for !pipe.InjectItem(rtc.Item{Pkt: pkt, InPort: port}) {
-				runtime.Gosched()
-			}
+			inject(rtc.Item{Pkt: pkt, InPort: port})
 			winTCP++
 		}
 		cumInjTCP += winTCP
 
-		// Quiesce: every offered packet processed, every miss handed over
-		// or consumed by the guard.
+		// Quiesce: every offered packet processed, every miss ingested by
+		// the cache or consumed by the guard. The drain sits inside the
+		// condition: a shard counts a miss before it pushes it, so one
+		// drain taken right after "processed == injected" can miss the
+		// last packet.
 		quiesce := func() error {
 			injected := cumInjBenign + cumInjAttack + cumInjTCP
 			if err := waitFor(func() bool {
@@ -541,6 +545,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 				return err
 			}
 			return waitFor(func() bool {
+				pipe.DrainCache()
 				_, _, m, rd := pipe.Counters()
 				return pipe.CacheStats().Enqueued+rd+guardConsumed() == m
 			}, "cache ingest quiescence")
@@ -554,9 +559,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// flows are in the cache before the barrier snapshot.
 		if acks := box.takeClientAcks(); len(acks) > 0 {
 			for _, a := range acks {
-				for !pipe.InjectItem(rtc.Item{Pkt: a.pkt, InPort: a.inPort}) {
-					runtime.Gosched()
-				}
+				inject(rtc.Item{Pkt: a.pkt, InPort: a.inPort})
 			}
 			winTCP += uint64(len(acks))
 			cumInjTCP += uint64(len(acks))
@@ -569,9 +572,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// sketch merge sequence is identical run to run.
 		for i := 0; i < pipe.Shards(); i++ {
 			want := pipe.Flushes(i) + 1
-			for !pipe.InjectItem(rtc.Item{Flush: true, InPort: uint16(i)}) {
-				runtime.Gosched()
-			}
+			inject(rtc.Item{Flush: true, InPort: uint16(i)})
 			i := i
 			if err := waitFor(func() bool { return pipe.Flushes(i) >= want }, "shard flush"); err != nil {
 				return fail(err)
@@ -580,11 +581,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 
 		// Advance simulated time one window: the replay ticker drains the
 		// cache queues at the configured rate, entirely in virtual time.
-		target := time.Duration(w+1) * cfg.Window
-		pipe.SetSimTarget(target)
-		if err := waitFor(func() bool { return pipe.SimReached() >= target }, "virtual-time pump"); err != nil {
-			return fail(err)
-		}
+		pipe.Advance(time.Duration(w+1) * cfg.Window)
 
 		// Close the detection window and collect the barrier snapshot.
 		// The guard's cookie window advances in lockstep with the
@@ -689,9 +686,9 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	res.Detected = chk.detectionConfirmed()
 
 	if jnl != nil {
-		// Final drain after Stop: the cache loop (the running consumer)
-		// is gone, so the harness takes over — a sequential handoff the
-		// SPSC contract permits — and renders the flight-recorder dump.
+		// Final drain after Stop (the harness has been the journal's
+		// consumer all along, through DrainCache and Advance), then the
+		// flight-recorder dump.
 		jnl.Drain()
 		trigger := "complete"
 		if len(res.Violations) > 0 {
