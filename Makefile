@@ -32,8 +32,9 @@ bench-harness:
 	cd bench && $(GO) vet . && $(GO) test .
 	bash bench/run.sh -smoke
 
-# The pooled marshal and batched sideband paths are the ones most worth
-# racing; run the whole tree so regressions elsewhere surface too.
+# The concurrent protocols (ring handoffs, in-band Apply, the shard
+# flush barrier) are the ones most worth racing; run the whole tree so
+# regressions elsewhere surface too.
 race:
 	$(GO) test -race ./...
 
@@ -59,13 +60,12 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchtime=100x -benchmem -run=^$$ ./...
 
-# The observability hot paths: telemetry primitives plus the sideband
-# replay framing the instrumentation must not regress. Every
-# 0 allocs/op budget is a tier-1 test (the *AllocatesNothing tests
-# beside each benchmark); the benchmarks report, they do not gate.
+# The observability hot paths: the telemetry primitives the
+# instrumentation must not regress. Every 0 allocs/op budget is a
+# tier-1 test (the *AllocatesNothing tests beside each benchmark); the
+# benchmarks report, they do not gate.
 bench-telemetry:
 	$(GO) test -bench=. -benchtime=100x -benchmem -run=^$$ ./internal/telemetry/
-	$(GO) test -bench=WriteReplay -benchtime=100x -benchmem -run=^$$ ./internal/dpcproto/
 
 # The deterministic tier-A soak on its own, in short mode — the
 # seconds-scale smoke ci runs on every push.
@@ -119,7 +119,8 @@ cover:
 
 check: build vet test race
 
-# The three wire-facing decoders, the symbolic-execution pipeline, the
+# The wire-facing decoders (frames, TCP options, OpenFlow), the
+# symbolic-execution pipeline, the
 # derivation memo against a cold Algorithm 2 run after every mutation, the
 # delta tracker against a cold rebuild-and-diff reference, and
 # the flow classifier against its linear oracle, each under coverage-guided
@@ -129,8 +130,6 @@ fuzz:
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz FuzzParse$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz FuzzTCP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dpcproto/ -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dpcproto/ -run '^$$' -fuzz FuzzReplayHintRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzExplore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzMemoDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzTrackerDelta -fuzztime $(FUZZTIME)

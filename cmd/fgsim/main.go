@@ -8,7 +8,7 @@
 //	fgsim <experiment> [flags]
 //
 // Experiments: sec2-baseline, fig10, fig11, fig12, fig13, tab3, tab4,
-// compare, chaos, attrib, sweep, pps, soak, synflood, all
+// compare, chaos, attrib, sweep, soak, synflood, all
 package main
 
 import (
@@ -37,8 +37,7 @@ func main() {
 	iters := flag.Int("iters", 50, "derivation repetitions for fig13")
 	seed := flag.Int64("seed", 0xF100D, "flap schedule seed for chaos and the soak generators")
 	flaps := flag.Int("flaps", 8, "sideband outages for chaos")
-	shards := flag.Int("shards", 1, "parallel shards for sweep (merged output is shard-count invariant) and pps; >1 also applies to soak")
-	flowModRate := flag.Float64("flowmod-rate", 0, "rule-churn flow_mods per second applied during pps (0 = none)")
+	shards := flag.Int("shards", 1, "parallel shards for sweep (merged output is shard-count invariant); >1 also applies to soak")
 	duration := flag.Duration("duration", 5*time.Second, "simulated soak length")
 	flows := flag.Int("flows", 100_000, "benign distinct-flow population for soak")
 	profile := flag.String("profile", "all", "soak attacker profile: ramp, pulse, rotate, slow, or all")
@@ -99,7 +98,7 @@ func main() {
 	}
 
 	if err := run(flag.Arg(0), *trials, *iters, *seed, *flaps, *shards,
-		*duration, *flows, *profile, *scenario, *flowModRate); err != nil {
+		*duration, *flows, *profile, *scenario); err != nil {
 		fmt.Fprintln(os.Stderr, "fgsim:", err)
 		os.Exit(1)
 	}
@@ -126,7 +125,6 @@ experiments:
   chaos           seeded sideband flaps mid-Defense: degraded drops and recovery
   attrib          collateral damage to benign traffic: blanket vs selective migration
   sweep           multi-seed bandwidth sweep sharded across -shards workers
-  pps             sustained-pps macro benchmark of the sharded engine (-shards, -flowmod-rate)
   soak            adversarial soak: zipfian flows + adaptive attackers + chaos,
                   invariants asserted every window (-duration/-flows/-profile/-scenario)
   synflood        TCP SYN-flood sweep: benign handshake completion and controller
@@ -138,7 +136,7 @@ flags:`)
 }
 
 func run(name string, trials, iters int, seed int64, flaps, shards int,
-	duration time.Duration, flows int, profile, scenario string, flowModRate float64) error {
+	duration time.Duration, flows int, profile, scenario string) error {
 	switch name {
 	case "sec2-baseline":
 		return sec2()
@@ -162,8 +160,6 @@ func run(name string, trials, iters int, seed int64, flaps, shards int,
 		return attribExp(seed)
 	case "sweep":
 		return sweep(shards)
-	case "pps":
-		return pps(seed, shards, flowModRate)
 	case "soak":
 		return soakRun(seed, shards, duration, flows, profile, scenario)
 	case "synflood":
@@ -299,24 +295,6 @@ func sweep(shards int) error {
 	}
 	if asCSV {
 		return r.WriteCSV(os.Stdout)
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-// pps runs the sustained-pps macro benchmark on the run-to-completion
-// engine. -flowmod-rate adds rule churn while traffic runs.
-func pps(seed int64, shards int, flowModRate float64) error {
-	r, err := experiments.RunPPS(experiments.PPSConfig{
-		Shards:      shards,
-		Seed:        seed,
-		FlowModRate: flowModRate,
-	})
-	if err != nil {
-		return err
-	}
-	if asCSV {
-		return experiments.WritePPSCSV(os.Stdout, []*experiments.PPSResult{r})
 	}
 	r.Print(os.Stdout)
 	return nil

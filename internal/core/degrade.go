@@ -8,12 +8,11 @@ package core
 // fixed per-window budget in packetInHook, then re-migrates as soon as
 // the channel heals. The Defense↔Degraded edges extend Figure 3.
 
-// SetCacheReachable reports sideband health to the guard. Callers wire
-// it to their transport's liveness signal (e.g. cachebox's Redial
-// OnStateChange, marshalled onto the engine goroutine). It must be
-// invoked on the engine/runner goroutine, like every other guard entry
-// point. Transitions are edge-triggered: repeated reports of the same
-// health are no-ops.
+// SetCacheReachable reports sideband health to the guard (the chaos
+// experiment flaps it on a seeded schedule). It must be invoked on the
+// engine/runner goroutine, like every other guard entry point.
+// Transitions are edge-triggered: repeated reports of the same health
+// are no-ops.
 func (g *Guard) SetCacheReachable(ok bool) {
 	if g.cacheReachable == ok {
 		return

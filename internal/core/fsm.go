@@ -27,7 +27,7 @@ const (
 	// remaining packets.
 	StateFinish
 	// StateDegraded: Defense with the data plane cache unreachable — the
-	// sideband to the cache box is down, so migration is withdrawn and
+	// sideband to the cache is down, so migration is withdrawn and
 	// the guard falls back to direct rate-limited packet_in handling
 	// (the paper's pre-migration behavior) until the channel heals.
 	// This state extends Figure 3 for channel-failure tolerance.

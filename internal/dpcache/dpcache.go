@@ -41,13 +41,10 @@ const MaxTaggablePort = 63
 
 // Attribution hints. A Hinter classifies each migrated packet as likely
 // benign or likely attack traffic; the cache uses the verdict to split
-// its buffer queues so benign collateral reaches the controller first,
-// and the dpcproto replay header carries the byte so a remote agent sees
-// the same classification.
+// its buffer queues so benign collateral reaches the controller first.
 const (
 	// HintNone marks traffic with no attribution verdict (no hinter
-	// installed, or a pre-attribution frame from an older peer). Treated
-	// as benign for scheduling.
+	// installed). Treated as benign for scheduling.
 	HintNone uint8 = 0
 	// HintBenign marks traffic attribution considers collateral: a
 	// non-blamed ingress port and a source that is not a heavy hitter.
@@ -167,25 +164,9 @@ func (f *fifo) slot() *entry {
 	return &f.buf[(f.head+f.n-1)%len(f.buf)]
 }
 
-// slotFront enqueues one entry at the head (a failed delivery being put
-// back) and returns its slot for the caller to fill. A full queue
-// refuses it (nil): the returned packet is by construction the oldest
-// in the queue, so dropping it is exactly the drop-oldest overflow
-// policy.
-func (f *fifo) slotFront() *entry {
-	if f.n == len(f.buf) && !f.grow() {
-		f.dropped.Inc()
-		return nil
-	}
-	f.head = (f.head - 1 + len(f.buf)) % len(f.buf)
-	f.n++
-	f.depth.Inc()
-	return &f.buf[f.head]
-}
-
 // pop dequeues the oldest entry and returns its slot (nil when empty).
-// The slot is free again: it stays valid only until the next slot or
-// slotFront on this queue.
+// The slot is free again: it stays valid only until the next slot on
+// this queue.
 func (f *fifo) pop() *entry {
 	if f.n == 0 {
 		return nil
@@ -204,14 +185,6 @@ func (f *fifo) len() int { return f.n }
 // (identified by origin, the datapath id).
 type Sink interface {
 	CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packet, queued time.Duration)
-}
-
-// HintSink is an optional Sink extension: a sink that also wants the
-// attribution hint recorded at ingest (e.g. cachebox, which stamps it
-// into the dpcproto replay header). When the sink implements it, the
-// cache delivers through CacheEmitHint instead of CacheEmit.
-type HintSink interface {
-	CacheEmitHint(origin uint64, origInPort uint16, hint uint8, pkt netpkt.Packet, queued time.Duration)
 }
 
 // Config parameterises a cache instance.
@@ -263,11 +236,6 @@ type Stats struct {
 	// PriorityServed counts packets served from the cache-resident rule
 	// fast path (§IV.E option).
 	PriorityServed uint64
-	// Requeued counts failed deliveries returned to their queue (the
-	// sideband dropped mid-replay); each also rolls Emitted back, so the
-	// conservation equation Enqueued == Emitted + Dropped + Backlog
-	// survives delivery failures.
-	Requeued uint64
 	// MaxBacklog is the backlog high-watermark since construction: the
 	// most packets ever resident across all queues at once.
 	MaxBacklog int
@@ -289,9 +257,6 @@ type Cache struct {
 	eng  *netsim.Engine
 	cfg  Config
 	sink Sink
-	// hintSink is sink as a HintSink, resolved once in New (nil when the
-	// sink does not implement it).
-	hintSink HintSink
 
 	// queues holds likely-benign traffic (and, without a hinter, all of
 	// it); suspects holds hint-classified attack traffic. The scheduler
@@ -325,13 +290,10 @@ type Cache struct {
 	ticker *netsim.Ticker
 
 	// Counters are atomic so Stats() and a registry scrape are safe from
-	// any goroutine. emitted is a gauge because Requeue rolls a failed
-	// delivery back out of it (conservation: Enqueued == Emitted +
-	// Dropped + Backlog).
+	// any goroutine.
 	enqueued telemetry.Counter
-	emitted  telemetry.Gauge
+	emitted  telemetry.Counter
 	prioSrvd telemetry.Counter
-	requeued telemetry.Counter
 	// maxBacklog is the backlog high-watermark since construction — the
 	// soak harness's memory-ceiling proxy for the queue tier.
 	maxBacklog telemetry.Gauge
@@ -355,7 +317,6 @@ type Cache struct {
 // New creates a cache on the engine; Start arms the scheduler.
 func New(eng *netsim.Engine, cfg Config, sink Sink) *Cache {
 	c := &Cache{eng: eng, cfg: cfg, sink: sink, rate: cfg.InitialRatePPS}
-	c.hintSink, _ = sink.(HintSink)
 	if c.cfg.BenignWeight <= 0 {
 		c.cfg.BenignWeight = DefaultBenignWeight
 	}
@@ -504,30 +465,6 @@ func (c *Cache) queueFor(p *netpkt.Packet, inPort uint16, hint uint8) *fifo {
 	return c.queues[cls]
 }
 
-// Requeue returns a packet whose delivery failed (the sideband to the
-// agent went down mid-replay) to the front of its queue, preserving
-// FIFO order and its accumulated residence time. The matching CacheEmit
-// is rolled back from Emitted, so no packet is counted delivered that
-// the agent never saw. A full queue drops it instead — the requeued
-// packet is the oldest, so this is the standard drop-oldest policy.
-func (c *Cache) Requeue(origin uint64, inPort uint16, pkt netpkt.Packet, queued time.Duration) {
-	c.emitted.Dec()
-	c.requeued.Inc()
-	c.scratch = pkt
-	p := &c.scratch
-	hint := HintNone
-	if c.hinter != nil {
-		// Re-classify: the verdict is deterministic per window, so the
-		// packet lands back on the side it was served from (or migrates
-		// to the fresher verdict, which is strictly better).
-		hint = c.hinter.Hint(origin, inPort, p)
-	}
-	if e := c.queueFor(p, inPort, hint).slotFront(); e != nil {
-		e.origin, e.pkt, e.inPort, e.hint, e.arrived = origin, *p, inPort, hint, c.eng.Now().Add(-queued)
-	}
-	c.noteBacklog()
-}
-
 // Adapter returns a PortPeer view of the cache bound to one origin
 // datapath; attach it to that switch's cache port.
 func (c *Cache) Adapter(origin uint64) *Adapter { return &Adapter{c: c, origin: origin} }
@@ -596,9 +533,10 @@ func (c *Cache) popRR(set *[numQueues]*fifo, cursor *QueueClass) *entry {
 }
 
 // deliver hands a popped entry to the sink. e is the freed queue slot:
-// the sink may Requeue (or a zero-delay path Ingest) into that very
-// slot, so nothing reads e once the sink has been called, and the
-// delayed path copies it before scheduling.
+// the sink may Ingest into that very slot, so nothing reads e once the
+// sink has been called, and the delayed path copies it before
+// scheduling — an Ingest before the scheduled emit fires can reuse the
+// slot too.
 func (c *Cache) deliver(e *entry) {
 	c.emitted.Inc()
 	if e.hint == HintSuspect {
@@ -612,21 +550,13 @@ func (c *Cache) deliver(e *entry) {
 		// No modelled handling cost: hand the packet to the sink inline
 		// instead of scheduling a zero-delay event — the replay path then
 		// allocates nothing per packet.
-		c.emitTo(e, queued)
+		c.sink.CacheEmit(e.origin, e.inPort, e.pkt, queued)
 		return
 	}
 	held := *e
 	c.eng.Schedule(c.cfg.ProcessingDelay, func() {
-		c.emitTo(&held, queued+c.cfg.ProcessingDelay)
+		c.sink.CacheEmit(held.origin, held.inPort, held.pkt, queued+c.cfg.ProcessingDelay)
 	})
-}
-
-func (c *Cache) emitTo(e *entry, queued time.Duration) {
-	if c.hintSink != nil {
-		c.hintSink.CacheEmitHint(e.origin, e.inPort, e.hint, e.pkt, queued)
-		return
-	}
-	c.sink.CacheEmit(e.origin, e.inPort, e.pkt, queued)
 }
 
 // Backlog returns the total queued packet count.
@@ -648,9 +578,8 @@ func (c *Cache) Drained() bool { return c.Backlog() == 0 }
 func (c *Cache) Stats() Stats {
 	s := Stats{
 		Enqueued:       c.enqueued.Value(),
-		Emitted:        uint64(c.emitted.Value()),
+		Emitted:        c.emitted.Value(),
 		PriorityServed: c.prioSrvd.Value(),
-		Requeued:       c.requeued.Value(),
 		BenignServed:   c.benignSrvd.Value(),
 		SuspectServed:  c.suspectSrvd.Value(),
 		MaxBacklog:     int(c.maxBacklog.Value()),
@@ -685,11 +614,8 @@ func (c *Cache) Register(reg *telemetry.Registry, prefix string) {
 		return
 	}
 	reg.RegisterCounter(prefix+"_enqueued_total", "Migrated packets accepted into the cache.", &c.enqueued)
-	reg.GaugeFunc(prefix+"_emitted_total", "Packets delivered to the migration agent (net of requeues).", func() float64 {
-		return float64(c.emitted.Value())
-	})
+	reg.RegisterCounter(prefix+"_emitted_total", "Packets delivered to the migration agent.", &c.emitted)
 	reg.RegisterCounter(prefix+"_priority_served_total", "Packets served from the cache-resident rule fast path.", &c.prioSrvd)
-	reg.RegisterCounter(prefix+"_requeued_total", "Failed deliveries returned to their queue.", &c.requeued)
 	reg.RegisterGauge(prefix+"_backlog_high_watermark", "Most packets ever resident across all queues at once.", &c.maxBacklog)
 	reg.RegisterCounter(prefix+"_benign_served_total", "Deliveries of likely-benign (or unclassified) packets.", &c.benignSrvd)
 	reg.RegisterCounter(prefix+"_suspect_served_total", "Deliveries of attribution-blamed packets.", &c.suspectSrvd)

@@ -310,80 +310,3 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 		}
 	}
 }
-
-// failOnce is a sink whose first N deliveries "fail": it requeues them,
-// modelling a sideband that drops mid-replay.
-type failOnce struct {
-	c     *Cache
-	fails int
-	inner collect
-}
-
-func (f *failOnce) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packet, queued time.Duration) {
-	if f.fails > 0 {
-		f.fails--
-		f.c.Requeue(origin, origInPort, pkt, queued)
-		return
-	}
-	f.inner.CacheEmit(origin, origInPort, pkt, queued)
-}
-
-func TestRequeuePreservesOrderAndConservation(t *testing.T) {
-	eng := netsim.NewEngine()
-	sink := &failOnce{fails: 3}
-	c := New(eng, Config{QueueCapacity: 16, InitialRatePPS: 1000}, sink)
-	sink.c = c
-	c.Start()
-	defer c.Stop()
-
-	for i := uint16(1); i <= 5; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, i, 1000+i))
-	}
-	eng.RunFor(time.Second)
-
-	// All five arrive despite the three failed deliveries, still in FIFO
-	// order (requeue puts the failure back at the front).
-	if len(sink.inner.packets) != 5 {
-		t.Fatalf("delivered %d, want 5", len(sink.inner.packets))
-	}
-	for i := range sink.inner.packets {
-		if sink.inner.ports[i] != uint16(i+1) {
-			t.Errorf("packet %d: in_port = %d, want %d (FIFO preserved across requeue)", i, sink.inner.ports[i], i+1)
-		}
-	}
-	st := c.Stats()
-	if st.Requeued != 3 {
-		t.Errorf("Requeued = %d, want 3", st.Requeued)
-	}
-	if st.Emitted != 5 {
-		t.Errorf("Emitted = %d, want 5 (failed deliveries rolled back)", st.Emitted)
-	}
-	if st.Emitted+st.Dropped+uint64(st.Backlog) != st.Enqueued {
-		t.Errorf("conservation broken: emitted %d + dropped %d + backlog %d != enqueued %d",
-			st.Emitted, st.Dropped, st.Backlog, st.Enqueued)
-	}
-	// Residence time accumulates across requeues: three failures at
-	// 1000pps mean the first packet is delivered on the fourth tick, so
-	// its reported residence is 4ms, not the 1ms of a clean delivery.
-	if got := sink.inner.delays[0]; got < 4*time.Millisecond {
-		t.Errorf("requeued packet's residence = %v, want >= 4ms (accumulated across retries)", got)
-	}
-}
-
-func TestRequeueIntoFullQueueDrops(t *testing.T) {
-	eng := netsim.NewEngine()
-	sink := &collect{}
-	c := New(eng, Config{QueueCapacity: 2, InitialRatePPS: 1000}, sink)
-	c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, 1, 100))
-	c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, 2, 200))
-	// Fabricate a failed delivery against a full queue: the returned
-	// packet is the oldest, so drop-oldest applies to it.
-	c.Requeue(0, 3, tagged(netpkt.ProtoUDP, 3, 300), 0)
-	st := c.Stats()
-	if st.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", st.Dropped)
-	}
-	if st.Backlog != 2 {
-		t.Errorf("Backlog = %d, want 2", st.Backlog)
-	}
-}

@@ -19,14 +19,20 @@ func (h srcHinter) Hint(origin uint64, inPort uint16, pkt *netpkt.Packet) uint8 
 	return HintBenign
 }
 
-// hintCollect records deliveries with their hint byte.
+// blamed is the hinter every hinted test installs: 10.0.0.66 is the
+// suspect source.
+var blamed = srcHinter{suspect: netpkt.MustIPv4("10.0.0.66")}
+
+// hintCollect records deliveries with the verdict blamed gives each
+// delivered packet. The verdict is a pure function of the source
+// address, so it is the one the cache filed the packet under at ingest.
 type hintCollect struct {
 	collect
 	hints []uint8
 }
 
-func (c *hintCollect) CacheEmitHint(origin uint64, origInPort uint16, hint uint8, pkt netpkt.Packet, queued time.Duration) {
-	c.hints = append(c.hints, hint)
+func (c *hintCollect) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packet, queued time.Duration) {
+	c.hints = append(c.hints, blamed.Hint(origin, origInPort, &pkt))
 	c.collect.CacheEmit(origin, origInPort, pkt, queued)
 }
 
@@ -40,7 +46,7 @@ func TestHintedIngestRoutesToSuspectQueues(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &hintCollect{}
 	c := New(eng, Config{QueueCapacity: 16, InitialRatePPS: 0}, sink)
-	c.SetHinter(srcHinter{suspect: netpkt.MustIPv4("10.0.0.66")})
+	c.SetHinter(blamed)
 
 	c.Ingest(1, fromSrc("10.0.0.66", 3)) // suspect
 	c.Ingest(1, fromSrc("10.0.0.1", 1))  // benign
@@ -62,7 +68,7 @@ func TestWeightedRoundRobinRatio(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &hintCollect{}
 	c := New(eng, Config{QueueCapacity: 256, InitialRatePPS: 1000, BenignWeight: 4}, sink)
-	c.SetHinter(srcHinter{suspect: netpkt.MustIPv4("10.0.0.66")})
+	c.SetHinter(blamed)
 	c.Start()
 	defer c.Stop()
 
@@ -99,7 +105,7 @@ func TestSuspectSideYieldsWhenBenignEmpty(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &hintCollect{}
 	c := New(eng, Config{QueueCapacity: 64, InitialRatePPS: 1000}, sink)
-	c.SetHinter(srcHinter{suspect: netpkt.MustIPv4("10.0.0.66")})
+	c.SetHinter(blamed)
 	c.Start()
 	defer c.Stop()
 
@@ -122,7 +128,7 @@ func TestSplitConservation(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &hintCollect{}
 	c := New(eng, Config{QueueCapacity: 8, InitialRatePPS: 200}, sink)
-	c.SetHinter(srcHinter{suspect: netpkt.MustIPv4("10.0.0.66")})
+	c.SetHinter(blamed)
 	c.Start()
 	defer c.Stop()
 
@@ -148,7 +154,7 @@ func TestSplitConservation(t *testing.T) {
 
 func TestNoHinterBehavesAsBefore(t *testing.T) {
 	eng := netsim.NewEngine()
-	sink := &collect{} // plain Sink, no HintSink
+	sink := &collect{}
 	c := New(eng, Config{QueueCapacity: 16, InitialRatePPS: 1000}, sink)
 	c.Start()
 	defer c.Stop()
@@ -167,25 +173,6 @@ func TestNoHinterBehavesAsBefore(t *testing.T) {
 	}
 	if s.BenignServed != 5 {
 		t.Fatalf("BenignServed = %d, want 5", s.BenignServed)
-	}
-}
-
-func TestRequeueReclassifies(t *testing.T) {
-	eng := netsim.NewEngine()
-	sink := &hintCollect{}
-	c := New(eng, Config{QueueCapacity: 16, InitialRatePPS: 0}, sink)
-	c.SetHinter(srcHinter{suspect: netpkt.MustIPv4("10.0.0.66")})
-
-	pkt := fromSrc("10.0.0.66", 3)
-	pkt.NwTOS = 0 // Requeue takes an already-detagged packet
-	c.Requeue(1, 3, pkt, 10*time.Millisecond)
-
-	s := c.Stats()
-	if s.SuspectBacklog != 1 {
-		t.Fatalf("requeued suspect packet landed on benign side: %+v", s)
-	}
-	if s.Requeued != 1 {
-		t.Fatalf("Requeued = %d, want 1", s.Requeued)
 	}
 }
 

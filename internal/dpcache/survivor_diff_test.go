@@ -44,16 +44,6 @@ func (f *byValueFIFO) push(e entry) {
 	f.n++
 }
 
-func (f *byValueFIFO) pushFront(e entry) {
-	if f.n == len(f.buf) && !f.grow() {
-		f.dropped++
-		return
-	}
-	f.head = (f.head - 1 + len(f.buf)) % len(f.buf)
-	f.buf[f.head] = e
-	f.n++
-}
-
 func (f *byValueFIFO) pop() (entry, bool) {
 	if f.n == 0 {
 		return entry{}, false
@@ -67,20 +57,19 @@ func (f *byValueFIFO) pop() (entry, bool) {
 type byValueCache struct {
 	eng                      *netsim.Engine
 	cfg                      Config
-	sink                     HintSink
+	sink                     Sink
 	hinter                   Hinter
 	rules                    *flowtable.Table
 	queues, suspects         [numQueues]*byValueFIFO
 	priority                 *byValueFIFO
 	next, susNext            QueueClass
 	credit                   int
-	enqueued, requeued       uint64
-	emitted                  int64
+	enqueued, emitted        uint64
 	prioSrvd, benign, suspct uint64
 	maxBacklog               int
 }
 
-func newByValueCache(eng *netsim.Engine, cfg Config, sink HintSink) *byValueCache {
+func newByValueCache(eng *netsim.Engine, cfg Config, sink Sink) *byValueCache {
 	c := &byValueCache{eng: eng, cfg: cfg, sink: sink, credit: cfg.BenignWeight}
 	for i := range c.queues {
 		c.queues[i] = &byValueFIFO{capacity: cfg.QueueCapacity}
@@ -101,16 +90,12 @@ func (c *byValueCache) queueFor(e *entry) *byValueFIFO {
 	return c.queues[cls]
 }
 
-func (c *byValueCache) enqueue(e entry, front bool) {
+func (c *byValueCache) enqueue(e entry) {
 	q := c.queueFor(&e)
 	if c.rules != nil && c.rules.Peek(&e.pkt, e.inPort) != nil {
 		q = c.priority
 	}
-	if front {
-		q.pushFront(e)
-	} else {
-		q.push(e)
-	}
+	q.push(e)
 	c.maxBacklog = max(c.maxBacklog, c.backlog())
 }
 
@@ -122,17 +107,7 @@ func (c *byValueCache) Ingest(origin uint64, pkt netpkt.Packet) {
 	if c.hinter != nil {
 		e.hint = c.hinter.Hint(origin, inPort, &e.pkt)
 	}
-	c.enqueue(e, false)
-}
-
-func (c *byValueCache) Requeue(origin uint64, inPort uint16, pkt netpkt.Packet, queued time.Duration) {
-	c.emitted--
-	c.requeued++
-	e := entry{origin: origin, pkt: pkt, inPort: inPort, arrived: c.eng.Now().Add(-queued)}
-	if c.hinter != nil {
-		e.hint = c.hinter.Hint(origin, inPort, &e.pkt)
-	}
-	c.enqueue(e, true)
+	c.enqueue(e)
 }
 
 func (c *byValueCache) popRR(set *[numQueues]*byValueFIFO, cursor *QueueClass) (entry, bool) {
@@ -197,11 +172,11 @@ func (c *byValueCache) deliver(e entry) {
 	}
 	queued := c.eng.Now().Sub(e.arrived)
 	if c.cfg.ProcessingDelay <= 0 {
-		c.sink.CacheEmitHint(e.origin, e.inPort, e.hint, e.pkt, queued)
+		c.sink.CacheEmit(e.origin, e.inPort, e.pkt, queued)
 		return
 	}
 	c.eng.Schedule(c.cfg.ProcessingDelay, func() {
-		c.sink.CacheEmitHint(e.origin, e.inPort, e.hint, e.pkt, queued+c.cfg.ProcessingDelay)
+		c.sink.CacheEmit(e.origin, e.inPort, e.pkt, queued+c.cfg.ProcessingDelay)
 	})
 }
 
@@ -214,8 +189,8 @@ func (c *byValueCache) backlog() int {
 }
 
 func (c *byValueCache) Stats() Stats {
-	s := Stats{Enqueued: c.enqueued, Emitted: uint64(c.emitted), PriorityServed: c.prioSrvd,
-		Requeued: c.requeued, BenignServed: c.benign, SuspectServed: c.suspct, MaxBacklog: c.maxBacklog}
+	s := Stats{Enqueued: c.enqueued, Emitted: c.emitted, PriorityServed: c.prioSrvd,
+		BenignServed: c.benign, SuspectServed: c.suspct, MaxBacklog: c.maxBacklog}
 	for i := range c.queues {
 		s.PerQueue[i] = c.queues[i].n + c.suspects[i].n
 		s.Backlog += c.queues[i].n + c.suspects[i].n
@@ -233,44 +208,26 @@ func (c *byValueCache) Stats() Stats {
 type emission struct {
 	origin uint64
 	inPort uint16
-	hint   uint8
 	pkt    netpkt.Packet
 	queued time.Duration
 }
 
-// requeueSink records every delivery and, on a seeded coin, hands it
-// straight back through Requeue from inside the callback — onto the
-// queue slot the cache just popped. Every other requeue is of a
-// different packet, so a cache that read the popped slot after the
-// callback would replay the wrong one.
-type requeueSink struct {
-	rng     *rand.Rand
-	requeue func(origin uint64, inPort uint16, pkt netpkt.Packet, queued time.Duration)
-	got     []emission
-}
+// recordSink records every delivery.
+type recordSink struct{ got []emission }
 
-func (s *requeueSink) CacheEmitHint(origin uint64, inPort uint16, hint uint8, pkt netpkt.Packet, queued time.Duration) {
-	s.got = append(s.got, emission{origin, inPort, hint, pkt, queued})
-	if s.rng.Intn(4) != 0 {
-		return
-	}
-	if s.rng.Intn(2) == 0 {
-		pkt.TpSrc ^= 0xffff
-		inPort = (inPort + 1) % 8
-	}
-	s.requeue(origin, inPort, pkt, queued)
-}
-
-func (s *requeueSink) CacheEmit(uint64, uint16, netpkt.Packet, time.Duration) {
-	panic("the cache must deliver through CacheEmitHint")
+func (s *recordSink) CacheEmit(origin uint64, inPort uint16, pkt netpkt.Packet, queued time.Duration) {
+	s.got = append(s.got, emission{origin, inPort, pkt, queued})
 }
 
 // TestSlotQueuesMatchByValueQueues drives the slot-based cache and the
-// by-value reference with the same seeded ingest / replay / Requeue
-// streams — small queues that overflow, hint epochs that move packets
-// between the benign and suspect sides, a cache-resident priority rule,
-// inline and delayed delivery — and requires the identical emission
-// sequence and identical Stats after every step.
+// by-value reference with the same seeded ingest / replay streams —
+// small queues that overflow, hint epochs that move packets between the
+// benign and suspect sides, a cache-resident priority rule, inline and
+// delayed delivery — and requires the identical emission sequence and
+// identical Stats (the benign/suspect service split included) after
+// every step. The delayed leg ingests into slots freed by pops whose
+// emit is still scheduled, so a cache that read the popped slot when
+// the emit fires would replay the wrong packet.
 func TestSlotQueuesMatchByValueQueues(t *testing.T) {
 	for _, delay := range []time.Duration{0, 300 * time.Microsecond} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -305,12 +262,10 @@ func survivorDifferential(t *testing.T, delay time.Duration, seed int64) {
 	}
 
 	slotEng, refEng := netsim.NewEngine(), netsim.NewEngine()
-	slotSink := &requeueSink{rng: rand.New(rand.NewSource(seed))}
-	refSink := &requeueSink{rng: rand.New(rand.NewSource(seed))}
+	slotSink, refSink := &recordSink{}, &recordSink{}
 	c := New(slotEng, cfg, slotSink)
 	cfg.BenignWeight = c.cfg.BenignWeight
 	ref := newByValueCache(refEng, cfg, refSink)
-	slotSink.requeue, refSink.requeue = c.Requeue, ref.Requeue
 	c.SetHinter(hinter)
 	ref.hinter = hinter
 	if seed%3 == 0 {
@@ -354,7 +309,7 @@ func survivorDifferential(t *testing.T, delay time.Duration, seed int64) {
 		}
 		checked = len(slotSink.got)
 	}
-	if st := ref.Stats(); st.Requeued == 0 || st.Dropped == 0 || st.SuspectServed == 0 || st.Emitted == 0 ||
+	if st := ref.Stats(); st.Dropped == 0 || st.SuspectServed == 0 || st.Emitted == 0 ||
 		(seed%3 == 0 && st.PriorityServed == 0) {
 		t.Fatalf("the stream no longer exercises every path: %+v", st)
 	}

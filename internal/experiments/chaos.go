@@ -140,7 +140,7 @@ func (r *ChaosResult) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "degraded entries %d, degraded drops %d, replayed %d\n",
 		r.DegradedEntries, r.DegradedDrops, r.Replayed)
-	fmt.Fprintf(w, "cache: enqueued %d, emitted %d, requeued %d, dropped %d\n",
-		r.Cache.Enqueued, r.Cache.Emitted, r.Cache.Requeued, r.Cache.Dropped)
+	fmt.Fprintf(w, "cache: enqueued %d, emitted %d, dropped %d\n",
+		r.Cache.Enqueued, r.Cache.Emitted, r.Cache.Dropped)
 	fmt.Fprintf(w, "drain after attack end: %0.3fs (drained=%v)\n", r.DrainTime.Seconds(), r.Drained)
 }

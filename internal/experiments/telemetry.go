@@ -24,7 +24,7 @@ func SetRegistry(reg *telemetry.Registry) { liveReg = reg }
 // event log, caches, controller, pipeline tracer) when present, plus the
 // switch datapath and its flow table. The switch shares the guard's
 // tracer so table-miss→controller latency lands in the same
-// fg_pipeline_seconds family as the cache and replay stages.
+// fg_pipeline_seconds family as the cache-wait and re-raise stages.
 func (tb *Testbed) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return

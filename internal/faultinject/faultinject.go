@@ -1,27 +1,21 @@
-// Package faultinject provides deterministic, seedable fault hooks for
-// chaos-testing FloodGuard's channels: the OpenFlow control connection,
-// the dpcproto sideband between the migration agent and the data plane
-// cache box, and simulated netsim links.
+// Package faultinject provides a deterministic, seedable fault stream
+// for chaos-testing FloodGuard.
 //
 // An Injector decides, per operation, whether to inject one of five
 // faults — drop, delay, truncate, error, disconnect — from a seeded RNG
 // plus optional deterministic every-N schedules, so a chaos run
-// reproduces exactly from its seed. Wrappers apply those decisions to an
-// io.ReadWriteCloser (Conn) or a discrete-event link (Link).
+// reproduces exactly from its seed. The caller maps each decision onto
+// its own channel: the soak turns disconnects into replay outage windows
+// and drops into rule-churn windows.
 //
 // The package is test/chaos infrastructure: production paths never
-// import it; the chaos harness (`fgsim chaos`, the soak tests) wires the
-// wrappers around real channels.
+// import it.
 package faultinject
 
 import (
-	"errors"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
-
-	"floodguard/internal/netsim"
 )
 
 // Fault enumerates the injectable failure modes.
@@ -30,16 +24,15 @@ type Fault int
 // Fault kinds. FaultNone means the operation proceeds untouched.
 const (
 	FaultNone Fault = iota
-	// FaultDrop silently discards the operation: a write pretends to
-	// succeed, a link frame vanishes in flight.
+	// FaultDrop silently discards the operation.
 	FaultDrop
 	// FaultDelay stalls the operation before performing it.
 	FaultDelay
-	// FaultTruncate performs only a prefix of a write, then reports an
-	// error — the receiver sees a torn frame.
+	// FaultTruncate performs only a prefix of a write (Decision.KeepBytes),
+	// then reports an error — the receiver sees a torn frame.
 	FaultTruncate
-	// FaultError fails the operation with ErrInjected without touching
-	// the underlying channel.
+	// FaultError fails the operation without touching the underlying
+	// channel.
 	FaultError
 	// FaultDisconnect closes the underlying channel and fails the
 	// operation — both ends observe a dead peer.
@@ -67,19 +60,12 @@ func (f Fault) String() string {
 	}
 }
 
-// ErrInjected is the error surfaced by FaultError and FaultTruncate.
-var ErrInjected = errors.New("faultinject: injected fault")
-
-// ErrDisconnected is surfaced by operations on a channel a
-// FaultDisconnect already closed.
-var ErrDisconnected = errors.New("faultinject: injected disconnect")
-
 // Config parameterises an Injector. Probabilities are per operation in
 // [0, 1] and are evaluated in the order drop, delay, truncate, error,
 // disconnect (first match wins). EveryN schedules fire deterministically
 // on every Nth operation and take precedence over the probabilistic
-// draws, so "disconnect the sideband every 50 packets" reproduces
-// exactly regardless of the other knobs.
+// draws, so "disconnect every 50th operation" reproduces exactly
+// regardless of the other knobs.
 type Config struct {
 	// Seed fixes the RNG; runs with equal seeds and operation sequences
 	// decide identically.
@@ -190,152 +176,3 @@ func (in *Injector) Count(f Fault) uint64 {
 	}
 	return in.counts[f]
 }
-
-// Conn wraps an io.ReadWriteCloser (typically a net.Conn or one side of
-// a net.Pipe) and applies injected faults to its operations. Writes
-// consult the write injector, reads the read injector; either may be nil
-// to leave that direction untouched. A FaultDisconnect closes the
-// underlying channel; subsequent operations fail with ErrDisconnected.
-type Conn struct {
-	rw   io.ReadWriteCloser
-	wInj *Injector
-	rInj *Injector
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// WrapConn wraps rw with fault injection on both directions.
-func WrapConn(rw io.ReadWriteCloser, inj *Injector) *Conn {
-	return &Conn{rw: rw, wInj: inj, rInj: inj}
-}
-
-// WrapConnSplit wraps rw with independent write- and read-side
-// injectors (either may be nil).
-func WrapConnSplit(rw io.ReadWriteCloser, write, read *Injector) *Conn {
-	return &Conn{rw: rw, wInj: write, rInj: read}
-}
-
-// Write applies the next write-side fault decision, then forwards to the
-// underlying writer.
-func (c *Conn) Write(p []byte) (int, error) {
-	if c.dead() {
-		return 0, ErrDisconnected
-	}
-	if c.wInj == nil {
-		return c.rw.Write(p)
-	}
-	switch d := c.wInj.Decide(len(p)); d.Fault {
-	case FaultDrop:
-		return len(p), nil // swallowed; the peer never sees it
-	case FaultDelay:
-		time.Sleep(d.Delay)
-		return c.rw.Write(p)
-	case FaultTruncate:
-		if d.KeepBytes > 0 {
-			if n, err := c.rw.Write(p[:d.KeepBytes]); err != nil {
-				return n, err
-			}
-		}
-		return d.KeepBytes, ErrInjected
-	case FaultError:
-		return 0, ErrInjected
-	case FaultDisconnect:
-		c.kill()
-		return 0, ErrDisconnected
-	default:
-		return c.rw.Write(p)
-	}
-}
-
-// Read applies the next read-side fault decision, then forwards to the
-// underlying reader. Drop and truncate make no sense on the read side
-// and behave as error faults.
-func (c *Conn) Read(p []byte) (int, error) {
-	if c.dead() {
-		return 0, ErrDisconnected
-	}
-	if c.rInj == nil {
-		return c.rw.Read(p)
-	}
-	switch d := c.rInj.Decide(0); d.Fault {
-	case FaultDelay:
-		time.Sleep(d.Delay)
-		return c.rw.Read(p)
-	case FaultDrop, FaultTruncate, FaultError:
-		return 0, ErrInjected
-	case FaultDisconnect:
-		c.kill()
-		return 0, ErrDisconnected
-	default:
-		return c.rw.Read(p)
-	}
-}
-
-// Close closes the underlying channel.
-func (c *Conn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	return c.rw.Close()
-}
-
-func (c *Conn) dead() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-func (c *Conn) kill() {
-	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	c.mu.Unlock()
-	if !already {
-		_ = c.rw.Close()
-	}
-}
-
-// Link wraps a netsim.Link with fault injection: dropped frames are
-// charged to the link (they occupy bandwidth) but never delivered;
-// delayed frames arrive late; error/truncate/disconnect decisions all
-// degrade to drops, since a simulated link has no error channel.
-type Link struct {
-	l   *netsim.Link
-	eng *netsim.Engine
-	inj *Injector
-
-	dropped uint64
-}
-
-// WrapLink wraps l (scheduled on eng) with injector inj.
-func WrapLink(eng *netsim.Engine, l *netsim.Link, inj *Injector) *Link {
-	return &Link{l: l, eng: eng, inj: inj}
-}
-
-// Send mirrors netsim.Link.Send, applying the next fault decision.
-func (fl *Link) Send(size int, deliver func()) *netsim.Event {
-	switch d := fl.inj.Decide(size); d.Fault {
-	case FaultNone:
-		return fl.l.Send(size, deliver)
-	case FaultDelay:
-		return fl.l.Send(size, func() {
-			fl.eng.Schedule(d.Delay, deliver)
-		})
-	default:
-		// Drop (and every fault without a wire representation): the frame
-		// serialises onto the link, then vanishes.
-		fl.dropped++
-		return fl.l.Send(size, func() {})
-	}
-}
-
-// Dropped returns how many frames the wrapper has discarded.
-func (fl *Link) Dropped() uint64 { return fl.dropped }
-
-// Inner returns the wrapped link (for meters and stats).
-func (fl *Link) Inner() *netsim.Link { return fl.l }

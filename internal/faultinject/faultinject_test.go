@@ -1,15 +1,6 @@
 package faultinject
 
-import (
-	"bytes"
-	"errors"
-	"io"
-	"net"
-	"testing"
-	"time"
-
-	"floodguard/internal/netsim"
-)
+import "testing"
 
 func TestInjectorIsDeterministic(t *testing.T) {
 	cfg := Config{
@@ -60,116 +51,6 @@ func TestInjectorZeroConfigNeverFaults(t *testing.T) {
 		if d := in.Decide(100); d.Fault != FaultNone {
 			t.Fatalf("op %d faulted: %+v", i, d)
 		}
-	}
-}
-
-// rwc adapts a buffer into an io.ReadWriteCloser for Conn tests.
-type rwc struct {
-	bytes.Buffer
-	closed bool
-}
-
-func (r *rwc) Close() error { r.closed = true; return nil }
-
-func TestConnDropSwallowsWrites(t *testing.T) {
-	under := &rwc{}
-	c := WrapConnSplit(under, New(Config{Seed: 1, DropEvery: 1}), nil)
-	n, err := c.Write([]byte("hello"))
-	if err != nil || n != 5 {
-		t.Fatalf("Write = %d, %v; drop must fake success", n, err)
-	}
-	if under.Len() != 0 {
-		t.Fatalf("underlying saw %d bytes; drop must swallow", under.Len())
-	}
-}
-
-func TestConnTruncateWritesPrefixAndErrors(t *testing.T) {
-	// TruncateProb 1 with the first decision: find a seed whose first
-	// KeepBytes > 0 so the prefix path is exercised.
-	under := &rwc{}
-	c := WrapConnSplit(under, New(Config{Seed: 3, TruncateProb: 1}), nil)
-	payload := []byte("0123456789")
-	n, err := c.Write(payload)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("Write err = %v, want ErrInjected", err)
-	}
-	if n != under.Len() {
-		t.Fatalf("reported %d bytes, underlying saw %d", n, under.Len())
-	}
-	if under.Len() >= len(payload) {
-		t.Fatalf("truncate kept %d of %d bytes", under.Len(), len(payload))
-	}
-}
-
-func TestConnDisconnectClosesUnderlyingAndSticks(t *testing.T) {
-	under := &rwc{}
-	c := WrapConn(under, New(Config{Seed: 1, DisconnectEvery: 1}))
-	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("Write err = %v, want ErrDisconnected", err)
-	}
-	if !under.closed {
-		t.Fatal("disconnect did not close the underlying channel")
-	}
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("Read after disconnect = %v, want ErrDisconnected", err)
-	}
-}
-
-func TestConnPassesThroughWhenQuiet(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	c := WrapConn(client, New(Config{Seed: 5}))
-	go func() {
-		buf := make([]byte, 5)
-		_, _ = io.ReadFull(server, buf)
-		_, _ = server.Write(buf)
-	}()
-	if _, err := c.Write([]byte("salut")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(c, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "salut" {
-		t.Fatalf("echo = %q", buf)
-	}
-	_ = c.Close()
-	_ = c.Close() // idempotent
-}
-
-func TestLinkDropsAndDelays(t *testing.T) {
-	eng := netsim.NewEngine()
-	raw := netsim.NewLink(eng, 0, time.Millisecond)
-	fl := WrapLink(eng, raw, New(Config{Seed: 1, DropEvery: 2}))
-
-	delivered := 0
-	for i := 0; i < 10; i++ {
-		fl.Send(100, func() { delivered++ })
-	}
-	eng.RunFor(time.Second)
-	if delivered != 5 {
-		t.Fatalf("delivered = %d, want 5 (every 2nd dropped)", delivered)
-	}
-	if fl.Dropped() != 5 {
-		t.Fatalf("Dropped() = %d, want 5", fl.Dropped())
-	}
-	// Dropped frames still occupy the link.
-	if fl.Inner().FramesSent() != 10 {
-		t.Fatalf("FramesSent = %d, want 10", fl.Inner().FramesSent())
-	}
-}
-
-func TestLinkDelayDefersDelivery(t *testing.T) {
-	eng := netsim.NewEngine()
-	raw := netsim.NewLink(eng, 0, 0)
-	fl := WrapLink(eng, raw, New(Config{Seed: 2, DelayProb: 1, MaxDelay: 10 * time.Millisecond}))
-
-	var at time.Time
-	fl.Send(1, func() { at = eng.Now() })
-	eng.RunFor(time.Second)
-	if !at.After(netsim.Epoch) {
-		t.Fatalf("delayed frame delivered at %v, want after epoch", at)
 	}
 }
 

@@ -158,7 +158,7 @@ func (p *Packet) String() string {
 
 // Marshal encodes p as a full wire-format frame in a single exact-size
 // allocation. Hot paths that can bound the frame's lifetime should prefer
-// MarshalAppend with a reused (or pooled, see GetFrame) buffer.
+// MarshalAppend with a reused buffer.
 func (p *Packet) Marshal() []byte {
 	return p.MarshalAppend(make([]byte, 0, p.WireLen()))
 }

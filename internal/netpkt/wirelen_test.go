@@ -85,16 +85,3 @@ func TestMarshalAppendMatchesMarshal(t *testing.T) {
 		}
 	}
 }
-
-func TestFramePoolRoundTrip(t *testing.T) {
-	p := packetShapes()["tcp-payload"]
-	want := p.Marshal()
-	for i := 0; i < 4; i++ {
-		fb := GetFrame()
-		fb.B = p.MarshalAppend(fb.B)
-		if !bytes.Equal(fb.B, want) {
-			t.Fatalf("iteration %d: pooled marshal differs", i)
-		}
-		fb.Release()
-	}
-}

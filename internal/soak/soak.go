@@ -49,7 +49,6 @@ type WindowStats struct {
 	Emitted        uint64
 	DroppedBenign  uint64
 	DroppedSuspect uint64
-	Requeued       uint64
 	Backlog        int
 	SuspectBacklog int
 	MaxBacklog     int
@@ -796,7 +795,6 @@ func collectWindow(w int, cfg *Config, pipe pipeline, gen *benignGen, tally *rep
 		Emitted:             cs.Emitted,
 		DroppedBenign:       cs.BenignDropped,
 		DroppedSuspect:      cs.SuspectDropped,
-		Requeued:            cs.Requeued,
 		Backlog:             cs.Backlog,
 		SuspectBacklog:      cs.SuspectBacklog,
 		MaxBacklog:          cs.MaxBacklog,

@@ -78,10 +78,6 @@ var LatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// CountBuckets is a power-of-two bucket layout for size/count
-// distributions (batch sizes, queue lengths).
-var CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-
 // Histogram is a fixed-bucket histogram of float64 observations
 // (seconds, for latency histograms). Buckets are cumulative at
 // exposition time, Prometheus-style: an observation lands in the first

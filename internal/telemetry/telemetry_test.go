@@ -57,7 +57,7 @@ func TestConcurrentCounters(t *testing.T) {
 }
 
 func TestConcurrentHistogram(t *testing.T) {
-	h := NewHistogram(CountBuckets)
+	h := NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -204,7 +204,7 @@ func TestTracerSampling(t *testing.T) {
 	if nilT.Sample() {
 		t.Error("nil tracer sampled")
 	}
-	nilT.Observe(StageReplay, time.Millisecond) // must not panic
+	nilT.Observe(StageReraise, time.Millisecond) // must not panic
 	tr.Observe(StagePacketIn, 100*time.Microsecond)
 	if got := tr.Histogram(StagePacketIn).Count(); got != 1 {
 		t.Errorf("stage count = %d, want 1", got)

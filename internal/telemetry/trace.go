@@ -9,7 +9,7 @@ import (
 // FloodGuard pipeline:
 //
 //	packet_in → migration divert → cache enqueue → scheduler dequeue
-//	          → replay → controller re-raise → flow install
+//	          → controller re-raise → flow install
 //
 // Each traced stage aggregates into its own latency histogram. The
 // migration divert itself is instantaneous at the switch (a table-miss
@@ -24,9 +24,6 @@ const (
 	// StageCacheWait: residence in the data-plane cache, enqueue to
 	// scheduler dequeue.
 	StageCacheWait
-	// StageReplay: scheduler dequeue until the replay record is written
-	// to the sideband.
-	StageReplay
 	// StageReraise: replay delivery until the guard re-raises the
 	// packet_in into the controller.
 	StageReraise
@@ -44,8 +41,6 @@ func (s Stage) String() string {
 		return "packet_in"
 	case StageCacheWait:
 		return "cache_wait"
-	case StageReplay:
-		return "replay"
 	case StageReraise:
 		return "reraise"
 	case StageFlowInstall:
