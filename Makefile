@@ -16,11 +16,12 @@ test: test-cpus
 	$(GO) test -shuffle=on ./...
 
 # The concurrent protocols (in-band Apply, ring handoffs, shard flush
-# against attribution roll) and the engine-vs-reference differential at
-# every core count a box might have. -count=1 defeats the test cache: a
-# cached "ok" from a 1-CPU run once hid two red tests here.
+# against attribution roll, and the wall-clock engine against manual
+# mode) at every core count a box might have. The soak is not here: it
+# starts no goroutine. -count=1 defeats the test cache: a cached "ok"
+# from a 1-CPU run once hid two red tests here.
 test-cpus:
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/rtc ./internal/flowtable ./internal/spsc ./internal/sketch ./internal/attrib ./internal/soak
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/rtc ./internal/flowtable ./internal/spsc ./internal/sketch ./internal/attrib
 
 # The wire-to-wire benchmark harness is a nested module, so ./... does
 # not reach its tests: vet it, run them (a traced smoke of every
@@ -33,7 +34,7 @@ bench-harness:
 	bash bench/run.sh -smoke
 
 # The concurrent protocols (ring handoffs, in-band Apply, the shard
-# flush barrier) are the ones most worth racing; run the whole tree so
+# window flush) are the ones most worth racing; run the whole tree so
 # regressions elsewhere surface too.
 race:
 	$(GO) test -race ./...

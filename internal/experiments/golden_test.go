@@ -143,23 +143,33 @@ func paperGolden() ([]byte, error) {
 }
 
 func TestGoldenOutputs(t *testing.T) {
-	t.Run("soak", func(t *testing.T) {
-		res, err := soak.Run(goldenSoakConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(res.Violations); n > 0 {
-			t.Fatalf("%d invariant violations, first: %s", n, res.Violations[0])
-		}
-		var buf bytes.Buffer
-		if err := WriteSoakCSV(&buf, res.Windows); err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "soak.csv", buf.Bytes())
-		// The dump is tens of kB of JSONL; its digest and length are the golden.
-		checkGolden(t, "soak.journal.sum",
-			[]byte(fmt.Sprintf("sha256=%x len=%d\n", sha256.Sum256(res.JournalDump), len(res.JournalDump))))
-	})
+	// The golden soak at its own two shards, at one (the soak_adaptive
+	// workload's shard count) and at four: the shard count must not leak
+	// into the output.
+	for _, sc := range []struct {
+		name   string
+		shards int
+	}{{"soak", 2}, {"soak1", 1}, {"soak4", 4}} {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := goldenSoakConfig()
+			cfg.Shards = sc.shards
+			res, err := soak.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(res.Violations); n > 0 {
+				t.Fatalf("%d invariant violations, first: %s", n, res.Violations[0])
+			}
+			var buf bytes.Buffer
+			if err := WriteSoakCSV(&buf, res.Windows); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, sc.name+".csv", buf.Bytes())
+			// The dump is tens of kB of JSONL; its digest and length are the golden.
+			checkGolden(t, sc.name+".journal.sum",
+				[]byte(fmt.Sprintf("sha256=%x len=%d\n", sha256.Sum256(res.JournalDump), len(res.JournalDump))))
+		})
+	}
 	type csvWriter = interface{ WriteCSV(io.Writer) error }
 	csvCase := func(name string, run func() (csvWriter, error)) {
 		t.Run(name, func(t *testing.T) {

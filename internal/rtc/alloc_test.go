@@ -6,15 +6,18 @@ import (
 
 	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
+	"floodguard/internal/openflow"
 )
 
 // TestShardBodyAllocatesNothing is the absolute witness behind "the
 // per-packet shard path performs zero allocations, hit or miss": the
 // warm run-to-completion body over a 3:1 benign/spoof mix, with no
 // journal, with a live journal (barrier heartbeat and consumer drain
-// included), and with a strict-delete/re-add flow_mod pair arriving
+// included), with a strict-delete/re-add flow_mod pair arriving
 // in-band through the control ring every 64 packets (where only the
-// rule install itself may allocate).
+// rule install itself may allocate), and in manual mode, where
+// InjectItem runs the body on the caller and a miss goes straight into
+// the cache's queues.
 func TestShardBodyAllocatesNothing(t *testing.T) {
 	now := time.Now()
 	t.Run("journal-off", func(t *testing.T) {
@@ -48,7 +51,7 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		}
 	})
 	t.Run("churn", func(t *testing.T) {
-		e, s, items, drain := warmShard(t, Config{})
+		_, s, items, drain := warmShard(t, Config{})
 		del, add := churnPair(items)
 		// Installing a rule allocates its table entry, so the whole loop
 		// is measured as one run and held to that: a handful of
@@ -58,12 +61,8 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 			for i := 1; i <= packets; i++ {
 				s.processOne(&items[i&63], now)
 				if i&63 == 0 {
-					if err := e.ApplyAsync(del); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.ApplyAsync(add); err != nil {
-						t.Fatal(err)
-					}
+					pushMod(t, s, del)
+					pushMod(t, s, add)
 					s.drainCtrl(now)
 				}
 				if i&1023 == 0 {
@@ -79,6 +78,37 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 			t.Errorf("churn applied %d flow_mods with %d errors", s.applied.Load(), s.applyErrs.Load())
 		}
 	})
+	t.Run("manual", func(t *testing.T) {
+		// 64-slot queues: the warm-up fills them, so the measured misses
+		// overwrite the oldest entry in place instead of growing a queue.
+		e, s, items, _ := warmShard(t, Config{Manual: true, QueueCapacity: 64})
+		e.Start()
+		defer e.Stop()
+		for i := 0; i < 8192; i++ {
+			e.InjectItem(items[i&63])
+		}
+		i := 0
+		if a := testing.AllocsPerRun(4096, func() {
+			e.InjectItem(items[i&63])
+			if i++; i&1023 == 0 {
+				e.Advance(time.Duration(i) * time.Millisecond) // replay ticks
+			}
+		}); a != 0 {
+			t.Errorf("manual-mode shard body with cache ingest allocates %v per packet, want 0", a)
+		}
+		if st := e.CacheStats(); st.Enqueued != s.misses.Load() || st.Emitted == 0 {
+			t.Errorf("cache enqueued %d of %d misses, emitted %d", st.Enqueued, s.misses.Load(), st.Emitted)
+		}
+	})
+}
+
+// pushMod enqueues a flow_mod on the shard's control ring without
+// waiting for its ack: the in-band hop a running shard drains at the top
+// of each batch.
+func pushMod(tb testing.TB, s *Shard, m openflow.FlowMod) {
+	if err := s.pushCtrl(ctrlEvent{mod: m}, time.Now().Add(time.Second)); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // TestRingHandoffAllocatesNothing pins the shard→cache handoff: a

@@ -2,10 +2,10 @@
 // as in-band control events and are applied by the shard goroutine
 // against its own table partition — the serving path never takes a
 // writer lock, and a mutation touches only the owning partition.
-// Mutations that wildcard in_port broadcast one event per shard; each
-// copy converges no later than the shard's next window barrier (Flush
-// sentinels drain the control ring before the attribution merge), and
-// immediately when the shard is parked idle.
+// Mutations that wildcard in_port broadcast one event per shard, and
+// Apply returns once every copy is applied. In manual mode there is no
+// shard goroutine and no control ring: the harness owns the partitions
+// and Apply mutates them inline.
 package rtc
 
 import (
@@ -76,11 +76,12 @@ func (a *applyAck) complete(err error) {
 // either error a broadcast may be partially applied; flow_mod
 // application is idempotent, so the caller retries the whole mod.
 //
-// On a quiescent engine (before Start, after Stop) the mod is applied
-// inline — the caller is the only goroutine touching the partitions
-// then. Do not call Apply concurrently with Start or Stop.
+// On a quiescent engine (before Start, after Stop) and in manual mode
+// the mod is applied inline — the caller is the only goroutine touching
+// the partitions then, so it is visible to the very next packet. Do not
+// call Apply concurrently with Start or Stop.
 func (e *Engine) Apply(m openflow.FlowMod) error {
-	if !e.started.Load() || e.stopped.Load() {
+	if e.cfg.Manual || !e.started.Load() || e.stopped.Load() {
 		_, err := e.parts.Apply(m, time.Now())
 		return err
 	}
@@ -123,25 +124,6 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 	return pushErr
 }
 
-// ApplyAsync enqueues a flow_mod without waiting for application: the
-// owning shard(s) apply it in-band, no later than their next window
-// barrier. Only the enqueue is bounded (ErrApplyBackpressure on a full
-// ring); application errors are counted in the shard's ApplyErrs
-// rather than returned — callers that need them use Apply. The shard
-// goroutine must be running (or a harness must drain the control ring
-// via drainCtrl) for the event to ever apply.
-func (e *Engine) ApplyAsync(m openflow.FlowMod) error {
-	first, last := e.applyTargets(&m.Match)
-	deadline := time.Now().Add(e.cfg.ApplyTimeout)
-	var firstErr error
-	for i := first; i <= last; i++ {
-		if err := e.shards[i].pushCtrl(ctrlEvent{mod: m}, deadline); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // applyTargets returns the inclusive shard range a mutation routes to.
 func (e *Engine) applyTargets(m *openflow.Match) (first, last int) {
 	if i, owned := e.parts.Owner(m); owned {
@@ -173,9 +155,8 @@ func (s *Shard) pushCtrl(ev ctrlEvent, deadline time.Time) error {
 
 // drainCtrl applies every queued control event against the shard's
 // partition. It runs on the shard goroutine — at the top of each batch
-// iteration, at Flush sentinels (the broadcast convergence barrier),
-// and on shutdown — or on a quiescent harness driving the shard body
-// directly (the churn microbenchmark).
+// iteration and on shutdown — or on a quiescent harness driving the
+// shard body directly (the churn microbenchmark).
 func (s *Shard) drainCtrl(now time.Time) {
 	for {
 		ev, ok := s.ctrl.Pop()

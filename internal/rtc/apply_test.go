@@ -91,41 +91,39 @@ func TestApplyErrorRoundTrip(t *testing.T) {
 }
 
 // TestApplyBackpressureOnFullRing pins the bounded-wait contract: when
-// a shard's control ring stays full for the whole ApplyTimeout, both
-// Apply and ApplyAsync fail with ErrApplyBackpressure instead of
-// blocking forever. The shard goroutine is deliberately not running
-// (started is forced on) so nothing drains the ring.
+// a shard's control ring stays full for the whole ApplyTimeout, Apply
+// fails with ErrApplyBackpressure instead of blocking forever. The
+// shard goroutine is deliberately not running (started is forced on)
+// so nothing drains the ring.
 func TestApplyBackpressureOnFullRing(t *testing.T) {
 	cfg := testEngineConfig(1)
 	cfg.CtrlRingCapacity = 4
 	cfg.ApplyTimeout = 20 * time.Millisecond
 	e := New(cfg)
 	e.started.Store(true) // ring path without a consumer
+	s := e.shards[0]
 
 	g := netpkt.NewSpoofGen(9, netpkt.FloodUDP, 0)
 	pkt := g.Next()
 	for i := 0; i < cfg.CtrlRingCapacity; i++ {
-		if err := e.ApplyAsync(exactMod(&pkt, uint16(i+1), 2)); err != nil {
-			t.Fatalf("enqueue %d on an empty ring: %v", i, err)
-		}
+		pushMod(t, s, exactMod(&pkt, uint16(i+1), 2))
 	}
-	if err := e.ApplyAsync(exactMod(&pkt, 99, 2)); !errors.Is(err, ErrApplyBackpressure) {
-		t.Fatalf("ApplyAsync on a full ring = %v, want ErrApplyBackpressure", err)
+	deadline := time.Now().Add(cfg.ApplyTimeout)
+	if err := s.pushCtrl(ctrlEvent{mod: exactMod(&pkt, 99, 2)}, deadline); !errors.Is(err, ErrApplyBackpressure) {
+		t.Fatalf("enqueue on a full ring = %v, want ErrApplyBackpressure", err)
 	}
 	if err := e.Apply(exactMod(&pkt, 99, 2)); !errors.Is(err, ErrApplyBackpressure) {
 		t.Fatalf("Apply on a full ring = %v, want ErrApplyBackpressure", err)
 	}
 
-	// Draining the ring (as the shard loop does at batch tops and Flush
-	// sentinels) applies the parked events and unblocks the path.
-	e.shards[0].drainCtrl(time.Now())
+	// Draining the ring (as the shard loop does at batch tops) applies
+	// the parked events and unblocks the path.
+	s.drainCtrl(time.Now())
 	if got := e.TableRules(); got != cfg.CtrlRingCapacity {
 		t.Fatalf("rules after drain = %d, want %d", got, cfg.CtrlRingCapacity)
 	}
-	if err := e.ApplyAsync(exactMod(&pkt, 99, 2)); err != nil {
-		t.Fatalf("enqueue after drain: %v", err)
-	}
-	e.shards[0].drainCtrl(time.Now())
+	pushMod(t, s, exactMod(&pkt, 99, 2))
+	s.drainCtrl(time.Now())
 	e.started.Store(false)
 }
 
@@ -246,27 +244,61 @@ func TestApplyChurnRace(t *testing.T) {
 	}
 }
 
-// TestApplyQuiescentInline pins the pre-Start/post-Stop fast path: the
-// caller owns the partitions, so the mod applies inline with no ring.
+// TestApplyQuiescentInline pins the inline fast path: before Start and
+// after Stop the caller owns the partitions, so the mod applies with no
+// ring; in manual mode it owns them throughout, so a mod applied after
+// Start is visible to the very next InjectItem, and Start launches no
+// goroutine.
 func TestApplyQuiescentInline(t *testing.T) {
-	e := New(testEngineConfig(2))
 	g := netpkt.NewSpoofGen(13, netpkt.FloodUDP, 0)
 	pkt := g.Next()
-	if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
-		t.Fatalf("quiescent apply: %v", err)
-	}
-	if got := e.TableRules(); got != 1 {
-		t.Fatalf("rules after quiescent apply = %d, want 1", got)
-	}
-	e.Start()
-	e.Stop()
 	del := exactMod(&pkt, 1, 2)
 	del.Command = openflow.FlowDeleteStrict
 	del.OutPort = openflow.PortNone
-	if err := e.Apply(del); err != nil {
-		t.Fatalf("post-Stop apply: %v", err)
-	}
-	if got := e.TableRules(); got != 0 {
-		t.Fatalf("rules after post-Stop delete = %d, want 0", got)
-	}
+
+	t.Run("wall-clock", func(t *testing.T) {
+		e := New(testEngineConfig(2))
+		if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
+			t.Fatalf("quiescent apply: %v", err)
+		}
+		if got := e.TableRules(); got != 1 {
+			t.Fatalf("rules after quiescent apply = %d, want 1", got)
+		}
+		e.Start()
+		e.Stop()
+		if err := e.Apply(del); err != nil {
+			t.Fatalf("post-Stop apply: %v", err)
+		}
+		if got := e.TableRules(); got != 0 {
+			t.Fatalf("rules after post-Stop delete = %d, want 0", got)
+		}
+	})
+	t.Run("manual", func(t *testing.T) {
+		cfg := testEngineConfig(2)
+		cfg.Manual = true
+		e := New(cfg)
+		before := runtime.NumGoroutine()
+		e.Start()
+		defer e.Stop()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("manual Start went from %d to %d goroutines, want none started", before, after)
+		}
+		if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
+			t.Fatalf("manual apply: %v", err)
+		}
+		e.InjectItem(Item{Pkt: pkt, InPort: 1})
+		if _, fwd, _, _ := e.Counters(); fwd != 1 {
+			t.Fatalf("packet after the add forwarded %d times, want 1", fwd)
+		}
+		if err := e.Apply(del); err != nil {
+			t.Fatalf("manual delete: %v", err)
+		}
+		e.InjectItem(Item{Pkt: pkt, InPort: 1})
+		if _, fwd, miss, _ := e.Counters(); fwd != 1 || miss != 1 {
+			t.Fatalf("packet after the delete: forwarded %d, missed %d; want 1 and 1", fwd, miss)
+		}
+		if st := e.CacheStats(); st.Enqueued != 1 {
+			t.Fatalf("the miss reached the cache %d times, want 1", st.Enqueued)
+		}
+	})
 }

@@ -28,7 +28,8 @@ func mutexWaits() int64 {
 // and runs it once so the attribution sketches are warm. It returns a
 // drain func that empties the shard→cache ring (same-goroutine drain is
 // legal: SPSC needs *one* producer and *one* consumer, and a caller
-// driving processOne by hand is both).
+// driving processOne by hand is both); in manual mode there is no ring
+// and it does nothing.
 func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, drain func()) {
 	tb.Helper()
 	cfg.Shards, cfg.CacheRingCapacity = 1, 8192
@@ -51,7 +52,7 @@ func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, dr
 	}
 	buf := make([]CacheItem, 256)
 	drain = func() {
-		for s.toCache.PopBatch(buf) > 0 {
+		for s.toCache != nil && s.toCache.PopBatch(buf) > 0 {
 		}
 	}
 	now := time.Now()
@@ -125,7 +126,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 // BenchmarkShardChurnBody measures the shard body under rule churn: the
 // same warm 3:1 packet mix as BenchmarkShardPerPacket, but every 64
 // packets a strict-delete/re-add pair for a served benign flow arrives
-// in-band through the shard's control ring (ApplyAsync + drainCtrl, the
+// in-band through the shard's control ring (pushCtrl + drainCtrl, the
 // exact path a running engine takes at batch tops), while a concurrent
 // scraper reads Snapshot/TableStats. It reports the mutex-profile
 // contention delta and the flow_mods applied; the 0 allocs/op budget is
@@ -156,12 +157,8 @@ func BenchmarkShardChurnBody(b *testing.B) {
 		if i&63 == 63 {
 			// In-band rule churn, exactly as the running shard loop
 			// drains it at the top of each batch.
-			if err := e.ApplyAsync(del); err != nil {
-				b.Fatal(err)
-			}
-			if err := e.ApplyAsync(add); err != nil {
-				b.Fatal(err)
-			}
+			pushMod(b, s, del)
+			pushMod(b, s, add)
 			s.drainCtrl(now)
 		}
 		if i&1023 == 0 {

@@ -21,11 +21,13 @@
 // The cache stage owns a dpcache.Cache on a discrete-event
 // netsim.Engine. Against the wall clock it is its own goroutine: it
 // pumps that engine in real time, so the paper's rate-limited replay
-// ticker fires while ingest arrives over the per-shard SPSC rings. In
-// manual (virtual-time) mode it has no goroutine at all: the harness is
-// the rings' single consumer and drives the stage itself through
-// DrainCache and Advance, so no packet pays a hand-off to a third
-// goroutine and replay runs on the harness's critical path.
+// ticker fires while ingest arrives over the per-shard SPSC rings.
+//
+// In manual (virtual-time) mode the engine has no goroutine and no ring
+// at all: the harness runs every shard's body itself (InjectItem), a
+// miss goes straight into the cache, Flush is the window barrier and
+// Advance pumps virtual time. One goroutine, one order — determinism
+// comes from the structure, not from a barrier protocol.
 package rtc
 
 import (
@@ -47,16 +49,11 @@ import (
 
 // Item is one packet entering the engine. IngressNanos, when nonzero,
 // is the producer's wall-clock stamp (UnixNano) for latency sampling;
-// producers stamp one packet in DefaultLatencySample. An Item with
-// Flush set carries no packet: it makes the owning shard fold its
-// attribution deltas into the shared Attributor the moment it is
-// popped, giving a manual-mode harness an in-band, FIFO-ordered window
-// barrier (every packet pushed before the sentinel is merged first).
+// producers stamp one packet in DefaultLatencySample.
 type Item struct {
 	Pkt          netpkt.Packet
 	InPort       uint16
 	IngressNanos int64
-	Flush        bool
 }
 
 // CacheItem is one table-miss packet handed from a shard to the cache
@@ -73,18 +70,19 @@ type Config struct {
 	// GOMAXPROCS). Port p belongs to shard p % Shards.
 	Shards int
 	// CtrlRingCapacity sizes each shard's in-band control ring, the
-	// flow_mod path into a running engine (default 256).
+	// flow_mod path into a running wall-clock engine (default 256).
 	CtrlRingCapacity int
-	// ApplyTimeout bounds Apply/ApplyAsync: how long an enqueue may wait
-	// on a full control ring and how long Apply waits for shard
-	// acknowledgement (default 2s).
+	// ApplyTimeout bounds Apply on a running wall-clock engine: how long
+	// an enqueue may wait on a full control ring and how long Apply waits
+	// for shard acknowledgement (default 2s).
 	ApplyTimeout time.Duration
 	// TableCapacity bounds the flow table in aggregate (0 = unbounded).
 	TableCapacity int
-	// RingCapacity sizes each shard's ingress ring (default 2048).
+	// RingCapacity sizes each shard's ingress ring (default 2048; wall
+	// clock only).
 	RingCapacity int
 	// CacheRingCapacity sizes each shard→cache handoff ring (default
-	// 4096).
+	// 4096; wall clock only).
 	CacheRingCapacity int
 	// QueueCapacity bounds each dpcache protocol queue (default 4096).
 	QueueCapacity int
@@ -96,15 +94,16 @@ type Config struct {
 	Window time.Duration
 	// Attrib parameterises the shared attribution engine.
 	Attrib attrib.Config
-	// Manual switches the engine to harness-driven virtual time. Start
-	// launches only the shards; the cache stage runs on the harness's
-	// goroutine, in DrainCache (ingest the shard handoff rings in shard
-	// order) and Advance (pump the discrete-event engine to a virtual
-	// time), never against the wall clock. The attribution window never
-	// rolls on its own (the harness calls Attributor().Roll at its own
-	// barriers), and shards flush their attribution deltas only on Flush
-	// sentinel items. Two manual runs fed the same item sequence produce
-	// identical counters — the soak harness's determinism contract.
+	// Manual switches the engine to harness-driven virtual time on the
+	// harness's goroutine alone: New builds no ring and Start launches no
+	// goroutine. InjectItem carries each packet end to end on the caller,
+	// a miss going straight into the cache; Apply applies inline; Flush
+	// folds every shard's attribution and SYN-proxy deltas in shard
+	// order; Advance pumps the discrete-event engine to a virtual time.
+	// The attribution window never rolls on its own (the harness calls
+	// Attributor().Roll at its own barriers). Two manual runs fed the same
+	// item, Apply and barrier sequence produce identical counters — the
+	// soak harness's determinism contract.
 	Manual bool
 	// ReplayObserver, when set, sees every packet the cache stage replays
 	// to the controller path, with its virtual-time queue residency.
@@ -120,12 +119,12 @@ type Config struct {
 	// handshake verdicts feed each shard's attribution observer.
 	TCPGuard *tcpguard.Config
 	// Journal, when set, receives decision events. It must be built with
-	// journal.ForEngine(Shards): each shard goroutine takes its own
-	// recorder slot (flush barriers, sampled handoff-ring drops), the
-	// cache stage takes the cache slot (verdict flips, watermarks), and
-	// attribution takes its slot (suspect/blame/heal evidence). The cache
-	// stage doubles as the journal's drain consumer while the engine
-	// runs; after Stop the harness may Drain/Events it freely.
+	// journal.ForEngine(Shards): each shard takes its own recorder slot
+	// (flush barriers, sampled handoff-ring drops), the cache stage takes
+	// the cache slot (verdict flips, watermarks), and attribution takes
+	// its slot (suspect/blame/heal evidence). The cache stage doubles as
+	// the journal's drain consumer while the engine runs; after Stop the
+	// harness may Drain/Events it freely.
 	Journal *journal.Journal
 }
 
@@ -168,22 +167,24 @@ func (c *Config) normalize() {
 	}
 }
 
-// Shard is one run-to-completion worker: it owns its ingress ring, its
-// table partition, its attribution observer, and its statistics. All
-// per-packet state is goroutine-local; the counters are atomics only so
-// snapshots can read them live.
+// Shard is one run-to-completion worker: it owns its table partition,
+// its attribution observer, its statistics and, against the wall clock,
+// its goroutine and rings. All per-packet state is goroutine-local; the
+// counters are atomics only so snapshots can read them live.
 type Shard struct {
 	id  int
 	eng *Engine
 
+	// in and toCache are the ingress and shard→cache rings; both are nil
+	// in manual mode, where the harness runs the shard body itself.
 	in      *spsc.Ring[Item]
 	toCache *spsc.Ring[CacheItem]
 
 	// part is the shard-owned flow table partition: lookups and in-band
 	// rule application touch only it — zero locks on the packet path.
 	part *flowtable.Table
-	// ctrl is the in-band flow_mod ring into this shard; ctrlMu
-	// serializes control-plane producers.
+	// ctrl is the in-band flow_mod ring into this shard (nil in manual
+	// mode); ctrlMu serializes control-plane producers.
 	ctrl   *spsc.Ring[ctrlEvent]
 	ctrlMu sync.Mutex
 
@@ -207,8 +208,8 @@ type Shard struct {
 	lat latHist
 }
 
-// Ring returns the shard's ingress ring. Exactly one producer goroutine
-// may push to it (the SPSC contract).
+// Ring returns the shard's ingress ring (nil in manual mode). Exactly
+// one producer goroutine may push to it (the SPSC contract).
 func (s *Shard) Ring() *spsc.Ring[Item] { return s.in }
 
 // LookupStats is a shard's table-lookup tally. The field names date from
@@ -269,8 +270,6 @@ type Engine struct {
 	sim      *netsim.Engine
 	cache    *dpcache.Cache
 	replayed atomic.Uint64
-	// drainBuf is DrainCache's ring pop batch (manual mode).
-	drainBuf []CacheItem
 
 	wgShards sync.WaitGroup
 	wgCache  sync.WaitGroup
@@ -297,11 +296,10 @@ func (s replaySink) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packe
 func New(cfg Config) *Engine {
 	cfg.normalize()
 	e := &Engine{
-		cfg:      cfg,
-		attr:     attrib.New(cfg.Attrib),
-		sim:      netsim.NewEngine(),
-		parts:    flowtable.NewSharded(cfg.Shards, cfg.TableCapacity),
-		drainBuf: make([]CacheItem, 256),
+		cfg:   cfg,
+		attr:  attrib.New(cfg.Attrib),
+		sim:   netsim.NewEngine(),
+		parts: flowtable.NewSharded(cfg.Shards, cfg.TableCapacity),
 	}
 	e.cache = dpcache.New(e.sim, dpcache.Config{
 		QueueCapacity:  cfg.QueueCapacity,
@@ -316,14 +314,16 @@ func New(cfg Config) *Engine {
 	e.shards = make([]*Shard, cfg.Shards)
 	for i := range e.shards {
 		s := &Shard{
-			id:      i,
-			eng:     e,
-			in:      spsc.New[Item](cfg.RingCapacity),
-			toCache: spsc.New[CacheItem](cfg.CacheRingCapacity),
-			part:    e.parts.Partition(i),
-			ctrl:    spsc.New[ctrlEvent](cfg.CtrlRingCapacity),
-			obs:     e.attr.NewShardObserver(),
-			jrec:    cfg.Journal.ShardRec(i),
+			id:   i,
+			eng:  e,
+			part: e.parts.Partition(i),
+			obs:  e.attr.NewShardObserver(),
+			jrec: cfg.Journal.ShardRec(i),
+		}
+		if !cfg.Manual {
+			s.in = spsc.New[Item](cfg.RingCapacity)
+			s.toCache = spsc.New[CacheItem](cfg.CacheRingCapacity)
+			s.ctrl = spsc.New[ctrlEvent](cfg.CtrlRingCapacity)
 		}
 		e.shards[i] = s
 	}
@@ -381,94 +381,89 @@ func (e *Engine) GuardCounters() (synAcked, guardDropped uint64) {
 
 // Cache exposes the data plane cache. It is owned by the cache stage:
 // in manual mode that is the harness, which may mutate it (SetRate,
-// rule table) between DrainCache and Advance calls; against the wall
+// rule table) between any two calls into the engine; against the wall
 // clock it is the cache goroutine, so mutate it only after Stop.
 func (e *Engine) Cache() *dpcache.Cache { return e.cache }
 
-// Inject pushes one packet to its owning shard's ring, returning false
-// when the ring is full. Single external producer only — concurrent
-// injectors must partition ports so no two push to the same shard.
-func (e *Engine) Inject(pkt netpkt.Packet, inPort uint16) bool {
-	return e.shards[e.ShardFor(inPort)].in.Push(Item{Pkt: pkt, InPort: inPort})
-}
-
-// InjectItem pushes a pre-stamped item (latency sampling) to its owning
-// shard's ring. Same single-producer contract as Inject.
+// InjectItem hands one item to its owning shard. Against the wall clock
+// it pushes to the shard's ingress ring and returns false when the ring
+// is full; one producer per shard — concurrent injectors must partition
+// ports so no two push to the same shard. In manual mode it runs the
+// shard body on the caller, stamped with virtual time: lookup,
+// attribution, the SYN-proxy tier and, for a miss, cache ingest are
+// done when it returns true.
 func (e *Engine) InjectItem(it Item) bool {
-	return e.shards[e.ShardFor(it.InPort)].in.Push(it)
+	s := e.shards[e.ShardFor(it.InPort)]
+	if e.cfg.Manual {
+		s.processOne(&it, e.sim.Now())
+		return true
+	}
+	return s.in.Push(it)
 }
 
-// Start launches the shard goroutines and, outside manual mode, the
-// cache-stage goroutine.
+// Start launches the shard goroutines and the cache-stage goroutine; in
+// manual mode it starts only the cache's replay ticker.
 func (e *Engine) Start() {
 	if !e.started.CompareAndSwap(false, true) {
 		return
 	}
 	e.cache.Start()
+	if e.cfg.Manual {
+		return
+	}
 	for _, s := range e.shards {
 		e.wgShards.Add(1)
 		go s.run()
 	}
-	if !e.cfg.Manual {
-		e.wgCache.Add(1)
-		go e.cacheLoop()
-	}
+	e.wgCache.Add(1)
+	go e.cacheLoop()
 }
 
 // Stop closes the ingress rings, waits for the shards to drain (each
 // applies any queued control events before exiting, so no Apply caller
 // is left waiting) and flush their final attribution deltas, then
-// waits for the cache stage to drain the handoff rings — in manual mode
-// Stop drains them itself, on the caller's goroutine. The engine cannot
-// be restarted; Apply on a stopped engine applies inline.
+// waits for the cache stage to drain the handoff rings and rolls the
+// last detection window. In manual mode it is the final Flush, on the
+// caller's goroutine. The engine cannot be restarted; Apply on a
+// stopped engine applies inline.
 func (e *Engine) Stop() {
 	if !e.started.Load() || e.stopped.Load() {
+		return
+	}
+	if e.cfg.Manual {
+		e.Flush()
+		e.cache.Stop()
+		e.cfg.Journal.Drain()
+		e.stopped.Store(true)
 		return
 	}
 	for _, s := range e.shards {
 		s.in.Close()
 	}
 	e.wgShards.Wait()
-	if e.cfg.Manual {
-		e.DrainCache()
-		e.cache.Stop()
-	}
 	e.wgCache.Wait()
 	e.stopped.Store(true)
-	if !e.cfg.Manual {
-		e.attr.Roll(e.cfg.Window) // close the last detection window
-	}
+	e.attr.Roll(e.cfg.Window) // close the last detection window
 }
 
-// DrainCache ingests everything the shards have handed off so far into
-// the cache, shard by shard in shard order, and drains the journal —
-// the cache stage's work, on the caller's goroutine. Manual mode only:
-// the caller is the handoff rings' single consumer, and must call it
-// often enough that no ring fills (a full ring drops the miss). It
-// pumps no virtual time, so replay waits for Advance.
-func (e *Engine) DrainCache() {
+// Flush is the manual-mode window barrier: every shard, in shard order,
+// folds its attribution deltas into the shared Attributor, sweeps its
+// SYN-proxy connection table and journals its barrier heartbeat — what
+// each shard goroutine does on its own window timer against the wall
+// clock. Manual mode only.
+func (e *Engine) Flush() {
 	for _, s := range e.shards {
-		for {
-			n := s.toCache.PopBatch(e.drainBuf)
-			if n == 0 {
-				break
-			}
-			for i := range e.drainBuf[:n] {
-				e.cache.Ingest(e.drainBuf[i].Origin, e.drainBuf[i].Pkt)
-			}
-		}
+		s.flush()
 	}
-	e.cfg.Journal.Drain()
 }
 
-// Advance drains the handoff rings, pumps the discrete-event engine —
-// replay ticks, scheduled events — to d past the sim epoch, and drains
-// the journal, all on the caller's goroutine. Manual mode only. The
-// ingest → pump order is fixed, so the sequence of sim events (and thus
+// Advance pumps the discrete-event engine — replay ticks, scheduled
+// events — to d past the sim epoch and drains the journal, on the
+// caller's goroutine. Manual mode only. Every miss was ingested when
+// its InjectItem returned, so the sequence of sim events (and thus
 // every replay emission and drop) is a pure function of the item
 // sequence and the Advance schedule.
 func (e *Engine) Advance(d time.Duration) {
-	e.DrainCache()
 	e.sim.RunUntil(netsim.Epoch.Add(d))
 	e.cfg.Journal.Drain()
 }
@@ -487,9 +482,6 @@ func (e *Engine) Counters() (processed, forwarded, misses, ringDrops uint64) {
 	return forwarded + misses, forwarded, misses, ringDrops
 }
 
-// Flushes returns how many attribution flushes shard i has completed.
-func (e *Engine) Flushes(i int) uint64 { return e.shards[i].flushes.Load() }
-
 // CacheStats snapshots the data plane cache counters (atomics only —
 // safe live from any goroutine).
 func (e *Engine) CacheStats() dpcache.Stats { return e.cache.Stats() }
@@ -498,9 +490,9 @@ func (e *Engine) CacheStats() dpcache.Stats { return e.cache.Stats() }
 // the controller path.
 func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 
-// run is the shard loop: drain any in-band control events, then a
-// batched pop from the ingress ring and each packet end-to-end. One
-// time.Now per batch serves lookup stamps and the window-boundary
+// run is the wall-clock shard loop: drain any in-band control events,
+// then a batched pop from the ingress ring and each packet end-to-end.
+// One time.Now per batch serves lookup stamps and the window-boundary
 // check. An idle shard parks in Wait; Apply wakes it through the
 // ingress ring so queued flow_mods never wait on traffic.
 func (s *Shard) run() {
@@ -508,7 +500,6 @@ func (s *Shard) run() {
 	defer s.toCache.Close()
 	batch := make([]Item, shardBatch)
 	window := s.eng.cfg.Window
-	manual := s.eng.cfg.Manual
 	nextFlush := time.Now().Add(window)
 	for {
 		if s.ctrl.Len() > 0 {
@@ -523,9 +514,7 @@ func (s *Shard) run() {
 				// Apply any straggling control events so no Apply caller
 				// is left waiting on its ack.
 				s.drainCtrl(time.Now())
-				s.obs.Flush() // final merge before the ring goes away
-				s.flushGuard()
-				s.noteFlush()
+				s.flush() // final merge before the ring goes away
 				return
 			}
 			s.in.Wait()
@@ -533,29 +522,18 @@ func (s *Shard) run() {
 		}
 		now := time.Now()
 		for i := 0; i < n; i++ {
-			if batch[i].Flush {
-				// In-band window barrier: converge pending rule mutations
-				// (the broadcast guarantee), then merge everything popped
-				// so far.
-				s.drainCtrl(now)
-				s.obs.Flush()
-				s.flushGuard()
-				s.noteFlush()
-				continue
-			}
 			s.processOne(&batch[i], now)
 		}
-		if !manual && now.After(nextFlush) {
-			s.obs.Flush()
-			s.flushGuard()
-			s.noteFlush()
+		if now.After(nextFlush) {
+			s.flush()
 			nextFlush = now.Add(window)
 		}
 	}
 }
 
 // processOne carries one packet end-to-end on the caller's goroutine —
-// the run-to-completion body. It takes zero locks and allocates nothing,
+// the run-to-completion body, shared by the wall-clock shard loop and
+// manual mode's InjectItem. It takes zero locks and allocates nothing,
 // hit or miss.
 func (s *Shard) processOne(it *Item, now time.Time) {
 	p := &it.Pkt
@@ -573,7 +551,10 @@ func (s *Shard) processOne(it *Item, now time.Time) {
 		if !s.guardConsumed(p, it.InPort) {
 			tagged := *p
 			tagged.NwTOS = dpcache.EncodeInPortTOS(it.InPort)
-			if !s.toCache.Push(CacheItem{Origin: datapathID, Pkt: tagged}) {
+			if s.toCache == nil {
+				// Manual mode: the caller is the cache stage too.
+				s.eng.cache.Ingest(datapathID, tagged)
+			} else if !s.toCache.Push(CacheItem{Origin: datapathID, Pkt: tagged}) {
 				d := s.cacheDrops.Add(1)
 				// Power-of-two sampled: a sustained overload journals
 				// O(log drops) events, not one per packet.
@@ -589,7 +570,7 @@ func (s *Shard) processOne(it *Item, now time.Time) {
 }
 
 // guardConsumed runs the SYN-proxy tier on one table-miss packet,
-// still on the shard goroutine (the run-to-completion contract: the
+// still in the shard body (the run-to-completion contract: the
 // guard's shard-i connection table is touched only here). It reports
 // whether the tier consumed the packet — answered its SYN with a
 // cookie SYN-ACK or dropped an invalid segment — in which case the
@@ -615,12 +596,16 @@ func (s *Shard) guardConsumed(p *netpkt.Packet, inPort uint16) bool {
 	return false
 }
 
-// flushGuard sweeps the shard's guard connection table at the window
-// barrier (idle/closed eviction). Shard goroutine only.
-func (s *Shard) flushGuard() {
+// flush is the shard's window barrier: fold its attribution deltas
+// into the shared Attributor, sweep its guard connection table
+// (idle/closed eviction) and journal the heartbeat. Shard goroutine
+// only (in manual mode, the harness through Engine.Flush).
+func (s *Shard) flush() {
+	s.obs.Flush()
 	if g := s.eng.guard; g != nil {
 		g.FlushShard(s.id)
 	}
+	s.noteFlush()
 }
 
 // noteFlush counts a window-barrier merge and journals the shard's

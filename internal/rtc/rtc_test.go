@@ -1,11 +1,13 @@
 package rtc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"floodguard/internal/netpkt"
 	"floodguard/internal/openflow"
+	"floodguard/internal/tcpguard"
 )
 
 func exactMod(p *netpkt.Packet, inPort uint16, outPort uint16) openflow.FlowMod {
@@ -165,6 +167,137 @@ func TestEngineBlamesAttackPort(t *testing.T) {
 	}
 	if e.Attributor().Blamed(1, benignPort) {
 		t.Fatal("benign port blamed")
+	}
+}
+
+// modePhases is TestManualMatchesWallClock's seeded input: the benign
+// flows with their ports, and three phases of items over ports 1..8 —
+// rule hits, spoofed UDP/ICMP misses, spoofed SYNs the guard answers and
+// bare ACKs it drops. hits counts the items that forward, given that
+// runMode deletes flow 0's rule for phase 1.
+func modePhases() (flows []Item, phases [3][]Item, hits uint64) {
+	bg := netpkt.NewSpoofGen(41, netpkt.FloodUDP, 0)
+	for f := 0; f < 16; f++ {
+		flows = append(flows, Item{Pkt: bg.Next(), InPort: uint16(1 + f%8)})
+	}
+	sg := netpkt.NewSpoofGen(42, netpkt.FloodMixed, 0)
+	n := 0
+	for ph := range phases {
+		for i := 0; i < 1500; i++ {
+			var it Item
+			switch n++; {
+			case n%16 == 0:
+				it = Item{Pkt: sg.Next(), InPort: uint16(1 + n%8)}
+				it.Pkt.NwProto, it.Pkt.TCPFlags = netpkt.ProtoTCP, netpkt.TCPAck
+			case n%3 == 0:
+				it = Item{Pkt: sg.Next(), InPort: uint16(1 + n%8)}
+			default:
+				f := n % len(flows)
+				it = flows[f]
+				if ph != 1 || f != 0 {
+					hits++
+				}
+			}
+			phases[ph] = append(phases[ph], it)
+		}
+	}
+	return flows, phases, hits
+}
+
+// runMode feeds modePhases to one engine: the flows' rules installed
+// before Start, flow 0 strict-deleted after the first phase and
+// re-added after the second. Against the wall clock every phase is
+// pushed through the ingress rings and waited out before the next
+// Apply, so an in-band mod lands between the same packets as it does
+// inline in manual mode.
+func runMode(t *testing.T, shards int, manual bool) (*Engine, Snapshot) {
+	t.Helper()
+	cfg := testEngineConfig(shards)
+	cfg.Manual = manual
+	cfg.RingCapacity, cfg.CacheRingCapacity = 8192, 8192 // no drops: a phase fits
+	cfg.TCPGuard = &tcpguard.Config{Secret: 0xF100D}
+	e := New(cfg)
+	flows, phases, _ := modePhases()
+	apply := func(m openflow.FlowMod) {
+		t.Helper()
+		if err := e.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range flows {
+		apply(exactMod(&flows[i].Pkt, flows[i].InPort, 2))
+	}
+	del := exactMod(&flows[0].Pkt, flows[0].InPort, 2)
+	del.Command, del.OutPort = openflow.FlowDeleteStrict, openflow.PortNone
+	e.Start()
+	injected := uint64(0)
+	for ph, items := range phases {
+		switch ph {
+		case 1:
+			apply(del)
+		case 2:
+			apply(exactMod(&flows[0].Pkt, flows[0].InPort, 2))
+		}
+		for _, it := range items {
+			if !e.InjectItem(it) {
+				t.Fatalf("manual=%v: ingress ring refused an item", manual)
+			}
+		}
+		injected += uint64(len(items))
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			if p, _, _, _ := e.Counters(); p == injected {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("manual=%v: phase %d never drained", manual, ph)
+			}
+		}
+	}
+	e.Stop()
+	return e, e.Snapshot()
+}
+
+// TestManualMatchesWallClock holds the two modes to one story: the same
+// item sequence and Apply schedule through shard goroutines, ingress and
+// shard→cache rings and the in-band control path, and through the shard
+// body on the caller, must leave the same per-shard forwarded and miss
+// counts, the same split of misses into cache ingest, guard answers and
+// guard drops, and the same rule count.
+func TestManualMatchesWallClock(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			we, w := runMode(t, shards, false)
+			me, m := runMode(t, shards, true)
+			for i := range w.Shards {
+				ws, ms := w.Shards[i], m.Shards[i]
+				if ws.Forwarded != ms.Forwarded || ws.Misses != ms.Misses ||
+					ws.SynAcked != ms.SynAcked || ws.GuardDropped != ms.GuardDropped {
+					t.Errorf("shard %d: wall-clock %+v, manual %+v", i, ws, ms)
+				}
+			}
+			if w.CacheDrops != 0 || m.CacheDrops != 0 {
+				t.Errorf("ring drops: wall-clock %d, manual %d, want 0", w.CacheDrops, m.CacheDrops)
+			}
+			if w.Cache.Enqueued != m.Cache.Enqueued {
+				t.Errorf("cache enqueued: wall-clock %d, manual %d", w.Cache.Enqueued, m.Cache.Enqueued)
+			}
+			for _, s := range []Snapshot{w, m} {
+				if s.Misses != s.Cache.Enqueued+s.CacheDrops+s.SynAcked+s.GuardDropped {
+					t.Errorf("miss conservation broken: %+v", s)
+				}
+			}
+			if wr, mr := we.TableRules(), me.TableRules(); wr != mr || wr != 16 {
+				t.Errorf("table rules: wall-clock %d, manual %d, want 16", wr, mr)
+			}
+			// Flow 0 missed for exactly the phase its rule was gone, and
+			// every kind of item took its path.
+			if _, _, hits := modePhases(); m.Forwarded != hits {
+				t.Errorf("forwarded %d, want %d", m.Forwarded, hits)
+			}
+			if m.Cache.Enqueued == 0 || m.SynAcked == 0 || m.GuardDropped == 0 {
+				t.Errorf("degenerate mix: %+v", m)
+			}
+		})
 	}
 }
 

@@ -44,14 +44,14 @@ func TestEngineTCPGuardTier(t *testing.T) {
 	const floodSyns = 256
 	for i := 0; i < floodSyns; i++ {
 		p := tcp(atk, uint16(1024+i), netpkt.TCPSyn)
-		for !e.Inject(p, 1) {
+		for !e.InjectItem(Item{Pkt: p, InPort: 1}) {
 			time.Sleep(time.Microsecond)
 		}
 	}
 	// One legitimate handshake: SYN, then the cookie-completing ACK.
 	syn := tcp(client, 40000, netpkt.TCPSyn)
 	syn.TCPSeq = 7
-	for !e.Inject(syn, 1) {
+	for !e.InjectItem(Item{Pkt: syn, InPort: 1}) {
 		time.Sleep(time.Microsecond)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -74,7 +74,7 @@ func TestEngineTCPGuardTier(t *testing.T) {
 	ack := tcp(client, 40000, netpkt.TCPAck)
 	ack.TCPSeq = sa.TCPAck
 	ack.TCPAck = sa.TCPSeq + 1
-	for !e.Inject(ack, 1) {
+	for !e.InjectItem(Item{Pkt: ack, InPort: 1}) {
 		time.Sleep(time.Microsecond)
 	}
 	e.Stop()

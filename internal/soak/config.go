@@ -7,11 +7,12 @@
 // summarising structure, and FSM liveness (attacks get blamed, blame
 // heals after calm, degraded states drain).
 //
-// The harness runs the engine in rtc manual mode: simulated time only
-// advances at window barriers, shard attribution flushes ride in-band
-// Flush sentinels, and the detection window is rolled by the harness —
-// so two runs with the same seed produce byte-identical per-window
-// output, which the determinism tier pins.
+// The harness runs the engine in rtc manual mode, on its own goroutine
+// alone: it runs every shard's body itself, simulated time only advances
+// at window barriers, the shard attribution flush is a function call,
+// and the detection window is rolled by the harness — one goroutine, one
+// order, so two runs with the same seed produce byte-identical
+// per-window output, which the determinism tier pins.
 package soak
 
 import (

@@ -1,12 +1,11 @@
 package soak_test
 
-// Seeded determinism is a hard contract of the soak engine: the
-// barrier protocol (freeze virtual time during ingest, quiesce every
-// seam, flush shards sequentially) is designed so that two runs with
-// the same seed produce the same per-window numbers even though the
-// shard goroutines interleave differently. This tier compares the two
-// runs at the strictest possible granularity — the rendered CSV bytes,
-// through the same writer the `fgsim soak -csv` path uses.
+// Seeded determinism is a hard contract of the soak engine: virtual
+// time is frozen during a window's ingest and one goroutine runs every
+// shard in one order, so two runs with the same seed must produce the
+// same per-window numbers. This tier compares the two runs at the
+// strictest possible granularity — the rendered CSV bytes, through the
+// same writer the `fgsim soak -csv` path uses.
 
 import (
 	"bytes"
@@ -38,7 +37,7 @@ func TestSoakSeededDeterminism(t *testing.T) {
 		Flows:     20_000,
 		HotFlows:  128,
 		Ports:     8,
-		Shards:    4, // shard interleaving is exactly what must not leak into the output
+		Shards:    4, // several shards, so per-shard state is in play
 		Profile:   soak.ProfileAll,
 		BenignPPS: 20_000,
 		Chaos:     true,

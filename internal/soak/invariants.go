@@ -98,7 +98,7 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 		add("conservation", "forwarded %d + misses %d != processed %d", ws.Forwarded, ws.Misses, ws.Processed)
 	}
 	if ws.RingDrops != 0 {
-		add("conservation", "ring drops %d != 0 (manual-mode backpressure breached)", ws.RingDrops)
+		add("conservation", "ring drops %d != 0 (manual mode has no ring to drop from)", ws.RingDrops)
 	}
 	if ws.Enqueued+ws.RingDrops+ws.SynAcked+ws.GuardDropped != ws.Misses {
 		add("conservation", "enqueued %d + ring drops %d + guard consumed %d+%d != misses %d",

@@ -36,7 +36,7 @@ func TestJournalDumpSeededDeterminism(t *testing.T) {
 		Flows:     20_000,
 		HotFlows:  128,
 		Ports:     8,
-		Shards:    4, // shard interleaving must not leak into the dump
+		Shards:    4, // one recorder per shard, all in the dump
 		Profile:   soak.ProfileAll,
 		BenignPPS: 20_000,
 		Chaos:     true,

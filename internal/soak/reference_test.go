@@ -15,12 +15,13 @@ import (
 
 // reference is the differential tier's oracle: the whole pipeline — table
 // lookup, attribution, SYN-proxy tier, cache ingest, rate-limited replay
-// — executed inline on the harness goroutine, one packet at a time. It
-// has no goroutine, ring, lock or atomic of its own, so it cannot share
-// the engine's concurrency bugs; what the two share is the components
-// underneath (flowtable.Table, attrib, tcpguard, dpcache, netsim). The
-// guard keeps the engine's port%shards partitioning because its
-// per-shard capacity is observable (ConnBudget, watermarks).
+// — executed inline on the harness goroutine, one packet at a time. It is
+// independent of the engine's shard structure: one unpartitioned table,
+// attribution observed per packet instead of merged from shard observers
+// at the barrier, and no shard body. What the two share is the
+// components underneath (flowtable.Table, attrib, tcpguard, dpcache,
+// netsim). The guard keeps the engine's port%shards partitioning because
+// its per-shard capacity is observable (ConnBudget, watermarks).
 type reference struct {
 	shards int
 	table  *flowtable.Table
@@ -32,8 +33,6 @@ type reference struct {
 	seen   func(origin uint64, origInPort uint16, pkt netpkt.Packet, queued time.Duration)
 
 	forwarded, misses, synAcked, guardDropped, replayed uint64
-
-	flushes []uint64
 }
 
 // refDPID is rtc.Config's default datapath id.
@@ -41,12 +40,11 @@ const refDPID = 1
 
 func newReference(cfg rtc.Config) pipeline {
 	r := &reference{
-		shards:  cfg.Shards,
-		table:   flowtable.New(cfg.TableCapacity),
-		attr:    attrib.New(cfg.Attrib),
-		sim:     netsim.NewEngine(),
-		seen:    cfg.ReplayObserver,
-		flushes: make([]uint64, cfg.Shards),
+		shards: cfg.Shards,
+		table:  flowtable.New(cfg.TableCapacity),
+		attr:   attrib.New(cfg.Attrib),
+		sim:    netsim.NewEngine(),
+		seen:   cfg.ReplayObserver,
 	}
 	r.cache = dpcache.New(r.sim, dpcache.Config{QueueCapacity: cfg.QueueCapacity, InitialRatePPS: cfg.ReplayPPS}, r)
 	r.cache.SetHinter(r.attr)
@@ -69,14 +67,6 @@ func (r *reference) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packe
 
 func (r *reference) InjectItem(it rtc.Item) bool {
 	shard := int(it.InPort) % r.shards
-	if it.Flush {
-		if r.guard != nil {
-			r.tcp.Flush()
-			r.guard.FlushShard(shard)
-		}
-		r.flushes[shard]++
-		return true
-	}
 	p := &it.Pkt
 	if r.table.Lookup(p, it.InPort, time.Time{}, p.WireLen()) != nil {
 		r.forwarded++
@@ -100,6 +90,15 @@ func (r *reference) InjectItem(it rtc.Item) bool {
 	return true
 }
 
+func (r *reference) Flush() {
+	if r.guard != nil {
+		r.tcp.Flush()
+		for i := 0; i < r.shards; i++ {
+			r.guard.FlushShard(i)
+		}
+	}
+}
+
 func (r *reference) Advance(d time.Duration) { r.sim.RunUntil(netsim.Epoch.Add(d)) }
 
 func (r *reference) Apply(m openflow.FlowMod) error {
@@ -109,9 +108,6 @@ func (r *reference) Apply(m openflow.FlowMod) error {
 
 func (r *reference) Start()                         { r.cache.Start() }
 func (r *reference) Stop()                          { r.cache.Stop() }
-func (r *reference) Shards() int                    { return r.shards }
-func (r *reference) Flushes(i int) uint64           { return r.flushes[i] }
-func (r *reference) DrainCache()                    {}
 func (r *reference) GuardCounters() (a, d uint64)   { return r.synAcked, r.guardDropped }
 func (r *reference) TCPGuard() *tcpguard.Guard      { return r.guard }
 func (r *reference) TableRules() int                { return r.table.Len() }

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"floodguard/internal/attrib"
@@ -108,18 +106,16 @@ type Result struct {
 // pipeline is the manual-mode surface of rtc.Engine the harness drives.
 // It is an interface only so the differential tier can substitute its
 // sequential reference model (reference_test.go); every method is one
-// the engine already has. A Flush item injected on port i reaches shard
-// i, and Flushes(i) counts the barriers that shard has completed. The
-// harness goroutine is the cache stage: DrainCache and Advance run it,
-// and Cache() is the harness's to touch between them.
+// the engine already has. Everything runs on the harness goroutine:
+// InjectItem carries a packet through its shard and, on a miss, into
+// the cache before it returns; Flush is the window barrier; Advance
+// pumps virtual time; Cache() is the harness's to touch between calls.
 type pipeline interface {
 	Apply(m openflow.FlowMod) error
 	Start()
 	Stop()
 	InjectItem(it rtc.Item) bool
-	Shards() int
-	Flushes(i int) uint64
-	DrainCache()
+	Flush()
 	Advance(d time.Duration)
 	Counters() (processed, forwarded, misses, ringDrops uint64)
 	GuardCounters() (synAcked, guardDropped uint64)
@@ -201,13 +197,12 @@ func (t *replayTally) p99Reset() float64 {
 const soakConnCapacity = 1024
 
 // synackBox collects the guard's cookie SYN-ACKs to the benign client
-// plan. The callback runs on shard goroutines (hence the mutex); the
-// harness drains it at window barriers, after shard quiescence, so every
-// client SYN offered this window has its answer in the box. Records are
-// sorted before use — collection order across shards is
-// scheduling-dependent, the completed set is not.
+// plan. The callback runs inside InjectItem, on the harness goroutine,
+// so every client SYN offered this window has its answer in the box by
+// the time the harness takes them. The completing ACKs go in sorted by
+// port, source and source port — not in the SYNs' injection order —
+// because that is the order the seeded outputs were pinned with.
 type synackBox struct {
-	mu   sync.Mutex
 	got  []synackRec // client SYN-ACKs since the last take
 	acks []synackRec // the last take's ACKs; reused by the next one
 }
@@ -219,22 +214,19 @@ type synackRec struct {
 
 // collect keeps only SYN-ACKs addressed to the client plan. Every
 // attacker SYN is answered too — the guard mints the cookie either way —
-// but attackers never complete, so their answers are dropped here,
-// before the lock, instead of being buffered for a window.
+// but attackers never complete, so their answers are dropped here
+// instead of being buffered for a window.
 func (b *synackBox) collect(_ uint64, inPort uint16, sa netpkt.Packet) {
 	if !isTCPClientSrc(sa.NwDst) { // SYN-ACK's destination is the client
 		return
 	}
-	b.mu.Lock()
 	b.got = append(b.got, synackRec{inPort: inPort, pkt: sa})
-	b.mu.Unlock()
 }
 
 // takeClientAcks drains the box and returns the closed-loop completing
 // ACKs for the benign TCP client plan, in deterministic order. The
 // returned slice is valid until the next call.
 func (b *synackBox) takeClientAcks() []synackRec {
-	b.mu.Lock()
 	out := b.acks[:0]
 	for _, r := range b.got {
 		sa := r.pkt
@@ -253,7 +245,6 @@ func (b *synackBox) takeClientAcks() []synackRec {
 		}})
 	}
 	b.got = b.got[:0]
-	b.mu.Unlock()
 	// Every client connection is a distinct (source, source port), so
 	// the keys are unique and any sort yields the same order.
 	slices.SortFunc(out, func(a, b synackRec) int {
@@ -290,12 +281,12 @@ func attribConfigFor(cfg *Config) attrib.Config {
 }
 
 // Run executes one soak: build the pipeline in manual (virtual-time)
-// mode, install the hot-flow rules, then march window by window —
-// inject the benign+attack schedule with backpressure, quiesce,
-// flush the shard attribution deltas in shard order, advance simulated
-// time, roll the detection window, and hand the barrier snapshot to the
-// invariant checker. Any violation is recorded, never fatal: the full
-// run's evidence comes back in the Result.
+// mode, install the hot-flow rules, then march window by window on one
+// goroutine — inject the benign+attack schedule, complete the benign
+// handshakes, flush the shard attribution deltas in shard order, advance
+// simulated time, roll the detection window, and hand the barrier
+// snapshot to the invariant checker. Any violation is recorded, never
+// fatal: the full run's evidence comes back in the Result.
 func Run(cfg Config) (*Result, error) {
 	return run(cfg, func(rcfg rtc.Config) pipeline { return rtc.New(rcfg) })
 }
@@ -314,16 +305,14 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	}
 	box := &synackBox{}
 	rcfg := rtc.Config{
-		Shards:            cfg.Shards,
-		RingCapacity:      4096,
-		CacheRingCapacity: 16384,
-		QueueCapacity:     cfg.QueueCapacity,
-		ReplayPPS:         cfg.ReplayPPS,
-		Window:            cfg.Window,
-		Attrib:            attribConfigFor(&cfg),
-		Manual:            true,
-		ReplayObserver:    tally.observe,
-		Journal:           jnl,
+		Shards:         cfg.Shards,
+		QueueCapacity:  cfg.QueueCapacity,
+		ReplayPPS:      cfg.ReplayPPS,
+		Window:         cfg.Window,
+		Attrib:         attribConfigFor(&cfg),
+		Manual:         true,
+		ReplayObserver: tally.observe,
+		Journal:        jnl,
 	}
 	if cfg.TCPGuardOn {
 		rcfg.TCPGuard = &tcpguard.Config{
@@ -356,12 +345,6 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	winSecs := cfg.Window.Seconds()
 	benignAcc := 0.0
 	var cumInjBenign, cumInjAttack, cumInjTCP uint64
-	// guardConsumed is the guard's miss-path take (zero with the tier
-	// off) — part of every handoff-quiescence equation.
-	guardConsumed := func() uint64 {
-		syn, drop := pipe.GuardCounters()
-		return syn + drop
-	}
 	attackerBlamed := make([]bool, len(atks))
 	attackerInj := make([]int, len(atks))
 	var slots []uint8
@@ -400,15 +383,6 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	fail := func(err error) (*Result, error) {
 		pipe.Stop()
 		return nil, err
-	}
-	// inject offers one item, draining the handoff rings while a full
-	// ingress ring refuses it: the wait is the cache stage's time to
-	// ingest, and a shard whose ring to the cache is full drops the miss.
-	inject := func(it rtc.Item) {
-		for !pipe.InjectItem(it) {
-			pipe.DrainCache()
-			runtime.Gosched()
-		}
 	}
 
 	for w := 0; w < windows; w++ {
@@ -496,12 +470,9 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 			}
 		}
 
-		// Inject with backpressure: a full ingress ring retries (never
-		// drops the offer), and the harness — the shard→cache rings' only
-		// consumer — drains them every 512 packets and while it waits, so
-		// they cannot overflow: the determinism contract needs exactly
-		// zero ring drops.
-		for i, s := range slots {
+		// Inject: each packet is through its shard, and a miss into the
+		// cache, when InjectItem returns.
+		for _, s := range slots {
 			var it rtc.Item
 			if s == 0 {
 				it.Pkt, it.InPort = gen.next()
@@ -509,10 +480,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 				a := atks[s-1]
 				it.Pkt, it.InPort = a.packet(w), a.port
 			}
-			inject(it)
-			if i%512 == 511 {
-				pipe.DrainCache()
-			}
+			pipe.InjectItem(it)
 		}
 		cumInjBenign += uint64(benignN)
 		for _, n := range attackerInj {
@@ -520,63 +488,26 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		}
 
 		// Benign TCP connection attempts: this window's SYNs. Their
-		// cookie SYN-ACKs land in the box by shard quiescence; the
-		// closed-loop ACKs go in after it.
+		// cookie SYN-ACKs are in the box as soon as the SYNs are in.
 		var winTCP uint64
 		for i := 0; i < cfg.TCPConns; i++ {
 			pkt, port := tgen.syn()
-			inject(rtc.Item{Pkt: pkt, InPort: port})
+			pipe.InjectItem(rtc.Item{Pkt: pkt, InPort: port})
+			winTCP++
+		}
+
+		// Closed-loop handshake completion: answer every client cookie
+		// SYN-ACK with its valid ACK, so the established flows are in the
+		// cache before the barrier snapshot.
+		for _, a := range box.takeClientAcks() {
+			pipe.InjectItem(rtc.Item{Pkt: a.pkt, InPort: a.inPort})
 			winTCP++
 		}
 		cumInjTCP += winTCP
 
-		// Quiesce: every offered packet processed, every miss ingested by
-		// the cache or consumed by the guard. The drain sits inside the
-		// condition: a shard counts a miss before it pushes it, so one
-		// drain taken right after "processed == injected" can miss the
-		// last packet.
-		quiesce := func() error {
-			injected := cumInjBenign + cumInjAttack + cumInjTCP
-			if err := waitFor(func() bool {
-				p, _, _, _ := pipe.Counters()
-				return p == injected
-			}, "shard quiescence"); err != nil {
-				return err
-			}
-			return waitFor(func() bool {
-				pipe.DrainCache()
-				_, _, m, rd := pipe.Counters()
-				return pipe.CacheStats().Enqueued+rd+guardConsumed() == m
-			}, "cache ingest quiescence")
-		}
-		if err := quiesce(); err != nil {
-			return fail(err)
-		}
-
-		// Closed-loop handshake completion: answer every client cookie
-		// SYN-ACK with its valid ACK, then re-quiesce so the established
-		// flows are in the cache before the barrier snapshot.
-		if acks := box.takeClientAcks(); len(acks) > 0 {
-			for _, a := range acks {
-				inject(rtc.Item{Pkt: a.pkt, InPort: a.inPort})
-			}
-			winTCP += uint64(len(acks))
-			cumInjTCP += uint64(len(acks))
-			if err := quiesce(); err != nil {
-				return fail(err)
-			}
-		}
-
 		// Merge the shard attribution deltas, in shard order so the
 		// sketch merge sequence is identical run to run.
-		for i := 0; i < pipe.Shards(); i++ {
-			want := pipe.Flushes(i) + 1
-			inject(rtc.Item{Flush: true, InPort: uint16(i)})
-			i := i
-			if err := waitFor(func() bool { return pipe.Flushes(i) >= want }, "shard flush"); err != nil {
-				return fail(err)
-			}
-		}
+		pipe.Flush()
 
 		// Advance simulated time one window: the replay ticker drains the
 		// cache queues at the configured rate, entirely in virtual time.
@@ -686,8 +617,8 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 
 	if jnl != nil {
 		// Final drain after Stop (the harness has been the journal's
-		// consumer all along, through DrainCache and Advance), then the
-		// flight-recorder dump.
+		// consumer all along, through Advance), then the flight-recorder
+		// dump.
 		jnl.Drain()
 		trigger := "complete"
 		if len(res.Violations) > 0 {
@@ -854,26 +785,6 @@ func memFrac(ws *WindowStats, cfg *Config, attackers int) float64 {
 		out = f
 	}
 	return out
-}
-
-// waitFor spins (with scheduler yields) until cond holds, failing after
-// a generous wall-clock deadline so a wedged pipeline surfaces as an
-// error instead of a hung test.
-func waitFor(cond func() bool, what string) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; ; i++ {
-		if cond() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("soak: timed out waiting for %s", what)
-		}
-		if i < 1000 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
 }
 
 // Print renders a run summary.
