@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"floodguard/internal/appir"
+	"floodguard/internal/apps"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/symexec"
 )
@@ -71,6 +72,37 @@ func BenchmarkDeriveRules(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkDeriveL2Learning10k measures the derive the mitigation moment
+// runs: a cold Algorithm 2 pass over l2_learning's explored paths with
+// 10⁴ learned MACs, yielding one dl_dst rule per MAC. Its table-driven
+// path carries every entry, so unlike syntheticPaths (≥ 8 paths, a few
+// entries each) it reaches the entry-shaped case and never the path
+// pool.
+func BenchmarkDeriveL2Learning10k(b *testing.B) {
+	const hosts = 10_000
+	prog, st := apps.L2Learning()
+	for i := 0; i < hosts; i++ {
+		st.Learn("macToPort",
+			appir.MACValue(netpkt.MACFromUint64(0x020000000000+uint64(i))),
+			appir.U16Value(uint16(i%47)+1))
+	}
+	paths, err := symexec.Explore(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rules, err := symexec.DeriveRulesOpts(paths, st, symexec.DeriveOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rules) != hosts {
+			b.Fatalf("derived %d rules, want %d", len(rules), hosts)
 		}
 	}
 }

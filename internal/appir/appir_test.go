@@ -1,6 +1,9 @@
 package appir
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,6 +171,34 @@ func TestTableEntriesDeterministic(t *testing.T) {
 	for i := 1; i < len(es); i++ {
 		if es[i].Key.Bits <= es[i-1].Key.Bits {
 			t.Fatalf("entries not sorted at %d", i)
+		}
+	}
+
+	// Mixed kinds, learned in a seeded random order (and with equal Bits
+	// under different kinds): the snapshot must list every entry exactly
+	// in Value.Compare order — kind first, then bits — whatever the
+	// insertion or map order.
+	var keys []Value
+	for i := 0; i < 200; i++ {
+		b := uint64(i * 7919 % 1000)
+		keys = append(keys,
+			MACValue(netpkt.MACFromUint64(b)), IPValue(netpkt.IPv4(b)), U16Value(uint16(b)))
+	}
+	vals := make(map[Value]Value, len(keys))
+	mixed := NewState()
+	for i, j := range rand.New(rand.NewSource(0xF100D)).Perm(len(keys)) {
+		vals[keys[j]] = U16Value(uint16(i))
+		mixed.Learn("m", keys[j], vals[keys[j]])
+	}
+	want := slices.Clone(keys)
+	sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
+	got := mixed.TableEntries("m")
+	if len(got) != len(want) {
+		t.Fatalf("mixed table: %d entries, want %d", len(got), len(want))
+	}
+	for i, e := range got {
+		if e.Key != want[i] || e.Val != vals[e.Key] {
+			t.Fatalf("mixed table entry %d = %v→%v, want %v→%v", i, e.Key, e.Val, want[i], vals[want[i]])
 		}
 	}
 }

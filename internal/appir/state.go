@@ -2,6 +2,7 @@ package appir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -214,7 +215,9 @@ func (s *State) TableEntries(table string) []struct{ Key, Val Value } {
 	for k, v := range t {
 		out = append(out, struct{ Key, Val Value }{k, v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Compare(out[j].Key) < 0 })
+	// Keys are unique, so any correct sort yields the one Compare order;
+	// slices.SortFunc swaps without sort.Slice's reflection.
+	slices.SortFunc(out, func(a, b struct{ Key, Val Value }) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -63,7 +63,10 @@ type Value struct {
 // Compare orders values by kind, then by bits (-1, 0, +1) — the order
 // TableEntries enumerates keys in, hence the order of derived rules.
 func (v Value) Compare(o Value) int {
-	return cmp.Or(cmp.Compare(v.Kind, o.Kind), cmp.Compare(v.Bits, o.Bits))
+	if v.Kind != o.Kind {
+		return cmp.Compare(v.Kind, o.Kind)
+	}
+	return cmp.Compare(v.Bits, o.Bits)
 }
 
 // MACValue wraps a MAC address.

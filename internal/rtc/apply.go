@@ -66,6 +66,35 @@ func (a *applyAck) complete(err error) {
 	}
 }
 
+// ackSpins is how many times Apply polls its ack before it arms the
+// timer and parks; every eighth poll yields the processor, like
+// spsc.Ring.Wait's spin, so a shard sharing the caller's core can run.
+const ackSpins = 64
+
+// spin polls pending for ackSpins polls and reports whether every
+// target shard acknowledged. A shard spinning in Wait picks a Wake up
+// within a poll or two and applies one flow_mod in microseconds, so the
+// common round trip completes here and neither side parks.
+func (a *applyAck) spin() bool {
+	for i := 0; i < ackSpins; i++ {
+		if a.pending.Load() == 0 {
+			return true
+		}
+		if i%8 == 7 {
+			runtime.Gosched()
+		}
+	}
+	return a.pending.Load() == 0
+}
+
+// result returns the first application error any shard recorded. Call
+// it only once pending reached zero.
+func (a *applyAck) result() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
+}
+
 // Apply installs a flow_mod. The mod is routed to its owning shard's
 // control ring (in_port pinned) or broadcast to every shard (in_port
 // wildcarded) and applied in-band by the shard goroutines; Apply blocks
@@ -74,7 +103,9 @@ func (a *applyAck) complete(err error) {
 // the wait are bounded by Config.ApplyTimeout: a full control ring
 // returns ErrApplyBackpressure, a stalled shard ErrApplyTimeout. On
 // either error a broadcast may be partially applied; flow_mod
-// application is idempotent, so the caller retries the whole mod.
+// application is idempotent, so the caller retries the whole mod. The
+// wait is spin-then-park: Apply polls the ack for a short bounded spin
+// and arms the timer only if the shards have not answered by then.
 //
 // On a quiescent engine (before Start, after Stop) and in manual mode
 // the mod is applied inline — the caller is the only goroutine touching
@@ -98,12 +129,15 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 			}
 		}
 	}
-	// The ack is consulted before the clock: only a wait that will block
-	// pays for a timer, and a failed enqueue — pushCtrl gives up exactly
-	// at the deadline — reports its own error, not a timeout.
+	// The ack is consulted before the clock: a failed enqueue — pushCtrl
+	// gives up exactly at the deadline — reports its own error, not a
+	// timeout, and only a wait that outlasts the spin pays for a timer.
 	if ack.pending.Load() > 0 {
 		if pushErr != nil {
 			return pushErr
+		}
+		if ack.spin() {
+			return ack.result()
 		}
 		timer := time.NewTimer(time.Until(deadline))
 		defer timer.Stop()
@@ -115,10 +149,7 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 			}
 		}
 	}
-	ack.mu.Lock()
-	err := ack.err
-	ack.mu.Unlock()
-	if err != nil {
+	if err := ack.result(); err != nil {
 		return err
 	}
 	return pushErr

@@ -144,6 +144,43 @@ func TestApplyTimeoutOnStalledShard(t *testing.T) {
 	e.started.Store(false)
 }
 
+// TestApplyRoundTripSerial pins the in-band round trip the mitigation
+// install makes: 10 000 serial Apply calls against a started one-shard
+// wall-clock engine whose ingress ring stays idle, so between mods the
+// shard spins in Wait and, at every pause, parks. Each call must return
+// nil with its rule applied; none may be lost to a Wake the spin took,
+// and none may come back before its ack.
+func TestApplyRoundTripSerial(t *testing.T) {
+	const mods = 10_000
+	e := New(testEngineConfig(1))
+	e.Start()
+	defer e.Stop()
+
+	s := e.Shard(0)
+	pkt := netpkt.NewSpoofGen(29, netpkt.FloodUDP, 0).Next()
+	for i := 0; i < mods; i++ {
+		// A distinct dl_dst per mod, like the derived l2_learning rules,
+		// so each rule gets its own classifier chain.
+		pkt.EthDst = netpkt.MACFromUint64(0x020000000000 + uint64(i))
+		if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+		if got := s.applied.Load(); got != uint64(i+1) {
+			t.Fatalf("Apply %d returned with %d mods applied, want %d", i, got, i+1)
+		}
+		if i%1000 == 999 {
+			time.Sleep(time.Millisecond) // long enough for the shard to park
+		}
+	}
+	if got := e.TableRules(); got != mods {
+		t.Fatalf("TableRules = %d, want %d", got, mods)
+	}
+	st := e.Snapshot().Shards[0]
+	if st.Applied != mods || st.ApplyErrs != 0 {
+		t.Fatalf("shard applied %d mods with %d errors, want %d and 0", st.Applied, st.ApplyErrs, mods)
+	}
+}
+
 // TestApplyChurnRace soaks the partitioned engine's full concurrency
 // surface under the race detector: per-shard packet producers, a
 // control-plane goroutine churning rules through Apply (including

@@ -181,6 +181,32 @@ func BenchmarkShardChurnBody(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyRoundTrip measures one in-band flow_mod round trip on a
+// running engine whose shard is otherwise idle — the per-rule cost of
+// the mitigation install: enqueue, wake, apply on the shard, ack. Each
+// iteration applies a strict delete or a re-add of the same rule, so
+// the table stays at one rule whatever b.N.
+func BenchmarkApplyRoundTrip(b *testing.B) {
+	e := New(Config{Shards: 1})
+	e.Start()
+	defer e.Stop()
+	pkt := netpkt.NewSpoofGen(5, netpkt.FloodUDP, 0).Next()
+	add := exactMod(&pkt, 1, 2)
+	del := add
+	del.Command = openflow.FlowDeleteStrict
+	del.OutPort = openflow.PortNone
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := add
+		if i&1 == 1 {
+			m = del
+		}
+		if err := e.Apply(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRingHandoff measures the shard→cache handoff in isolation:
 // one CacheItem through the SPSC ring per iteration, batched 64-wide —
 // the inter-layer cost that replaced a channel send per packet.

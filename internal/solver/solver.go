@@ -140,7 +140,16 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
+// get returns a zeroed Assignment.
 func (ar *Arena) get() *Assignment {
+	a := ar.take()
+	*a = Assignment{}
+	return a
+}
+
+// take returns a recycled Assignment with whatever it last held (or a
+// fresh one): for callers that overwrite it whole.
+func (ar *Arena) take() *Assignment {
 	if n := len(ar.free); n > 0 {
 		a := ar.free[n-1]
 		ar.free[n-1] = nil
@@ -150,8 +159,20 @@ func (ar *Arena) get() *Assignment {
 	return &Assignment{}
 }
 
+// reserve tops the free list up to n Assignments with one block
+// allocation, so a fan-out over a large table pays one allocation, not
+// one per entry.
+func (ar *Arena) reserve(n int) {
+	if n -= len(ar.free); n > 0 {
+		block := make([]Assignment, n)
+		for i := range block {
+			ar.free = append(ar.free, &block[i])
+		}
+	}
+}
+
+// put recycles a. It is zeroed when get hands it out again.
 func (ar *Arena) put(a *Assignment) {
-	*a = Assignment{}
 	ar.free = append(ar.free, a)
 }
 
@@ -163,7 +184,7 @@ func (ar *Arena) putAll(work []*Assignment) {
 
 // cloneFrom produces a recycled copy of a.
 func (ar *Arena) cloneFrom(a *Assignment) *Assignment {
-	out := ar.get()
+	out := ar.take()
 	*out = *a
 	return out
 }
@@ -437,6 +458,7 @@ func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena,
 			return nil, fmt.Errorf("solver: membership key %s is not a field", x.Key)
 		}
 		entries := pin.entries(st, x.Table)
+		ar.reserve(len(work) * len(entries))
 		next := ar.next[:0]
 		for _, a := range work {
 			for _, ent := range entries {

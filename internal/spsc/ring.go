@@ -5,12 +5,14 @@
 // for the consumer, and the hot paths (Push/Pop and their batched forms)
 // perform no allocation and take no mutex.
 //
-// The consumer's blocking pop is busy-poll-then-park: it spins briefly
+// The consumer's blocking wait is busy-poll-then-park: it spins briefly
 // (the common case under load — the ring refills within nanoseconds),
 // yields the processor a few times, and only then parks on a channel the
 // producer pokes when it publishes into an empty ring. An idle shard
 // therefore costs nothing, while a loaded shard never pays a futex wait
-// per packet.
+// per packet. Wait's spin also watches the out-of-band Wake token, so
+// a control event announced while the consumer spins is picked up
+// on-CPU rather than after a park and a reschedule.
 package spsc
 
 import (
@@ -144,10 +146,9 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 // producer can run (the single-GOMAXPROCS case).
 const popSpins = 64
 
-// PopBatchWait dequeues up to len(dst) elements, busy-polling briefly
-// and then parking until the producer publishes or the ring is closed.
-// It returns 0 only when the ring is closed and fully drained. Consumer
-// only.
+// PopBatchWait dequeues up to len(dst) elements, waiting (Wait) while
+// the ring is empty. It returns 0 only when the ring is closed and fully
+// drained. Consumer only.
 func (r *Ring[T]) PopBatchWait(dst []T) int {
 	for {
 		if n := r.PopBatch(dst); n > 0 {
@@ -157,61 +158,68 @@ func (r *Ring[T]) PopBatchWait(dst []T) int {
 			// Drain anything pushed between the pop and the close flag.
 			return r.PopBatch(dst)
 		}
-		for i := 0; i < popSpins; i++ {
-			if r.Len() > 0 || r.closed.Load() {
-				break
-			}
-			if i%8 == 7 {
-				runtime.Gosched()
-			}
-		}
-		if r.Len() > 0 || r.closed.Load() {
-			continue
-		}
-		// Park: raise the flag, re-check (the producer may have published
-		// between the last poll and the flag), then block on the poke.
-		r.parked.Store(true)
-		if r.Len() > 0 || r.closed.Load() {
-			r.parked.Store(false)
-			continue
-		}
-		<-r.wake
-		r.parked.Store(false)
+		r.Wait()
 	}
 }
 
 // Wait blocks the consumer until the ring is plausibly non-empty, the
 // ring is closed, or an out-of-band Wake arrives. It busy-polls briefly
-// before parking, exactly like PopBatchWait, but leaves the popping to
-// the caller — the shape a consumer needs when it multiplexes this ring
-// with other work (e.g. an in-band control queue) and must re-check that
-// work after every wakeup. Spurious returns are allowed. Consumer only.
+// before parking but leaves the popping to the caller — the shape a
+// consumer needs when it multiplexes this ring with other work (e.g. an
+// in-band control queue) and must re-check that work after every
+// wakeup. The spin polls the wake token too: a Wake issued before or
+// during the spin returns Wait at once, on-CPU, and is consumed there,
+// so it cannot turn the next park into a spurious wakeup. Spurious
+// returns are allowed. Consumer only.
 func (r *Ring[T]) Wait() {
+	if !r.spin() {
+		r.park()
+	}
+}
+
+// ready reports whether the consumer has work: an element or the close
+// flag.
+func (r *Ring[T]) ready() bool { return r.Len() > 0 || r.closed.Load() }
+
+// spin is Wait's bounded busy-poll. It reports true as soon as the ring
+// is ready or a Wake token is pending (taking the token), and false
+// after popSpins empty polls.
+func (r *Ring[T]) spin() bool {
 	for i := 0; i < popSpins; i++ {
-		if r.Len() > 0 || r.closed.Load() {
-			return
+		if r.ready() {
+			return true
+		}
+		select {
+		case <-r.wake:
+			return true
+		default:
 		}
 		if i%8 == 7 {
 			runtime.Gosched()
 		}
 	}
-	// Park: raise the flag, re-check (the producer may have published
-	// between the last poll and the flag), then block on the poke.
+	return false
+}
+
+// park raises the parked flag, re-checks (the producer may have
+// published between the last poll and the flag), then blocks on the
+// wake channel until a producer poke, a Wake or Close.
+func (r *Ring[T]) park() {
 	r.parked.Store(true)
-	if r.Len() > 0 || r.closed.Load() {
-		r.parked.Store(false)
-		return
+	if !r.ready() {
+		<-r.wake
 	}
-	<-r.wake
 	r.parked.Store(false)
 }
 
 // Wake pokes a parked (or about-to-park) consumer from any goroutine.
 // Unlike the producer's publish path it does not require the SPSC
 // producer role: a control plane uses it to rouse a consumer idling in
-// Wait or PopBatchWait so it notices out-of-band work. The one-slot
-// wake channel makes a Wake that races the park latch at worst a
-// spurious wakeup, never a lost one.
+// Wait or PopBatchWait so it notices out-of-band work. The token waits
+// in a one-slot channel: a consumer spinning in Wait takes it on its
+// next poll without parking, a parked one is woken by it, and a Wake
+// that races the park latch is at worst a spurious wakeup, never a lost
+// one.
 func (r *Ring[T]) Wake() {
 	select {
 	case r.wake <- struct{}{}:

@@ -321,6 +321,71 @@ func TestRingParkWake(t *testing.T) {
 	}
 }
 
+// TestRingWaitTakesPendingWake pins the wake protocol of Wait's spin: a
+// Wake issued before Wait ends the spin (so Wait returns without
+// reaching the park) and is consumed there, leaving no token behind —
+// the next Wait on an idle ring parks for real and returns only for the
+// next Wake.
+func TestRingWaitTakesPendingWake(t *testing.T) {
+	r := New[int](8)
+	r.Wake()
+	if !r.spin() {
+		t.Fatal("spin ignored a pending Wake: Wait would park")
+	}
+	if n := len(r.wake); n != 0 {
+		t.Fatalf("wake channel holds %d tokens after the spin took one, want 0", n)
+	}
+	r.Wake()
+	r.Wait()
+	if n := len(r.wake); n != 0 {
+		t.Fatalf("wake channel holds %d tokens after Wait, want 0", n)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		r.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("Wait on an idle ring with no pending Wake returned")
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.Wake()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked Wait never woke for Wake")
+	}
+}
+
+// TestRingWaitReturnsOnCloseDuringSpin pins that Close still ends Wait
+// when it lands while the consumer spins (or before it starts): Wait
+// must return whether the spin sees the flag, takes Close's token, or
+// parks just before the token arrives.
+func TestRingWaitReturnsOnCloseDuringSpin(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		r := New[int](8)
+		done := make(chan struct{})
+		go func() {
+			r.Wait()
+			close(done)
+		}()
+		if i%2 == 0 {
+			runtime.Gosched() // vary where in the spin the Close lands
+		}
+		r.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Wait never returned after Close", i)
+		}
+		if !r.Closed() {
+			t.Fatalf("round %d: Closed = false after Close", i)
+		}
+	}
+}
+
 func TestRingCloseDrainsBacklog(t *testing.T) {
 	r := New[int](16)
 	for i := 0; i < 10; i++ {

@@ -304,6 +304,9 @@ func derivePath(p *Path, st *appir.State, ar *solver.Arena) ([]ProactiveRule, er
 // given satisfying assignments, in order.
 func instantiate(p *Path, assignments []solver.Assignment, st *appir.State) ([]ProactiveRule, error) {
 	var out []ProactiveRule
+	if n := len(assignments) * len(p.Installs); n > 0 {
+		out = make([]ProactiveRule, 0, n) // every assignment yields at most one rule per template
+	}
 	for i := range assignments {
 		for _, tmpl := range p.Installs {
 			rule, ok, err := evalTemplate(tmpl, &assignments[i], st)
