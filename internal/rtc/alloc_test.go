@@ -12,8 +12,9 @@ import (
 // TestShardBodyAllocatesNothing is the absolute witness behind "the
 // per-packet shard path performs zero allocations, hit or miss": the
 // warm run-to-completion body over a 3:1 benign/spoof mix, with no
-// journal, with a live journal (barrier heartbeat and consumer drain
-// included), with a strict-delete/re-add flow_mod pair arriving
+// journal, with every spoof from a fresh source, with a live journal
+// (barrier heartbeat and consumer drain included), with a
+// strict-delete/re-add flow_mod pair arriving
 // in-band through the control ring every 64 packets (where only the
 // rule install itself may allocate), and in manual mode, where
 // InjectItem runs the body on the caller and a miss goes straight into
@@ -30,6 +31,18 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("shard body allocates %v per packet, want 0", a)
+		}
+	})
+	t.Run("fresh-sources", func(t *testing.T) {
+		_, s, items, drain := warmShard(t, Config{})
+		i := 0
+		if a := testing.AllocsPerRun(4096, func() {
+			s.processOne(freshSpoof(items, i), now)
+			if i++; i&1023 == 0 {
+				drain()
+			}
+		}); a != 0 {
+			t.Errorf("shard body under fresh spoofed sources allocates %v per packet, want 0", a)
 		}
 	})
 	t.Run("journal-on", func(t *testing.T) {

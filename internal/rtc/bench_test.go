@@ -63,6 +63,22 @@ func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, dr
 	return e, s, items, drain
 }
 
+// freshSpoof returns warmShard's item i&63 for packet i of a run. A spoof
+// item (every fourth) gets a new source first, cycling through 1<<16
+// distinct NwSrc, so every spoof is a source the attribution summary has
+// not seen and its miss evicts a heavy-hitter slot — the per-spoof cost
+// a fresh-key flood pays, which the 16 fixed spoof tuples stop paying
+// once they are tracked.
+func freshSpoof(items []Item, i int) *Item {
+	it := &items[i&63]
+	if i&3 == 0 {
+		// Odd multiplier: a bijection on uint32, so 1<<16 inputs give
+		// 1<<16 distinct addresses.
+		it.Pkt.NwSrc = netpkt.IPv4(uint32(i>>2&0xFFFF) * 0x9E3779B1)
+	}
+	return it
+}
+
 // churnPair prebuilds the strict-delete/re-add pair for one served flow
 // of warmShard's working set, so a loop applying it allocates nothing of
 // its own.
@@ -120,6 +136,28 @@ func BenchmarkShardPerPacket(b *testing.B) {
 	b.ReportMetric(float64(waits), "mutexwaits")
 	if s.forwarded.Load()+s.misses.Load() == 0 {
 		b.Fatal("no packets processed")
+	}
+}
+
+// BenchmarkShardPerPacketFreshSources is BenchmarkShardPerPacket with
+// every spoof from a source the shard has not seen (freshSpoof): the mix
+// wire_flood's spoofed half sends, where each miss evicts from the
+// attribution summary. The 0 allocs/op budget is a tier-1 test
+// (TestShardBodyAllocatesNothing).
+func BenchmarkShardPerPacketFreshSources(b *testing.B) {
+	_, s, items, drain := warmShard(b, Config{})
+	now := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.processOne(freshSpoof(items, i), now)
+		if i&1023 == 0 {
+			drain()
+		}
+	}
+	b.StopTimer()
+	if s.misses.Load() < uint64(b.N/4) {
+		b.Fatalf("%d misses over %d packets, want every spoof to miss", s.misses.Load(), b.N)
 	}
 }
 

@@ -128,7 +128,9 @@ type guardShard struct {
 	occ         atomic.Int64
 	watermark   atomic.Int64
 
-	_ [5]uint64 // pad to keep neighbouring shards off one cache line
+	// Pad the []guardShard stride to whole 64-byte cache lines (192 B),
+	// so neighbouring shards' counters never share one.
+	_ [3]uint64
 }
 
 // Guard is the TCP tier. Construct with New, wire shard observers,

@@ -2,6 +2,7 @@ package tcpguard
 
 import (
 	"testing"
+	"unsafe"
 
 	"floodguard/internal/netpkt"
 )
@@ -249,5 +250,14 @@ func TestCodecProperties(t *testing.T) {
 	// Distinct codecs disagree.
 	if NewCodec(0xBAD).Validate(src, dst, 1234, 80, 10, k) {
 		t.Fatal("cookie validated under a different secret")
+	}
+}
+
+// TestGuardShardStrideIsCacheLines pins guardShard's padding: the
+// []guardShard stride must be a whole number of 64-byte cache lines, or
+// one shard's counters share a line with its neighbour's.
+func TestGuardShardStrideIsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(guardShard{}); n%64 != 0 {
+		t.Errorf("guardShard is %d B, not a multiple of 64: resize its pad", n)
 	}
 }
