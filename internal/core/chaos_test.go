@@ -224,3 +224,32 @@ func TestGuardDetectsWhileCacheUnreachable(t *testing.T) {
 		t.Errorf("migration rules after heal = %d, want 3", migration)
 	}
 }
+
+// TestGuardHealDuringInitMigrates: a sideband heal that lands while the
+// analyzer is still deriving (Init) must arm migration, so Defense opens
+// with the flood diverted into the cache rather than reaching the
+// controller directly.
+func TestGuardHealDuringInitMigrates(t *testing.T) {
+	cfg := defaultTestConfig()
+	cfg.Analyzer.ModeledDeriveLatency = 300 * time.Millisecond
+	b := newBed(t, cfg)
+	b.guard.SetCacheReachable(false)
+	b.flooder.Start(200)
+	for i := 0; i < 200 && b.guard.State() != StateInit; i++ {
+		b.eng.RunFor(10 * time.Millisecond)
+	}
+	if got := b.guard.State(); got != StateInit {
+		t.Fatalf("state = %v, want init", got)
+	}
+	b.guard.SetCacheReachable(true)
+	b.eng.RunFor(time.Second)
+	if got := b.guard.State(); got != StateDefense {
+		t.Fatalf("state = %v, want defense", got)
+	}
+	if !b.guard.PortMigrated(0x1, 3) {
+		t.Error("attack port 3 not migrated after a heal during Init")
+	}
+	if b.guard.Caches()[0].Stats().Enqueued == 0 {
+		t.Error("cache absorbed nothing after a heal during Init")
+	}
+}
