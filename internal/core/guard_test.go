@@ -503,3 +503,44 @@ func TestProtectRequiresConnectedDatapath(t *testing.T) {
 		t.Error("Protect on unbound switch succeeded")
 	}
 }
+
+// TestGuardStopAfterReentryFreezesRate: a Finish→Init re-detection
+// restarts the replay-rate controller; once the guard stops, nothing may
+// steer the cache rate any more.
+func TestGuardStopAfterReentryFreezesRate(t *testing.T) {
+	b := newBed(t, defaultTestConfig())
+	b.flooder.Start(200)
+	b.eng.RunFor(2 * time.Second)
+	if got := b.guard.State(); got != StateDefense {
+		t.Fatalf("state = %v, want defense", got)
+	}
+	b.flooder.Stop()
+	for i := 0; i < 500 && b.guard.State() != StateFinish; i++ {
+		b.eng.RunFor(10 * time.Millisecond)
+	}
+	if got := b.guard.State(); got != StateFinish {
+		t.Fatalf("state = %v, want finish", got)
+	}
+	b.flooder.Start(200)
+	reentered := func() bool {
+		for _, tr := range b.guard.Transitions() {
+			if tr.From == StateFinish && tr.To == StateInit {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < 500 && !reentered(); i++ {
+		b.eng.RunFor(10 * time.Millisecond)
+	}
+	if !reentered() {
+		t.Fatalf("no finish→init re-detection; transitions %+v", b.guard.Transitions())
+	}
+	b.guard.Stop()
+	c := b.guard.Caches()[0]
+	c.SetRate(123)
+	b.eng.RunFor(time.Second)
+	if got := c.Rate(); got != 123 {
+		t.Errorf("cache rate = %v after Stop, want 123 (a replay-rate ticker outlived the guard)", got)
+	}
+}
