@@ -21,6 +21,8 @@ type recordingTarget struct {
 	deletes []openflow.FlowMod
 }
 
+var t0 = time.Date(2015, 6, 22, 0, 0, 0, 0, time.UTC)
+
 func (r *recordingTarget) InstallProactive(fm openflow.FlowMod) error {
 	if fm.Command == openflow.FlowDeleteStrict || fm.Command == openflow.FlowDelete {
 		r.deletes = append(r.deletes, fm)

@@ -30,8 +30,6 @@ type DetectionConfig struct {
 	// QuietPeriod is how long the score must stay below threshold before
 	// the attack is declared over.
 	QuietPeriod time.Duration
-	// RateEWMAAlpha smooths the packet_in rate estimate.
-	RateEWMAAlpha float64
 }
 
 // DefaultDetection returns thresholds calibrated for the bundled switch
@@ -44,7 +42,6 @@ func DefaultDetection() DetectionConfig {
 		BacklogReference:     200 * time.Millisecond,
 		TriggerSamples:       2,
 		QuietPeriod:          time.Second,
-		RateEWMAAlpha:        0.4,
 	}
 }
 
@@ -171,8 +168,6 @@ type Config struct {
 	// (§IV.C.1's "obvious challenge"), so replayed packet_ins carry
 	// in_port 0 and learning apps poison their state.
 	DisableINPORTTag bool
-	// StatsPollInterval is how often the agent polls switch utilization.
-	StatsPollInterval time.Duration
 	// DegradedMaxPPS bounds direct packet_in dispatch while the guard is
 	// in the degraded fallback (cache unreachable): table-miss packets
 	// flow straight to the controller again, and everything beyond this
@@ -180,24 +175,15 @@ type Config struct {
 	// falls back to RateLimit.MaxPPS — the same ceiling the cache replay
 	// path honours, so degradation never admits more load than Defense.
 	DegradedMaxPPS float64
-	// TraceSampleEvery samples one in N packets for pipeline lifecycle
-	// tracing when the guard is instrumented (0 picks
-	// DefaultTraceSampleEvery; 1 traces every packet).
-	TraceSampleEvery int
 }
-
-// DefaultTraceSampleEvery is the default pipeline tracing sample rate.
-const DefaultTraceSampleEvery = 64
 
 // DefaultConfig returns the paper-faithful configuration.
 func DefaultConfig() Config {
 	return Config{
-		Detection:         DefaultDetection(),
-		Analyzer:          DefaultAnalyzer(),
-		RateLimit:         DefaultRateLimit(),
-		Cache:             dpcache.DefaultConfig(),
-		CachePort:         63,
-		StatsPollInterval: 50 * time.Millisecond,
-		TraceSampleEvery:  DefaultTraceSampleEvery,
+		Detection: DefaultDetection(),
+		Analyzer:  DefaultAnalyzer(),
+		RateLimit: DefaultRateLimit(),
+		Cache:     dpcache.DefaultConfig(),
+		CachePort: 63,
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"floodguard/internal/attrib"
+	"floodguard/internal/core"
 	"floodguard/internal/dpcache"
 	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
@@ -352,10 +353,17 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	outage := false
 
 	// Control-plane journal recorder (all methods nil-safe when the
-	// journal is off): chaos faults, migration decisions, violations and
-	// SLO flips recorded by this harness goroutine.
+	// journal is off): chaos faults, FSM and migration decisions,
+	// violations and SLO flips recorded by this harness goroutine.
 	jctl := jnl.ControlRec()
-	migrated := make(map[uint16]bool)
+
+	// The Guard's decision policy, stepped once per window barrier. The
+	// harness records its transitions and migration moves; replay runs at
+	// the scenario's ReplayPPS, so its rate decision goes unused.
+	det := core.DefaultDetection()
+	det.SampleInterval = cfg.Window
+	policy := core.NewPolicy(det, core.DefaultRateLimit(), true)
+	var prevMisses uint64
 
 	// SLO health engine: three declarative objectives evaluated every
 	// window with multi-window burn rates (see telemetry.Objective).
@@ -527,17 +535,6 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 			attackerBlamed[i] = false
 		}
 		for _, v := range verdicts {
-			// Selective-migration analog of the controller path: the
-			// first blame diverts the port's cold traffic to the suspect
-			// queue (migrate); heal restores it (unmigrate). Verdict
-			// order is deterministic, so so is the event stream.
-			if v.Suspect && !migrated[v.Port] {
-				migrated[v.Port] = true
-				jctl.Record(journal.KindMigrate, 0, 0, 1, v.Port, 0, 0, 0)
-			} else if v.Healed && migrated[v.Port] {
-				delete(migrated, v.Port)
-				jctl.Record(journal.KindUnmigrate, 0, 0, 1, v.Port, 0, 0, 0)
-			}
 			if !v.Suspect {
 				continue
 			}
@@ -562,8 +559,38 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 			ws.InjAttack += uint64(n)
 		}
 		ws.BlamedPorts = blamedPorts
+
+		// Step the policy on the window: misses are its packet_ins, and a
+		// chaos outage takes the sideband down. The engine has no
+		// proactive rules to derive, so a fresh Init is derived at once.
+		view := core.Observation{
+			Tick:      core.TickSample,
+			PacketIns: int(ws.Misses - prevMisses),
+			Enqueued:  ws.Enqueued,
+			Reachable: !plan[w].Outage,
+			Drained:   ws.Backlog == 0,
+			Verdicts:  verdicts,
+		}
+		prevMisses = ws.Misses
+		for d := policy.Step(view); ; d = policy.Step(view) {
+			for _, tr := range d.Transitions {
+				jctl.Record(journal.KindFSM, uint8(tr.To), uint8(tr.From), 0, 0,
+					policy.PacketInRate(), float64(ws.Backlog), policy.MigrationRate())
+			}
+			for _, m := range d.Moves {
+				kind := journal.KindUnmigrate
+				if m.Divert {
+					kind = journal.KindMigrate
+				}
+				jctl.Record(kind, 0, 0, m.DPID, m.Port, 0, 0, 0)
+			}
+			if !d.Derive {
+				break
+			}
+			view.Tick = core.TickDerived
+		}
+		ws.FSM = policy.State().String()
 		benignBacklog := ws.Backlog - ws.SuspectBacklog
-		ws.FSM = chk.fsm(w, blamedPorts, benignBacklog)
 
 		vs := chk.check(w, &ws, attackerBlamed, benignBlamed, attackerInj, benignBacklog)
 		ws.Violations = len(vs)
