@@ -73,7 +73,8 @@ func TestHealAfterCalmUnderRotatingSource(t *testing.T) {
 
 	// Flood stops; benign chatter continues. Blame must survive the first
 	// HealWindows-1 calm windows and clear on the HealWindows-th — the
-	// deadline the soak liveness checker and updateSelective rely on.
+	// deadline the soak liveness checker and core.Policy's selective
+	// reconciliation rely on.
 	for i := 0; i < cfg.HealWindows-1; i++ {
 		a.ObservePacket(1, 1, pktFrom("10.0.0.1"))
 		a.Roll(window)

@@ -1,11 +1,12 @@
 // Package soak is the adversarial soak harness: it drives the
-// run-to-completion engine with zipfian benign traffic over millions of distinct flows, composes it with
-// adaptive attacker profiles — ramp, pulse, rotate-source, slow-DDoS —
-// and chaos flaps, and asserts a catalog of invariants *every window*:
-// packet conservation across the shard/cache/replay pipeline, a benign
-// collateral-loss ceiling, bounded memory occupancy for every
-// summarising structure, and FSM liveness (attacks get blamed, blame
-// heals after calm, degraded states drain).
+// run-to-completion engine with zipfian benign traffic over millions of
+// distinct flows, adaptive attacker profiles (ramp, pulse, rotate-source,
+// slow-DDoS) and chaos flaps, steps the Guard's decision policy
+// (core.Policy) at every window barrier, and asserts a catalog of
+// invariants *every window*: packet conservation across the
+// shard/cache/replay pipeline, a benign collateral-loss ceiling, bounded
+// memory for every summarising structure, and detection liveness
+// (attacks get blamed, blame heals after calm, outage backlogs drain).
 //
 // The harness runs the engine in rtc manual mode, on its own goroutine
 // alone: it runs every shard's body itself, simulated time only advances
