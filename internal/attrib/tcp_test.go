@@ -65,7 +65,7 @@ func TestTCPRolloverRejectionSurfacesAsVerdict(t *testing.T) {
 	a := New(Config{TCPMinSyns: 4})
 	obs := a.NewShardObserver()
 	var sa netpkt.Packet
-	g := tcpguard.New(tcpguard.Config{Shards: 1, Secret: 0xF100D, IdleWindows: 1,
+	g := tcpguard.New(tcpguard.Config{Shards: 1, Secret: 0xF100D,
 		SynAck: func(_ uint64, _ uint16, p netpkt.Packet) { sa = p }})
 	g.SetShardObserver(0, obs)
 
@@ -101,6 +101,53 @@ func TestTCPRolloverRejectionSurfacesAsVerdict(t *testing.T) {
 	p := tcpPkt(replayer, netpkt.TCPAck)
 	if h := a.Hint(1, 9, &p); h != dpcache.HintSuspect {
 		t.Fatalf("replayer hinted %d, want suspect", h)
+	}
+}
+
+// TestTCPBenignEvidenceBehindSpoofedSyns is the attribution leg of
+// tcpguard's TestBenignDataBehindSpoofedSyns: benign clients that
+// complete behind a spoofed-SYN flood many times the conn table's
+// budget, then send data two windows later, carry no cookie failure in
+// their evidence.
+func TestTCPBenignEvidenceBehindSpoofedSyns(t *testing.T) {
+	a := New(Config{TCPMinSyns: 8})
+	obs := a.NewShardObserver()
+	var sa netpkt.Packet
+	g := tcpguard.New(tcpguard.Config{Shards: 1, PerShardCapacity: 64, Secret: 0xF100D,
+		SynAck: func(_ uint64, _ uint16, p netpkt.Packet) { sa = p }})
+	g.SetShardObserver(0, obs)
+
+	for i := 0; i < 1000; i++ {
+		syn := tcpPkt(netpkt.IPv4(0xC6330000+i), netpkt.TCPSyn)
+		g.Process(0, 1, 9, &syn)
+	}
+	var data [16]netpkt.Packet
+	for i := range data {
+		syn := tcpPkt(netpkt.IPv4(0x0A010000+i), netpkt.TCPSyn)
+		g.Process(0, 1, 3, &syn)
+		data[i] = syn
+		data[i].TCPFlags = netpkt.TCPAck
+		data[i].TCPSeq = sa.TCPAck
+		data[i].TCPAck = sa.TCPSeq + 1
+		if got := g.Process(0, 1, 3, &data[i]); got != tcpguard.ActionPass {
+			t.Fatalf("benign handshake %d action %v", i, got)
+		}
+		data[i].PayloadLen = 100
+	}
+	for i := 0; i < 2; i++ {
+		g.AdvanceWindow()
+		g.FlushShard(0)
+	}
+	for i := range data {
+		g.Process(0, 1, 3, &data[i])
+	}
+	obs.Flush()
+	a.Roll(100 * time.Millisecond)
+
+	for i := range data {
+		if ev := a.TCPSourceEvidence(data[i].NwSrc); ev.Completions != 1 || ev.CookieFails != 0 {
+			t.Errorf("benign source %d evidence %+v, want 1 completion and 0 cookie fails", i, ev)
+		}
 	}
 }
 

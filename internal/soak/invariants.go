@@ -129,8 +129,7 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 	if lim := 9 * c.cfg.QueueCapacity; ws.Backlog > lim {
 		add("memory", "cache backlog %d > structural bound %d", ws.Backlog, lim)
 	}
-	// The SYN-proxy connection table stays under its fixed budget no
-	// matter how many half-open handshakes the adversary offers — the
+	// The SYN-proxy connection table stays under its fixed budget — the
 	// watermark catches intra-window excursions the barrier snapshot
 	// would miss.
 	if c.cfg.TCPGuardOn {
@@ -139,6 +138,11 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 		}
 		if ws.ConnWatermark > ws.ConnBudget {
 			add("memory", "guard conn watermark %d > budget %d", ws.ConnWatermark, ws.ConnBudget)
+		}
+		// Only a valid cookie claims a slot, so spoofed SYNs hold none:
+		// the table never held more entries than handshakes completed.
+		if uint64(ws.ConnWatermark) > ws.Established {
+			add("memory", "guard conn watermark %d > completed handshakes %d", ws.ConnWatermark, ws.Established)
 		}
 		// The tier's core promise: cookie SYN-ACKs are answered in the
 		// data plane; none ride the replay path to the controller.

@@ -319,7 +319,6 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		rcfg.TCPGuard = &tcpguard.Config{
 			Secret:           uint64(cfg.Seed) ^ 0x7cfb_51a9,
 			PerShardCapacity: soakConnCapacity,
-			IdleWindows:      4,
 			SynAck:           box.collect,
 		}
 	}

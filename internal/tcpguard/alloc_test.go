@@ -7,7 +7,7 @@ import (
 )
 
 // TestGuardAllocatesNothing is the absolute witness for the SYN-proxy
-// tier's 0 allocs/op budget — everything here sits on the per-SYN
+// tier's 0 allocs/op budget — everything here sits on the per-packet
 // data-plane path: cookie encode and validate, the connection-table
 // lookup, and the full Process of a flooded SYN.
 func TestGuardAllocatesNothing(t *testing.T) {
@@ -30,8 +30,7 @@ func TestGuardAllocatesNothing(t *testing.T) {
 	g := New(Config{Shards: 4, PerShardCapacity: 4096, Secret: 0xF100D})
 	const live = 2048
 	for j := 0; j < live; j++ {
-		syn := synPkt(netpkt.IPv4(0x0A000000+j), dst, uint16(1024+j), 80, 1)
-		g.Process(1, 1, 1, &syn)
+		complete(g, 1, synPkt(netpkt.IPv4(0x0A000000+j), dst, uint16(1024+j), 80, 1))
 	}
 	tbl := &g.shards[1].table
 	if a := testing.AllocsPerRun(live, func() {

@@ -41,8 +41,7 @@ func BenchmarkConnTableLookup(b *testing.B) {
 	dst := netpkt.MustIPv4("192.0.2.10")
 	const live = 2048
 	for i := 0; i < live; i++ {
-		syn := synPkt(netpkt.IPv4(0x0A000000+i), dst, uint16(1024+i), 80, 1)
-		g.Process(1, 1, 1, &syn)
+		complete(g, 1, synPkt(netpkt.IPv4(0x0A000000+i), dst, uint16(1024+i), 80, 1))
 	}
 	t := &g.shards[1].table
 	b.ReportAllocs()

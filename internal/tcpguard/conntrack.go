@@ -8,21 +8,15 @@ type State uint8
 const (
 	// StateNone marks an empty table slot.
 	StateNone State = iota
-	// StateSynSeen: a SYN arrived and an entry was claimed, but the
-	// cookie SYN-ACK has not been emitted yet. Transient within one
-	// Process call unless the answer path is disabled.
-	StateSynSeen
-	// StateCookieSent: the cookie SYN-ACK went out; waiting for the ACK.
-	StateCookieSent
-	// StateEstablished: a valid cookie came back; the flow is eligible
-	// for benign-queue replay.
+	// StateEstablished: an ACK carried a valid cookie; the flow is
+	// eligible for benign-queue replay.
 	StateEstablished
 	// StateClosed: FIN or RST observed after establishment; the entry
 	// lingers until the next idle sweep, absorbing stragglers.
 	StateClosed
 )
 
-var stateNames = [...]string{"none", "syn_seen", "cookie_sent", "established", "closed"}
+var stateNames = [...]string{"none", "established", "closed"}
 
 func (s State) String() string {
 	if int(s) < len(stateNames) {
@@ -44,7 +38,8 @@ type conn struct {
 // owned by the shard goroutine: lookups and inserts are lock-free and
 // allocation-free, eviction happens only at flush barriers. Capacity
 // is fixed at construction — the table never grows, and inserts beyond
-// capacity are refused (cookies keep the proxy correct regardless).
+// capacity are refused. Only a validated cookie inserts, so the
+// budget is spent on live peers, never on spoofed SYNs.
 type connTable struct {
 	slots   []conn
 	scratch []conn // sweep survivors, reused across sweeps
@@ -105,18 +100,18 @@ func (t *connTable) insert(src, dst netpkt.IPv4, sport, dport uint16) *conn {
 	}
 }
 
-// sweep evicts entries idle for more than idleWin guard windows and
-// all Closed entries, rebuilding the probe sequence from the
+// sweep evicts entries idle for more than idleWindows guard windows
+// and all Closed entries, rebuilding the probe sequence from the
 // survivors. Runs at flush barriers on the shard goroutine; returns
 // the number of evictions.
-func (t *connTable) sweep(now, idleWin uint32) int {
+func (t *connTable) sweep(now uint32) int {
 	t.scratch = t.scratch[:0]
 	for i := range t.slots {
 		c := &t.slots[i]
 		if c.state == StateNone {
 			continue
 		}
-		if c.state == StateClosed || now-c.lastWin > idleWin {
+		if c.state == StateClosed || now-c.lastWin > idleWindows {
 			c.state = StateNone
 			continue
 		}

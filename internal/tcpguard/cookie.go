@@ -9,9 +9,9 @@
 // hash over the 4-tuple and a coarse time window, encoded into the
 // SYN-ACK sequence number, so validating the returning ACK needs no
 // per-SYN state at all. The connection table exists only for the flows
-// that *do* come back — it is fixed-capacity bookkeeping, never a
-// correctness dependency: a valid cookie establishes a connection even
-// if its entry was evicted in between.
+// that *do* come back: a SYN claims no slot, an ACK whose cookie
+// validates claims one, and a valid cookie establishes a connection
+// even when the fixed-capacity table has no slot left for it.
 package tcpguard
 
 import "floodguard/internal/netpkt"

@@ -76,9 +76,6 @@ type Config struct {
 	PerShardCapacity int
 	// Secret seeds the cookie keyed hash and the table hash.
 	Secret uint64
-	// IdleWindows evicts entries untouched for more than this many
-	// guard windows (default 4).
-	IdleWindows uint32
 	// SynAck, when set, receives the cookie SYN-ACK the guard mints for
 	// each answered SYN. Called on shard goroutines; implementations
 	// must be safe for concurrent calls from different shards. Nil
@@ -94,10 +91,11 @@ func (c *Config) normalize() {
 	if c.PerShardCapacity <= 0 {
 		c.PerShardCapacity = 4096
 	}
-	if c.IdleWindows == 0 {
-		c.IdleWindows = 4
-	}
 }
+
+// idleWindows evicts entries untouched for more than this many guard
+// windows.
+const idleWindows = 4
 
 // Stats is a point-in-time aggregate across shards.
 type Stats struct {
@@ -106,7 +104,7 @@ type Stats struct {
 	CookieFails uint64 // ACKs with invalid/expired cookies
 	Malformed   uint64 // malformed flags/offset/options segments
 	Dropped     uint64 // total consumed as invalid (cookie fails + malformed + strays)
-	TableFull   uint64 // inserts refused at the fixed budget
+	Untracked   uint64 // completions that found no free slot
 	Evicted     uint64 // idle/closed entries swept at barriers
 	Entries     int    // current live entries across shards
 	Watermark   int    // high-watermark of Entries
@@ -123,7 +121,7 @@ type guardShard struct {
 	cookieFails atomic.Uint64
 	malformed   atomic.Uint64
 	dropped     atomic.Uint64
-	tableFull   atomic.Uint64
+	untracked   atomic.Uint64
 	evicted     atomic.Uint64
 	occ         atomic.Int64
 	watermark   atomic.Int64
@@ -167,21 +165,15 @@ func (g *Guard) Shards() int { return len(g.shards) }
 // goroutine.
 func (g *Guard) SetShardObserver(i int, obs Observer) { g.shards[i].obs = obs }
 
-// SetWindow pins the cookie window (virtual-time deployments).
-func (g *Guard) SetWindow(w uint32) { g.window.Store(w) }
-
 // AdvanceWindow moves to the next cookie window and returns it.
 func (g *Guard) AdvanceWindow() uint32 { return g.window.Add(1) }
-
-// Window returns the current cookie window.
-func (g *Guard) Window() uint32 { return g.window.Load() }
 
 // FlushShard runs shard i's idle sweep against the current window.
 // Must be called on shard i's goroutine (rtc calls it on the flush
 // barrier; single-goroutine deployments call it directly).
 func (g *Guard) FlushShard(i int) {
 	s := &g.shards[i]
-	if ev := s.table.sweep(g.window.Load(), g.cfg.IdleWindows); ev > 0 {
+	if ev := s.table.sweep(g.window.Load()); ev > 0 {
 		s.evicted.Add(uint64(ev))
 	}
 	s.occ.Store(int64(s.table.n))
@@ -216,20 +208,8 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 
 	switch {
 	case flags&netpkt.TCPSyn != 0 && flags&netpkt.TCPAck == 0:
-		// Client SYN: answer statelessly, remember the attempt if a
-		// slot is free. SYN_SEEN→COOKIE_SENT within this call.
-		c := s.table.lookup(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst)
-		if c == nil {
-			if c = s.table.insert(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst); c == nil {
-				s.tableFull.Add(1)
-			} else {
-				s.noteOcc()
-			}
-		}
-		if c != nil {
-			c.state = StateSynSeen
-			c.lastWin = w
-		}
+		// Client SYN: answer statelessly. The SYN claims no slot and
+		// touches none, even one its 4-tuple already holds.
 		cookie := g.codec.Encode(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst, w)
 		s.synAnswered.Add(1)
 		if g.cfg.SynAck != nil {
@@ -243,32 +223,24 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 				TCPSeq:   cookie, TCPAck: p.TCPSeq + 1,
 			})
 		}
-		if c != nil {
-			c.state = StateCookieSent
-		}
 		return s.deliver(dpid, inPort, p.NwSrc, VerdictSyn, ActionAnswer)
 
 	case flags&netpkt.TCPAck != 0:
 		c := s.table.lookup(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst)
-		if c != nil {
-			switch c.state {
-			case StateEstablished:
-				c.lastWin = w
-				if flags&(netpkt.TCPFin|netpkt.TCPRst) != 0 {
-					c.state = StateClosed
-				}
-				return ActionPass
-			case StateClosed:
-				s.dropped.Add(1)
-				return ActionDrop
+		if c != nil && c.state == StateEstablished {
+			c.lastWin = w
+			if flags&(netpkt.TCPFin|netpkt.TCPRst) != 0 {
+				c.state = StateClosed
 			}
+			return ActionPass
 		}
-		// COOKIE_SENT (or evicted): the ACK must prove the cookie. The
-		// client acks cookie+1, so the cookie is ack-1.
+		// No slot, or a Closed one: the ACK must prove the cookie. The
+		// client acks cookie+1, so the cookie is ack-1. A valid cookie
+		// claims a slot, or re-establishes the Closed one.
 		if g.codec.Validate(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst, w, p.TCPAck-1) {
 			if c == nil {
 				if c = s.table.insert(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst); c == nil {
-					s.tableFull.Add(1)
+					s.untracked.Add(1)
 				} else {
 					s.noteOcc()
 				}
@@ -279,6 +251,12 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 			}
 			s.established.Add(1)
 			return s.deliver(dpid, inPort, p.NwSrc, VerdictCompletion, ActionPass)
+		}
+		if c != nil {
+			// A stray ACK on a Closed slot: the tuple proved a cookie
+			// once, so it is consumed without a cookie-failure verdict.
+			s.dropped.Add(1)
+			return ActionDrop
 		}
 		return s.deliver(dpid, inPort, p.NwSrc, VerdictCookieFail, ActionDrop)
 
@@ -340,7 +318,7 @@ func (g *Guard) Stats() Stats {
 		st.CookieFails += s.cookieFails.Load()
 		st.Malformed += s.malformed.Load()
 		st.Dropped += s.dropped.Load()
-		st.TableFull += s.tableFull.Load()
+		st.Untracked += s.untracked.Load()
 		st.Evicted += s.evicted.Load()
 		st.Entries += int(s.occ.Load())
 		st.Watermark += int(s.watermark.Load())

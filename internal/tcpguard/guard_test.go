@@ -41,6 +41,16 @@ func ackFor(syn netpkt.Packet, synack netpkt.Packet) netpkt.Packet {
 	return p
 }
 
+// complete runs syn's handshake through g on shard i, computing the
+// cookie the guard minted in its current window, and returns the
+// completing ACK's action.
+func complete(g *Guard, i int, syn netpkt.Packet) Action {
+	g.Process(i, 1, 3, &syn)
+	cookie := g.codec.Encode(syn.NwSrc, syn.NwDst, syn.TpSrc, syn.TpDst, g.window.Load())
+	ack := ackFor(syn, netpkt.Packet{TCPSeq: cookie, TCPAck: syn.TCPSeq + 1})
+	return g.Process(i, 1, 3, &ack)
+}
+
 func TestHandshakeLifecycle(t *testing.T) {
 	var synacks []netpkt.Packet
 	g := New(Config{Shards: 1, PerShardCapacity: 64, Secret: 0xF100D,
@@ -63,8 +73,8 @@ func TestHandshakeLifecycle(t *testing.T) {
 	if sa.TCPFlags != netpkt.TCPSyn|netpkt.TCPAck || sa.TCPAck != 1235 || sa.NwSrc != dst || sa.NwDst != src {
 		t.Fatalf("bad SYN-ACK %+v", sa)
 	}
-	if st := g.ConnState(0, src, dst, 40000, 80); st != StateCookieSent {
-		t.Fatalf("state after SYN %v, want cookie_sent", st)
+	if st := g.ConnState(0, src, dst, 40000, 80); st != StateNone {
+		t.Fatalf("state after SYN %v, want none (a SYN claims no slot)", st)
 	}
 
 	ack := ackFor(syn, sa)
@@ -89,7 +99,8 @@ func TestHandshakeLifecycle(t *testing.T) {
 		t.Fatalf("data segment emitted a verdict")
 	}
 
-	// FIN closes; stragglers are then consumed.
+	// FIN closes; stragglers whose cookie has expired are then
+	// consumed silently.
 	fin := ack
 	fin.TCPFlags = netpkt.TCPFin | netpkt.TCPAck
 	if a := g.Process(0, 1, 3, &fin); a != ActionPass {
@@ -98,8 +109,14 @@ func TestHandshakeLifecycle(t *testing.T) {
 	if st := g.ConnState(0, src, dst, 40000, 80); st != StateClosed {
 		t.Fatalf("state after FIN %v, want closed", st)
 	}
+	g.AdvanceWindow()
+	g.AdvanceWindow()
+	n = len(obs.got)
 	if a := g.Process(0, 1, 3, &data); a != ActionDrop {
 		t.Fatalf("post-close data action %v, want drop", a)
+	}
+	if len(obs.got) != n {
+		t.Fatalf("post-close straggler emitted verdict %v", obs.last())
 	}
 
 	st := g.Stats()
@@ -115,10 +132,7 @@ func TestCookieWindowRollover(t *testing.T) {
 	for _, windowsLater := range []uint32{0, 1, 2, 3} {
 		var sa netpkt.Packet
 		g := New(Config{Shards: 1, PerShardCapacity: 64, Secret: 0xF100D,
-			// IdleWindows 1 so the COOKIE_SENT entry is swept before the
-			// late ACK arrives — validation must be purely stateless.
-			IdleWindows: 1,
-			SynAck:      func(_ uint64, _ uint16, p netpkt.Packet) { sa = p }})
+			SynAck: func(_ uint64, _ uint16, p netpkt.Packet) { sa = p }})
 		obs := &verdictLog{}
 		g.SetShardObserver(0, obs)
 
@@ -173,55 +187,46 @@ func TestMalformedVerdicts(t *testing.T) {
 	}
 }
 
-// TestTableBudget pins the fixed-capacity contract: the table refuses
-// inserts at its budget, the watermark records the peak, and a valid
-// cookie still establishes a connection with the table full — the
-// stateless codec, not the table, is the correctness anchor.
+// TestTableBudget pins the fixed-capacity contract: spoofed SYNs claim
+// no slot, completions claim slots up to the budget, and a completion
+// past it is counted Untracked yet still passes — the cookie, not the
+// table, admits the handshake.
 func TestTableBudget(t *testing.T) {
-	var sa netpkt.Packet
-	g := New(Config{Shards: 1, PerShardCapacity: 8, Secret: 2,
-		SynAck: func(_ uint64, _ uint16, p netpkt.Packet) { sa = p }})
+	g := New(Config{Shards: 1, PerShardCapacity: 8, Secret: 2})
 	dst := netpkt.MustIPv4("192.0.2.10")
 	for i := 0; i < 32; i++ {
 		syn := synPkt(netpkt.MustIPv4("10.9.0.1")+netpkt.IPv4(i), dst, 1024, 80, 1)
 		if a := g.Process(0, 1, 3, &syn); a != ActionAnswer {
-			t.Fatalf("SYN %d not answered at full table", i)
+			t.Fatalf("SYN %d not answered", i)
+		}
+	}
+	if st := g.Stats(); st.Entries != 0 || st.Watermark != 0 {
+		t.Fatalf("spoofed SYNs claimed slots: %+v", st)
+	}
+
+	for i := 0; i < 12; i++ {
+		syn := synPkt(netpkt.MustIPv4("10.8.0.1")+netpkt.IPv4(i), dst, 1024, 80, 1)
+		if a := complete(g, 0, syn); a != ActionPass {
+			t.Fatalf("completion %d action %v, want pass", i, a)
 		}
 	}
 	st := g.Stats()
-	if st.Entries > st.EntryBudget || st.Watermark > st.EntryBudget {
-		t.Fatalf("table exceeded budget: %+v", st)
-	}
-	if st.TableFull != 32-8 {
-		t.Fatalf("tableFull %d, want 24", st.TableFull)
-	}
-
-	// The 32nd source's entry was refused; its handshake must complete
-	// regardless because the cookie is stateless.
-	syn := synPkt(netpkt.MustIPv4("10.9.0.1")+31, dst, 1024, 80, 1)
-	g.Process(0, 1, 3, &syn)
-	ack := ackFor(syn, sa)
-	if a := g.Process(0, 1, 3, &ack); a != ActionPass {
-		t.Fatalf("full-table completion action %v, want pass", a)
-	}
-	if g.Stats().Established != 1 {
-		t.Fatalf("established %d, want 1", g.Stats().Established)
+	if st.Entries != 8 || st.Watermark != 8 || st.Established != 12 || st.Untracked != 12-8 {
+		t.Fatalf("after 12 completions on 8 slots: %+v", st)
 	}
 }
 
 func TestIdleEviction(t *testing.T) {
-	g := New(Config{Shards: 2, PerShardCapacity: 8, Secret: 3, IdleWindows: 2})
-	dst := netpkt.MustIPv4("192.0.2.10")
-	syn := synPkt(netpkt.MustIPv4("10.1.0.1"), dst, 40000, 80, 1)
-	g.Process(1, 1, 3, &syn)
-	if g.Stats().Entries != 1 {
-		t.Fatalf("entries %d after SYN", g.Stats().Entries)
+	g := New(Config{Shards: 2, PerShardCapacity: 8, Secret: 3})
+	syn := synPkt(netpkt.MustIPv4("10.1.0.1"), netpkt.MustIPv4("192.0.2.10"), 40000, 80, 1)
+	if a := complete(g, 1, syn); a != ActionPass || g.Stats().Entries != 1 {
+		t.Fatalf("completion action %v, entries %d", a, g.Stats().Entries)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < idleWindows; i++ {
 		g.AdvanceWindow()
 		g.FlushShard(1)
 		if g.Stats().Entries != 1 {
-			t.Fatalf("entry evicted %d windows early", 2-i)
+			t.Fatalf("entry evicted %d windows early", idleWindows-i)
 		}
 	}
 	g.AdvanceWindow()
@@ -229,6 +234,100 @@ func TestIdleEviction(t *testing.T) {
 	st := g.Stats()
 	if st.Entries != 0 || st.Evicted != 1 {
 		t.Fatalf("after idle horizon: %+v", st)
+	}
+}
+
+// TestBenignDataBehindSpoofedSyns is the north star on the SYN-proxy
+// tier: a spoofed-SYN flood many times the table's budget must not
+// cost benign connections their slots. Each benign client sends one
+// data segment two windows after completing, when its cookie no longer
+// validates, so only a tracked connection passes.
+func TestBenignDataBehindSpoofedSyns(t *testing.T) {
+	g := New(Config{Shards: 1, PerShardCapacity: 64, Secret: 0xF100D})
+	obs := &verdictLog{}
+	g.SetShardObserver(0, obs)
+	dst := netpkt.MustIPv4("192.0.2.10")
+	for i := 0; i < 1000; i++ {
+		syn := synPkt(netpkt.IPv4(0xC6330000+i), dst, uint16(1024+i), 80, 1)
+		g.Process(0, 1, 3, &syn)
+	}
+
+	const benign = 16
+	var data [benign]netpkt.Packet
+	for i := range data {
+		syn := synPkt(netpkt.IPv4(0x0A010000+i), dst, 40000, 80, 7)
+		if a := complete(g, 0, syn); a != ActionPass || obs.last() != VerdictCompletion {
+			t.Fatalf("benign handshake %d: action %v verdict %v", i, a, obs.last())
+		}
+		cookie := g.codec.Encode(syn.NwSrc, dst, syn.TpSrc, 80, g.window.Load())
+		data[i] = ackFor(syn, netpkt.Packet{TCPSeq: cookie, TCPAck: syn.TCPSeq + 1})
+		data[i].PayloadLen = 100
+	}
+	for i := 0; i < 2; i++ {
+		g.AdvanceWindow()
+		g.FlushShard(0)
+	}
+	for i := range data {
+		if a := g.Process(0, 1, 3, &data[i]); a != ActionPass {
+			t.Errorf("benign data segment %d action %v, want pass", i, a)
+		}
+	}
+	for _, v := range obs.got {
+		if v == VerdictCookieFail {
+			t.Fatalf("cookie failure booked against a benign source: %+v", g.Stats())
+		}
+	}
+}
+
+// TestReopenClosedTuple pins the Closed-slot contract: a 4-tuple that
+// is FIN-closed and reopened before the next sweep establishes again
+// on its valid cookie, while a stray ACK on the Closed slot is dropped
+// with no verdict.
+func TestReopenClosedTuple(t *testing.T) {
+	var sa netpkt.Packet
+	g := New(Config{Shards: 1, PerShardCapacity: 64, Secret: 0xF100D,
+		SynAck: func(_ uint64, _ uint16, p netpkt.Packet) { sa = p }})
+	obs := &verdictLog{}
+	g.SetShardObserver(0, obs)
+	src, dst := netpkt.MustIPv4("10.1.0.1"), netpkt.MustIPv4("192.0.2.10")
+	fin := func(ack netpkt.Packet) {
+		ack.TCPFlags = netpkt.TCPFin | netpkt.TCPAck
+		if a := g.Process(0, 1, 3, &ack); a != ActionPass {
+			t.Fatalf("FIN action %v", a)
+		}
+		if st := g.ConnState(0, src, dst, 40000, 80); st != StateClosed {
+			t.Fatalf("state after FIN %v, want closed", st)
+		}
+	}
+
+	syn := synPkt(src, dst, 40000, 80, 100)
+	g.Process(0, 1, 3, &syn)
+	ack := ackFor(syn, sa)
+	g.Process(0, 1, 3, &ack)
+	fin(ack)
+
+	syn.TCPSeq = 5000
+	g.Process(0, 1, 3, &syn)
+	ack = ackFor(syn, sa)
+	if a := g.Process(0, 1, 3, &ack); a != ActionPass || obs.last() != VerdictCompletion {
+		t.Fatalf("reopen ACK: action %v verdict %v, want pass + completion", a, obs.last())
+	}
+	if st := g.ConnState(0, src, dst, 40000, 80); st != StateEstablished {
+		t.Fatalf("state after reopen %v, want established", st)
+	}
+
+	fin(ack)
+	stray := ack
+	stray.TCPAck += 1 << 20
+	n := len(obs.got)
+	if a := g.Process(0, 1, 3, &stray); a != ActionDrop {
+		t.Fatalf("stray ACK action %v, want drop", a)
+	}
+	if len(obs.got) != n {
+		t.Fatalf("stray ACK emitted verdict %v", obs.last())
+	}
+	if st := g.Stats(); st.Established != 2 || st.CookieFails != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
