@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
 
 all: build test
 
@@ -117,6 +117,25 @@ profile-soak:
 cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# What the measured paths never execute: the golden outputs and the
+# soak differential under -coverpkg, plus a -cover build of bench/
+# running its smoke (child processes included, through GOCOVERDIR),
+# merged into one profile without bench/'s own blocks. Prints the
+# functions at 0.0 %. cmd/ and examples/ are not in the profile, so a
+# 0 % line is a lead to grep, not a verdict. Everything it writes stays
+# under COVER_LIVE_DIR.
+COVER_LIVE_DIR ?= cover-live
+cover-live:
+	rm -rf $(COVER_LIVE_DIR) && mkdir -p $(COVER_LIVE_DIR)/bench
+	$(GO) test -count=1 -covermode=set -coverpkg=./... -coverprofile=$(COVER_LIVE_DIR)/tests.out \
+		-run '^(TestGoldenOutputs|TestDifferentialEngineVsBaseline)$$' ./internal/experiments ./internal/soak
+	$(GO) build -C bench -cover -covermode=set -coverpkg=floodguard/... -o $(abspath $(COVER_LIVE_DIR))/fgbench .
+	GOCOVERDIR=$(abspath $(COVER_LIVE_DIR))/bench $(COVER_LIVE_DIR)/fgbench -smoke > $(COVER_LIVE_DIR)/smoke.txt
+	$(GO) tool covdata textfmt -i=$(COVER_LIVE_DIR)/bench -o=$(COVER_LIVE_DIR)/bench.out
+	{ echo 'mode: set'; grep -hv -e '^mode:' -e '^floodguard/bench/' $(COVER_LIVE_DIR)/tests.out $(COVER_LIVE_DIR)/bench.out; } \
+		> $(COVER_LIVE_DIR)/live.out
+	$(GO) tool cover -func=$(COVER_LIVE_DIR)/live.out | grep -E '[[:space:]]0\.0%$$' || true
 
 check: build vet test race
 

@@ -170,7 +170,6 @@ type portState struct {
 	blamed bool
 	calm   int // consecutive calm windows while blamed
 
-	lastRate float64 // rate of the last closed window
 	// lastBlamedRate is the rate of the most recent hot window while the
 	// port was blamed — the heal verdict's evidence of what it healed from.
 	lastBlamedRate float64
@@ -330,7 +329,6 @@ func (a *Attributor) Roll(window time.Duration) []Verdict {
 		ps := a.ports[k]
 		rate := float64(ps.count) / secs
 		ps.count = 0
-		ps.lastRate = rate
 
 		if !ps.seen {
 			ps.seen = true
@@ -512,33 +510,6 @@ func (a *Attributor) BlamedCount() int {
 		}
 	}
 	return n
-}
-
-// MaxBlamePort returns the port of dpid with the largest excursion score
-// and that score, for the selective-migration fallback when an attack is
-// detected globally but no port has crossed the blame threshold yet.
-func (a *Attributor) MaxBlamePort(dpid uint64) (port uint16, blame float64, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	best, bestRate := -1.0, -1.0
-	for _, ps := range a.ports {
-		if ps.dpid != dpid {
-			continue
-		}
-		score := ps.cusum / a.cfg.CUSUMThreshold
-		if ps.blamed && score < 1 {
-			score = 1
-		}
-		// Tie-break on last window rate so a flat start still ranks the
-		// loud port first, then on port number for determinism.
-		better := score > best ||
-			(score == best && ps.lastRate > bestRate) ||
-			(score == best && ps.lastRate == bestRate && ok && ps.port < port)
-		if better {
-			best, bestRate, port, ok = score, ps.lastRate, ps.port, true
-		}
-	}
-	return port, best, ok
 }
 
 // PortBlame returns a port's current normalised excursion score.

@@ -150,25 +150,6 @@ func TestHintPortAndSourceVerdicts(t *testing.T) {
 	}
 }
 
-func TestMaxBlamePortFallback(t *testing.T) {
-	a := New(testConfig())
-	// One window only — nothing blamed yet, but port 3 is loudest.
-	for i := 0; i < 1; i++ {
-		for j := 0; j < 10; j++ {
-			a.ObservePacket(1, 3, pktFrom("10.0.0.66"))
-		}
-		a.ObservePacket(1, 1, pktFrom("10.0.0.1"))
-		a.Roll(window)
-	}
-	port, blame, ok := a.MaxBlamePort(1)
-	if !ok || port != 3 {
-		t.Fatalf("MaxBlamePort = (%d, %v, %v), want port 3", port, blame, ok)
-	}
-	if _, _, ok := a.MaxBlamePort(99); ok {
-		t.Fatal("MaxBlamePort for unknown dpid reported ok")
-	}
-}
-
 func TestVerdictsReportRateAndBaseline(t *testing.T) {
 	a := New(testConfig())
 	vs := feed(a, 1, 4, "10.0.0.5", 2) // 20 pps
@@ -233,7 +214,6 @@ func TestConcurrentObserveRollHint(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			a.Roll(window)
 			a.Suspects(1)
-			a.MaxBlamePort(1)
 		}
 		close(stop)
 	}()

@@ -180,7 +180,7 @@ func (c *Controller) AddMessageListener(fn func(dp Datapath, f openflow.Framed))
 }
 
 // Connect registers a datapath session. A reconnecting datapath (same
-// DPID, new transport) simply replaces its old session: applications and
+// DPID, new handle) simply replaces its old session: applications and
 // FloodGuard keep addressing the DPID and transparently reach the new
 // channel.
 func (c *Controller) Connect(dp Datapath) {
@@ -190,16 +190,6 @@ func (c *Controller) Connect(dp Datapath) {
 	c.datapaths[dp.DPID()] = dp
 	dp.Send(openflow.Framed{XID: c.xid(), Msg: openflow.Hello{}})
 	dp.Send(openflow.Framed{XID: c.xid(), Msg: openflow.FeaturesRequest{}})
-}
-
-// Disconnect removes a datapath session. The identity check makes the
-// call safe against the reconnect race: tearing down a dead session must
-// not evict the fresh one that already took its DPID.
-func (c *Controller) Disconnect(dp Datapath) {
-	if cur, ok := c.datapaths[dp.DPID()]; ok && cur == dp {
-		delete(c.datapaths, dp.DPID())
-		c.sessions.Dec()
-	}
 }
 
 // Datapaths returns the connected datapaths keyed by DPID.
@@ -261,8 +251,8 @@ func (c *Controller) xid() uint32 {
 	return c.nextXID
 }
 
-// HandleMessage processes one switch→controller message. Transport
-// adapters (the simulated control channel or a TCP session) call it.
+// HandleMessage processes one switch→controller message. The simulated
+// control channel that Bind wires up calls it.
 func (c *Controller) HandleMessage(dp Datapath, f openflow.Framed) {
 	for _, l := range c.listeners {
 		l(dp, f)

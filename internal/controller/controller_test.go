@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -238,5 +240,147 @@ func TestMultipleAppsAllSeeEvents(t *testing.T) {
 	eng.RunFor(2 * time.Second)
 	if a1.Events() != 20 || a2.Events() != 20 {
 		t.Errorf("events = %d,%d; every app must see every packet_in", a1.Events(), a2.Events())
+	}
+}
+
+// recordingDatapath is a Datapath that keeps every message sent to it.
+type recordingDatapath struct {
+	dpid uint64
+	sent []openflow.Framed
+}
+
+func (d *recordingDatapath) DPID() uint64 { return d.dpid }
+
+func (d *recordingDatapath) Send(f openflow.Framed) { d.sent = append(d.sent, f) }
+
+// take returns the messages sent since the last call.
+func (d *recordingDatapath) take() []openflow.Framed {
+	out := d.sent
+	d.sent = nil
+	return out
+}
+
+// TestPerDatapathLearningFromWire drives a per-datapath l2_learning app
+// on two datapaths at once, handing HandleMessage packet_ins that went
+// through the wire codec. On each, a frame for an unknown MAC comes back
+// as a flood packet_out, and once the reverse direction has been seen, a
+// frame for the learned MAC comes back as a flow_mod plus a packet_out
+// carrying the unbuffered frame. Learning is per datapath: what the
+// first datapath taught the app must not leak into the second.
+func TestPerDatapathLearningFromWire(t *testing.T) {
+	eng := netsim.NewEngine()
+	c := New(eng)
+	app := l2App(0)
+	app.PerDatapath = true
+	c.Register(app)
+
+	macA := netpkt.MustMAC("00:00:00:00:00:0a")
+	macB := netpkt.MustMAC("00:00:00:00:00:0b")
+	flow := netpkt.Flow{
+		SrcMAC: macA, DstMAC: macB,
+		SrcIP: netpkt.MustIPv4("10.0.0.1"), DstIP: netpkt.MustIPv4("10.0.0.2"),
+		Proto: netpkt.ProtoUDP, SrcPort: 1000, DstPort: 2000,
+	}
+	// packetIn hands the controller an unbuffered packet_in decoded from
+	// its wire bytes, runs the engine to the decision, and returns the
+	// frame and what the datapath was sent.
+	packetIn := func(dp *recordingDatapath, pkt netpkt.Packet, inPort uint16) ([]byte, []openflow.Framed) {
+		t.Helper()
+		frame := pkt.Marshal()
+		f, err := openflow.Decode(openflow.Encode(7, openflow.PacketIn{
+			BufferID: openflow.NoBuffer,
+			TotalLen: uint16(len(frame)),
+			InPort:   inPort,
+			Reason:   openflow.ReasonNoMatch,
+			Data:     frame,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.HandleMessage(dp, f)
+		for eng.Step() {
+		}
+		return frame, dp.take()
+	}
+
+	dps := []*recordingDatapath{{dpid: 0x42}, {dpid: 0x43}}
+	for _, dp := range dps {
+		c.Connect(dp)
+		got := dp.take()
+		if len(got) != 2 {
+			t.Fatalf("dpid %#x: Connect sent %d messages, want hello + features_request", dp.dpid, len(got))
+		}
+		if _, ok := got[0].Msg.(openflow.Hello); !ok {
+			t.Fatalf("dpid %#x: expected hello, got %v", dp.dpid, got[0].Msg.MsgType())
+		}
+		if _, ok := got[1].Msg.(openflow.FeaturesRequest); !ok {
+			t.Fatalf("dpid %#x: expected features_request, got %v", dp.dpid, got[1].Msg.MsgType())
+		}
+	}
+
+	// An echo request is answered under its own xid.
+	echo, err := openflow.Decode(openflow.Encode(9, openflow.EchoRequest{Data: []byte("hb")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.HandleMessage(dps[0], echo)
+	if got := dps[0].take(); len(got) != 1 || !reflect.DeepEqual(got[0], openflow.Framed{XID: 9, Msg: openflow.EchoReply{Data: []byte("hb")}}) {
+		t.Fatalf("echo request drew %+v, want one echo reply carrying hb under xid 9", got)
+	}
+
+	flood := openflow.Action(openflow.Output(openflow.PortFlood))
+	toB := openflow.Action(openflow.Output(2))
+	for i, dp := range dps {
+		// b speaks first, towards a MAC this datapath has not seen: flood,
+		// and b's MAC is learned on port 2. On the second datapath the
+		// first one has already learned a on port 1, so a flow_mod here
+		// would be learning leaking across datapaths.
+		frame, got := packetIn(dp, flow.Reverse().Packet(64), 2)
+		if len(got) != 1 {
+			t.Fatalf("dpid %#x: b's frame drew %d messages, want one flood packet_out", dp.dpid, len(got))
+		}
+		po, ok := got[0].Msg.(openflow.PacketOut)
+		if !ok || po.InPort != 2 || len(po.Actions) != 1 || po.Actions[0] != flood || !bytes.Equal(po.Data, frame) {
+			t.Fatalf("dpid %#x: got %+v, want the frame flooded from port 2", dp.dpid, got[0])
+		}
+
+		// a -> b: the destination is known now, so the app installs
+		// dl_dst=b -> output 2 and forwards the frame it was handed.
+		frame, got = packetIn(dp, flow.Packet(64), 1)
+		if len(got) != 2 {
+			t.Fatalf("dpid %#x: a's frame drew %d messages, want flow_mod + packet_out", dp.dpid, len(got))
+		}
+		fm, ok := got[0].Msg.(openflow.FlowMod)
+		if !ok || fm.Command != openflow.FlowAdd || fm.Match.DlDst != macB || len(fm.Actions) != 1 || fm.Actions[0] != toB {
+			t.Fatalf("dpid %#x: got %+v, want flow_mod add dl_dst=%v -> output:2", dp.dpid, got[0], macB)
+		}
+		po, ok = got[1].Msg.(openflow.PacketOut)
+		if !ok || po.InPort != 1 || len(po.Actions) != 1 || po.Actions[0] != toB || !bytes.Equal(po.Data, frame) {
+			t.Fatalf("dpid %#x: got %+v, want the frame out of port 2", dp.dpid, got[1])
+		}
+		for _, other := range dps[:i] {
+			if len(other.sent) != 0 {
+				t.Fatalf("dpid %#x was sent %d messages for dpid %#x's packet_ins", other.dpid, len(other.sent), dp.dpid)
+			}
+		}
+	}
+	if n := len(app.DatapathStates()); n != 2 {
+		t.Fatalf("app holds %d datapath states, want 2", n)
+	}
+}
+
+// TestConnectReplacesSameDPID: a datapath that connects again under its
+// DPID takes over the session, so the controller addresses the new
+// handle and still counts one datapath.
+func TestConnectReplacesSameDPID(t *testing.T) {
+	c := New(netsim.NewEngine())
+	stale, fresh := &recordingDatapath{dpid: 0x8}, &recordingDatapath{dpid: 0x8}
+	c.Connect(stale)
+	c.Connect(fresh)
+	if dp, ok := c.Datapath(0x8); !ok || dp != fresh {
+		t.Fatalf("Datapath(0x8) = %v, want the fresh handle", dp)
+	}
+	if n := len(c.Datapaths()); n != 1 {
+		t.Fatalf("datapaths = %d, want 1", n)
 	}
 }

@@ -12,7 +12,6 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -81,10 +80,6 @@ func (t Type) String() string {
 
 const headerLen = 8
 
-// maxMessageLen bounds a single framed message; the 16-bit length field
-// caps it at 65535 anyway, this is a sanity limit for corrupted streams.
-const maxMessageLen = 1 << 16
-
 // Message is any OpenFlow message body.
 type Message interface {
 	// MsgType returns the header type for the message.
@@ -118,8 +113,8 @@ func AppendFrame(b []byte, xid uint32, m Message) []byte {
 	return b
 }
 
-// frameScratch recycles encode buffers for WriteMessage and FrameLen,
-// whose frames never outlive the call.
+// frameScratch recycles FrameLen's encode buffers, whose frames never
+// outlive the call.
 var frameScratch = sync.Pool{
 	New: func() any { return &frameBuf{b: make([]byte, 0, 256)} },
 }
@@ -135,46 +130,6 @@ func FrameLen(m Message) int {
 	fb.b = fb.b[:0]
 	frameScratch.Put(fb)
 	return n
-}
-
-// WriteMessage frames and writes m to w. The frame is built in pooled
-// scratch; w must not retain the slice passed to Write (net.Conn and
-// bytes.Buffer both copy).
-func WriteMessage(w io.Writer, xid uint32, m Message) error {
-	fb := frameScratch.Get().(*frameBuf)
-	fb.b = AppendFrame(fb.b[:0], xid, m)
-	_, err := w.Write(fb.b)
-	fb.b = fb.b[:0]
-	frameScratch.Put(fb)
-	if err != nil {
-		return fmt.Errorf("openflow: write %v: %w", m.MsgType(), err)
-	}
-	return nil
-}
-
-// ReadMessage reads one framed message from r.
-func ReadMessage(r io.Reader) (Framed, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Framed{}, err
-	}
-	if hdr[0] != Version {
-		return Framed{}, fmt.Errorf("openflow: unsupported version %#02x", hdr[0])
-	}
-	length := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if length < headerLen || length > maxMessageLen {
-		return Framed{}, fmt.Errorf("openflow: bad frame length %d", length)
-	}
-	body := make([]byte, length-headerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Framed{}, fmt.Errorf("openflow: read body: %w", err)
-	}
-	xid := binary.BigEndian.Uint32(hdr[4:8])
-	msg, err := decodeBody(Type(hdr[1]), body)
-	if err != nil {
-		return Framed{}, err
-	}
-	return Framed{XID: xid, Msg: msg}, nil
 }
 
 // Decode parses one complete framed message from b.

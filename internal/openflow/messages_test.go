@@ -1,9 +1,8 @@
 package openflow
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math/rand"
-	"net"
 	"reflect"
 	"testing"
 
@@ -158,72 +157,30 @@ func TestMessageEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadWriteMessageStream appends frames back to back into one
+// buffer and walks it with Decode, advancing by each header's length
+// field: every frame's length must land exactly on the next frame.
 func TestReadWriteMessageStream(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
-	var buf bytes.Buffer
+	var buf []byte
 	var want []Framed
 	for i := 0; i < 50; i++ {
 		f := Framed{XID: uint32(i), Msg: randMessage(r)}
 		want = append(want, f)
-		if err := WriteMessage(&buf, f.XID, f.Msg); err != nil {
-			t.Fatal(err)
-		}
+		buf = AppendFrame(buf, f.XID, f.Msg)
 	}
 	for i, w := range want {
-		got, err := ReadMessage(&buf)
+		got, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, w) {
 			t.Fatalf("message %d mismatch:\n give %+v\n got  %+v", i, w, got)
 		}
+		buf = buf[binary.BigEndian.Uint16(buf[2:4]):]
 	}
-}
-
-func TestReadWriteOverTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		f, err := ReadMessage(conn)
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- WriteMessage(conn, f.XID, EchoReply{Data: f.Msg.(EchoRequest).Data})
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteMessage(conn, 99, EchoRequest{Data: []byte("ping")}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ReadMessage(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.XID != 99 {
-		t.Errorf("xid = %d, want 99", reply.XID)
-	}
-	echo, ok := reply.Msg.(EchoReply)
-	if !ok || string(echo.Data) != "ping" {
-		t.Errorf("reply = %+v", reply.Msg)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if len(buf) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(buf))
 	}
 }
 

@@ -1,19 +1,17 @@
 // Package sketch provides the streaming traffic-analysis substrate for
 // attack attribution: a count-min sketch for per-source frequency
 // estimates over sampled packet_in headers, and a space-saving summary
-// for the exact heavy-hitter candidates. Both are sized in constants,
-// allocation-free on their hot paths (Update/Estimate/Observe), and
-// support the multi-switch aggregation pattern — each protected switch
-// (or cache box) keeps a local sketch, and a coordinator periodically
-// Snapshots and Merges them.
+// for the exact heavy-hitter candidates. Both are sized in constants and
+// allocation-free on their hot paths (Update/Estimate/Observe). Each
+// engine shard keeps a *Local sketch, and the window barrier folds the
+// shards into one shared sketch with AbsorbLocal.
 //
-// Counters are updated and read with atomics, so a telemetry scrape or a
-// snapshot taken from another goroutine never blocks the packet path and
-// never tears a 64-bit read. The *Local variants are the exception: one
-// goroutine owns each, so they use plain memory and are folded into a
-// shared sketch at window boundaries. Periodic Decay halves every counter, giving
-// the estimates an exponential horizon so a source that stops attacking
-// ages out instead of staying blamed forever.
+// Counters are updated and read with atomics, so a telemetry scrape or
+// an estimate taken from another goroutine never blocks the packet path
+// and never tears a 64-bit read. The *Local variants are the exception:
+// one goroutine owns each, so they use plain memory. Periodic Decay
+// halves every counter, giving the estimates an exponential horizon so a
+// source that stops attacking ages out instead of staying blamed forever.
 package sketch
 
 import (
@@ -32,9 +30,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// Hash64 mixes an arbitrary 64-bit value into a well-distributed key.
-func Hash64(x uint64) uint64 { return splitmix64(x) }
 
 // CountMin is a count-min sketch: rows × cols of counters, each row
 // hashed with its own seed. Estimate returns the minimum over the rows,
@@ -74,14 +69,8 @@ func NewCountMin(rows, cols int, seed uint64) *CountMin {
 	return s
 }
 
-// Rows returns the sketch depth.
-func (s *CountMin) Rows() int { return s.rows }
-
-// Cols returns the (power-of-two) sketch width.
-func (s *CountMin) Cols() int { return s.cols }
-
 // Update adds delta to key's counters. Allocation-free and safe to call
-// concurrently with Estimate, Snapshot, and a telemetry scrape.
+// concurrently with Estimate, Total, and a telemetry scrape.
 func (s *CountMin) Update(key uint64, delta uint64) {
 	mask := uint64(s.cols - 1)
 	for r := 0; r < s.rows; r++ {
@@ -130,16 +119,8 @@ func (s *CountMin) Decay() {
 	}
 }
 
-// Reset zeroes every counter.
-func (s *CountMin) Reset() {
-	for i := range s.counts {
-		atomic.StoreUint64(&s.counts[i], 0)
-	}
-	atomic.StoreUint64(&s.total, 0)
-}
-
 // Compatible reports whether two sketches share dimensions and seeds, so
-// their cells line up for Merge.
+// their cells line up for AbsorbLocal.
 func (s *CountMin) Compatible(o *CountMin) bool {
 	if s.rows != o.rows || s.cols != o.cols {
 		return false
@@ -150,41 +131,6 @@ func (s *CountMin) Compatible(o *CountMin) bool {
 		}
 	}
 	return true
-}
-
-// Snapshot copies the sketch into dst (allocated when nil or
-// incompatible) and returns it. The copy is cell-atomic: each counter is
-// read with an atomic load, so a snapshot taken mid-Update is internally
-// consistent per cell even if cells disagree about in-flight packets.
-func (s *CountMin) Snapshot(dst *CountMin) *CountMin {
-	if dst == nil || !s.Compatible(dst) {
-		dst = &CountMin{
-			rows:   s.rows,
-			cols:   s.cols,
-			seeds:  append([]uint64(nil), s.seeds...),
-			counts: make([]uint64, len(s.counts)),
-		}
-	}
-	for i := range s.counts {
-		dst.counts[i] = atomic.LoadUint64(&s.counts[i])
-	}
-	dst.total = atomic.LoadUint64(&s.total)
-	return dst
-}
-
-// Merge adds other's cells into s — the multi-switch aggregation step.
-// The sketches must be Compatible (same dimensions and seeds), or the
-// merged estimates would be meaningless.
-func (s *CountMin) Merge(other *CountMin) error {
-	if !s.Compatible(other) {
-		return fmt.Errorf("sketch: merge of incompatible sketches (%dx%d vs %dx%d)",
-			s.rows, s.cols, other.rows, other.cols)
-	}
-	for i := range s.counts {
-		atomic.AddUint64(&s.counts[i], atomic.LoadUint64(&other.counts[i]))
-	}
-	atomic.AddUint64(&s.total, atomic.LoadUint64(&other.total))
-	return nil
 }
 
 // AbsorbLocal adds a shard-local sketch's cells into s and zeroes the

@@ -286,18 +286,6 @@ func (t *SpaceSaving) Reset() {
 	t.mu.Unlock()
 }
 
-// Merge folds other's entries into t by Observing each one — the
-// standard space-saving merge bound: the result tracks every key heavy
-// in the union within the combined error.
-func (t *SpaceSaving) Merge(other *SpaceSaving) {
-	other.mu.Lock()
-	entries := append([]Entry(nil), other.c.slots...)
-	other.mu.Unlock()
-	for _, e := range entries {
-		t.Observe(e.Key, e.Count)
-	}
-}
-
 // AbsorbLocal folds a shard-local summary into t under one lock
 // acquisition and resets the local — the window-boundary merge of the
 // run-to-completion engine. The caller must be o's owner goroutine.

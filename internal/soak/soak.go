@@ -399,14 +399,8 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// rule churn and replay outages for the coming window.
 		if plan[w].Churn && cfg.HotFlows > 0 {
 			f := w % cfg.HotFlows
-			del := hotFlowMod(gen, f)
-			del.Command = openflow.FlowDeleteStrict
-			del.OutPort = openflow.PortNone // no out_port filter: really delete
-			if err := pipe.Apply(del); err != nil {
-				return fail(fmt.Errorf("soak: churn delete flow %d: %w", f, err))
-			}
-			if err := pipe.Apply(hotFlowMod(gen, f)); err != nil {
-				return fail(fmt.Errorf("soak: churn re-add flow %d: %w", f, err))
+			if err := churnHotFlow(pipe, gen, f); err != nil {
+				return fail(fmt.Errorf("soak: chaos churn: %w", err))
 			}
 			jctl.Record(journal.KindChaos, 3, 0, 1, uint16(f), 1, 0, 0)
 		}
@@ -418,14 +412,8 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// at a sustained rate while the invariant catalog keeps asserting.
 		for i := 0; i < cfg.FlowModsPerWindow; i++ {
 			f := (w*cfg.FlowModsPerWindow + i) % cfg.HotFlows
-			del := hotFlowMod(gen, f)
-			del.Command = openflow.FlowDeleteStrict
-			del.OutPort = openflow.PortNone // no out_port filter: really delete
-			if err := pipe.Apply(del); err != nil {
-				return fail(fmt.Errorf("soak: flowmod churn delete flow %d: %w", f, err))
-			}
-			if err := pipe.Apply(hotFlowMod(gen, f)); err != nil {
-				return fail(fmt.Errorf("soak: flowmod churn re-add flow %d: %w", f, err))
+			if err := churnHotFlow(pipe, gen, f); err != nil {
+				return fail(fmt.Errorf("soak: flowmod churn: %w", err))
 			}
 		}
 		if plan[w].Outage != outage {
@@ -732,6 +720,21 @@ func hotFlowMod(gen *benignGen, f int) openflow.FlowMod {
 		Priority: 100,
 		Actions:  []openflow.Action{openflow.Output(2)},
 	}
+}
+
+// churnHotFlow strict-deletes benign hot flow f's rule and re-installs
+// it: one unit of rule churn through the pipeline's apply path.
+func churnHotFlow(pipe pipeline, gen *benignGen, f int) error {
+	del := hotFlowMod(gen, f)
+	del.Command = openflow.FlowDeleteStrict
+	del.OutPort = openflow.PortNone // no out_port filter: really delete
+	if err := pipe.Apply(del); err != nil {
+		return fmt.Errorf("delete flow %d: %w", f, err)
+	}
+	if err := pipe.Apply(hotFlowMod(gen, f)); err != nil {
+		return fmt.Errorf("re-add flow %d: %w", f, err)
+	}
+	return nil
 }
 
 // collectWindow reads the barrier snapshot into a WindowStats row.

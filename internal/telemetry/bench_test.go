@@ -36,12 +36,3 @@ func BenchmarkTracerSample(b *testing.B) {
 		tr.Sample()
 	}
 }
-
-func BenchmarkRateAdd(b *testing.B) {
-	r := NewRate(10, time.Second)
-	now := time.Unix(3000, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Add(1, now)
-	}
-}

@@ -1,10 +1,9 @@
 // Package telemetry is FloodGuard's unified observability layer: a
 // lock-free metrics core (atomic counters, gauges, fixed-bucket latency
-// histograms, windowed rates) behind a named registry, plus two event
-// systems — sampled packet-lifecycle tracing aggregated into per-stage
-// latency histograms, and a ring-buffered FSM transition log — and an
-// optional HTTP exposition endpoint (Prometheus text format, JSON
-// snapshot, pprof).
+// histograms) behind a named registry, plus two event systems — sampled
+// packet-lifecycle tracing aggregated into per-stage latency histograms,
+// and a ring-buffered FSM transition log — and an optional HTTP
+// exposition endpoint (Prometheus text format, JSON snapshot, pprof).
 //
 // Hot-path budget: a counter increment or gauge move is a single atomic
 // op and allocates nothing; histogram observation is a handful of atomic
@@ -163,76 +162,4 @@ func (h *Histogram) Buckets() []Bucket {
 		out[i] = Bucket{UpperBound: ub, Count: cum}
 	}
 	return out
-}
-
-// Rate measures a windowed event rate: events are accumulated into a
-// ring of fixed-width time slots and the rate is the sum over the ring
-// divided by its span. Both Add and PerSecond take the current time
-// explicitly, so virtual-clock components pass their engine's Now and
-// real-time components pass time.Now — rollover is driven entirely by
-// the caller's clock, never the wall clock.
-//
-// Add is lock-free: an epoch compare plus at most one CAS-reset and one
-// atomic add. Slots whose epoch has expired are ignored at read time, so
-// a stale slot never inflates the rate.
-type Rate struct {
-	slotWidth time.Duration
-	slots     []rateSlot
-}
-
-type rateSlot struct {
-	epoch atomic.Int64
-	n     atomic.Uint64
-}
-
-// NewRate returns a windowed rate over `slots` slots of width slotWidth
-// (defaults: 10 slots of 1s).
-func NewRate(slots int, slotWidth time.Duration) *Rate {
-	if slots <= 0 {
-		slots = 10
-	}
-	if slotWidth <= 0 {
-		slotWidth = time.Second
-	}
-	return &Rate{slotWidth: slotWidth, slots: make([]rateSlot, slots)}
-}
-
-// Add records n events at now.
-func (r *Rate) Add(n uint64, now time.Time) {
-	e := now.UnixNano() / int64(r.slotWidth)
-	s := &r.slots[int(e%int64(len(r.slots)))]
-	if s.epoch.Load() != e {
-		// New window for this slot: reset. A racing Add that swaps the
-		// epoch first wins the reset; both adds land in the fresh window.
-		if s.epoch.Swap(e) != e {
-			s.n.Store(0)
-		}
-	}
-	s.n.Add(n)
-}
-
-// PerSecond returns the event rate over the ring's span as of now,
-// counting only slots whose window is still live.
-func (r *Rate) PerSecond(now time.Time) float64 {
-	e := now.UnixNano() / int64(r.slotWidth)
-	oldest := e - int64(len(r.slots)) + 1
-	var total uint64
-	for i := range r.slots {
-		se := r.slots[i].epoch.Load()
-		if se >= oldest && se <= e {
-			total += r.slots[i].n.Load()
-		}
-	}
-	span := time.Duration(len(r.slots)) * r.slotWidth
-	return float64(total) / span.Seconds()
-}
-
-// Total returns the sum currently held across live and stale slots
-// (test/diagnostic helper; not a lifetime total).
-func (r *Rate) Total() uint64 {
-	var total uint64
-	for i := range r.slots {
-		total += r.slots[i].n.Load()
-	}
-	return total
 }

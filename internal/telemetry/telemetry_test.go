@@ -116,55 +116,6 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 }
 
-// TestRateRollover drives a Rate entirely on a virtual clock: events in
-// a live window count, the rate decays as the clock advances past the
-// ring span, and a reused slot resets instead of accumulating.
-func TestRateRollover(t *testing.T) {
-	base := time.Unix(1000, 0)
-	r := NewRate(4, time.Second) // 4s span
-	r.Add(40, base)
-	if got := r.PerSecond(base); got != 10 {
-		t.Errorf("rate at t0 = %g, want 10 (40 events / 4s span)", got)
-	}
-	// Two seconds later the slot is still inside the 4s window.
-	if got := r.PerSecond(base.Add(2 * time.Second)); got != 10 {
-		t.Errorf("rate at t0+2s = %g, want 10", got)
-	}
-	// Five seconds later the slot's window has expired: rate is zero even
-	// though the slot still physically holds its count.
-	if got := r.PerSecond(base.Add(5 * time.Second)); got != 0 {
-		t.Errorf("rate at t0+5s = %g, want 0", got)
-	}
-	if r.Total() != 40 {
-		t.Errorf("stale total = %d, want 40", r.Total())
-	}
-	// Writing into the same physical slot one full revolution later must
-	// reset it, not accumulate on the stale 40.
-	r.Add(8, base.Add(4*time.Second))
-	if got := r.PerSecond(base.Add(4 * time.Second)); got != 2 {
-		t.Errorf("rate after slot reuse = %g, want 2 (8 events / 4s)", got)
-	}
-}
-
-func TestRateConcurrent(t *testing.T) {
-	r := NewRate(4, time.Second)
-	now := time.Unix(2000, 0)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				r.Add(1, now)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.PerSecond(now); got != 1000 {
-		t.Errorf("rate = %g, want 1000 (4000 events / 4s)", got)
-	}
-}
-
 func TestEventLogRing(t *testing.T) {
 	l := NewEventLog(4)
 	for i := 0; i < 6; i++ {
