@@ -142,6 +142,7 @@ check: build vet test race
 # The wire-facing decoders (frames, TCP options, OpenFlow), the
 # symbolic-execution pipeline, the
 # derivation memo against a cold Algorithm 2 run after every mutation, the
+# per-entry derivation against the whole enumeration, the
 # delta tracker against a cold rebuild-and-diff reference, and
 # the flow classifier against its linear oracle, each under coverage-guided
 # fuzzing for FUZZTIME. Any crasher is written to the package's
@@ -152,6 +153,7 @@ fuzz:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzExplore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzMemoDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzEntryDerive -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzTrackerDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soak/ -run '^$$' -fuzz FuzzParseScenario -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzClassifierOracle -fuzztime $(FUZZTIME)

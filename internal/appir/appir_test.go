@@ -203,6 +203,48 @@ func TestTableEntriesDeterministic(t *testing.T) {
 	}
 }
 
+// TableEntries radix-sorts a one-kind table from radixMin entries up and
+// comparison-sorts below that and for mixed kinds: on each side of the
+// cutoff, for each key kind, with the top byte of Bits set and not, the
+// snapshot must be exactly slices.SortFunc(…, Value.Compare).
+func TestTableEntriesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xBE7C4))
+	for _, c := range []struct {
+		name string
+		key  func(uint64) Value
+	}{
+		{"mac", func(b uint64) Value { return MACValue(netpkt.MACFromUint64(b)) }},
+		{"ip", func(b uint64) Value { return IPValue(netpkt.IPv4(b)) }},
+		{"u16", func(b uint64) Value { return U16Value(uint16(b)) }},
+		{"top byte set", func(b uint64) Value { return Value{Kind: KindMAC, Bits: b | 0xff<<56} }},
+		{"all bytes", func(b uint64) Value { return Value{Kind: KindMAC, Bits: b<<8 ^ b} }},
+		{"mixed kinds", func(b uint64) Value { return Value{Kind: Kind(b%3) + KindMAC, Bits: b >> 2 & 0xffff} }},
+	} {
+		for _, n := range []int{0, 1, 2, radixMin - 1, radixMin, 3000} {
+			s := NewState()
+			var want []Value
+			for len(want) < n {
+				k := c.key(rng.Uint64() >> uint(rng.Intn(64)))
+				if s.Contains("t", k) {
+					continue
+				}
+				s.Learn("t", k, U16Value(uint16(len(want))))
+				want = append(want, k)
+			}
+			slices.SortFunc(want, Value.Compare)
+			got := s.TableEntries("t")
+			if len(got) != n {
+				t.Fatalf("%s/%d: %d entries", c.name, n, len(got))
+			}
+			for i, e := range got {
+				if v, _ := s.LookupTable("t", e.Key); e.Key != want[i] || e.Val != v {
+					t.Fatalf("%s/%d: entry %d = %v→%v, want %v→%v", c.name, n, i, e.Key, e.Val, want[i], v)
+				}
+			}
+		}
+	}
+}
+
 func testEnv() *Env {
 	p := netpkt.Packet{
 		EthSrc:  netpkt.MustMAC("00:00:00:00:00:01"),

@@ -209,16 +209,55 @@ func (s *State) TableLen(table string) int {
 // table — the enumeration step of rule concretization.
 func (s *State) TableEntries(table string) []struct{ Key, Val Value } {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	t := s.tables[table]
 	out := make([]struct{ Key, Val Value }, 0, len(t))
 	for k, v := range t {
 		out = append(out, struct{ Key, Val Value }{k, v})
 	}
-	// Keys are unique, so any correct sort yields the one Compare order;
-	// slices.SortFunc swaps without sort.Slice's reflection.
-	slices.SortFunc(out, func(a, b struct{ Key, Val Value }) int { return a.Key.Compare(b.Key) })
-	return out
+	s.mu.RUnlock()
+	return sortEntries(out)
+}
+
+// radixMin is the entry count from which sortEntries radix-sorts: below
+// it a comparison sort is as fast and needs no scratch copy.
+const radixMin = 256
+
+// sortEntries orders entries by Value.Compare and returns them, possibly
+// in a different backing array. Keys are unique, so any correct sort
+// yields the one Compare order. When every key has the same Kind that
+// order is the order of Bits, which an LSD byte radix sort reaches in
+// one counting pass and one scatter per byte the keys differ in; a
+// table of mixed kinds falls back to the comparison sort.
+func sortEntries(es []struct{ Key, Val Value }) []struct{ Key, Val Value } {
+	if len(es) < radixMin || slices.ContainsFunc(es, func(e struct{ Key, Val Value }) bool { return e.Key.Kind != es[0].Key.Kind }) {
+		slices.SortFunc(es, func(a, b struct{ Key, Val Value }) int { return a.Key.Compare(b.Key) })
+		return es
+	}
+	var counts [8][256]int
+	for _, e := range es {
+		for d := range counts {
+			counts[d][byte(e.Key.Bits>>(8*d))]++
+		}
+	}
+	tmp := make([]struct{ Key, Val Value }, len(es))
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(es[0].Key.Bits>>(8*d))] == len(es) {
+			continue // every key holds the same byte here
+		}
+		at := 0
+		for b, n := range c {
+			c[b] = at
+			at += n
+		}
+		for _, e := range es {
+			b := byte(e.Key.Bits >> (8 * d))
+			tmp[c[b]] = e
+			c[b]++
+		}
+		es, tmp = tmp, es
+	}
+	return es
 }
 
 // Entries returns the number of rows over every exact and prefix table:

@@ -5,7 +5,7 @@
 // ground values, membership in global tables and prefix tables, and the
 // high-bit test.
 //
-// Two entry points:
+// Three entry points:
 //
 //   - Feasible: an offline structural satisfiability check used to prune
 //     contradictory paths during symbolic execution (Algorithm 1), when
@@ -13,6 +13,8 @@
 //   - Concretize: the runtime step of Algorithm 2 — substitute the live
 //     values of the global variables into a path condition and enumerate
 //     the concrete field assignments (match skeletons) that satisfy it.
+//   - Entry: the same step for a condition whose only fan-out is one
+//     exact table, solved for one table entry at a time.
 package solver
 
 import (
@@ -359,37 +361,6 @@ func Concretize(conds []appir.Cond, st *appir.State) []Assignment {
 // repeated calls reuse the same working set instead of re-allocating it.
 // The result never aliases arena memory.
 func ConcretizeArena(conds []appir.Cond, st *appir.State, ar *Arena) []Assignment {
-	return concretize(conds, st, ar, nil)
-}
-
-// ConcretizeEntry is ConcretizeArena with every fan-out over the exact
-// table restricted to the entry at key (to nothing, when the table does
-// not hold key): the assignments under which the condition holds for
-// that one entry. For a condition that reads the table only through the
-// field it fans out on, these are exactly the assignments the full
-// enumeration yields for key, in the same order.
-func ConcretizeEntry(conds []appir.Cond, st *appir.State, ar *Arena, table string, key appir.Value) []Assignment {
-	return concretize(conds, st, ar, &entryPin{table: table, key: key})
-}
-
-// entryPin narrows the enumeration of one exact table to one key.
-type entryPin struct {
-	table string
-	key   appir.Value
-}
-
-// entries lists what an InTable constraint on table fans out over.
-func (p *entryPin) entries(st *appir.State, table string) []struct{ Key, Val appir.Value } {
-	if p == nil || p.table != table {
-		return st.TableEntries(table)
-	}
-	if v, ok := st.LookupTable(table, p.key); ok {
-		return []struct{ Key, Val appir.Value }{{p.key, v}}
-	}
-	return nil
-}
-
-func concretize(conds []appir.Cond, st *appir.State, ar *Arena, pin *entryPin) []Assignment {
 	work := append(ar.work[:0], ar.get())
 	ar.work = work
 
@@ -399,7 +370,7 @@ func concretize(conds []appir.Cond, st *appir.State, ar *Arena, pin *entryPin) [
 			continue
 		}
 		var err error
-		work, err = applyPositive(work, c.Expr, st, ar, pin)
+		work, err = applyPositive(work, c.Expr, st, ar)
 		if err != nil || len(work) == 0 {
 			ar.putAll(work)
 			return nil
@@ -426,7 +397,7 @@ func concretize(conds []appir.Cond, st *appir.State, ar *Arena, pin *entryPin) [
 // applyPositive narrows every assignment by one positive constraint.
 // Dropped and fanned-out work items are returned to the arena; on error
 // the input list is recycled too (the caller abandons the derivation).
-func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena, pin *entryPin) ([]*Assignment, error) {
+func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena) ([]*Assignment, error) {
 	switch x := e.(type) {
 	case appir.Eq:
 		if fr, ok := x.A.(appir.FieldRef); ok {
@@ -457,7 +428,7 @@ func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena,
 			ar.putAll(work)
 			return nil, fmt.Errorf("solver: membership key %s is not a field", x.Key)
 		}
-		entries := pin.entries(st, x.Table)
+		entries := st.TableEntries(x.Table)
 		ar.reserve(len(work) * len(entries))
 		next := ar.next[:0]
 		for _, a := range work {
@@ -522,6 +493,32 @@ func applyPositive(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena,
 // applyNegative filters assignments by one negated constraint; unbound
 // fields take a penalty instead of a binding. Dropped items are recycled.
 func applyNegative(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena) []*Assignment {
+	n := negationOf(e, st)
+	return filterMap(work, ar, func(a *Assignment) bool { return n.apply(a, st) })
+}
+
+// negation is one negated constraint with its ground side evaluated
+// against the live state once, leaving what it does to each assignment.
+type negation struct {
+	op    negOp
+	f     appir.Field
+	v     appir.Value // negNotEq
+	table string      // negNotIn, negNotInPrefix
+}
+
+type negOp uint8
+
+const (
+	negKeep        negOp = iota // holds under every assignment
+	negDrop                     // holds under none
+	negPenalise                 // not representable: every assignment takes a penalty
+	negNotEq                    // field f ≠ v
+	negNotIn                    // field f ∉ exact table
+	negNotInPrefix              // field f outside every prefix of table
+	negLowBit                   // field f's high bit clear
+)
+
+func negationOf(e appir.Expr, st *appir.State) negation {
 	switch x := e.(type) {
 	case appir.Eq:
 		fr, fok := x.A.(appir.FieldRef)
@@ -533,79 +530,134 @@ func applyNegative(work []*Assignment, e appir.Expr, st *appir.State, ar *Arena)
 		if fok {
 			v, ok := groundValue(other, st)
 			if !ok {
-				return penalise(work)
+				return negation{op: negPenalise}
 			}
-			return filterMap(work, ar, func(a *Assignment) bool {
-				b, bound := a.Get(fr.F)
-				if !bound || b.IsPrefix {
-					// Prefix bindings cannot express ≠ either; for a
-					// bound prefix the excluded point is a measure-zero
-					// subset, so penalise rather than drop.
-					a.Penalty++
-					return true
-				}
-				return b.Exact != v
-			})
+			return negation{op: negNotEq, f: fr.F, v: v}
 		}
 		va, aok := groundValue(x.A, st)
 		vb, bok := groundValue(x.B, st)
-		if aok && bok {
-			if va != vb {
-				return work
-			}
-			ar.putAll(work)
-			return nil
+		switch {
+		case !aok || !bok:
+			return negation{op: negPenalise}
+		case va != vb:
+			return negation{op: negKeep}
 		}
-		return penalise(work)
+		return negation{op: negDrop}
 	case appir.InTable:
-		fr, ok := x.Key.(appir.FieldRef)
-		if !ok {
-			return penalise(work)
+		if fr, ok := x.Key.(appir.FieldRef); ok {
+			return negation{op: negNotIn, f: fr.F, table: x.Table}
 		}
-		return filterMap(work, ar, func(a *Assignment) bool {
-			b, bound := a.Get(fr.F)
-			if !bound || b.IsPrefix {
-				a.Penalty++
-				return true
-			}
-			return !st.Contains(x.Table, b.Exact)
-		})
+		return negation{op: negPenalise}
 	case appir.InPrefixTable:
-		fr, ok := x.Key.(appir.FieldRef)
-		if !ok {
-			return penalise(work)
+		if fr, ok := x.Key.(appir.FieldRef); ok {
+			return negation{op: negNotInPrefix, f: fr.F, table: x.Table}
 		}
-		return filterMap(work, ar, func(a *Assignment) bool {
-			b, bound := a.Get(fr.F)
-			if !bound {
-				a.Penalty++
-				return true
-			}
-			if b.IsPrefix {
-				a.Penalty++
-				return true
-			}
-			return !st.InAnyPrefix(x.Table, b.Exact)
-		})
+		return negation{op: negPenalise}
 	case appir.HighBit:
-		fr, ok := x.A.(appir.FieldRef)
-		if !ok {
-			return penalise(work)
+		if fr, ok := x.A.(appir.FieldRef); ok {
+			return negation{op: negLowBit, f: fr.F}
 		}
-		// not highbit == prefix 0.0.0.0/1.
-		return filterMap(work, ar, func(a *Assignment) bool {
-			return a.bindPrefix(fr.F, 0, 1)
-		})
+		return negation{op: negPenalise}
 	default:
-		if v, ok := groundValue(e, st); ok {
-			if !v.Bool() {
-				return work
-			}
-			ar.putAll(work)
-			return nil
+		v, ok := groundValue(e, st)
+		switch {
+		case !ok:
+			return negation{op: negPenalise}
+		case !v.Bool():
+			return negation{op: negKeep}
 		}
-		return penalise(work)
+		return negation{op: negDrop}
 	}
+}
+
+// apply narrows a by the negation and reports whether a survives.
+func (n *negation) apply(a *Assignment, st *appir.State) bool {
+	switch n.op {
+	case negKeep:
+		return true
+	case negDrop:
+		return false
+	case negLowBit:
+		// not highbit == prefix 0.0.0.0/1.
+		return a.bindPrefix(n.f, 0, 1)
+	}
+	b, bound := a.Get(n.f)
+	if n.op == negPenalise || !bound || b.IsPrefix {
+		// An unbound field cannot express ≠ or ∉ in one match, and
+		// neither can a prefix binding: for a bound prefix the excluded
+		// point is a measure-zero subset, so penalise rather than drop.
+		a.Penalty++
+		return true
+	}
+	switch n.op {
+	case negNotEq:
+		return b.Exact != n.v
+	case negNotIn:
+		return !st.Contains(n.table, b.Exact)
+	default: // negNotInPrefix
+		return !st.InAnyPrefix(n.table, b.Exact)
+	}
+}
+
+// Entry is a path condition whose only fan-out is one exact-table
+// membership, prepared for solving one table entry at a time: every
+// other positive constraint is applied once, to a base assignment, and
+// every negative one is evaluated against the live state once. Solve
+// then binds the fan-out field to an entry's key and applies the
+// negations, which yields exactly the assignment the whole enumeration
+// (ConcretizeArena) yields for that key: positive constraints narrow
+// each assignment independently and commute, and negative ones run
+// after all of them in both.
+type Entry struct {
+	base  Assignment
+	ok    bool // false: the other positive constraints fail, no entry solves
+	field appir.Field
+	negs  []negation
+	st    *appir.State
+}
+
+// NewEntry prepares conds, whose one positive table membership must be
+// field f's in table, for per-entry solving against st. The arena serves
+// only the preparation.
+func NewEntry(conds []appir.Cond, st *appir.State, ar *Arena, table string, f appir.Field) (e Entry) {
+	e.field, e.st = f, st
+	work := append(ar.work[:0], ar.get())
+	ar.work = work
+	for _, c := range conds {
+		if !c.Want {
+			e.negs = append(e.negs, negationOf(c.Expr, st))
+			continue
+		}
+		if in, ok := c.Expr.(appir.InTable); ok && in.Table == table {
+			continue // the fan-out: Solve binds it per entry
+		}
+		var err error
+		if work, err = applyPositive(work, c.Expr, st, ar); err != nil || len(work) == 0 {
+			ar.putAll(work)
+			return e
+		}
+	}
+	e.base, e.ok = *work[0], true
+	ar.putAll(work)
+	return e
+}
+
+// Solve writes into a the assignment under which the condition holds
+// for the table entry at key, and reports false when none does.
+func (e *Entry) Solve(key appir.Value, a *Assignment) bool {
+	if !e.ok {
+		return false
+	}
+	*a = e.base
+	if !a.bindExact(e.field, key) {
+		return false
+	}
+	for i := range e.negs {
+		if !e.negs[i].apply(a, e.st) {
+			return false
+		}
+	}
+	return true
 }
 
 // filterMap keeps the assignments passing keep (which may narrow them
@@ -621,13 +673,6 @@ func filterMap(work []*Assignment, ar *Arena, keep func(*Assignment) bool) []*As
 		}
 	}
 	return out
-}
-
-func penalise(work []*Assignment) []*Assignment {
-	for _, a := range work {
-		a.Penalty++
-	}
-	return work
 }
 
 // Satisfies reports whether a concrete packet (on inPort) meets every

@@ -309,31 +309,23 @@ func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 		// The table moved, nothing else did, and the journal named the
 		// keys: the other entries' groups stand.
 	default:
-		// Whole solve, cut into per-key groups. The path's only fan-out is
-		// over the table, so assignments arrive in runs of one key each.
-		var groups []entryGroup
-		asgs := solver.ConcretizeArena(p.Conds, st, ar)
-		for lo := 0; lo < len(asgs); {
-			key := asgs[lo].Field(s.field).Exact
-			hi := lo + 1
-			for hi < len(asgs) && asgs[hi].Field(s.field).Exact == key {
-				hi++
-			}
-			rules, err := instantiate(p, asgs[lo:hi], st)
-			if err != nil {
+		// Every entry of the table, each group cut from one output.
+		entries := st.TableEntries(s.table)
+		d := newEntryDeriver(p, s.table, s.field, st, ar, len(entries))
+		var groups []entryGroup // append's slack absorbs later inserts
+		for _, e := range entries {
+			lo := len(d.out)
+			if err := d.derive(e.Key, e.Val); err != nil {
 				return err
 			}
-			if len(rules) > 0 {
-				groups = append(groups, entryGroup{key: key, rules: rules})
+			if hi := len(d.out); hi > lo {
+				groups = append(groups, entryGroup{key: e.Key, rules: d.out[lo:hi:hi]})
 			}
-			lo = hi
 		}
 		for _, g := range s.groups {
 			s.removed = append(s.removed, g.rules...)
 		}
-		for _, g := range groups {
-			s.added = append(s.added, g.rules...)
-		}
+		s.added = append(s.added, d.out...)
 		s.groups = groups
 	}
 	for d, j := range m.deps[i] {
@@ -351,23 +343,27 @@ func (m *Memo) onlyTableStale(i int) bool {
 }
 
 // resolveChanged re-solves only the entries of s.table the journal says
-// changed since the slot's epoch, each through the ordinary solver with
-// the fan-out pinned to that key. It reports false — fall back to the
-// whole solve — when the journal no longer reaches back that far or an
-// entry fails to derive.
+// changed since the slot's epoch, each read live once and derived like a
+// whole solve derives it. It reports false — fall back to the whole
+// solve — when the journal no longer reaches back that far or an entry
+// fails to derive.
 func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.Arena) bool {
 	var ok bool
 	if s.changed, ok = st.TableChanges(s.table, s.vers[s.tableDep], s.changed[:0]); !ok {
 		return false
 	}
+	d := newEntryDeriver(p, s.table, s.field, st, ar, len(s.changed))
 	for n, key := range s.changed {
 		if slices.Contains(s.changed[:n], key) {
 			continue // already re-solved against the live state
 		}
-		rules, err := instantiate(p, solver.ConcretizeEntry(p.Conds, st, ar, s.table, key), st)
-		if err != nil {
-			return false // the whole solve reports it
+		lo := len(d.out)
+		if val, live := st.LookupTable(s.table, key); live {
+			if err := d.derive(key, val); err != nil {
+				return false // the whole solve reports it
+			}
 		}
+		rules := d.out[lo:len(d.out):len(d.out)]
 		at, found := slices.BinarySearchFunc(s.groups, key, func(g entryGroup, k appir.Value) int { return g.key.Compare(k) })
 		if found {
 			s.removed = append(s.removed, s.groups[at].rules...)

@@ -97,17 +97,25 @@ func deltaSubjects(t testing.TB, prog []byte) []deltaSubject {
 		}
 		out = append(out, deltaSubject{name: p.Name, paths: paths, st: states[i], globals: p.Globals})
 	}
+	return append(out, generatedSubject(prog)...)
+}
+
+// generatedSubject returns the handler generated from prog (the
+// FuzzExplore grammar) over fuzzState, or nothing when its exploration
+// explodes, which is a legal outcome.
+func generatedSubject(prog []byte) []deltaSubject {
 	g := &fuzzGen{data: prog, budget: 60}
 	gen := &appir.Program{Name: "generated", Handler: g.stmts(3)}
-	if paths, err := Explore(gen); err == nil { // path explosion is a legal outcome
-		out = append(out, deltaSubject{name: gen.Name, paths: paths, st: fuzzState(), globals: []appir.GlobalDecl{
-			{Name: fuzzTables[0], Kind: appir.GlobalTable, KeyKind: appir.KindMAC, ValKind: appir.KindU16},
-			{Name: fuzzTables[1], Kind: appir.GlobalTable, KeyKind: appir.KindMAC, ValKind: appir.KindU16},
-			{Name: "fzp", Kind: appir.GlobalPrefixTable, ValKind: appir.KindU16},
-			{Name: "fs0", Kind: appir.GlobalScalar, ValKind: appir.KindU16},
-		}})
+	paths, err := Explore(gen)
+	if err != nil {
+		return nil
 	}
-	return out
+	return []deltaSubject{{name: gen.Name, paths: paths, st: fuzzState(), globals: []appir.GlobalDecl{
+		{Name: fuzzTables[0], Kind: appir.GlobalTable, KeyKind: appir.KindMAC, ValKind: appir.KindU16},
+		{Name: fuzzTables[1], Kind: appir.GlobalTable, KeyKind: appir.KindMAC, ValKind: appir.KindU16},
+		{Name: "fzp", Kind: appir.GlobalPrefixTable, ValKind: appir.KindU16},
+		{Name: "fs0", Kind: appir.GlobalScalar, ValKind: appir.KindU16},
+	}}}
 }
 
 // deltaValue draws a value of the given kind from a domain of 16, small
@@ -220,8 +228,8 @@ func (c ruleCounts) equal(rules []ProactiveRule) bool {
 }
 
 // runMemoDelta drives one mutation per step into one of the subjects and,
-// after each, holds its memo to a cold Algorithm 2 run: same rules, same
-// order. A second memo per subject reports through DeriveDelta only; the
+// after each, holds DeriveRulesOpts and its memo to the whole solve: same
+// rules, same order. A second memo per subject reports through DeriveDelta only; the
 // deltas summed up must be the same rule set (a failed step's partial
 // delta included). It returns how many entries the memos re-solved one
 // by one.
@@ -252,7 +260,9 @@ func runMemoDelta(t testing.TB, prog, script []byte) (entries uint64) {
 			subjects[i].mutate(t, next)
 		}
 		s := &subjects[i]
-		want, wantErr := DeriveRulesOpts(s.paths, s.st, DeriveOptions{Workers: 1})
+		want, wantErr := wholeSolve(s.paths, s.st)
+		direct, directErr := DeriveRulesOpts(s.paths, s.st, DeriveOptions{Workers: 1})
+		sameDerive(t, fmt.Sprintf("%s step %d: DeriveRulesOpts", s.name, step), direct, directErr, want, wantErr)
 		got, gotErr := memos[i].Derive(s.st, DeriveOptions{Workers: 1 + step%2*3})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s step %d: direct err %v, memo err %v", s.name, step, wantErr, gotErr)

@@ -55,14 +55,21 @@ func DeriveRulesOpts(paths []Path, st *appir.State, opts DeriveOptions) ([]Proac
 }
 
 // concatRules flattens per-path results in path order, preserving the
-// sequential convention that no rules means a nil slice.
+// sequential convention that no rules means a nil slice. A single
+// non-empty result is returned as it is.
 func concatRules(results [][]ProactiveRule) []ProactiveRule {
-	total := 0
-	for _, r := range results {
-		total += len(r)
+	total, last := 0, -1
+	for i, r := range results {
+		if len(r) > 0 {
+			total += len(r)
+			last = i
+		}
 	}
-	if total == 0 {
+	switch {
+	case total == 0:
 		return nil
+	case total == len(results[last]):
+		return results[last]
 	}
 	out := make([]ProactiveRule, 0, total)
 	for _, r := range results {

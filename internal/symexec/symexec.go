@@ -291,13 +291,26 @@ func DeriveRules(paths []Path, st *appir.State) ([]ProactiveRule, error) {
 
 // derivePath runs Algorithm 2 for one path: concretize its condition
 // against the live state and instantiate every install template under
-// every satisfying assignment. Safe to call concurrently for different
-// paths as long as each caller owns its arena.
+// every satisfying assignment. An entry-shaped path goes one table entry
+// at a time (entryDeriver), any other through the whole enumeration.
+// Safe to call concurrently for different paths as long as each caller
+// owns its arena.
 func derivePath(p *Path, st *appir.State, ar *solver.Arena) ([]ProactiveRule, error) {
 	if len(p.Installs) == 0 {
 		return nil, nil // only Modify State Message paths (Algorithm 2, line 4)
 	}
-	return instantiate(p, solver.ConcretizeArena(p.Conds, st, ar), st)
+	table, f, ok := entryShape(p)
+	if !ok {
+		return instantiate(p, solver.ConcretizeArena(p.Conds, st, ar), st)
+	}
+	entries := st.TableEntries(table)
+	d := newEntryDeriver(p, table, f, st, ar, len(entries))
+	for _, e := range entries {
+		if err := d.derive(e.Key, e.Val); err != nil {
+			return nil, err
+		}
+	}
+	return d.out, nil
 }
 
 // instantiate evaluates every install template of p under each of the
@@ -307,24 +320,100 @@ func instantiate(p *Path, assignments []solver.Assignment, st *appir.State) ([]P
 	if n := len(assignments) * len(p.Installs); n > 0 {
 		out = make([]ProactiveRule, 0, n) // every assignment yields at most one rule per template
 	}
+	ev := newRuleEval(p, st, len(assignments))
 	for i := range assignments {
-		for _, tmpl := range p.Installs {
-			rule, ok, err := evalTemplate(tmpl, &assignments[i], st)
-			if err != nil {
-				return nil, fmt.Errorf("path %d: %w", p.ID, err)
-			}
-			if !ok {
-				continue // residual: depends on an unbound field
-			}
-			out = append(out, ProactiveRule{Rule: rule, PathID: p.ID})
+		var err error
+		if out, err = ev.instantiate(out, &assignments[i]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// evalTemplate evaluates a rule template under a field assignment. ok is
+// entryDeriver runs Algorithm 2 for an entry-shaped path (entryShape)
+// one entry of its fan-out table at a time: the condition is solved for
+// the entry's key in one reused assignment, a lookup of the table reads
+// the entry's value instead of probing the state, and the rules are
+// appended to one preallocated output. For each key it yields exactly
+// the rules a whole enumeration yields for that key, so feeding it the
+// table in TableEntries order reproduces a whole solve, order included.
+type entryDeriver struct {
+	cond solver.Entry
+	asg  solver.Assignment
+	ev   ruleEval
+	out  []ProactiveRule
+}
+
+// newEntryDeriver prepares p, whose fan-out is field f over table, for
+// n entries' worth of derivation against st.
+func newEntryDeriver(p *Path, table string, f appir.Field, st *appir.State, ar *solver.Arena, n int) entryDeriver {
+	d := entryDeriver{
+		cond: solver.NewEntry(p.Conds, st, ar, table, f),
+		ev:   newRuleEval(p, st, n),
+	}
+	d.ev.table = table
+	if n *= len(p.Installs); n > 0 {
+		d.out = make([]ProactiveRule, 0, n)
+	}
+	return d
+}
+
+// derive appends the rules of the table entry (key, val) to d.out.
+func (d *entryDeriver) derive(key, val appir.Value) error {
+	if !d.cond.Solve(key, &d.asg) {
+		return nil
+	}
+	d.ev.val = val
+	var err error
+	d.out, err = d.ev.instantiate(d.out, &d.asg)
+	return err
+}
+
+// ruleEval evaluates a path's install templates under its solved
+// assignments. The actions of all its rules are cut from one block, and
+// each distinct action is boxed into its interface once.
+type ruleEval struct {
+	p  *Path
+	st *appir.State
+	// table, when set, names the fan-out table of an entry derivation:
+	// a lookup in it reads val, the entry the assignment was solved for.
+	table string
+	val   appir.Value
+	acts  []openflow.Action
+	boxed map[openflow.Action]openflow.Action
+}
+
+// newRuleEval sizes the action block for n assignments' rules.
+func newRuleEval(p *Path, st *appir.State, n int) ruleEval {
+	ev := ruleEval{p: p, st: st}
+	per := 0
+	for _, t := range p.Installs {
+		per += len(t.Actions)
+	}
+	if n *= per; n > 0 {
+		ev.acts = make([]openflow.Action, 0, n)
+	}
+	return ev
+}
+
+// instantiate appends to out the rule each install template yields
+// under asg.
+func (ev *ruleEval) instantiate(out []ProactiveRule, asg *solver.Assignment) ([]ProactiveRule, error) {
+	for _, tmpl := range ev.p.Installs {
+		rule, ok, err := ev.template(tmpl, asg)
+		if err != nil {
+			return out, fmt.Errorf("path %d: %w", ev.p.ID, err)
+		}
+		if ok { // else residual: depends on an unbound field
+			out = append(out, ProactiveRule{Rule: rule, PathID: ev.p.ID})
+		}
+	}
+	return out, nil
+}
+
+// template evaluates a rule template under a field assignment. ok is
 // false when the template reads a field the assignment does not pin.
-func evalTemplate(t appir.RuleTemplate, asg *solver.Assignment, st *appir.State) (appir.ConcreteRule, bool, error) {
+func (ev *ruleEval) template(t appir.RuleTemplate, asg *solver.Assignment) (appir.ConcreteRule, bool, error) {
 	m := openflow.MatchAll()
 	// First apply the assignment's own constraints: the path condition is
 	// part of the rule's match (e.g. nw_dst == vip). Canonical field
@@ -353,7 +442,7 @@ func evalTemplate(t appir.RuleTemplate, asg *solver.Assignment, st *appir.State)
 				continue
 			}
 		}
-		v, ok, err := evalBound(mf.Val, asg, st)
+		v, ok, err := ev.bound(mf.Val, asg)
 		if err != nil {
 			return appir.ConcreteRule{}, false, err
 		}
@@ -364,16 +453,18 @@ func evalTemplate(t appir.RuleTemplate, asg *solver.Assignment, st *appir.State)
 			return appir.ConcreteRule{}, false, err
 		}
 	}
-	var actions []openflow.Action
-	for _, at := range t.Actions {
-		act, ok, err := evalAction(at, asg, st)
-		if err != nil {
-			return appir.ConcreteRule{}, false, err
+	var actions []openflow.Action // a drop rule's stay nil
+	if len(t.Actions) > 0 {
+		lo := len(ev.acts)
+		for _, at := range t.Actions {
+			act, ok, err := ev.action(at, asg)
+			if err != nil || !ok {
+				ev.acts = ev.acts[:lo]
+				return appir.ConcreteRule{}, false, err
+			}
+			ev.acts = append(ev.acts, act)
 		}
-		if !ok {
-			return appir.ConcreteRule{}, false, nil
-		}
-		actions = append(actions, act)
+		actions = ev.acts[lo:len(ev.acts):len(ev.acts)]
 	}
 	prio := int(t.Priority) + asg.PrefixBits - 2*asg.Penalty
 	if prio < 1 {
@@ -391,9 +482,9 @@ func evalTemplate(t appir.RuleTemplate, asg *solver.Assignment, st *appir.State)
 	}, true, nil
 }
 
-// evalBound evaluates an expression where field references resolve via
-// the assignment. ok is false if an unpinned field is read.
-func evalBound(e appir.Expr, asg *solver.Assignment, st *appir.State) (appir.Value, bool, error) {
+// bound evaluates an expression where field references resolve via the
+// assignment. ok is false if an unpinned field is read.
+func (ev *ruleEval) bound(e appir.Expr, asg *solver.Assignment) (appir.Value, bool, error) {
 	switch x := e.(type) {
 	case appir.FieldRef:
 		b, bound := asg.Get(x.F)
@@ -409,27 +500,32 @@ func evalBound(e appir.Expr, asg *solver.Assignment, st *appir.State) (appir.Val
 	case appir.Const:
 		return x.V, true, nil
 	case appir.ScalarRef:
-		v, ok := st.Scalar(x.Name)
+		v, ok := ev.st.Scalar(x.Name)
 		if !ok {
 			return appir.Value{}, false, fmt.Errorf("scalar %s unset", x.Name)
 		}
 		return v, true, nil
 	case appir.Lookup:
-		k, ok, err := evalBound(x.Key, asg, st)
+		if ev.table != "" && x.Table == ev.table {
+			// An entry-shaped path reads its fan-out table only at the
+			// fan-out field, which the assignment pins to the entry's key.
+			return ev.val, true, nil
+		}
+		k, ok, err := ev.bound(x.Key, asg)
 		if err != nil || !ok {
 			return appir.Value{}, ok, err
 		}
-		v, found := st.LookupTable(x.Table, k)
+		v, found := ev.st.LookupTable(x.Table, k)
 		if !found {
 			return appir.Value{}, false, nil
 		}
 		return v, true, nil
 	case appir.LookupPrefix:
-		k, ok, err := evalBound(x.Key, asg, st)
+		k, ok, err := ev.bound(x.Key, asg)
 		if err != nil || !ok {
 			return appir.Value{}, ok, err
 		}
-		v, found := st.LookupLPM(x.Table, k)
+		v, found := ev.st.LookupLPM(x.Table, k)
 		if !found {
 			return appir.Value{}, false, nil
 		}
@@ -439,37 +535,51 @@ func evalBound(e appir.Expr, asg *solver.Assignment, st *appir.State) (appir.Val
 	}
 }
 
-func evalAction(at appir.ActionTemplate, asg *solver.Assignment, st *appir.State) (openflow.Action, bool, error) {
+func (ev *ruleEval) action(at appir.ActionTemplate, asg *solver.Assignment) (openflow.Action, bool, error) {
 	switch x := at.(type) {
 	case appir.ActOutput:
-		v, ok, err := evalBound(x.Port, asg, st)
+		v, ok, err := ev.bound(x.Port, asg)
 		if err != nil || !ok {
 			return nil, ok, err
 		}
-		return openflow.Output(v.U16()), true, nil
+		return box(ev, openflow.Output(v.U16())), true, nil
 	case appir.ActFlood:
-		return openflow.Output(openflow.PortFlood), true, nil
+		return box(ev, openflow.Output(openflow.PortFlood)), true, nil
 	case appir.ActSetNwDst:
-		v, ok, err := evalBound(x.IP, asg, st)
+		v, ok, err := ev.bound(x.IP, asg)
 		if err != nil || !ok {
 			return nil, ok, err
 		}
-		return openflow.ActionSetNwDst{IP: v.IP()}, true, nil
+		return box(ev, openflow.ActionSetNwDst{IP: v.IP()}), true, nil
 	case appir.ActSetNwSrc:
-		v, ok, err := evalBound(x.IP, asg, st)
+		v, ok, err := ev.bound(x.IP, asg)
 		if err != nil || !ok {
 			return nil, ok, err
 		}
-		return openflow.ActionSetNwSrc{IP: v.IP()}, true, nil
+		return box(ev, openflow.ActionSetNwSrc{IP: v.IP()}), true, nil
 	case appir.ActSetDlDst:
-		v, ok, err := evalBound(x.MAC, asg, st)
+		v, ok, err := ev.bound(x.MAC, asg)
 		if err != nil || !ok {
 			return nil, ok, err
 		}
-		return openflow.ActionSetDlDst{MAC: v.MAC()}, true, nil
+		return box(ev, openflow.ActionSetDlDst{MAC: v.MAC()}), true, nil
 	default:
 		return nil, false, fmt.Errorf("unsupported action template %T", at)
 	}
+}
+
+// box returns act as an openflow.Action, boxing each distinct action
+// once per ruleEval: the map probe converts act without escaping it.
+func box[A openflow.Action](ev *ruleEval, act A) openflow.Action {
+	if b, ok := ev.boxed[act]; ok {
+		return b
+	}
+	if ev.boxed == nil {
+		ev.boxed = make(map[openflow.Action]openflow.Action)
+	}
+	b := openflow.Action(act)
+	ev.boxed[b] = b
+	return b
 }
 
 // MatchPath finds the unique path whose condition a concrete packet
