@@ -144,7 +144,8 @@ check: build vet test race
 # derivation memo against a cold Algorithm 2 run after every mutation, the
 # per-entry derivation against the whole enumeration, the
 # delta tracker against a cold rebuild-and-diff reference, and
-# the flow classifier against its linear oracle, each under coverage-guided
+# the flow classifier and the longest-prefix-match index against their
+# linear scans, each under coverage-guided
 # fuzzing for FUZZTIME. Any crasher is written to the package's
 # testdata/fuzz/ and replays as a plain test case from then on.
 fuzz:
@@ -157,6 +158,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzTrackerDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soak/ -run '^$$' -fuzz FuzzParseScenario -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flowtable/ -run '^$$' -fuzz FuzzClassifierOracle -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/appir/ -run '^$$' -fuzz FuzzLookupLPM -fuzztime $(FUZZTIME)
 
 # Everything CI runs, in CI's order.
 ci: build vet test bench-harness race fuzz

@@ -1,18 +1,18 @@
 package floodguard_test
 
-// Attack-time rule derivation at scale: the Algorithm 2 worker pool and
-// the epoch memo, measured over synthetic path sets of 10²–10⁴ paths.
-// The synthetic paths follow the shape the bundled apps produce — a
-// table-membership condition plus an install template whose port is a
-// table lookup — so every derivation does real solver enumeration work.
+// Attack-time rule derivation at scale: Algorithm 2 and the epoch memo,
+// measured over synthetic path sets of 10²–10⁴ paths and over the
+// bundled apps with 10⁴-row states. The synthetic paths follow the shape
+// the bundled apps produce — a table-membership condition plus an
+// install template whose port is a table lookup — so every derivation
+// does real solver enumeration work.
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"floodguard/internal/appir"
 	"floodguard/internal/apps"
+	"floodguard/internal/experiments"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/symexec"
 )
@@ -61,27 +61,22 @@ func syntheticPaths(n int) ([]symexec.Path, *appir.State) {
 func BenchmarkDeriveRules(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		paths, st := syntheticPaths(n)
-		for _, workers := range []int{1, 4} {
-			name := "paths-" + itoa(n) + "/workers-" + itoa(workers)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := symexec.DeriveRulesOpts(paths, st,
-						symexec.DeriveOptions{Workers: workers}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run("paths-"+itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := symexec.DeriveRules(paths, st); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkDeriveL2Learning10k measures the derive the mitigation moment
 // runs: a cold Algorithm 2 pass over l2_learning's explored paths with
 // 10⁴ learned MACs, yielding one dl_dst rule per MAC. Its table-driven
-// path carries every entry, so unlike syntheticPaths (≥ 8 paths, a few
-// entries each) it reaches the entry-shaped case and never the path
-// pool.
+// path carries every entry, so unlike syntheticPaths (many paths, a few
+// entries each) it measures the entry-shaped case.
 func BenchmarkDeriveL2Learning10k(b *testing.B) {
 	const hosts = 10_000
 	prog, st := apps.L2Learning()
@@ -97,7 +92,7 @@ func BenchmarkDeriveL2Learning10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rules, err := symexec.DeriveRulesOpts(paths, st, symexec.DeriveOptions{})
+		rules, err := symexec.DeriveRules(paths, st)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,41 +102,28 @@ func BenchmarkDeriveL2Learning10k(b *testing.B) {
 	}
 }
 
-// BenchmarkDeriveRulesSpeedup pins the worker-pool acceptance bar:
-// parallel derivation at 10³ paths must be ≥3× faster than sequential.
-// The bar only means anything with real cores to fan across, so it is
-// skipped below 4 CPUs (single-core boxes measure pure pool overhead).
-func BenchmarkDeriveRulesSpeedup(b *testing.B) {
-	if runtime.NumCPU() < 4 {
-		b.Skipf("need >= 4 CPUs for a meaningful speedup bar, have %d", runtime.NumCPU())
+// BenchmarkDeriveFirewall16k measures a cold Algorithm 2 pass over
+// of_firewall holding 4 000 blocked ports, 3 000 blocked /24 nets and
+// 3 000 /16 routes: 16 000 rules over its 8 paths. Every rule's output
+// port is a longest-prefix match in the route table, so this is the
+// derive that exercises appir's prefix index.
+func BenchmarkDeriveFirewall16k(b *testing.B) {
+	prog, st := apps.OFFirewall()
+	experiments.PopulateFirewall(st, 4_000, 3_000, 3_000)
+	paths, err := symexec.Explore(prog)
+	if err != nil {
+		b.Fatal(err)
 	}
-	paths, st := syntheticPaths(1000)
-	measure := func(workers int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			if _, err := symexec.DeriveRulesOpts(paths, st,
-				symexec.DeriveOptions{Workers: workers}); err != nil {
-				b.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	measure(1) // warm caches before timing
-	seq := measure(1)
-	par := measure(runtime.NumCPU())
-	speedup := float64(seq) / float64(par)
-	b.ReportMetric(speedup, "speedup")
-	if speedup < 3 {
-		b.Errorf("parallel speedup %.2fx at 1000 paths on %d CPUs, want >= 3x",
-			speedup, runtime.NumCPU())
-	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = symexec.DeriveRulesOpts(paths, st,
-			symexec.DeriveOptions{Workers: runtime.NumCPU()})
+		rules, err := symexec.DeriveRules(paths, st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rules) != 16_000 {
+			b.Fatalf("derived %d rules, want 16 000", len(rules))
+		}
 	}
 }
 
@@ -152,10 +134,9 @@ func BenchmarkDeriveRulesMemo(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		paths, st := syntheticPaths(n)
 		b.Run("cold/paths-"+itoa(n), func(b *testing.B) {
-			m := symexec.NewMemo(paths)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.Invalidate()
+				m := symexec.NewMemo(paths)
 				if _, err := m.Derive(st, symexec.DeriveOptions{}); err != nil {
 					b.Fatal(err)
 				}

@@ -24,7 +24,7 @@ type PrefixEntry struct {
 type State struct {
 	mu       sync.RWMutex
 	tables   map[string]map[Value]Value
-	prefixes map[string][]PrefixEntry
+	prefixes map[string]*prefixTable
 	scalars  map[string]Value
 	version  uint64
 	// gvers holds one monotonic epoch per global name, bumped in lock
@@ -62,7 +62,7 @@ type tableJournal struct {
 func NewState() *State {
 	return &State{
 		tables:   make(map[string]map[Value]Value),
-		prefixes: make(map[string][]PrefixEntry),
+		prefixes: make(map[string]*prefixTable),
 		scalars:  make(map[string]Value),
 		gvers:    make(map[string]uint64),
 		journals: make(map[string]*tableJournal),
@@ -260,59 +260,26 @@ func sortEntries(es []struct{ Key, Val Value }) []struct{ Key, Val Value } {
 	return es
 }
 
-// Entries returns the number of rows over every exact and prefix table:
-// the size concretization enumerates.
-func (s *State) Entries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, t := range s.tables {
-		n += len(t)
-	}
-	for _, rows := range s.prefixes {
-		n += len(rows)
-	}
-	return n
-}
-
 // AddPrefix inserts (or replaces) a prefix route.
 func (s *State) AddPrefix(table string, prefix Value, length int, val Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rows := s.prefixes[table]
-	for i, r := range rows {
-		if r.Prefix == prefix && r.Len == length {
-			if r.Val == val {
-				return
-			}
-			rows[i].Val = val
-			s.bump(table)
-			return
-		}
+	t := s.prefixes[table]
+	if t == nil {
+		t = &prefixTable{}
+		s.prefixes[table] = t
 	}
-	s.prefixes[table] = append(rows, PrefixEntry{Prefix: prefix, Len: length, Val: val})
-	// Keep longest-prefix-first order for LPM and deterministic dumps.
-	sort.Slice(s.prefixes[table], func(i, j int) bool {
-		a, b := s.prefixes[table][i], s.prefixes[table][j]
-		if a.Len != b.Len {
-			return a.Len > b.Len
-		}
-		return a.Prefix.Bits < b.Prefix.Bits
-	})
-	s.bump(table)
+	if t.add(PrefixEntry{Prefix: prefix, Len: length, Val: val}) {
+		s.bump(table)
+	}
 }
 
 // RemovePrefix deletes a prefix route.
 func (s *State) RemovePrefix(table string, prefix Value, length int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rows := s.prefixes[table]
-	for i, r := range rows {
-		if r.Prefix == prefix && r.Len == length {
-			s.prefixes[table] = append(rows[:i:i], rows[i+1:]...)
-			s.bump(table)
-			return
-		}
+	if t := s.prefixes[table]; t != nil && t.remove(prefix, length) {
+		s.bump(table)
 	}
 }
 
@@ -320,10 +287,8 @@ func (s *State) RemovePrefix(table string, prefix Value, length int) {
 func (s *State) LookupLPM(table string, ip Value) (Value, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, r := range s.prefixes[table] { // rows sorted longest-first
-		if ip.IP().InPrefix(r.Prefix.IP(), r.Len) {
-			return r.Val, true
-		}
+	if t := s.prefixes[table]; t != nil {
+		return t.lookup(ip)
 	}
 	return Value{}, false
 }
@@ -338,8 +303,12 @@ func (s *State) InAnyPrefix(table string, ip Value) bool {
 func (s *State) PrefixEntries(table string) []PrefixEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]PrefixEntry, len(s.prefixes[table]))
-	copy(out, s.prefixes[table])
+	var rows []PrefixEntry
+	if t := s.prefixes[table]; t != nil {
+		rows = t.rows
+	}
+	out := make([]PrefixEntry, len(rows))
+	copy(out, rows)
 	return out
 }
 
@@ -374,10 +343,8 @@ func (s *State) Clone() *State {
 		}
 		out.tables[name] = nt
 	}
-	for name, rows := range s.prefixes {
-		nr := make([]PrefixEntry, len(rows))
-		copy(nr, rows)
-		out.prefixes[name] = nr
+	for name, t := range s.prefixes {
+		out.prefixes[name] = t.clone()
 	}
 	for name, v := range s.scalars {
 		out.scalars[name] = v
@@ -408,7 +375,7 @@ func (s *State) Dump() string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		out += fmt.Sprintf("prefix-table %s (%d entries)\n", n, len(s.prefixes[n]))
+		out += fmt.Sprintf("prefix-table %s (%d entries)\n", n, len(s.prefixes[n].rows))
 	}
 	names = names[:0]
 	for n := range s.scalars {

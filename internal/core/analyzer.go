@@ -276,7 +276,7 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 		if aa.paths == nil {
 			return nil, fmt.Errorf("analyzer: %s not prepared", aa.app.Name())
 		}
-		rules, err := symexec.DeriveRulesOpts(aa.paths, aa.app.State, symexec.DeriveOptions{})
+		rules, err := symexec.DeriveRules(aa.paths, aa.app.State)
 		if err != nil {
 			return nil, fmt.Errorf("derive %s: %w", aa.app.Name(), err)
 		}

@@ -34,7 +34,7 @@ func (f *flakyTarget) InstallProactive(fm openflow.FlowMod) error {
 }
 
 // trackerRef is the tracker the delta analyzer replaced: every sync
-// derives each app scope cold (DeriveRulesOpts over the live state),
+// derives each app scope cold (DeriveRules over the live state),
 // rebuilds the whole desired map first-in-derivation-order-wins, and
 // diffs it against its own installed set.
 type trackerRef struct {
@@ -53,7 +53,7 @@ func (r *trackerRef) sync(scoped map[uint64]RuleTarget) (inst, rem int, err erro
 			scopes = app.DatapathStates()
 		}
 		for _, sc := range scopes {
-			rules, err := symexec.DeriveRulesOpts(r.paths[i], sc.State, symexec.DeriveOptions{Workers: 1})
+			rules, err := symexec.DeriveRules(r.paths[i], sc.State)
 			if err != nil {
 				return 0, 0, err
 			}

@@ -10,7 +10,6 @@ import (
 	"floodguard/internal/controller"
 	"floodguard/internal/core"
 	"floodguard/internal/netpkt"
-	"floodguard/internal/symexec"
 )
 
 // RuleGenCost is one bar of Figure 13: the runtime overhead of generating
@@ -110,16 +109,11 @@ func RunFig13(size Fig13StateSize, iters int) ([]RuleGenCost, error) {
 			}
 			rules = len(rs)
 		}
-		avg := time.Since(start) / time.Duration(iters)
-		paths, err := symexec.Explore(app.Prog)
-		if err != nil {
-			return nil, err
-		}
 		out = append(out, RuleGenCost{
 			App:         app.Name(),
-			Average:     avg,
+			Average:     time.Since(start) / time.Duration(iters),
 			Rules:       rules,
-			Paths:       len(paths),
+			Paths:       len(an.Paths(app.Name())),
 			OfflineCost: offline,
 		})
 	}

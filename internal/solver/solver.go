@@ -129,8 +129,8 @@ func (a Assignment) String() string {
 // ConcretizeArena returns; the survivors are copied into the result
 // slice by value, so nothing handed to the caller aliases arena memory.
 //
-// An Arena is not safe for concurrent use. Each derivation worker owns
-// one; callers without one get a pooled arena via Concretize.
+// An Arena is not safe for concurrent use. Each deriver owns one;
+// callers without one get a pooled arena via Concretize.
 type Arena struct {
 	free []*Assignment
 	// work and next are the two scratch lists the fan-out passes
@@ -357,8 +357,8 @@ func Concretize(conds []appir.Cond, st *appir.State) []Assignment {
 }
 
 // ConcretizeArena is Concretize with a caller-owned allocation arena —
-// the form the parallel derivation workers use, one arena per worker, so
-// repeated calls reuse the same working set instead of re-allocating it.
+// the form the deriver uses, one arena across all its paths, so repeated
+// calls reuse the same working set instead of re-allocating it.
 // The result never aliases arena memory.
 func ConcretizeArena(conds []appir.Cond, st *appir.State, ar *Arena) []Assignment {
 	work := append(ar.work[:0], ar.get())

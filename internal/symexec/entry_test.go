@@ -14,7 +14,7 @@ import (
 
 // wholeSolve is Algorithm 2 with nothing of the per-entry derivation in
 // it: every install path goes through the whole enumeration, which reads
-// each lookup from the state. It is the oracle DeriveRulesOpts and the
+// each lookup from the state. It is the oracle DeriveRules and the
 // memo are held to.
 func wholeSolve(paths []Path, st *appir.State) ([]ProactiveRule, error) {
 	ar := solver.NewArena()
@@ -117,7 +117,7 @@ func (s *deltaSubject) mutateEntries(next func() byte) {
 }
 
 // runEntryDerive mutates the subjects one decoded step at a time and,
-// after each step, holds DeriveRulesOpts and a memo that has followed
+// after each step, holds DeriveRules and a memo that has followed
 // every step to the whole solve: same rules in the same order, or the
 // same error. It returns how many entries the memos re-solved one by
 // one and the largest rule set a step derived.
@@ -143,11 +143,9 @@ func runEntryDerive(t testing.TB, prog, script []byte) (entries uint64, most int
 		}
 		s := &subjects[i]
 		want, wantErr := wholeSolve(s.paths, s.st)
-		for _, workers := range []int{1, 4} {
-			got, err := DeriveRulesOpts(s.paths, s.st, DeriveOptions{Workers: workers})
-			sameDerive(t, fmt.Sprintf("%s step %d: DeriveRulesOpts(workers %d)", s.name, step, workers), got, err, want, wantErr)
-		}
-		got, err := memos[i].Derive(s.st, DeriveOptions{Workers: 1})
+		got, err := DeriveRules(s.paths, s.st)
+		sameDerive(t, fmt.Sprintf("%s step %d: DeriveRules", s.name, step), got, err, want, wantErr)
+		got, err = memos[i].Derive(s.st, DeriveOptions{})
 		sameDerive(t, fmt.Sprintf("%s step %d: Memo.Derive", s.name, step), got, err, want, wantErr)
 		most = max(most, len(want))
 	}
@@ -169,7 +167,7 @@ func sameDerive(t testing.TB, what string, got []ProactiveRule, err error, want 
 
 // Seeded random states over every bundled app: broadcast and absent
 // keys, tables on both sides of the radix cutoff, prefix and scalar
-// moves. DeriveRulesOpts and the memo must equal the whole solve after
+// moves. DeriveRules and the memo must equal the whole solve after
 // every step.
 func TestDeriveMatchesWholeSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xE117))
@@ -208,9 +206,9 @@ func TestEntryDeriveBroadcastAndAbsentKeys(t *testing.T) {
 	} {
 		mutate()
 		want, wantErr := wholeSolve(paths, st)
-		got, err := DeriveRulesOpts(paths, st, DeriveOptions{Workers: 1})
-		sameDerive(t, fmt.Sprintf("step %d: DeriveRulesOpts", step), got, err, want, wantErr)
-		got, err = m.Derive(st, DeriveOptions{Workers: 1})
+		got, err := DeriveRules(paths, st)
+		sameDerive(t, fmt.Sprintf("step %d: DeriveRules", step), got, err, want, wantErr)
+		got, err = m.Derive(st, DeriveOptions{})
 		sameDerive(t, fmt.Sprintf("step %d: Memo.Derive", step), got, err, want, wantErr)
 		for _, r := range got {
 			if r.Rule.Match.DlDst == netpkt.Broadcast {
@@ -252,7 +250,7 @@ func TestColdDeriveAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {
-			rules, err := DeriveRulesOpts(paths, st, DeriveOptions{})
+			rules, err := DeriveRules(paths, st)
 			if err != nil || len(rules) != hosts {
 				t.Fatalf("%d hosts: %d rules, err %v", hosts, len(rules), err)
 			}

@@ -141,9 +141,8 @@ func fuzzState() *appir.State {
 // FuzzExplore drives Algorithm 1 and Algorithm 2 end to end over
 // generated handlers, checking the structural invariants that the rest
 // of the system leans on: every emitted path is feasible and internally
-// consistent, parallel derivation is bit-identical to sequential
-// (results and errors alike), and memoized derivation agrees with the
-// direct call before and after a state mutation.
+// consistent, and memoized derivation agrees with the direct call
+// before and after a state mutation.
 func FuzzExplore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -174,16 +173,7 @@ func FuzzExplore(f *testing.F) {
 		}
 
 		st := fuzzState()
-		seq, seqErr := DeriveRulesOpts(paths, st, DeriveOptions{Workers: 1})
-		par, parErr := DeriveRulesOpts(paths, st, DeriveOptions{Workers: 4})
-		if (seqErr == nil) != (parErr == nil) ||
-			(seqErr != nil && seqErr.Error() != parErr.Error()) {
-			t.Fatalf("error divergence: sequential %v, parallel %v", seqErr, parErr)
-		}
-		if seqErr == nil && !reflect.DeepEqual(seq, par) {
-			t.Fatalf("parallel derivation diverges: %d vs %d rules", len(par), len(seq))
-		}
-		if seqErr != nil {
+		if _, err := DeriveRules(paths, st); err != nil {
 			return
 		}
 

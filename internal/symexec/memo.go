@@ -30,6 +30,7 @@ import (
 // derivation at a time); Stats is safe from any goroutine.
 type Memo struct {
 	paths []Path
+	ar    *solver.Arena // every re-solve's, kept across calls
 	// union is the deduplicated list of globals any path reads; vers is
 	// their epoch snapshot buffer, refreshed per Derive under one lock.
 	union []string
@@ -37,13 +38,14 @@ type Memo struct {
 	// deps[i] indexes union for the globals path i reads.
 	deps  [][]int
 	slots []memoSlot
-	stale []int // scratch: indices needing re-derivation
 	// last is the assembled rule set, built only when Derive asks for it
 	// and reusable verbatim while every slot stays fresh (lastOK): the
 	// fully-warm path then costs one epoch sweep and no allocation.
 	last   []ProactiveRule
 	lastOK bool
-	// removed and added are DeriveDelta's reused result buffers.
+	// removed and added record what the last refresh took out of and
+	// put into the derived set, slot by slot in group order: the lists
+	// DeriveDelta returns, reused by the next call.
 	removed, added []ProactiveRule
 
 	hits    atomic.Uint64
@@ -66,11 +68,6 @@ type memoSlot struct {
 	tableDep int // position of table in deps[i] / vers
 	groups   []entryGroup
 	changed  []appir.Value // scratch: journal read-out
-
-	// removed and added record what the slot's last re-solve took out
-	// of and put into its rules, in group order. Each slot owns its
-	// pair, so pool workers never share one.
-	removed, added []ProactiveRule
 }
 
 // entryGroup is the rules one table entry contributes to its path.
@@ -84,6 +81,7 @@ type entryGroup struct {
 func NewMemo(paths []Path) *Memo {
 	m := &Memo{
 		paths: paths,
+		ar:    solver.NewArena(),
 		deps:  make([][]int, len(paths)),
 		slots: make([]memoSlot, len(paths)),
 	}
@@ -195,13 +193,13 @@ func pathGlobals(p *Path) []string {
 	return out
 }
 
-// Derive returns the rules DeriveRulesOpts would produce for the live
+// Derive returns the rules DeriveRules would produce for the live
 // state, re-solving only what mutated since the last derivation: stale
 // paths, and of a stale entry-shaped path only the changed entries. The
 // returned slice shares per-rule storage with the cache and is reused
 // while nothing changes: callers must not modify it.
-func (m *Memo) Derive(st *appir.State, opts DeriveOptions) ([]ProactiveRule, error) {
-	if err := m.refresh(st, opts); err != nil {
+func (m *Memo) Derive(st *appir.State, _ DeriveOptions) ([]ProactiveRule, error) {
+	if err := m.refresh(st); err != nil {
 		return nil, err
 	}
 	if m.lastOK {
@@ -240,39 +238,29 @@ func (m *Memo) Derive(st *appir.State, opts DeriveOptions) ([]ProactiveRule, err
 // re-solve (those slots are committed); the failing slot keeps its
 // previous rules and is re-solved next call. Both slices are reused by
 // the next call.
-func (m *Memo) DeriveDelta(st *appir.State, opts DeriveOptions) (removed, added []ProactiveRule, err error) {
-	err = m.refresh(st, opts)
-	m.removed, m.added = m.removed[:0], m.added[:0]
-	for _, i := range m.stale {
-		s := &m.slots[i]
-		m.removed = append(m.removed, s.removed...)
-		m.added = append(m.added, s.added...)
-	}
+func (m *Memo) DeriveDelta(st *appir.State, _ DeriveOptions) (removed, added []ProactiveRule, err error) {
+	err = m.refresh(st)
 	return m.removed, m.added, err
 }
 
-// refresh re-solves the slots whose dependencies moved, leaving their
-// indices in m.stale.
-func (m *Memo) refresh(st *appir.State, opts DeriveOptions) error {
+// refresh re-solves, in slot order, the slots whose dependencies moved,
+// recording the change in m.removed and m.added. It stops at the first
+// slot that fails.
+func (m *Memo) refresh(st *appir.State) error {
 	m.vers = st.GlobalVersions(m.union, m.vers[:0])
-	m.stale = m.stale[:0]
+	m.removed, m.added = m.removed[:0], m.added[:0]
 	for i := range m.slots {
-		s := &m.slots[i]
-		if s.valid && m.staleDeps(i) == 0 {
+		if m.slots[i].valid && m.staleDeps(i) == 0 {
 			m.hits.Add(1)
 			continue
 		}
 		m.misses.Add(1)
-		m.stale = append(m.stale, i)
-		s.removed, s.added = s.removed[:0], s.added[:0]
+		m.lastOK = false
+		if err := m.resolve(i, st); err != nil {
+			return err
+		}
 	}
-	if len(m.stale) == 0 {
-		return nil
-	}
-	m.lastOK = false
-	return forEachPath(len(m.stale), opts.workers(st), func(k int, ar *solver.Arena) error {
-		return m.resolve(m.stale[k], st, ar)
-	})
+	return nil
 }
 
 // staleDeps counts the globals of path i whose epoch moved since the
@@ -287,11 +275,10 @@ func (m *Memo) staleDeps(i int) int {
 	return n
 }
 
-// resolve brings slot i up to the epochs in m.vers, recording what it
-// removed and added in the slot's delta. It runs on a pool worker and
-// touches nothing but its own slot.
-func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
-	s, p := &m.slots[i], &m.paths[i]
+// resolve brings slot i up to the epochs in m.vers, appending what it
+// removed and added to m.removed and m.added.
+func (m *Memo) resolve(i int, st *appir.State) error {
+	s, p, ar := &m.slots[i], &m.paths[i], m.ar
 	// On any failure the slot stays invalid and the next call re-solves
 	// it whole; what it holds is still what its delta has reported.
 	wasValid := s.valid
@@ -302,10 +289,10 @@ func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 		if err != nil {
 			return err
 		}
-		s.removed = append(s.removed, s.rules...)
-		s.added = append(s.added, rules...)
+		m.removed = append(m.removed, s.rules...)
+		m.added = append(m.added, rules...)
 		s.rules = rules
-	case wasValid && m.onlyTableStale(i) && m.resolveChanged(s, p, st, ar):
+	case wasValid && m.onlyTableStale(i) && m.resolveChanged(s, p, st):
 		// The table moved, nothing else did, and the journal named the
 		// keys: the other entries' groups stand.
 	default:
@@ -323,9 +310,9 @@ func (m *Memo) resolve(i int, st *appir.State, ar *solver.Arena) error {
 			}
 		}
 		for _, g := range s.groups {
-			s.removed = append(s.removed, g.rules...)
+			m.removed = append(m.removed, g.rules...)
 		}
-		s.added = append(s.added, d.out...)
+		m.added = append(m.added, d.out...)
 		s.groups = groups
 	}
 	for d, j := range m.deps[i] {
@@ -347,12 +334,12 @@ func (m *Memo) onlyTableStale(i int) bool {
 // whole solve derives it. It reports false — fall back to the whole
 // solve — when the journal no longer reaches back that far or an entry
 // fails to derive.
-func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.Arena) bool {
+func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State) bool {
 	var ok bool
 	if s.changed, ok = st.TableChanges(s.table, s.vers[s.tableDep], s.changed[:0]); !ok {
 		return false
 	}
-	d := newEntryDeriver(p, s.table, s.field, st, ar, len(s.changed))
+	d := newEntryDeriver(p, s.table, s.field, st, m.ar, len(s.changed))
 	for n, key := range s.changed {
 		if slices.Contains(s.changed[:n], key) {
 			continue // already re-solved against the live state
@@ -366,9 +353,9 @@ func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.
 		rules := d.out[lo:len(d.out):len(d.out)]
 		at, found := slices.BinarySearchFunc(s.groups, key, func(g entryGroup, k appir.Value) int { return g.key.Compare(k) })
 		if found {
-			s.removed = append(s.removed, s.groups[at].rules...)
+			m.removed = append(m.removed, s.groups[at].rules...)
 		}
-		s.added = append(s.added, rules...)
+		m.added = append(m.added, rules...)
 		switch {
 		case len(rules) == 0 && found:
 			s.groups = slices.Delete(s.groups, at, at+1)
@@ -380,15 +367,6 @@ func (m *Memo) resolveChanged(s *memoSlot, p *Path, st *appir.State, ar *solver.
 		m.entries.Add(1)
 	}
 	return true
-}
-
-// Invalidate drops every cached result; the next Derive re-solves all
-// paths.
-func (m *Memo) Invalidate() {
-	for i := range m.slots {
-		m.slots[i].valid = false
-	}
-	m.lastOK = false
 }
 
 // Stats returns the cumulative per-path cache hits and misses across

@@ -228,7 +228,7 @@ func (c ruleCounts) equal(rules []ProactiveRule) bool {
 }
 
 // runMemoDelta drives one mutation per step into one of the subjects and,
-// after each, holds DeriveRulesOpts and its memo to the whole solve: same
+// after each, holds DeriveRules and its memo to the whole solve: same
 // rules, same order. A second memo per subject reports through DeriveDelta only; the
 // deltas summed up must be the same rule set (a failed step's partial
 // delta included). It returns how many entries the memos re-solved one
@@ -261,9 +261,9 @@ func runMemoDelta(t testing.TB, prog, script []byte) (entries uint64) {
 		}
 		s := &subjects[i]
 		want, wantErr := wholeSolve(s.paths, s.st)
-		direct, directErr := DeriveRulesOpts(s.paths, s.st, DeriveOptions{Workers: 1})
-		sameDerive(t, fmt.Sprintf("%s step %d: DeriveRulesOpts", s.name, step), direct, directErr, want, wantErr)
-		got, gotErr := memos[i].Derive(s.st, DeriveOptions{Workers: 1 + step%2*3})
+		direct, directErr := DeriveRules(s.paths, s.st)
+		sameDerive(t, fmt.Sprintf("%s step %d: DeriveRules", s.name, step), direct, directErr, want, wantErr)
+		got, gotErr := memos[i].Derive(s.st, DeriveOptions{})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s step %d: direct err %v, memo err %v", s.name, step, wantErr, gotErr)
 		}
@@ -271,7 +271,7 @@ func runMemoDelta(t testing.TB, prog, script []byte) (entries uint64) {
 			t.Fatalf("%s step %d: memo diverges from Algorithm 2 (%d vs %d rules)\n got %v\nwant %v",
 				s.name, step, len(got), len(want), got, want)
 		}
-		removed, added, deltaErr := deltas[i].DeriveDelta(s.st, DeriveOptions{Workers: 1 + step%2*3})
+		removed, added, deltaErr := deltas[i].DeriveDelta(s.st, DeriveOptions{})
 		if (wantErr == nil) != (deltaErr == nil) {
 			t.Fatalf("%s step %d: direct err %v, delta err %v", s.name, step, wantErr, deltaErr)
 		}
@@ -358,18 +358,18 @@ func TestEntryShape(t *testing.T) {
 	}
 }
 
-// Entry-granular re-solves run on the worker pool like whole ones: with
-// enough stale paths to fan out, each worker updates only its own slots.
+// One refresh re-solves many stale entry-shaped paths entry by entry,
+// each updating only its own slot.
 func TestMemoDeltaOnWorkerPool(t *testing.T) {
 	paths, st := genPaths(64, 4, 32) // 16 entry-shaped paths per table
 	m := NewMemo(paths)
-	if _, err := m.Derive(st, DeriveOptions{Workers: 4}); err != nil {
+	if _, err := m.Derive(st, DeriveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
 		st.Learn("taa", appir.MACValue(netpkt.MAC{9, 9, 9, 9, 9, byte(round)}), appir.U16Value(7))
 		st.Unlearn("tba", appir.MACValue(netpkt.MAC{0, 1, 0, 0, 0, byte(round)}))
-		got, err := m.Derive(st, DeriveOptions{Workers: 4})
+		got, err := m.Derive(st, DeriveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestMemoDeltaOnWorkerPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: pooled delta derive diverges (%d vs %d rules)", round, len(got), len(want))
+			t.Fatalf("round %d: delta derive diverges (%d vs %d rules)", round, len(got), len(want))
 		}
 	}
 	if got, want := m.EntriesResolved(), uint64(3*2*16); got != want {

@@ -286,15 +286,54 @@ type ProactiveRule struct {
 // longest-prefix match; penalties from unrepresentable negations push a
 // rule below its more specific siblings.
 func DeriveRules(paths []Path, st *appir.State) ([]ProactiveRule, error) {
-	return DeriveRulesOpts(paths, st, DeriveOptions{})
+	ar := solver.NewArena()
+	results := make([][]ProactiveRule, len(paths))
+	for i := range paths {
+		var err error
+		if results[i], err = derivePath(&paths[i], st, ar); err != nil {
+			return nil, err
+		}
+	}
+	return concatRules(results), nil
+}
+
+// concatRules flattens per-path results in path order, preserving the
+// convention that no rules means a nil slice. A single non-empty result
+// is returned as it is.
+func concatRules(results [][]ProactiveRule) []ProactiveRule {
+	total, last := 0, -1
+	for i, r := range results {
+		if len(r) > 0 {
+			total += len(r)
+			last = i
+		}
+	}
+	switch {
+	case total == 0:
+		return nil
+	case total == len(results[last]):
+		return results[last]
+	}
+	out := make([]ProactiveRule, 0, total)
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	return out
+}
+
+// DeriveOptions has no fields; it is accepted where callers still pass
+// it.
+type DeriveOptions struct{}
+
+// DeriveRulesOpts is DeriveRules.
+func DeriveRulesOpts(paths []Path, st *appir.State, _ DeriveOptions) ([]ProactiveRule, error) {
+	return DeriveRules(paths, st)
 }
 
 // derivePath runs Algorithm 2 for one path: concretize its condition
 // against the live state and instantiate every install template under
 // every satisfying assignment. An entry-shaped path goes one table entry
 // at a time (entryDeriver), any other through the whole enumeration.
-// Safe to call concurrently for different paths as long as each caller
-// owns its arena.
 func derivePath(p *Path, st *appir.State, ar *solver.Arena) ([]ProactiveRule, error) {
 	if len(p.Installs) == 0 {
 		return nil, nil // only Modify State Message paths (Algorithm 2, line 4)
