@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness bench-record race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
 
 all: build test
 
@@ -32,6 +32,18 @@ test-cpus:
 bench-harness:
 	cd bench && $(GO) vet . && $(GO) test .
 	bash bench/run.sh -smoke
+
+# The committed benchmark trajectory: one all-workloads run of the
+# benchmark (bench/run.sh -out) per seed, the development seed and the
+# held-out one, each appended with its environment block (CPU model,
+# nproc, GOMAXPROCS, Go, kernel, commit) as one line of
+# BENCH_TRAJECTORY.jsonl. Record on a committed tree, so the commit in
+# the environment block names the code that was measured.
+bench-record:
+	@for seed in 0xF100D 0xBE7C4; do \
+		bash bench/run.sh -seed $$seed -out .bench_build/record.json && \
+		python3 -m json.tool --compact .bench_build/record.json >> BENCH_TRAJECTORY.jsonl || exit 1; \
+	done
 
 # The concurrent protocols (ring handoffs, in-band Apply, the shard
 # window flush) are the ones most worth racing; run the whole tree so
@@ -118,24 +130,57 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# What the measured paths never execute: the golden outputs and the
-# soak differential under -coverpkg, plus a -cover build of bench/
-# running its smoke (child processes included, through GOCOVERDIR),
-# merged into one profile without bench/'s own blocks. Prints the
-# functions at 0.0 %. cmd/ and examples/ are not in the profile, so a
-# 0 % line is a lead to grep, not a verdict. Everything it writes stays
-# under COVER_LIVE_DIR.
+# What the repository runs never executes, gated. One merged profile
+# covers the golden outputs and the soak differential under -coverpkg,
+# plus -cover builds of bench/ (its smoke, child processes included),
+# fgsim (every experiment, as text and as CSV with a metrics dump; the
+# forensics soak, which must exit non-zero), fganalyze (the app analysis
+# and both journal queries over that soak's dump) and every example, all
+# writing to one GOCOVERDIR. bench/'s own blocks are dropped. It prints
+# the unexecuted-statement share and the functions at 0.0 %, then fails
+# when a 0 % function is missing from cover-live.allow or an allowlist
+# entry names a function that is gone or now executes, so the list can
+# only shrink. Entries read `path/file.go FuncName  # reason`; the name is
+# the method name without its receiver, as `go tool cover -func` prints
+# it. Everything it writes stays under COVER_LIVE_DIR.
 COVER_LIVE_DIR ?= cover-live
 cover-live:
-	rm -rf $(COVER_LIVE_DIR) && mkdir -p $(COVER_LIVE_DIR)/bench
+	rm -rf $(COVER_LIVE_DIR) && mkdir -p $(COVER_LIVE_DIR)/cov $(COVER_LIVE_DIR)/bin
 	$(GO) test -count=1 -covermode=set -coverpkg=./... -coverprofile=$(COVER_LIVE_DIR)/tests.out \
 		-run '^(TestGoldenOutputs|TestDifferentialEngineVsBaseline)$$' ./internal/experiments ./internal/soak
-	$(GO) build -C bench -cover -covermode=set -coverpkg=floodguard/... -o $(abspath $(COVER_LIVE_DIR))/fgbench .
-	GOCOVERDIR=$(abspath $(COVER_LIVE_DIR))/bench $(COVER_LIVE_DIR)/fgbench -smoke > $(COVER_LIVE_DIR)/smoke.txt
-	$(GO) tool covdata textfmt -i=$(COVER_LIVE_DIR)/bench -o=$(COVER_LIVE_DIR)/bench.out
-	{ echo 'mode: set'; grep -hv -e '^mode:' -e '^floodguard/bench/' $(COVER_LIVE_DIR)/tests.out $(COVER_LIVE_DIR)/bench.out; } \
+	$(GO) build -C bench -cover -covermode=set -coverpkg=floodguard/... -o $(abspath $(COVER_LIVE_DIR))/bin/fgbench .
+	$(GO) build -cover -covermode=set -coverpkg=floodguard/... -o $(COVER_LIVE_DIR)/bin/ ./cmd/... ./examples/...
+	cd $(COVER_LIVE_DIR) && export GOCOVERDIR=$$PWD/cov && { \
+		bin/fgbench -smoke && \
+		bin/fgsim all && \
+		bin/fgsim -csv -metrics-csv metrics.csv all && \
+		! bin/fgsim -seed 0xF100D -duration 4s -flows 50000 \
+			-scenario 'chaos=on,replay_pps=3000,loss_ceiling=0.0001' -journal soak.journal soak && \
+		bin/fganalyze && \
+		bin/fganalyze journal soak.journal && \
+		bin/fganalyze journal -explain port=9 soak.journal && \
+		for ex in analyzer attack loadbalancer multiswitch quickstart; do bin/$$ex || exit 1; done; \
+	} > run.txt 2>&1 || { tail -20 run.txt; exit 1; }
+	$(GO) tool covdata textfmt -i=$(COVER_LIVE_DIR)/cov -o=$(COVER_LIVE_DIR)/runs.out
+	{ echo 'mode: set'; grep -hv -e '^mode:' -e '^floodguard/bench/' $(COVER_LIVE_DIR)/tests.out $(COVER_LIVE_DIR)/runs.out; } \
 		> $(COVER_LIVE_DIR)/live.out
-	$(GO) tool cover -func=$(COVER_LIVE_DIR)/live.out | grep -E '[[:space:]]0\.0%$$' || true
+	@awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in n) { all += n[b]; if (!(b in hit)) dead += n[b] } \
+		printf "unexecuted statements: %d/%d (%.1f %%)\n", dead, all, 100 * dead / all }' $(COVER_LIVE_DIR)/live.out
+	@$(GO) tool cover -func=$(COVER_LIVE_DIR)/live.out | \
+		awk '$$NF == "0.0%" { sub(/^floodguard\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | \
+		sort -u > $(COVER_LIVE_DIR)/dead.txt
+	@sed -e 's/#.*//' cover-live.allow | awk 'NF { print $$1, $$2 }' | sort -u > $(COVER_LIVE_DIR)/allow.txt
+	@echo "functions at 0.0 %: $$($(GO) tool cover -func=$(COVER_LIVE_DIR)/live.out | grep -c '[[:space:]]0\.0%$$')"
+	@comm -23 $(COVER_LIVE_DIR)/dead.txt $(COVER_LIVE_DIR)/allow.txt > $(COVER_LIVE_DIR)/unlisted.txt
+	@comm -13 $(COVER_LIVE_DIR)/dead.txt $(COVER_LIVE_DIR)/allow.txt > $(COVER_LIVE_DIR)/stale.txt
+	@if [ -s $(COVER_LIVE_DIR)/unlisted.txt ]; then \
+		echo "cover-live: functions at 0.0 % missing from cover-live.allow (delete them or list them with a reason):"; \
+		cat $(COVER_LIVE_DIR)/unlisted.txt; fi
+	@if [ -s $(COVER_LIVE_DIR)/stale.txt ]; then \
+		echo "cover-live: cover-live.allow entries that no longer exist or now execute (remove them):"; \
+		cat $(COVER_LIVE_DIR)/stale.txt; fi
+	@! [ -s $(COVER_LIVE_DIR)/unlisted.txt ] && ! [ -s $(COVER_LIVE_DIR)/stale.txt ]
 
 check: build vet test race
 

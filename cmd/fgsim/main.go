@@ -42,7 +42,7 @@ func main() {
 	flows := flag.Int("flows", 100_000, "benign distinct-flow population for soak")
 	profile := flag.String("profile", "all", "soak attacker profile: ramp, pulse, rotate, slow, or all")
 	scenario := flag.String("scenario", "", "extra soak scenario terms (key=value,... ; overrides the soak flags)")
-	flag.BoolVar(&asCSV, "csv", false, "emit machine-readable CSV (fig10/fig11/fig12/fig13/sec2-baseline/compare/chaos/attrib/sweep/soak)")
+	flag.BoolVar(&asCSV, "csv", false, "emit machine-readable CSV (fig10/fig11/fig12/fig13/sec2-baseline/compare/chaos/attrib/sweep/soak/synflood)")
 	metricsAddr := flag.String("metrics", "", "serve live telemetry on this address (/metrics, /metrics.json, /debug/pprof); held open after the run until interrupted")
 	metricsCSV := flag.String("metrics-csv", "", "append periodic registry dumps (elapsed_ms,name,value rows) to this file")
 	flag.StringVar(&windowsCSV, "windows-csv", "", "write the chaos run's per-window telemetry rows to this file")
@@ -172,6 +172,10 @@ func run(name string, trials, iters int, seed int64, flaps, shards int,
 			func() error { return tab4(trials) },
 			compare,
 			func() error { return chaos(seed, flaps) },
+			func() error { return attribExp(seed) },
+			func() error { return sweep(shards) },
+			func() error { return soakRun(seed, shards, duration, flows, profile, scenario) },
+			func() error { return synflood(seed) },
 		} {
 			if err := fn(); err != nil {
 				return err
@@ -321,9 +325,9 @@ func soakRun(seed int64, shards int, duration time.Duration, flows int, profile,
 	if err != nil {
 		return err
 	}
+	cfg.Registry = metricsReg
 	if journalPath != "" {
 		cfg.Journal = true
-		cfg.Registry = metricsReg
 	}
 	res, err := soak.Run(cfg)
 	if err != nil {

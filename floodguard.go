@@ -125,10 +125,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // paper's Figure 10 environment.
 func SoftwareSwitch() Profile { return switchsim.SoftwareProfile() }
 
-// HardwareSwitch returns the LinkSys WRT54GL (Pantou/OpenWRT) profile of
-// the Figure 11 environment.
-func HardwareSwitch() Profile { return switchsim.HardwareProfile() }
-
 // Bundled controller applications (paper Tables I and III). Each returns
 // an App with its conventional initial state and a representative CPU
 // cost; adjust App.CostPerEvent to taste.
@@ -275,9 +271,6 @@ func (n *Network) EnableFloodGuard(cfg Config) (*Guard, error) {
 	n.guard = g
 	return g, nil
 }
-
-// Guard returns the FloodGuard instance, if enabled.
-func (n *Network) Guard() *Guard { return n.guard }
 
 // NewFlooder builds a saturation attack source on a host.
 func (n *Network) NewFlooder(h *Host, seed int64, proto FloodProtocol) *Flooder {

@@ -31,7 +31,7 @@ func TestValueRoundTrips(t *testing.T) {
 		t.Error("Bool round trip broken")
 	}
 	var zero Value
-	if !zero.IsZero() || zero.String() != "<none>" {
+	if zero.Kind != KindNone || zero.String() != "<none>" {
 		t.Error("zero value misbehaves")
 	}
 }

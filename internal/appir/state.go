@@ -1,9 +1,7 @@
 package appir
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -130,15 +128,6 @@ func (s *State) TableChanges(table string, since uint64, buf []Value) (keys []Va
 	return buf, true
 }
 
-// GlobalVersion returns the epoch of one named global: the value of the
-// store-wide mutation counter at the time of that global's last real
-// (non-no-op) mutation, or 0 if it was never written.
-func (s *State) GlobalVersion(name string) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gvers[name]
-}
-
 // GlobalVersions appends the epochs of the named globals to buf (in the
 // given order) under a single read lock — the fetch step of epoch-keyed
 // derivation memoization.
@@ -196,13 +185,6 @@ func (s *State) LookupTable(table string, key Value) (Value, bool) {
 	defer s.mu.RUnlock()
 	v, ok := s.tables[table][key]
 	return v, ok
-}
-
-// TableLen returns the entry count of an exact table.
-func (s *State) TableLen(table string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.tables[table])
 }
 
 // TableEntries returns a deterministic (key-sorted) snapshot of an exact
@@ -353,37 +335,5 @@ func (s *State) Clone() *State {
 		out.gvers[name] = v
 	}
 	out.version = s.version
-	return out
-}
-
-// Dump renders the full store for diagnostics.
-func (s *State) Dump() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := ""
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		out += fmt.Sprintf("table %s (%d entries)\n", n, len(s.tables[n]))
-	}
-	names = names[:0]
-	for n := range s.prefixes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		out += fmt.Sprintf("prefix-table %s (%d entries)\n", n, len(s.prefixes[n].rows))
-	}
-	names = names[:0]
-	for n := range s.scalars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		out += fmt.Sprintf("scalar %s = %s\n", n, s.scalars[n])
-	}
 	return out
 }

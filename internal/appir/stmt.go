@@ -207,15 +207,3 @@ func (p *Program) GlobalByName(name string) (GlobalDecl, bool) {
 	}
 	return GlobalDecl{}, false
 }
-
-// StateSensitiveGlobals returns the declared state-sensitive variables —
-// the rows of the paper's Table III.
-func (p *Program) StateSensitiveGlobals() []GlobalDecl {
-	var out []GlobalDecl
-	for _, g := range p.Globals {
-		if g.StateSensitive {
-			out = append(out, g)
-		}
-	}
-	return out
-}

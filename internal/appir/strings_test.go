@@ -133,19 +133,12 @@ func TestStateDumpAndClone(t *testing.T) {
 	st.AddPrefix("routes", IPValue(netpkt.MustIPv4("10.0.0.0")), 8, U16Value(2))
 	st.SetScalar("vip", IPValue(netpkt.MustIPv4("1.2.3.4")))
 
-	dump := st.Dump()
-	for _, frag := range []string{"macToPort", "routes", "vip"} {
-		if !strings.Contains(dump, frag) {
-			t.Errorf("Dump missing %q:\n%s", frag, dump)
-		}
-	}
-
 	cl := st.Clone()
 	if cl.Version() != st.Version() {
 		t.Error("clone version differs")
 	}
 	cl.Learn("macToPort", MACValue(netpkt.MustMAC("00:00:00:00:00:02")), U16Value(2))
-	if st.TableLen("macToPort") != 1 {
+	if len(st.tables["macToPort"]) != 1 {
 		t.Error("clone mutation leaked into original")
 	}
 	if got, _ := cl.Scalar("vip"); got.IP() != netpkt.MustIPv4("1.2.3.4") {
@@ -169,9 +162,5 @@ func TestGlobalDeclHelpers(t *testing.T) {
 	}
 	if _, ok := p.GlobalByName("zz"); ok {
 		t.Error("GlobalByName(zz) found phantom")
-	}
-	ss := p.StateSensitiveGlobals()
-	if len(ss) != 1 || ss[0].Name != "a" {
-		t.Errorf("StateSensitiveGlobals = %v", ss)
 	}
 }

@@ -105,9 +105,6 @@ func (v Value) U8() uint8 { return uint8(v.Bits) }
 // Bool unwraps a boolean value.
 func (v Value) Bool() bool { return v.Bits != 0 }
 
-// IsZero reports whether v is the zero Value (no kind).
-func (v Value) IsZero() bool { return v.Kind == KindNone }
-
 // String renders the value according to its kind.
 func (v Value) String() string {
 	switch v.Kind {

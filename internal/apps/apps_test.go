@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 
 	"floodguard/internal/appir"
@@ -87,7 +88,7 @@ func TestL2LearningThreeBranches(t *testing.T) {
 
 func TestARPHubStaticPolicies(t *testing.T) {
 	prog, st := ARPHub()
-	if len(prog.StateSensitiveGlobals()) != 0 {
+	if slices.ContainsFunc(prog.Globals, func(g appir.GlobalDecl) bool { return g.StateSensitive }) {
 		t.Error("arp_hub declares state-sensitive globals; Table I says it is static")
 	}
 
@@ -349,7 +350,10 @@ func TestTable3StateSensitiveVariables(t *testing.T) {
 	progs, _ := EvaluationSet()
 	for _, p := range progs {
 		var got []string
-		for _, g := range p.StateSensitiveGlobals() {
+		for _, g := range p.Globals {
+			if !g.StateSensitive {
+				continue
+			}
 			got = append(got, g.Name)
 			if g.Description == "" {
 				t.Errorf("%s: %s lacks a description", p.Name, g.Name)

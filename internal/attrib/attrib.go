@@ -469,19 +469,6 @@ func (a *Attributor) Blamed(dpid uint64, port uint16) bool {
 	return ps != nil && ps.blamed
 }
 
-// Suspects returns the blamed ports of one datapath.
-func (a *Attributor) Suspects(dpid uint64) []uint16 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []uint16
-	for _, ps := range a.ports {
-		if ps.dpid == dpid && ps.blamed {
-			out = append(out, ps.port)
-		}
-	}
-	return out
-}
-
 // TrackedPorts returns how many (dpid, port) detectors are live — the
 // attribution engine's per-port memory footprint, one small struct per
 // distinct ingress port ever observed.
@@ -498,39 +485,6 @@ func (a *Attributor) TrackedSources() int { return a.hot.Len() }
 // SampleTotal returns the source sketch's sample count under the
 // current decay horizon.
 func (a *Attributor) SampleTotal() uint64 { return a.srcs.Total() }
-
-// BlamedCount returns how many ports are currently blamed.
-func (a *Attributor) BlamedCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, ps := range a.ports {
-		if ps.blamed {
-			n++
-		}
-	}
-	return n
-}
-
-// PortBlame returns a port's current normalised excursion score.
-func (a *Attributor) PortBlame(dpid uint64, port uint16) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ps := a.ports[portKey(dpid, port)]
-	if ps == nil {
-		return 0
-	}
-	if ps.blamed && ps.cusum < a.cfg.CUSUMThreshold {
-		return 1
-	}
-	return ps.cusum / a.cfg.CUSUMThreshold
-}
-
-// TopSources returns the current heavy-hitter candidates, highest count
-// first (reusing dst as scratch).
-func (a *Attributor) TopSources(dst []sketch.Entry) []sketch.Entry {
-	return a.hot.Top(dst)
-}
 
 // Register attaches attribution telemetry under the given prefix.
 func (a *Attributor) Register(reg *telemetry.Registry, prefix string) {

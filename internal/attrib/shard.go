@@ -46,10 +46,6 @@ func (o *ShardObserver) Observe(origin uint64, inPort uint16, pkt *netpkt.Packet
 	}
 }
 
-// Pending returns how many port samples are buffered since the last
-// Flush (a cheap "is there anything to merge" probe).
-func (o *ShardObserver) Pending() int { return len(o.ports) }
-
 // Flush folds the buffered observations into the parent Attributor —
 // the window-boundary merge. Port counts join the open detection window
 // under the Attributor's lock; the source sketch is absorbed cell-wise;

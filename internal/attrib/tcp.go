@@ -276,14 +276,6 @@ func (a *Attributor) TCPSourceEvidence(src netpkt.IPv4) TCPEvidence {
 	}
 }
 
-// TCPTrackedSources returns the evidence-table occupancy (bounded by
-// Config.TCPMaxSources at every Roll barrier).
-func (a *Attributor) TCPTrackedSources() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.tcpSrc)
-}
-
 // TCPOffenders returns how many sources are currently judged offenders.
 func (a *Attributor) TCPOffenders() int {
 	a.mu.Lock()

@@ -44,10 +44,7 @@ type App struct {
 	states   map[uint64]*appir.State
 	dpStates []DatapathState // states in creation order
 
-	busy      time.Duration
-	busyTotal time.Duration
-	events    uint64
-	installs  uint64
+	busy time.Duration
 }
 
 // StateFor returns the state the app uses for events from a datapath.
@@ -90,15 +87,6 @@ func (a *App) TakeBusy() time.Duration {
 	a.busy = 0
 	return b
 }
-
-// BusyTotal returns cumulative busy time.
-func (a *App) BusyTotal() time.Duration { return a.busyTotal }
-
-// Events returns the number of packet_in events dispatched to the app.
-func (a *App) Events() uint64 { return a.events }
-
-// Installs returns the number of flow rules the app has emitted.
-func (a *App) Installs() uint64 { return a.installs }
 
 // PacketInEvent is a parsed packet_in as delivered to hooks.
 type PacketInEvent struct {
@@ -159,16 +147,6 @@ func (c *Controller) Register(app *App) { c.apps = append(c.apps, app) }
 // Apps returns the registered applications.
 func (c *Controller) Apps() []*App { return c.apps }
 
-// AppByName finds a registered app.
-func (c *Controller) AppByName(name string) (*App, bool) {
-	for _, a := range c.apps {
-		if a.Name() == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // AddHook installs a pre-dispatch packet_in hook (FloodGuard's migration
 // agent uses one for flood detection).
 func (c *Controller) AddHook(h Hook) { c.hooks = append(c.hooks, h) }
@@ -192,15 +170,6 @@ func (c *Controller) Connect(dp Datapath) {
 	dp.Send(openflow.Framed{XID: c.xid(), Msg: openflow.FeaturesRequest{}})
 }
 
-// Datapaths returns the connected datapaths keyed by DPID.
-func (c *Controller) Datapaths() map[uint64]Datapath {
-	out := make(map[uint64]Datapath, len(c.datapaths))
-	for k, v := range c.datapaths {
-		out[k] = v
-	}
-	return out
-}
-
 // Datapath returns a connected datapath by id.
 func (c *Controller) Datapath(dpid uint64) (Datapath, bool) {
 	dp, ok := c.datapaths[dpid]
@@ -209,12 +178,6 @@ func (c *Controller) Datapath(dpid uint64) (Datapath, bool) {
 
 // PacketIns returns the number of packet_in events accepted for dispatch.
 func (c *Controller) PacketIns() uint64 { return c.packetIns.Value() }
-
-// Suppressed returns the number of packet_ins suppressed by hooks.
-func (c *Controller) Suppressed() uint64 { return c.suppressed.Value() }
-
-// FlowModsSent returns the number of flow_mods emitted.
-func (c *Controller) FlowModsSent() uint64 { return c.flowModsOut.Value() }
 
 // SetTracer wires the pipeline tracer; sampled packet_in decisions
 // record their dispatch-to-enact latency into the flow_install stage
@@ -315,9 +278,7 @@ func (c *Controller) handlePacketIn(dp Datapath, pi openflow.PacketIn) {
 		if err != nil {
 			continue
 		}
-		app.events++
 		app.busy += app.CostPerEvent
-		app.busyTotal += app.CostPerEvent
 		finish = finish.Add(app.CostPerEvent)
 		if !handled && (len(d.Installs) > 0 || len(d.Outputs) > 0 || d.Dropped) {
 			// First app with an opinion owns the packet (POX's event
@@ -362,7 +323,6 @@ func (c *Controller) enact(dp Datapath, pi openflow.PacketIn, app *App, d appir.
 			Actions:     rule.Actions,
 		}
 		buffer = openflow.NoBuffer
-		app.installs++
 		c.flowModsOut.Inc()
 		dp.Send(openflow.Framed{XID: c.xid(), Msg: fm})
 	}

@@ -33,8 +33,8 @@ func newTestBed(t *testing.T) (*netsim.Engine, *Controller, *switchsim.Switch) {
 func TestSessionHandshake(t *testing.T) {
 	eng, c, _ := newTestBed(t)
 	eng.RunFor(time.Second)
-	if len(c.Datapaths()) != 1 {
-		t.Fatalf("datapaths = %d, want 1", len(c.Datapaths()))
+	if len(c.datapaths) != 1 {
+		t.Fatalf("datapaths = %d, want 1", len(c.datapaths))
 	}
 	if _, ok := c.Datapath(0x1); !ok {
 		t.Error("datapath 0x1 not registered")
@@ -81,9 +81,8 @@ func TestL2LearningEndToEnd(t *testing.T) {
 		t.Errorf("matched traffic reached the controller (%d -> %d)", before, c.PacketIns())
 	}
 
-	app, _ := c.AppByName("l2_learning")
-	if app.Events() == 0 || app.Installs() == 0 {
-		t.Errorf("app accounting: events=%d installs=%d", app.Events(), app.Installs())
+	if busy, n := c.apps[0].TakeBusy(), c.flowModsOut.Value(); busy == 0 || n == 0 {
+		t.Errorf("app accounting: busy=%v flow_mods=%d", busy, n)
 	}
 }
 
@@ -124,12 +123,11 @@ func TestHookSuppressesDispatch(t *testing.T) {
 	if c.PacketIns() != 0 {
 		t.Errorf("PacketIns = %d, want 0 (hook suppresses)", c.PacketIns())
 	}
-	if c.Suppressed() != 10 {
-		t.Errorf("Suppressed = %d, want 10", c.Suppressed())
+	if got := c.suppressed.Value(); got != 10 {
+		t.Errorf("suppressed = %d, want 10", got)
 	}
-	app, _ := c.AppByName("l2_learning")
-	if app.Events() != 0 {
-		t.Errorf("app saw %d events despite suppression", app.Events())
+	if busy := c.apps[0].TakeBusy(); busy != 0 {
+		t.Errorf("app busy %v despite suppression", busy)
 	}
 }
 
@@ -149,9 +147,6 @@ func TestBusyTimeAccounting(t *testing.T) {
 	}
 	if got := app.TakeBusy(); got != 0 {
 		t.Errorf("second TakeBusy = %v, want 0", got)
-	}
-	if got := app.BusyTotal(); got != 100*time.Millisecond {
-		t.Errorf("BusyTotal = %v", got)
 	}
 }
 
@@ -238,8 +233,8 @@ func TestMultipleAppsAllSeeEvents(t *testing.T) {
 		sw.Inject(g.Next(), 1)
 	}
 	eng.RunFor(2 * time.Second)
-	if a1.Events() != 20 || a2.Events() != 20 {
-		t.Errorf("events = %d,%d; every app must see every packet_in", a1.Events(), a2.Events())
+	if b1, b2 := a1.TakeBusy(), a2.TakeBusy(); b1 != 20*time.Millisecond || b2 != 20*time.Millisecond {
+		t.Errorf("busy = %v,%v; every app must see every packet_in (20 x 1ms)", b1, b2)
 	}
 }
 
@@ -380,7 +375,7 @@ func TestConnectReplacesSameDPID(t *testing.T) {
 	if dp, ok := c.Datapath(0x8); !ok || dp != fresh {
 		t.Fatalf("Datapath(0x8) = %v, want the fresh handle", dp)
 	}
-	if n := len(c.Datapaths()); n != 1 {
+	if n := len(c.datapaths); n != 1 {
 		t.Fatalf("datapaths = %d, want 1", n)
 	}
 }

@@ -353,19 +353,10 @@ func sameRule(x, y *openflow.FlowMod) bool {
 		x.HardTimeout == y.HardTimeout && slices.Equal(x.Actions, y.Actions)
 }
 
-// Sync derives the current proactive rule set and reconciles the targets
-// with it: new rules are installed, stale ones removed ("the variation
-// should be quite simple as adding or removing a few matching rules",
-// §IV.D). It returns (installed, removed).
-//
-// Convenience form for single-target deployments: every rule goes to
-// every target. Multi-switch deployments with per-datapath apps use
-// SyncScoped.
-func (a *Analyzer) Sync(targets []RuleTarget) (int, int, error) {
-	return a.SyncScoped(nil, targets)
-}
-
-// SyncScoped reconciles proactive rules with datapath scoping: rules
+// SyncScoped derives the current proactive rule set and reconciles the
+// targets with it: new rules are installed, stale ones removed ("the
+// variation should be quite simple as adding or removing a few matching
+// rules", §IV.D). It returns (installed, removed). Rules
 // derived from a per-datapath app state are dispatched only to that
 // datapath's target (plus the shared targets, e.g. a cache table);
 // rules from shared-state apps go everywhere.
@@ -570,17 +561,6 @@ func offer(scope uint64, fm openflow.FlowMod, scoped map[uint64]RuleTarget, shar
 
 // InstalledCount returns the number of live proactive rules.
 func (a *Analyzer) InstalledCount() int { return len(a.installed) }
-
-// Forget clears the installed-rule bookkeeping (e.g. after the defense
-// ends and timeouts reclaim the rules): the whole desired set is
-// offered again at the next sync. It is the tracker's only O(rules)
-// step.
-func (a *Analyzer) Forget() {
-	clear(a.installed)
-	for id := range a.desired {
-		a.pending[id] = struct{}{}
-	}
-}
 
 // NeedsUpdate applies the configured §IV.D strategy to decide whether any
 // app's state has drifted enough to warrant re-derivation. Interval

@@ -24,7 +24,7 @@ type recordingTarget struct {
 var t0 = time.Date(2015, 6, 22, 0, 0, 0, 0, time.UTC)
 
 func (r *recordingTarget) InstallProactive(fm openflow.FlowMod) error {
-	if fm.Command == openflow.FlowDeleteStrict || fm.Command == openflow.FlowDelete {
+	if fm.Command == openflow.FlowDeleteStrict {
 		r.deletes = append(r.deletes, fm)
 		return nil
 	}
@@ -56,7 +56,7 @@ func TestAnalyzerSyncIsDifferential(t *testing.T) {
 	learnMAC(st, 1, 1)
 	learnMAC(st, 2, 2)
 
-	inst, rem, err := an.Sync([]RuleTarget{tgt})
+	inst, rem, err := an.SyncScoped(nil, []RuleTarget{tgt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAnalyzerSyncIsDifferential(t *testing.T) {
 	}
 
 	// No change: no traffic.
-	inst, rem, err = an.Sync([]RuleTarget{tgt})
+	inst, rem, err = an.SyncScoped(nil, []RuleTarget{tgt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAnalyzerSyncIsDifferential(t *testing.T) {
 	learnMAC(st, 3, 3)
 	st.Unlearn("macToPort", appir.MACValue(netpkt.MACFromUint64(1)))
 	addsBefore, delsBefore := len(tgt.adds), len(tgt.deletes)
-	inst, rem, err = an.Sync([]RuleTarget{tgt})
+	inst, rem, err = an.SyncScoped(nil, []RuleTarget{tgt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestAnalyzerSyncUpdatesChangedActions(t *testing.T) {
 	an, st := l2Analyzer(t, DefaultAnalyzer())
 	tgt := &recordingTarget{}
 	learnMAC(st, 1, 1)
-	if _, _, err := an.Sync([]RuleTarget{tgt}); err != nil {
+	if _, _, err := an.SyncScoped(nil, []RuleTarget{tgt}); err != nil {
 		t.Fatal(err)
 	}
 	// Same MAC moves to a different port: same match, new action.
 	learnMAC(st, 1, 7)
-	inst, rem, err := an.Sync([]RuleTarget{tgt})
+	inst, rem, err := an.SyncScoped(nil, []RuleTarget{tgt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func learnedAnalyzer(t testing.TB, n int) (*Analyzer, *appir.State, *recordingTa
 		st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(uint64(i))), appir.U16Value(uint16(i%8+1)))
 	}
 	tgt := &recordingTarget{}
-	if inst, _, err := an.Sync([]RuleTarget{tgt}); err != nil || inst != n {
+	if inst, _, err := an.SyncScoped(nil, []RuleTarget{tgt}); err != nil || inst != n {
 		t.Fatalf("initial sync installed %d of %d rules, err %v", inst, n, err)
 	}
 	return an, st, tgt
@@ -257,11 +257,11 @@ func TestTrackerTickSolvesOnlyDelta(t *testing.T) {
 		return testing.AllocsPerRun(20, func() {
 			tgt.adds, tgt.deletes = tgt.adds[:0], tgt.deletes[:0]
 			st.Learn("macToPort", key, appir.U16Value(3))
-			if inst, rem, err := an.Sync(targets); err != nil || inst != 1 || rem != 0 {
+			if inst, rem, err := an.SyncScoped(nil, targets); err != nil || inst != 1 || rem != 0 {
 				t.Fatalf("learn tick at %d rules = (%d, %d, %v), want (1, 0, nil)", n, inst, rem, err)
 			}
 			st.Unlearn("macToPort", key)
-			if inst, rem, err := an.Sync(targets); err != nil || inst != 0 || rem != 1 {
+			if inst, rem, err := an.SyncScoped(nil, targets); err != nil || inst != 0 || rem != 1 {
 				t.Fatalf("unlearn tick at %d rules = (%d, %d, %v), want (0, 1, nil)", n, inst, rem, err)
 			}
 		})
@@ -271,7 +271,7 @@ func TestTrackerTickSolvesOnlyDelta(t *testing.T) {
 	_, _, before := an.MemoStats()
 	adds := len(tgt.adds)
 	st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(next)), appir.U16Value(3))
-	if inst, rem, err := an.Sync([]RuleTarget{tgt}); err != nil || inst != 1 || rem != 0 {
+	if inst, rem, err := an.SyncScoped(nil, []RuleTarget{tgt}); err != nil || inst != 1 || rem != 0 {
 		t.Fatalf("delta sync = (%d, %d, %v), want (1, 0, nil)", inst, rem, err)
 	}
 	if _, _, after := an.MemoStats(); after-before != 1 {
@@ -302,7 +302,7 @@ func BenchmarkTrackerTick(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				next++
 				st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(next)), appir.U16Value(3))
-				if inst, _, err := an.Sync(targets); err != nil || inst != 1 {
+				if inst, _, err := an.SyncScoped(nil, targets); err != nil || inst != 1 {
 					b.Fatalf("tick installed %d rules, err %v", inst, err)
 				}
 			}
@@ -322,7 +322,7 @@ func TestAnalyzerBooksOnlyWhatLanded(t *testing.T) {
 		}
 		tbl := flowtable.New(capacity)
 		tgt := tableTarget{tbl: tbl, now: func() time.Time { return t0 }}
-		inst, _, err := an.Sync([]RuleTarget{tgt})
+		inst, _, err := an.SyncScoped(nil, []RuleTarget{tgt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestAnalyzerBooksOnlyWhatLanded(t *testing.T) {
 	// Make room: one survivor's MAC is forgotten. The next sync removes
 	// its rule and the freed slot goes to one of the rejected rules.
 	st.Unlearn("macToPort", appir.MACValue(netpkt.MACFromUint64(1)))
-	inst, rem, err := an.Sync([]RuleTarget{tableTarget{tbl: tbl, now: func() time.Time { return t0 }}})
+	inst, rem, err := an.SyncScoped(nil, []RuleTarget{tableTarget{tbl: tbl, now: func() time.Time { return t0 }}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,18 +166,6 @@ func NewGuard(eng *netsim.Engine, ctrl *controller.Controller, cfg Config) (*Gua
 	return g, nil
 }
 
-// AddCache creates an additional data plane cache for Protect to bind
-// switches to (the §IV.E scalability option: one cache per subnet/rack).
-func (g *Guard) AddCache() *dpcache.Cache {
-	c := dpcache.New(g.eng, g.cfg.Cache, g)
-	if g.cacheTbl != nil {
-		c.UseRuleTable(g.cacheTbl)
-	}
-	g.armAttribution(c)
-	g.caches = append(g.caches, c)
-	return c
-}
-
 // armAttribution wires the attribution engine into a cache: verdicts
 // split the replay queues (benign-priority scheduling) and every
 // migrated packet feeds the blame detectors, which otherwise go blind on
@@ -208,10 +196,6 @@ func (g *Guard) PortMigrated(dpid uint64, port uint16) bool {
 	_, diverted := ps.portRules[port]
 	return diverted || ps.migrated
 }
-
-// MigratedPortCount returns how many ports are individually diverted
-// (selective mode; 0 under blanket migration). Safe from any goroutine.
-func (g *Guard) MigratedPortCount() int { return int(g.gMigratedPorts.Value()) }
 
 // Caches returns the guard's data plane caches.
 func (g *Guard) Caches() []*dpcache.Cache { return g.caches }
@@ -251,22 +235,6 @@ func (g *Guard) record(tr Transition) {
 	})
 	g.jrec.Record(journal.KindFSM, uint8(tr.To), uint8(tr.From), 0, 0,
 		g.policy.PacketInRate(), float64(backlog), g.policy.MigrationRate())
-}
-
-// SetJournal attaches a decision journal (journal.ForEngine layout):
-// the guard takes the control recorder for FSM and migration events and
-// forwards the attribution and cache recorders to its components. Call
-// before Start, from the construction goroutine.
-func (g *Guard) SetJournal(j *journal.Journal) {
-	g.jrec = j.ControlRec()
-	if g.attrib != nil {
-		g.attrib.SetJournal(j.AttribRec())
-	}
-	for _, c := range g.caches {
-		// All caches run on the one engine goroutine, so sharing the
-		// cache-stage recorder keeps the single-producer rule intact.
-		c.SetJournal(j.CacheRec())
-	}
 }
 
 // Instrument attaches the guard, its FSM event log, its caches, and its

@@ -28,6 +28,9 @@ type bed struct {
 	l2       *controller.App
 }
 
+// alicePort is the switch port the test bed attaches alice to.
+const alicePort = 1
+
 func newBed(t *testing.T, cfg Config) *bed {
 	t.Helper()
 	eng := netsim.NewEngine()
@@ -42,7 +45,7 @@ func newBed(t *testing.T, cfg Config) *bed {
 	ctrl.Register(l2)
 
 	b := &bed{eng: eng, ctrl: ctrl, sw: sw, l2: l2}
-	b.alice = switchsim.NewHost(eng, sw, "alice", 1, netpkt.MustMAC("00:00:00:00:00:0a"), netpkt.MustIPv4("10.0.0.1"), 1e9, 100*time.Microsecond)
+	b.alice = switchsim.NewHost(eng, sw, "alice", alicePort, netpkt.MustMAC("00:00:00:00:00:0a"), netpkt.MustIPv4("10.0.0.1"), 1e9, 100*time.Microsecond)
 	b.bob = switchsim.NewHost(eng, sw, "bob", 2, netpkt.MustMAC("00:00:00:00:00:0b"), netpkt.MustIPv4("10.0.0.2"), 1e9, 100*time.Microsecond)
 	b.attacker = switchsim.NewHost(eng, sw, "mallory", 3, netpkt.MustMAC("00:00:00:00:00:0c"), netpkt.MustIPv4("10.0.0.3"), 1e9, 100*time.Microsecond)
 	b.flooder = switchsim.NewFlooder(b.attacker, 1337, netpkt.FloodUDP, 64)
@@ -409,13 +412,14 @@ func TestCacheResidentRulesOption(t *testing.T) {
 	// Delete bob's reactive l2 rule (as idle timeout eventually would) so
 	// benign traffic misses in the switch and is migrated; the cache's
 	// resident proactive rule then puts it on the priority lane.
-	del := openflow.MatchAll()
-	del.Wildcards &^= openflow.WildDlDst
-	del.DlDst = b.bob.MAC
 	dp, _ := b.ctrl.Datapath(b.sw.DPID)
-	dp.Send(openflow.Framed{Msg: openflow.FlowMod{
-		Match: del, Command: openflow.FlowDelete, OutPort: openflow.PortNone,
-	}})
+	for _, e := range b.sw.Table().Entries() {
+		if e.Match.Wildcards&openflow.WildDlDst == 0 && e.Match.DlDst == b.bob.MAC {
+			dp.Send(openflow.Framed{Msg: openflow.FlowMod{
+				Match: e.Match, Priority: e.Priority, Command: openflow.FlowDeleteStrict, OutPort: openflow.PortNone,
+			}})
+		}
+	}
 	b.eng.RunFor(100 * time.Millisecond)
 	f := netpkt.Flow{
 		SrcMAC: b.alice.MAC, DstMAC: b.bob.MAC, SrcIP: b.alice.IP, DstIP: b.bob.IP,

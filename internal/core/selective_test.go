@@ -37,8 +37,8 @@ func TestSelectiveMigrationDivertsOnlyBlamedPort(t *testing.T) {
 			t.Errorf("benign port %d migrated under selective mode", p)
 		}
 	}
-	if got := b.guard.MigratedPortCount(); got != 1 {
-		t.Errorf("MigratedPortCount = %d, want 1", got)
+	if got := int(b.guard.gMigratedPorts.Value()); got != 1 {
+		t.Errorf("migrated ports = %d, want 1", got)
 	}
 	// Exactly one port's diversion rules in TCAM, not the blanket three.
 	if got := migrationRuleCount(b.sw); got != 1 {
@@ -53,7 +53,7 @@ func TestSelectiveMigrationTransitionsMidDefense(t *testing.T) {
 	if got := b.guard.State(); got != StateDefense {
 		t.Fatalf("state = %v, want defense", got)
 	}
-	if !b.guard.PortMigrated(0x1, 3) || b.guard.MigratedPortCount() != 1 {
+	if !b.guard.PortMigrated(0x1, 3) || int(b.guard.gMigratedPorts.Value()) != 1 {
 		t.Fatalf("port 3 not the sole migrated port at defense entry")
 	}
 
@@ -73,8 +73,8 @@ func TestSelectiveMigrationTransitionsMidDefense(t *testing.T) {
 	if b.guard.PortMigrated(0x1, 1) {
 		t.Error("benign port 1 migrated")
 	}
-	if got := b.guard.MigratedPortCount(); got != 2 {
-		t.Errorf("MigratedPortCount = %d, want 2", got)
+	if got := int(b.guard.gMigratedPorts.Value()); got != 2 {
+		t.Errorf("migrated ports = %d, want 2", got)
 	}
 
 	// Both floods end. Blame heals after the calm streak and the ports
@@ -91,8 +91,8 @@ func TestSelectiveMigrationTransitionsMidDefense(t *testing.T) {
 			t.Errorf("port %d still migrated after blame healed", p)
 		}
 	}
-	if got := b.guard.MigratedPortCount(); got != 0 {
-		t.Errorf("MigratedPortCount = %d, want 0 after healing", got)
+	if got := int(b.guard.gMigratedPorts.Value()); got != 0 {
+		t.Errorf("migrated ports = %d, want 0 after healing", got)
 	}
 	if got := migrationRuleCount(b.sw); got != 0 {
 		t.Errorf("priority-1 rules = %d, want 0 after healing", got)
@@ -125,8 +125,8 @@ func TestSelectiveMigrationFullCycleCleanup(t *testing.T) {
 	if got := b.guard.State(); got != StateIdle {
 		t.Fatalf("state = %v, want idle after drain", got)
 	}
-	if got := b.guard.MigratedPortCount(); got != 0 {
-		t.Errorf("MigratedPortCount = %d after idle", got)
+	if got := int(b.guard.gMigratedPorts.Value()); got != 0 {
+		t.Errorf("migrated ports = %d after idle", got)
 	}
 	if got := migrationRuleCount(b.sw); got != 0 {
 		t.Errorf("priority-1 rules = %d after idle", got)

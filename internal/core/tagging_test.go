@@ -41,8 +41,8 @@ func TestINPORTTaggingPreservesLearning(t *testing.T) {
 	if !ok {
 		t.Fatal("alice not (re)learned from the replay")
 	}
-	if got.U16() != b.alice.Port() {
-		t.Errorf("learned port = %d, want %d (TOS tag preserved INPORT)", got.U16(), b.alice.Port())
+	if got.U16() != alicePort {
+		t.Errorf("learned port = %d, want %d (TOS tag preserved INPORT)", got.U16(), alicePort)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestINPORTTagAblationPoisonsLearning(t *testing.T) {
 	if !ok {
 		t.Fatal("alice not relearned at all")
 	}
-	if got.U16() == b.alice.Port() {
+	if got.U16() == alicePort {
 		t.Fatalf("learned port = %d; without the tag the true INPORT should be lost", got.U16())
 	}
 	if got.U16() != 0 {

@@ -228,10 +228,7 @@ func runTrackerDelta(t testing.TB, script []byte) (mixed bool, rejected uint64) 
 			if op&0x80 == 0 {
 				continue // let changes pile up before the next sync
 			}
-		case 4:
-			an.Forget()
-			clear(ref.installed)
-		case 5: // a target refuses its next N offers
+		case 4: // a target refuses its next N offers
 			i, n := int(next())%len(got.flaky), int(next()%6)
 			got.flaky[i].refuse, want.flaky[i].refuse = n, n
 		}

@@ -24,10 +24,10 @@ func TestGuardInstalledRulesConverge(t *testing.T) {
 	// consistent bookkeeping behind.
 	an := b.guard.Analyzer()
 	tgt := &recordingTarget{}
-	if _, _, err := an.Sync([]RuleTarget{tgt}); err != nil {
+	if _, _, err := an.SyncScoped(nil, []RuleTarget{tgt}); err != nil {
 		t.Fatal(err)
 	}
-	inst, rem, err := an.Sync([]RuleTarget{tgt})
+	inst, rem, err := an.SyncScoped(nil, []RuleTarget{tgt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGuardTrackerHitsMemo(t *testing.T) {
 	// The engine is paused, so state is frozen; one settling sync
 	// absorbs any drift since the tracker's last tick.
 	tgt := &recordingTarget{}
-	if _, _, err := an.Sync([]RuleTarget{tgt}); err != nil {
+	if _, _, err := an.SyncScoped(nil, []RuleTarget{tgt}); err != nil {
 		t.Fatal(err)
 	}
 	hits0, misses0, _ := an.MemoStats()
@@ -65,7 +65,7 @@ func TestGuardTrackerHitsMemo(t *testing.T) {
 	}
 	// Repeat syncs with unchanged state: all hits, no new misses.
 	for i := 0; i < 3; i++ {
-		if _, _, err := an.Sync([]RuleTarget{tgt}); err != nil {
+		if _, _, err := an.SyncScoped(nil, []RuleTarget{tgt}); err != nil {
 			t.Fatal(err)
 		}
 	}

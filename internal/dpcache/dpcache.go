@@ -400,11 +400,6 @@ func (c *Cache) UseRuleTable(tbl *flowtable.Table) { c.rules = tbl }
 // RuleTable returns the cache-resident rule table (may be nil).
 func (c *Cache) RuleTable() *flowtable.Table { return c.rules }
 
-// DeliverFromSwitch implements the switch PortPeer for a single-switch
-// deployment (origin 0). Multi-switch deployments attach one Adapter per
-// switch so the origin datapath is preserved.
-func (c *Cache) DeliverFromSwitch(pkt netpkt.Packet) { c.Ingest(0, pkt) }
-
 // Ingest accepts a migrated table-miss packet from the identified
 // datapath, tagged with its original INPORT in the TOS field.
 func (c *Cache) Ingest(origin uint64, pkt netpkt.Packet) {

@@ -71,7 +71,7 @@ func TestFIFOOrderAndInPortRecovery(t *testing.T) {
 	defer c.Stop()
 
 	for i := uint16(1); i <= 5; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, i, 1000+i))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, i, 1000+i))
 	}
 	eng.RunFor(time.Second)
 
@@ -94,7 +94,7 @@ func TestDropOldestOnOverflow(t *testing.T) {
 	c := New(eng, Config{QueueCapacity: 3, InitialRatePPS: 1000}, sink)
 	// Do not start the scheduler: fill the queue.
 	for i := uint16(1); i <= 5; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, 1, 100*i))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, 1, 100*i))
 	}
 	st := c.Stats()
 	if st.Dropped != 2 {
@@ -122,9 +122,9 @@ func TestRoundRobinAcrossProtocols(t *testing.T) {
 
 	// A UDP flood has queued 50 packets; one benign TCP packet arrives.
 	for i := 0; i < 50; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, 1, uint16(i)))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, 1, uint16(i)))
 	}
-	c.DeliverFromSwitch(tagged(netpkt.ProtoTCP, 2, 80))
+	c.Ingest(0, tagged(netpkt.ProtoTCP, 2, 80))
 	c.Start()
 	defer c.Stop()
 	eng.RunFor(10 * time.Millisecond) // ~10 emissions
@@ -148,7 +148,7 @@ func TestRateLimitHonoured(t *testing.T) {
 	sink := &collect{}
 	c := New(eng, Config{QueueCapacity: 10000, InitialRatePPS: 100}, sink)
 	for i := 0; i < 1000; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, 1, uint16(i)))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, 1, uint16(i)))
 	}
 	c.Start()
 	defer c.Stop()
@@ -178,7 +178,7 @@ func TestDrainedAndBacklog(t *testing.T) {
 	if !c.Drained() {
 		t.Error("fresh cache not drained")
 	}
-	c.DeliverFromSwitch(tagged(netpkt.ProtoICMP, 1, 0))
+	c.Ingest(0, tagged(netpkt.ProtoICMP, 1, 0))
 	if c.Drained() || c.Backlog() != 1 {
 		t.Error("backlog not tracked")
 	}
@@ -198,7 +198,7 @@ func TestQueuedDelayReported(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &collect{}
 	c := New(eng, Config{QueueCapacity: 100, InitialRatePPS: 10, ProcessingDelay: time.Millisecond}, sink)
-	c.DeliverFromSwitch(tagged(netpkt.ProtoTCP, 1, 80))
+	c.Ingest(0, tagged(netpkt.ProtoTCP, 1, 80))
 	c.Start()
 	defer c.Stop()
 	eng.RunFor(time.Second)
@@ -231,9 +231,9 @@ func TestPriorityQueueForCacheResidentRules(t *testing.T) {
 
 	// Queue 20 UDP flood packets first, then the rule-matching packet.
 	for i := 0; i < 20; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, 1, uint16(i)))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, 1, uint16(i)))
 	}
-	c.DeliverFromSwitch(tagged(netpkt.ProtoTCP, 2, 80))
+	c.Ingest(0, tagged(netpkt.ProtoTCP, 2, 80))
 	c.Start()
 	defer c.Stop()
 	eng.RunFor(2 * time.Millisecond) // ~2 emissions
@@ -293,7 +293,7 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 	protos := []uint8{netpkt.ProtoTCP, netpkt.ProtoUDP, netpkt.ProtoICMP, 47}
 	for i := 0; i < 100; i++ {
 		for _, pr := range protos {
-			c.DeliverFromSwitch(tagged(pr, 1, uint16(i)))
+			c.Ingest(0, tagged(pr, 1, uint16(i)))
 		}
 	}
 	c.Start()

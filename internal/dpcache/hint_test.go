@@ -160,7 +160,7 @@ func TestNoHinterBehavesAsBefore(t *testing.T) {
 	defer c.Stop()
 
 	for i := uint16(1); i <= 5; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, i, 1000+i))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, i, 1000+i))
 	}
 	eng.RunFor(time.Second)
 

@@ -160,7 +160,7 @@ func TestCachePropertyConservation(t *testing.T) {
 			case 0:
 				p := gen.Next()
 				p.NwTOS = EncodeInPortTOS(uint16(r.Intn(8)))
-				c.DeliverFromSwitch(p)
+				c.Ingest(0, p)
 			case 1:
 				eng.RunFor(time.Duration(r.Intn(20)) * time.Millisecond)
 			default:
@@ -199,7 +199,7 @@ func TestRoundRobinPropertyBoundedWait(t *testing.T) {
 			}
 			loaded[pr] = true
 			for i := 0; i < r.Intn(5)+1; i++ {
-				c.DeliverFromSwitch(netpkt.Packet{
+				c.Ingest(0, netpkt.Packet{
 					EthType: netpkt.EtherTypeIPv4, NwProto: pr,
 					NwTOS: EncodeInPortTOS(1), TpDst: uint16(i),
 				})

@@ -21,7 +21,7 @@ func TestBacklogHighWatermark(t *testing.T) {
 	// Replay paused: ten packets pile up and the watermark follows.
 	c.SetRate(0)
 	for i := uint16(1); i <= 10; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, i, 2000+i))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, i, 2000+i))
 	}
 	eng.RunFor(time.Second)
 	st := c.Stats()
@@ -43,14 +43,14 @@ func TestBacklogHighWatermark(t *testing.T) {
 	// A smaller later burst must not move the watermark; a larger one must.
 	c.SetRate(0)
 	for i := uint16(1); i <= 4; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, i, 3000+i))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, i, 3000+i))
 	}
 	eng.RunFor(time.Second)
 	if st = c.Stats(); st.MaxBacklog != 10 {
 		t.Fatalf("small burst: max backlog=%d, want 10", st.MaxBacklog)
 	}
 	for i := uint16(1); i <= 9; i++ {
-		c.DeliverFromSwitch(tagged(netpkt.ProtoUDP, i, 4000+i))
+		c.Ingest(0, tagged(netpkt.ProtoUDP, i, 4000+i))
 	}
 	eng.RunFor(time.Second)
 	if st = c.Stats(); st.MaxBacklog != 13 {

@@ -133,44 +133,3 @@ func (r *CPUTimelineResult) Print(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 }
-
-// PeakWindow returns the [start, end) sample range covering the paper's
-// "peak" (between attack start and recovery) for a series.
-func (r *CPUTimelineResult) PeakUtil(app string) float64 {
-	peak := 0.0
-	for _, s := range r.Series[app] {
-		if s.Util > peak {
-			peak = s.Util
-		}
-	}
-	return peak
-}
-
-// AvgUtil returns the mean utilization of app over [from, to).
-func (r *CPUTimelineResult) AvgUtil(app string, from, to time.Duration) float64 {
-	sum, n := 0.0, 0
-	for _, s := range r.Series[app] {
-		if s.At >= from && s.At < to {
-			sum += s.Util
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// UtilAt returns the utilization of app in the window containing t.
-func (r *CPUTimelineResult) UtilAt(app string, t time.Duration) float64 {
-	series := r.Series[app]
-	for _, s := range series {
-		if s.At >= t {
-			return s.Util
-		}
-	}
-	if len(series) == 0 {
-		return 0
-	}
-	return series[len(series)-1].Util
-}

@@ -159,20 +159,3 @@ func (in *Injector) decideLocked(size int) Decision {
 	}
 	return Decision{}
 }
-
-// Ops returns how many operations have been decided.
-func (in *Injector) Ops() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops
-}
-
-// Count returns how many times fault f has been injected.
-func (in *Injector) Count(f Fault) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if f < 0 || f >= numFaults {
-		return 0
-	}
-	return in.counts[f]
-}

@@ -23,13 +23,6 @@ type linearTable struct {
 }
 
 func (t *linearTable) apply(m openflow.FlowMod, now time.Time) []Removed {
-	strict := m.Command == openflow.FlowModifyStrict || m.Command == openflow.FlowDeleteStrict
-	hit := func(e *Entry) bool {
-		if strict {
-			return e.Priority == m.Priority && e.Match.Equal(&m.Match)
-		}
-		return Covers(&m.Match, &e.Match)
-	}
 	switch m.Command {
 	case openflow.FlowAdd:
 		e := &Entry{
@@ -53,17 +46,12 @@ func (t *linearTable) apply(m openflow.FlowMod, now time.Time) []Removed {
 			}
 			return t.entries[i].seq < t.entries[j].seq
 		})
-	case openflow.FlowModify, openflow.FlowModifyStrict:
-		for _, e := range t.entries {
-			if hit(e) {
-				e.Actions = m.Actions
-			}
-		}
-	case openflow.FlowDelete, openflow.FlowDeleteStrict:
+	case openflow.FlowDeleteStrict:
 		var removed []Removed
 		var keep []*Entry
 		for _, e := range t.entries {
-			if hit(e) && (m.OutPort == openflow.PortNone || outputsTo(e.Actions, m.OutPort)) {
+			if e.Priority == m.Priority && e.Match.Equal(&m.Match) &&
+				(m.OutPort == openflow.PortNone || outputsTo(e.Actions, m.OutPort)) {
 				removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedDelete})
 			} else {
 				keep = append(keep, e)
@@ -227,9 +215,9 @@ func runOracle(t *testing.T, data []byte) {
 				t.Fatalf("op %d add: %v", s.i, err)
 			}
 			ref.apply(fm, now)
-		case c < 9: // modify / delete, strict or not, aimed at an installed rule half the time
+		case c < 9: // strict delete, aimed at an installed rule half the time
 			fm := openflow.FlowMod{
-				Command:  []openflow.FlowModCommand{openflow.FlowModify, openflow.FlowModifyStrict, openflow.FlowDelete, openflow.FlowDeleteStrict}[s.n(4)],
+				Command:  openflow.FlowDeleteStrict,
 				Match:    s.match(),
 				Priority: oraclePrios[s.n(len(oraclePrios))],
 				Actions:  []openflow.Action{openflow.Output(uint16(1 + s.n(3)))},
@@ -413,11 +401,9 @@ func TestClassifierStructureFloodInstall(t *testing.T) {
 		t.Fatalf("%d keys, %d rules indexed, %d listed; want 10032 each", keys, indexed(tbl), tbl.Len())
 	}
 	// Removing a whole shape removes its probe.
-	del := openflow.MatchAll()
-	del.Wildcards &^= openflow.WildInPort
-	for port := uint16(1); port <= 4; port++ {
-		del.InPort = port
-		if _, err := tbl.Apply(openflow.FlowMod{Command: openflow.FlowDelete, Match: del, OutPort: openflow.PortNone}, time.Unix(1000, 0)); err != nil {
+	for _, fm := range floodInstallRules(32, 0) {
+		fm.Command, fm.OutPort = openflow.FlowDeleteStrict, openflow.PortNone
+		if _, err := tbl.Apply(fm, time.Unix(1000, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -115,9 +115,6 @@ func (t *Table) Len() int { return len(t.entries) }
 // mutation points — unlike Len, safe to call from any goroutine.
 func (t *Table) RuleCount() int { return int(t.ruleCount.Value()) }
 
-// Capacity returns the rule capacity (0 = unbounded).
-func (t *Table) Capacity() int { return t.capacity }
-
 // Lookups returns the total number of Lookup calls.
 func (t *Table) Lookups() uint64 { return t.matched.Value() + t.missed.Value() }
 
@@ -131,22 +128,17 @@ func (t *Table) Entries() []*Entry {
 	return out
 }
 
-// Apply executes a flow_mod against the table. For adds it returns
-// ErrTableFull when at capacity and the rule is not an overwrite.
+// Apply executes a flow_mod against the table. It serves the two
+// commands the controller and FloodGuard send: ADD, which returns
+// ErrTableFull when at capacity and the rule is not an overwrite (an
+// overwrite is how a rule's actions change), and DELETE_STRICT. MODIFY,
+// MODIFY_STRICT and non-strict DELETE are refused as unsupported.
 func (t *Table) Apply(m openflow.FlowMod, now time.Time) ([]Removed, error) {
 	switch m.Command {
 	case openflow.FlowAdd:
 		return nil, t.add(m, now)
-	case openflow.FlowModify:
-		t.modify(m, false)
-		return nil, nil
-	case openflow.FlowModifyStrict:
-		t.modify(m, true)
-		return nil, nil
-	case openflow.FlowDelete:
-		return t.delete(m, false), nil
 	case openflow.FlowDeleteStrict:
-		return t.delete(m, true), nil
+		return t.delete(m), nil
 	default:
 		return nil, fmt.Errorf("flowtable: unsupported command %v", m.Command)
 	}
@@ -191,47 +183,18 @@ func (t *Table) position(e *Entry) int {
 	return sort.Search(len(t.entries), func(i int) bool { return !t.entries[i].before(e) })
 }
 
-// modify swaps actions in place on the live *Entry; which entry wins a
-// lookup is untouched.
-func (t *Table) modify(m openflow.FlowMod, strict bool) {
-	if strict {
-		if e := t.cls.get(&m.Match, m.Priority); e != nil {
-			e.Actions = m.Actions
-		}
-		return
+// delete removes the rule with m's exact match and priority, if its
+// actions output to m.OutPort (PortNone matches any rule).
+func (t *Table) delete(m openflow.FlowMod) []Removed {
+	e := t.cls.get(&m.Match, m.Priority)
+	if e == nil || (m.OutPort != openflow.PortNone && !outputsTo(e.Actions, m.OutPort)) {
+		return nil
 	}
-	for _, e := range t.entries {
-		if Covers(&m.Match, &e.Match) {
-			e.Actions = m.Actions
-		}
-	}
-}
-
-func (t *Table) delete(m openflow.FlowMod, strict bool) []Removed {
-	doomed := func(e *Entry) bool {
-		return m.OutPort == openflow.PortNone || outputsTo(e.Actions, m.OutPort)
-	}
-	var removed []Removed
-	if strict {
-		if e := t.cls.get(&m.Match, m.Priority); e != nil && doomed(e) {
-			i := t.position(e)
-			t.entries = slices.Delete(t.entries, i, i+1)
-			removed = []Removed{{Entry: e, Reason: openflow.RemovedDelete}}
-		}
-	} else {
-		t.entries = slices.DeleteFunc(t.entries, func(e *Entry) bool {
-			if !Covers(&m.Match, &e.Match) || !doomed(e) {
-				return false
-			}
-			removed = append(removed, Removed{Entry: e, Reason: openflow.RemovedDelete})
-			return true
-		})
-	}
-	for _, r := range removed {
-		t.cls.remove(r.Entry)
-	}
+	i := t.position(e)
+	t.entries = slices.Delete(t.entries, i, i+1)
+	t.cls.remove(e)
 	t.noteMutation()
-	return removed
+	return []Removed{{Entry: e, Reason: openflow.RemovedDelete}}
 }
 
 func outputsTo(actions []openflow.Action, port uint16) bool {
@@ -245,8 +208,7 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 
 // Lookup finds the highest-priority rule matching p on inPort, updating
 // counters. It returns nil on a table miss. Nothing is remembered
-// between lookups, so an add, modify or delete is visible to the very
-// next one.
+// between lookups, so an add or delete is visible to the very next one.
 func (t *Table) Lookup(p *netpkt.Packet, inPort uint16, now time.Time, frameLen int) *Entry {
 	e := t.cls.find(p, inPort)
 	if e == nil {
@@ -285,56 +247,6 @@ func (t *Table) Expire(now time.Time) []Removed {
 	}
 	t.noteMutation()
 	return removed
-}
-
-// Clear removes every rule.
-func (t *Table) Clear() {
-	t.entries = nil
-	t.cls = classifier{}
-	t.noteMutation()
-}
-
-// Covers reports whether every packet matching b also matches a (a is at
-// least as general as b, field by field). It is the OpenFlow non-strict
-// delete/modify predicate.
-func Covers(a, b *openflow.Match) bool {
-	simple := []struct {
-		bit   uint32
-		equal bool
-	}{
-		{openflow.WildInPort, a.InPort == b.InPort},
-		{openflow.WildDlSrc, a.DlSrc == b.DlSrc},
-		{openflow.WildDlDst, a.DlDst == b.DlDst},
-		{openflow.WildVLAN, a.DlVLAN == b.DlVLAN},
-		{openflow.WildVLANPCP, a.DlVLANPCP == b.DlVLANPCP},
-		{openflow.WildDlType, a.DlType == b.DlType},
-		{openflow.WildNwProto, a.NwProto == b.NwProto},
-		{openflow.WildNwTOS, a.NwTOS == b.NwTOS},
-		{openflow.WildTpSrc, a.TpSrc == b.TpSrc},
-		{openflow.WildTpDst, a.TpDst == b.TpDst},
-	}
-	for _, f := range simple {
-		if a.Wildcards&f.bit != 0 {
-			continue // a wildcards the field: covers anything
-		}
-		if b.Wildcards&f.bit != 0 {
-			return false // a concrete, b wildcard: b is broader
-		}
-		if !f.equal {
-			return false
-		}
-	}
-	if al, bl := a.NwSrcMaskLen(), b.NwSrcMaskLen(); al > 0 {
-		if bl < al || !b.NwSrc.InPrefix(a.NwSrc, al) {
-			return false
-		}
-	}
-	if al, bl := a.NwDstMaskLen(), b.NwDstMaskLen(); al > 0 {
-		if bl < al || !b.NwDst.InPrefix(a.NwDst, al) {
-			return false
-		}
-	}
-	return true
 }
 
 // SoftwareLookupCost models the per-packet lookup latency of a software

@@ -2,7 +2,6 @@ package flowtable
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -215,35 +214,6 @@ func TestHardTimeout(t *testing.T) {
 	}
 }
 
-func TestDeleteNonStrictCovers(t *testing.T) {
-	tbl := New(0)
-	g := netpkt.NewSpoofGen(5, netpkt.FloodUDP, 0)
-	for i := 0; i < 5; i++ {
-		p := g.Next()
-		addExact(t, tbl, &p, 1, 10, 1)
-	}
-	// Also a TCP rule that must survive a UDP-wide delete.
-	tcp := udpPacket()
-	tcp.NwProto = netpkt.ProtoTCP
-	addExact(t, tbl, &tcp, 1, 10, 1)
-
-	del := openflow.MatchAll()
-	del.Wildcards &^= openflow.WildDlType | openflow.WildNwProto
-	del.DlType = netpkt.EtherTypeIPv4
-	del.NwProto = netpkt.ProtoUDP
-	rm, err := tbl.Apply(openflow.FlowMod{Match: del, Command: openflow.FlowDelete,
-		OutPort: openflow.PortNone}, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rm) != 5 {
-		t.Errorf("deleted %d rules, want 5", len(rm))
-	}
-	if tbl.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (TCP rule survives)", tbl.Len())
-	}
-}
-
 func TestDeleteStrict(t *testing.T) {
 	tbl := New(0)
 	p := udpPacket()
@@ -269,7 +239,14 @@ func TestDeleteFiltersByOutPort(t *testing.T) {
 	q.TpDst = 99
 	addExact(t, tbl, &q, 1, 10, 4)
 
-	fm := openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowDelete, OutPort: 3}
+	// Aimed at q's rule with an out_port its actions do not output to,
+	// the strict delete leaves it; with q's port it removes it.
+	fm := openflow.FlowMod{Match: openflow.ExactFrom(&q, 1), Priority: 10,
+		Command: openflow.FlowDeleteStrict, OutPort: 3}
+	if rm, err := tbl.Apply(fm, t0); err != nil || len(rm) != 0 || tbl.Len() != 2 {
+		t.Fatalf("delete filtered to port 3 removed %d, left %d (%v); want 0,2", len(rm), tbl.Len(), err)
+	}
+	fm.OutPort = 4
 	rm, err := tbl.Apply(fm, t0)
 	if err != nil {
 		t.Fatal(err)
@@ -277,23 +254,26 @@ func TestDeleteFiltersByOutPort(t *testing.T) {
 	if len(rm) != 1 || tbl.Len() != 1 {
 		t.Fatalf("out_port-filtered delete removed %d, left %d; want 1,1", len(rm), tbl.Len())
 	}
-	if got := tbl.Entries()[0].Actions[0].(openflow.ActionOutput).Port; got != 4 {
-		t.Errorf("surviving rule outputs to %d, want 4", got)
+	if got := tbl.Entries()[0].Actions[0].(openflow.ActionOutput).Port; got != 3 {
+		t.Errorf("surviving rule outputs to %d, want 3", got)
 	}
 }
 
-func TestModify(t *testing.T) {
+// TestApplyRejectsUnservedCommands: MODIFY, MODIFY_STRICT and non-strict
+// DELETE are refused with an error and leave the table as it was.
+func TestApplyRejectsUnservedCommands(t *testing.T) {
 	tbl := New(0)
 	p := udpPacket()
 	addExact(t, tbl, &p, 1, 10, 3)
-	fm := openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModify,
-		Actions: []openflow.Action{openflow.Output(8)}}
-	if _, err := tbl.Apply(fm, t0); err != nil {
-		t.Fatal(err)
+	for _, cmd := range []openflow.FlowModCommand{openflow.FlowModify, openflow.FlowModifyStrict, openflow.FlowDelete} {
+		fm := openflow.FlowMod{Match: openflow.ExactFrom(&p, 1), Priority: 10, Command: cmd,
+			OutPort: openflow.PortNone, Actions: []openflow.Action{openflow.Output(8)}}
+		if rm, err := tbl.Apply(fm, t0); err == nil || len(rm) != 0 {
+			t.Errorf("%v: Apply = (%d removed, %v), want an error", cmd, len(rm), err)
+		}
 	}
-	e := tbl.Lookup(&p, 1, t0, 64)
-	if got := e.Actions[0].(openflow.ActionOutput).Port; got != 8 {
-		t.Errorf("port after modify = %d, want 8", got)
+	if e := tbl.Lookup(&p, 1, t0, 64); e == nil || e.Actions[0].(openflow.ActionOutput).Port != 3 {
+		t.Errorf("rule changed by a refused command: %v", e)
 	}
 }
 
@@ -311,51 +291,6 @@ func TestCounters(t *testing.T) {
 	// Peek must not bump counters.
 	if e2 := tbl.Peek(&p, 1); e2.Packets != 5 {
 		t.Errorf("Peek bumped counters to %d", e2.Packets)
-	}
-}
-
-func TestCoversProperty(t *testing.T) {
-	// If Covers(a, b) then every packet matching b matches a.
-	r := rand.New(rand.NewSource(41))
-	g := netpkt.NewSpoofGen(43, netpkt.FloodMixed, 0)
-	checked := 0
-	for i := 0; i < 3000 && checked < 300; i++ {
-		p := g.Next()
-		inPort := uint16(r.Intn(4) + 1)
-		b := openflow.ExactFrom(&p, inPort)
-		// Generalise b into a by wildcarding random fields.
-		a := b
-		for _, bit := range []uint32{openflow.WildInPort, openflow.WildDlSrc,
-			openflow.WildDlDst, openflow.WildNwProto, openflow.WildNwTOS,
-			openflow.WildTpSrc, openflow.WildTpDst} {
-			if r.Intn(2) == 0 {
-				a.Wildcards |= bit
-			}
-		}
-		if r.Intn(2) == 0 {
-			a.SetNwSrcMaskLen(r.Intn(33))
-		}
-		if r.Intn(2) == 0 {
-			a.SetNwDstMaskLen(r.Intn(33))
-		}
-		if !Covers(&a, &b) {
-			t.Fatalf("generalisation of b does not cover b:\n a=%v\n b=%v", &a, &b)
-		}
-		if !a.Matches(&p, inPort) {
-			t.Fatalf("a covers b but a does not match b's packet:\n a=%v\n p=%v", &a, &p)
-		}
-		checked++
-	}
-	// And the negative direction: a strictly narrower match never covers a
-	// broader one.
-	p := udpPacket()
-	narrow := openflow.ExactFrom(&p, 1)
-	broad := openflow.MatchAll()
-	if Covers(&narrow, &broad) {
-		t.Error("narrow covers broad")
-	}
-	if !Covers(&broad, &narrow) {
-		t.Error("broad does not cover narrow")
 	}
 }
 

@@ -15,15 +15,13 @@
 // lands in partition-application order), so priority ties break exactly
 // as they would in one global table.
 //
-// Routing soundness for mutations follows from Covers: a delete or
-// modify pinned to in_port=p can only affect rules that are themselves
-// pinned to p (a rule with a different or wildcarded in_port is not
-// covered), so applying it to partition p%N alone reaches every rule it
-// could touch. A mutation with in_port wildcarded may affect rules in
-// any partition and is broadcast.
+// Routing soundness for mutations: a rule lives in the partitions its
+// in_port selects, and an add or strict delete addresses rules with its
+// exact match, so one pinned to in_port=p reaches partition p%N alone
+// and one with in_port wildcarded is broadcast to every partition.
 //
 // Divergences from one global table, by construction: a broadcast rule
-// is physically present in every partition (Len/RuleCount count the
+// is physically present in every partition (RuleCount counts the
 // copies; a broadcast delete reports one Removed per partition), and a
 // capacity bound is enforced per partition rather than globally.
 package flowtable
@@ -62,18 +60,9 @@ func NewSharded(n, capacity int) *Sharded {
 	return s
 }
 
-// N returns the partition count.
-func (s *Sharded) N() int { return len(s.parts) }
-
 // Partition returns partition i. Single-owner: only the owning shard
 // goroutine (or a quiescent harness) may call its mutating methods.
 func (s *Sharded) Partition(i int) *Table { return s.parts[i] }
-
-// PartitionFor returns the partition owning ingress port p — the one a
-// lookup for a packet arriving on p must consult.
-func (s *Sharded) PartitionFor(inPort uint16) *Table {
-	return s.parts[int(inPort)%len(s.parts)]
-}
 
 // Owner routes a flow_mod match: (partition, true) when the match pins
 // in_port to one port, (0, false) when in_port is wildcarded and the
@@ -107,25 +96,6 @@ func (s *Sharded) Apply(m openflow.FlowMod, now time.Time) ([]Removed, error) {
 	return removed, firstErr
 }
 
-// Expire sweeps every partition. Same ownership contract as Apply.
-func (s *Sharded) Expire(now time.Time) []Removed {
-	var removed []Removed
-	for _, t := range s.parts {
-		removed = append(removed, t.Expire(now)...)
-	}
-	return removed
-}
-
-// Len sums the partition rule lists (broadcast rules count once per
-// partition). Quiescent callers only; live readers use RuleCount.
-func (s *Sharded) Len() int {
-	n := 0
-	for _, t := range s.parts {
-		n += t.Len()
-	}
-	return n
-}
-
 // RuleCount sums the partitions' mutation-point rule-count mirrors —
 // safe from any goroutine.
 func (s *Sharded) RuleCount() int {
@@ -134,14 +104,6 @@ func (s *Sharded) RuleCount() int {
 		n += t.RuleCount()
 	}
 	return n
-}
-
-// Capacity returns the aggregate rule capacity (0 = unbounded).
-func (s *Sharded) Capacity() int {
-	if s.parts[0].Capacity() == 0 {
-		return 0
-	}
-	return s.parts[0].Capacity() * len(s.parts)
 }
 
 // Stats sums the partition counter snapshots (atomics only).

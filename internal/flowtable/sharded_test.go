@@ -97,11 +97,6 @@ func TestShardedLookupShardCountInvariance(t *testing.T) {
 			case 0:
 				fm.Command = openflow.FlowDeleteStrict
 				fm.OutPort = openflow.PortNone
-			case 1:
-				fm.Command = openflow.FlowDelete
-				fm.OutPort = openflow.PortNone
-			case 2:
-				fm.Command = openflow.FlowModifyStrict
 			default:
 				fm.Command = openflow.FlowAdd
 			}

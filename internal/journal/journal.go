@@ -291,14 +291,6 @@ func (j *Journal) AdvanceWindow() {
 	j.window.Add(1)
 }
 
-// Window reports the current window stamp.
-func (j *Journal) Window() int {
-	if j == nil {
-		return 0
-	}
-	return int(j.window.Load())
-}
-
 // Drain moves pending events from every recorder ring into the
 // per-recorder retention buffers and reports how many moved. It must
 // be called from a single consumer goroutine at a time; the pipeline

@@ -20,15 +20,6 @@ type MAC [6]byte
 // Broadcast is the all-ones Ethernet broadcast address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-// IsBroadcast reports whether m is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == Broadcast }
-
-// IsMulticast reports whether the group bit of m is set.
-func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }
-
-// IsZero reports whether m is the all-zero address.
-func (m MAC) IsZero() bool { return m == MAC{} }
-
 // String renders m in the canonical aa:bb:cc:dd:ee:ff form.
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])

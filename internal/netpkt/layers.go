@@ -51,14 +51,6 @@ const (
 	ethVLANHeaderLen = 18
 )
 
-// Len returns the encoded header length.
-func (e *Ethernet) Len() int {
-	if e.HasVLAN {
-		return ethVLANHeaderLen
-	}
-	return ethHeaderLen
-}
-
 // Encode appends the wire form of e to b.
 func (e *Ethernet) Encode(b []byte) []byte {
 	b = append(b, e.Dst[:]...)

@@ -49,33 +49,6 @@ type Packet struct {
 	PayloadLen int
 }
 
-// FlowKey identifies a microflow: one spoofed header tuple from the
-// attacker constitutes one distinct key, hence one table miss.
-type FlowKey struct {
-	EthSrc  MAC
-	EthDst  MAC
-	EthType uint16
-	NwSrc   IPv4
-	NwDst   IPv4
-	NwProto uint8
-	TpSrc   uint16
-	TpDst   uint16
-}
-
-// Key returns the microflow identity of p.
-func (p *Packet) Key() FlowKey {
-	return FlowKey{
-		EthSrc:  p.EthSrc,
-		EthDst:  p.EthDst,
-		EthType: p.EthType,
-		NwSrc:   p.NwSrc,
-		NwDst:   p.NwDst,
-		NwProto: p.NwProto,
-		TpSrc:   p.TpSrc,
-		TpDst:   p.TpDst,
-	}
-}
-
 // WireLen returns the on-the-wire frame length in bytes, computed
 // arithmetically — it never materialises the frame. It always equals
 // len(p.Marshal()).
@@ -114,9 +87,6 @@ func (p *Packet) IsIP() bool { return p.EthType == EtherTypeIPv4 }
 
 // IsARP reports whether p carries ARP.
 func (p *Packet) IsARP() bool { return p.EthType == EtherTypeARP }
-
-// IsLLDP reports whether p is a Link Layer Discovery Protocol frame.
-func (p *Packet) IsLLDP() bool { return p.EthType == EtherTypeLLDP }
 
 // Protocol returns a short name of the innermost protocol for the data
 // plane cache's classifier.

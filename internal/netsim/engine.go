@@ -166,17 +166,6 @@ func (e *Engine) RunUntil(t time.Time) int {
 // RunFor advances the clock by d, firing due events.
 func (e *Engine) RunFor(d time.Duration) int { return e.RunUntil(e.now.Add(d)) }
 
-// Pending returns the number of not-yet-cancelled queued events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.pq {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // Ticker invokes fn every interval until cancelled.
 //
 // It owns its event: every firing re-pushes the same Event with a fresh

@@ -305,9 +305,6 @@ func TestLinkContention(t *testing.T) {
 			t.Errorf("frame %d delivered at %v, want %v", i, times[i], want[i])
 		}
 	}
-	if l.FramesSent() != 3 || l.BytesSent() != 3000 {
-		t.Errorf("counters = (%d, %d)", l.FramesSent(), l.BytesSent())
-	}
 }
 
 func TestLinkInfiniteBandwidth(t *testing.T) {
@@ -318,21 +315,6 @@ func TestLinkInfiniteBandwidth(t *testing.T) {
 	e.RunFor(time.Second)
 	if at != 5*time.Millisecond {
 		t.Errorf("delivered at %v, want 5ms (latency only)", at)
-	}
-}
-
-func TestMeterRate(t *testing.T) {
-	e := NewEngine()
-	m := NewMeter(e)
-	m.Mark()
-	e.Schedule(500*time.Millisecond, func() { m.Add(125000) }) // 1 Mbit
-	e.RunFor(time.Second)
-	if got := m.Rate(); got != 1e6 {
-		t.Errorf("Rate = %v, want 1e6", got)
-	}
-	m.Mark()
-	if got := m.Rate(); got != 0 {
-		t.Errorf("Rate after Mark with no time = %v, want 0", got)
 	}
 }
 

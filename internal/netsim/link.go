@@ -10,9 +10,6 @@ type Link struct {
 	bandwidth float64 // bits per second; 0 = infinite
 	latency   time.Duration
 	busyUntil time.Time
-
-	bytesSent  uint64
-	framesSent uint64
 }
 
 // NewLink creates a link on eng. bandwidthBits is in bits/second
@@ -20,18 +17,6 @@ type Link struct {
 func NewLink(eng *Engine, bandwidthBits float64, latency time.Duration) *Link {
 	return &Link{eng: eng, bandwidth: bandwidthBits, latency: latency}
 }
-
-// Bandwidth returns the configured bandwidth in bits/second.
-func (l *Link) Bandwidth() float64 { return l.bandwidth }
-
-// Latency returns the propagation delay.
-func (l *Link) Latency() time.Duration { return l.latency }
-
-// BytesSent returns the cumulative bytes accepted for transmission.
-func (l *Link) BytesSent() uint64 { return l.bytesSent }
-
-// FramesSent returns the cumulative frames accepted for transmission.
-func (l *Link) FramesSent() uint64 { return l.framesSent }
 
 // SerializationDelay returns how long size bytes occupy the link.
 func (l *Link) SerializationDelay(size int) time.Duration {
@@ -51,58 +36,7 @@ func (l *Link) Send(size int, deliver func()) *Event {
 	}
 	done := start.Add(l.SerializationDelay(size))
 	l.busyUntil = done
-	l.bytesSent += uint64(size)
-	l.framesSent++
 	return l.eng.At(done.Add(l.latency), deliver)
-}
-
-// QueueDelay reports how long a frame sent now would wait before starting
-// to serialise.
-func (l *Link) QueueDelay() time.Duration {
-	if l.busyUntil.After(l.eng.Now()) {
-		return l.busyUntil.Sub(l.eng.Now())
-	}
-	return 0
-}
-
-// Meter accumulates delivered bytes and exposes average goodput over
-// arbitrary measurement windows.
-type Meter struct {
-	eng        *Engine
-	totalBytes uint64
-	markBytes  uint64
-	markTime   time.Time
-}
-
-// NewMeter returns a meter reading eng's clock.
-func NewMeter(eng *Engine) *Meter {
-	return &Meter{eng: eng, markTime: eng.Now()}
-}
-
-// Add records size delivered bytes.
-func (m *Meter) Add(size int) { m.totalBytes += uint64(size) }
-
-// Total returns cumulative bytes.
-func (m *Meter) Total() uint64 { return m.totalBytes }
-
-// Mark starts a new measurement window.
-func (m *Meter) Mark() {
-	m.markBytes = m.totalBytes
-	m.markTime = m.eng.Now()
-}
-
-// WindowBits returns bits delivered since the last Mark.
-func (m *Meter) WindowBits() float64 {
-	return float64(m.totalBytes-m.markBytes) * 8
-}
-
-// Rate returns the average goodput in bits/second since the last Mark.
-func (m *Meter) Rate() float64 {
-	dt := m.eng.Now().Sub(m.markTime).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return m.WindowBits() / dt
 }
 
 // EWMA is an exponentially weighted moving average of a rate signal,

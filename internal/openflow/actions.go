@@ -11,13 +11,10 @@ import (
 // Action type codes (ofp_action_type).
 const (
 	actOutput   uint16 = 0
-	actSetDlSrc uint16 = 4
 	actSetDlDst uint16 = 5
 	actSetNwSrc uint16 = 6
 	actSetNwDst uint16 = 7
 	actSetNwTOS uint16 = 8
-	actSetTpSrc uint16 = 9
-	actSetTpDst uint16 = 10
 )
 
 // Action is one element of a flow rule's or packet_out's action list. An
@@ -87,17 +84,6 @@ func (a ActionSetNwTOS) encode(b []byte) []byte {
 	return append(b, a.TOS, 0, 0, 0)
 }
 
-// ActionSetDlSrc rewrites the Ethernet source address.
-type ActionSetDlSrc struct{ MAC netpkt.MAC }
-
-// String renders the action.
-func (a ActionSetDlSrc) String() string { return fmt.Sprintf("set_dl_src:%v", a.MAC) }
-
-// Apply rewrites the source MAC.
-func (a ActionSetDlSrc) Apply(p *netpkt.Packet) { p.EthSrc = a.MAC }
-
-func (a ActionSetDlSrc) encode(b []byte) []byte { return encodeDlAction(b, actSetDlSrc, a.MAC) }
-
 // ActionSetDlDst rewrites the Ethernet destination address.
 type ActionSetDlDst struct{ MAC netpkt.MAC }
 
@@ -107,12 +93,10 @@ func (a ActionSetDlDst) String() string { return fmt.Sprintf("set_dl_dst:%v", a.
 // Apply rewrites the destination MAC.
 func (a ActionSetDlDst) Apply(p *netpkt.Packet) { p.EthDst = a.MAC }
 
-func (a ActionSetDlDst) encode(b []byte) []byte { return encodeDlAction(b, actSetDlDst, a.MAC) }
-
-func encodeDlAction(b []byte, typ uint16, mac netpkt.MAC) []byte {
-	b = binary.BigEndian.AppendUint16(b, typ)
+func (a ActionSetDlDst) encode(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, actSetDlDst)
 	b = binary.BigEndian.AppendUint16(b, 16)
-	b = append(b, mac[:]...)
+	b = append(b, a.MAC[:]...)
 	return append(b, 0, 0, 0, 0, 0, 0)
 }
 
@@ -153,35 +137,6 @@ func encodeNwAction(b []byte, typ uint16, ip netpkt.IPv4) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(ip))
 }
 
-// ActionSetTpSrc rewrites the L4 source port.
-type ActionSetTpSrc struct{ Port uint16 }
-
-// String renders the action.
-func (a ActionSetTpSrc) String() string { return fmt.Sprintf("set_tp_src:%d", a.Port) }
-
-// Apply rewrites the source port.
-func (a ActionSetTpSrc) Apply(p *netpkt.Packet) { p.TpSrc = a.Port }
-
-func (a ActionSetTpSrc) encode(b []byte) []byte { return encodeTpAction(b, actSetTpSrc, a.Port) }
-
-// ActionSetTpDst rewrites the L4 destination port.
-type ActionSetTpDst struct{ Port uint16 }
-
-// String renders the action.
-func (a ActionSetTpDst) String() string { return fmt.Sprintf("set_tp_dst:%d", a.Port) }
-
-// Apply rewrites the destination port.
-func (a ActionSetTpDst) Apply(p *netpkt.Packet) { p.TpDst = a.Port }
-
-func (a ActionSetTpDst) encode(b []byte) []byte { return encodeTpAction(b, actSetTpDst, a.Port) }
-
-func encodeTpAction(b []byte, typ uint16, port uint16) []byte {
-	b = binary.BigEndian.AppendUint16(b, typ)
-	b = binary.BigEndian.AppendUint16(b, 8)
-	b = binary.BigEndian.AppendUint16(b, port)
-	return append(b, 0, 0)
-}
-
 func encodeActions(b []byte, actions []Action) []byte {
 	for _, a := range actions {
 		b = a.encode(b)
@@ -210,10 +165,6 @@ func decodeActions(b []byte) ([]Action, error) {
 			}
 		case actSetNwTOS:
 			act = ActionSetNwTOS{TOS: body[0]}
-		case actSetDlSrc:
-			var m netpkt.MAC
-			copy(m[:], body[:6])
-			act = ActionSetDlSrc{MAC: m}
 		case actSetDlDst:
 			var m netpkt.MAC
 			copy(m[:], body[:6])
@@ -222,10 +173,6 @@ func decodeActions(b []byte) ([]Action, error) {
 			act = ActionSetNwSrc{IP: netpkt.IPv4(binary.BigEndian.Uint32(body[0:4]))}
 		case actSetNwDst:
 			act = ActionSetNwDst{IP: netpkt.IPv4(binary.BigEndian.Uint32(body[0:4]))}
-		case actSetTpSrc:
-			act = ActionSetTpSrc{Port: binary.BigEndian.Uint16(body[0:2])}
-		case actSetTpDst:
-			act = ActionSetTpDst{Port: binary.BigEndian.Uint16(body[0:2])}
 		default:
 			return nil, fmt.Errorf("openflow: unsupported action type %d", typ)
 		}

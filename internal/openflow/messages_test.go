@@ -30,23 +30,17 @@ func randActions(r *rand.Rand) []Action {
 	n := r.Intn(4)
 	var out []Action
 	for i := 0; i < n; i++ {
-		switch r.Intn(8) {
+		switch r.Intn(5) {
 		case 0:
 			out = append(out, ActionOutput{Port: uint16(r.Intn(1 << 16)), MaxLen: uint16(r.Intn(1 << 16))})
 		case 1:
 			out = append(out, ActionSetNwTOS{TOS: uint8(r.Intn(256))})
 		case 2:
-			out = append(out, ActionSetDlSrc{MAC: netpkt.MACFromUint64(uint64(r.Uint32()))})
-		case 3:
 			out = append(out, ActionSetDlDst{MAC: netpkt.MACFromUint64(uint64(r.Uint32()))})
-		case 4:
+		case 3:
 			out = append(out, ActionSetNwSrc{IP: netpkt.IPv4(r.Uint32())})
-		case 5:
-			out = append(out, ActionSetNwDst{IP: netpkt.IPv4(r.Uint32())})
-		case 6:
-			out = append(out, ActionSetTpSrc{Port: uint16(r.Intn(1 << 16))})
 		default:
-			out = append(out, ActionSetTpDst{Port: uint16(r.Intn(1 << 16))})
+			out = append(out, ActionSetNwDst{IP: netpkt.IPv4(r.Uint32())})
 		}
 	}
 	return out

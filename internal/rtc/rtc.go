@@ -340,12 +340,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Journal returns the attached decision journal (nil when disabled).
-func (e *Engine) Journal() *journal.Journal { return e.cfg.Journal }
-
-// Shards returns the shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // ShardFor maps an ingress port to its owning shard.
 func (e *Engine) ShardFor(port uint16) int { return int(port) % len(e.shards) }
 
@@ -356,10 +350,6 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 // (broadcast rules count once per partition). Safe from any goroutine —
 // it reads mutation-point mirrors.
 func (e *Engine) TableRules() int { return e.parts.RuleCount() }
-
-// TableStats returns the flow table counter snapshot, summed over
-// partitions (atomics only — safe live).
-func (e *Engine) TableStats() flowtable.Stats { return e.parts.Stats() }
 
 // Attributor exposes the shared attribution engine (verdict reads).
 func (e *Engine) Attributor() *attrib.Attributor { return e.attr }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -194,13 +193,6 @@ func (t *ssCore) rebuild() {
 	t.listed = true
 }
 
-func (t *ssCore) count(key uint64) uint64 {
-	if i, ok := t.idx[key]; ok {
-		return t.slots[i].Count
-	}
-	return 0
-}
-
 func (t *ssCore) decay() {
 	keep := t.slots[:0]
 	for _, e := range t.slots {
@@ -226,7 +218,7 @@ func (t *ssCore) reset() {
 }
 
 // SpaceSaving is the shared stream-summary: the core guarded by a mutex
-// so Top can be called from a telemetry scrape while a packet path
+// so Len can be called from a telemetry scrape while a packet path
 // Observes.
 type SpaceSaving struct {
 	mu sync.Mutex
@@ -246,28 +238,11 @@ func (t *SpaceSaving) Observe(key uint64, inc uint64) {
 	t.mu.Unlock()
 }
 
-// Count returns the tracked (over)estimate for key, or 0 when untracked.
-func (t *SpaceSaving) Count(key uint64) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.c.count(key)
-}
-
 // Len returns how many keys are currently tracked.
 func (t *SpaceSaving) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.c.slots)
-}
-
-// Top appends the tracked entries, highest count first, to dst and
-// returns it. Pass a reused slice to avoid allocation.
-func (t *SpaceSaving) Top(dst []Entry) []Entry {
-	t.mu.Lock()
-	dst = append(dst, t.c.slots...)
-	t.mu.Unlock()
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Count > dst[j].Count })
-	return dst
 }
 
 // Decay halves every slot's count and error, matching the count-min
@@ -276,13 +251,6 @@ func (t *SpaceSaving) Top(dst []Entry) []Entry {
 func (t *SpaceSaving) Decay() {
 	t.mu.Lock()
 	t.c.decay()
-	t.mu.Unlock()
-}
-
-// Reset drops every tracked key.
-func (t *SpaceSaving) Reset() {
-	t.mu.Lock()
-	t.c.reset()
 	t.mu.Unlock()
 }
 
@@ -315,19 +283,5 @@ func NewSpaceSavingLocal(capacity int) *SpaceSavingLocal {
 // Observe credits inc to key. Owner goroutine only.
 func (t *SpaceSavingLocal) Observe(key uint64, inc uint64) { t.c.observe(key, inc) }
 
-// Count returns the tracked (over)estimate for key, or 0 when untracked.
-func (t *SpaceSavingLocal) Count(key uint64) uint64 { return t.c.count(key) }
-
 // Len returns how many keys are currently tracked.
 func (t *SpaceSavingLocal) Len() int { return len(t.c.slots) }
-
-// Entries returns the live slot slice in arbitrary order — a zero-copy
-// view that is invalidated by the next Observe/Decay/Reset. Owner
-// goroutine only.
-func (t *SpaceSavingLocal) Entries() []Entry { return t.c.slots }
-
-// Decay halves every slot's count and error, dropping zeroed slots.
-func (t *SpaceSavingLocal) Decay() { t.c.decay() }
-
-// Reset drops every tracked key.
-func (t *SpaceSavingLocal) Reset() { t.c.reset() }

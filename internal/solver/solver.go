@@ -10,7 +10,7 @@
 //   - Feasible: an offline structural satisfiability check used to prune
 //     contradictory paths during symbolic execution (Algorithm 1), when
 //     table contents are still symbolic.
-//   - Concretize: the runtime step of Algorithm 2 — substitute the live
+//   - ConcretizeArena: the runtime step of Algorithm 2 — substitute the live
 //     values of the global variables into a path condition and enumerate
 //     the concrete field assignments (match skeletons) that satisfy it.
 //   - Entry: the same step for a condition whose only fan-out is one
@@ -19,9 +19,7 @@ package solver
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
-	"sync"
 
 	"floodguard/internal/appir"
 	"floodguard/internal/netpkt"
@@ -78,20 +76,6 @@ func (a *Assignment) Get(f appir.Field) (Binding, bool) {
 	return a.fields[f], true
 }
 
-// Field returns the binding for f (the zero Binding when unconstrained).
-func (a *Assignment) Field(f appir.Field) Binding {
-	b, _ := a.Get(f)
-	return b
-}
-
-// Bound reports whether f is constrained.
-func (a *Assignment) Bound(f appir.Field) bool {
-	return int(f) < numFields && a.bound&(1<<f) != 0
-}
-
-// Len returns the number of bound fields.
-func (a *Assignment) Len() int { return bits.OnesCount16(a.bound) }
-
 func (a *Assignment) set(f appir.Field, b Binding) {
 	a.fields[f] = b
 	a.bound |= 1 << f
@@ -121,7 +105,7 @@ func (a Assignment) String() string {
 }
 
 // Arena recycles Assignment structs across the fan-out/filter passes of
-// Concretize, and its work lists across calls. Table-membership
+// ConcretizeArena, and its work lists across calls. Table-membership
 // constraints clone one work item per table entry; without reuse that is
 // one heap allocation per entry per call, which at attack time —
 // thousands of paths against thousand-entry tables — is the dominant
@@ -129,8 +113,7 @@ func (a Assignment) String() string {
 // ConcretizeArena returns; the survivors are copied into the result
 // slice by value, so nothing handed to the caller aliases arena memory.
 //
-// An Arena is not safe for concurrent use. Each deriver owns one;
-// callers without one get a pooled arena via Concretize.
+// An Arena is not safe for concurrent use. Each deriver owns one.
 type Arena struct {
 	free []*Assignment
 	// work and next are the two scratch lists the fan-out passes
@@ -190,8 +173,6 @@ func (ar *Arena) cloneFrom(a *Assignment) *Assignment {
 	*out = *a
 	return out
 }
-
-var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
 // bindExact narrows a field to one value; reports false on contradiction.
 func (a *Assignment) bindExact(f appir.Field, v appir.Value) bool {
@@ -343,23 +324,16 @@ func valOK(v appir.Value, ok bool) (appir.Value, bool) {
 	return v, ok
 }
 
-// Concretize enumerates the assignments satisfying conds once the global
-// variables take their live values from st (Algorithm 2's assign_value
-// step). The result may be empty (the path is currently unreachable).
-// Constraints that cannot be enumerated or represented in a single
-// OpenFlow match (e.g. a ≠ on an unbound field) cost a priority penalty
-// and leave the field wildcarded.
-func Concretize(conds []appir.Cond, st *appir.State) []Assignment {
-	ar := arenaPool.Get().(*Arena)
-	out := ConcretizeArena(conds, st, ar)
-	arenaPool.Put(ar)
-	return out
-}
-
-// ConcretizeArena is Concretize with a caller-owned allocation arena —
-// the form the deriver uses, one arena across all its paths, so repeated
-// calls reuse the same working set instead of re-allocating it.
-// The result never aliases arena memory.
+// ConcretizeArena enumerates the assignments satisfying conds once the
+// global variables take their live values from st (Algorithm 2's
+// assign_value step). The result may be empty (the path is currently
+// unreachable). Constraints that cannot be enumerated or represented in
+// a single OpenFlow match (e.g. a ≠ on an unbound field) cost a priority
+// penalty and leave the field wildcarded.
+//
+// The caller owns the allocation arena: the deriver uses one across all
+// its paths, so repeated calls reuse the same working set instead of
+// re-allocating it. The result never aliases arena memory.
 func ConcretizeArena(conds []appir.Cond, st *appir.State, ar *Arena) []Assignment {
 	work := append(ar.work[:0], ar.get())
 	ar.work = work
@@ -673,27 +647,4 @@ func filterMap(work []*Assignment, ar *Arena, keep func(*Assignment) bool) []*As
 		}
 	}
 	return out
-}
-
-// Satisfies reports whether a concrete packet (on inPort) meets every
-// binding of the assignment — used by property tests to validate
-// soundness of concretization.
-func (a *Assignment) Satisfies(p *netpkt.Packet, inPort uint16) bool {
-	for _, f := range appir.Fields {
-		b, bound := a.Get(f)
-		if !bound {
-			continue
-		}
-		v := appir.FieldOf(p, inPort, f)
-		if b.IsPrefix {
-			if v.Kind != appir.KindIP || !v.IP().InPrefix(b.Prefix, b.PrefixLen) {
-				return false
-			}
-			continue
-		}
-		if v != b.Exact {
-			return false
-		}
-	}
-	return true
 }

@@ -65,9 +65,6 @@ func New[T any](capacity int) *Ring[T] {
 	}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Len returns the current occupancy. It is exact for the producer and
 // the consumer and a point-in-time estimate for anyone else.
 func (r *Ring[T]) Len() int { return int(r.tail.Load() - r.head.Load()) }
@@ -146,22 +143,6 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 // producer can run (the single-GOMAXPROCS case).
 const popSpins = 64
 
-// PopBatchWait dequeues up to len(dst) elements, waiting (Wait) while
-// the ring is empty. It returns 0 only when the ring is closed and fully
-// drained. Consumer only.
-func (r *Ring[T]) PopBatchWait(dst []T) int {
-	for {
-		if n := r.PopBatch(dst); n > 0 {
-			return n
-		}
-		if r.closed.Load() {
-			// Drain anything pushed between the pop and the close flag.
-			return r.PopBatch(dst)
-		}
-		r.Wait()
-	}
-}
-
 // Wait blocks the consumer until the ring is plausibly non-empty, the
 // ring is closed, or an out-of-band Wake arrives. It busy-polls briefly
 // before parking but leaves the popping to the caller — the shape a
@@ -215,7 +196,7 @@ func (r *Ring[T]) park() {
 // Wake pokes a parked (or about-to-park) consumer from any goroutine.
 // Unlike the producer's publish path it does not require the SPSC
 // producer role: a control plane uses it to rouse a consumer idling in
-// Wait or PopBatchWait so it notices out-of-band work. The token waits
+// Wait so it notices out-of-band work. The token waits
 // in a one-slot channel: a consumer spinning in Wait takes it on its
 // next poll without parking, a parked one is woken by it, and a Wake
 // that races the park latch is at worst a spurious wakeup, never a lost

@@ -23,39 +23,30 @@ type Host struct {
 	OnReceive func(pkt netpkt.Packet)
 
 	received uint64
-	rxMeter  *netsim.Meter
 }
 
 // NewHost creates a host and attaches it to sw on portNo with symmetric
 // link characteristics.
 func NewHost(eng *netsim.Engine, sw *Switch, name string, portNo uint16, mac netpkt.MAC, ip netpkt.IPv4, bandwidthBits float64, latency time.Duration) *Host {
 	h := &Host{
-		Name:    name,
-		MAC:     mac,
-		IP:      ip,
-		eng:     eng,
-		sw:      sw,
-		portNo:  portNo,
-		up:      netsim.NewLink(eng, bandwidthBits, latency),
-		rxMeter: netsim.NewMeter(eng),
+		Name:   name,
+		MAC:    mac,
+		IP:     ip,
+		eng:    eng,
+		sw:     sw,
+		portNo: portNo,
+		up:     netsim.NewLink(eng, bandwidthBits, latency),
 	}
 	sw.AttachPort(portNo, h, bandwidthBits, latency)
 	return h
 }
 
-// Port returns the switch port the host is attached to.
-func (h *Host) Port() uint16 { return h.portNo }
-
 // Received returns the delivered packet count.
 func (h *Host) Received() uint64 { return h.received }
-
-// RxMeter returns the host's goodput meter.
-func (h *Host) RxMeter() *netsim.Meter { return h.rxMeter }
 
 // DeliverFromSwitch implements PortPeer.
 func (h *Host) DeliverFromSwitch(pkt netpkt.Packet) {
 	h.received++
-	h.rxMeter.Add(estimateFrameLen(&pkt))
 	if h.OnReceive != nil {
 		h.OnReceive(pkt)
 	}
@@ -101,9 +92,6 @@ func NewFlooder(host *Host, seed int64, proto netpkt.FloodProtocol, payloadLen i
 		gen:  netpkt.NewSpoofGen(seed, proto, payloadLen),
 	}
 }
-
-// Sent returns the number of attack packets emitted.
-func (f *Flooder) Sent() uint64 { return f.sent }
 
 // Start begins flooding at rate packets/second (0 stops).
 func (f *Flooder) Start(rate float64) {

@@ -113,9 +113,6 @@ func (s *Switch) Profile() Profile { return s.profile }
 // analyzer's verification).
 func (s *Switch) Table() *flowtable.Table { return s.table }
 
-// Engine returns the event engine the switch runs on.
-func (s *Switch) Engine() *netsim.Engine { return s.eng }
-
 // AttachPort registers a peer on a numbered port; the switch→peer
 // direction uses a link with the given bandwidth and latency. If a
 // controller session is up, a PortStatus notification is emitted — the

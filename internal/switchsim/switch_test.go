@@ -329,9 +329,6 @@ func TestHostSendReceive(t *testing.T) {
 	if len(got) != 5 || b.Received() != 5 {
 		t.Errorf("b received %d/%d, want 5", len(got), b.Received())
 	}
-	if b.RxMeter().Total() == 0 {
-		t.Error("rx meter did not count")
-	}
 	if len(ctl.packetIns()) != 0 {
 		t.Error("matched traffic produced packet_ins")
 	}

@@ -170,13 +170,13 @@ func (s *deltaSubject) mutate(t testing.TB, next func() byte) {
 		case op < 2:
 			s.st.Unlearn(g.Name, deltaValue(g.KeyKind, k))
 		case op == 2 && g.Name == s.globals[0].Name:
-			since := s.st.GlobalVersion(g.Name)
+			since := s.st.GlobalVersions([]string{g.Name}, nil)[0]
 			for i := 0; i < deltaBurst; i++ {
 				key := deltaValue(g.KeyKind, 0)
 				key.Bits += 1<<12 + uint64(i) // off the small domain
 				s.st.Learn(g.Name, key, deltaValue(g.ValKind, v+byte(i)))
 			}
-			wrote := s.st.GlobalVersion(g.Name) - since // fewer when it repeats an earlier burst
+			wrote := s.st.GlobalVersions([]string{g.Name}, nil)[0] - since // fewer when it repeats an earlier burst
 			if _, ok := s.st.TableChanges(g.Name, since, nil); ok && wrote == deltaBurst {
 				t.Fatalf("a burst of %d learns did not overflow %s's journal", deltaBurst, g.Name)
 			}

@@ -157,9 +157,6 @@ func New(cfg Config) *Guard {
 	return g
 }
 
-// Shards returns the shard count the table was built for.
-func (g *Guard) Shards() int { return len(g.shards) }
-
 // SetShardObserver installs the verdict observer for shard i. Must be
 // called before traffic starts; the observer runs on shard i's
 // goroutine.
@@ -295,16 +292,6 @@ func (s *guardShard) noteOcc() {
 	if n > s.watermark.Load() {
 		s.watermark.Store(n)
 	}
-}
-
-// ConnState reports the tracked state of a 4-tuple on shard i. Test
-// and barrier-time introspection only: must not race the shard
-// goroutine's Process calls.
-func (g *Guard) ConnState(shard int, src, dst netpkt.IPv4, sport, dport uint16) State {
-	if c := g.shards[shard].table.lookup(src, dst, sport, dport); c != nil {
-		return c.state
-	}
-	return StateNone
 }
 
 // Stats aggregates all shard counters. Entry counts are exact at flush

@@ -23,10 +23,9 @@ type Event struct {
 // overwritten. A nil *EventLog ignores appends, so components can hold
 // one unconditionally.
 type EventLog struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring []Event
+	next int
 }
 
 // NewEventLog returns a ring of the given capacity (minimum 1).
@@ -50,7 +49,6 @@ func (l *EventLog) Append(ev Event) {
 		l.ring[l.next] = ev
 	}
 	l.next = (l.next + 1) % cap(l.ring)
-	l.total++
 	l.mu.Unlock()
 }
 
@@ -68,14 +66,4 @@ func (l *EventLog) Events() []Event {
 	}
 	out = append(out, l.ring[l.next:]...)
 	return append(out, l.ring[:l.next]...)
-}
-
-// Total returns the lifetime number of appends, including evicted ones.
-func (l *EventLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }

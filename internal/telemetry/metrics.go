@@ -29,9 +29,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -43,9 +40,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
@@ -100,17 +94,6 @@ func NewHistogram(bounds []float64) *Histogram {
 		bounds: bounds,
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(int64(v * 1e9))
 }
 
 // ObserveDuration records one duration as seconds.

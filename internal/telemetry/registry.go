@@ -88,13 +88,6 @@ func (r *Registry) register(e *entry) {
 	r.mu.Unlock()
 }
 
-// Counter creates and registers a counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.RegisterCounter(name, help, c)
-	return c
-}
-
 // RegisterCounter attaches an existing counter under name.
 func (r *Registry) RegisterCounter(name, help string, c *Counter) {
 	r.register(&entry{name: name, help: help, kind: KindCounter,
@@ -108,25 +101,10 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 		scalar: func() float64 { return float64(fn()) }})
 }
 
-// Gauge creates and registers an integer gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.RegisterGauge(name, help, g)
-	return g
-}
-
 // RegisterGauge attaches an existing gauge under name.
 func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
 	r.register(&entry{name: name, help: help, kind: KindGauge,
 		scalar: func() float64 { return float64(g.Value()) }})
-}
-
-// FloatGauge creates and registers a float gauge.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	g := &FloatGauge{}
-	r.register(&entry{name: name, help: help, kind: KindGauge,
-		scalar: g.Value})
-	return g
 }
 
 // RegisterFloatGauge attaches an existing float gauge under name.
@@ -151,20 +129,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // RegisterHistogram attaches an existing histogram under name.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.register(&entry{name: name, help: help, kind: KindHistogram, hist: h})
-}
-
-// EventLog creates (or returns the existing) named event log with the
-// given ring capacity, included in JSON snapshots.
-func (r *Registry) EventLog(name string, capacity int) *EventLog {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if l, ok := r.logs[name]; ok {
-		return l
-	}
-	l := NewEventLog(capacity)
-	r.logs[name] = l
-	r.logName = append(r.logName, name)
-	return l
 }
 
 // RegisterEventLog attaches an existing event log under name (replacing

@@ -130,14 +130,8 @@ func (o *ObjectiveState) Observe(bad, total float64) SLOState {
 	return o.state
 }
 
-// State returns the current verdict without observing.
-func (o *ObjectiveState) State() SLOState { return o.state }
-
 // Burns returns the last short- and long-window burn rates.
 func (o *ObjectiveState) Burns() (short, long float64) { return o.shortBurn, o.longBurn }
-
-// Name returns the objective's name.
-func (o *ObjectiveState) Name() string { return o.obj.Name }
 
 // Health is a set of objectives with an overall verdict.
 type Health struct {
