@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness bench-record race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness bench-record bench-compare race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
 
 all: build test
 
@@ -44,6 +44,27 @@ bench-record:
 		bash bench/run.sh -seed $$seed -out .bench_build/record.json && \
 		python3 -m json.tool --compact .bench_build/record.json >> BENCH_TRAJECTORY.jsonl || exit 1; \
 	done
+
+# This checkout against the committed trajectory: one all-workloads run
+# of the benchmark for SEED (decimal or 0x hex), then bench -compare
+# against the newest BENCH_TRAJECTORY.jsonl line with the same seed, CPU
+# model and nproc (-compare applies the BENCHMARK.json bounds and fails
+# on a regression). With no like-hardware line it says so and succeeds.
+# Needs python3.
+bench-compare:
+	@test -n "$(SEED)" || { echo 'usage: make bench-compare SEED=0xF100D'; exit 2; }
+	rm -f .bench_build/base.json
+	bash bench/run.sh -seed $(SEED) -out .bench_build/now.json
+	@python3 -c 'import json; \
+		now = json.load(open(".bench_build/now.json")); env = now["environment"]; \
+		like = [l for l in open("BENCH_TRAJECTORY.jsonl") if l.strip() and (lambda d: \
+			d["seed"] == now["seed"] and d["environment"]["cpu_model"] == env["cpu_model"] and \
+			d["environment"]["nproc"] == env["nproc"])(json.loads(l))]; \
+		open(".bench_build/base.json", "w").write(like[-1]) if like else \
+		print("bench-compare: no BENCH_TRAJECTORY.jsonl line for seed $(SEED) on", \
+			repr(env["cpu_model"]), "x", env["nproc"], "- nothing to compare")'
+	@if [ -f .bench_build/base.json ]; then \
+		bash bench/run.sh -compare .bench_build/base.json .bench_build/now.json; fi
 
 # The concurrent protocols (ring handoffs, in-band Apply, the shard
 # window flush) are the ones most worth racing; run the whole tree so

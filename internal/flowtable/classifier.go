@@ -4,6 +4,9 @@
 // dl_type, L4 for non-TCP/UDP/ICMP, the ARP opcode riding in nw_proto,
 // CIDR prefixes), so they never enter a hash key: the index only narrows
 // the candidates and Matches stays the sole authority on each of them.
+// A subtable that pins in_port first checks a bitmap of the ports its
+// rules name (OVS's staged lookup), so a spoof on a port no rule names
+// skips it without hashing.
 package flowtable
 
 import (
@@ -35,6 +38,36 @@ type subtable struct {
 	// walk over the subtable); a stale bound only weakens the early exit.
 	maxPrio uint16
 	heads   map[subKey]*Entry
+	// ports and portRules are the port stage of a shape that pins
+	// in_port: bit p of ports is set while portRules[p], the number of
+	// rules here naming port p, is nonzero. ports grows to the highest
+	// port named, so a subtable made and dropped with one rule stays cheap.
+	ports     []uint64
+	portRules map[uint16]int
+}
+
+// names reports whether a packet on inPort can match a rule here: false
+// only when the shape pins in_port and no rule names that port.
+func (s *subtable) names(inPort uint16) bool {
+	w := int(inPort / 64)
+	return s.portRules == nil || w < len(s.ports) && s.ports[w]&(1<<(inPort%64)) != 0
+}
+
+// countPort adds d (±1) to port's rule count, keeping its bit in step.
+func (s *subtable) countPort(port uint16, d int) {
+	if s.portRules == nil {
+		return
+	}
+	w, bit := int(port/64), uint64(1)<<(port%64)
+	if s.portRules[port] += d; s.portRules[port] == 0 {
+		delete(s.portRules, port)
+		s.ports[w] &^= bit
+		return
+	}
+	if w >= len(s.ports) {
+		s.ports = append(s.ports, make([]uint64, w+1-len(s.ports))...)
+	}
+	s.ports[w] |= bit
 }
 
 func (s *subtable) key(inPort uint16, dlSrc, dlDst netpkt.MAC, dlType uint16) subKey {
@@ -70,20 +103,26 @@ func (e *Entry) before(o *Entry) bool {
 	return e.Priority > o.Priority || e.Priority == o.Priority && e.seq < o.seq
 }
 
-// find returns the first rule in match order that p satisfies. It writes
-// nothing, so any number of readers may run it between mutations.
+// find returns the first rule in match order that p satisfies, and how
+// many subtables it hashed into on the way (the port stage's witness).
+// It writes nothing, so any number of readers may run it between
+// mutations.
 //
 // Subtables are visited by descending maxPrio: once the bound of the
 // next one is below the best candidate's priority nothing further can
 // win. An equal bound must still be visited, because an equal-priority
-// rule there may have been installed first.
-func (c *classifier) find(p *netpkt.Packet, inPort uint16) *Entry {
-	var best *Entry
+// rule there may have been installed first. A subtable whose port
+// stage does not name inPort holds no rule p can match and is skipped.
+func (c *classifier) find(p *netpkt.Packet, inPort uint16) (best *Entry, probed int) {
 	for i := range c.subs {
 		s := &c.subs[i]
 		if best != nil && s.maxPrio < best.Priority {
 			break
 		}
+		if !s.names(inPort) {
+			continue
+		}
+		probed++
 		for e := s.heads[s.key(inPort, p.EthSrc, p.EthDst, p.EthType)]; e != nil && (best == nil || e.before(best)); e = e.next {
 			if e.Match.Matches(p, inPort) {
 				best = e
@@ -91,7 +130,7 @@ func (c *classifier) find(p *netpkt.Packet, inPort uint16) *Entry {
 			}
 		}
 	}
-	return best
+	return best, probed
 }
 
 // get resolves a strict identity — OpenFlow's "identical match and
@@ -119,11 +158,14 @@ func (c *classifier) insert(e *Entry) {
 	i := c.subIndex(&e.Match)
 	if i < 0 {
 		i = len(c.subs)
-		c.subs = append(c.subs, subtable{
-			shape: e.Match.Wildcards & shapeBits, maxPrio: e.Priority, heads: make(map[subKey]*Entry),
-		})
+		s := subtable{shape: e.Match.Wildcards & shapeBits, maxPrio: e.Priority, heads: make(map[subKey]*Entry)}
+		if s.shape&openflow.WildInPort == 0 {
+			s.portRules = make(map[uint16]int)
+		}
+		c.subs = append(c.subs, s)
 	}
 	s := &c.subs[i]
+	s.countPort(e.Match.InPort, 1)
 	k := s.ruleKey(&e.Match)
 	if head := s.heads[k]; head == nil || e.before(head) {
 		e.next = head
@@ -149,6 +191,7 @@ func (c *classifier) insert(e *Entry) {
 func (c *classifier) remove(e *Entry) {
 	i := c.subIndex(&e.Match)
 	s := &c.subs[i]
+	s.countPort(e.Match.InPort, -1)
 	k := s.ruleKey(&e.Match)
 	if s.heads[k] == e {
 		if e.next == nil {

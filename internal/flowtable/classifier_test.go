@@ -2,6 +2,8 @@ package flowtable
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -122,13 +124,17 @@ var (
 	oracleTOS    = []uint8{0, 0x20}
 	oraclePrefix = []int{0, 8, 24, 25, 32}
 	oraclePrios  = []uint16{0, 10, 10, 20, 65535}
+	// Rules name in_ports at the port stage's word edges; packets also
+	// arrive on ports no rule can name (0, 4, 62, 65534).
+	oracleRulePorts = []uint16{1, 2, 3, 63, 64, 65535}
+	oraclePktPorts  = []uint16{0, 1, 2, 3, 4, 62, 63, 64, 65534, 65535}
 )
 
 func (s *opStream) match() openflow.Match {
 	m := openflow.Match{
 		// All ten single-bit wildcards, independently.
 		Wildcards: uint32(s.n(256)) | uint32(s.n(4))<<20,
-		InPort:    uint16(1 + s.n(3)),
+		InPort:    oracleRulePorts[s.n(len(oracleRulePorts))],
 		DlSrc:     oracleMACs[s.n(len(oracleMACs))],
 		DlDst:     oracleMACs[s.n(len(oracleMACs))],
 		DlVLAN:    oracleVLANs[s.n(len(oracleVLANs))],
@@ -166,7 +172,7 @@ func (s *opStream) packet() (netpkt.Packet, uint16) {
 	if p.EthType == netpkt.EtherTypeARP {
 		p.ARPOp = uint16(1 + s.n(2))
 	}
-	return p, uint16(1 + s.n(3))
+	return p, oraclePktPorts[s.n(len(oraclePktPorts))]
 }
 
 // runOracle plays one op stream against a fresh Table and the linear
@@ -257,6 +263,7 @@ func runOracle(t *testing.T, data []byte) {
 				t.Fatalf("op %d: Lookup = cookie %d, oracle %d (%v port %d)", s.i, got, want, &p, inPort)
 			}
 		}
+		checkPortStage(t, tbl, op, s.i)
 		got := tbl.Entries()
 		if len(got) != len(ref.entries) || tbl.Len() != len(ref.entries) || indexed(tbl) != len(ref.entries) {
 			t.Fatalf("op %d %s: %d rules (%d indexed), oracle %d", s.i, op, len(got), indexed(tbl), len(ref.entries))
@@ -283,6 +290,45 @@ func indexed(tbl *Table) int {
 		}
 	}
 	return n
+}
+
+// checkPortStage holds every subtable's port stage to the rules it
+// indexes: a shape that pins in_port counts exactly the rules naming
+// each port and sets exactly the bits of ports with a nonzero count
+// (a delete that takes a port to zero clears its bit); a shape that
+// wildcards in_port has no stage.
+func checkPortStage(t *testing.T, tbl *Table, op string, at int) {
+	t.Helper()
+	for i := range tbl.cls.subs {
+		sub := &tbl.cls.subs[i]
+		if sub.shape&openflow.WildInPort != 0 {
+			if sub.ports != nil || sub.portRules != nil {
+				t.Fatalf("op %d %s: in_port-wildcarded subtable %#x has a port stage", at, op, sub.shape)
+			}
+			continue
+		}
+		want := map[uint16]int{}
+		for _, head := range sub.heads {
+			for e := head; e != nil; e = e.next {
+				want[e.Match.InPort]++
+			}
+		}
+		if !maps.Equal(sub.portRules, want) {
+			t.Fatalf("op %d %s: subtable %#x counts %v, rules name %v", at, op, sub.shape, sub.portRules, want)
+		}
+		set := 0
+		for _, w := range sub.ports {
+			set += bits.OnesCount64(w)
+		}
+		for p := range want {
+			if !sub.names(p) {
+				t.Fatalf("op %d %s: subtable %#x: port %d has rules but no bit", at, op, sub.shape, p)
+			}
+		}
+		if set != len(want) {
+			t.Fatalf("op %d %s: subtable %#x has %d port bits for %d named ports", at, op, sub.shape, set, len(want))
+		}
+	}
 }
 
 // TestClassifierMatchesLinearOracle drives seeded random interleavings
@@ -409,6 +455,60 @@ func TestClassifierStructureFloodInstall(t *testing.T) {
 	}
 	if got := len(tbl.cls.subs); got != 1 || tbl.Len() != 10000 {
 		t.Fatalf("after deleting the exact rules: %d subtables, %d rules; want 1, 10000", got, tbl.Len())
+	}
+}
+
+// TestPortStageSkipsUnnamedPorts is the port stage's witness, a count
+// rather than a clock: against the flood_install rule set plus a second
+// port-pinned shape, a spoof on a port no rule names hashes into the
+// in_port-wildcarded subtable alone, and one on a named port also into
+// each port-pinned subtable naming it. Deleting a port's last rule
+// takes that port back to one probe.
+func TestPortStageSkipsUnnamedPorts(t *testing.T) {
+	tbl := floodInstallTable(t, 32, 1000) // exact rules on ports 1..4, dl_dst rules on any port
+	now := time.Unix(1000, 0)
+	typed := openflow.MatchAll()
+	typed.Wildcards &^= openflow.WildInPort | openflow.WildDlType
+	typed.InPort, typed.DlType = 3, netpkt.EtherTypeARP
+	typedAdd := openflow.FlowMod{Command: openflow.FlowAdd, Match: typed, Priority: 100,
+		Actions: []openflow.Action{openflow.Output(2)}}
+	if _, err := tbl.Apply(typedAdd, now); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tbl.cls.subs); got != 3 {
+		t.Fatalf("%d subtables, want 3 (exact, in_port+dl_type, dl_dst)", got)
+	}
+	spoof := mfPacket(0x0b000001, 0x0c000001, 80)
+	for _, c := range []struct {
+		port   uint16
+		probes int
+	}{{9, 1}, {0, 1}, {5, 1}, {65535, 1}, {1, 2}, {4, 2}, {3, 3}} {
+		e, probed := tbl.cls.find(&spoof, c.port)
+		if e != nil {
+			t.Fatalf("port %d: the spoof matched %v", c.port, e)
+		}
+		if probed != c.probes {
+			t.Errorf("port %d: %d subtables probed, want %d", c.port, probed, c.probes)
+		}
+	}
+	typedDel := typedAdd
+	typedDel.Command, typedDel.OutPort = openflow.FlowDeleteStrict, openflow.PortNone
+	if _, err := tbl.Apply(typedDel, now); err != nil {
+		t.Fatal(err)
+	}
+	// Port 4 names exact rules 3, 7, …, 31; delete them all.
+	for i, fm := range floodInstallRules(32, 0) {
+		if i%4 == 3 {
+			fm.Command, fm.OutPort = openflow.FlowDeleteStrict, openflow.PortNone
+			if _, err := tbl.Apply(fm, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for port, want := range map[uint16]int{4: 1, 3: 2, 9: 1} {
+		if _, probed := tbl.cls.find(&spoof, port); probed != want {
+			t.Errorf("after the deletes, port %d: %d subtables probed, want %d", port, probed, want)
+		}
 	}
 }
 

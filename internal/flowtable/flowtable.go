@@ -59,24 +59,17 @@ type Removed struct {
 // flood — every packet a fresh tuple — can only ever miss such a cache
 // (DESIGN.md §17).
 //
-// Every Lookup increments exactly one of matched/missed, so Lookups is
-// a derived sum that a metrics scrape can read race-free from another
-// goroutine.
+// The table keeps no lookup counters: each caller of Lookup already
+// counts its two outcomes (a switch's forwarded/missed, an rtc shard's
+// forwarded/misses), and a second tally here cost the packet path a
+// locked add per lookup.
 type Table struct {
 	capacity int
 	entries  []*Entry // sorted by (priority desc, seq asc)
 	nextSeq  uint64
 	cls      classifier // the same rules, indexed (see classifier.go)
 
-	matched   telemetry.Counter // lookups that found a rule
-	missed    telemetry.Counter // table misses
-	ruleCount telemetry.Gauge   // mirrors len(entries) for scrape goroutines
-}
-
-// Stats is a counter snapshot of the table.
-type Stats struct {
-	Lookups uint64
-	Matched uint64
+	ruleCount telemetry.Gauge // mirrors len(entries) for scrape goroutines
 }
 
 // New returns a table bounded to capacity rules (0 = unbounded).
@@ -84,21 +77,12 @@ func New(capacity int) *Table {
 	return &Table{capacity: capacity}
 }
 
-// Stats returns the counter snapshot. It reads only atomics, so it is
-// safe from any goroutine.
-func (t *Table) Stats() Stats {
-	m := t.matched.Value()
-	return Stats{Lookups: m + t.missed.Value(), Matched: m}
-}
-
-// Register attaches the table's counters to reg under the given metric
-// name prefix (e.g. "fg_flowtable").
+// Register attaches the table's rule-count gauge to reg under the given
+// metric name prefix (e.g. "fg_flowtable").
 func (t *Table) Register(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc(prefix+"_lookups_total", "Flow table lookups.", t.Lookups)
-	reg.RegisterCounter(prefix+"_matched_total", "Lookups that found a rule.", &t.matched)
 	reg.GaugeFunc(prefix+"_rules",
 		"Installed flow rules (updated on mutation).", func() float64 {
 			return float64(t.ruleCount.Value())
@@ -114,12 +98,6 @@ func (t *Table) Len() int { return len(t.entries) }
 // RuleCount returns the installed rule count from the gauge mirrored at
 // mutation points — unlike Len, safe to call from any goroutine.
 func (t *Table) RuleCount() int { return int(t.ruleCount.Value()) }
-
-// Lookups returns the total number of Lookup calls.
-func (t *Table) Lookups() uint64 { return t.matched.Value() + t.missed.Value() }
-
-// Matched returns the number of Lookup calls that found a rule.
-func (t *Table) Matched() uint64 { return t.matched.Value() }
 
 // Entries returns a snapshot of the rules in match order.
 func (t *Table) Entries() []*Entry {
@@ -207,15 +185,13 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 }
 
 // Lookup finds the highest-priority rule matching p on inPort, updating
-// counters. It returns nil on a table miss. Nothing is remembered
+// its counters. It returns nil on a table miss. Nothing is remembered
 // between lookups, so an add or delete is visible to the very next one.
 func (t *Table) Lookup(p *netpkt.Packet, inPort uint16, now time.Time, frameLen int) *Entry {
-	e := t.cls.find(p, inPort)
+	e, _ := t.cls.find(p, inPort)
 	if e == nil {
-		t.missed.Inc()
 		return nil
 	}
-	t.matched.Inc()
 	e.Packets++
 	e.Bytes += uint64(frameLen)
 	e.LastMatched = now
@@ -225,7 +201,8 @@ func (t *Table) Lookup(p *netpkt.Packet, inPort uint16, now time.Time, frameLen 
 // Peek is Lookup without counter updates (used by the cache-resident-rules
 // design option to test coverage without consuming the rule).
 func (t *Table) Peek(p *netpkt.Packet, inPort uint16) *Entry {
-	return t.cls.find(p, inPort)
+	e, _ := t.cls.find(p, inPort)
+	return e
 }
 
 // Expire removes idle- and hard-timed-out rules as of now.

@@ -34,7 +34,7 @@ import (
 )
 
 // Sharded is a flow table partitioned by in_port%N shard ownership.
-// The aggregate methods (RuleCount, Stats, Register) read only atomics
+// The aggregate methods (RuleCount, Register) read only atomics
 // and are safe from any goroutine; everything touching a partition's
 // rule list (Apply, Lookup via Partition) is subject to that partition's
 // single-owner contract.
@@ -106,25 +106,12 @@ func (s *Sharded) RuleCount() int {
 	return n
 }
 
-// Stats sums the partition counter snapshots (atomics only).
-func (s *Sharded) Stats() Stats {
-	var sum Stats
-	for _, t := range s.parts {
-		st := t.Stats()
-		sum.Lookups += st.Lookups
-		sum.Matched += st.Matched
-	}
-	return sum
-}
-
 // Register attaches aggregate counters to reg under the given prefix.
 // Every series is a pull-through sum over the partitions' atomics.
 func (s *Sharded) Register(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc(prefix+"_lookups_total", "Flow table lookups.", func() uint64 { return s.Stats().Lookups })
-	reg.CounterFunc(prefix+"_matched_total", "Lookups that found a rule.", func() uint64 { return s.Stats().Matched })
 	reg.GaugeFunc(prefix+"_rules", "Installed flow rules summed over partitions (broadcast rules count once per partition).", func() float64 {
 		return float64(s.RuleCount())
 	})

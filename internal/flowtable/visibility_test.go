@@ -188,12 +188,11 @@ func TestMicroflowMissNeverStored(t *testing.T) {
 		t.Fatal("empty table matched")
 	}
 	mfAdd(t, tbl, &other, 1, 10, nil, now) // out of a's scope
-	before := tbl.Stats()
 	if e := tbl.Lookup(&a, 1, now, 64); e != nil {
 		t.Fatal("unrelated add made the miss a hit")
 	}
-	if st := tbl.Stats(); st.Lookups != before.Lookups+1 || st.Matched != before.Matched {
-		t.Errorf("repeated miss not counted as one: before %+v after %+v", before, st)
+	if e := tbl.Peek(&other, 1); e.Packets != 0 {
+		t.Errorf("a miss was charged to an unrelated rule: %d packets", e.Packets)
 	}
 	mfAdd(t, tbl, &a, 1, 10, nil, now) // covering add
 	if e := tbl.Lookup(&a, 1, now, 64); e == nil {
@@ -209,15 +208,16 @@ func TestMicroflowCacheIgnoresMissFlood(t *testing.T) {
 	pkt := mfPacket(0x0a000001, 0x0a000002, 80)
 	mfAdd(t, tbl, &pkt, 1, 10, nil, now)
 	prime(t, tbl, &pkt, now)
-	before := tbl.Stats()
+	rule := tbl.Peek(&pkt, 1)
+	before := rule.Packets
 	for i := 0; i < 1000; i++ {
 		p := mfPacket(0x0b000000+uint32(i), 0x0a000002, 80)
 		if tbl.Lookup(&p, 1, now, 64) != nil {
 			t.Fatal("spoofed tuple matched")
 		}
 	}
-	if st := tbl.Stats(); st.Matched != before.Matched || st.Lookups != before.Lookups+1000 || tbl.Len() != 1 {
-		t.Fatalf("miss flood disturbed the table: before %+v after %+v, %d rules", before, st, tbl.Len())
+	if rule.Packets != before || tbl.Len() != 1 {
+		t.Fatalf("miss flood disturbed the table: rule packets %d -> %d, %d rules", before, rule.Packets, tbl.Len())
 	}
 	if tbl.Lookup(&pkt, 1, now, 64) == nil {
 		t.Fatal("covered flow lost its rule to the miss flood")
@@ -239,9 +239,6 @@ func TestMicroflowCacheCountsPerPacket(t *testing.T) {
 	// Repeats of one tuple must keep per-rule counters exact.
 	if e.Packets != 5 || e.Bytes != 500 {
 		t.Fatalf("counters diverged: packets=%d bytes=%d", e.Packets, e.Bytes)
-	}
-	if got := tbl.Matched(); got != 5 {
-		t.Fatalf("table matched counter = %d, want 5", got)
 	}
 }
 

@@ -109,8 +109,8 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("manual-mode shard body with cache ingest allocates %v per packet, want 0", a)
 		}
-		if st := e.CacheStats(); st.Enqueued != s.misses.Load() || st.Emitted == 0 {
-			t.Errorf("cache enqueued %d of %d misses, emitted %d", st.Enqueued, s.misses.Load(), st.Emitted)
+		if st := e.CacheStats(); st.Enqueued != s.n.misses || st.Emitted == 0 {
+			t.Errorf("cache enqueued %d of %d misses, emitted %d", st.Enqueued, s.n.misses, st.Emitted)
 		}
 	})
 }

@@ -184,7 +184,7 @@ func TestApplyRoundTripSerial(t *testing.T) {
 // TestApplyChurnRace soaks the partitioned engine's full concurrency
 // surface under the race detector: per-shard packet producers, a
 // control-plane goroutine churning rules through Apply (including
-// broadcasts), and a scraper reading Snapshot/TableRules/TableStats —
+// broadcasts), and a scraper reading Snapshot/TableRules/Counters —
 // all at once. A live scrape may land between any two packets, so what
 // it can hold the counters to is monotonicity; conservation is exact
 // once Stop has returned.
@@ -255,7 +255,7 @@ func TestApplyChurnRace(t *testing.T) {
 			}
 			last = s
 			_ = e.TableRules()
-			_ = e.TableStats()
+			_, _, _, _ = e.Counters()
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()

@@ -26,10 +26,11 @@ func mutexWaits() int64 {
 // warmShard builds a one-shard engine holding the shard-body working
 // set — 48 installed benign flows and 16 spoofed tuples in a 3:1 mix —
 // and runs it once so the attribution sketches are warm. It returns a
-// drain func that empties the shard→cache ring (same-goroutine drain is
-// legal: SPSC needs *one* producer and *one* consumer, and a caller
-// driving processOne by hand is both); in manual mode there is no ring
-// and it does nothing.
+// drain func that ends the batch as the shard loop does (publish, which
+// commits the reserved ring slots) and empties the shard→cache ring
+// (same-goroutine drain is legal: SPSC needs *one* producer and *one*
+// consumer, and a caller driving processOne by hand is both); in manual
+// mode there is no ring and it only publishes.
 func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, drain func()) {
 	tb.Helper()
 	cfg.Shards, cfg.CacheRingCapacity = 1, 8192
@@ -52,6 +53,7 @@ func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, dr
 	}
 	buf := make([]CacheItem, 256)
 	drain = func() {
+		s.publish() // the batch end: commits the reserved ring slots
 		for s.toCache != nil && s.toCache.PopBatch(buf) > 0 {
 		}
 	}
@@ -113,7 +115,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 		defer close(scraped)
 		for !stop.Load() {
 			_ = e.Snapshot()
-			_ = e.TableStats()
+			_, _, _, _ = e.Counters()
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -134,7 +136,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 	stop.Store(true)
 	<-scraped
 	b.ReportMetric(float64(waits), "mutexwaits")
-	if s.forwarded.Load()+s.misses.Load() == 0 {
+	if s.n.forwarded+s.n.misses == 0 {
 		b.Fatal("no packets processed")
 	}
 }
@@ -156,8 +158,8 @@ func BenchmarkShardPerPacketFreshSources(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if s.misses.Load() < uint64(b.N/4) {
-		b.Fatalf("%d misses over %d packets, want every spoof to miss", s.misses.Load(), b.N)
+	if s.n.misses < uint64(b.N/4) {
+		b.Fatalf("%d misses over %d packets, want every spoof to miss", s.n.misses, b.N)
 	}
 }
 
@@ -166,7 +168,7 @@ func BenchmarkShardPerPacketFreshSources(b *testing.B) {
 // packets a strict-delete/re-add pair for a served benign flow arrives
 // in-band through the shard's control ring (pushCtrl + drainCtrl, the
 // exact path a running engine takes at batch tops), while a concurrent
-// scraper reads Snapshot/TableStats. It reports the mutex-profile
+// scraper reads Snapshot/Counters. It reports the mutex-profile
 // contention delta and the flow_mods applied; the 0 allocs/op budget is
 // a tier-1 test (TestShardBodyAllocatesNothing).
 func BenchmarkShardChurnBody(b *testing.B) {
@@ -180,7 +182,7 @@ func BenchmarkShardChurnBody(b *testing.B) {
 		defer close(scraped)
 		for !stop.Load() {
 			_ = e.Snapshot()
-			_ = e.TableStats()
+			_, _, _, _ = e.Counters()
 			_ = e.TableRules()
 			time.Sleep(100 * time.Microsecond)
 		}

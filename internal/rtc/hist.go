@@ -6,14 +6,16 @@ import (
 	"time"
 )
 
-// latBuckets is the octave count of the latency histogram: bucket i
-// holds samples in [2^i, 2^(i+1)) nanoseconds, so 40 octaves span one
-// nanosecond to ~18 minutes — more than any pipeline latency in play.
+// latBuckets is the octave count of the latency histogram. observe
+// buckets a sample by bits.Len64, so bucket 0 holds 0 ns and bucket i
+// holds [2^(i-1), 2^i) nanoseconds; the top bucket starts at 2^38 ns
+// (≈ 4.6 minutes) and also takes everything above it — far beyond any
+// pipeline latency in play.
 const latBuckets = 40
 
 // latHist is a log2-octave latency histogram. Writes are atomic so a
 // shard can record while a snapshot reads; the sampled write rate (one
-// packet in LatencySample) keeps the atomic cost off the per-packet
+// packet in DefaultLatencySample) keeps the atomic cost off the per-packet
 // budget.
 type latHist struct {
 	buckets [latBuckets]atomic.Uint64

@@ -9,8 +9,9 @@
 // ring-buffer handoff to the data plane cache stage.
 //
 // The per-packet shard path takes zero locks and performs zero
-// allocations, hit or miss: the only shared-memory traffic is the
-// shard's own statistic counters.
+// allocations, hit or miss. Its counts are plain fields, published with
+// the batch's shard→cache ring slots once per ingress batch and at every
+// flush (DESIGN.md §12, "Counter publication").
 // Shared state is reconciled at window boundaries only — the shard
 // folds its attribution deltas (count-min cells, heavy-hitter
 // candidates, per-port sample counts) into the shared Attributor via
@@ -169,8 +170,7 @@ func (c *Config) normalize() {
 
 // Shard is one run-to-completion worker: it owns its table partition,
 // its attribution observer, its statistics and, against the wall clock,
-// its goroutine and rings. All per-packet state is goroutine-local; the
-// counters are atomics only so snapshots can read them live.
+// its goroutine and rings. All per-packet state is goroutine-local.
 type Shard struct {
 	id  int
 	eng *Engine
@@ -190,22 +190,44 @@ type Shard struct {
 
 	obs *attrib.ShardObserver
 
-	// Every packet bumps exactly one of these two; processed is their sum,
-	// derived on read, so no reader can catch it between two adds.
-	forwarded  atomic.Uint64
-	misses     atomic.Uint64
-	cacheDrops atomic.Uint64
-	flushes    atomic.Uint64
-	applied    atomic.Uint64
-	applyErrs  atomic.Uint64
-	synAcked   atomic.Uint64
-	guardDrops atomic.Uint64
+	// n is the packet accounting, written by the shard's owner alone;
+	// pub is the copy publish stores once per batch for every other reader.
+	n   shardCounts
+	pub struct{ forwarded, misses, cacheDrops, synAcked, guardDrops atomic.Uint64 }
+
+	flushes   atomic.Uint64
+	applied   atomic.Uint64
+	applyErrs atomic.Uint64
 
 	// jrec is this shard's journal recorder (nil when no journal is
 	// attached; Record on nil is a no-op).
 	jrec *journal.Recorder
 
 	lat latHist
+}
+
+// shardCounts is a shard's packet accounting. Every packet bumps exactly
+// one of forwarded and misses; processed is their sum, derived on read.
+type shardCounts struct {
+	forwarded, misses, cacheDrops, synAcked, guardDrops uint64
+}
+
+// publish commits the batch's ring slots and stores the counters the
+// batch changed (each store is a fence). Owner only.
+func (s *Shard) publish() {
+	if s.toCache != nil {
+		s.toCache.Commit()
+	}
+	store := func(a *atomic.Uint64, v uint64) {
+		if a.Load() != v {
+			a.Store(v)
+		}
+	}
+	store(&s.pub.forwarded, s.n.forwarded)
+	store(&s.pub.misses, s.n.misses)
+	store(&s.pub.cacheDrops, s.n.cacheDrops)
+	store(&s.pub.synAcked, s.n.synAcked)
+	store(&s.pub.guardDrops, s.n.guardDrops)
 }
 
 // Ring returns the shard's ingress ring (nil in manual mode). Exactly
@@ -360,13 +382,25 @@ func (e *Engine) Attributor() *attrib.Attributor { return e.attr }
 func (e *Engine) TCPGuard() *tcpguard.Guard { return e.guard }
 
 // GuardCounters sums the shard-level SYN-proxy accounting: cookie
-// SYN-ACKs answered and invalid segments dropped on the miss path.
+// SYN-ACKs answered and invalid segments dropped on the miss path, read
+// like Counters.
 func (e *Engine) GuardCounters() (synAcked, guardDropped uint64) {
+	e.publishManual()
 	for _, s := range e.shards {
-		synAcked += s.synAcked.Load()
-		guardDropped += s.guardDrops.Load()
+		synAcked += s.pub.synAcked.Load()
+		guardDropped += s.pub.guardDrops.Load()
 	}
 	return
+}
+
+// publishManual publishes every shard in manual mode, whose caller owns
+// the shards; against the wall clock only the shard goroutines publish.
+func (e *Engine) publishManual() {
+	if e.cfg.Manual {
+		for _, s := range e.shards {
+			s.publish()
+		}
+	}
 }
 
 // Cache exposes the data plane cache. It is owned by the cache stage:
@@ -458,16 +492,17 @@ func (e *Engine) Advance(d time.Duration) {
 	e.cfg.Journal.Drain()
 }
 
-// Counters returns the engine-wide packet accounting from the shard
-// atomics: processed, forwarded, misses, and shard→cache ring drops.
-// Safe from any goroutine; reading them after an external quiescence
-// barrier (all injected packets observed processed) yields exact
-// values with proper happens-before edges.
+// Counters returns the engine-wide packet accounting: processed,
+// forwarded, misses, and shard→cache ring drops. Against the wall clock
+// it is safe from any goroutine and reads what each shard last
+// published: whole batches, exact once every injected packet was
+// observed processed. In manual mode it publishes first.
 func (e *Engine) Counters() (processed, forwarded, misses, ringDrops uint64) {
+	e.publishManual()
 	for _, s := range e.shards {
-		forwarded += s.forwarded.Load()
-		misses += s.misses.Load()
-		ringDrops += s.cacheDrops.Load()
+		forwarded += s.pub.forwarded.Load()
+		misses += s.pub.misses.Load()
+		ringDrops += s.pub.cacheDrops.Load()
 	}
 	return forwarded + misses, forwarded, misses, ringDrops
 }
@@ -483,7 +518,8 @@ func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 // run is the wall-clock shard loop: drain any in-band control events,
 // then a batched pop from the ingress ring and each packet end-to-end.
 // One time.Now per batch serves lookup stamps and the window-boundary
-// check. An idle shard parks in Wait; Apply wakes it through the
+// check, and one publish per batch (or the flush) hands its misses and
+// counts on before the shard can park in Wait; Apply wakes it through the
 // ingress ring so queued flow_mods never wait on traffic.
 func (s *Shard) run() {
 	defer s.eng.wgShards.Done()
@@ -517,6 +553,8 @@ func (s *Shard) run() {
 		if now.After(nextFlush) {
 			s.flush()
 			nextFlush = now.Add(window)
+		} else {
+			s.publish()
 		}
 	}
 }
@@ -524,7 +562,7 @@ func (s *Shard) run() {
 // processOne carries one packet end-to-end on the caller's goroutine —
 // the run-to-completion body, shared by the wall-clock shard loop and
 // manual mode's InjectItem. It takes zero locks and allocates nothing,
-// hit or miss.
+// hit or miss; a miss goes straight into a reserved ring slot.
 func (s *Shard) processOne(it *Item, now time.Time) {
 	p := &it.Pkt
 	// Ingress classification runs here even though only the cache uses
@@ -534,21 +572,25 @@ func (s *Shard) processOne(it *Item, now time.Time) {
 	if entry := s.part.Lookup(p, it.InPort, now, p.WireLen()); entry != nil {
 		// Forwarded: in a hardware datapath the actions would be executed
 		// here; the engine accounts them and moves on.
-		s.forwarded.Add(1)
+		s.n.forwarded++
 	} else {
-		s.misses.Add(1)
+		s.n.misses++
 		s.obs.Observe(datapathID, it.InPort, p)
 		if !s.guardConsumed(p, it.InPort) {
-			tagged := *p
-			tagged.NwTOS = dpcache.EncodeInPortTOS(it.InPort)
 			if s.toCache == nil {
 				// Manual mode: the caller is the cache stage too.
+				tagged := *p
+				tagged.NwTOS = dpcache.EncodeInPortTOS(it.InPort)
 				s.eng.cache.Ingest(datapathID, tagged)
-			} else if !s.toCache.Push(CacheItem{Origin: datapathID, Pkt: tagged}) {
-				d := s.cacheDrops.Add(1)
+			} else if slot := s.toCache.Reserve(); slot != nil {
+				slot.Origin = datapathID
+				slot.Pkt = *p
+				slot.Pkt.NwTOS = dpcache.EncodeInPortTOS(it.InPort)
+			} else {
+				s.n.cacheDrops++
 				// Power-of-two sampled: a sustained overload journals
 				// O(log drops) events, not one per packet.
-				if d&(d-1) == 0 {
+				if d := s.n.cacheDrops; d&(d-1) == 0 {
 					s.jrec.Record(journal.KindRingDrop, 0, 0, datapathID, it.InPort, float64(d), 0, 0)
 				}
 			}
@@ -572,25 +614,26 @@ func (s *Shard) guardConsumed(p *netpkt.Packet, inPort uint16) bool {
 	}
 	switch g.Process(s.id, datapathID, inPort, p) {
 	case tcpguard.ActionAnswer:
-		n := s.synAcked.Add(1)
+		s.n.synAcked++
 		// Power-of-two sampled, like ring drops: a SYN flood journals
 		// O(log answered) cookie events.
-		if n&(n-1) == 0 {
+		if n := s.n.synAcked; n&(n-1) == 0 {
 			s.jrec.Record(journal.KindTCPCookie, 0, 0, datapathID, inPort, float64(n), 0, 0)
 		}
 		return true
 	case tcpguard.ActionDrop:
-		s.guardDrops.Add(1)
+		s.n.guardDrops++
 		return true
 	}
 	return false
 }
 
-// flush is the shard's window barrier: fold its attribution deltas
-// into the shared Attributor, sweep its guard connection table
+// flush is the shard's window barrier: publish, fold its attribution
+// deltas into the shared Attributor, sweep its guard connection table
 // (idle/closed eviction) and journal the heartbeat. Shard goroutine
 // only (in manual mode, the harness through Engine.Flush).
 func (s *Shard) flush() {
+	s.publish()
 	s.obs.Flush()
 	if g := s.eng.guard; g != nil {
 		g.FlushShard(s.id)
@@ -604,7 +647,7 @@ func (s *Shard) flush() {
 func (s *Shard) noteFlush() {
 	s.flushes.Add(1)
 	s.jrec.Record(journal.KindShardFlush, 0, 0, datapathID, uint16(s.id),
-		float64(s.forwarded.Load()+s.misses.Load()), float64(s.misses.Load()), float64(s.cacheDrops.Load()))
+		float64(s.n.forwarded+s.n.misses), float64(s.n.misses), float64(s.n.cacheDrops))
 }
 
 // cacheLoop is the wall-clock cache-stage goroutine: it drains every
@@ -661,23 +704,25 @@ func (e *Engine) cacheLoop() {
 }
 
 // Snapshot merges the per-shard counters and latency histograms with
-// the cache stage's stats. Safe to call live; exact once Stop returned.
+// the cache stage's stats. Safe to call live, where it reads what the
+// shards last published (see Counters); exact once Stop returned.
 func (e *Engine) Snapshot() Snapshot {
 	var snap Snapshot
 	var merged [latBuckets]uint64
+	e.publishManual()
 	snap.Shards = make([]ShardStats, len(e.shards))
 	for i, s := range e.shards {
-		fwd, miss := s.forwarded.Load(), s.misses.Load()
+		fwd, miss := s.pub.forwarded.Load(), s.pub.misses.Load()
 		st := ShardStats{
 			Processed:    fwd + miss,
 			Forwarded:    fwd,
 			Misses:       miss,
-			CacheDrops:   s.cacheDrops.Load(),
+			CacheDrops:   s.pub.cacheDrops.Load(),
 			Flushes:      s.flushes.Load(),
 			Applied:      s.applied.Load(),
 			ApplyErrs:    s.applyErrs.Load(),
-			SynAcked:     s.synAcked.Load(),
-			GuardDropped: s.guardDrops.Load(),
+			SynAcked:     s.pub.synAcked.Load(),
+			GuardDropped: s.pub.guardDrops.Load(),
 			Micro:        LookupStats{Hits: fwd, Misses: miss},
 		}
 		snap.Shards[i] = st
@@ -710,13 +755,13 @@ func (e *Engine) Register(reg *telemetry.Registry, prefix string) {
 			return n
 		}
 	}
-	reg.CounterFunc(prefix+"_processed_total", "Packets carried end-to-end by the shards.", sum(func(s *Shard) uint64 { return s.forwarded.Load() + s.misses.Load() }))
-	reg.CounterFunc(prefix+"_forwarded_total", "Packets matched and forwarded on the shard path.", sum(func(s *Shard) uint64 { return s.forwarded.Load() }))
-	reg.CounterFunc(prefix+"_missed_total", "Table-miss packets handed to the cache stage.", sum(func(s *Shard) uint64 { return s.misses.Load() }))
-	reg.CounterFunc(prefix+"_cache_ring_drops_total", "Misses dropped because the shard→cache ring was full.", sum(func(s *Shard) uint64 { return s.cacheDrops.Load() }))
+	reg.CounterFunc(prefix+"_processed_total", "Packets carried end-to-end by the shards.", sum(func(s *Shard) uint64 { return s.pub.forwarded.Load() + s.pub.misses.Load() }))
+	reg.CounterFunc(prefix+"_forwarded_total", "Packets matched and forwarded on the shard path.", sum(func(s *Shard) uint64 { return s.pub.forwarded.Load() }))
+	reg.CounterFunc(prefix+"_missed_total", "Table-miss packets handed to the cache stage.", sum(func(s *Shard) uint64 { return s.pub.misses.Load() }))
+	reg.CounterFunc(prefix+"_cache_ring_drops_total", "Misses dropped because the shard→cache ring was full.", sum(func(s *Shard) uint64 { return s.pub.cacheDrops.Load() }))
 	reg.CounterFunc(prefix+"_replayed_total", "Packets replayed to the controller by the cache stage.", e.replayed.Load)
-	reg.CounterFunc(prefix+"_tcp_synacked_total", "Cookie SYN-ACKs answered by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.synAcked.Load() }))
-	reg.CounterFunc(prefix+"_tcp_guard_dropped_total", "Invalid TCP segments dropped by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.guardDrops.Load() }))
+	reg.CounterFunc(prefix+"_tcp_synacked_total", "Cookie SYN-ACKs answered by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.pub.synAcked.Load() }))
+	reg.CounterFunc(prefix+"_tcp_guard_dropped_total", "Invalid TCP segments dropped by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.pub.guardDrops.Load() }))
 	reg.CounterFunc(prefix+"_flowmods_applied_total", "In-band flow_mods executed by the shards.", sum(func(s *Shard) uint64 { return s.applied.Load() }))
 	reg.CounterFunc(prefix+"_flowmod_errors_total", "In-band flow_mods that failed to apply.", sum(func(s *Shard) uint64 { return s.applyErrs.Load() }))
 	e.parts.Register(reg, prefix+"_table")

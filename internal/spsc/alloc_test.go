@@ -3,7 +3,8 @@ package spsc
 import "testing"
 
 // TestRingAllocatesNothing is the absolute witness for the ring's
-// 0 allocs/op budget: single push/pop and the 64-wide batch ops.
+// 0 allocs/op budget: single push/pop, the 64-wide batch ops and a
+// 64-slot Reserve/Commit batch.
 func TestRingAllocatesNothing(t *testing.T) {
 	r := New[uint64](1024)
 	if a := testing.AllocsPerRun(1000, func() {
@@ -21,5 +22,16 @@ func TestRingAllocatesNothing(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("PushBatch+PopBatch of 64 allocates %v, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		for k := 0; k < 64; k++ {
+			*r.Reserve() = 7
+		}
+		r.Commit()
+		if r.PopBatch(out) != 64 {
+			t.Fatal("short batch")
+		}
+	}); a != 0 {
+		t.Errorf("64 Reserves+Commit+PopBatch allocate %v, want 0", a)
 	}
 }

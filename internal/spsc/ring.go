@@ -2,8 +2,8 @@
 // buffer — the handoff primitive of the run-to-completion packet engine.
 // Exactly one goroutine may push and exactly one may pop; under that
 // contract every operation is wait-free for the producer and lock-free
-// for the consumer, and the hot paths (Push/Pop and their batched forms)
-// perform no allocation and take no mutex.
+// for the consumer, and the hot paths (Push/Pop, their batched forms and
+// Reserve/Commit) perform no allocation and take no mutex.
 //
 // The consumer's blocking wait is busy-poll-then-park: it spins briefly
 // (the common case under load — the ring refills within nanoseconds),
@@ -34,6 +34,9 @@ type cacheLinePad [64]byte
 // results are what they would be reading the shared index every time —
 // but while the ring is neither full nor empty a push touches only the
 // producer's cache line and a pop only the consumer's.
+//
+// Reserve/Commit is PushBatch in place: elements produced one at a time
+// are filled where they lie and published by one tail store, one fence.
 type Ring[T any] struct {
 	buf  []T
 	mask uint64
@@ -44,6 +47,7 @@ type Ring[T any] struct {
 	_        cacheLinePad
 	tail     atomic.Uint64 // next slot to push; advanced only by the producer
 	headSeen uint64        // producer-private: head at the producer's last look
+	reserved uint64        // producer-private: slots reserved past tail, not yet committed
 	_        cacheLinePad
 
 	closed atomic.Bool
@@ -102,6 +106,32 @@ func (r *Ring[T]) PushBatch(vs []T) int {
 		r.notify()
 	}
 	return int(n)
+}
+
+// Reserve claims the next free slot for the producer to overwrite in
+// place, or returns nil when the ring (reservations included) is full.
+// The consumer cannot see it until Commit, which must come before the
+// producer's next Push or PushBatch. Producer only.
+func (r *Ring[T]) Reserve() *T {
+	t := r.tail.Load() + r.reserved
+	if t-r.headSeen > r.mask {
+		if r.headSeen = r.head.Load(); t-r.headSeen > r.mask {
+			return nil
+		}
+	}
+	r.reserved++
+	return &r.buf[t&r.mask]
+}
+
+// Commit publishes every outstanding reservation with a single index
+// store. Producer only.
+func (r *Ring[T]) Commit() {
+	if r.reserved == 0 {
+		return
+	}
+	r.tail.Store(r.tail.Load() + r.reserved)
+	r.reserved = 0
+	r.notify()
 }
 
 // Pop dequeues one element. Consumer only.

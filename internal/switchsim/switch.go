@@ -425,8 +425,8 @@ func (s *Switch) handleControl(f openflow.Framed) {
 			MaxRules:     uint32(st.TableCapacity),
 			BufferUsed:   uint32(st.BufferUsed),
 			BufferSize:   uint32(st.BufferSlots),
-			LookupCount:  s.table.Lookups(),
-			MatchedCount: s.table.Matched(),
+			LookupCount:  st.Forwarded + st.Missed,
+			MatchedCount: st.Forwarded,
 			DroppedInput: st.DroppedNoRule,
 		}})
 	}

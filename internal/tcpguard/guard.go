@@ -97,7 +97,9 @@ func (c *Config) normalize() {
 // windows.
 const idleWindows = 4
 
-// Stats is a point-in-time aggregate across shards.
+// Stats aggregates the shards' counters as of each shard's last
+// FlushShard: every field is exact at flush barriers and monotone-stale
+// between them (Shards×PerShardCapacity and Window are always current).
 type Stats struct {
 	SynAnswered uint64 // cookie SYN-ACKs minted
 	Established uint64 // valid-cookie completions
@@ -112,22 +114,28 @@ type Stats struct {
 	Window      uint32 // current cookie window
 }
 
+// shardCounts is one guard shard's accounting. The owning shard
+// goroutine writes it in plain memory; FlushShard copies it into the
+// shard's published atomics, the only copy Stats reads.
+type shardCounts struct {
+	synAnswered, established, cookieFails, malformed uint64
+	dropped, untracked, evicted                      uint64
+	watermark                                        int
+}
+
 type guardShard struct {
 	table connTable
 	obs   Observer
 
-	synAnswered atomic.Uint64
-	established atomic.Uint64
-	cookieFails atomic.Uint64
-	malformed   atomic.Uint64
-	dropped     atomic.Uint64
-	untracked   atomic.Uint64
-	evicted     atomic.Uint64
-	occ         atomic.Int64
-	watermark   atomic.Int64
+	n   shardCounts
+	pub struct {
+		synAnswered, established, cookieFails, malformed atomic.Uint64
+		dropped, untracked, evicted                      atomic.Uint64
+		occ, watermark                                   atomic.Int64
+	}
 
-	// Pad the []guardShard stride to whole 64-byte cache lines (192 B),
-	// so neighbouring shards' counters never share one.
+	// Pad the []guardShard stride to whole 64-byte cache lines (256 B),
+	// so neighbouring shards' fields never share one.
 	_ [3]uint64
 }
 
@@ -165,15 +173,23 @@ func (g *Guard) SetShardObserver(i int, obs Observer) { g.shards[i].obs = obs }
 // AdvanceWindow moves to the next cookie window and returns it.
 func (g *Guard) AdvanceWindow() uint32 { return g.window.Add(1) }
 
-// FlushShard runs shard i's idle sweep against the current window.
-// Must be called on shard i's goroutine (rtc calls it on the flush
-// barrier; single-goroutine deployments call it directly).
+// FlushShard runs shard i's idle sweep against the current window and
+// publishes the shard's counters for Stats. Must be called on shard i's
+// goroutine (rtc calls it on the flush barrier; single-goroutine
+// deployments call it directly).
 func (g *Guard) FlushShard(i int) {
 	s := &g.shards[i]
-	if ev := s.table.sweep(g.window.Load()); ev > 0 {
-		s.evicted.Add(uint64(ev))
-	}
-	s.occ.Store(int64(s.table.n))
+	s.n.evicted += uint64(s.table.sweep(g.window.Load()))
+	p := &s.pub
+	p.synAnswered.Store(s.n.synAnswered)
+	p.established.Store(s.n.established)
+	p.cookieFails.Store(s.n.cookieFails)
+	p.malformed.Store(s.n.malformed)
+	p.dropped.Store(s.n.dropped)
+	p.untracked.Store(s.n.untracked)
+	p.evicted.Store(s.n.evicted)
+	p.occ.Store(int64(s.table.n))
+	p.watermark.Store(int64(s.n.watermark))
 }
 
 // Process runs one table-missed TCP packet through the tier on shard
@@ -208,7 +224,7 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 		// Client SYN: answer statelessly. The SYN claims no slot and
 		// touches none, even one its 4-tuple already holds.
 		cookie := g.codec.Encode(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst, w)
-		s.synAnswered.Add(1)
+		s.n.synAnswered++
 		if g.cfg.SynAck != nil {
 			g.cfg.SynAck(dpid, inPort, netpkt.Packet{
 				EthSrc: p.EthDst, EthDst: p.EthSrc,
@@ -237,22 +253,22 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 		if g.codec.Validate(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst, w, p.TCPAck-1) {
 			if c == nil {
 				if c = s.table.insert(p.NwSrc, p.NwDst, p.TpSrc, p.TpDst); c == nil {
-					s.untracked.Add(1)
+					s.n.untracked++
 				} else {
-					s.noteOcc()
+					s.n.watermark = max(s.n.watermark, s.table.n)
 				}
 			}
 			if c != nil {
 				c.state = StateEstablished
 				c.lastWin = w
 			}
-			s.established.Add(1)
+			s.n.established++
 			return s.deliver(dpid, inPort, p.NwSrc, VerdictCompletion, ActionPass)
 		}
 		if c != nil {
 			// A stray ACK on a Closed slot: the tuple proved a cookie
 			// once, so it is consumed without a cookie-failure verdict.
-			s.dropped.Add(1)
+			s.n.dropped++
 			return ActionDrop
 		}
 		return s.deliver(dpid, inPort, p.NwSrc, VerdictCookieFail, ActionDrop)
@@ -264,7 +280,7 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 			c.state = StateClosed
 			return ActionPass
 		}
-		s.dropped.Add(1)
+		s.n.dropped++
 		return ActionDrop
 	}
 }
@@ -274,11 +290,11 @@ func (g *Guard) Process(shard int, dpid uint64, inPort uint16, p *netpkt.Packet)
 func (s *guardShard) deliver(dpid uint64, inPort uint16, src netpkt.IPv4, v Verdict, a Action) Action {
 	switch v {
 	case VerdictCookieFail:
-		s.cookieFails.Add(1)
-		s.dropped.Add(1)
+		s.n.cookieFails++
+		s.n.dropped++
 	case VerdictMalformedFlags, VerdictMalformedOffset, VerdictMalformedOptions:
-		s.malformed.Add(1)
-		s.dropped.Add(1)
+		s.n.malformed++
+		s.n.dropped++
 	}
 	if s.obs != nil {
 		s.obs.TCPVerdict(dpid, inPort, src, v)
@@ -286,29 +302,21 @@ func (s *guardShard) deliver(dpid uint64, inPort uint16, src netpkt.IPv4, v Verd
 	return a
 }
 
-func (s *guardShard) noteOcc() {
-	n := int64(s.table.n)
-	s.occ.Store(n)
-	if n > s.watermark.Load() {
-		s.watermark.Store(n)
-	}
-}
-
-// Stats aggregates all shard counters. Entry counts are exact at flush
-// barriers and monotone-stale otherwise.
+// Stats aggregates the counters every shard published at its last
+// FlushShard. Safe from any goroutine.
 func (g *Guard) Stats() Stats {
 	st := Stats{EntryBudget: len(g.shards) * g.cfg.PerShardCapacity, Window: g.window.Load()}
 	for i := range g.shards {
-		s := &g.shards[i]
-		st.SynAnswered += s.synAnswered.Load()
-		st.Established += s.established.Load()
-		st.CookieFails += s.cookieFails.Load()
-		st.Malformed += s.malformed.Load()
-		st.Dropped += s.dropped.Load()
-		st.Untracked += s.untracked.Load()
-		st.Evicted += s.evicted.Load()
-		st.Entries += int(s.occ.Load())
-		st.Watermark += int(s.watermark.Load())
+		p := &g.shards[i].pub
+		st.SynAnswered += p.synAnswered.Load()
+		st.Established += p.established.Load()
+		st.CookieFails += p.cookieFails.Load()
+		st.Malformed += p.malformed.Load()
+		st.Dropped += p.dropped.Load()
+		st.Untracked += p.untracked.Load()
+		st.Evicted += p.evicted.Load()
+		st.Entries += int(p.occ.Load())
+		st.Watermark += int(p.watermark.Load())
 	}
 	return st
 }

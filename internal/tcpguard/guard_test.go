@@ -119,6 +119,7 @@ func TestHandshakeLifecycle(t *testing.T) {
 		t.Fatalf("post-close straggler emitted verdict %v", obs.last())
 	}
 
+	g.FlushShard(0)
 	st := g.Stats()
 	if st.SynAnswered != 1 || st.Established != 1 || st.CookieFails != 0 {
 		t.Fatalf("stats %+v", st)
@@ -182,6 +183,7 @@ func TestMalformedVerdicts(t *testing.T) {
 			t.Errorf("%s: verdict %v, want %v", tt.name, obs.last(), tt.want)
 		}
 	}
+	g.FlushShard(0)
 	if st := g.Stats(); st.Malformed != uint64(len(tests)) || st.Dropped != uint64(len(tests)) {
 		t.Fatalf("stats %+v", st)
 	}
@@ -200,7 +202,8 @@ func TestTableBudget(t *testing.T) {
 			t.Fatalf("SYN %d not answered", i)
 		}
 	}
-	if st := g.Stats(); st.Entries != 0 || st.Watermark != 0 {
+	g.FlushShard(0)
+	if st := g.Stats(); st.Entries != 0 || st.Watermark != 0 || st.SynAnswered != 32 {
 		t.Fatalf("spoofed SYNs claimed slots: %+v", st)
 	}
 
@@ -210,6 +213,7 @@ func TestTableBudget(t *testing.T) {
 			t.Fatalf("completion %d action %v, want pass", i, a)
 		}
 	}
+	g.FlushShard(0)
 	st := g.Stats()
 	if st.Entries != 8 || st.Watermark != 8 || st.Established != 12 || st.Untracked != 12-8 {
 		t.Fatalf("after 12 completions on 8 slots: %+v", st)
@@ -219,7 +223,9 @@ func TestTableBudget(t *testing.T) {
 func TestIdleEviction(t *testing.T) {
 	g := New(Config{Shards: 2, PerShardCapacity: 8, Secret: 3})
 	syn := synPkt(netpkt.MustIPv4("10.1.0.1"), netpkt.MustIPv4("192.0.2.10"), 40000, 80, 1)
-	if a := complete(g, 1, syn); a != ActionPass || g.Stats().Entries != 1 {
+	a := complete(g, 1, syn)
+	g.FlushShard(1)
+	if a != ActionPass || g.Stats().Entries != 1 {
 		t.Fatalf("completion action %v, entries %d", a, g.Stats().Entries)
 	}
 	for i := 0; i < idleWindows; i++ {
@@ -326,8 +332,42 @@ func TestReopenClosedTuple(t *testing.T) {
 	if len(obs.got) != n {
 		t.Fatalf("stray ACK emitted verdict %v", obs.last())
 	}
+	g.FlushShard(0)
 	if st := g.Stats(); st.Established != 2 || st.CookieFails != 0 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestStatsPublishedAtFlush pins the counter contract: the shard counts
+// in plain memory, so Stats does not move while the shard processes and
+// equals the exact counts after each FlushShard.
+func TestStatsPublishedAtFlush(t *testing.T) {
+	g := New(Config{Shards: 2, PerShardCapacity: 8, Secret: 4})
+	dst := netpkt.MustIPv4("192.0.2.10")
+	for round := 1; round <= 3; round++ {
+		before := g.Stats()
+		for i := 0; i < 10; i++ {
+			syn := synPkt(netpkt.MustIPv4("10.9.0.1")+netpkt.IPv4(i), dst, 1024, 80, 1)
+			g.Process(1, 1, 3, &syn)
+			bad := syn
+			bad.TCPFlags = 0
+			g.Process(1, 1, 3, &bad)
+		}
+		complete(g, 1, synPkt(netpkt.MustIPv4("10.8.0.1")+netpkt.IPv4(round), dst, 1024, 80, 1))
+		if mid := g.Stats(); mid != before {
+			t.Fatalf("round %d: Stats moved before the flush: %+v -> %+v", round, before, mid)
+		}
+		g.FlushShard(0)
+		if mid := g.Stats(); mid != before {
+			t.Fatalf("round %d: flushing shard 0 published shard 1: %+v", round, mid)
+		}
+		g.FlushShard(1)
+		st := g.Stats()
+		want := uint64(round)
+		if st.SynAnswered != 11*want || st.Malformed != 10*want || st.Dropped != 10*want ||
+			st.Established != want || st.Entries != round || st.Watermark != round {
+			t.Fatalf("round %d: after flush %+v", round, st)
+		}
 	}
 }
 
