@@ -1,11 +1,15 @@
 // Shard-owned rule application: flow_mods travel to their owning shard
-// as in-band control events and are applied by the shard goroutine
-// against its own table partition — the serving path never takes a
-// writer lock, and a mutation touches only the owning partition.
-// Mutations that wildcard in_port broadcast one event per shard, and
-// Apply returns once every copy is applied. In manual mode there is no
-// shard goroutine and no control ring: the harness owns the partitions
-// and Apply mutates them inline.
+// as in-band control events on its control ring and are applied against
+// that shard's own table partition — the serving path never takes a
+// writer lock, and a mutation touches only the owning partition. On a
+// running wall-clock engine the partition, with the consumer side of the
+// control ring, belongs to whoever holds the shard's partMu: the shard
+// goroutine while it runs, and while it waits for ingress the Apply
+// caller, which drains the ring itself — no goroutine hop. Mutations
+// that wildcard in_port broadcast one event per shard, and Apply returns
+// once every copy is applied. In manual mode there is no shard goroutine
+// and no control ring: the harness owns the partitions and Apply mutates
+// them inline.
 package rtc
 
 import (
@@ -36,10 +40,11 @@ type ctrlEvent struct {
 	ack *applyAck
 }
 
-// applyAck collects per-shard completions of one Apply. Shards record
-// the first application error and decrement pending; the last one
-// closes done. The pending counter's atomic RMW chain orders every
-// shard's error write before the waiter's read.
+// applyAck collects per-shard completions of one Apply. Under mu,
+// shards record the first application error and decrement pending, and
+// the last one closes done if a waiter made it: done is made only by a
+// waiter that parks, so the common round trip, answered within the
+// spin, allocates no channel.
 type applyAck struct {
 	pending atomic.Int32
 	mu      sync.Mutex
@@ -48,22 +53,20 @@ type applyAck struct {
 }
 
 func newApplyAck(n int) *applyAck {
-	a := &applyAck{done: make(chan struct{})}
+	a := &applyAck{}
 	a.pending.Store(int32(n))
 	return a
 }
 
 func (a *applyAck) complete(err error) {
-	if err != nil {
-		a.mu.Lock()
-		if a.err == nil {
-			a.err = err
-		}
-		a.mu.Unlock()
+	a.mu.Lock()
+	if err != nil && a.err == nil {
+		a.err = err
 	}
-	if a.pending.Add(-1) == 0 {
+	if a.pending.Add(-1) == 0 && a.done != nil {
 		close(a.done)
 	}
+	a.mu.Unlock()
 }
 
 // ackSpins is how many times Apply polls its ack before it arms the
@@ -72,11 +75,15 @@ func (a *applyAck) complete(err error) {
 const ackSpins = 64
 
 // spin polls pending for ackSpins polls and reports whether every
-// target shard acknowledged. A shard spinning in Wait picks a Wake up
-// within a poll or two and applies one flow_mod in microseconds, so the
-// common round trip completes here and neither side parks.
-func (a *applyAck) spin() bool {
+// target shard acknowledged. Each poll first offers to drain every
+// target: a shard waiting for ingress has let go of its partition, so
+// the first poll applies the mod on the caller; a busy shard drains at
+// its next batch top.
+func (a *applyAck) spin(targets []*Shard) bool {
 	for i := 0; i < ackSpins; i++ {
+		for _, s := range targets {
+			s.tryDrain()
+		}
 		if a.pending.Load() == 0 {
 			return true
 		}
@@ -97,15 +104,17 @@ func (a *applyAck) result() error {
 
 // Apply installs a flow_mod. The mod is routed to its owning shard's
 // control ring (in_port pinned) or broadcast to every shard (in_port
-// wildcarded) and applied in-band by the shard goroutines; Apply blocks
-// until every target shard applied its copy and returns the first
-// application error (e.g. flowtable.ErrTableFull). Both the enqueue and
-// the wait are bounded by Config.ApplyTimeout: a full control ring
-// returns ErrApplyBackpressure, a stalled shard ErrApplyTimeout. On
-// either error a broadcast may be partially applied; flow_mod
-// application is idempotent, so the caller retries the whole mod. The
-// wait is spin-then-park: Apply polls the ack for a short bounded spin
-// and arms the timer only if the shards have not answered by then.
+// wildcarded) and applied in ring order by whoever holds each target
+// partition; Apply blocks until every target shard applied its copy and
+// returns the first application error (e.g. flowtable.ErrTableFull).
+// Both the enqueue and the wait are bounded by Config.ApplyTimeout: a
+// full control ring returns ErrApplyBackpressure, a stalled shard
+// ErrApplyTimeout. On either error a broadcast may be partially
+// applied; flow_mod application is idempotent, so the caller retries
+// the whole mod. The wait is spin-then-park: each poll of the short
+// bounded spin drains every target shard whose partition is free (a
+// shard waiting for ingress is not woken — the caller applies its mod),
+// and the timer is armed only if a busy shard has not answered by then.
 //
 // On a quiescent engine (before Start, after Stop) and in manual mode
 // the mod is applied inline — the caller is the only goroutine touching
@@ -136,13 +145,21 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 		if pushErr != nil {
 			return pushErr
 		}
-		if ack.spin() {
+		if ack.spin(e.shards[first : last+1]) {
 			return ack.result()
 		}
+		ack.mu.Lock()
+		if ack.pending.Load() == 0 {
+			ack.mu.Unlock()
+			return ack.result()
+		}
+		done := make(chan struct{})
+		ack.done = done
+		ack.mu.Unlock()
 		timer := time.NewTimer(time.Until(deadline))
 		defer timer.Stop()
 		select {
-		case <-ack.done:
+		case <-done:
 		case <-timer.C:
 			if ack.pending.Load() > 0 {
 				return ErrApplyTimeout
@@ -164,9 +181,9 @@ func (e *Engine) applyTargets(m *openflow.Match) (first, last int) {
 }
 
 // pushCtrl enqueues a control event on the shard's ring, retrying until
-// deadline, and wakes the shard in case it is parked on an idle ingress
-// ring. ctrlMu serializes control-plane producers (the ring itself is
-// SPSC); it is never taken on the packet path.
+// deadline. ctrlMu serializes control-plane producers (the ring itself
+// is SPSC); it is never taken on the packet path. It wakes nobody: the
+// caller drains the ring itself while the shard waits (Apply's spin).
 func (s *Shard) pushCtrl(ev ctrlEvent, deadline time.Time) error {
 	s.ctrlMu.Lock()
 	defer s.ctrlMu.Unlock()
@@ -174,20 +191,44 @@ func (s *Shard) pushCtrl(ev ctrlEvent, deadline time.Time) error {
 		if time.Now().After(deadline) {
 			return ErrApplyBackpressure
 		}
-		// The ring is full because the shard is busy or parked: poke it
-		// and yield so it gets a chance to drain.
-		s.in.Wake()
+		// The ring is full: drain it here if the partition is free, else
+		// yield so its busy holder gets to its next batch top.
+		s.tryDrain()
 		runtime.Gosched()
 		time.Sleep(5 * time.Microsecond)
 	}
-	s.in.Wake()
 	return nil
 }
 
+// tryDrain drains the control ring on the caller if the partition is
+// free — its shard goroutine waits for ingress or has exited.
+func (s *Shard) tryDrain() {
+	if s.partMu.TryLock() {
+		s.drainCtrl(time.Now())
+		s.release()
+	}
+}
+
+// release hands the partition back, then re-checks the control ring:
+// an event pushed while the partition was held saw its pusher's TryLock
+// fail, so every holder, on letting go, drains what is queued whenever
+// it can take the partition again. Go's atomics are sequentially
+// consistent: a TryLock that fails after the push is ordered before
+// this Unlock, so the ctrl.Len below sees the push.
+func (s *Shard) release() {
+	s.partMu.Unlock()
+	for s.ctrl.Len() > 0 && s.partMu.TryLock() {
+		s.drainCtrl(time.Now())
+		s.partMu.Unlock()
+	}
+}
+
 // drainCtrl applies every queued control event against the shard's
-// partition. It runs on the shard goroutine — at the top of each batch
-// iteration and on shutdown — or on a quiescent harness driving the
-// shard body directly (the churn microbenchmark).
+// partition. On a running wall-clock engine it runs under partMu — on
+// the shard goroutine at the top of each batch iteration and on
+// shutdown, or on an Apply caller while the shard waits; otherwise on a
+// quiescent harness driving the shard body directly (the churn
+// microbenchmark).
 func (s *Shard) drainCtrl(now time.Time) {
 	for {
 		ev, ok := s.ctrl.Pop()

@@ -94,7 +94,8 @@ func TestApplyErrorRoundTrip(t *testing.T) {
 // a shard's control ring stays full for the whole ApplyTimeout, Apply
 // fails with ErrApplyBackpressure instead of blocking forever. The
 // shard goroutine is deliberately not running (started is forced on)
-// so nothing drains the ring.
+// and the test holds the partition, like a busy shard, so nothing
+// drains the ring.
 func TestApplyBackpressureOnFullRing(t *testing.T) {
 	cfg := testEngineConfig(1)
 	cfg.CtrlRingCapacity = 4
@@ -102,6 +103,7 @@ func TestApplyBackpressureOnFullRing(t *testing.T) {
 	e := New(cfg)
 	e.started.Store(true) // ring path without a consumer
 	s := e.shards[0]
+	s.partMu.Lock()
 
 	g := netpkt.NewSpoofGen(9, netpkt.FloodUDP, 0)
 	pkt := g.Next()
@@ -124,16 +126,20 @@ func TestApplyBackpressureOnFullRing(t *testing.T) {
 	}
 	pushMod(t, s, exactMod(&pkt, 99, 2))
 	s.drainCtrl(time.Now())
+	s.partMu.Unlock()
 	e.started.Store(false)
 }
 
 // TestApplyTimeoutOnStalledShard pins the other bound: the event
-// enqueues fine, but no shard acknowledges within ApplyTimeout.
+// enqueues fine, but no shard acknowledges within ApplyTimeout. The
+// test holds the partition, like a stalled shard, so the caller cannot
+// drain the ring itself.
 func TestApplyTimeoutOnStalledShard(t *testing.T) {
 	cfg := testEngineConfig(1)
 	cfg.ApplyTimeout = 20 * time.Millisecond
 	e := New(cfg)
 	e.started.Store(true) // enqueue succeeds, nobody acks
+	e.shards[0].partMu.Lock()
 
 	g := netpkt.NewSpoofGen(11, netpkt.FloodUDP, 0)
 	pkt := g.Next()
@@ -141,15 +147,100 @@ func TestApplyTimeoutOnStalledShard(t *testing.T) {
 		t.Fatalf("Apply against a stalled shard = %v, want ErrApplyTimeout", err)
 	}
 	e.shards[0].drainCtrl(time.Now())
+	e.shards[0].partMu.Unlock()
 	e.started.Store(false)
+}
+
+// TestApplyOnWaitingShard pins the helping wait: on a started engine
+// whose shard holds no partition — here it has no goroutine at all, the
+// limit of a shard waiting for ingress — Apply applies its own mod
+// while it waits, so it returns nil with the rule live instead of
+// timing out.
+func TestApplyOnWaitingShard(t *testing.T) {
+	e := New(testEngineConfig(1))
+	e.started.Store(true)
+	defer e.started.Store(false)
+
+	pkt := netpkt.NewSpoofGen(31, netpkt.FloodUDP, 0).Next()
+	if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
+		t.Fatalf("Apply on a waiting shard = %v, want nil", err)
+	}
+	if got := e.TableRules(); got != 1 {
+		t.Fatalf("rules after Apply = %d, want 1", got)
+	}
+	if got := e.Snapshot().Shards[0].Applied; got != 1 {
+		t.Fatalf("Applied = %d, want 1", got)
+	}
+}
+
+// TestApplyReleaseRechecksRing pins the release protocol: an event
+// queued while the partition is held, whose Apply has stopped polling
+// and parked, is drained by the holder's release before it returns.
+// With release a plain Unlock the ack stays pending and that Apply
+// would time out.
+func TestApplyReleaseRechecksRing(t *testing.T) {
+	e := New(testEngineConfig(1))
+	e.started.Store(true)
+	defer e.started.Store(false)
+	s := e.shards[0]
+	s.partMu.Lock()
+	pkt := netpkt.NewSpoofGen(37, netpkt.FloodUDP, 0).Next()
+	parked := newApplyAck(1)
+	if err := s.pushCtrl(ctrlEvent{mod: exactMod(&pkt, 1, 2), ack: parked}, time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	s.release()
+	if n := parked.pending.Load(); n != 0 {
+		t.Fatalf("release left the parked waiter's event pending (%d)", n)
+	}
+	if err := parked.result(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.TableRules(); got != 1 {
+		t.Fatalf("rules after release = %d, want 1", got)
+	}
+}
+
+// TestApplyHeldOrder pins FIFO through a held partition: two Applies
+// queued, in order, while the test holds the partition both return nil
+// once it lets go, and their rules land in enqueue order — both share a
+// priority, so the table orders them by insertion seq.
+func TestApplyHeldOrder(t *testing.T) {
+	e := New(testEngineConfig(1))
+	e.started.Store(true)
+	defer e.started.Store(false)
+	s := e.shards[0]
+
+	pkt := netpkt.NewSpoofGen(41, netpkt.FloodUDP, 0).Next()
+	first := exactMod(&pkt, 1, 2)
+	pkt.EthDst = netpkt.MACFromUint64(0x020000000001)
+	second := exactMod(&pkt, 1, 2)
+	s.partMu.Lock()
+	errs := make(chan error, 2)
+	for i, m := range []openflow.FlowMod{first, second} {
+		go func() { errs <- e.Apply(m) }()
+		for s.ctrl.Len() != i+1 {
+			runtime.Gosched()
+		}
+	}
+	s.release()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued Apply = %v, want nil", err)
+		}
+	}
+	got := s.part.Entries()
+	if len(got) != 2 || got[0].Match != first.Match || got[1].Match != second.Match {
+		t.Fatalf("rules in seq order = %v, want the first mod's then the second's", got)
+	}
 }
 
 // TestApplyRoundTripSerial pins the in-band round trip the mitigation
 // install makes: 10 000 serial Apply calls against a started one-shard
 // wall-clock engine whose ingress ring stays idle, so between mods the
-// shard spins in Wait and, at every pause, parks. Each call must return
-// nil with its rule applied; none may be lost to a Wake the spin took,
-// and none may come back before its ack.
+// shard spins in Wait and, at every pause, parks — with its partition
+// let go, so each caller applies its own mod. Each call must return nil
+// with its rule applied; none may come back before its ack.
 func TestApplyRoundTripSerial(t *testing.T) {
 	const mods = 10_000
 	e := New(testEngineConfig(1))

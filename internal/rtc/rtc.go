@@ -9,9 +9,12 @@
 // ring-buffer handoff to the data plane cache stage.
 //
 // The per-packet shard path takes zero locks and performs zero
-// allocations, hit or miss. Its counts are plain fields, published with
-// the batch's shard→cache ring slots once per ingress batch and at every
-// flush (DESIGN.md §12, "Counter publication").
+// allocations, hit or miss: a running shard holds its partition lock
+// from one wait for ingress to the next, so it is taken once per idle
+// transition, never per packet (DESIGN.md §15). Its counts are plain
+// fields, published with the batch's shard→cache ring slots once per
+// ingress batch and at every flush (DESIGN.md §12, "Counter
+// publication").
 // Shared state is reconciled at window boundaries only — the shard
 // folds its attribution deltas (count-min cells, heavy-hitter
 // candidates, per-port sample counts) into the shared Attributor via
@@ -187,6 +190,10 @@ type Shard struct {
 	// mode); ctrlMu serializes control-plane producers.
 	ctrl   *spsc.Ring[ctrlEvent]
 	ctrlMu sync.Mutex
+	// partMu makes part and ctrl's consumer side its holder's on a
+	// running wall-clock engine: the shard goroutine's except while it
+	// waits for ingress, when an Apply caller may take it (apply.go).
+	partMu sync.Mutex
 
 	obs *attrib.ShardObserver
 
@@ -519,11 +526,14 @@ func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 // then a batched pop from the ingress ring and each packet end-to-end.
 // One time.Now per batch serves lookup stamps and the window-boundary
 // check, and one publish per batch (or the flush) hands its misses and
-// counts on before the shard can park in Wait; Apply wakes it through the
-// ingress ring so queued flow_mods never wait on traffic.
+// counts on before the shard can park in Wait. The loop holds partMu
+// throughout and lets go only around Wait and at exit, so flow_mods
+// queued while it waits for ingress are applied by their Apply callers
+// and never wait on traffic, and nobody has to wake it.
 func (s *Shard) run() {
 	defer s.eng.wgShards.Done()
 	defer s.toCache.Close()
+	s.partMu.Lock()
 	batch := make([]Item, shardBatch)
 	window := s.eng.cfg.Window
 	nextFlush := time.Now().Add(window)
@@ -541,9 +551,12 @@ func (s *Shard) run() {
 				// is left waiting on its ack.
 				s.drainCtrl(time.Now())
 				s.flush() // final merge before the ring goes away
+				s.release()
 				return
 			}
+			s.release()
 			s.in.Wait()
+			s.partMu.Lock()
 			continue
 		}
 		now := time.Now()

@@ -10,9 +10,9 @@
 // yields the processor a few times, and only then parks on a channel the
 // producer pokes when it publishes into an empty ring. An idle shard
 // therefore costs nothing, while a loaded shard never pays a futex wait
-// per packet. Wait's spin also watches the out-of-band Wake token, so
-// a control event announced while the consumer spins is picked up
-// on-CPU rather than after a park and a reschedule.
+// per packet. Wait's spin also takes a pending wake token, so a token
+// left by a producer poke or Close cannot turn the next park into a
+// spurious wakeup.
 package spsc
 
 import (
@@ -173,15 +173,14 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 // producer can run (the single-GOMAXPROCS case).
 const popSpins = 64
 
-// Wait blocks the consumer until the ring is plausibly non-empty, the
-// ring is closed, or an out-of-band Wake arrives. It busy-polls briefly
-// before parking but leaves the popping to the caller — the shape a
-// consumer needs when it multiplexes this ring with other work (e.g. an
-// in-band control queue) and must re-check that work after every
-// wakeup. The spin polls the wake token too: a Wake issued before or
-// during the spin returns Wait at once, on-CPU, and is consumed there,
-// so it cannot turn the next park into a spurious wakeup. Spurious
-// returns are allowed. Consumer only.
+// Wait blocks the consumer until the ring is plausibly non-empty or
+// closed. It busy-polls briefly before parking but leaves the popping
+// to the caller — the shape a consumer needs when it multiplexes this
+// ring with other work (e.g. an in-band control queue) and must
+// re-check that work after every wakeup. The spin polls the wake token
+// too: a token a producer poke or Close left behind returns Wait at
+// once, on-CPU, and is consumed there, so it cannot turn the next park
+// into a spurious wakeup. Spurious returns are allowed. Consumer only.
 func (r *Ring[T]) Wait() {
 	if !r.spin() {
 		r.park()
@@ -193,7 +192,7 @@ func (r *Ring[T]) Wait() {
 func (r *Ring[T]) ready() bool { return r.Len() > 0 || r.closed.Load() }
 
 // spin is Wait's bounded busy-poll. It reports true as soon as the ring
-// is ready or a Wake token is pending (taking the token), and false
+// is ready or a wake token is pending (taking the token), and false
 // after popSpins empty polls.
 func (r *Ring[T]) spin() bool {
 	for i := 0; i < popSpins; i++ {
@@ -214,28 +213,13 @@ func (r *Ring[T]) spin() bool {
 
 // park raises the parked flag, re-checks (the producer may have
 // published between the last poll and the flag), then blocks on the
-// wake channel until a producer poke, a Wake or Close.
+// wake channel until a producer poke or Close.
 func (r *Ring[T]) park() {
 	r.parked.Store(true)
 	if !r.ready() {
 		<-r.wake
 	}
 	r.parked.Store(false)
-}
-
-// Wake pokes a parked (or about-to-park) consumer from any goroutine.
-// Unlike the producer's publish path it does not require the SPSC
-// producer role: a control plane uses it to rouse a consumer idling in
-// Wait so it notices out-of-band work. The token waits
-// in a one-slot channel: a consumer spinning in Wait takes it on its
-// next poll without parking, a parked one is woken by it, and a Wake
-// that races the park latch is at worst a spurious wakeup, never a lost
-// one.
-func (r *Ring[T]) Wake() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
 }
 
 // notify pokes a parked consumer. The flag check keeps the cost of the

@@ -280,7 +280,7 @@ func TestRingLockstep(t *testing.T) {
 }
 
 // TestRingParkWake pins the blocking path: a consumer parked on an empty
-// ring must wake for a push and for Close.
+// ring must wake for the two token sources, a push and Close.
 func TestRingParkWake(t *testing.T) {
 	r := New[int](8)
 	dst := make([]int, 8)
@@ -321,21 +321,30 @@ func TestRingParkWake(t *testing.T) {
 	}
 }
 
-// TestRingWaitTakesPendingWake pins the wake protocol of Wait's spin: a
-// Wake issued before Wait ends the spin (so Wait returns without
-// reaching the park) and is consumed there, leaving no token behind —
-// the next Wait on an idle ring parks for real and returns only for the
-// next Wake.
+// TestRingWaitTakesPendingWake pins the token protocol of Wait's spin.
+// A producer poke that races a park — the consumer raised its flag,
+// re-checked, found the ring ready and never blocked — leaves a token
+// behind. The next Wait's spin takes it and returns
+// without reaching the park, leaving no token behind, so the Wait after
+// that on an idle ring parks for real and returns only for a push.
 func TestRingWaitTakesPendingWake(t *testing.T) {
 	r := New[int](8)
-	r.Wake()
+	leaveToken := func() {
+		r.parked.Store(true) // a park raised its flag, then a push won:
+		r.Push(1)            // notify pokes the channel
+		r.Pop()
+		if n := len(r.wake); n != 1 {
+			t.Fatalf("wake channel holds %d tokens after a poke, want 1", n)
+		}
+	}
+	leaveToken()
 	if !r.spin() {
-		t.Fatal("spin ignored a pending Wake: Wait would park")
+		t.Fatal("spin ignored a pending token: Wait would park")
 	}
 	if n := len(r.wake); n != 0 {
 		t.Fatalf("wake channel holds %d tokens after the spin took one, want 0", n)
 	}
-	r.Wake()
+	leaveToken()
 	r.Wait()
 	if n := len(r.wake); n != 0 {
 		t.Fatalf("wake channel holds %d tokens after Wait, want 0", n)
@@ -348,14 +357,14 @@ func TestRingWaitTakesPendingWake(t *testing.T) {
 	}()
 	select {
 	case <-done:
-		t.Fatal("Wait on an idle ring with no pending Wake returned")
+		t.Fatal("Wait on an idle ring with no pending token returned")
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.Wake()
+	r.Push(2)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked Wait never woke for Wake")
+		t.Fatal("parked Wait never woke for a push")
 	}
 }
 
