@@ -316,18 +316,6 @@ func EvalActions(ts []ActionTemplate, env *Env) ([]openflow.Action, error) {
 				return nil, err
 			}
 			out = append(out, openflow.ActionSetNwDst{IP: v.IP()})
-		case ActSetNwSrc:
-			v, err := EvalExpr(a.IP, env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, openflow.ActionSetNwSrc{IP: v.IP()})
-		case ActSetDlDst:
-			v, err := EvalExpr(a.MAC, env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, openflow.ActionSetDlDst{MAC: v.MAC()})
 		default:
 			return nil, fmt.Errorf("unsupported action template %T", t)
 		}

@@ -58,18 +58,6 @@ type ActSetNwDst struct{ IP Expr }
 func (ActSetNwDst) actionNode()      {}
 func (a ActSetNwDst) String() string { return fmt.Sprintf("set_nw_dst(%s)", a.IP) }
 
-// ActSetNwSrc rewrites the source IP before output.
-type ActSetNwSrc struct{ IP Expr }
-
-func (ActSetNwSrc) actionNode()      {}
-func (a ActSetNwSrc) String() string { return fmt.Sprintf("set_nw_src(%s)", a.IP) }
-
-// ActSetDlDst rewrites the destination MAC before output.
-type ActSetDlDst struct{ MAC Expr }
-
-func (ActSetDlDst) actionNode()      {}
-func (a ActSetDlDst) String() string { return fmt.Sprintf("set_dl_dst(%s)", a.MAC) }
-
 // RuleTemplate describes the flow rule an Install statement sends: the
 // Modify State Message of the paper's Algorithm 2.
 type RuleTemplate struct {

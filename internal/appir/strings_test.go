@@ -64,8 +64,6 @@ func TestNodeStrings(t *testing.T) {
 		{ActOutput{Port: Const{V: U16Value(3)}}, "output(3)"},
 		{ActFlood{}, "flood"},
 		{ActSetNwDst{IP: ScalarRef{Name: "r"}}, "set_nw_dst(g.r)"},
-		{ActSetNwSrc{IP: ScalarRef{Name: "r"}}, "set_nw_src(g.r)"},
-		{ActSetDlDst{MAC: Const{V: mac}}, "set_dl_dst(00:00:00:00:00:01)"},
 	}
 	for _, tt := range actions {
 		if got := tt.give.String(); got != tt.want {

@@ -285,9 +285,6 @@ func (a *Analyzer) DeriveAll() ([]appir.ConcreteRule, error) {
 		aa.pendingChanges[sharedScope] = 0
 		for _, r := range rules {
 			rule := r.Rule
-			if o := a.cfg.RuleIdleTimeoutOverride; o > 0 {
-				rule.IdleTimeout = o
-			}
 			id := ruleID{scope: sharedScope, match: rule.Match.Normalized(), priority: rule.Priority}
 			if _, dup := seen[id]; dup {
 				continue
@@ -328,11 +325,8 @@ func (id ruleID) compare(o ruleID) int {
 }
 
 // flowMod is a derived rule's identity in scope and the flow_mod that
-// installs it, with the configured idle timeout override applied.
+// installs it.
 func (a *Analyzer) flowMod(scope uint64, rule appir.ConcreteRule) (ruleID, openflow.FlowMod) {
-	if ov := a.cfg.RuleIdleTimeoutOverride; ov > 0 {
-		rule.IdleTimeout = ov
-	}
 	return ruleID{scope: scope, match: rule.Match.Normalized(), priority: rule.Priority},
 		openflow.FlowMod{
 			Match:       rule.Match,

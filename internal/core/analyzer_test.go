@@ -114,20 +114,6 @@ func TestAnalyzerSyncUpdatesChangedActions(t *testing.T) {
 	}
 }
 
-func TestAnalyzerIdleTimeoutOverride(t *testing.T) {
-	cfg := DefaultAnalyzer()
-	cfg.RuleIdleTimeoutOverride = 120
-	an, st := l2Analyzer(t, cfg)
-	learnMAC(st, 1, 1)
-	rules, err := an.DeriveAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 1 || rules[0].IdleTimeout != 120 {
-		t.Errorf("rules = %+v, want idle timeout 120", rules)
-	}
-}
-
 func TestNeedsUpdateStrategies(t *testing.T) {
 	t.Run("every-change", func(t *testing.T) {
 		an, st := l2Analyzer(t, AnalyzerConfig{Strategy: UpdateEveryChange})

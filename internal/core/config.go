@@ -88,10 +88,6 @@ type AnalyzerConfig struct {
 	// RulesInCache enables the §IV.E design option: proactive rules are
 	// installed into the data plane cache instead of switch TCAM.
 	RulesInCache bool
-	// RuleIdleTimeoutOverride, when positive, replaces the derived
-	// rules' idle timeout (seconds) so proactive rules survive the
-	// attack window.
-	RuleIdleTimeoutOverride uint16
 	// ModeledDeriveLatency, when positive, is the derivation latency the
 	// guard charges to virtual time for the Init→Defense handoff instead
 	// of the measured wall-clock cost. Measured cost tracks the host

@@ -9,7 +9,6 @@ import (
 	"floodguard/internal/controller"
 	"floodguard/internal/dpcache"
 	"floodguard/internal/flowtable"
-	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/netsim"
 	"floodguard/internal/openflow"
@@ -52,11 +51,6 @@ type Guard struct {
 	caches   []*dpcache.Cache
 	cacheTbl *flowtable.Table // §IV.E cache-resident rule table
 
-	// jrec, when armed by SetJournal, records FSM transitions and
-	// selective migrate/unmigrate actions. All record sites run on the
-	// engine goroutine, satisfying the recorder's single-producer rule.
-	jrec *journal.Recorder
-
 	// Data-plane packet_ins in the current detection window; replaying
 	// marks the agent's own re-raised packets, which do not count.
 	pktInsSample int
@@ -93,8 +87,6 @@ type Guard struct {
 	// across all switches (selective mode; blanket migration leaves it 0).
 	gMigratedPorts telemetry.Gauge
 
-	// events is the FSM transition log (always on; ring of eventLogSize).
-	events *telemetry.EventLog
 	// trace, when armed by Instrument, samples packet lifecycles.
 	trace *telemetry.Tracer
 
@@ -104,8 +96,6 @@ type Guard struct {
 }
 
 const (
-	// eventLogSize bounds the FSM transition ring.
-	eventLogSize = 256
 	// traceSampleEvery samples one in N packets for pipeline lifecycle
 	// tracing once the guard is instrumented.
 	traceSampleEvery = 64
@@ -127,9 +117,6 @@ func (g *Guard) DegradedEntries() uint64 { return g.degradedEntries.Value() }
 // unreachable).
 func (g *Guard) DegradedDrops() uint64 { return g.degradedDrops.Value() }
 
-// Events returns the retained FSM transition events, oldest first.
-func (g *Guard) Events() []telemetry.Event { return g.events.Events() }
-
 // NewGuard attaches FloodGuard to a controller. Register all applications
 // on the controller before calling Protect/Start.
 func NewGuard(eng *netsim.Engine, ctrl *controller.Controller, cfg Config) (*Guard, error) {
@@ -144,7 +131,6 @@ func NewGuard(eng *netsim.Engine, ctrl *controller.Controller, cfg Config) (*Gua
 		analyzer:       an,
 		switches:       make(map[uint64]*protectedSwitch),
 		cacheReachable: true,
-		events:         telemetry.NewEventLog(eventLogSize),
 	}
 	g.stateGauge.Set(int64(StateIdle))
 	if cfg.Attribution.Enabled {
@@ -206,41 +192,19 @@ func (g *Guard) Analyzer() *Analyzer { return g.analyzer }
 // State returns the FSM state.
 func (g *Guard) State() FSMState { return g.policy.State() }
 
-// record keeps one FSM move in the history, the event log and the
-// journal, with the key gauges at transition time; it runs on the engine
-// goroutine, where all detector state is safe to read.
+// record stamps one FSM move with the engine clock, appends it to the
+// history and publishes the new state; it runs on the engine goroutine.
 func (g *Guard) record(tr Transition) {
 	tr.At = g.eng.Now()
 	g.history = append(g.history, tr)
 	g.stateGauge.Set(int64(tr.To))
-	backlog, enq := 0, uint64(0)
-	for _, c := range g.caches {
-		s := c.Stats()
-		backlog += s.Backlog
-		enq += s.Enqueued
-	}
-	g.events.Append(telemetry.Event{
-		Time:   tr.At,
-		From:   tr.From.String(),
-		To:     tr.To.String(),
-		Reason: tr.Reason,
-		Fields: map[string]float64{
-			"cache_backlog":      float64(backlog),
-			"cache_enqueued":     float64(enq),
-			"packet_in_rate_pps": g.policy.PacketInRate(),
-			"migration_rate_pps": g.policy.MigrationRate(),
-			"replayed":           float64(g.replayed.Value()),
-			"degraded_drops":     float64(g.degradedDrops.Value()),
-		},
-	})
-	g.jrec.Record(journal.KindFSM, uint8(tr.To), uint8(tr.From), 0, 0,
-		g.policy.PacketInRate(), float64(backlog), g.policy.MigrationRate())
 }
 
-// Instrument attaches the guard, its FSM event log, its caches, and its
-// controller to reg, and arms sampled pipeline tracing (one in
-// traceSampleEvery packets). It returns the tracer so deployments can
-// wire it into their switches too. Call once, before Start.
+// Instrument attaches the guard's counters and state gauge, its caches,
+// its analyzer and its controller to reg, and arms sampled pipeline
+// tracing (one in traceSampleEvery packets). It returns the tracer so
+// deployments can wire it into their switches too. Call once, before
+// Start.
 func (g *Guard) Instrument(reg *telemetry.Registry) *telemetry.Tracer {
 	g.trace = telemetry.NewTracer(reg, traceSampleEvery)
 	for i, c := range g.caches {
@@ -281,7 +245,6 @@ func (g *Guard) Instrument(reg *telemetry.Registry) *telemetry.Tracer {
 		"Cache residence time of the most recent replay.", func() float64 {
 			return time.Duration(g.lastReplayNanos.Value()).Seconds()
 		})
-	reg.RegisterEventLog("fsm_transitions", g.events)
 	g.analyzer.Register(reg)
 	g.ctrl.Instrument(reg, "fg_controller")
 	g.ctrl.SetTracer(g.trace)
@@ -654,7 +617,6 @@ func (g *Guard) migratePort(ps *protectedSwitch, port uint16) {
 	sendRules(ps.dp, openflow.FlowAdd, rules...)
 	ps.portRules[port] = rules
 	g.gMigratedPorts.Inc()
-	g.jrec.Record(journal.KindMigrate, 0, 0, ps.dp.DPID(), port, 0, 0, 0)
 }
 
 // unmigratePort withdraws one port's diversion rules.
@@ -666,7 +628,6 @@ func (g *Guard) unmigratePort(ps *protectedSwitch, port uint16) {
 	sendRules(ps.dp, openflow.FlowDeleteStrict, rules...)
 	delete(ps.portRules, port)
 	g.gMigratedPorts.Dec()
-	g.jrec.Record(journal.KindUnmigrate, 0, 0, ps.dp.DPID(), port, 0, 0, 0)
 }
 
 // track is the application tracker: it re-derives and re-installs

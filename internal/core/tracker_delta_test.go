@@ -40,7 +40,6 @@ func (f *flakyTarget) InstallProactive(fm openflow.FlowMod) error {
 type trackerRef struct {
 	apps      []*controller.App
 	paths     [][]symexec.Path
-	override  uint16
 	installed map[ruleID]openflow.FlowMod
 	rejected  int
 }
@@ -59,9 +58,6 @@ func (r *trackerRef) sync(scoped map[uint64]RuleTarget) (inst, rem int, err erro
 			}
 			for _, pr := range rules {
 				rule := pr.Rule
-				if r.override > 0 {
-					rule.IdleTimeout = r.override
-				}
 				id := ruleID{scope: sc.DPID, match: rule.Match.Normalized(), priority: rule.Priority}
 				if _, dup := next[id]; dup {
 					continue
@@ -197,17 +193,15 @@ func runTrackerDelta(t testing.TB, script []byte) (mixed bool, rejected uint64) 
 		}
 		return s
 	}
-	cfg := DefaultAnalyzer()
-	cfg.RuleIdleTimeoutOverride = 90
 	got, want := newSide(), newSide()
-	an, err := NewAnalyzer(cfg, got.apps)
+	an, err := NewAnalyzer(DefaultAnalyzer(), got.apps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := an.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	ref := &trackerRef{apps: want.apps, override: cfg.RuleIdleTimeoutOverride, installed: make(map[ruleID]openflow.FlowMod)}
+	ref := &trackerRef{apps: want.apps, installed: make(map[ruleID]openflow.FlowMod)}
 	for _, app := range want.apps {
 		ref.paths = append(ref.paths, an.Paths(app.Name()))
 	}

@@ -9,7 +9,6 @@ import (
 	"floodguard/internal/core"
 	"floodguard/internal/dpcache"
 	"floodguard/internal/switchsim"
-	"floodguard/internal/telemetry"
 )
 
 // ChaosFlap is one measured sideband outage: the channel between the
@@ -48,8 +47,6 @@ type ChaosResult struct {
 	// Windows is the per-window telemetry timeline sampled across the
 	// whole scenario (attack, flaps, drain) at 100ms resolution.
 	Windows []TelemetryWindow
-	// Events is the guard's FSM transition log after the run.
-	Events []telemetry.Event
 }
 
 // RunChaos runs the chaos scenario: the Figure 9 topology under a
@@ -125,7 +122,6 @@ func RunChaos(seed int64, flaps int) (*ChaosResult, error) {
 	res.Cache = cache.Stats()
 	res.Drained = tb.Guard.State() == core.StateIdle && cache.Drained()
 	res.Windows = sampler.stop()
-	res.Events = tb.Guard.Events()
 	return res, nil
 }
 

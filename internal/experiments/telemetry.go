@@ -21,10 +21,11 @@ var liveReg *telemetry.Registry
 func SetRegistry(reg *telemetry.Registry) { liveReg = reg }
 
 // Instrument attaches every testbed component to reg: the guard (FSM
-// event log, caches, controller, pipeline tracer) when present, plus the
-// switch datapath and its flow table. The switch shares the guard's
-// tracer so table-miss→controller latency lands in the same
-// fg_pipeline_seconds family as the cache-wait and re-raise stages.
+// state and counters, caches, controller, pipeline tracer) when
+// present, plus the switch datapath and its flow table. The switch
+// shares the guard's tracer so table-miss→controller latency lands in
+// the same fg_pipeline_seconds family as the cache-wait and re-raise
+// stages.
 func (tb *Testbed) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return

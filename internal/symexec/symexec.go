@@ -263,10 +263,6 @@ func actionExpr(a appir.ActionTemplate) appir.Expr {
 		return x.Port
 	case appir.ActSetNwDst:
 		return x.IP
-	case appir.ActSetNwSrc:
-		return x.IP
-	case appir.ActSetDlDst:
-		return x.MAC
 	default:
 		return nil
 	}
@@ -589,18 +585,6 @@ func (ev *ruleEval) action(at appir.ActionTemplate, asg *solver.Assignment) (ope
 			return nil, ok, err
 		}
 		return box(ev, openflow.ActionSetNwDst{IP: v.IP()}), true, nil
-	case appir.ActSetNwSrc:
-		v, ok, err := ev.bound(x.IP, asg)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return box(ev, openflow.ActionSetNwSrc{IP: v.IP()}), true, nil
-	case appir.ActSetDlDst:
-		v, ok, err := ev.bound(x.MAC, asg)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return box(ev, openflow.ActionSetDlDst{MAC: v.MAC()}), true, nil
 	default:
 		return nil, false, fmt.Errorf("unsupported action template %T", at)
 	}

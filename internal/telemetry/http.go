@@ -9,7 +9,7 @@ import (
 // Handler returns an http.Handler exposing the registry:
 //
 //	/metrics       Prometheus text exposition format
-//	/metrics.json  full JSON snapshot including event logs
+//	/metrics.json  the same metrics as one JSON snapshot
 //	/debug/pprof/  standard runtime profiles
 //
 // Scrapes read only atomics and short read-locked sections, so serving

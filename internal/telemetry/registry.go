@@ -53,10 +53,10 @@ func (e *entry) base() (string, string) {
 	return e.name, ""
 }
 
-// Registry is a named collection of metrics and event logs, the single
-// source of truth a deployment exposes. Registration is cheap but not
-// hot-path; reads (exposition) touch only atomics and read-locked
-// snapshot functions, so a scrape never blocks a packet.
+// Registry is a named collection of metrics, the single source of truth
+// a deployment exposes. Registration is cheap but not hot-path; reads
+// (exposition) touch only atomics and read-locked snapshot functions, so
+// a scrape never blocks a packet.
 //
 // Registering a name that already exists replaces the previous entry
 // (last registration wins). Sequential experiment runs can therefore
@@ -67,16 +67,11 @@ type Registry struct {
 	mu      sync.RWMutex
 	order   []string
 	entries map[string]*entry
-	logs    map[string]*EventLog
-	logName []string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		entries: make(map[string]*entry),
-		logs:    make(map[string]*EventLog),
-	}
+	return &Registry{entries: make(map[string]*entry)}
 }
 
 func (r *Registry) register(e *entry) {
@@ -129,17 +124,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // RegisterHistogram attaches an existing histogram under name.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.register(&entry{name: name, help: help, kind: KindHistogram, hist: h})
-}
-
-// RegisterEventLog attaches an existing event log under name (replacing
-// any previous log of that name), included in JSON snapshots.
-func (r *Registry) RegisterEventLog(name string, l *EventLog) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.logs[name]; !ok {
-		r.logName = append(r.logName, name)
-	}
-	r.logs[name] = l
 }
 
 // snapshotEntries copies the entry list under the read lock.
@@ -237,11 +221,10 @@ type MetricSnapshot struct {
 
 // Snapshot is a point-in-time copy of the whole registry.
 type Snapshot struct {
-	Metrics []MetricSnapshot   `json:"metrics"`
-	Events  map[string][]Event `json:"events,omitempty"`
+	Metrics []MetricSnapshot `json:"metrics"`
 }
 
-// Snapshot captures every metric and event log.
+// Snapshot captures every metric.
 func (r *Registry) Snapshot() Snapshot {
 	entries := r.snapshotEntries()
 	s := Snapshot{Metrics: make([]MetricSnapshot, 0, len(entries))}
@@ -255,19 +238,6 @@ func (r *Registry) Snapshot() Snapshot {
 			ms.Value = e.scalar()
 		}
 		s.Metrics = append(s.Metrics, ms)
-	}
-	r.mu.RLock()
-	logNames := append([]string(nil), r.logName...)
-	logs := make([]*EventLog, len(logNames))
-	for i, n := range logNames {
-		logs[i] = r.logs[n]
-	}
-	r.mu.RUnlock()
-	if len(logNames) > 0 {
-		s.Events = make(map[string][]Event, len(logNames))
-		for i, n := range logNames {
-			s.Events[n] = logs[i].Events()
-		}
 	}
 	return s
 }

@@ -116,27 +116,6 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 }
 
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 6; i++ {
-		l.Append(Event{From: "a", To: "b", Reason: string(rune('0' + i))})
-	}
-	ev := l.Events()
-	if len(ev) != 4 {
-		t.Fatalf("len = %d, want 4 (ring capacity)", len(ev))
-	}
-	for i, e := range ev {
-		if want := string(rune('0' + i + 2)); e.Reason != want {
-			t.Errorf("event[%d].Reason = %q, want %q (oldest-first)", i, e.Reason, want)
-		}
-	}
-	var nilLog *EventLog
-	nilLog.Append(Event{}) // must not panic
-	if nilLog.Events() != nil {
-		t.Error("nil log Events() != nil")
-	}
-}
-
 func TestTracerSampling(t *testing.T) {
 	tr := NewTracer(nil, 4)
 	hits := 0
@@ -211,22 +190,6 @@ func TestRegistryLastRegistrationWins(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("fg_dup_total appears %d times, want 1", n)
-	}
-}
-
-func TestRegistrySnapshotEvents(t *testing.T) {
-	reg := NewRegistry()
-	l := NewEventLog(8)
-	reg.RegisterEventLog("fsm", l)
-	l.Append(Event{From: "Idle", To: "Init", Reason: "attack-detected",
-		Fields: map[string]float64{"rate": 120}})
-	snap := reg.Snapshot()
-	evs, ok := snap.Events["fsm"]
-	if !ok || len(evs) != 1 {
-		t.Fatalf("events = %v, want one fsm event", snap.Events)
-	}
-	if evs[0].To != "Init" || evs[0].Fields["rate"] != 120 {
-		t.Errorf("event = %+v", evs[0])
 	}
 }
 
