@@ -312,7 +312,7 @@ func BenchmarkAblationCacheResidentRules(b *testing.B) {
 			b.Fatalf("state = %v", guard.State())
 		}
 		cr := 0
-		if t := guard.Caches()[0].RuleTable(); t != nil {
+		if t := guard.Cache().RuleTable(); t != nil {
 			cr = t.Len()
 		}
 		return sw.Table().Len(), cr

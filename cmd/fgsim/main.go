@@ -37,7 +37,7 @@ func main() {
 	iters := flag.Int("iters", 50, "derivation repetitions for fig13")
 	seed := flag.Int64("seed", 0xF100D, "flap schedule seed for chaos and the soak generators")
 	flaps := flag.Int("flaps", 8, "sideband outages for chaos")
-	shards := flag.Int("shards", 1, "parallel shards for sweep (merged output is shard-count invariant); >1 also applies to soak")
+	shards := flag.Int("shards", 0, "sweep workers (merged output is shard-count invariant) and soak engine shards; 0 keeps each one's default (1 sweep worker, 4 soak shards)")
 	duration := flag.Duration("duration", 5*time.Second, "simulated soak length")
 	flows := flag.Int("flows", 100_000, "benign distinct-flow population for soak")
 	profile := flag.String("profile", "all", "soak attacker profile: ramp, pulse, rotate, slow, or all")
@@ -292,7 +292,9 @@ func attribExp(seed int64) error {
 
 func sweep(shards int) error {
 	cfg := experiments.DefaultSweep()
-	cfg.Shards = shards
+	if shards > 0 {
+		cfg.Shards = shards
+	}
 	r, err := experiments.RunSweep(cfg)
 	if err != nil {
 		return err
@@ -315,7 +317,7 @@ func soakRun(seed int64, shards int, duration time.Duration, flows int, profile,
 		fmt.Sprintf("flows=%d", flows),
 		fmt.Sprintf("profile=%s", profile),
 	}
-	if shards > 1 {
+	if shards > 0 {
 		terms = append(terms, fmt.Sprintf("shards=%d", shards))
 	}
 	if scenario != "" {

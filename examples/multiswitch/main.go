@@ -64,7 +64,7 @@ func run() error {
 	flood.Start(300)
 	net.Run(2 * time.Second)
 	fmt.Printf("\nstate=%v after attack on s2; one shared cache absorbed %d packets\n",
-		guard.State(), guard.Caches()[0].Stats().Enqueued)
+		guard.State(), guard.Cache().Stats().Enqueued)
 
 	// Per-switch proactive rules for bob reference each switch's own
 	// topology: on s1 bob is behind the patch (port 2); on s2 he is

@@ -63,10 +63,10 @@ func run() error {
 	flood.Start(300)
 	for i := 0; i < 4; i++ {
 		net.Run(500 * time.Millisecond)
-		st := guard.Caches()[0].Stats()
+		st := guard.Cache().Stats()
 		fmt.Printf("t=%-6v state=%-8v rules=%-3d cache{in=%d out=%d backlog=%d} replay=%.0f pps\n",
 			net.Now().Round(time.Millisecond), guard.State(), sw.Table().Len(),
-			st.Enqueued, st.Emitted, st.Backlog, guard.Caches()[0].Rate())
+			st.Enqueued, st.Emitted, st.Backlog, guard.Cache().Rate())
 	}
 
 	// Benign traffic still flows through the proactive rules.

@@ -129,10 +129,6 @@ func TestPublicAPIMultiSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One shared cache serves both switches (§IV.E).
-	if got := len(guard.Caches()); got != 1 {
-		t.Errorf("caches = %d, want 1 shared", got)
-	}
 	flood := net.NewFlooder(mal, 3, floodguard.FloodMixed)
 	flood.Start(300)
 	if !net.RunUntil(func() bool { return guard.State() == floodguard.StateDefense },
@@ -141,7 +137,7 @@ func TestPublicAPIMultiSwitch(t *testing.T) {
 	}
 	// Attack on s2 only: both switches still got migration rules; s2's
 	// flood is absorbed by the shared cache.
-	if guard.Caches()[0].Stats().Enqueued == 0 {
+	if guard.Cache().Stats().Enqueued == 0 {
 		t.Error("shared cache absorbed nothing")
 	}
 }

@@ -90,7 +90,7 @@ func TestGuardChaosSoak(t *testing.T) {
 	if got := b.guard.State(); got != StateIdle {
 		t.Fatalf("state after attack = %v, want idle", got)
 	}
-	st := b.guard.Caches()[0].Stats()
+	st := b.guard.Cache().Stats()
 	if st.Enqueued == 0 {
 		t.Fatal("cache absorbed nothing across the soak")
 	}
@@ -100,7 +100,7 @@ func TestGuardChaosSoak(t *testing.T) {
 		t.Errorf("cache conservation broken: emitted %d + dropped %d != enqueued %d",
 			st.Emitted, st.Dropped, st.Enqueued)
 	}
-	if !b.guard.Caches()[0].Drained() {
+	if !b.guard.Cache().Drained() {
 		t.Error("cache not drained at idle")
 	}
 }
@@ -173,7 +173,7 @@ func TestGuardAttackEndsWhileDegraded(t *testing.T) {
 	if got := b.guard.State(); got != StateIdle {
 		t.Fatalf("state after heal = %v, want idle (drained)", got)
 	}
-	st := b.guard.Caches()[0].Stats()
+	st := b.guard.Cache().Stats()
 	if st.Emitted+st.Dropped != st.Enqueued {
 		t.Errorf("cache conservation broken: emitted %d + dropped %d != enqueued %d",
 			st.Emitted, st.Dropped, st.Enqueued)
@@ -202,7 +202,7 @@ func TestGuardDetectsWhileCacheUnreachable(t *testing.T) {
 			t.Fatal("migration rule installed while cache unreachable")
 		}
 	}
-	if b.guard.Caches()[0].Stats().Enqueued != 0 {
+	if b.guard.Cache().Stats().Enqueued != 0 {
 		t.Error("cache absorbed packets while unreachable")
 	}
 	if b.guard.DegradedDrops() == 0 {
@@ -249,7 +249,7 @@ func TestGuardHealDuringInitMigrates(t *testing.T) {
 	if !b.guard.PortMigrated(0x1, 3) {
 		t.Error("attack port 3 not migrated after a heal during Init")
 	}
-	if b.guard.Caches()[0].Stats().Enqueued == 0 {
+	if b.guard.Cache().Stats().Enqueued == 0 {
 		t.Error("cache absorbed nothing after a heal during Init")
 	}
 }

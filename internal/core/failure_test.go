@@ -63,7 +63,7 @@ func TestTinyTCAMDoesNotBreakDefense(t *testing.T) {
 	if rate := guard.PacketInRate(); rate > 50 {
 		t.Errorf("controller packet_in rate = %v despite migration", rate)
 	}
-	if guard.Caches()[0].Stats().Enqueued == 0 {
+	if guard.Cache().Stats().Enqueued == 0 {
 		t.Error("cache absorbed nothing")
 	}
 }
@@ -77,7 +77,7 @@ func TestGuardSurvivesCacheQueueOverflow(t *testing.T) {
 	b := newBed(t, cfg)
 	b.flooder.Start(500)
 	b.eng.RunFor(3 * time.Second)
-	st := b.guard.Caches()[0].Stats()
+	st := b.guard.Cache().Stats()
 	if st.Dropped == 0 {
 		t.Fatal("expected drops from the tiny queue")
 	}

@@ -32,7 +32,7 @@ type protectedSwitch struct {
 // Guard is one FloodGuard deployment: it extends a controller with the
 // proactive flow rule analyzer and the packet migration module. It is
 // the shell around Policy: its tickers build Observations, and apply
-// carries out the Decisions on the switches, caches and analyzer.
+// carries out the Decisions on the switches, cache and analyzer.
 type Guard struct {
 	cfg  Config
 	eng  *netsim.Engine
@@ -48,7 +48,7 @@ type Guard struct {
 	verdicts []attrib.Verdict
 
 	switches map[uint64]*protectedSwitch
-	caches   []*dpcache.Cache
+	cache    *dpcache.Cache
 	cacheTbl *flowtable.Table // §IV.E cache-resident rule table
 
 	// Data-plane packet_ins in the current detection window; replaying
@@ -139,29 +139,21 @@ func NewGuard(eng *netsim.Engine, ctrl *controller.Controller, cfg Config) (*Gua
 	g.policy = NewPolicy(cfg.Detection, cfg.RateLimit, g.selectiveActive())
 	// Shared default cache (paper §IV.E: "ideally, we only need to deploy
 	// one data plane cache to serve all switches").
-	g.caches = []*dpcache.Cache{dpcache.New(eng, cfg.Cache, g)}
-	g.armAttribution(g.caches[0])
+	g.cache = dpcache.New(eng, cfg.Cache, g)
+	if g.attrib != nil {
+		// Verdicts split the replay queues (benign-priority scheduling),
+		// and every migrated packet feeds the blame detectors, which
+		// otherwise go blind on diverted ports.
+		g.cache.SetHinter(g.attrib)
+		g.cache.SetObserver(g.attrib.ObservePacket)
+	}
 	if cfg.Analyzer.RulesInCache {
 		g.cacheTbl = flowtable.New(0)
-		for _, c := range g.caches {
-			c.UseRuleTable(g.cacheTbl)
-		}
+		g.cache.UseRuleTable(g.cacheTbl)
 	}
 	ctrl.AddHook(g.packetInHook)
 	ctrl.AddMessageListener(g.onMessage)
 	return g, nil
-}
-
-// armAttribution wires the attribution engine into a cache: verdicts
-// split the replay queues (benign-priority scheduling) and every
-// migrated packet feeds the blame detectors, which otherwise go blind on
-// diverted ports.
-func (g *Guard) armAttribution(c *dpcache.Cache) {
-	if g.attrib == nil {
-		return
-	}
-	c.SetHinter(g.attrib)
-	c.SetObserver(g.attrib.ObservePacket)
 }
 
 // selectiveActive reports whether per-port selective migration governs
@@ -183,8 +175,9 @@ func (g *Guard) PortMigrated(dpid uint64, port uint16) bool {
 	return diverted || ps.migrated
 }
 
-// Caches returns the guard's data plane caches.
-func (g *Guard) Caches() []*dpcache.Cache { return g.caches }
+// Cache returns the guard's data plane cache, shared by every protected
+// switch.
+func (g *Guard) Cache() *dpcache.Cache { return g.cache }
 
 // Analyzer exposes the proactive flow rule analyzer.
 func (g *Guard) Analyzer() *Analyzer { return g.analyzer }
@@ -200,21 +193,15 @@ func (g *Guard) record(tr Transition) {
 	g.stateGauge.Set(int64(tr.To))
 }
 
-// Instrument attaches the guard's counters and state gauge, its caches,
+// Instrument attaches the guard's counters and state gauge, its cache,
 // its analyzer and its controller to reg, and arms sampled pipeline
 // tracing (one in traceSampleEvery packets). It returns the tracer so
 // deployments can wire it into their switches too. Call once, before
 // Start.
 func (g *Guard) Instrument(reg *telemetry.Registry) *telemetry.Tracer {
 	g.trace = telemetry.NewTracer(reg, traceSampleEvery)
-	for i, c := range g.caches {
-		c.SetTracer(g.trace)
-		prefix := "fg_cache"
-		if i > 0 {
-			prefix = fmt.Sprintf("fg_cache%d", i)
-		}
-		c.Register(reg, prefix)
-	}
+	g.cache.SetTracer(g.trace)
+	g.cache.Register(reg, "fg_cache")
 	if g.cacheTbl != nil {
 		g.cacheTbl.Register(reg, "fg_cachetbl")
 	}
@@ -258,11 +245,6 @@ func (g *Guard) Transitions() []Transition { return slices.Clone(g.history) }
 // attached on cfg.CachePort and migration is armed. Call before Start.
 // The switch must already be bound to the controller.
 func (g *Guard) Protect(sw *switchsim.Switch) error {
-	return g.ProtectWithCache(sw, g.caches[0])
-}
-
-// ProtectWithCache is Protect with an explicit cache assignment.
-func (g *Guard) ProtectWithCache(sw *switchsim.Switch, cache *dpcache.Cache) error {
 	dp, ok := g.ctrl.Datapath(sw.DPID)
 	if !ok {
 		return fmt.Errorf("floodguard: datapath %#x is not connected to the controller", sw.DPID)
@@ -271,7 +253,7 @@ func (g *Guard) ProtectWithCache(sw *switchsim.Switch, cache *dpcache.Cache) err
 		return fmt.Errorf("floodguard: datapath id 0 is reserved")
 	}
 	ps := &protectedSwitch{sw: sw, dp: dp, portRules: make(map[uint16][]openflow.FlowMod)}
-	sw.AttachPort(g.cfg.CachePort, cache.Adapter(sw.DPID), 1e9, 100*time.Microsecond)
+	sw.AttachPort(g.cfg.CachePort, g.cache.Adapter(sw.DPID), 1e9, 100*time.Microsecond)
 	sw.SetNoFlood(g.cfg.CachePort, true)
 	for _, p := range sw.Ports() {
 		if p != g.cfg.CachePort {
@@ -289,10 +271,8 @@ func (g *Guard) Start() error {
 	if err := g.analyzer.Prepare(); err != nil {
 		return err
 	}
-	for _, c := range g.caches {
-		c.Start()
-		c.SetRate(0) // dormant until an attack is detected
-	}
+	g.cache.Start()
+	g.cache.SetRate(0) // dormant until an attack is detected
 	g.detectTicker = g.eng.NewTicker(g.cfg.Detection.SampleInterval, g.sample)
 	g.statsTicker = g.eng.NewTicker(statsPollInterval, g.pollStats)
 	return nil
@@ -308,9 +288,7 @@ func (g *Guard) Stop() {
 	if g.derived != nil {
 		g.derived.Cancel()
 	}
-	for _, c := range g.caches {
-		c.Stop()
-	}
+	g.cache.Stop()
 }
 
 // packetInHook observes every packet_in before app dispatch (detection
@@ -476,12 +454,9 @@ func (g *Guard) step(tick Tick) {
 		BufferFrac: worstBufferFrac(g.switches),
 		Backlog:    g.ctrl.Backlog(),
 		Reachable:  g.cacheReachable,
-		Drained:    true,
+		Enqueued:   g.cache.Stats().Enqueued,
+		Drained:    g.cache.Drained(),
 		Verdicts:   g.verdicts,
-	}
-	for _, c := range g.caches {
-		o.Enqueued += c.Stats().Enqueued
-		o.Drained = o.Drained && c.Drained()
 	}
 	g.apply(g.policy.Step(o))
 }
@@ -514,9 +489,7 @@ func (g *Guard) apply(d Decisions) {
 			g.removeMigration(ps)
 		}
 	}
-	for _, c := range g.caches {
-		c.SetRate(d.Rate)
-	}
+	g.cache.SetRate(d.Rate)
 	// The replay-rate controller runs from detection, phased from it,
 	// until the drain completes; the tracker runs while the proactive
 	// rules are in.
@@ -673,7 +646,7 @@ func (g *Guard) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packet, q
 }
 
 // MigrationRate returns the most recent rate of packets being diverted
-// into the caches (packets/second).
+// into the cache (packets/second).
 func (g *Guard) MigrationRate() float64 { return g.policy.MigrationRate() }
 
 // PacketInRate returns the detector's smoothed data-plane packet_in rate.

@@ -100,7 +100,7 @@ func TestGuardStaysIdleWithoutAttack(t *testing.T) {
 		t.Errorf("DetectedAttacks = %d", b.guard.DetectedAttacks())
 	}
 	// Dormant: cache emits nothing, no migration rules.
-	if b.guard.Caches()[0].Stats().Enqueued != 0 {
+	if b.guard.Cache().Stats().Enqueued != 0 {
 		t.Error("cache absorbed packets while idle")
 	}
 }
@@ -138,7 +138,7 @@ func TestGuardDetectsAndDefends(t *testing.T) {
 	if rate := b.guard.PacketInRate(); rate > 50 {
 		t.Errorf("controller packet_in rate during defense = %v, want low", rate)
 	}
-	if st := b.guard.Caches()[0].Stats(); st.Enqueued == 0 {
+	if st := b.guard.Cache().Stats(); st.Enqueued == 0 {
 		t.Error("cache absorbed nothing")
 	}
 	if b.guard.MigrationRate() < 100 {
@@ -199,11 +199,11 @@ func TestGuardLearnsNewFlowViaCacheReplay(t *testing.T) {
 			delivered++ // flooded copy reaches bob
 		}
 	}
-	cacheBefore := b.guard.Caches()[0].Stats().Enqueued
+	cacheBefore := b.guard.Cache().Stats().Enqueued
 	b.alice.Send(f.SYN())
 	b.eng.RunFor(3 * time.Second)
 
-	if got := b.guard.Caches()[0].Stats().Enqueued - cacheBefore; got == 0 {
+	if got := b.guard.Cache().Stats().Enqueued - cacheBefore; got == 0 {
 		t.Error("benign unknown-destination packet was not migrated to the cache")
 	}
 	if delivered == 0 {
@@ -211,7 +211,7 @@ func TestGuardLearnsNewFlowViaCacheReplay(t *testing.T) {
 	}
 	// TCP queue isolation: the UDP flood shares the cache but the TCP
 	// packet was served from its own round-robin queue.
-	if got := b.guard.Caches()[0].Stats().PerQueue[0]; got > 1 {
+	if got := b.guard.Cache().Stats().PerQueue[0]; got > 1 {
 		t.Errorf("TCP queue backlog = %d, want empty (round-robin isolation)", got)
 	}
 }
@@ -247,7 +247,7 @@ func TestGuardFinishAndDrainBackToIdle(t *testing.T) {
 		}
 	}
 	// Every cached packet was replayed (none lost beyond queue drops).
-	st := b.guard.Caches()[0].Stats()
+	st := b.guard.Cache().Stats()
 	if st.Backlog != 0 {
 		t.Errorf("cache backlog = %d after idle", st.Backlog)
 	}
@@ -379,7 +379,7 @@ func TestAdaptiveRateLimitBacksOffUnderLoad(t *testing.T) {
 	b := newBed(t, defaultTestConfig())
 	b.flooder.Start(300)
 	b.eng.RunFor(3 * time.Second)
-	rate := b.guard.Caches()[0].Rate()
+	rate := b.guard.Cache().Rate()
 	rl := b.guard.cfg.RateLimit
 	if rate < rl.MinPPS || rate > rl.MaxPPS {
 		t.Errorf("replay rate %v outside [%v, %v]", rate, rl.MinPPS, rl.MaxPPS)
@@ -401,7 +401,7 @@ func TestCacheResidentRulesOption(t *testing.T) {
 	}
 	// Proactive rules land in the cache's table, not switch TCAM. (The
 	// switch still holds the apps' ordinary reactive rules.)
-	tbl := b.guard.Caches()[0].RuleTable()
+	tbl := b.guard.Cache().RuleTable()
 	if tbl == nil || tbl.Len() == 0 {
 		t.Fatal("cache rule table empty despite RulesInCache")
 	}
@@ -427,7 +427,7 @@ func TestCacheResidentRulesOption(t *testing.T) {
 	}
 	b.alice.Send(f.Packet(100))
 	b.eng.RunFor(2 * time.Second)
-	if got := b.guard.Caches()[0].Stats().PriorityServed; got == 0 {
+	if got := b.guard.Cache().Stats().PriorityServed; got == 0 {
 		t.Error("priority lane unused for rule-matching benign traffic")
 	}
 }
@@ -541,7 +541,7 @@ func TestGuardStopAfterReentryFreezesRate(t *testing.T) {
 		t.Fatalf("no finish→init re-detection; transitions %+v", b.guard.Transitions())
 	}
 	b.guard.Stop()
-	c := b.guard.Caches()[0]
+	c := b.guard.Cache()
 	c.SetRate(123)
 	b.eng.RunFor(time.Second)
 	if got := c.Rate(); got != 123 {

@@ -118,7 +118,7 @@ func TestMultiSwitchPerDatapathDefense(t *testing.T) {
 	}
 
 	// The shared cache absorbed s2's flood, tagged with its origin.
-	if guard.Caches()[0].Stats().Enqueued == 0 {
+	if guard.Cache().Stats().Enqueued == 0 {
 		t.Error("shared cache absorbed nothing")
 	}
 

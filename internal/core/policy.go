@@ -78,10 +78,10 @@ const (
 type Observation struct {
 	Tick       Tick
 	PacketIns  int           // the window's data-plane packet_ins (TickSample)
-	Enqueued   uint64        // the caches' cumulative enqueue count
+	Enqueued   uint64        // the cache's cumulative enqueue count
 	BufferFrac float64       // the fullest switch buffer's occupancy
 	Backlog    time.Duration // the controller's work backlog
-	Reachable  bool          // the sideband to the caches is up
+	Reachable  bool          // the sideband to the cache is up
 	Drained    bool          // every cache queue is empty
 	// Verdicts are the latest window's attribution verdicts for the
 	// ports migration can divert, in attrib.Roll's (datapath, port)
@@ -98,7 +98,7 @@ type PortMove struct {
 }
 
 // Decisions is what one Step asks of the shell, in order: record the
-// transitions, apply the migration, set every cache's replay rate, then
+// transitions, apply the migration, set the cache's replay rate, then
 // derive when asked. Its slices are valid until the next Step.
 type Decisions struct {
 	Transitions []Transition
@@ -106,7 +106,7 @@ type Decisions struct {
 	// (selective mode moves port by port instead).
 	Migrating bool
 	Moves     []PortMove // selective migration's changes, in port order
-	Rate      float64    // replay rate for every cache (0 parks replay)
+	Rate      float64    // the cache's replay rate (0 parks replay)
 	// Derive asks for the proactive rules of a fresh Init; the shell
 	// answers with a TickDerived step once they are installed.
 	Derive bool
@@ -137,7 +137,7 @@ type Policy struct {
 	lastEnq              uint64
 	over, quiet          int
 
-	replay float64 // replay rate the caches were last given
+	replay float64 // replay rate the cache was last given
 	active bool    // migration was wanted after the last step
 
 	// Selective migration: the ports diverted now (sorted), the
@@ -165,7 +165,7 @@ func (p *Policy) State() FSMState { return p.state }
 func (p *Policy) PacketInRate() float64 { return p.rate }
 
 // MigrationRate returns the last window's rate of packets diverted into
-// the caches (pps).
+// the cache (pps).
 func (p *Policy) MigrationRate() float64 { return p.migRate }
 
 // Score returns the last window's composite detection score.
@@ -222,7 +222,7 @@ func (p *Policy) sample(o *Observation) {
 	} else {
 		p.rate, p.seeded = x, true
 	}
-	// What the caches absorb: the attack-ongoing signal while migration
+	// What the cache absorbs: the attack-ongoing signal while migration
 	// hides the flood from the controller.
 	p.migRate = float64(o.Enqueued-p.lastEnq) * perSec
 	p.lastEnq = o.Enqueued

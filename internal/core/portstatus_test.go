@@ -47,7 +47,7 @@ func TestPortAddedMidDefenseGetsMigrationRule(t *testing.T) {
 	b.flooder.Stop()
 	b.eng.RunFor(50 * time.Millisecond)
 	misses := b.sw.Stats().Missed
-	cacheBefore := b.guard.Caches()[0].Stats().Enqueued
+	cacheBefore := b.guard.Cache().Stats().Enqueued
 	g := netpkt.NewSpoofGen(77, netpkt.FloodUDP, 32)
 	for i := 0; i < 10; i++ {
 		carol.Send(g.Next())
@@ -59,7 +59,7 @@ func TestPortAddedMidDefenseGetsMigrationRule(t *testing.T) {
 	if got := b.sw.Stats().Missed - misses; got != 0 {
 		t.Errorf("carol's traffic caused %d raw misses despite migration", got)
 	}
-	if got := b.guard.Caches()[0].Stats().Enqueued - cacheBefore; got != 10 {
+	if got := b.guard.Cache().Stats().Enqueued - cacheBefore; got != 10 {
 		t.Errorf("cache absorbed %d of carol's packets, want 10", got)
 	}
 }

@@ -132,7 +132,7 @@ func TestSelectiveMigrationFullCycleCleanup(t *testing.T) {
 		t.Errorf("priority-1 rules = %d after idle", got)
 	}
 	// Conservation still holds with the benign/suspect queue split.
-	st := b.guard.Caches()[0].Stats()
+	st := b.guard.Cache().Stats()
 	if st.Emitted+st.Dropped != st.Enqueued {
 		t.Errorf("cache conservation: enqueued %d != emitted %d + dropped %d",
 			st.Enqueued, st.Emitted, st.Dropped)

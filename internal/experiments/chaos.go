@@ -108,7 +108,7 @@ func RunChaos(seed int64, flaps int) (*ChaosResult, error) {
 
 	tb.Flooder.Stop()
 	attackEnd := tb.Eng.Now()
-	cache := tb.Guard.Caches()[0]
+	cache := tb.Guard.Cache()
 	for tb.Eng.Now().Sub(attackEnd) < 2*time.Minute {
 		tb.Eng.RunFor(time.Second)
 		if tb.Guard.State() == core.StateIdle && cache.Drained() {

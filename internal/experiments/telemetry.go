@@ -90,9 +90,7 @@ func (ws *windowSampler) sample() {
 		row.MigrationRatePPS = tb.Guard.MigrationRate()
 		row.Replayed = tb.Guard.Replayed()
 		row.DegradedDrops = tb.Guard.DegradedDrops()
-		if caches := tb.Guard.Caches(); len(caches) > 0 {
-			row.CacheBacklog = caches[0].Stats().Backlog
-		}
+		row.CacheBacklog = tb.Guard.Cache().Stats().Backlog
 	}
 	ws.rows = append(ws.rows, row)
 }

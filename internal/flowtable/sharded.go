@@ -11,24 +11,24 @@
 // are broadcast into every partition, so partition p%N sees every rule
 // that could match. Rules pinned to a *different* port that happen to
 // share the partition fail the in_port comparison and cannot shadow the
-// winner. Relative rule order is preserved per partition (each Apply
+// winner. Relative rule order is preserved per partition (each mutation
 // lands in partition-application order), so priority ties break exactly
 // as they would in one global table.
 //
 // Routing soundness for mutations: a rule lives in the partitions its
-// in_port selects, and an add or strict delete addresses rules with its
-// exact match, so one pinned to in_port=p reaches partition p%N alone
-// and one with in_port wildcarded is broadcast to every partition.
+// in_port selects (Owner), and an add or strict delete addresses rules
+// with its exact match, so one pinned to in_port=p reaches partition
+// p%N alone and one with in_port wildcarded is broadcast to every
+// partition. rtc.Engine.Apply does the routing, under each target
+// shard's partition lock, and its tests hold it to one plain Table.
 //
 // Divergences from one global table, by construction: a broadcast rule
 // is physically present in every partition (RuleCount counts the
-// copies; a broadcast delete reports one Removed per partition), and a
-// capacity bound is enforced per partition rather than globally.
+// copies), and a capacity bound is enforced per partition rather than
+// globally.
 package flowtable
 
 import (
-	"time"
-
 	"floodguard/internal/openflow"
 	"floodguard/internal/telemetry"
 )
@@ -36,7 +36,7 @@ import (
 // Sharded is a flow table partitioned by in_port%N shard ownership.
 // The aggregate methods (RuleCount, Register) read only atomics
 // and are safe from any goroutine; everything touching a partition's
-// rule list (Apply, Lookup via Partition) is subject to that partition's
+// rule list (through Partition) is subject to that partition's
 // single-owner contract.
 type Sharded struct {
 	parts []*Table
@@ -60,8 +60,9 @@ func NewSharded(n, capacity int) *Sharded {
 	return s
 }
 
-// Partition returns partition i. Single-owner: only the owning shard
-// goroutine (or a quiescent harness) may call its mutating methods.
+// Partition returns partition i. Single-owner: one goroutine at a time
+// may touch its rule list (rtc serializes them with the owning shard's
+// partition lock).
 func (s *Sharded) Partition(i int) *Table { return s.parts[i] }
 
 // Owner routes a flow_mod match: (partition, true) when the match pins
@@ -72,28 +73,6 @@ func (s *Sharded) Owner(m *openflow.Match) (int, bool) {
 		return 0, false
 	}
 	return int(m.InPort) % len(s.parts), true
-}
-
-// Apply executes a flow_mod against its owning partition, or against
-// every partition when the match wildcards in_port. The caller must be
-// the sole goroutine touching the affected partitions (setup phase, a
-// test, or the rtc control-ring path where each partition's owner shard
-// applies its own copy). A broadcast returns the concatenated Removed
-// sets and the first error.
-func (s *Sharded) Apply(m openflow.FlowMod, now time.Time) ([]Removed, error) {
-	if i, owned := s.Owner(&m.Match); owned {
-		return s.parts[i].Apply(m, now)
-	}
-	var removed []Removed
-	var firstErr error
-	for _, t := range s.parts {
-		r, err := t.Apply(m, now)
-		removed = append(removed, r...)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return removed, firstErr
 }
 
 // RuleCount sums the partitions' mutation-point rule-count mirrors —

@@ -260,7 +260,7 @@ func (m *Match) Normalized() Match {
 // Equal reports whether two matches are logically identical. It
 // compares the normalized structs directly — no string building — so
 // strict flow_mod application stays allocation-free on the shard's
-// in-band control path.
+// flow_mod path.
 func (m *Match) Equal(o *Match) bool { return m.Normalized() == o.Normalized() }
 
 // Compare orders matches field by field in declaration order (-1, 0, +1).

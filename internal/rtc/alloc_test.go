@@ -14,9 +14,9 @@ import (
 // warm run-to-completion body over a 3:1 benign/spoof mix, with no
 // journal, with every spoof from a fresh source, with a live journal
 // (barrier heartbeat and consumer drain included), with a
-// strict-delete/re-add flow_mod pair arriving
-// in-band through the control ring every 64 packets (where only the
-// rule install itself may allocate), and in manual mode, where
+// strict-delete/re-add flow_mod pair applied through Engine.Apply every
+// 64 packets (where only the rule install itself may allocate), and in
+// manual mode, where
 // InjectItem runs the body on the caller and a miss goes straight into
 // the cache's queues.
 func TestShardBodyAllocatesNothing(t *testing.T) {
@@ -64,19 +64,18 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		}
 	})
 	t.Run("churn", func(t *testing.T) {
-		_, s, items, drain := warmShard(t, Config{})
+		e, s, items, drain := warmShard(t, Config{})
 		del, add := churnPair(items)
 		// Installing a rule allocates its table entry, so the whole loop
 		// is measured as one run and held to that: a handful of
-		// allocations per re-add, none per packet or per control-ring hop.
+		// allocations per re-add, none per packet or per Apply.
 		const packets, pairs = 4096, 4096 / 64
 		total := testing.AllocsPerRun(1, func() {
 			for i := 1; i <= packets; i++ {
 				s.processOne(&items[i&63], now)
 				if i&63 == 0 {
-					pushMod(t, s, del)
-					pushMod(t, s, add)
-					s.drainCtrl(now)
+					mustApply(t, e, del)
+					mustApply(t, e, add)
 				}
 				if i&1023 == 0 {
 					drain()
@@ -115,11 +114,9 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 	})
 }
 
-// pushMod enqueues a flow_mod on the shard's control ring without
-// waiting for its ack: the in-band hop a running shard drains at the top
-// of each batch.
-func pushMod(tb testing.TB, s *Shard, m openflow.FlowMod) {
-	if err := s.pushCtrl(ctrlEvent{mod: m}, time.Now().Add(time.Second)); err != nil {
+// mustApply applies a flow_mod through Engine.Apply, failing on error.
+func mustApply(tb testing.TB, e *Engine, m openflow.FlowMod) {
+	if err := e.Apply(m); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package rtc
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,8 +14,8 @@ import (
 	"floodguard/internal/openflow"
 )
 
-// TestApplyRoutesToOwningShard pins the in-band routing contract on a
-// running engine: a concrete-in_port mod is applied by exactly the
+// TestApplyRoutesToOwningShard pins the routing contract on a running
+// engine: a concrete-in_port mod is applied by exactly the
 // owning shard, a wildcard-in_port mod by every shard (one physical
 // copy per partition), and Apply returns only after the table reflects
 // the mutation.
@@ -43,8 +44,8 @@ func TestApplyRoutesToOwningShard(t *testing.T) {
 		}
 	}
 
-	// Wildcarded in_port: one control event per shard, one copy per
-	// partition, so the summed rule count grows by the shard count.
+	// Wildcarded in_port: one copy per partition, so the summed rule
+	// count grows by the shard count.
 	wild := openflow.FlowMod{
 		Match:    openflow.ExactFrom(&pkt, 1),
 		Command:  openflow.FlowAdd,
@@ -63,12 +64,11 @@ func TestApplyRoutesToOwningShard(t *testing.T) {
 			t.Errorf("shard %d applied %d mods after broadcast, want 3", i, st.Applied)
 		}
 	}
-
 }
 
 // TestApplyErrorRoundTrip pins that a shard's application error (here
-// ErrTableFull from a capacity-bounded partition) travels back through
-// the synchronous ack to the Apply caller.
+// ErrTableFull from a capacity-bounded partition) comes back to the
+// Apply caller and is counted against the shard.
 func TestApplyErrorRoundTrip(t *testing.T) {
 	cfg := testEngineConfig(2)
 	cfg.TableCapacity = 2 // one slot per partition
@@ -90,79 +90,25 @@ func TestApplyErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestApplyBackpressureOnFullRing pins the bounded-wait contract: when
-// a shard's control ring stays full for the whole ApplyTimeout, Apply
-// fails with ErrApplyBackpressure instead of blocking forever. The
-// shard goroutine is deliberately not running (started is forced on)
-// and the test holds the partition, like a busy shard, so nothing
-// drains the ring.
-func TestApplyBackpressureOnFullRing(t *testing.T) {
-	cfg := testEngineConfig(1)
-	cfg.CtrlRingCapacity = 4
-	cfg.ApplyTimeout = 20 * time.Millisecond
-	e := New(cfg)
-	e.started.Store(true) // ring path without a consumer
-	s := e.shards[0]
-	s.partMu.Lock()
-
-	g := netpkt.NewSpoofGen(9, netpkt.FloodUDP, 0)
-	pkt := g.Next()
-	for i := 0; i < cfg.CtrlRingCapacity; i++ {
-		pushMod(t, s, exactMod(&pkt, uint16(i+1), 2))
-	}
-	deadline := time.Now().Add(cfg.ApplyTimeout)
-	if err := s.pushCtrl(ctrlEvent{mod: exactMod(&pkt, 99, 2)}, deadline); !errors.Is(err, ErrApplyBackpressure) {
-		t.Fatalf("enqueue on a full ring = %v, want ErrApplyBackpressure", err)
-	}
-	if err := e.Apply(exactMod(&pkt, 99, 2)); !errors.Is(err, ErrApplyBackpressure) {
-		t.Fatalf("Apply on a full ring = %v, want ErrApplyBackpressure", err)
-	}
-
-	// Draining the ring (as the shard loop does at batch tops) applies
-	// the parked events and unblocks the path.
-	s.drainCtrl(time.Now())
-	if got := e.TableRules(); got != cfg.CtrlRingCapacity {
-		t.Fatalf("rules after drain = %d, want %d", got, cfg.CtrlRingCapacity)
-	}
-	pushMod(t, s, exactMod(&pkt, 99, 2))
-	s.drainCtrl(time.Now())
-	s.partMu.Unlock()
-	e.started.Store(false)
-}
-
-// TestApplyTimeoutOnStalledShard pins the other bound: the event
-// enqueues fine, but no shard acknowledges within ApplyTimeout. The
-// test holds the partition, like a stalled shard, so the caller cannot
-// drain the ring itself.
-func TestApplyTimeoutOnStalledShard(t *testing.T) {
-	cfg := testEngineConfig(1)
-	cfg.ApplyTimeout = 20 * time.Millisecond
-	e := New(cfg)
-	e.started.Store(true) // enqueue succeeds, nobody acks
-	e.shards[0].partMu.Lock()
-
-	g := netpkt.NewSpoofGen(11, netpkt.FloodUDP, 0)
-	pkt := g.Next()
-	if err := e.Apply(exactMod(&pkt, 1, 2)); !errors.Is(err, ErrApplyTimeout) {
-		t.Fatalf("Apply against a stalled shard = %v, want ErrApplyTimeout", err)
-	}
-	e.shards[0].drainCtrl(time.Now())
-	e.shards[0].partMu.Unlock()
-	e.started.Store(false)
-}
-
-// TestApplyOnWaitingShard pins the helping wait: on a started engine
-// whose shard holds no partition — here it has no goroutine at all, the
-// limit of a shard waiting for ingress — Apply applies its own mod
-// while it waits, so it returns nil with the rule live instead of
-// timing out.
+// TestApplyOnWaitingShard pins that a shard waiting for ingress never
+// keeps a flow_mod waiting: with the ingress ring idle the shard never
+// reaches another batch top, so Apply can only return because it found
+// the partition free and applied the mod itself.
 func TestApplyOnWaitingShard(t *testing.T) {
 	e := New(testEngineConfig(1))
-	e.started.Store(true)
-	defer e.started.Store(false)
+	e.Start()
+	defer e.Stop()
+	s := e.shards[0]
+	within(t, "the shard to let go of its partition", func() bool {
+		if !s.partMu.TryLock() {
+			return false
+		}
+		s.partMu.Unlock()
+		return true
+	})
 
 	pkt := netpkt.NewSpoofGen(31, netpkt.FloodUDP, 0).Next()
-	if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
+	if err := awaitApply(t, goApply(e, exactMod(&pkt, 1, 2))); err != nil {
 		t.Fatalf("Apply on a waiting shard = %v, want nil", err)
 	}
 	if got := e.TableRules(); got != 1 {
@@ -173,74 +119,163 @@ func TestApplyOnWaitingShard(t *testing.T) {
 	}
 }
 
-// TestApplyReleaseRechecksRing pins the release protocol: an event
-// queued while the partition is held, whose Apply has stopped polling
-// and parked, is drained by the holder's release before it returns.
-// With release a plain Unlock the ack stays pending and that Apply
-// would time out.
-func TestApplyReleaseRechecksRing(t *testing.T) {
+// boundedWait is how long the handoff tests wait for a step that must
+// happen, so a broken handoff fails them instead of hanging them.
+const boundedWait = 5 * time.Second
+
+// within polls cond until it holds, failing the test after boundedWait.
+func within(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(boundedWait); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", boundedWait, what)
+		}
+	}
+}
+
+// goApply runs Apply on its own goroutine and returns its result channel.
+func goApply(e *Engine, m openflow.FlowMod) <-chan error {
+	res := make(chan error, 1)
+	go func() { res <- e.Apply(m) }()
+	return res
+}
+
+// awaitApply returns an Apply's result, failing the test after
+// boundedWait.
+func awaitApply(t *testing.T, res <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-res:
+		return err
+	case <-time.After(boundedWait):
+		t.Fatalf("Apply still waiting after %v", boundedWait)
+		return nil
+	}
+}
+
+// batchTop runs the shard's batch-top step on a goroutine of its own,
+// failing the test if it does not return within boundedWait.
+func batchTop(t *testing.T, s *Shard) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { s.handoff(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(boundedWait):
+		t.Fatalf("the batch-top handoff did not return within %v", boundedWait)
+	}
+}
+
+// TestApplyHandoffAtBatchTop pins the handoff: the test holds partMu as
+// a busy shard does, so an Apply waits and its rule is not live; the
+// batch-top step hands the partition over and takes it back, and the
+// rule is live exactly when it returns.
+func TestApplyHandoffAtBatchTop(t *testing.T) {
 	e := New(testEngineConfig(1))
-	e.started.Store(true)
-	defer e.started.Store(false)
 	s := e.shards[0]
 	s.partMu.Lock()
-	pkt := netpkt.NewSpoofGen(37, netpkt.FloodUDP, 0).Next()
-	parked := newApplyAck(1)
-	if err := s.pushCtrl(ctrlEvent{mod: exactMod(&pkt, 1, 2), ack: parked}, time.Now().Add(time.Second)); err != nil {
+	pkt := netpkt.NewSpoofGen(41, netpkt.FloodUDP, 0).Next()
+	res := goApply(e, exactMod(&pkt, 1, 2))
+	within(t, "the Apply to count itself waiting", func() bool { return s.waiters.Load() == 1 })
+	select {
+	case err := <-res:
+		t.Fatalf("Apply returned %v while the shard held its partition", err)
+	default:
+	}
+	if got := e.TableRules(); got != 0 {
+		t.Fatalf("rules before the batch top = %d, want 0", got)
+	}
+
+	batchTop(t, s)
+	if got := e.TableRules(); got != 1 {
+		t.Fatalf("rules after the batch top = %d, want 1", got)
+	}
+	if err := awaitApply(t, res); err != nil {
+		t.Fatalf("handed-over Apply = %v, want nil", err)
+	}
+	if s.partMu.TryLock() {
+		t.Fatal("the batch top did not take the partition back")
+	}
+	s.partMu.Unlock()
+}
+
+// TestApplyHandoffBoundsBackToBack pins that the handoff serves only the
+// callers waiting when it starts: a control plane applying back to back
+// is waiting again at once, yet the batch top returns with the partition
+// while that newer call still waits, so ingress cannot starve.
+func TestApplyHandoffBoundsBackToBack(t *testing.T) {
+	e := New(testEngineConfig(1))
+	s := e.shards[0]
+	pkt := netpkt.NewSpoofGen(43, netpkt.FloodUDP, 0).Next()
+	add := exactMod(&pkt, 1, 2)
+	del := add
+	del.Command, del.OutPort = openflow.FlowDeleteStrict, openflow.PortNone
+
+	s.partMu.Lock()
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; !stop.Load(); i++ {
+			m := add
+			if i&1 == 1 {
+				m = del
+			}
+			if err := e.Apply(m); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for round := 0; round < 3; round++ {
+		within(t, "the applier to wait", func() bool { return s.waiters.Load() == 1 })
+		before := s.applied.Load()
+		batchTop(t, s)
+		within(t, "the applier's next call to wait", func() bool { return s.waiters.Load() == 1 })
+		if s.applied.Load() == before {
+			t.Fatalf("round %d: the batch top applied nothing", round)
+		}
+	}
+	stop.Store(true)
+	s.partMu.Unlock()
+	if err := awaitApply(t, done); err != nil {
 		t.Fatal(err)
 	}
-	s.release()
-	if n := parked.pending.Load(); n != 0 {
-		t.Fatalf("release left the parked waiter's event pending (%d)", n)
+}
+
+// TestApplyStopWhileWaiting pins that Stop leaves no Apply waiting: an
+// Apply blocked behind a busy holder of the partition (the test, here)
+// while the engine stops returns nil with its rule applied.
+func TestApplyStopWhileWaiting(t *testing.T) {
+	e := New(testEngineConfig(1))
+	e.Start()
+	s := e.shards[0]
+	within(t, "the shard to let go of its partition", s.partMu.TryLock)
+	pkt := netpkt.NewSpoofGen(47, netpkt.FloodUDP, 0).Next()
+	res := goApply(e, exactMod(&pkt, 1, 2))
+	within(t, "the Apply to count itself waiting", func() bool { return s.waiters.Load() == 1 })
+	stopped := make(chan struct{})
+	go func() { e.Stop(); close(stopped) }()
+	s.partMu.Unlock()
+	if err := awaitApply(t, res); err != nil {
+		t.Fatalf("Apply across Stop = %v, want nil", err)
 	}
-	if err := parked.result(); err != nil {
-		t.Fatal(err)
+	select {
+	case <-stopped:
+	case <-time.After(boundedWait):
+		t.Fatalf("Stop did not return within %v", boundedWait)
 	}
 	if got := e.TableRules(); got != 1 {
-		t.Fatalf("rules after release = %d, want 1", got)
+		t.Fatalf("rules after Stop = %d, want 1", got)
 	}
 }
 
-// TestApplyHeldOrder pins FIFO through a held partition: two Applies
-// queued, in order, while the test holds the partition both return nil
-// once it lets go, and their rules land in enqueue order — both share a
-// priority, so the table orders them by insertion seq.
-func TestApplyHeldOrder(t *testing.T) {
-	e := New(testEngineConfig(1))
-	e.started.Store(true)
-	defer e.started.Store(false)
-	s := e.shards[0]
-
-	pkt := netpkt.NewSpoofGen(41, netpkt.FloodUDP, 0).Next()
-	first := exactMod(&pkt, 1, 2)
-	pkt.EthDst = netpkt.MACFromUint64(0x020000000001)
-	second := exactMod(&pkt, 1, 2)
-	s.partMu.Lock()
-	errs := make(chan error, 2)
-	for i, m := range []openflow.FlowMod{first, second} {
-		go func() { errs <- e.Apply(m) }()
-		for s.ctrl.Len() != i+1 {
-			runtime.Gosched()
-		}
-	}
-	s.release()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("queued Apply = %v, want nil", err)
-		}
-	}
-	got := s.part.Entries()
-	if len(got) != 2 || got[0].Match != first.Match || got[1].Match != second.Match {
-		t.Fatalf("rules in seq order = %v, want the first mod's then the second's", got)
-	}
-}
-
-// TestApplyRoundTripSerial pins the in-band round trip the mitigation
-// install makes: 10 000 serial Apply calls against a started one-shard
+// TestApplyRoundTripSerial pins the round trip the mitigation install
+// makes: 10 000 serial Apply calls against a started one-shard
 // wall-clock engine whose ingress ring stays idle, so between mods the
 // shard spins in Wait and, at every pause, parks — with its partition
 // let go, so each caller applies its own mod. Each call must return nil
-// with its rule applied; none may come back before its ack.
+// with its rule applied.
 func TestApplyRoundTripSerial(t *testing.T) {
 	const mods = 10_000
 	e := New(testEngineConfig(1))
@@ -372,9 +407,9 @@ func TestApplyChurnRace(t *testing.T) {
 	}
 }
 
-// TestApplyQuiescentInline pins the inline fast path: before Start and
-// after Stop the caller owns the partitions, so the mod applies with no
-// ring; in manual mode it owns them throughout, so a mod applied after
+// TestApplyQuiescentInline pins Apply without a shard goroutine: before
+// Start and after Stop every partition is free, so the caller applies at
+// once; in manual mode they are free throughout, so a mod applied after
 // Start is visible to the very next InjectItem, and Start launches no
 // goroutine.
 func TestApplyQuiescentInline(t *testing.T) {
@@ -429,4 +464,127 @@ func TestApplyQuiescentInline(t *testing.T) {
 			t.Fatalf("the miss reached the cache %d times, want 1", st.Enqueued)
 		}
 	})
+}
+
+// lookupKey reduces a lookup outcome to the fields the shard-count
+// invariance property compares: miss/hit, the winning rule's identity,
+// and what it would do to the packet.
+type lookupKey struct {
+	hit      bool
+	priority uint16
+	match    openflow.Match
+	actions  string
+}
+
+func keyOf(e *flowtable.Entry) lookupKey {
+	if e == nil {
+		return lookupKey{}
+	}
+	return lookupKey{
+		hit:      true,
+		priority: e.Priority,
+		match:    e.Match.Normalized(),
+		actions:  openflow.ActionsString(e.Actions),
+	}
+}
+
+// TestApplyShardCountInvariance is the routing soundness property of
+// Apply: for random interleaved sequences of flow_mods (adds and strict
+// deletes, some pinning in_port, some wildcarding it for broadcast) and
+// lookups, engines at 1, 2 and 4 shards, each looking a packet up in
+// the partition of the shard owning its in_port, must return exactly the
+// winner one plain flowtable.Table returns, at every step of the
+// sequence. Rule order, priority ties, and the per-partition broadcast
+// copies must all collapse to the same serving behavior.
+func TestApplyShardCountInvariance(t *testing.T) {
+	now := time.Date(2015, 6, 22, 0, 0, 0, 0, time.UTC)
+	const nPorts = 8
+
+	for trial := 0; trial < 60; trial++ {
+		r := rand.New(rand.NewSource(int64(9000 + trial)))
+		gen := netpkt.NewSpoofGen(int64(trial), netpkt.FloodMixed, 16)
+
+		oracle := flowtable.New(0)
+		var engines []*Engine
+		for _, n := range []int{1, 2, 4} {
+			engines = append(engines, New(Config{Shards: n, Manual: true}))
+		}
+		lookup := func(e *Engine, pkt *netpkt.Packet, inPort uint16) lookupKey {
+			part := e.shards[e.ShardFor(inPort)].part
+			return keyOf(part.Lookup(pkt, inPort, now, pkt.WireLen()))
+		}
+
+		// A pool of sample packets so deletes and lookups revisit
+		// installed matches instead of always missing.
+		samples := make([]netpkt.Packet, 12)
+		for i := range samples {
+			samples[i] = gen.Next()
+		}
+		pick := func() netpkt.Packet {
+			if r.Intn(4) == 0 {
+				return gen.Next() // fresh, likely miss
+			}
+			return samples[r.Intn(len(samples))]
+		}
+
+		for step := 0; step < 300; step++ {
+			if r.Intn(3) > 0 { // lookup twice as often as mutation
+				pkt := pick()
+				inPort := uint16(r.Intn(nPorts) + 1)
+				want := keyOf(oracle.Lookup(&pkt, inPort, now, pkt.WireLen()))
+				for _, e := range engines {
+					if got := lookup(e, &pkt, inPort); got != want {
+						t.Fatalf("trial %d step %d shards=%d: lookup = %+v, oracle = %+v",
+							trial, step, e.Shards(), got, want)
+					}
+				}
+				continue
+			}
+
+			pkt := pick()
+			m := openflow.ExactFrom(&pkt, uint16(r.Intn(nPorts)+1))
+			if r.Intn(3) == 0 {
+				m.Wildcards |= openflow.WildInPort // broadcast path
+			}
+			for _, bit := range []uint32{openflow.WildTpSrc, openflow.WildTpDst, openflow.WildNwTOS} {
+				if r.Intn(3) == 0 {
+					m.Wildcards |= bit
+				}
+			}
+			fm := openflow.FlowMod{
+				Match:    m,
+				Priority: uint16(r.Intn(4) * 10),
+				Actions:  []openflow.Action{openflow.Output(uint16(r.Intn(4) + 2))},
+			}
+			switch r.Intn(6) {
+			case 0:
+				fm.Command = openflow.FlowDeleteStrict
+				fm.OutPort = openflow.PortNone
+			default:
+				fm.Command = openflow.FlowAdd
+			}
+			if _, err := oracle.Apply(fm, now); err != nil {
+				t.Fatalf("trial %d step %d: oracle apply: %v", trial, step, err)
+			}
+			for _, e := range engines {
+				if err := e.Apply(fm); err != nil {
+					t.Fatalf("trial %d step %d shards=%d: apply: %v", trial, step, e.Shards(), err)
+				}
+			}
+		}
+
+		// Exhaustive sweep at the end: every sample packet from every
+		// port must resolve identically after the whole mutation history.
+		for _, pkt := range samples {
+			for inPort := uint16(1); inPort <= nPorts; inPort++ {
+				want := keyOf(oracle.Lookup(&pkt, inPort, now, pkt.WireLen()))
+				for _, e := range engines {
+					if got := lookup(e, &pkt, inPort); got != want {
+						t.Fatalf("trial %d final sweep shards=%d port=%d: %+v, oracle %+v",
+							trial, e.Shards(), inPort, got, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -165,10 +165,10 @@ func BenchmarkShardPerPacketFreshSources(b *testing.B) {
 
 // BenchmarkShardChurnBody measures the shard body under rule churn: the
 // same warm 3:1 packet mix as BenchmarkShardPerPacket, but every 64
-// packets a strict-delete/re-add pair for a served benign flow arrives
-// in-band through the shard's control ring (pushCtrl + drainCtrl, the
-// exact path a running engine takes at batch tops), while a concurrent
-// scraper reads Snapshot/Counters. It reports the mutex-profile
+// packets a strict-delete/re-add pair for a served benign flow is
+// applied through Engine.Apply (the path every flow_mod takes; the
+// harness driving the shard body holds no partMu, so it is free), while
+// a concurrent scraper reads Snapshot/Counters. It reports the mutex-profile
 // contention delta and the flow_mods applied; the 0 allocs/op budget is
 // a tier-1 test (TestShardBodyAllocatesNothing).
 func BenchmarkShardChurnBody(b *testing.B) {
@@ -195,11 +195,8 @@ func BenchmarkShardChurnBody(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.processOne(&items[i&63], now)
 		if i&63 == 63 {
-			// In-band rule churn, exactly as the running shard loop
-			// drains it at the top of each batch.
-			pushMod(b, s, del)
-			pushMod(b, s, add)
-			s.drainCtrl(now)
+			mustApply(b, e, del)
+			mustApply(b, e, add)
 		}
 		if i&1023 == 0 {
 			drain()
@@ -221,9 +218,10 @@ func BenchmarkShardChurnBody(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyRoundTrip measures one in-band flow_mod round trip on a
-// running engine whose shard is otherwise idle — the per-rule cost of
-// the mitigation install: enqueue, wake, apply on the shard, ack. Each
+// BenchmarkApplyRoundTrip measures one flow_mod round trip on a running
+// engine whose shard is otherwise idle — the per-rule cost of the
+// mitigation install: take the partition the waiting shard let go of,
+// apply, let go. Each
 // iteration applies a strict delete or a re-add of the same rule, so
 // the table stays at one rule whatever b.N.
 func BenchmarkApplyRoundTrip(b *testing.B) {

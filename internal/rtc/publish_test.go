@@ -92,13 +92,12 @@ func TestCountersPublishedPerBatch(t *testing.T) {
 		if want.cacheDrops == 0 {
 			t.Fatalf("shard %d: the 64-slot ring never filled", i)
 		}
-		for {
-			ci, ok := s.toCache.Pop()
-			if !ok {
-				break
-			}
-			if ci.Origin != datapathID || ci.Pkt.NwProto != netpkt.ProtoUDP || ci.Pkt.NwTOS == 0 {
-				t.Fatalf("shard %d: committed slot holds %+v, want a TOS-tagged UDP miss", i, ci)
+		buf := make([]CacheItem, 64)
+		for n := s.toCache.PopBatch(buf); n > 0; n = s.toCache.PopBatch(buf) {
+			for _, ci := range buf[:n] {
+				if ci.Origin != datapathID || ci.Pkt.NwProto != netpkt.ProtoUDP || ci.Pkt.NwTOS == 0 {
+					t.Fatalf("shard %d: committed slot holds %+v, want a TOS-tagged UDP miss", i, ci)
+				}
 			}
 		}
 	}

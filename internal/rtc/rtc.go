@@ -10,10 +10,11 @@
 //
 // The per-packet shard path takes zero locks and performs zero
 // allocations, hit or miss: a running shard holds its partition lock
-// from one wait for ingress to the next, so it is taken once per idle
-// transition, never per packet (DESIGN.md §15). Its counts are plain
-// fields, published with the batch's shard→cache ring slots once per
-// ingress batch and at every flush (DESIGN.md §12, "Counter
+// from one wait for ingress to the next and lets go in between only at
+// a batch top where a flow_mod waits, so it is taken once per idle
+// transition or handoff, never per packet (DESIGN.md §15). Its counts
+// are plain fields, published with the batch's shard→cache ring slots
+// once per ingress batch and at every flush (DESIGN.md §12, "Counter
 // publication").
 // Shared state is reconciled at window boundaries only — the shard
 // folds its attribution deltas (count-min cells, heavy-hitter
@@ -73,13 +74,6 @@ type Config struct {
 	// Shards is the run-to-completion shard count (<= 0 picks
 	// GOMAXPROCS). Port p belongs to shard p % Shards.
 	Shards int
-	// CtrlRingCapacity sizes each shard's in-band control ring, the
-	// flow_mod path into a running wall-clock engine (default 256).
-	CtrlRingCapacity int
-	// ApplyTimeout bounds Apply on a running wall-clock engine: how long
-	// an enqueue may wait on a full control ring and how long Apply waits
-	// for shard acknowledgement (default 2s).
-	ApplyTimeout time.Duration
 	// TableCapacity bounds the flow table in aggregate (0 = unbounded).
 	TableCapacity int
 	// RingCapacity sizes each shard's ingress ring (default 2048; wall
@@ -101,9 +95,10 @@ type Config struct {
 	// Manual switches the engine to harness-driven virtual time on the
 	// harness's goroutine alone: New builds no ring and Start launches no
 	// goroutine. InjectItem carries each packet end to end on the caller,
-	// a miss going straight into the cache; Apply applies inline; Flush
-	// folds every shard's attribution and SYN-proxy deltas in shard
-	// order; Advance pumps the discrete-event engine to a virtual time.
+	// a miss going straight into the cache; Apply finds every partMu free
+	// and applies on the caller; Flush folds every shard's attribution
+	// and SYN-proxy deltas in shard order; Advance pumps the
+	// discrete-event engine to a virtual time.
 	// The attribution window never rolls on its own (the harness calls
 	// Attributor().Roll at its own barriers). Two manual runs fed the same
 	// item, Apply and barrier sequence produce identical counters — the
@@ -163,12 +158,6 @@ func (c *Config) normalize() {
 	if c.Window <= 0 {
 		c.Window = 50 * time.Millisecond
 	}
-	if c.CtrlRingCapacity <= 0 {
-		c.CtrlRingCapacity = 256
-	}
-	if c.ApplyTimeout <= 0 {
-		c.ApplyTimeout = 2 * time.Second
-	}
 }
 
 // Shard is one run-to-completion worker: it owns its table partition,
@@ -183,17 +172,14 @@ type Shard struct {
 	in      *spsc.Ring[Item]
 	toCache *spsc.Ring[CacheItem]
 
-	// part is the shard-owned flow table partition: lookups and in-band
-	// rule application touch only it — zero locks on the packet path.
+	// part is the shard-owned flow table partition: lookups and rule
+	// application touch only it — zero locks on the packet path.
 	part *flowtable.Table
-	// ctrl is the in-band flow_mod ring into this shard (nil in manual
-	// mode); ctrlMu serializes control-plane producers.
-	ctrl   *spsc.Ring[ctrlEvent]
-	ctrlMu sync.Mutex
-	// partMu makes part and ctrl's consumer side its holder's on a
-	// running wall-clock engine: the shard goroutine's except while it
-	// waits for ingress, when an Apply caller may take it (apply.go).
-	partMu sync.Mutex
+	// partMu makes part its holder's: a running wall-clock shard's except
+	// while it waits for ingress or hands over to Apply callers, who
+	// count themselves in waiters before they ask for it (apply.go).
+	partMu  sync.Mutex
+	waiters atomic.Int32
 
 	obs *attrib.ShardObserver
 
@@ -251,7 +237,7 @@ type LookupStats struct {
 }
 
 // ShardStats is one shard's counter snapshot. Applied and ApplyErrs
-// count in-band flow_mods the shard executed.
+// count the flow_mods applied against the shard's partition.
 type ShardStats struct {
 	Processed  uint64
 	Forwarded  uint64
@@ -352,7 +338,6 @@ func New(cfg Config) *Engine {
 		if !cfg.Manual {
 			s.in = spsc.New[Item](cfg.RingCapacity)
 			s.toCache = spsc.New[CacheItem](cfg.CacheRingCapacity)
-			s.ctrl = spsc.New[ctrlEvent](cfg.CtrlRingCapacity)
 		}
 		e.shards[i] = s
 	}
@@ -450,13 +435,13 @@ func (e *Engine) Start() {
 	go e.cacheLoop()
 }
 
-// Stop closes the ingress rings, waits for the shards to drain (each
-// applies any queued control events before exiting, so no Apply caller
-// is left waiting) and flush their final attribution deltas, then
+// Stop closes the ingress rings, waits for the shards to drain and
+// flush their final attribution deltas (each lets go of its partition
+// on exit, so an Apply caller still waiting then applies its mod), then
 // waits for the cache stage to drain the handoff rings and rolls the
 // last detection window. In manual mode it is the final Flush, on the
 // caller's goroutine. The engine cannot be restarted; Apply on a
-// stopped engine applies inline.
+// stopped engine finds every partition free.
 func (e *Engine) Stop() {
 	if !e.started.Load() || e.stopped.Load() {
 		return
@@ -522,14 +507,15 @@ func (e *Engine) CacheStats() dpcache.Stats { return e.cache.Stats() }
 // the controller path.
 func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 
-// run is the wall-clock shard loop: drain any in-band control events,
-// then a batched pop from the ingress ring and each packet end-to-end.
-// One time.Now per batch serves lookup stamps and the window-boundary
-// check, and one publish per batch (or the flush) hands its misses and
-// counts on before the shard can park in Wait. The loop holds partMu
-// throughout and lets go only around Wait and at exit, so flow_mods
-// queued while it waits for ingress are applied by their Apply callers
-// and never wait on traffic, and nobody has to wake it.
+// run is the wall-clock shard loop: hand the partition to any waiting
+// Apply callers, then a batched pop from the ingress ring and each
+// packet end-to-end. One time.Now per batch serves lookup stamps and the
+// window-boundary check, and one publish per batch (or the flush) hands
+// its misses and counts on before the shard can park in Wait. The loop
+// holds partMu throughout and lets go only at batch-top handoffs, around
+// Wait and at exit, so a flow_mod that arrives while the shard waits for
+// ingress is applied by its caller and never waits on traffic, and
+// nobody has to wake the shard.
 func (s *Shard) run() {
 	defer s.eng.wgShards.Done()
 	defer s.toCache.Close()
@@ -538,23 +524,18 @@ func (s *Shard) run() {
 	window := s.eng.cfg.Window
 	nextFlush := time.Now().Add(window)
 	for {
-		if s.ctrl.Len() > 0 {
-			s.drainCtrl(time.Now())
-		}
+		s.handoff()
 		n := s.in.PopBatch(batch)
 		if n == 0 {
 			if s.in.Closed() {
 				if s.in.Len() > 0 {
 					continue // pushed between the pop and the close flag
 				}
-				// Apply any straggling control events so no Apply caller
-				// is left waiting on its ack.
-				s.drainCtrl(time.Now())
 				s.flush() // final merge before the ring goes away
-				s.release()
+				s.partMu.Unlock()
 				return
 			}
-			s.release()
+			s.partMu.Unlock()
 			s.in.Wait()
 			s.partMu.Lock()
 			continue
@@ -775,8 +756,8 @@ func (e *Engine) Register(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_replayed_total", "Packets replayed to the controller by the cache stage.", e.replayed.Load)
 	reg.CounterFunc(prefix+"_tcp_synacked_total", "Cookie SYN-ACKs answered by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.pub.synAcked.Load() }))
 	reg.CounterFunc(prefix+"_tcp_guard_dropped_total", "Invalid TCP segments dropped by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.pub.guardDrops.Load() }))
-	reg.CounterFunc(prefix+"_flowmods_applied_total", "In-band flow_mods executed by the shards.", sum(func(s *Shard) uint64 { return s.applied.Load() }))
-	reg.CounterFunc(prefix+"_flowmod_errors_total", "In-band flow_mods that failed to apply.", sum(func(s *Shard) uint64 { return s.applyErrs.Load() }))
+	reg.CounterFunc(prefix+"_flowmods_applied_total", "Flow_mods applied against the shard partitions.", sum(func(s *Shard) uint64 { return s.applied.Load() }))
+	reg.CounterFunc(prefix+"_flowmod_errors_total", "Flow_mods that failed to apply against a shard partition.", sum(func(s *Shard) uint64 { return s.applyErrs.Load() }))
 	e.parts.Register(reg, prefix+"_table")
 	e.cache.Register(reg, prefix+"_cache")
 	e.attr.Register(reg, prefix+"_attrib")

@@ -208,8 +208,8 @@ func modePhases() (flows []Item, phases [3][]Item, hits uint64) {
 // before Start, flow 0 strict-deleted after the first phase and
 // re-added after the second. Against the wall clock every phase is
 // pushed through the ingress rings and waited out before the next
-// Apply, so an in-band mod lands between the same packets as it does
-// inline in manual mode.
+// Apply, so a mod lands between the same packets as it does in manual
+// mode.
 func runMode(t *testing.T, shards int, manual bool) (*Engine, Snapshot) {
 	t.Helper()
 	cfg := testEngineConfig(shards)
@@ -259,7 +259,7 @@ func runMode(t *testing.T, shards int, manual bool) (*Engine, Snapshot) {
 
 // TestManualMatchesWallClock holds the two modes to one story: the same
 // item sequence and Apply schedule through shard goroutines, ingress and
-// shard→cache rings and the in-band control path, and through the shard
+// shard→cache rings and Apply against running shards, and through the shard
 // body on the caller, must leave the same per-shard forwarded and miss
 // counts, the same split of misses into cache ingest, guard answers and
 // guard drops, and the same rule count.

@@ -5,8 +5,8 @@ import "math/rand"
 // windowChaos is the fault plan for one window: Outage zeroes the
 // replay rate for the window (the sideband to the controller is down —
 // the Degraded regime), Churn deletes and re-installs one hot rule at
-// the window barrier (the owning shard applies both in-band without ever
-// misclassifying a hot flow).
+// the window barrier (both are applied against the owning shard's
+// partition without ever misclassifying a hot flow).
 type windowChaos struct {
 	Outage bool
 	Churn  bool

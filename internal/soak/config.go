@@ -130,8 +130,8 @@ type Config struct {
 	DrainSlackWindows int
 	// FlowModsPerWindow applies rule churn at every window barrier: this
 	// many hot flows, round-robin, are strict-deleted and immediately
-	// re-added (two flow_mods each), exercising shard-owned in-band rule
-	// application under sustained traffic. Capped to HotFlows by Normalize; 0 = no churn.
+	// re-added (two flow_mods each), exercising rule application against
+	// the owning shard's partition under sustained traffic. Capped to HotFlows by Normalize; 0 = no churn.
 	FlowModsPerWindow int
 	// HeavyHitterFrac overrides the attribution heavy-hitter fraction
 	// when > 0 (the differential tier pins it high so hint verdicts

@@ -33,8 +33,8 @@ func diffCfg(shards int, guard bool) Config {
 		Chaos:           true,
 		HeavyHitterFrac: 0.99,
 		// Barrier rule churn rides along so the differential also covers
-		// the shard-owned apply path: the engine routes each flow_mod to
-		// its owning shard's control ring, the reference mutates its one
+		// the shard-owned apply path: the engine applies each flow_mod to
+		// its owning shard's partition, the reference mutates its one
 		// table, and TableRules must agree every window.
 		FlowModsPerWindow: 16,
 	}

@@ -408,7 +408,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// Scenario-driven rule churn, distinct from the chaos single-flow
 		// bump above: FlowModsPerWindow hot flows are strict-deleted and
 		// re-installed at every barrier, round-robin over the zipf head.
-		// This drives the shard-owned apply path (in-band control events)
+		// This drives Engine.Apply against the owning shards' partitions
 		// at a sustained rate while the invariant catalog keeps asserting.
 		for i := 0; i < cfg.FlowModsPerWindow; i++ {
 			f := (w*cfg.FlowModsPerWindow + i) % cfg.HotFlows

@@ -9,7 +9,7 @@ func TestRingAllocatesNothing(t *testing.T) {
 	r := New[uint64](1024)
 	if a := testing.AllocsPerRun(1000, func() {
 		r.Push(7)
-		if _, ok := r.Pop(); !ok {
+		if _, ok := r.pop(); !ok {
 			t.Fatal("pop failed")
 		}
 	}); a != 0 {

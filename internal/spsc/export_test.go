@@ -3,6 +3,13 @@ package spsc
 // Cap returns the ring capacity.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
+// pop dequeues one element through PopBatch. Consumer only.
+func (r *Ring[T]) pop() (v T, ok bool) {
+	var one [1]T
+	ok = r.PopBatch(one[:]) == 1
+	return one[0], ok
+}
+
 // PopBatchWait dequeues up to len(dst) elements, waiting (Wait) while
 // the ring is empty. It returns 0 only when the ring is closed and fully
 // drained. Consumer only.

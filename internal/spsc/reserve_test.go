@@ -48,7 +48,7 @@ func TestReserveCommitEdges(t *testing.T) {
 			t.Fatalf("round %d: an empty Commit published %d", round, r.Len())
 		}
 		reserve(3)
-		if _, ok := r.Pop(); ok || r.Len() != 0 {
+		if _, ok := r.pop(); ok || r.Len() != 0 {
 			t.Fatalf("round %d: the consumer saw an uncommitted slot", round)
 		}
 		// Full: the fourth reservation fills the ring and a fifth is
@@ -74,7 +74,7 @@ func TestReserveCommitEdges(t *testing.T) {
 		r.Commit()
 		drain(2)
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := r.pop(); ok {
 		t.Fatal("pop from a drained ring succeeded")
 	}
 }

@@ -2,7 +2,7 @@
 // buffer — the handoff primitive of the run-to-completion packet engine.
 // Exactly one goroutine may push and exactly one may pop; under that
 // contract every operation is wait-free for the producer and lock-free
-// for the consumer, and the hot paths (Push/Pop, their batched forms and
+// for the consumer, and the hot paths (Push, the batched push and pop and
 // Reserve/Commit) perform no allocation and take no mutex.
 //
 // The consumer's blocking wait is busy-poll-then-park: it spins briefly
@@ -134,20 +134,6 @@ func (r *Ring[T]) Commit() {
 	r.notify()
 }
 
-// Pop dequeues one element. Consumer only.
-func (r *Ring[T]) Pop() (T, bool) {
-	h := r.head.Load()
-	if h == r.tailSeen {
-		if r.tailSeen = r.tail.Load(); h == r.tailSeen {
-			var zero T
-			return zero, false
-		}
-	}
-	v := r.buf[h&r.mask]
-	r.head.Store(h + 1)
-	return v, true
-}
-
 // PopBatch dequeues up to len(dst) elements into dst, consuming them
 // with a single index store, and returns the count. Consumer only.
 func (r *Ring[T]) PopBatch(dst []T) int {
@@ -176,7 +162,7 @@ const popSpins = 64
 // Wait blocks the consumer until the ring is plausibly non-empty or
 // closed. It busy-polls briefly before parking but leaves the popping
 // to the caller — the shape a consumer needs when it multiplexes this
-// ring with other work (e.g. an in-band control queue) and must
+// ring with other work (e.g. a partition handoff) and must
 // re-check that work after every wakeup. The spin polls the wake token
 // too: a token a producer poke or Close left behind returns Wait at
 // once, on-CPU, and is consumed there, so it cannot turn the next park

@@ -35,13 +35,13 @@ func TestRingFIFOAndWraparound(t *testing.T) {
 			t.Fatalf("round %d: Len = %d, want 4", round, r.Len())
 		}
 		for i := 0; i < 4; i++ {
-			v, ok := r.Pop()
+			v, ok := r.pop()
 			if !ok || v != next {
 				t.Fatalf("round %d: pop = %d,%v, want %d,true", round, v, ok, next)
 			}
 			next++
 		}
-		if _, ok := r.Pop(); ok {
+		if _, ok := r.pop(); ok {
 			t.Fatalf("round %d: pop from empty ring succeeded", round)
 		}
 	}
@@ -87,7 +87,7 @@ func TestRingBatchBoundaries(t *testing.T) {
 	if n := r.PopBatch(buf[:0]); n != 0 {
 		t.Fatalf("PopBatch(empty dst) = %d", n)
 	}
-	if v, ok := r.Pop(); !ok || v != 1 {
+	if v, ok := r.pop(); !ok || v != 1 {
 		t.Fatalf("element lost after zero-length PopBatch")
 	}
 }
@@ -174,7 +174,7 @@ func TestRingWrapAtFullAndEmpty(t *testing.T) {
 	}
 	pop := func() {
 		t.Helper()
-		v, ok := r.Pop()
+		v, ok := r.pop()
 		if !ok || v != want {
 			t.Fatalf("Pop = %d, %v; want %d", v, ok, want)
 		}
@@ -184,7 +184,7 @@ func TestRingWrapAtFullAndEmpty(t *testing.T) {
 	// At empty: one in, one out, three times round; the ring never holds
 	// more than one element and every pop starts from a stale tail.
 	for i := 0; i < 12; i++ {
-		if _, ok := r.Pop(); ok {
+		if _, ok := r.pop(); ok {
 			t.Fatalf("step %d: pop from an empty ring succeeded", i)
 		}
 		if n := r.PopBatch(make([]int, 3)); n != 0 {
@@ -235,7 +235,7 @@ func TestRingWrapAtFullAndEmpty(t *testing.T) {
 	for want < next {
 		pop()
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := r.pop(); ok {
 		t.Fatal("pop from a drained ring succeeded")
 	}
 }
@@ -256,7 +256,7 @@ func TestRingLockstep(t *testing.T) {
 		}
 	}()
 	for want := uint64(0); want < total; {
-		v, ok := r.Pop()
+		v, ok := r.pop()
 		if !ok {
 			runtime.Gosched()
 			continue
@@ -273,7 +273,7 @@ func TestRingLockstep(t *testing.T) {
 		case <-done:
 			return
 		default:
-			r.Pop()
+			r.pop()
 			runtime.Gosched()
 		}
 	}
@@ -332,7 +332,7 @@ func TestRingWaitTakesPendingWake(t *testing.T) {
 	leaveToken := func() {
 		r.parked.Store(true) // a park raised its flag, then a push won:
 		r.Push(1)            // notify pokes the channel
-		r.Pop()
+		r.pop()
 		if n := len(r.wake); n != 1 {
 			t.Fatalf("wake channel holds %d tokens after a poke, want 1", n)
 		}
@@ -426,7 +426,7 @@ func BenchmarkRingPushPop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Push(uint64(i))
-		if _, ok := r.Pop(); !ok {
+		if _, ok := r.pop(); !ok {
 			b.Fatal("pop failed")
 		}
 	}
