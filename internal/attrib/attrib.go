@@ -226,22 +226,28 @@ type Attributor struct {
 	verdicts      []Verdict // Roll's result, reused
 
 	// tcpSrc is the bounded per-source handshake-evidence table, fed by
-	// tcpguard verdicts through the shard observers' delta maps. Guarded
-	// by mu; the pending deltas are folded in, and the table pruned and
-	// re-judged, at Roll. tcpRank, tcpEv and tcpFold are Roll's scratch,
-	// kept between windows so a flood-sized ranking is not reallocated
-	// every 50 ms.
+	// tcpguard verdicts through the shard observers' bounded delta
+	// tables. Guarded by mu; the pending deltas are folded in, and the
+	// table pruned and re-judged, at Roll. tcpRank, tcpEv and tcpFold are
+	// Roll's scratch, kept between windows so the ranking is not
+	// reallocated every 50 ms.
 	tcpSrc  map[uint64]tcpEvidence
 	tcpRank []tcpRank
 	tcpEv   []tcpEvidence
-	tcpFold []map[uint64]tcpDelta
+	tcpFold []*tcpDeltas
 
-	// tcpMu guards the hand-over of shard delta maps: tcpPend holds the
-	// maps shards flushed since the last Roll, in flush order; tcpFree
-	// the emptied maps Roll returns for the next Flush to take.
+	// tcpMu guards the hand-over of shard delta tables: tcpPend holds the
+	// tables shards flushed since the last Roll, in flush order; tcpFree
+	// the emptied tables Roll returns for the next Flush to take.
 	tcpMu   sync.Mutex
-	tcpPend []map[uint64]tcpDelta
-	tcpFree []map[uint64]tcpDelta
+	tcpPend []*tcpDeltas
+	tcpFree []*tcpDeltas
+
+	// tcpHeld is how many sources tcpSrc held after the last Roll;
+	// tcpDropped counts the verdicts the shards' bound turned away or
+	// evicted, folded in at Roll.
+	tcpHeld    telemetry.Gauge
+	tcpDropped atomic.Uint64
 
 	windows    int
 	blamedN    telemetry.Gauge
@@ -501,4 +507,6 @@ func (a *Attributor) Register(reg *telemetry.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"_sample_total", "Samples in the source sketch under the current decay horizon.", func() float64 {
 		return float64(a.srcs.Total())
 	})
+	reg.RegisterGauge(prefix+"_tcp_sources", "Sources the TCP handshake-evidence table held after the last Roll.", &a.tcpHeld)
+	reg.CounterFunc(prefix+"_tcp_verdicts_dropped_total", "TCP handshake verdicts the per-shard evidence bound turned away or evicted.", a.tcpDropped.Load)
 }

@@ -20,7 +20,7 @@ type ShardObserver struct {
 	ports map[uint64]uint64     // portKey -> samples since the last Flush
 	srcs  *sketch.CountMinLocal // same geometry+seed as a.srcs
 	hot   *sketch.SpaceSavingLocal
-	tcp   map[uint64]tcpDelta // src -> handshake verdicts since last Flush
+	tcp   *tcpDeltas // handshake verdicts since the last Flush
 }
 
 // NewShardObserver builds a shard-local observer bound to a.
@@ -30,7 +30,7 @@ func (a *Attributor) NewShardObserver() *ShardObserver {
 		ports: make(map[uint64]uint64, 16),
 		srcs:  sketch.NewCountMinLocal(a.cfg.SketchRows, a.cfg.SketchCols, a.cfg.Seed),
 		hot:   sketch.NewSpaceSavingLocal(a.cfg.TopK),
-		tcp:   make(map[uint64]tcpDelta, 16),
+		tcp:   newTCPDeltas(a.cfg.TCPMaxSources, a.cfg.Seed),
 	}
 }
 
@@ -50,8 +50,8 @@ func (o *ShardObserver) Observe(origin uint64, inPort uint16, pkt *netpkt.Packet
 // the window-boundary merge. Port counts join the open detection window
 // under the Attributor's lock; the source sketch is absorbed cell-wise;
 // the heavy-hitter candidates are re-observed into the shared summary.
-// The TCP delta map is handed over whole, in O(1), for the next Roll to
-// fold in, and a recycled empty one takes its place. The locals are
+// The TCP delta table is handed over whole, in O(1), for the next Roll
+// to fold in, and a recycled empty one takes its place. The locals are
 // reset, keeping their buckets for the next window.
 func (o *ShardObserver) Flush() {
 	a := o.a
@@ -70,7 +70,7 @@ func (o *ShardObserver) Flush() {
 	if o.hot.Len() > 0 {
 		a.hot.AbsorbLocal(o.hot)
 	}
-	if len(o.tcp) > 0 {
+	if len(o.tcp.slots) > 0 {
 		o.tcp = a.handOverTCP(o.tcp)
 	}
 }

@@ -3,6 +3,7 @@ package attrib
 import (
 	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
+	"floodguard/internal/sketch"
 	"floodguard/internal/tcpguard"
 )
 
@@ -48,20 +49,151 @@ func (ev *tcpEvidence) add(d tcpDelta) {
 	ev.port = d.port
 }
 
-// handOverTCP queues a shard's delta map for the next Roll and returns
-// an empty one for the shard to fill next — a recycled map when Roll has
-// returned one. O(1), under tcpMu only.
-func (a *Attributor) handOverTCP(d map[uint64]tcpDelta) map[uint64]tcpDelta {
+// tcpDeltas is one shard's handshake evidence between two hand-overs,
+// held for at most cap sources however many the shard sees. Below the
+// bound every source is held with its exact counts. Once the table is
+// full, a source not held is counted in the gate, a count-min sketch,
+// and is admitted only when its estimate there exceeds the lightest held
+// source's verdict count by more than the gate's mean cell. The sketch
+// never underestimates, so a source whose verdicts in the interval
+// outnumber the lightest held source's by that margin is admitted, while
+// one-verdict spoofs read about the mean cell however fast they come and
+// mostly stay out. An admitted source takes the lightest slot (the
+// oldest among equals) and holds only its own verdicts from then on: it
+// reports nothing it did not send. The evicted source's verdicts rejoin
+// the gate, so its estimate stays an upper bound should it return. Owner
+// goroutine only while live; Roll's while handed over.
+type tcpDeltas struct {
+	cap   int
+	seed  uint64           // the gate's
+	idx   map[uint64]int32 // src -> slots index
+	slots []tcpSlot
+	// heap orders the slots lightest first. It is built when the table
+	// is full and a source not held arrives, and kept until the reset.
+	heap    []int32
+	gate    *sketch.CountMinLocal // made at the first admission test
+	seq     uint32                // next admission number
+	dropped uint64                // verdicts turned away or evicted
+}
+
+// tcpSlot is one held source. n counts its verdicts since admission;
+// Roll zeroes it once the slot's delta is folded in.
+type tcpSlot struct {
+	src uint64
+	d   tcpDelta
+	n   uint32
+	seq uint32 // admission number: the older of two equals goes first
+	at  int32  // position in heap
+}
+
+func newTCPDeltas(capacity int, seed uint64) *tcpDeltas {
+	return &tcpDeltas{cap: capacity, seed: seed, idx: make(map[uint64]int32, 16)}
+}
+
+// add records one verdict of src.
+func (b *tcpDeltas) add(src uint64, d tcpDelta) {
+	if i, ok := b.idx[src]; ok {
+		s := &b.slots[i]
+		s.d.syns += d.syns
+		s.d.acks += d.acks
+		s.d.fails += d.fails
+		s.d.malformed += d.malformed
+		s.d.port = d.port
+		s.n++
+		if len(b.heap) > 0 {
+			b.down(int(s.at))
+		}
+		return
+	}
+	if len(b.slots) < b.cap {
+		b.idx[src] = int32(len(b.slots))
+		b.slots = append(b.slots, tcpSlot{src: src, d: d, n: 1, seq: b.seq})
+		b.seq++
+		return
+	}
+	if len(b.heap) == 0 {
+		b.buildHeap()
+	}
+	if b.gate == nil {
+		b.gate = sketch.NewCountMinLocal(2, 2*b.cap, b.seed)
+	}
+	e := b.gate.Update(src, 1)
+	v := &b.slots[b.heap[0]]
+	if e <= uint64(v.n)+b.gate.MeanCell() {
+		b.dropped++
+		return
+	}
+	b.dropped += uint64(v.n)
+	b.gate.Update(v.src, uint64(v.n))
+	delete(b.idx, v.src)
+	b.idx[src] = b.heap[0]
+	*v = tcpSlot{src: src, d: d, n: 1, seq: b.seq}
+	b.seq++
+	b.down(0)
+}
+
+// lighter orders slots i and j for eviction: fewer verdicts first, then
+// the earlier admission.
+func (b *tcpDeltas) lighter(i, j int32) bool {
+	x, y := &b.slots[i], &b.slots[j]
+	return x.n < y.n || x.n == y.n && x.seq < y.seq
+}
+
+func (b *tcpDeltas) buildHeap() {
+	for i := range b.slots {
+		b.heap = append(b.heap, int32(i))
+		b.slots[i].at = int32(i)
+	}
+	for p := len(b.heap)/2 - 1; p >= 0; p-- {
+		b.down(p)
+	}
+}
+
+// down sifts the slot at heap position p below every lighter one.
+func (b *tcpDeltas) down(p int) {
+	h := b.heap
+	for {
+		c := 2*p + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && b.lighter(h[c+1], h[c]) {
+			c++
+		}
+		if !b.lighter(h[c], h[p]) {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		b.slots[h[p]].at = int32(p)
+		p = c
+	}
+	b.slots[h[p]].at = int32(p)
+}
+
+// reset empties the table for its next interval, keeping its memory.
+func (b *tcpDeltas) reset() {
+	clear(b.idx)
+	b.slots, b.heap = b.slots[:0], b.heap[:0]
+	if b.gate != nil {
+		b.gate.Reset()
+	}
+	b.seq, b.dropped = 0, 0
+}
+
+// handOverTCP queues a shard's delta table for the next Roll and returns
+// an empty one for the shard to fill next: a table Roll emptied and
+// returned, or a new one only while none is free. O(1), under tcpMu only.
+func (a *Attributor) handOverTCP(d *tcpDeltas) *tcpDeltas {
 	a.tcpMu.Lock()
 	a.tcpPend = append(a.tcpPend, d)
-	var next map[uint64]tcpDelta
+	var next *tcpDeltas
 	if n := len(a.tcpFree); n > 0 {
 		next = a.tcpFree[n-1]
 		a.tcpFree = a.tcpFree[:n-1]
 	}
 	a.tcpMu.Unlock()
 	if next == nil {
-		next = make(map[uint64]tcpDelta, 16)
+		next = newTCPDeltas(a.cfg.TCPMaxSources, a.cfg.Seed)
 	}
 	return next
 }
@@ -142,8 +274,9 @@ func selectTopTCP(rank []tcpRank, k int) {
 // offenders to offenders and returns it. Caller holds a.mu; called once
 // per Roll after the window counter advanced.
 //
-// Between Rolls a spoofed flood brings one fresh source per SYN, so the
-// work per source is kept flat and off the table: each source the table
+// Each hand-over holds at most TCPMaxSources sources, so the ranking
+// holds at most TCPMaxSources × (hand-overs since the last Roll + 1)
+// sources however many a spoofed flood brings. Each source the table
 // holds is looked up in the deltas, and a source seen only in deltas
 // joins the ranking directly, summed over every delta that holds it. The
 // TCPMaxSources that rank first are selected, and the table is rebuilt
@@ -168,30 +301,37 @@ func (a *Attributor) rollTCPLocked(offenders []uint64) []uint64 {
 			eligible: a.judgeTCP(&ev) && !(ev.offender && ev.journaled)})
 		evs = append(evs, ev)
 	}
+	// take adds src's delta in d to ev, once: a folded slot reads n 0.
+	take := func(d *tcpDeltas, src uint64, ev *tcpEvidence) {
+		if i, ok := d.idx[src]; ok && d.slots[i].n > 0 {
+			ev.add(d.slots[i].d)
+			d.slots[i].n = 0
+		}
+	}
 	// A source the table holds takes its deltas first, in flush order,
 	// and leaves the deltas holding only sources the table does not.
 	for src, ev := range a.tcpSrc {
 		for _, d := range pend {
-			if dd, ok := d[src]; ok {
-				ev.add(dd)
-				delete(d, src)
-			}
+			take(d, src, &ev)
 		}
 		join(src, ev)
 	}
 	// A fresh source joins from the first delta that holds it, summed
 	// over the later ones.
 	for j, d := range pend {
-		for src, dd := range d {
-			var ev tcpEvidence
-			ev.add(dd)
-			for _, later := range pend[j+1:] {
-				if dl, ok := later[src]; ok {
-					ev.add(dl)
-					delete(later, src)
-				}
+		a.tcpDropped.Add(d.dropped)
+		for i := range d.slots {
+			s := &d.slots[i]
+			if s.n == 0 {
+				continue
 			}
-			join(src, ev)
+			var ev tcpEvidence
+			ev.add(s.d)
+			s.n = 0
+			for _, later := range pend[j+1:] {
+				take(later, s.src, &ev)
+			}
+			join(s.src, ev)
 		}
 	}
 	keep := len(rank)
@@ -236,10 +376,12 @@ func (a *Attributor) rollTCPLocked(offenders []uint64) []uint64 {
 		}
 	}
 
-	// Empty the folded maps outside tcpMu, then return them for the next
+	a.tcpHeld.Set(int64(len(a.tcpSrc)))
+
+	// Empty the folded tables outside tcpMu, then free them for the next
 	// Flushes to take.
 	for _, d := range pend {
-		clear(d)
+		d.reset()
 	}
 	a.tcpMu.Lock()
 	a.tcpFree = append(a.tcpFree, pend...)
@@ -300,22 +442,22 @@ type tcpDelta struct {
 }
 
 // TCPVerdict implements tcpguard.Observer for ShardObserver: verdicts
-// accumulate shard-locally (single-writer, no locks); the next Flush
-// hands them to the attributor and the Roll after it folds them in.
+// accumulate shard-locally (single-writer, no locks) in the bounded
+// table; the next Flush hands it to the attributor and the Roll after
+// it folds it in.
 func (o *ShardObserver) TCPVerdict(dpid uint64, inPort uint16, src netpkt.IPv4, v tcpguard.Verdict) {
-	d := o.tcp[uint64(src)]
+	d := tcpDelta{port: inPort}
 	switch v {
 	case tcpguard.VerdictSyn:
-		d.syns++
+		d.syns = 1
 	case tcpguard.VerdictCompletion:
-		d.acks++
+		d.acks = 1
 	case tcpguard.VerdictCookieFail:
-		d.fails++
+		d.fails = 1
 	case tcpguard.VerdictMalformedFlags, tcpguard.VerdictMalformedOffset, tcpguard.VerdictMalformedOptions:
-		d.malformed++
+		d.malformed = 1
 	default:
 		return
 	}
-	d.port = inPort
-	o.tcp[uint64(src)] = d
+	o.tcp.add(uint64(src), d)
 }

@@ -2,6 +2,7 @@ package attrib
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -93,7 +94,7 @@ func (a *refTCP) roll(judge func(*tcpEvidence) bool) {
 // offenders that are journalled in the Roll that forgets them.
 //
 // The attributor gets its evidence the way an engine delivers it: shard
-// observers' delta maps, handed over at Flush and folded at Roll. The
+// observers' delta tables, handed over at Flush and folded at Roll. The
 // reference merges every delta at its Flush, in flush order. Each shape
 // runs one or two shards and one or two Flushes per Roll, with sources
 // scattered across shards at random and a port that names the shard, so
@@ -116,26 +117,25 @@ func rollTCPDifferential(t *testing.T, shards, flushes int, seed int64) {
 	ja, jr := journal.New(journal.Config{Recorders: 1}), journal.New(journal.Config{Recorders: 1})
 	a.SetJournal(ja.Recorder(0))
 	ref := &refTCP{cfg: a.cfg, src: map[uint64]*tcpEvidence{}, jrec: jr.Recorder(0)}
-	type fed struct {
-		src uint64
-		d   tcpDelta
-	}
 	obs := make([]*ShardObserver, shards)
 	unflushed := make([][]fed, shards)
 	for i := range obs {
 		obs[i] = a.NewShardObserver()
 	}
+	// This test pins Roll's fold, not the shard's bound
+	// (TestTCPBoundMatchesUnbounded does): lift the bound on every table
+	// a shard fills, so every delta reaches Roll.
+	lift := func() {
+		for _, o := range obs {
+			o.tcp.cap = math.MaxInt
+		}
+	}
+	lift()
 
 	feed := func(src uint64, d tcpDelta) {
 		s := pick.Intn(shards)
 		d.port += uint16(16 * s)
-		cur := obs[s].tcp[src]
-		cur.syns += d.syns
-		cur.acks += d.acks
-		cur.fails += d.fails
-		cur.malformed += d.malformed
-		cur.port = d.port
-		obs[s].tcp[src] = cur
+		obs[s].tcp.add(src, d)
 		unflushed[s] = append(unflushed[s], fed{src, d})
 	}
 	flush := func() {
@@ -146,6 +146,7 @@ func rollTCPDifferential(t *testing.T, shards, flushes int, seed int64) {
 			}
 			unflushed[s] = unflushed[s][:0]
 		}
+		lift()
 	}
 	name := fmt.Sprintf("shards %d flushes %d seed %d", shards, flushes, seed)
 	for w := 0; w < 60; w++ {

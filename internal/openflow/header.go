@@ -102,9 +102,10 @@ func Encode(xid uint32, m Message) []byte {
 // AppendFrame appends the framed wire form of m to b: the header is
 // written up front with a zero length, the body encodes directly behind
 // it, and the length field is patched afterwards. Header and body share
-// one buffer, so steady-state encoding through a reused buffer does not
+// one buffer, and a concrete message is encoded without being boxed in a
+// Message, so steady-state encoding through a reused buffer does not
 // allocate.
-func AppendFrame(b []byte, xid uint32, m Message) []byte {
+func AppendFrame[M Message](b []byte, xid uint32, m M) []byte {
 	start := len(b)
 	b = append(b, Version, byte(m.MsgType()), 0, 0)
 	b = binary.BigEndian.AppendUint32(b, xid)

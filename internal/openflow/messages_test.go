@@ -256,3 +256,25 @@ func TestTypeString(t *testing.T) {
 		t.Error("unknown type name wrong")
 	}
 }
+
+// TestAppendFramePacketInAllocatesNothing pins the replay path's encode:
+// a concrete PacketIn framed into a buffer with room for it allocates
+// nothing, and its bytes are those of the Message-typed encode.
+func TestAppendFramePacketInAllocatesNothing(t *testing.T) {
+	data := make([]byte, 64)
+	buf := make([]byte, 0, 256)
+	xid := uint32(0)
+	if a := testing.AllocsPerRun(1000, func() {
+		buf = AppendFrame(buf[:0], xid, PacketIn{
+			BufferID: NoBuffer, TotalLen: uint16(len(data)),
+			InPort: 3, Reason: ReasonNoMatch, Data: data,
+		})
+		xid++
+	}); a != 0 {
+		t.Fatalf("AppendFrame(PacketIn) allocates %v per encode, want 0", a)
+	}
+	var m Message = PacketIn{BufferID: NoBuffer, TotalLen: uint16(len(data)), InPort: 3, Reason: ReasonNoMatch, Data: data}
+	if got, want := AppendFrame(nil, xid-1, m), buf; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Message-typed encode %x, concrete %x", got, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"floodguard/internal/journal"
 	"floodguard/internal/netpkt"
 	"floodguard/internal/openflow"
+	"floodguard/internal/telemetry"
 )
 
 // TestShardBodyAllocatesNothing is the absolute witness behind "the
@@ -43,6 +44,51 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("shard body under fresh spoofed sources allocates %v per packet, want 0", a)
+		}
+	})
+	t.Run("guarded-fresh-sources", func(t *testing.T) {
+		// Distinct spoofed TCP sources per window, the flat-cost witness:
+		// at N = TCPMaxSources and at 16N fresh one-SYN sources per
+		// window, a window (the body, a flush, a Roll) allocates nothing
+		// once warm, and the attributor holds the same number of sources;
+		// at 16N the shard's evidence bound turns the surplus away.
+		// (attrib's TestTCPEvidenceCostFlatInSources pins Roll's ranked
+		// count.)
+		run := func(perWindow int) (allocs float64, held, dropped float64) {
+			e, packet := guardedFreshSources(t, perWindow)
+			reg := telemetry.NewRegistry()
+			e.Attributor().Register(reg, "a")
+			i := 0
+			window := func() {
+				for end := i + 4*perWindow; i < end; i++ {
+					packet(i)
+				}
+			}
+			// Five warm windows, then AllocsPerRun's one and four more:
+			// the last Roll ranks a full table beside a full hand-over.
+			for w := 0; w < 5; w++ {
+				window()
+			}
+			allocs = testing.AllocsPerRun(4, window)
+			for _, m := range reg.Snapshot().Metrics {
+				switch m.Name {
+				case "a_tcp_sources":
+					held = m.Value
+				case "a_tcp_verdicts_dropped_total":
+					dropped = m.Value
+				}
+			}
+			return allocs, held, dropped
+		}
+		const n = 1024 // attrib's default TCPMaxSources
+		a1, h1, d1 := run(n)
+		a16, h16, d16 := run(16 * n)
+		if a1 != 0 || a16 != 0 {
+			t.Errorf("a guarded window allocates %v at %d fresh sources and %v at %d, want 0", a1, n, a16, 16*n)
+		}
+		if h1 != h16 || h1 == 0 || d16 <= d1 {
+			t.Errorf("at %d sources per window %v held, %v dropped; at %d %v held, %v dropped: want equal holdings, more drops at %d",
+				n, h1, d1, 16*n, h16, d16, 16*n)
 		}
 	})
 	t.Run("journal-on", func(t *testing.T) {

@@ -199,6 +199,49 @@ func TestApplyHandoffAtBatchTop(t *testing.T) {
 	s.partMu.Unlock()
 }
 
+// TestShardStepHandsOffAtBatchTop pins that the loop the shard runs
+// hands off before each batch, not only that handoff works: the test
+// plays the shard goroutine, holding partMu with more than a batch of
+// packets for a not yet installed rule queued, so no step can find the
+// ring empty. With an Apply of that rule waiting, one step must return
+// the Apply and forward the whole batch by the new rule: the rule was
+// live at the batch top, not after the batch.
+func TestShardStepHandsOffAtBatchTop(t *testing.T) {
+	e := New(testEngineConfig(1))
+	s := e.shards[0]
+	s.nextFlush = time.Now().Add(time.Hour)
+	s.partMu.Lock()
+	pkt := netpkt.NewSpoofGen(47, netpkt.FloodUDP, 0).Next()
+	for i := 0; i < shardBatch+16; i++ {
+		if !e.InjectItem(Item{Pkt: pkt, InPort: 1}) {
+			t.Fatalf("ingress refused packet %d", i)
+		}
+	}
+	res := goApply(e, exactMod(&pkt, 1, 2))
+	within(t, "the Apply to count itself waiting", func() bool { return s.waiters.Load() == 1 })
+
+	done := make(chan int, 1)
+	go func() { done <- s.step(make([]Item, shardBatch)) }()
+	select {
+	case n := <-done:
+		if n != shardBatch {
+			t.Errorf("step popped %d packets, want %d", n, shardBatch)
+		}
+	case <-time.After(boundedWait):
+		t.Fatalf("step did not return within %v", boundedWait)
+	}
+	if fwd, miss := s.pub.forwarded.Load(), s.pub.misses.Load(); fwd != shardBatch || miss != 0 {
+		t.Errorf("the batch forwarded %d and missed %d, want all %d forwarded by the rule applied at its top", fwd, miss, shardBatch)
+	}
+	if n := s.applied.Load(); n != 1 {
+		t.Errorf("the step applied %d flow_mods, want the waiting one", n)
+	}
+	s.partMu.Unlock()
+	if err := awaitApply(t, res); err != nil {
+		t.Fatalf("Apply = %v", err)
+	}
+}
+
 // TestApplyHandoffBoundsBackToBack pins that the handoff serves only the
 // callers waiting when it starts: a control plane applying back to back
 // is waiting again at once, yet the batch top returns with the partition

@@ -8,6 +8,7 @@ import (
 
 	"floodguard/internal/netpkt"
 	"floodguard/internal/openflow"
+	"floodguard/internal/tcpguard"
 )
 
 // mutexWaits sums the contention event counts of the runtime mutex
@@ -79,6 +80,36 @@ func freshSpoof(items []Item, i int) *Item {
 		it.Pkt.NwSrc = netpkt.IPv4(uint32(i>>2&0xFFFF) * 0x9E3779B1)
 	}
 	return it
+}
+
+// guardedFreshSources builds warmShard's engine with the TCP guard on and
+// every spoof item a TCP SYN, and returns a func that runs packet i of a
+// run: each spoof (every fourth packet) from a source no earlier packet
+// used, and after every perWindow-th spoof the window barrier a wall-clock
+// shard and the cache stage run — drain, flush, Roll.
+func guardedFreshSources(tb testing.TB, perWindow int) (*Engine, func(i int)) {
+	e, s, items, drain := warmShard(tb, Config{TCPGuard: &tcpguard.Config{Secret: 0xF100D}})
+	syns := netpkt.NewSpoofGen(2, netpkt.FloodTCP, 0)
+	for i := 0; i < len(items); i += 4 {
+		items[i].Pkt = syns.Next()
+	}
+	now := time.Now()
+	return e, func(i int) {
+		it := &items[i&63]
+		if i&3 == 0 {
+			// Odd multiplier: a bijection on uint32.
+			it.Pkt.NwSrc = netpkt.IPv4(uint32(i>>2) * 0x9E3779B1)
+		}
+		s.processOne(it, now)
+		if i&1023 == 0 {
+			drain()
+		}
+		if (i+1)%(4*perWindow) == 0 {
+			drain()
+			s.flush()
+			e.Attributor().Roll(50 * time.Millisecond)
+		}
+	}
 }
 
 // churnPair prebuilds the strict-delete/re-add pair for one served flow
@@ -160,6 +191,25 @@ func BenchmarkShardPerPacketFreshSources(b *testing.B) {
 	b.StopTimer()
 	if s.n.misses < uint64(b.N/4) {
 		b.Fatalf("%d misses over %d packets, want every spoof to miss", s.n.misses, b.N)
+	}
+}
+
+// BenchmarkShardPerPacketFreshSourcesGuarded is
+// BenchmarkShardPerPacketFreshSources with the TCP guard on and every
+// spoof a SYN from a fresh source, with a window barrier (flush and Roll)
+// every 4096 spoofs, four times the shard's TCP evidence bound: the
+// per-spoof evidence cost a SYN flood pays, Roll included. Reported, not
+// gated; the 0 allocs budget is TestShardBodyAllocatesNothing's
+// guarded-fresh-sources leg.
+func BenchmarkShardPerPacketFreshSourcesGuarded(b *testing.B) {
+	_, packet := guardedFreshSources(b, 4096)
+	for i := 0; i < 4*4096; i++ { // one warm window
+		packet(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packet(4*4096 + i)
 	}
 }
 

@@ -197,6 +197,8 @@ type Shard struct {
 	jrec *journal.Recorder
 
 	lat latHist
+	// nextFlush is the wall-clock loop's next window barrier.
+	nextFlush time.Time
 }
 
 // shardCounts is a shard's packet accounting. Every packet bumps exactly
@@ -507,11 +509,8 @@ func (e *Engine) CacheStats() dpcache.Stats { return e.cache.Stats() }
 // the controller path.
 func (e *Engine) ReplayedTotal() uint64 { return e.replayed.Load() }
 
-// run is the wall-clock shard loop: hand the partition to any waiting
-// Apply callers, then a batched pop from the ingress ring and each
-// packet end-to-end. One time.Now per batch serves lookup stamps and the
-// window-boundary check, and one publish per batch (or the flush) hands
-// its misses and counts on before the shard can park in Wait. The loop
+// run is the wall-clock shard loop: step over ingress batches while
+// there are any, and park in Wait when the ring is empty. The loop
 // holds partMu throughout and lets go only at batch-top handoffs, around
 // Wait and at exit, so a flow_mod that arrives while the shard waits for
 // ingress is applied by its caller and never waits on traffic, and
@@ -521,36 +520,46 @@ func (s *Shard) run() {
 	defer s.toCache.Close()
 	s.partMu.Lock()
 	batch := make([]Item, shardBatch)
-	window := s.eng.cfg.Window
-	nextFlush := time.Now().Add(window)
+	s.nextFlush = time.Now().Add(s.eng.cfg.Window)
 	for {
-		s.handoff()
-		n := s.in.PopBatch(batch)
-		if n == 0 {
-			if s.in.Closed() {
-				if s.in.Len() > 0 {
-					continue // pushed between the pop and the close flag
-				}
-				s.flush() // final merge before the ring goes away
-				s.partMu.Unlock()
-				return
-			}
-			s.partMu.Unlock()
-			s.in.Wait()
-			s.partMu.Lock()
+		if s.step(batch) > 0 {
 			continue
 		}
-		now := time.Now()
-		for i := 0; i < n; i++ {
-			s.processOne(&batch[i], now)
+		if s.in.Closed() {
+			if s.in.Len() > 0 {
+				continue // pushed between the pop and the close flag
+			}
+			s.flush() // final merge before the ring goes away
+			s.partMu.Unlock()
+			return
 		}
-		if now.After(nextFlush) {
-			s.flush()
-			nextFlush = now.Add(window)
-		} else {
-			s.publish()
-		}
+		s.partMu.Unlock()
+		s.in.Wait()
+		s.partMu.Lock()
 	}
+}
+
+// step is one batch of the shard loop, run holding partMu: hand the
+// partition to waiting Apply callers, pop a batch and carry each packet
+// end-to-end with one time.Now, then flush at a window boundary or else
+// publish. It returns how many packets it popped.
+func (s *Shard) step(batch []Item) int {
+	s.handoff()
+	n := s.in.PopBatch(batch)
+	if n == 0 {
+		return 0
+	}
+	now := time.Now()
+	for i := range batch[:n] {
+		s.processOne(&batch[i], now)
+	}
+	if now.After(s.nextFlush) {
+		s.flush()
+		s.nextFlush = now.Add(s.eng.cfg.Window)
+	} else {
+		s.publish()
+	}
+	return n
 }
 
 // processOne carries one packet end-to-end on the caller's goroutine —

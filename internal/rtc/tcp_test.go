@@ -102,3 +102,57 @@ func TestEngineTCPGuardTier(t *testing.T) {
 		t.Fatalf("completing client judged offender: %+v", ev)
 	}
 }
+
+// TestEngineStopFoldsTCPEvidenceAfterLastFlush pins Stop's promise that
+// the shards' final flush reaches the closing Roll. A shard flushes with
+// no Roll after it, sees more verdicts, then the engine stops: the
+// closing Roll must fold the verdicts of both flushes. The window is an
+// hour, so neither the shards nor the cache stage flush or roll on a
+// timer; the test's own flush stands in for a shard's timed one, taken
+// while the shard waits for ingress with its partition free.
+func TestEngineStopFoldsTCPEvidenceAfterLastFlush(t *testing.T) {
+	cfg := testEngineConfig(1)
+	cfg.Window = time.Hour
+	cfg.TCPGuard = &tcpguard.Config{Secret: 0xF100D}
+	e := New(cfg)
+	e.Start()
+	syns := func(src netpkt.IPv4, n int) {
+		for i := 0; i < n; i++ {
+			p := netpkt.Packet{
+				EthType: netpkt.EtherTypeIPv4,
+				NwSrc:   src, NwDst: netpkt.MustIPv4("192.0.2.10"),
+				NwProto: netpkt.ProtoTCP, TpSrc: uint16(1024 + i), TpDst: 80,
+				TCPFlags: netpkt.TCPSyn,
+			}
+			for !e.InjectItem(Item{Pkt: p, InPort: 1}) {
+				time.Sleep(time.Microsecond)
+			}
+		}
+	}
+	early, late := netpkt.MustIPv4("198.51.100.1"), netpkt.MustIPv4("198.51.100.2")
+	syns(early, 8)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if processed, _, _, _ := e.Counters(); processed == 8 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the shard did not process the first SYNs")
+		}
+	}
+	s := e.shards[0]
+	// The shard holds its partition until it waits for ingress again.
+	s.partMu.Lock()
+	s.flush()
+	s.partMu.Unlock()
+	syns(late, 5)
+	e.Stop()
+
+	for _, c := range []struct {
+		src  netpkt.IPv4
+		syns uint64
+	}{{early, 8}, {late, 5}} {
+		if ev := e.Attributor().TCPSourceEvidence(c.src); ev.Syns != c.syns {
+			t.Errorf("source %v: the closing Roll folded %d SYNs, want %d", c.src, ev.Syns, c.syns)
+		}
+	}
+}

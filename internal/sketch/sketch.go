@@ -167,15 +167,32 @@ func NewCountMinLocal(rows, cols int, seed uint64) *CountMinLocal {
 	return &CountMinLocal{cm: *NewCountMin(rows, cols, seed)}
 }
 
-// Update adds delta to key's counters. Owner goroutine only.
-func (s *CountMinLocal) Update(key uint64, delta uint64) {
+// Update adds delta to key's counters and returns key's estimate after
+// the add. Owner goroutine only.
+func (s *CountMinLocal) Update(key uint64, delta uint64) uint64 {
 	c := &s.cm
 	mask := uint64(c.cols - 1)
+	est := uint64(math.MaxUint64)
 	for r := 0; r < c.rows; r++ {
-		c.counts[r*c.cols+int(splitmix64(key^c.seeds[r])&mask)] += delta
+		i := r*c.cols + int(splitmix64(key^c.seeds[r])&mask)
+		c.counts[i] += delta
+		est = min(est, c.counts[i])
 	}
 	c.total += delta
+	return est
 }
 
 // Total returns the sum of all deltas since the last AbsorbLocal.
 func (s *CountMinLocal) Total() uint64 { return s.cm.total }
+
+// MeanCell returns the mean counter of a row, Total/cols: what a key
+// that was never added reads, on average, in each row.
+func (s *CountMinLocal) MeanCell() uint64 { return s.cm.total / uint64(s.cm.cols) }
+
+// Reset zeroes every counter and the total. Owner goroutine only.
+func (s *CountMinLocal) Reset() {
+	if s.cm.total != 0 {
+		clear(s.cm.counts)
+		s.cm.total = 0
+	}
+}

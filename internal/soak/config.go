@@ -161,7 +161,8 @@ type Config struct {
 	// path (tier off).
 	TCPConns int
 	// Registry, when set, receives the SLO health engine's state and
-	// burn-rate gauges (the existing Prometheus/JSON surface).
+	// burn-rate gauges and the engine's attribution series (the existing
+	// Prometheus/JSON surface).
 	Registry *telemetry.Registry
 }
 

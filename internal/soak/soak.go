@@ -383,6 +383,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	}
 	if cfg.Registry != nil {
 		health.Register(cfg.Registry, "fg_soak")
+		pipe.Attributor().Register(cfg.Registry, "fg_soak_attrib")
 	}
 	sloPrev := make([]telemetry.SLOState, len(sloObjs))
 	var prevLost, prevMissInj uint64

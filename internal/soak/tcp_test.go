@@ -3,6 +3,8 @@ package soak
 import (
 	"testing"
 	"time"
+
+	"floodguard/internal/telemetry"
 )
 
 // tcpTierCfg is the TCP-tier soak configuration: the roster attackers
@@ -24,7 +26,9 @@ func tcpTierCfg(guard bool) Config {
 // SYN-ACKs reach the controller, the connection table stays under its
 // fixed budget, and the never-completing sources become TCP offenders.
 func TestSoakTCPGuardTier(t *testing.T) {
-	res := mustRun(t, tcpTierCfg(true))
+	cfg := tcpTierCfg(true)
+	cfg.Registry = telemetry.NewRegistry()
+	res := mustRun(t, cfg)
 	last := res.Windows[len(res.Windows)-1]
 
 	// The guard must not blind port-rate attribution: the roster's
@@ -52,6 +56,13 @@ func TestSoakTCPGuardTier(t *testing.T) {
 	// handshake; per-source evidence must brand them.
 	if last.TCPOffenders < 2 {
 		t.Errorf("TCP offenders %d, want >= 2 (synflood + slowshake/malformed)", last.TCPOffenders)
+	}
+	// The shards' evidence bound never binds here: the offenders above
+	// are judged on every verdict.
+	for _, m := range cfg.Registry.Snapshot().Metrics {
+		if m.Name == "fg_soak_attrib_tcp_verdicts_dropped_total" && m.Value != 0 {
+			t.Errorf("the TCP evidence bound dropped %v verdicts", m.Value)
+		}
 	}
 }
 
