@@ -9,9 +9,9 @@
 // port is blamed when its cumulative rate excursion above baseline
 // crosses a threshold while its absolute rate is above a floor, and it
 // heals after a run of calm windows once the excursion subsides. Source
-// blame uses a count-min sketch plus a space-saving heavy-hitter summary:
-// a source is suspect when it owns more than a configured fraction of the
-// recently sampled stream while an attack is in progress.
+// blame uses one count-min sketch: a source is suspect when its estimate
+// owns more than a configured fraction of the recently sampled stream
+// while an attack is in progress.
 //
 // The Guard consumes port verdicts for selective migration (only blamed
 // ports get diversion rules); the data plane cache consumes the combined
@@ -62,8 +62,6 @@ type Config struct {
 	SketchRows, SketchCols int
 	// Seed keys the sketch hashing; experiments pin it for reproducibility.
 	Seed uint64
-	// TopK bounds the space-saving heavy-hitter summary (default 64).
-	TopK int
 	// HeavyHitterFrac is the share of the sampled stream a single source
 	// must own to be hinted suspect (default 0.25).
 	HeavyHitterFrac float64
@@ -97,7 +95,6 @@ func DefaultConfig() Config {
 		HealWindows:       3,
 		SketchRows:        4,
 		SketchCols:        1024,
-		TopK:              64,
 		HeavyHitterFrac:   0.25,
 		MinSampleTotal:    64,
 		DecayEveryWindows: 8,
@@ -129,9 +126,6 @@ func (c *Config) normalize() {
 	}
 	if c.SketchCols <= 0 {
 		c.SketchCols = d.SketchCols
-	}
-	if c.TopK <= 0 {
-		c.TopK = d.TopK
 	}
 	if c.HeavyHitterFrac <= 0 || c.HeavyHitterFrac > 1 || math.IsNaN(c.HeavyHitterFrac) {
 		c.HeavyHitterFrac = d.HeavyHitterFrac
@@ -209,7 +203,6 @@ type Attributor struct {
 	keys []uint64
 
 	srcs *sketch.CountMin
-	hot  *sketch.SpaceSaving
 
 	// jrec, when set, receives suspect/blame/heal evidence events from
 	// Roll. Roll has a single caller goroutine per deployment (the guard
@@ -270,7 +263,6 @@ func New(cfg Config) *Attributor {
 		cfg:    cfg,
 		ports:  make(map[uint64]*portState),
 		srcs:   sketch.NewCountMin(cfg.SketchRows, cfg.SketchCols, cfg.Seed),
-		hot:    sketch.NewSpaceSaving(cfg.TopK),
 		tcpSrc: make(map[uint64]tcpEvidence),
 	}
 	a.view.Store(&hintView{})
@@ -286,9 +278,7 @@ func (a *Attributor) ObservePacket(origin uint64, inPort uint16, pkt *netpkt.Pac
 	a.stateLocked(portKey(origin, inPort)).count++
 	a.mu.Unlock()
 	if pkt != nil && pkt.IsIP() {
-		src := uint64(pkt.NwSrc)
-		a.srcs.Update(src, 1)
-		a.hot.Observe(src, 1)
+		a.srcs.Update(uint64(pkt.NwSrc), 1)
 	}
 }
 
@@ -411,7 +401,6 @@ func (a *Attributor) Roll(window time.Duration) []Verdict {
 	a.windows++
 	if a.windows%a.cfg.DecayEveryWindows == 0 {
 		a.srcs.Decay()
-		a.hot.Decay()
 	}
 	offenders := a.rollTCPLocked(a.offScratch[:0])
 	a.publishView(blamed, offenders)
@@ -484,10 +473,6 @@ func (a *Attributor) TrackedPorts() int {
 	return len(a.ports)
 }
 
-// TrackedSources returns the heavy-hitter summary occupancy (bounded by
-// Config.TopK regardless of how many distinct sources the stream held).
-func (a *Attributor) TrackedSources() int { return a.hot.Len() }
-
 // SampleTotal returns the source sketch's sample count under the
 // current decay horizon.
 func (a *Attributor) SampleTotal() uint64 { return a.srcs.Total() }
@@ -501,9 +486,6 @@ func (a *Attributor) Register(reg *telemetry.Registry, prefix string) {
 	reg.RegisterCounter(prefix+"_blame_transitions_total", "Port blame onsets.", &a.blameEvts)
 	reg.RegisterCounter(prefix+"_heal_transitions_total", "Port blame heals.", &a.healEvts)
 	reg.RegisterCounter(prefix+"_source_suspect_hints_total", "Packets hinted suspect by source heavy-hitter verdict.", &a.srcSuspect)
-	reg.GaugeFunc(prefix+"_tracked_sources", "Sources tracked by the heavy-hitter summary.", func() float64 {
-		return float64(a.hot.Len())
-	})
 	reg.GaugeFunc(prefix+"_sample_total", "Samples in the source sketch under the current decay horizon.", func() float64 {
 		return float64(a.srcs.Total())
 	})

@@ -19,8 +19,7 @@ type ShardObserver struct {
 	a     *Attributor
 	ports map[uint64]uint64     // portKey -> samples since the last Flush
 	srcs  *sketch.CountMinLocal // same geometry+seed as a.srcs
-	hot   *sketch.SpaceSavingLocal
-	tcp   *tcpDeltas // handshake verdicts since the last Flush
+	tcp   *tcpDeltas            // handshake verdicts since the last Flush
 }
 
 // NewShardObserver builds a shard-local observer bound to a.
@@ -29,7 +28,6 @@ func (a *Attributor) NewShardObserver() *ShardObserver {
 		a:     a,
 		ports: make(map[uint64]uint64, 16),
 		srcs:  sketch.NewCountMinLocal(a.cfg.SketchRows, a.cfg.SketchCols, a.cfg.Seed),
-		hot:   sketch.NewSpaceSavingLocal(a.cfg.TopK),
 		tcp:   newTCPDeltas(a.cfg.TCPMaxSources, a.cfg.Seed),
 	}
 }
@@ -40,16 +38,13 @@ func (a *Attributor) NewShardObserver() *ShardObserver {
 func (o *ShardObserver) Observe(origin uint64, inPort uint16, pkt *netpkt.Packet) {
 	o.ports[portKey(origin, inPort)]++
 	if pkt != nil && pkt.IsIP() {
-		src := uint64(pkt.NwSrc)
-		o.srcs.Update(src, 1)
-		o.hot.Observe(src, 1)
+		o.srcs.Update(uint64(pkt.NwSrc), 1)
 	}
 }
 
 // Flush folds the buffered observations into the parent Attributor —
 // the window-boundary merge. Port counts join the open detection window
-// under the Attributor's lock; the source sketch is absorbed cell-wise;
-// the heavy-hitter candidates are re-observed into the shared summary.
+// under the Attributor's lock; the source sketch is absorbed cell-wise.
 // The TCP delta table is handed over whole, in O(1), for the next Roll
 // to fold in, and a recycled empty one takes its place. The locals are
 // reset, keeping their buckets for the next window.
@@ -66,9 +61,6 @@ func (o *ShardObserver) Flush() {
 	if o.srcs.Total() > 0 {
 		// Same rows/cols/seed by construction — AbsorbLocal cannot fail.
 		_ = a.srcs.AbsorbLocal(o.srcs)
-	}
-	if o.hot.Len() > 0 {
-		a.hot.AbsorbLocal(o.hot)
 	}
 	if len(o.tcp.slots) > 0 {
 		o.tcp = a.handOverTCP(o.tcp)

@@ -6,6 +6,3 @@ func (t *Table) Clear() {
 	t.cls = classifier{}
 	t.noteMutation()
 }
-
-// N returns the partition count.
-func (s *Sharded) N() int { return len(s.parts) }

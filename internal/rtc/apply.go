@@ -9,6 +9,27 @@
 // (manual mode, before Start, after Stop), partMu is free and the caller
 // takes it at once. Mutations that wildcard in_port are applied to
 // every shard in turn.
+//
+// The partitions split the rule list by the same port%N ownership the
+// shards use for packets, so each is a plain single-goroutine
+// flowtable.Table. Soundness of single-partition lookup: a packet
+// arriving on port p can only match a rule whose in_port is either
+// wildcarded or exactly p. Port-pinned rules live in partition p%N, and
+// in_port-wildcarded rules are broadcast into every partition, so
+// partition p%N sees every rule that could match. Rules pinned to a
+// *different* port that happen to share the partition fail the in_port
+// comparison and cannot shadow the winner. Relative rule order is
+// preserved per partition (each mutation lands in partition-application
+// order), so priority ties break exactly as they would in one global
+// table. An add or strict delete addresses rules with its exact match,
+// so routing it by its in_port (applyTargets) reaches every partition
+// that holds a rule it could touch; the tests hold the routed table to
+// one plain Table.
+//
+// Divergences from one global table, by construction: a broadcast rule
+// is physically present in every partition (TableRules counts the
+// copies), and a capacity bound is enforced per partition rather than
+// globally.
 package rtc
 
 import (
@@ -41,12 +62,15 @@ func (e *Engine) Apply(m openflow.FlowMod) error {
 	return firstErr
 }
 
-// applyTargets returns the inclusive shard range a mutation routes to.
+// applyTargets returns the inclusive shard range a mutation routes to:
+// the owner of a pinned in_port, or every shard when in_port is
+// wildcarded.
 func (e *Engine) applyTargets(m *openflow.Match) (first, last int) {
-	if i, owned := e.parts.Owner(m); owned {
-		return i, i
+	if m.Wildcards&openflow.WildInPort != 0 {
+		return 0, len(e.shards) - 1
 	}
-	return 0, len(e.shards) - 1
+	i := e.ShardFor(m.InPort)
+	return i, i
 }
 
 // apply applies one copy of a mod against the shard's partition. It

@@ -66,6 +66,44 @@ func TestApplyRoutesToOwningShard(t *testing.T) {
 	}
 }
 
+// TestPartitionBroadcastBookkeeping pins the routing key and the
+// documented divergence from one global table, partition by partition:
+// a rule pinned to in_port p lands in shard p%N's partition alone, a
+// wildcard-in_port rule lands once in every partition, and TableRules
+// counts each physical copy.
+func TestPartitionBroadcastBookkeeping(t *testing.T) {
+	cfg := testEngineConfig(4)
+	cfg.Manual = true
+	e := New(cfg)
+	pkt := netpkt.NewSpoofGen(3, netpkt.FloodUDP, 0).Next()
+	rules := func(want ...int) {
+		t.Helper()
+		for i, w := range want {
+			if got := e.Shard(i).part.RuleCount(); got != w {
+				t.Fatalf("partition %d rule count = %d, want %d", i, got, w)
+			}
+		}
+	}
+
+	wild := exactMod(&pkt, 1, 2)
+	wild.Match.Wildcards |= openflow.WildInPort
+	if err := e.Apply(wild); err != nil {
+		t.Fatal(err)
+	}
+	rules(1, 1, 1, 1)
+	if got := e.TableRules(); got != 4 {
+		t.Fatalf("broadcast rule count = %d, want one copy per partition (4)", got)
+	}
+
+	if err := e.Apply(exactMod(&pkt, 6, 2)); err != nil {
+		t.Fatal(err)
+	}
+	rules(1, 1, 2, 1) // 6 % 4 = 2
+	if got := e.TableRules(); got != 5 {
+		t.Fatalf("rule count = %d, want 5", got)
+	}
+}
+
 // TestApplyErrorRoundTrip pins that a shard's application error (here
 // ErrTableFull from a capacity-bounded partition) comes back to the
 // Apply caller and is counted against the shard.

@@ -68,10 +68,8 @@ func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, dr
 
 // freshSpoof returns warmShard's item i&63 for packet i of a run. A spoof
 // item (every fourth) gets a new source first, cycling through 1<<16
-// distinct NwSrc, so every spoof is a source the attribution summary has
-// not seen and its miss evicts a heavy-hitter slot — the per-spoof cost
-// a fresh-key flood pays, which the 16 fixed spoof tuples stop paying
-// once they are tracked.
+// distinct NwSrc, so every spoof is a source the shard has not seen —
+// the per-spoof cost a fresh-key flood pays.
 func freshSpoof(items []Item, i int) *Item {
 	it := &items[i&63]
 	if i&3 == 0 {
@@ -174,8 +172,7 @@ func BenchmarkShardPerPacket(b *testing.B) {
 
 // BenchmarkShardPerPacketFreshSources is BenchmarkShardPerPacket with
 // every spoof from a source the shard has not seen (freshSpoof): the mix
-// wire_flood's spoofed half sends, where each miss evicts from the
-// attribution summary. The 0 allocs/op budget is a tier-1 test
+// wire_flood's spoofed half sends. The 0 allocs/op budget is a tier-1 test
 // (TestShardBodyAllocatesNothing).
 func BenchmarkShardPerPacketFreshSources(b *testing.B) {
 	_, s, items, drain := warmShard(b, Config{})

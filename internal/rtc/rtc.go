@@ -74,7 +74,8 @@ type Config struct {
 	// Shards is the run-to-completion shard count (<= 0 picks
 	// GOMAXPROCS). Port p belongs to shard p % Shards.
 	Shards int
-	// TableCapacity bounds the flow table in aggregate (0 = unbounded).
+	// TableCapacity bounds the flow table in aggregate (0 = unbounded;
+	// split evenly, rounded up, over the shards' partitions).
 	TableCapacity int
 	// RingCapacity sizes each shard's ingress ring (default 2048; wall
 	// clock only).
@@ -279,7 +280,6 @@ type Snapshot struct {
 // Engine is the sharded run-to-completion pipeline.
 type Engine struct {
 	cfg    Config
-	parts  *flowtable.Sharded // one partition per shard
 	attr   *attrib.Attributor
 	guard  *tcpguard.Guard
 	shards []*Shard
@@ -313,10 +313,9 @@ func (s replaySink) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packe
 func New(cfg Config) *Engine {
 	cfg.normalize()
 	e := &Engine{
-		cfg:   cfg,
-		attr:  attrib.New(cfg.Attrib),
-		sim:   netsim.NewEngine(),
-		parts: flowtable.NewSharded(cfg.Shards, cfg.TableCapacity),
+		cfg:  cfg,
+		attr: attrib.New(cfg.Attrib),
+		sim:  netsim.NewEngine(),
 	}
 	e.cache = dpcache.New(e.sim, dpcache.Config{
 		QueueCapacity:  cfg.QueueCapacity,
@@ -328,12 +327,16 @@ func New(cfg Config) *Engine {
 	e.cache.SetHinter(e.attr)
 	e.cache.SetJournal(cfg.Journal.CacheRec())
 	e.attr.SetJournal(cfg.Journal.AttribRec())
+	per := 0
+	if cfg.TableCapacity > 0 {
+		per = (cfg.TableCapacity + cfg.Shards - 1) / cfg.Shards
+	}
 	e.shards = make([]*Shard, cfg.Shards)
 	for i := range e.shards {
 		s := &Shard{
 			id:   i,
 			eng:  e,
-			part: e.parts.Partition(i),
+			part: flowtable.New(per),
 			obs:  e.attr.NewShardObserver(),
 			jrec: cfg.Journal.ShardRec(i),
 		}
@@ -365,7 +368,13 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 // TableRules returns the installed rule count summed over partitions
 // (broadcast rules count once per partition). Safe from any goroutine —
 // it reads mutation-point mirrors.
-func (e *Engine) TableRules() int { return e.parts.RuleCount() }
+func (e *Engine) TableRules() int {
+	n := 0
+	for _, s := range e.shards {
+		n += s.part.RuleCount()
+	}
+	return n
+}
 
 // Attributor exposes the shared attribution engine (verdict reads).
 func (e *Engine) Attributor() *attrib.Attributor { return e.attr }
@@ -767,7 +776,12 @@ func (e *Engine) Register(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_tcp_guard_dropped_total", "Invalid TCP segments dropped by the shard SYN-proxy tier.", sum(func(s *Shard) uint64 { return s.pub.guardDrops.Load() }))
 	reg.CounterFunc(prefix+"_flowmods_applied_total", "Flow_mods applied against the shard partitions.", sum(func(s *Shard) uint64 { return s.applied.Load() }))
 	reg.CounterFunc(prefix+"_flowmod_errors_total", "Flow_mods that failed to apply against a shard partition.", sum(func(s *Shard) uint64 { return s.applyErrs.Load() }))
-	e.parts.Register(reg, prefix+"_table")
+	reg.GaugeFunc(prefix+"_table_rules", "Installed flow rules summed over partitions (broadcast rules count once per partition).", func() float64 {
+		return float64(e.TableRules())
+	})
+	reg.GaugeFunc(prefix+"_table_partitions", "Flow table partition count.", func() float64 {
+		return float64(len(e.shards))
+	})
 	e.cache.Register(reg, prefix+"_cache")
 	e.attr.Register(reg, prefix+"_attrib")
 }

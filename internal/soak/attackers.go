@@ -179,7 +179,7 @@ var (
 )
 
 // packet emits the attacker's next SYN. The rotate profile moves to a
-// fresh source every window (dodging the heavy-hitter summary); the
+// fresh source every window (dodging the source heavy-hitter test); the
 // others keep one fixed source. Destination fields cycle so every
 // packet is a distinct microflow (guaranteed table miss). The malformed
 // profile cycles contradictory flags, misaligned option lengths, and

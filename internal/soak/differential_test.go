@@ -65,14 +65,6 @@ func benchSoakCfg() Config {
 	}
 }
 
-// normalized strips the one field whose value legitimately depends on
-// the pipeline architecture: the heavy-hitter summary's contents depend
-// on merge order.
-func normalized(ws WindowStats) WindowStats {
-	ws.TrackedSources = 0
-	return ws
-}
-
 // diffFields names the WindowStats fields on which the two sides differ.
 func diffFields(eng, ref WindowStats) string {
 	ve, vr := reflect.ValueOf(eng), reflect.ValueOf(ref)
@@ -105,8 +97,7 @@ func diffRun(t *testing.T, cfg Config) {
 		t.Fatalf("window counts differ: engine %d, reference %d", len(engRes.Windows), len(refRes.Windows))
 	}
 	for w := range engRes.Windows {
-		e, r := normalized(engRes.Windows[w]), normalized(refRes.Windows[w])
-		if e != r {
+		if e, r := engRes.Windows[w], refRes.Windows[w]; e != r {
 			t.Fatalf("window %d diverged: %s", w, diffFields(e, r))
 		}
 	}

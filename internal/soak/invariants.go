@@ -25,7 +25,6 @@ type checker struct {
 	plan     []windowChaos
 	floorPPS float64 // attribution blame floor (3x per-port benign rate)
 	healHor  int     // attrib heal windows + configured slack
-	topK     int
 
 	aboveSince []int // per attacker: start of current above-floor-unblamed streak (-1 none)
 	everBlamed []bool
@@ -38,14 +37,13 @@ type checker struct {
 	overdueNow int
 }
 
-func newChecker(cfg *Config, atks []*attacker, plan []windowChaos, floorPPS float64, healWindows, topK int) *checker {
+func newChecker(cfg *Config, atks []*attacker, plan []windowChaos, floorPPS float64, healWindows int) *checker {
 	c := &checker{
 		cfg:        cfg,
 		atks:       atks,
 		plan:       plan,
 		floorPPS:   floorPPS,
 		healHor:    healWindows + cfg.HealSlackWindows,
-		topK:       topK,
 		aboveSince: make([]int, len(atks)),
 		everBlamed: make([]bool, len(atks)),
 		drainBy:    -1,
@@ -119,9 +117,6 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 	// however many distinct flows/sources the adversary shows us. ---
 	if lim := c.cfg.Ports + len(c.atks); ws.TrackedPorts > lim {
 		add("memory", "tracked ports %d > budget %d", ws.TrackedPorts, lim)
-	}
-	if ws.TrackedSources > c.topK {
-		add("memory", "heavy-hitter entries %d > top-k %d", ws.TrackedSources, c.topK)
 	}
 	if lim := c.cfg.HotFlows + 1; ws.TableRules > lim {
 		add("memory", "flow table rules %d > budget %d", ws.TableRules, lim)

@@ -72,11 +72,10 @@ type WindowStats struct {
 	BenignLoss float64 // cumulative ground-truth benign loss fraction
 	BenignLost uint64  // cumulative ground-truth benign packets lost
 
-	BlamedPorts    int
-	TrackedPorts   int
-	TrackedSources int
-	SampleTotal    uint64
-	TableRules     int
+	BlamedPorts  int
+	TrackedPorts int
+	SampleTotal  uint64
+	TableRules   int
 
 	ReplayWaitP99Millis float64
 	Violations          int
@@ -329,7 +328,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	atks := buildAttackers(&cfg)
 	plan := chaosPlan(&cfg)
 	acfg := attribConfigFor(&cfg)
-	chk := newChecker(&cfg, atks, plan, acfg.SuspectRatePPS, acfg.HealWindows, 64)
+	chk := newChecker(&cfg, atks, plan, acfg.SuspectRatePPS, acfg.HealWindows)
 
 	// Install the zipf-head rules: the benign hot path forwards in the
 	// data plane; only the cold tail and the attack reach the cache tier.
@@ -765,7 +764,6 @@ func collectWindow(w int, cfg *Config, pipe pipeline, gen *benignGen, tally *rep
 		TCPReplayed:         tally.tcp,
 		SynAckReplayed:      tally.synacks,
 		TrackedPorts:        attr.TrackedPorts(),
-		TrackedSources:      attr.TrackedSources(),
 		SampleTotal:         attr.SampleTotal(),
 		TableRules:          pipe.TableRules(),
 		TCPOffenders:        attr.TCPOffenders(),
@@ -802,9 +800,6 @@ func memFrac(ws *WindowStats, cfg *Config, attackers int) float64 {
 		return float64(n) / float64(lim)
 	}
 	out := frac(ws.TrackedPorts, cfg.Ports+attackers)
-	if f := frac(ws.TrackedSources, 64); f > out {
-		out = f
-	}
 	if f := frac(ws.TableRules, cfg.HotFlows+1); f > out {
 		out = f
 	}
