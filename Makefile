@@ -207,19 +207,17 @@ cover-live:
 
 check: build vet test race
 
-# The wire-facing decoders (frames, TCP options, OpenFlow), the
-# symbolic-execution pipeline, the
-# derivation memo against a cold Algorithm 2 run after every mutation, the
-# per-entry derivation against the whole enumeration, the
-# delta tracker against a cold rebuild-and-diff reference, and
-# the flow classifier and the longest-prefix-match index against their
-# linear scans, each under coverage-guided
-# fuzzing for FUZZTIME. Any crasher is written to the package's
+# The wire-facing decoders (netpkt's frame parser and its TCP options),
+# the symbolic-execution pipeline, the derivation memo against a cold
+# Algorithm 2 run after every mutation, the per-entry derivation against
+# the whole enumeration, the delta tracker against a cold
+# rebuild-and-diff reference, and the flow classifier and the
+# longest-prefix-match index against their linear scans, each under
+# coverage-guided fuzzing for FUZZTIME. Any crasher is written to the package's
 # testdata/fuzz/ and replays as a plain test case from then on.
 fuzz:
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz FuzzParse$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netpkt/ -run '^$$' -fuzz FuzzTCP -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzExplore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzMemoDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/symexec/ -run '^$$' -fuzz FuzzEntryDerive -fuzztime $(FUZZTIME)

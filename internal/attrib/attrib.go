@@ -68,13 +68,16 @@ type Config struct {
 	// MinSampleTotal delays source verdicts until the sketch has seen this
 	// many samples under the current decay horizon (default 64).
 	MinSampleTotal uint64
-	// DecayEveryWindows halves the sketches every N Roll calls, giving
-	// source estimates an exponential horizon (default 8).
+	// DecayEveryWindows halves the source sketch every N Roll calls,
+	// giving source estimates an exponential horizon (default 8).
 	DecayEveryWindows int
 
-	// TCPMaxSources bounds the per-source TCP handshake-evidence table
-	// fed by the tcpguard tier (default 1024). Exceeding sources are
-	// pruned lowest-SYN-count-first at each Roll.
+	// TCPMaxSources bounds the per-source TCP handshake evidence fed by
+	// the tcpguard tier (default 1024), in two places. Each shard holds
+	// at most this many sources between hand-overs: once its table is
+	// full, a new source is admitted through a count-min gate only when
+	// it outnumbers the lightest held one. The shared table keeps at
+	// most this many after each Roll, pruned lowest-SYN-count-first.
 	TCPMaxSources int
 	// TCPMinSyns is the minimum cumulative SYNs (or invalid segments)
 	// from one source before its handshake record can brand it an

@@ -256,8 +256,8 @@ func (d *recordingDatapath) take() []openflow.Framed {
 }
 
 // TestPerDatapathLearningFromWire drives a per-datapath l2_learning app
-// on two datapaths at once, handing HandleMessage packet_ins that went
-// through the wire codec. On each, a frame for an unknown MAC comes back
+// on two datapaths at once, handing HandleMessage packet_ins whose
+// frames the controller parses from their wire bytes. On each, a frame for an unknown MAC comes back
 // as a flood packet_out, and once the reverse direction has been seen, a
 // frame for the learned MAC comes back as a flow_mod plus a packet_out
 // carrying the unbuffered frame. Learning is per datapath: what the
@@ -276,23 +276,19 @@ func TestPerDatapathLearningFromWire(t *testing.T) {
 		SrcIP: netpkt.MustIPv4("10.0.0.1"), DstIP: netpkt.MustIPv4("10.0.0.2"),
 		Proto: netpkt.ProtoUDP, SrcPort: 1000, DstPort: 2000,
 	}
-	// packetIn hands the controller an unbuffered packet_in decoded from
-	// its wire bytes, runs the engine to the decision, and returns the
-	// frame and what the datapath was sent.
+	// packetIn hands the controller an unbuffered packet_in carrying the
+	// packet's marshalled frame, runs the engine to the decision, and
+	// returns the frame and what the datapath was sent.
 	packetIn := func(dp *recordingDatapath, pkt netpkt.Packet, inPort uint16) ([]byte, []openflow.Framed) {
 		t.Helper()
 		frame := pkt.Marshal()
-		f, err := openflow.Decode(openflow.Encode(7, openflow.PacketIn{
+		c.HandleMessage(dp, openflow.Framed{XID: 7, Msg: openflow.PacketIn{
 			BufferID: openflow.NoBuffer,
 			TotalLen: uint16(len(frame)),
 			InPort:   inPort,
 			Reason:   openflow.ReasonNoMatch,
 			Data:     frame,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.HandleMessage(dp, f)
+		}})
 		for eng.Step() {
 		}
 		return frame, dp.take()
@@ -314,11 +310,7 @@ func TestPerDatapathLearningFromWire(t *testing.T) {
 	}
 
 	// An echo request is answered under its own xid.
-	echo, err := openflow.Decode(openflow.Encode(9, openflow.EchoRequest{Data: []byte("hb")}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.HandleMessage(dps[0], echo)
+	c.HandleMessage(dps[0], openflow.Framed{XID: 9, Msg: openflow.EchoRequest{Data: []byte("hb")}})
 	if got := dps[0].take(); len(got) != 1 || !reflect.DeepEqual(got[0], openflow.Framed{XID: 9, Msg: openflow.EchoReply{Data: []byte("hb")}}) {
 		t.Fatalf("echo request drew %+v, want one echo reply carrying hb under xid 9", got)
 	}

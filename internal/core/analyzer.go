@@ -557,8 +557,10 @@ func offer(scope uint64, fm openflow.FlowMod, scoped map[uint64]RuleTarget, shar
 func (a *Analyzer) InstalledCount() int { return len(a.installed) }
 
 // NeedsUpdate applies the configured §IV.D strategy to decide whether any
-// app's state has drifted enough to warrant re-derivation. Interval
-// strategy always reports true (the caller invokes it on its ticker).
+// app's state has drifted enough to warrant re-derivation: at least EveryN
+// changes under UpdateEveryN, at least one otherwise. The caller polls it
+// on the tracker's ticker, which is what makes either strategy an
+// interval one.
 func (a *Analyzer) NeedsUpdate() bool {
 	if a.cfg.Strategy == UpdateEveryN && a.cfg.EveryN > 0 {
 		return a.dirty(a.cfg.EveryN)

@@ -57,9 +57,6 @@ const (
 	UpdateEveryChange UpdateStrategy = iota + 1
 	// UpdateEveryN re-derives after every N version bumps.
 	UpdateEveryN
-	// UpdateInterval re-derives at a fixed period regardless of change
-	// count.
-	UpdateInterval
 )
 
 // String names the strategy.
@@ -69,8 +66,6 @@ func (u UpdateStrategy) String() string {
 		return "every-change"
 	case UpdateEveryN:
 		return "every-n"
-	case UpdateInterval:
-		return "interval"
 	default:
 		return "unknown"
 	}
@@ -82,8 +77,8 @@ type AnalyzerConfig struct {
 	Strategy UpdateStrategy
 	// EveryN applies when Strategy == UpdateEveryN.
 	EveryN uint64
-	// TrackInterval is the application tracker's polling period (also
-	// the period for UpdateInterval).
+	// TrackInterval is the application tracker's polling period: the
+	// §IV.D interval strategy is this ticker.
 	TrackInterval time.Duration
 	// RulesInCache enables the §IV.E design option: proactive rules are
 	// installed into the data plane cache instead of switch TCAM.

@@ -188,8 +188,7 @@ func TestFSMStateStrings(t *testing.T) {
 
 func TestUpdateStrategyStrings(t *testing.T) {
 	if UpdateEveryChange.String() != "every-change" ||
-		UpdateEveryN.String() != "every-n" ||
-		UpdateInterval.String() != "interval" {
+		UpdateEveryN.String() != "every-n" {
 		t.Error("strategy names wrong")
 	}
 }

@@ -11,8 +11,6 @@ import (
 // Action type codes (ofp_action_type).
 const (
 	actOutput   uint16 = 0
-	actSetDlDst uint16 = 5
-	actSetNwSrc uint16 = 6
 	actSetNwDst uint16 = 7
 	actSetNwTOS uint16 = 8
 )
@@ -28,12 +26,9 @@ type Action interface {
 }
 
 // ActionOutput forwards the packet to a port (possibly a virtual port
-// such as PortFlood or PortController).
-type ActionOutput struct {
-	Port uint16
-	// MaxLen bounds the bytes sent to the controller for PortController.
-	MaxLen uint16
-}
+// such as PortFlood or PortController). Its max_len, the bytes a
+// PortController output sends, is written as 0: no stack truncates.
+type ActionOutput struct{ Port uint16 }
 
 // Output is shorthand for ActionOutput{Port: port}.
 func Output(port uint16) ActionOutput { return ActionOutput{Port: port} }
@@ -61,7 +56,7 @@ func (a ActionOutput) encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, actOutput)
 	b = binary.BigEndian.AppendUint16(b, 8)
 	b = binary.BigEndian.AppendUint16(b, a.Port)
-	return binary.BigEndian.AppendUint16(b, a.MaxLen)
+	return binary.BigEndian.AppendUint16(b, 0) // max_len
 }
 
 // ActionSetNwTOS rewrites the IP TOS field — FloodGuard's migration rules
@@ -84,37 +79,6 @@ func (a ActionSetNwTOS) encode(b []byte) []byte {
 	return append(b, a.TOS, 0, 0, 0)
 }
 
-// ActionSetDlDst rewrites the Ethernet destination address.
-type ActionSetDlDst struct{ MAC netpkt.MAC }
-
-// String renders the action.
-func (a ActionSetDlDst) String() string { return fmt.Sprintf("set_dl_dst:%v", a.MAC) }
-
-// Apply rewrites the destination MAC.
-func (a ActionSetDlDst) Apply(p *netpkt.Packet) { p.EthDst = a.MAC }
-
-func (a ActionSetDlDst) encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, actSetDlDst)
-	b = binary.BigEndian.AppendUint16(b, 16)
-	b = append(b, a.MAC[:]...)
-	return append(b, 0, 0, 0, 0, 0, 0)
-}
-
-// ActionSetNwSrc rewrites the IPv4 source address.
-type ActionSetNwSrc struct{ IP netpkt.IPv4 }
-
-// String renders the action.
-func (a ActionSetNwSrc) String() string { return fmt.Sprintf("set_nw_src:%v", a.IP) }
-
-// Apply rewrites the source IP.
-func (a ActionSetNwSrc) Apply(p *netpkt.Packet) {
-	if p.IsIP() {
-		p.NwSrc = a.IP
-	}
-}
-
-func (a ActionSetNwSrc) encode(b []byte) []byte { return encodeNwAction(b, actSetNwSrc, a.IP) }
-
 // ActionSetNwDst rewrites the IPv4 destination address — the paper's
 // ip_balancer rewrites the public VIP to a replica's private address.
 type ActionSetNwDst struct{ IP netpkt.IPv4 }
@@ -129,12 +93,10 @@ func (a ActionSetNwDst) Apply(p *netpkt.Packet) {
 	}
 }
 
-func (a ActionSetNwDst) encode(b []byte) []byte { return encodeNwAction(b, actSetNwDst, a.IP) }
-
-func encodeNwAction(b []byte, typ uint16, ip netpkt.IPv4) []byte {
-	b = binary.BigEndian.AppendUint16(b, typ)
+func (a ActionSetNwDst) encode(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, actSetNwDst)
 	b = binary.BigEndian.AppendUint16(b, 8)
-	return binary.BigEndian.AppendUint32(b, uint32(ip))
+	return binary.BigEndian.AppendUint32(b, uint32(a.IP))
 }
 
 func encodeActions(b []byte, actions []Action) []byte {
@@ -142,44 +104,6 @@ func encodeActions(b []byte, actions []Action) []byte {
 		b = a.encode(b)
 	}
 	return b
-}
-
-func decodeActions(b []byte) ([]Action, error) {
-	var actions []Action
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("openflow: action header: short buffer")
-		}
-		typ := binary.BigEndian.Uint16(b[0:2])
-		alen := int(binary.BigEndian.Uint16(b[2:4]))
-		if alen < 8 || alen > len(b) {
-			return nil, fmt.Errorf("openflow: action length %d out of range", alen)
-		}
-		body := b[4:alen]
-		var act Action
-		switch typ {
-		case actOutput:
-			act = ActionOutput{
-				Port:   binary.BigEndian.Uint16(body[0:2]),
-				MaxLen: binary.BigEndian.Uint16(body[2:4]),
-			}
-		case actSetNwTOS:
-			act = ActionSetNwTOS{TOS: body[0]}
-		case actSetDlDst:
-			var m netpkt.MAC
-			copy(m[:], body[:6])
-			act = ActionSetDlDst{MAC: m}
-		case actSetNwSrc:
-			act = ActionSetNwSrc{IP: netpkt.IPv4(binary.BigEndian.Uint32(body[0:4]))}
-		case actSetNwDst:
-			act = ActionSetNwDst{IP: netpkt.IPv4(binary.BigEndian.Uint32(body[0:4]))}
-		default:
-			return nil, fmt.Errorf("openflow: unsupported action type %d", typ)
-		}
-		actions = append(actions, act)
-		b = b[alen:]
-	}
-	return actions, nil
 }
 
 // ActionsString renders an action list (empty list = drop).

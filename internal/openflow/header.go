@@ -1,12 +1,15 @@
 // Package openflow implements the subset of the OpenFlow 1.0 "southbound"
 // protocol that a reactive controller and switch need to speak: the
-// framed binary codec, the 12-tuple match with wildcards, the action list,
-// and the session messages (hello, echo, features, packet_in, packet_out,
-// flow_mod, flow_removed, port_status, barrier, error).
+// 12-tuple match with wildcards, the action list, the session messages
+// (hello, echo, features, packet_in, packet_out, flow_mod, flow_removed,
+// port_status, barrier, error, table stats) and their framed binary
+// encoder.
 //
-// The wire layout follows the OpenFlow 1.0.0 specification so that
-// captures are recognisable, but the package is self-contained: the repo's
-// switch simulator and controller are the only intended peers.
+// The stacks pass Framed structs to each other, so nothing decodes wire
+// bytes: the encoder sizes control messages (FrameLen) and frames the
+// packet_in bytes a replay emits (AppendFrame). Its layout follows the
+// OpenFlow 1.0.0 specification byte for byte, which the package's tests
+// check against hand-written frames.
 package openflow
 
 import (
@@ -94,11 +97,6 @@ type Framed struct {
 	Msg Message
 }
 
-// Encode serialises a framed message.
-func Encode(xid uint32, m Message) []byte {
-	return AppendFrame(make([]byte, 0, 64), xid, m)
-}
-
 // AppendFrame appends the framed wire form of m to b: the header is
 // written up front with a zero length, the body encodes directly behind
 // it, and the length field is patched afterwards. Header and body share
@@ -124,30 +122,11 @@ type frameBuf struct{ b []byte }
 
 // FrameLen reports the framed length of m without retaining the frame.
 // Use it where only the on-wire size matters (e.g. packet_in byte
-// accounting) instead of paying Encode's allocation.
+// accounting).
 func FrameLen(m Message) int {
 	fb := frameScratch.Get().(*frameBuf)
 	n := len(AppendFrame(fb.b[:0], 0, m))
 	fb.b = fb.b[:0]
 	frameScratch.Put(fb)
 	return n
-}
-
-// Decode parses one complete framed message from b.
-func Decode(b []byte) (Framed, error) {
-	if len(b) < headerLen {
-		return Framed{}, fmt.Errorf("openflow: frame shorter than header")
-	}
-	if b[0] != Version {
-		return Framed{}, fmt.Errorf("openflow: unsupported version %#02x", b[0])
-	}
-	length := int(binary.BigEndian.Uint16(b[2:4]))
-	if length < headerLen || length > len(b) {
-		return Framed{}, fmt.Errorf("openflow: bad frame length %d (have %d)", length, len(b))
-	}
-	msg, err := decodeBody(Type(b[1]), b[headerLen:length])
-	if err != nil {
-		return Framed{}, err
-	}
-	return Framed{XID: binary.BigEndian.Uint32(b[4:8]), Msg: msg}, nil
 }

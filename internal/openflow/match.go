@@ -313,8 +313,6 @@ func (m *Match) String() string {
 	return strings.Join(parts, ",")
 }
 
-const matchLen = 40
-
 func (m *Match) encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, m.Wildcards)
 	b = binary.BigEndian.AppendUint16(b, m.InPort)
@@ -328,25 +326,4 @@ func (m *Match) encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(m.NwDst))
 	b = binary.BigEndian.AppendUint16(b, m.TpSrc)
 	return binary.BigEndian.AppendUint16(b, m.TpDst)
-}
-
-func decodeMatch(b []byte) (Match, error) {
-	var m Match
-	if len(b) < matchLen {
-		return m, fmt.Errorf("openflow: match: short buffer (%d)", len(b))
-	}
-	m.Wildcards = binary.BigEndian.Uint32(b[0:4])
-	m.InPort = binary.BigEndian.Uint16(b[4:6])
-	copy(m.DlSrc[:], b[6:12])
-	copy(m.DlDst[:], b[12:18])
-	m.DlVLAN = binary.BigEndian.Uint16(b[18:20])
-	m.DlVLANPCP = b[20]
-	m.DlType = binary.BigEndian.Uint16(b[22:24])
-	m.NwTOS = b[24]
-	m.NwProto = b[25]
-	m.NwSrc = netpkt.IPv4(binary.BigEndian.Uint32(b[28:32]))
-	m.NwDst = netpkt.IPv4(binary.BigEndian.Uint32(b[32:36]))
-	m.TpSrc = binary.BigEndian.Uint16(b[36:38])
-	m.TpDst = binary.BigEndian.Uint16(b[38:40])
-	return m, nil
 }

@@ -47,8 +47,6 @@ type FeaturesReply struct {
 	Ports      []PhyPort
 }
 
-const phyPortLen = 48
-
 // MsgType implements Message.
 func (FeaturesReply) MsgType() Type { return TypeFeaturesReply }
 
@@ -270,11 +268,11 @@ type BarrierReply struct{}
 func (BarrierReply) MsgType() Type              { return TypeBarrierReply }
 func (BarrierReply) encodeBody(b []byte) []byte { return b }
 
-// Error reports a protocol-level failure.
+// Error reports a protocol-level failure. It carries no data: the
+// switch does not echo the failed request back.
 type Error struct {
 	ErrType uint16
 	Code    uint16
-	Data    []byte
 }
 
 // MsgType implements Message.
@@ -282,8 +280,7 @@ func (Error) MsgType() Type { return TypeError }
 
 func (m Error) encodeBody(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, m.ErrType)
-	b = binary.BigEndian.AppendUint16(b, m.Code)
-	return append(b, m.Data...)
+	return binary.BigEndian.AppendUint16(b, m.Code)
 }
 
 // Error implements the error interface so an Error message can flow
@@ -335,201 +332,4 @@ func (m StatsReply) encodeBody(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, m.Table.LookupCount)
 	b = binary.BigEndian.AppendUint64(b, m.Table.MatchedCount)
 	return binary.BigEndian.AppendUint64(b, m.Table.DroppedInput)
-}
-
-func decodeBody(t Type, b []byte) (Message, error) {
-	switch t {
-	case TypeHello:
-		return Hello{}, nil
-	case TypeEchoRequest:
-		return EchoRequest{Data: clone(b)}, nil
-	case TypeEchoReply:
-		return EchoReply{Data: clone(b)}, nil
-	case TypeFeaturesRequest:
-		return FeaturesRequest{}, nil
-	case TypeFeaturesReply:
-		return decodeFeaturesReply(b)
-	case TypePacketIn:
-		return decodePacketIn(b)
-	case TypePacketOut:
-		return decodePacketOut(b)
-	case TypeFlowMod:
-		return decodeFlowMod(b)
-	case TypeFlowRemoved:
-		return decodeFlowRemoved(b)
-	case TypePortStatus:
-		return decodePortStatus(b)
-	case TypeBarrierRequest:
-		return BarrierRequest{}, nil
-	case TypeBarrierReply:
-		return BarrierReply{}, nil
-	case TypeError:
-		return decodeError(b)
-	case TypeStatsRequest:
-		return StatsRequest{}, nil
-	case TypeStatsReply:
-		return decodeStatsReply(b)
-	default:
-		return nil, fmt.Errorf("openflow: unsupported message type %v", t)
-	}
-}
-
-func clone(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-func decodeFeaturesReply(b []byte) (Message, error) {
-	if len(b) < 24 {
-		return nil, fmt.Errorf("openflow: features_reply: short body (%d)", len(b))
-	}
-	m := FeaturesReply{
-		DatapathID: binary.BigEndian.Uint64(b[0:8]),
-		NBuffers:   binary.BigEndian.Uint32(b[8:12]),
-		NTables:    b[12],
-	}
-	rest := b[24:]
-	if len(rest)%phyPortLen != 0 {
-		return nil, fmt.Errorf("openflow: features_reply: ragged port list (%d)", len(rest))
-	}
-	for len(rest) > 0 {
-		p := PhyPort{PortNo: binary.BigEndian.Uint16(rest[0:2])}
-		name := rest[8:24]
-		for i, c := range name {
-			if c == 0 {
-				name = name[:i]
-				break
-			}
-		}
-		p.Name = string(name)
-		m.Ports = append(m.Ports, p)
-		rest = rest[phyPortLen:]
-	}
-	return m, nil
-}
-
-func decodePacketIn(b []byte) (Message, error) {
-	if len(b) < 10 {
-		return nil, fmt.Errorf("openflow: packet_in: short body (%d)", len(b))
-	}
-	return PacketIn{
-		BufferID: binary.BigEndian.Uint32(b[0:4]),
-		TotalLen: binary.BigEndian.Uint16(b[4:6]),
-		InPort:   binary.BigEndian.Uint16(b[6:8]),
-		Reason:   PacketInReason(b[8]),
-		Data:     clone(b[10:]),
-	}, nil
-}
-
-func decodePacketOut(b []byte) (Message, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("openflow: packet_out: short body (%d)", len(b))
-	}
-	alen := int(binary.BigEndian.Uint16(b[6:8]))
-	if len(b) < 8+alen {
-		return nil, fmt.Errorf("openflow: packet_out: actions overflow body")
-	}
-	actions, err := decodeActions(b[8 : 8+alen])
-	if err != nil {
-		return nil, err
-	}
-	return PacketOut{
-		BufferID: binary.BigEndian.Uint32(b[0:4]),
-		InPort:   binary.BigEndian.Uint16(b[4:6]),
-		Actions:  actions,
-		Data:     clone(b[8+alen:]),
-	}, nil
-}
-
-func decodeFlowMod(b []byte) (Message, error) {
-	if len(b) < matchLen+24 {
-		return nil, fmt.Errorf("openflow: flow_mod: short body (%d)", len(b))
-	}
-	match, err := decodeMatch(b)
-	if err != nil {
-		return nil, err
-	}
-	rest := b[matchLen:]
-	actions, err := decodeActions(rest[24:])
-	if err != nil {
-		return nil, err
-	}
-	return FlowMod{
-		Match:       match,
-		Cookie:      binary.BigEndian.Uint64(rest[0:8]),
-		Command:     FlowModCommand(binary.BigEndian.Uint16(rest[8:10])),
-		IdleTimeout: binary.BigEndian.Uint16(rest[10:12]),
-		HardTimeout: binary.BigEndian.Uint16(rest[12:14]),
-		Priority:    binary.BigEndian.Uint16(rest[14:16]),
-		BufferID:    binary.BigEndian.Uint32(rest[16:20]),
-		OutPort:     binary.BigEndian.Uint16(rest[20:22]),
-		Flags:       binary.BigEndian.Uint16(rest[22:24]),
-		Actions:     actions,
-	}, nil
-}
-
-func decodeFlowRemoved(b []byte) (Message, error) {
-	if len(b) < matchLen+40 {
-		return nil, fmt.Errorf("openflow: flow_removed: short body (%d)", len(b))
-	}
-	match, err := decodeMatch(b)
-	if err != nil {
-		return nil, err
-	}
-	rest := b[matchLen:]
-	return FlowRemoved{
-		Match:       match,
-		Cookie:      binary.BigEndian.Uint64(rest[0:8]),
-		Priority:    binary.BigEndian.Uint16(rest[8:10]),
-		Reason:      FlowRemovedReason(rest[10]),
-		PacketCount: binary.BigEndian.Uint64(rest[24:32]),
-		ByteCount:   binary.BigEndian.Uint64(rest[32:40]),
-	}, nil
-}
-
-func decodePortStatus(b []byte) (Message, error) {
-	if len(b) < 8+phyPortLen {
-		return nil, fmt.Errorf("openflow: port_status: short body (%d)", len(b))
-	}
-	p := PhyPort{PortNo: binary.BigEndian.Uint16(b[8:10])}
-	name := b[16:32]
-	for i, c := range name {
-		if c == 0 {
-			name = name[:i]
-			break
-		}
-	}
-	p.Name = string(name)
-	return PortStatus{Reason: PortStatusReason(b[0]), Port: p}, nil
-}
-
-func decodeError(b []byte) (Message, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("openflow: error: short body (%d)", len(b))
-	}
-	return Error{
-		ErrType: binary.BigEndian.Uint16(b[0:2]),
-		Code:    binary.BigEndian.Uint16(b[2:4]),
-		Data:    clone(b[4:]),
-	}, nil
-}
-
-func decodeStatsReply(b []byte) (Message, error) {
-	if len(b) < 4+40 {
-		return nil, fmt.Errorf("openflow: stats_reply: short body (%d)", len(b))
-	}
-	rest := b[4:]
-	return StatsReply{Table: TableStats{
-		ActiveRules:  binary.BigEndian.Uint32(rest[0:4]),
-		MaxRules:     binary.BigEndian.Uint32(rest[4:8]),
-		BufferUsed:   binary.BigEndian.Uint32(rest[8:12]),
-		BufferSize:   binary.BigEndian.Uint32(rest[12:16]),
-		LookupCount:  binary.BigEndian.Uint64(rest[16:24]),
-		MatchedCount: binary.BigEndian.Uint64(rest[24:32]),
-		DroppedInput: binary.BigEndian.Uint64(rest[32:40]),
-	}}, nil
 }

@@ -1,9 +1,12 @@
 package openflow
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"floodguard/internal/netpkt"
@@ -30,15 +33,11 @@ func randActions(r *rand.Rand) []Action {
 	n := r.Intn(4)
 	var out []Action
 	for i := 0; i < n; i++ {
-		switch r.Intn(5) {
+		switch r.Intn(3) {
 		case 0:
-			out = append(out, ActionOutput{Port: uint16(r.Intn(1 << 16)), MaxLen: uint16(r.Intn(1 << 16))})
+			out = append(out, Output(uint16(r.Intn(1<<16))))
 		case 1:
 			out = append(out, ActionSetNwTOS{TOS: uint8(r.Intn(256))})
-		case 2:
-			out = append(out, ActionSetDlDst{MAC: netpkt.MACFromUint64(uint64(r.Uint32()))})
-		case 3:
-			out = append(out, ActionSetNwSrc{IP: netpkt.IPv4(r.Uint32())})
 		default:
 			out = append(out, ActionSetNwDst{IP: netpkt.IPv4(r.Uint32())})
 		}
@@ -122,7 +121,7 @@ func randMessage(r *rand.Rand) Message {
 	case 11:
 		return BarrierReply{}
 	case 12:
-		return Error{ErrType: uint16(r.Intn(8)), Code: uint16(r.Intn(8)), Data: randBytes(r, r.Intn(16))}
+		return Error{ErrType: uint16(r.Intn(8)), Code: uint16(r.Intn(8))}
 	default:
 		return StatsReply{Table: TableStats{
 			ActiveRules: r.Uint32(), MaxRules: r.Uint32(),
@@ -132,28 +131,143 @@ func randMessage(r *rand.Rand) Message {
 	}
 }
 
-func TestMessageEncodeDecodeRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for i := 0; i < 1000; i++ {
-		give := randMessage(r)
-		xid := r.Uint32()
-		framed, err := Decode(Encode(xid, give))
-		if err != nil {
-			t.Fatalf("case %d (%v): Decode: %v", i, give.MsgType(), err)
+// unhex decodes a hex literal written with spaces between its fields.
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.Join(strings.Fields(s), ""))
+	if err != nil {
+		t.Fatalf("bad hex literal: %v", err)
+	}
+	return b
+}
+
+// TestAppendFrameMatchesOpenFlow10Layout frames every message and
+// action the switch, the controller, the Guard and the benchmark emit,
+// and compares the bytes with frames written by hand from the OpenFlow
+// 1.0.0 struct layouts: the 8-byte ofp_header, the 40-byte ofp_match
+// with the nw_src and nw_dst masks at wildcard bits 8 and 14, the
+// 72-byte ofp_flow_mod, ofp_packet_in's data at offset 18, the 16-byte
+// ofp_packet_out, the 88-byte ofp_flow_removed, the 64-byte
+// ofp_port_status around a 48-byte ofp_phy_port, the 32-byte
+// ofp_switch_features, the 12-byte ofp_error_msg and ofp_stats_request,
+// and 8-byte actions. Within the flow_mod, flow_removed and match
+// frames every field carries a distinct value, so two fields written in
+// each other's place change the bytes.
+func TestAppendFrameMatchesOpenFlow10Layout(t *testing.T) {
+	// nw_src 10.0.0.1/16 and nw_dst 10.1.2.0/24: the masks encode as 32
+	// minus the prefix length, 16 at bit 8 and 8 at bit 14; nw_tos is
+	// wildcarded (bit 21) but still written.
+	m := Match{
+		Wildcards: WildNwTOS,
+		InPort:    3,
+		DlSrc:     netpkt.MustMAC("00:00:00:00:00:0a"),
+		DlDst:     netpkt.MustMAC("00:00:00:00:00:0b"),
+		DlVLAN:    100,
+		DlVLANPCP: 5,
+		DlType:    netpkt.EtherTypeIPv4,
+		NwTOS:     0x10,
+		NwProto:   netpkt.ProtoTCP,
+		NwSrc:     netpkt.MustIPv4("10.0.0.1"),
+		NwDst:     netpkt.MustIPv4("10.1.2.0"),
+		TpSrc:     1000,
+		TpDst:     80,
+	}
+	m.SetNwSrcMaskLen(16)
+	m.SetNwDstMaskLen(24)
+	const match = ` 00221000` + // wildcards
+		` 0003 00000000000a 00000000000b` + // in_port, dl_src, dl_dst
+		` 0064 05 00 0800` + // dl_vlan, dl_vlan_pcp, pad, dl_type
+		` 10 06 0000` + // nw_tos, nw_proto, pad
+		` 0a000001 0a010200 03e8 0050` // nw_src, nw_dst, tp_src, tp_dst
+	const allWild = ` 003fffff 0000 000000000000 000000000000 0000 00 00 0000 00 00 0000 00000000 00000000 0000 0000`
+	frame := []byte{0xde, 0xad, 0xbe, 0xef}
+
+	tests := []struct {
+		name string
+		xid  uint32
+		msg  Message
+		want string
+	}{
+		{"hello", 1, Hello{}, `01 00 0008 00000001`},
+		{"echo_request", 2, EchoRequest{Data: []byte("hb")}, `01 02 000a 00000002 6862`},
+		{"echo_reply", 3, EchoReply{Data: []byte("hb")}, `01 03 000a 00000003 6862`},
+		{"features_request", 4, FeaturesRequest{}, `01 05 0008 00000004`},
+		{"features_reply", 5, FeaturesReply{
+			DatapathID: 0x0102030405060708, NBuffers: 256, NTables: 1,
+			Ports: []PhyPort{{PortNo: 1, Name: "eth1"}, {PortNo: PortLocal, Name: "br0-local-bridge-port"}},
+		}, `01 06 0080 00000005
+			0102030405060708 00000100 01 000000 00000000 00000000
+			0001 000000000000 65746831000000000000000000000000 000000000000000000000000000000000000000000000000
+			fffe 000000000000 6272302d6c6f63616c2d627269646700 000000000000000000000000000000000000000000000000`},
+		{"packet_in unbuffered", 6, PacketIn{
+			BufferID: NoBuffer, TotalLen: 4, InPort: 3, Reason: ReasonNoMatch, Data: frame,
+		}, `01 0a 0016 00000006 ffffffff 0004 0003 00 00 deadbeef`},
+		{"packet_in buffered", 7, PacketIn{
+			BufferID: 7, TotalLen: 1500, InPort: 2, Reason: ReasonAction, Data: frame,
+		}, `01 0a 0016 00000007 00000007 05dc 0002 01 00 deadbeef`},
+		{"packet_out unbuffered", 8, PacketOut{
+			BufferID: NoBuffer, InPort: 1, Actions: []Action{Output(PortFlood)}, Data: frame,
+		}, `01 0d 001c 00000008 ffffffff 0001 0008 0000 0008 fffb 0000 deadbeef`},
+		{"packet_out buffered drop", 9, PacketOut{BufferID: 7, InPort: 2},
+			`01 0d 0010 00000009 00000007 0002 0000`},
+		{"flow_mod add", 10, FlowMod{
+			Match: m, Cookie: 0x1122334455667788, Command: FlowAdd,
+			IdleTimeout: 10, HardTimeout: 30, Priority: 0x8000,
+			BufferID: NoBuffer, OutPort: PortNone, Flags: FlagSendFlowRem,
+			Actions: []Action{
+				Output(PortController),
+				Output(2),
+				ActionSetNwTOS{TOS: 9},
+				ActionSetNwDst{IP: netpkt.MustIPv4("192.168.0.1")},
+			},
+		}, `01 0e 0068 0000000a` + match + `
+			1122334455667788 0000 000a 001e 8000 ffffffff ffff 0001
+			0000 0008 fffd 0000
+			0000 0008 0002 0000
+			0008 0008 09 000000
+			0007 0008 c0a80001`},
+		{"flow_mod delete_strict", 11, FlowMod{
+			Match: MatchAll(), Command: FlowDeleteStrict, Priority: 1,
+			BufferID: NoBuffer, OutPort: PortNone,
+		}, `01 0e 0048 0000000b` + allWild + `
+			0000000000000000 0004 0000 0000 0001 ffffffff ffff 0000`},
+		{"flow_removed", 12, FlowRemoved{
+			Match: m, Cookie: 0x1122334455667788, Priority: 0x8000,
+			Reason: RemovedHardTimeout, PacketCount: 5, ByteCount: 320,
+		}, `01 0b 0058 0000000c` + match + `
+			1122334455667788 8000 01 00 00000000 00000000 0000 0000
+			0000000000000005 0000000000000140`},
+		{"port_status", 13, PortStatus{Reason: PortModified, Port: PhyPort{PortNo: 2, Name: "s1-eth2"}},
+			`01 0c 0040 0000000d 02 00000000000000
+			0002 000000000000 73312d65746832000000000000000000 000000000000000000000000000000000000000000000000`},
+		{"barrier_request", 14, BarrierRequest{}, `01 12 0008 0000000e`},
+		{"barrier_reply", 15, BarrierReply{}, `01 13 0008 0000000f`},
+		{"error", 16, Error{ErrType: 3, Code: 1}, `01 01 000c 00000010 0003 0001`},
+		{"stats_request table", 17, StatsRequest{}, `01 10 000c 00000011 0003 0000`},
+		// The reply's body after the 12-byte ofp_stats_reply header is the
+		// repository's own TableStats snapshot, not ofp_table_stats.
+		{"stats_reply table", 18, StatsReply{Table: TableStats{
+			ActiveRules: 1, MaxRules: 2, BufferUsed: 3, BufferSize: 4,
+			LookupCount: 5, MatchedCount: 6, DroppedInput: 7,
+		}}, `01 11 0034 00000012 0003 0000 00000001 00000002 00000003 00000004
+			0000000000000005 0000000000000006 0000000000000007`},
+	}
+	for _, tt := range tests {
+		want := unhex(t, tt.want)
+		got := AppendFrame([]byte{0xaa}, tt.xid, tt.msg)[1:]
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got  % x\n want % x", tt.name, got, want)
 		}
-		if framed.XID != xid {
-			t.Fatalf("case %d: xid = %d, want %d", i, framed.XID, xid)
-		}
-		if !reflect.DeepEqual(framed.Msg, give) {
-			t.Fatalf("case %d (%v): round trip mismatch:\n give %+v\n got  %+v",
-				i, give.MsgType(), give, framed.Msg)
+		if n := FrameLen(tt.msg); n != len(want) {
+			t.Errorf("%s: FrameLen = %d, want %d", tt.name, n, len(want))
 		}
 	}
 }
 
 // TestReadWriteMessageStream appends frames back to back into one
-// buffer and walks it with Decode, advancing by each header's length
-// field: every frame's length must land exactly on the next frame.
+// buffer and walks it by header alone: each frame carries version 1,
+// its message's type and its xid, and its length field lands exactly on
+// the next frame.
 func TestReadWriteMessageStream(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	var buf []byte
@@ -164,46 +278,20 @@ func TestReadWriteMessageStream(t *testing.T) {
 		buf = AppendFrame(buf, f.XID, f.Msg)
 	}
 	for i, w := range want {
-		got, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
+		if len(buf) < 8 {
+			t.Fatalf("message %d: %d bytes left, want a header", i, len(buf))
 		}
-		if !reflect.DeepEqual(got, w) {
-			t.Fatalf("message %d mismatch:\n give %+v\n got  %+v", i, w, got)
+		if buf[0] != Version || Type(buf[1]) != w.Msg.MsgType() || binary.BigEndian.Uint32(buf[4:8]) != w.XID {
+			t.Fatalf("message %d: header % x, want version %d, type %v, xid %d", i, buf[:8], Version, w.Msg.MsgType(), w.XID)
 		}
-		buf = buf[binary.BigEndian.Uint16(buf[2:4]):]
+		n := int(binary.BigEndian.Uint16(buf[2:4]))
+		if n != FrameLen(w.Msg) || n > len(buf) {
+			t.Fatalf("message %d: length %d, want %d within the %d bytes left", i, n, FrameLen(w.Msg), len(buf))
+		}
+		buf = buf[n:]
 	}
 	if len(buf) != 0 {
 		t.Fatalf("%d bytes left after the last frame", len(buf))
-	}
-}
-
-func TestDecodeRejectsBadFrames(t *testing.T) {
-	tests := []struct {
-		name string
-		give []byte
-	}{
-		{"short header", []byte{1, 0}},
-		{"bad version", append([]byte{9, 0, 0, 8}, make([]byte, 4)...)},
-		{"length < header", append([]byte{1, 0, 0, 4}, make([]byte, 4)...)},
-		{"unknown type", append([]byte{1, 200, 0, 8}, make([]byte, 4)...)},
-	}
-	for _, tt := range tests {
-		if _, err := Decode(tt.give); err == nil {
-			t.Errorf("%s: Decode succeeded, want error", tt.name)
-		}
-	}
-}
-
-func TestDecodeActionsRejectsGarbage(t *testing.T) {
-	if _, err := decodeActions([]byte{0, 0}); err == nil {
-		t.Error("short action header accepted")
-	}
-	if _, err := decodeActions([]byte{0, 99, 0, 2}); err == nil {
-		t.Error("undersized action length accepted")
-	}
-	if _, err := decodeActions([]byte{0, 42, 0, 8, 0, 0, 0, 0}); err == nil {
-		t.Error("unknown action type accepted")
 	}
 }
 

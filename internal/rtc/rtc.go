@@ -17,11 +17,11 @@
 // once per ingress batch and at every flush (DESIGN.md §12, "Counter
 // publication").
 // Shared state is reconciled at window boundaries only — the shard
-// folds its attribution deltas (count-min cells, heavy-hitter
-// candidates, per-port sample counts) into the shared Attributor via
-// the sketch merge path, exactly like the sweep shard-invariance
-// contract in internal/experiments, and hands its TCP handshake deltas
-// over whole for the next Roll to fold in.
+// folds its attribution deltas (count-min cells and per-port sample
+// counts) into the shared Attributor via the sketch merge path, exactly
+// like the sweep shard-invariance contract in internal/experiments, and
+// hands its TCP handshake deltas over whole for the next Roll to fold
+// in.
 //
 // The cache stage owns a dpcache.Cache on a discrete-event
 // netsim.Engine. Against the wall clock it is its own goroutine: it
