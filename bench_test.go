@@ -88,42 +88,9 @@ func BenchmarkFig12CPUTimeline(b *testing.B) {
 // --- Figure 13 ---
 
 func BenchmarkFig13RuleGeneration(b *testing.B) {
-	size := experiments.DefaultFig13State()
-	subjects := map[string]func() *controller.App{
-		"l2_learning": func() *controller.App {
-			prog, st := apps.L2Learning()
-			for i := 0; i < size.LearnedMACs; i++ {
-				st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(uint64(i+1))), appir.U16Value(uint16(i%8+1)))
-			}
-			return &controller.App{Prog: prog, State: st}
-		},
-		"ip_balancer": func() *controller.App {
-			prog, st := apps.IPBalancer(apps.DefaultIPBalancerConfig())
-			return &controller.App{Prog: prog, State: st}
-		},
-		"l3_learning": func() *controller.App {
-			prog, st := apps.L3Learning()
-			for i := 0; i < size.LearnedIPs; i++ {
-				st.Learn("ipToPort", appir.IPValue(netpkt.IPv4(0x0a000001+uint32(i))), appir.U16Value(uint16(i%8+1)))
-			}
-			return &controller.App{Prog: prog, State: st}
-		},
-		"of_firewall": func() *controller.App {
-			prog, st := apps.OFFirewall()
-			experiments.PopulateFirewall(st, size.BlockedPorts, size.BlockedNets, size.Routes)
-			return &controller.App{Prog: prog, State: st}
-		},
-		"mac_blocker": func() *controller.App {
-			prog, st := apps.MACBlocker()
-			for i := 0; i < size.BlockedMACs; i++ {
-				st.Learn("blockedMACs", appir.MACValue(netpkt.MACFromUint64(uint64(0x600+i))), appir.BoolValue(true))
-			}
-			return &controller.App{Prog: prog, State: st}
-		},
-	}
-	for name, mk := range subjects {
-		b.Run(name, func(b *testing.B) {
-			an, err := core.NewAnalyzer(core.DefaultAnalyzer(), []*controller.App{mk()})
+	for _, app := range experiments.Fig13Subjects() {
+		b.Run(app.Name(), func(b *testing.B) {
+			an, err := core.NewAnalyzer(core.DefaultAnalyzer(), []*controller.App{app})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -46,7 +46,7 @@ func buildSubjects() map[string]subject {
 	add(prog, st)
 
 	add(apps.ARPHub())
-	add(apps.IPBalancer(apps.DefaultIPBalancerConfig()))
+	add(apps.IPBalancer())
 
 	prog, st = apps.L3Learning()
 	st.Learn("ipToPort", appir.IPValue(netpkt.MustIPv4("10.0.0.1")), appir.U16Value(1))

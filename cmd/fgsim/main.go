@@ -237,7 +237,7 @@ func fig12() error {
 }
 
 func fig13(iters int) error {
-	costs, err := experiments.RunFig13(experiments.DefaultFig13State(), iters)
+	costs, err := experiments.RunFig13(iters)
 	if err != nil {
 		return err
 	}

@@ -33,10 +33,23 @@ import (
 // pointer: cfg.A.B.C = v sets A, B and C, and so does cfg.A.B[i] = v
 // when B is an array. bench/ is its own module and is not scanned; _ pads are
 // skipped.
+//
+// A write inside a function of the field's own package named Default*,
+// normalize or Normalize does not count: a value that only its own
+// defaults assign is a constant, and a field only tests set beside it is
+// a knob no caller turns. Run with -v to print every exported *Config
+// field with the functions that set it.
 func TestStructFieldsAreSet(t *testing.T) {
-	unset, err := unsetFields(".")
+	p, err := newFieldPass(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	unset, err := p.unset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testing.Verbose() {
+		t.Logf("exported *Config fields and their non-test setters:\n%s", strings.Join(p.configKnobs(), "\n"))
 	}
 	allowed, err := allowedFields("cover-live.allow")
 	if err != nil {
@@ -85,26 +98,25 @@ func allowedFields(name string) ([]string, error) {
 
 // fieldPass typechecks the module's packages from source, each once,
 // with the standard library from its export data, and records the
-// fields each package's code sets.
+// functions in each package's code that set each field.
 type fieldPass struct {
 	root, module string
 	fset         *token.FileSet
 	std          types.Importer
 	pkgs         map[string]*types.Package
 	structs      []*types.TypeName // named struct types
-	set          map[*types.Var]bool
+	setters      map[*types.Var][]string
 }
 
-// unsetFields lists, sorted, every field of a named struct type declared
-// in the non-test files under root (bench/ excluded) that no non-test
-// code sets, as `path/file.go Type.Field`.
-func unsetFields(root string) ([]string, error) {
+// newFieldPass typechecks the non-test files under root (bench/
+// excluded).
+func newFieldPass(root string) (*fieldPass, error) {
 	p := &fieldPass{
-		root:   root,
-		module: "floodguard",
-		fset:   token.NewFileSet(),
-		pkgs:   make(map[string]*types.Package),
-		set:    make(map[*types.Var]bool),
+		root:    root,
+		module:  "floodguard",
+		fset:    token.NewFileSet(),
+		pkgs:    make(map[string]*types.Package),
+		setters: make(map[*types.Var][]string),
 	}
 	var dirs []string
 	var stdImports []string
@@ -154,16 +166,21 @@ func unsetFields(root string) ([]string, error) {
 			return nil, err
 		}
 	}
+	return p, nil
+}
 
+// unset lists, sorted, every field of a named struct type that no
+// non-test code sets, as `path/file.go Type.Field`.
+func (p *fieldPass) unset() ([]string, error) {
 	var out []string
 	for _, tn := range p.structs {
 		st := tn.Type().Underlying().(*types.Struct)
 		for i := range st.NumFields() {
 			f := st.Field(i)
-			if f.Name() == "_" || p.set[f] {
+			if f.Name() == "_" || len(p.setters[f]) > 0 {
 				continue
 			}
-			rel, err := filepath.Rel(root, p.fset.Position(f.Pos()).Filename)
+			rel, err := filepath.Rel(p.root, p.fset.Position(f.Pos()).Filename)
 			if err != nil {
 				return nil, err
 			}
@@ -172,6 +189,34 @@ func unsetFields(root string) ([]string, error) {
 	}
 	slices.Sort(out)
 	return out, nil
+}
+
+// configKnobs lists, sorted, every exported field of an exported struct
+// type whose name ends in Config, with the non-test functions that set
+// it ("-" for none), as `pkg.Type.Field  setter, setter`.
+func (p *fieldPass) configKnobs() []string {
+	var out []string
+	for _, tn := range p.structs {
+		if !tn.Exported() || !strings.HasSuffix(tn.Name(), "Config") {
+			continue
+		}
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := range st.NumFields() {
+			f := st.Field(i)
+			if !f.Exported() {
+				continue
+			}
+			setters := slices.Clone(p.setters[f])
+			slices.Sort(setters)
+			list := strings.Join(slices.Compact(setters), ", ")
+			if list == "" {
+				list = "-"
+			}
+			out = append(out, tn.Pkg().Name()+"."+tn.Name()+"."+f.Name()+"  "+list)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 func (p *fieldPass) inModule(path string) bool {
@@ -220,7 +265,16 @@ func (p *fieldPass) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
 	for _, f := range files {
-		markSets(f, info, p.set)
+		for _, decl := range f.Decls {
+			set := make(map[*types.Var]bool)
+			markSets(decl, info, set)
+			setter, isDefault := setterName(pkg, decl)
+			for v := range set {
+				if !isDefault || v.Pkg() != pkg {
+					p.setters[v] = append(p.setters[v], setter)
+				}
+			}
+		}
 	}
 	for _, obj := range info.Defs {
 		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
@@ -233,8 +287,34 @@ func (p *fieldPass) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// markSets records in set every struct field the code of f sets.
-func markSets(f *ast.File, info *types.Info, set map[*types.Var]bool) {
+// setterName names the declaration for the knob inventory, and reports
+// whether it is one of its package's defaults: a function named
+// Default*, normalize or Normalize.
+func setterName(pkg *types.Package, decl ast.Decl) (string, bool) {
+	fn, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return pkg.Name() + " (package var)", false
+	}
+	name := fn.Name.Name
+	isDefault := strings.HasPrefix(name, "Default") || name == "normalize" || name == "Normalize"
+	if fn.Recv != nil {
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		switch generic := recv.(type) {
+		case *ast.IndexExpr:
+			recv = generic.X
+		case *ast.IndexListExpr:
+			recv = generic.X
+		}
+		name = recv.(*ast.Ident).Name + "." + name
+	}
+	return pkg.Name() + "." + name, isDefault
+}
+
+// markSets records in set every struct field the code of decl sets.
+func markSets(decl ast.Decl, info *types.Info, set map[*types.Var]bool) {
 	// chain marks the fields a write to e lands in: an array element
 	// lives in its array.
 	var chain func(e ast.Expr)
@@ -250,7 +330,7 @@ func markSets(f *ast.File, info *types.Info, set map[*types.Var]bool) {
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {

@@ -135,9 +135,9 @@ func OFFirewall() *App { return wrapApp(apps.OFFirewall()) }
 func MACBlocker() *App { return wrapApp(apps.MACBlocker()) }
 func RouteApp() *App   { return wrapApp(apps.Route()) }
 
-// IPBalancer returns the Table I load balancer with the default VIP and
+// IPBalancer returns the Table I load balancer with the paper's VIP and
 // replica assignment.
-func IPBalancer() *App { return wrapApp(apps.IPBalancer(apps.DefaultIPBalancerConfig())) }
+func IPBalancer() *App { return wrapApp(apps.IPBalancer()) }
 
 func wrapApp(prog *appir.Program, st *appir.State) *App {
 	return &App{Prog: prog, State: st, CostPerEvent: time.Millisecond}

@@ -108,40 +108,30 @@ func ARPHub() (*appir.Program, *appir.State) {
 	return p, appir.NewState()
 }
 
-// IPBalancerConfig parameterises the ip_balancer application.
-type IPBalancerConfig struct {
-	VIP       netpkt.IPv4
-	ReplicaHi netpkt.IPv4 // serves sources whose highest-order bit is 1
-	ReplicaLo netpkt.IPv4
-	PortHi    uint16
-	PortLo    uint16
-}
-
-// DefaultIPBalancerConfig matches the paper's Table I example: sources
-// with the high bit set are rewritten to 192.168.0.1, the rest to
-// 192.168.0.2.
-func DefaultIPBalancerConfig() IPBalancerConfig {
-	return IPBalancerConfig{
-		VIP:       netpkt.MustIPv4("10.10.10.10"),
-		ReplicaHi: netpkt.MustIPv4("192.168.0.1"),
-		ReplicaLo: netpkt.MustIPv4("192.168.0.2"),
-		PortHi:    2,
-		PortLo:    3,
-	}
-}
+// The paper's Table I balancer: the public VIP 10.10.10.10, sources with
+// the high bit set rewritten to 192.168.0.1 on port 2, the rest to
+// 192.168.0.2 on port 3.
+const (
+	balancerVIP       netpkt.IPv4 = 10<<24 | 10<<16 | 10<<8 | 10
+	balancerReplicaHi netpkt.IPv4 = 192<<24 | 168<<16 | 1
+	balancerReplicaLo netpkt.IPv4 = 192<<24 | 168<<16 | 2
+	balancerPortHi    uint16      = 2
+	balancerPortLo    uint16      = 3
+)
 
 // IPBalancer is the Table I load balancer: traffic to the public VIP is
 // split on the source address's highest-order bit and rewritten to one of
 // two server replicas. The replica addresses and ports are state-
 // sensitive scalars (they change when the balancer repartitions, the
-// Figure 8 dynamics example).
-func IPBalancer(cfg IPBalancerConfig) (*appir.Program, *appir.State) {
+// Figure 8 dynamics example); the returned state starts them at Table
+// I's values.
+func IPBalancer() (*appir.Program, *appir.State) {
 	st := appir.NewState()
-	st.SetScalar("vip", appir.IPValue(cfg.VIP))
-	st.SetScalar("replicaHi", appir.IPValue(cfg.ReplicaHi))
-	st.SetScalar("replicaLo", appir.IPValue(cfg.ReplicaLo))
-	st.SetScalar("portHi", appir.U16Value(cfg.PortHi))
-	st.SetScalar("portLo", appir.U16Value(cfg.PortLo))
+	st.SetScalar("vip", appir.IPValue(balancerVIP))
+	st.SetScalar("replicaHi", appir.IPValue(balancerReplicaHi))
+	st.SetScalar("replicaLo", appir.IPValue(balancerReplicaLo))
+	st.SetScalar("portHi", appir.U16Value(balancerPortHi))
+	st.SetScalar("portLo", appir.U16Value(balancerPortLo))
 
 	installHalf := func(prefix string, replica, port string) appir.Stmt {
 		return appir.Install{Rule: appir.RuleTemplate{
@@ -387,7 +377,7 @@ func EvaluationSet() ([]*appir.Program, []*appir.State) {
 		states = append(states, s)
 	}
 	add(L2Learning())
-	add(IPBalancer(DefaultIPBalancerConfig()))
+	add(IPBalancer())
 	add(L3Learning())
 	add(OFFirewall())
 	add(MACBlocker())

@@ -124,10 +124,13 @@ func TestARPHubStaticPolicies(t *testing.T) {
 }
 
 func TestIPBalancerSplitsOnHighBit(t *testing.T) {
-	cfg := DefaultIPBalancerConfig()
-	prog, st := IPBalancer(cfg)
+	prog, st := IPBalancer()
+	vip, _ := st.Scalar("vip")
+	replicaHi, _ := st.Scalar("replicaHi")
+	replicaLo, _ := st.Scalar("replicaLo")
+	portHi, _ := st.Scalar("portHi")
 
-	hi := ipPacket(hostA, hostB, "200.1.2.3", cfg.VIP.String(), netpkt.ProtoTCP)
+	hi := ipPacket(hostA, hostB, "200.1.2.3", vip.IP().String(), netpkt.ProtoTCP)
 	d, err := appir.Exec(prog, st, &hi, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -139,21 +142,21 @@ func TestIPBalancerSplitsOnHighBit(t *testing.T) {
 	if !rule.Match.Matches(&hi, 1) {
 		t.Error("high-bit rule does not match its packet")
 	}
-	wantRewrite := openflow.ActionSetNwDst{IP: cfg.ReplicaHi}
+	wantRewrite := openflow.ActionSetNwDst{IP: replicaHi.IP()}
 	if rule.Actions[0] != openflow.Action(wantRewrite) {
 		t.Errorf("rewrite = %v, want %v", rule.Actions[0], wantRewrite)
 	}
-	if ports := outPorts(rule.Actions); len(ports) != 1 || ports[0] != cfg.PortHi {
-		t.Errorf("output = %v, want %d", ports, cfg.PortHi)
+	if ports := outPorts(rule.Actions); len(ports) != 1 || ports[0] != portHi.U16() {
+		t.Errorf("output = %v, want %d", ports, portHi.U16())
 	}
 
-	lo := ipPacket(hostA, hostB, "20.1.2.3", cfg.VIP.String(), netpkt.ProtoTCP)
+	lo := ipPacket(hostA, hostB, "20.1.2.3", vip.IP().String(), netpkt.ProtoTCP)
 	d, err = appir.Exec(prog, st, &lo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rule = d.Installs[0]
-	if rule.Actions[0] != openflow.Action(openflow.ActionSetNwDst{IP: cfg.ReplicaLo}) {
+	if rule.Actions[0] != openflow.Action(openflow.ActionSetNwDst{IP: replicaLo.IP()}) {
 		t.Errorf("low rewrite = %v", rule.Actions[0])
 	}
 	if rule.Match.Matches(&hi, 1) {
@@ -172,22 +175,24 @@ func TestIPBalancerSplitsOnHighBit(t *testing.T) {
 }
 
 func TestIPBalancerDynamicRepartition(t *testing.T) {
-	cfg := DefaultIPBalancerConfig()
-	prog, st := IPBalancer(cfg)
+	prog, st := IPBalancer()
+	vip, _ := st.Scalar("vip")
+	replicaHi, _ := st.Scalar("replicaHi")
+	replicaLo, _ := st.Scalar("replicaLo")
 	v := st.Version()
 
 	// The Figure 8 example: the halves swap replicas.
-	st.SetScalar("replicaHi", appir.IPValue(cfg.ReplicaLo))
-	st.SetScalar("replicaLo", appir.IPValue(cfg.ReplicaHi))
+	st.SetScalar("replicaHi", replicaLo)
+	st.SetScalar("replicaLo", replicaHi)
 	if st.Version() == v {
 		t.Fatal("repartition did not bump state version")
 	}
-	hi := ipPacket(hostA, hostB, "200.1.2.3", cfg.VIP.String(), netpkt.ProtoTCP)
+	hi := ipPacket(hostA, hostB, "200.1.2.3", vip.IP().String(), netpkt.ProtoTCP)
 	d, err := appir.Exec(prog, st, &hi, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Installs[0].Actions[0] != openflow.Action(openflow.ActionSetNwDst{IP: cfg.ReplicaLo}) {
+	if d.Installs[0].Actions[0] != openflow.Action(openflow.ActionSetNwDst{IP: replicaLo.IP()}) {
 		t.Errorf("after repartition, high half rewrites to %v", d.Installs[0].Actions[0])
 	}
 }

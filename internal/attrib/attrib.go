@@ -34,11 +34,11 @@ import (
 	"floodguard/internal/telemetry"
 )
 
-// Config parameterises the attribution engine. Zero values pick the
-// defaults noted per field.
+// Config parameterises the attribution engine: the detector thresholds
+// that experiments vary, and the bounds that tests shrink. Zero values
+// pick the defaults noted per field. The baseline smoothing, the source
+// sketch's geometry and the TCP completion ratio are the constants below.
 type Config struct {
-	// EWMAAlpha is the per-port baseline smoothing factor (default 0.3).
-	EWMAAlpha float64
 	// CUSUMThreshold is the cumulative rate excursion (packets/second
 	// summed over windows) above baseline+drift at which a port is blamed
 	// (default 30).
@@ -57,9 +57,6 @@ type Config struct {
 	// HealWindows is how many consecutive calm windows (rate back within
 	// baseline+drift) un-blame a port (default 3).
 	HealWindows int
-	// SketchRows and SketchCols size the per-source count-min sketch
-	// (defaults 4 x 1024).
-	SketchRows, SketchCols int
 	// Seed keys the sketch hashing; experiments pin it for reproducibility.
 	Seed uint64
 	// HeavyHitterFrac is the share of the sampled stream a single source
@@ -83,35 +80,36 @@ type Config struct {
 	// from one source before its handshake record can brand it an
 	// offender (default 16).
 	TCPMinSyns uint64
-	// TCPCompletionFrac is the completion ratio below which a source
-	// with enough SYNs is an offender: acks < frac × syns (default 0.1).
-	TCPCompletionFrac float64
 }
+
+const (
+	// ewmaAlpha is the per-port baseline smoothing factor.
+	ewmaAlpha = 0.3
+	// sketchRows and sketchCols size the per-source count-min sketch and
+	// each shard's local copy of it.
+	sketchRows, sketchCols = 4, 1024
+	// tcpCompletionFrac is the completion ratio below which a source with
+	// enough SYNs is an offender: acks < frac × syns.
+	tcpCompletionFrac = 0.1
+)
 
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
 	return Config{
-		EWMAAlpha:         0.3,
 		CUSUMThreshold:    30,
 		CUSUMDrift:        2,
 		SuspectRatePPS:    10,
 		HealWindows:       3,
-		SketchRows:        4,
-		SketchCols:        1024,
 		HeavyHitterFrac:   0.25,
 		MinSampleTotal:    64,
 		DecayEveryWindows: 8,
 		TCPMaxSources:     1024,
 		TCPMinSyns:        16,
-		TCPCompletionFrac: 0.1,
 	}
 }
 
 func (c *Config) normalize() {
 	d := DefaultConfig()
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 || math.IsNaN(c.EWMAAlpha) {
-		c.EWMAAlpha = d.EWMAAlpha
-	}
 	if c.CUSUMThreshold <= 0 || math.IsNaN(c.CUSUMThreshold) {
 		c.CUSUMThreshold = d.CUSUMThreshold
 	}
@@ -123,12 +121,6 @@ func (c *Config) normalize() {
 	}
 	if c.HealWindows <= 0 {
 		c.HealWindows = d.HealWindows
-	}
-	if c.SketchRows <= 0 {
-		c.SketchRows = d.SketchRows
-	}
-	if c.SketchCols <= 0 {
-		c.SketchCols = d.SketchCols
 	}
 	if c.HeavyHitterFrac <= 0 || c.HeavyHitterFrac > 1 || math.IsNaN(c.HeavyHitterFrac) {
 		c.HeavyHitterFrac = d.HeavyHitterFrac
@@ -144,9 +136,6 @@ func (c *Config) normalize() {
 	}
 	if c.TCPMinSyns == 0 {
 		c.TCPMinSyns = d.TCPMinSyns
-	}
-	if c.TCPCompletionFrac <= 0 || c.TCPCompletionFrac > 1 || math.IsNaN(c.TCPCompletionFrac) {
-		c.TCPCompletionFrac = d.TCPCompletionFrac
 	}
 }
 
@@ -265,7 +254,7 @@ func New(cfg Config) *Attributor {
 	a := &Attributor{
 		cfg:    cfg,
 		ports:  make(map[uint64]*portState),
-		srcs:   sketch.NewCountMin(cfg.SketchRows, cfg.SketchCols, cfg.Seed),
+		srcs:   sketch.NewCountMin(sketchRows, sketchCols, cfg.Seed),
 		tcpSrc: make(map[uint64]tcpEvidence),
 	}
 	a.view.Store(&hintView{})
@@ -376,7 +365,7 @@ func (a *Attributor) Roll(window time.Duration) []Verdict {
 				// (1-alpha) per window) poison its own baseline and hold a
 				// full-rate flood forever without the excursion ever
 				// accumulating.
-				ps.ewma = a.cfg.EWMAAlpha*rate + (1-a.cfg.EWMAAlpha)*ps.ewma
+				ps.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*ps.ewma
 			}
 		}
 		if ps.blamed {

@@ -27,7 +27,7 @@ func (a *Attributor) NewShardObserver() *ShardObserver {
 	return &ShardObserver{
 		a:     a,
 		ports: make(map[uint64]uint64, 16),
-		srcs:  sketch.NewCountMinLocal(a.cfg.SketchRows, a.cfg.SketchCols, a.cfg.Seed),
+		srcs:  sketch.NewCountMinLocal(sketchRows, sketchCols, a.cfg.Seed),
 		tcp:   newTCPDeltas(a.cfg.TCPMaxSources, a.cfg.Seed),
 	}
 }

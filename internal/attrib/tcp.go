@@ -396,7 +396,7 @@ func (a *Attributor) rollTCPLocked(offenders []uint64) []uint64 {
 // worth of invalid (cookie-failing or malformed) segments.
 func (a *Attributor) judgeTCP(ev *tcpEvidence) bool {
 	if ev.syns >= a.cfg.TCPMinSyns &&
-		float64(ev.acks) < a.cfg.TCPCompletionFrac*float64(ev.syns) {
+		float64(ev.acks) < tcpCompletionFrac*float64(ev.syns) {
 		return true
 	}
 	return ev.fails >= a.cfg.TCPMinSyns || ev.malformed >= a.cfg.TCPMinSyns

@@ -37,9 +37,9 @@ type fed struct {
 
 func newBoundedVsUnbounded(cfg Config, shards int) *boundedVsUnbounded {
 	b := &boundedVsUnbounded{a: New(cfg), unflushed: make([][]fed, shards)}
-	b.ja, b.jr = journal.New(journal.Config{Recorders: 1}), journal.New(journal.Config{Recorders: 1})
-	b.a.SetJournal(b.ja.Recorder(0))
-	b.ref = &refTCP{cfg: b.a.cfg, src: map[uint64]*tcpEvidence{}, jrec: b.jr.Recorder(0)}
+	b.ja, b.jr = journal.ForEngine(0), journal.ForEngine(0)
+	b.a.SetJournal(b.ja.AttribRec())
+	b.ref = &refTCP{cfg: b.a.cfg, src: map[uint64]*tcpEvidence{}, jrec: b.jr.AttribRec()}
 	for range shards {
 		b.obs = append(b.obs, b.a.NewShardObserver())
 	}

@@ -114,9 +114,9 @@ func rollTCPDifferential(t *testing.T, shards, flushes int, seed int64) {
 	pick := rand.New(rand.NewSource(-seed)) // shard choice, off the stream's rng
 	cfg := Config{TCPMaxSources: 48, TCPMinSyns: 4, DecayEveryWindows: 4}
 	a := New(cfg)
-	ja, jr := journal.New(journal.Config{Recorders: 1}), journal.New(journal.Config{Recorders: 1})
-	a.SetJournal(ja.Recorder(0))
-	ref := &refTCP{cfg: a.cfg, src: map[uint64]*tcpEvidence{}, jrec: jr.Recorder(0)}
+	ja, jr := journal.ForEngine(0), journal.ForEngine(0)
+	a.SetJournal(ja.AttribRec())
+	ref := &refTCP{cfg: a.cfg, src: map[uint64]*tcpEvidence{}, jrec: jr.AttribRec()}
 	obs := make([]*ShardObserver, shards)
 	unflushed := make([][]fed, shards)
 	for i := range obs {

@@ -77,9 +77,6 @@ type AnalyzerConfig struct {
 	Strategy UpdateStrategy
 	// EveryN applies when Strategy == UpdateEveryN.
 	EveryN uint64
-	// TrackInterval is the application tracker's polling period: the
-	// §IV.D interval strategy is this ticker.
-	TrackInterval time.Duration
 	// RulesInCache enables the §IV.E design option: proactive rules are
 	// installed into the data plane cache instead of switch TCAM.
 	RulesInCache bool
@@ -93,37 +90,37 @@ type AnalyzerConfig struct {
 
 // DefaultAnalyzer returns the paper-faithful configuration.
 func DefaultAnalyzer() AnalyzerConfig {
-	return AnalyzerConfig{
-		Strategy:      UpdateEveryChange,
-		TrackInterval: 20 * time.Millisecond,
-	}
+	return AnalyzerConfig{Strategy: UpdateEveryChange}
 }
 
+// trackInterval is the application tracker's polling period: the §IV.D
+// interval strategy is this ticker.
+const trackInterval = 20 * time.Millisecond
+
 // RateLimitConfig governs the agent's control of the cache's packet_in
-// generation rate.
+// generation rate: an AIMD controller between MinPPS and MaxPPS, stepped
+// every adjustInterval toward targetBacklog.
 type RateLimitConfig struct {
 	// MinPPS and MaxPPS bound the replay rate.
 	MinPPS float64
 	MaxPPS float64
-	// TargetBacklog is the controller work backlog the agent steers
-	// toward: above it the rate halves, below half of it the rate grows.
-	TargetBacklog time.Duration
-	// Growth is the multiplicative increase factor when headroom exists.
-	Growth float64
-	// AdjustInterval is how often the rate is revisited.
-	AdjustInterval time.Duration
 }
 
 // DefaultRateLimit returns an AIMD-style controller-protecting policy.
 func DefaultRateLimit() RateLimitConfig {
-	return RateLimitConfig{
-		MinPPS:         10,
-		MaxPPS:         200,
-		TargetBacklog:  50 * time.Millisecond,
-		Growth:         1.25,
-		AdjustInterval: 100 * time.Millisecond,
-	}
+	return RateLimitConfig{MinPPS: 10, MaxPPS: 200}
 }
+
+const (
+	// targetBacklog is the controller work backlog the agent steers
+	// toward: above it the rate halves, below half of it the rate grows.
+	targetBacklog = 50 * time.Millisecond
+	// rateGrowth is the multiplicative increase factor when headroom
+	// exists.
+	rateGrowth = 1.25
+	// adjustInterval is how often the rate is revisited.
+	adjustInterval = 100 * time.Millisecond
+)
 
 // AttributionConfig arms the attack attribution subsystem.
 type AttributionConfig struct {

@@ -499,10 +499,10 @@ func (g *Guard) apply(d Decisions) {
 		g.rateTicker = nil
 	}
 	if d.Derive {
-		g.rateTicker = g.eng.NewTicker(g.cfg.RateLimit.AdjustInterval, func() { g.step(TickAdjust) })
+		g.rateTicker = g.eng.NewTicker(adjustInterval, func() { g.step(TickAdjust) })
 	}
 	if tracking := st == StateDefense || st == StateDegraded; tracking && g.trackTicker == nil {
-		g.trackTicker = g.eng.NewTicker(g.cfg.Analyzer.TrackInterval, g.track)
+		g.trackTicker = g.eng.NewTicker(trackInterval, g.track)
 	} else if !tracking && g.trackTicker != nil {
 		g.trackTicker.Stop()
 		g.trackTicker = nil

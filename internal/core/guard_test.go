@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"floodguard/internal/appir"
 	"floodguard/internal/apps"
 	"floodguard/internal/controller"
 	"floodguard/internal/netpkt"
@@ -441,12 +440,13 @@ func TestGuardTracksDynamicPolicyChange(t *testing.T) {
 	sw.Start()
 	defer sw.Stop()
 	ctrl := controller.New(eng)
-	balCfg := apps.DefaultIPBalancerConfig()
-	prog, st := apps.IPBalancer(balCfg)
+	prog, st := apps.IPBalancer()
+	replicaHi, _ := st.Scalar("replicaHi")
+	replicaLo, _ := st.Scalar("replicaLo")
 	ctrl.Register(&controller.App{Prog: prog, State: st, CostPerEvent: time.Millisecond})
 	attacker := switchsim.NewHost(eng, sw, "m", 1, netpkt.MustMAC("00:00:00:00:00:0c"), netpkt.MustIPv4("10.0.0.3"), 1e9, 0)
-	switchsim.NewHost(eng, sw, "s1", 2, netpkt.MustMAC("00:00:00:00:00:01"), balCfg.ReplicaHi, 1e9, 0)
-	switchsim.NewHost(eng, sw, "s2", 3, netpkt.MustMAC("00:00:00:00:00:02"), balCfg.ReplicaLo, 1e9, 0)
+	switchsim.NewHost(eng, sw, "s1", 2, netpkt.MustMAC("00:00:00:00:00:01"), replicaHi.IP(), 1e9, 0)
+	switchsim.NewHost(eng, sw, "s2", 3, netpkt.MustMAC("00:00:00:00:00:02"), replicaLo.IP(), 1e9, 0)
 	controller.Bind(ctrl, sw)
 	guard, err := NewGuard(eng, ctrl, cfg)
 	if err != nil {
@@ -480,18 +480,18 @@ func TestGuardTracksDynamicPolicyChange(t *testing.T) {
 		return 0, false
 	}
 	hi, ok := rewriteFor(true)
-	if !ok || hi != balCfg.ReplicaHi {
+	if !ok || hi != replicaHi.IP() {
 		t.Fatalf("high-half proactive rule rewrite = %v, %t", hi, ok)
 	}
 
 	// Repartition: swap the replicas (the §IV.D example).
-	st.SetScalar("replicaHi", appir.IPValue(balCfg.ReplicaLo))
-	st.SetScalar("replicaLo", appir.IPValue(balCfg.ReplicaHi))
+	st.SetScalar("replicaHi", replicaLo)
+	st.SetScalar("replicaLo", replicaHi)
 	eng.RunFor(500 * time.Millisecond)
 
 	hi, ok = rewriteFor(true)
-	if !ok || hi != balCfg.ReplicaLo {
-		t.Errorf("after repartition, high-half rewrite = %v (ok=%t), want %v", hi, ok, balCfg.ReplicaLo)
+	if !ok || hi != replicaLo.IP() {
+		t.Errorf("after repartition, high-half rewrite = %v (ok=%t), want %v", hi, ok, replicaLo.IP())
 	}
 }
 

@@ -373,10 +373,10 @@ func (p *Policy) steer(up, fresh, adjust bool, backlog time.Duration) {
 	case adjust:
 		rate := p.replay
 		switch {
-		case backlog > rl.TargetBacklog:
+		case backlog > targetBacklog:
 			rate /= 2
-		case backlog < rl.TargetBacklog/2:
-			rate *= rl.Growth
+		case backlog < targetBacklog/2:
+			rate *= rateGrowth
 		}
 		p.replay = min(max(rate, rl.MinPPS), rl.MaxPPS)
 	}

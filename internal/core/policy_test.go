@@ -378,10 +378,10 @@ func TestPolicyReplayRate(t *testing.T) {
 	adjust := func(backlog time.Duration, up bool) float64 {
 		return p.Step(Observation{Tick: TickAdjust, Backlog: backlog, Reachable: up}).Rate
 	}
-	if got := adjust(0, true); got != rl.MinPPS*rl.Growth {
-		t.Errorf("headroom: rate %v, want %v", got, rl.MinPPS*rl.Growth)
+	if got := adjust(0, true); got != rl.MinPPS*rateGrowth {
+		t.Errorf("headroom: rate %v, want %v", got, rl.MinPPS*rateGrowth)
 	}
-	if got := adjust(rl.TargetBacklog*3/4, true); got != rl.MinPPS*rl.Growth {
+	if got := adjust(targetBacklog*3/4, true); got != rl.MinPPS*rateGrowth {
 		t.Errorf("between half and full target: rate %v, want it held", got)
 	}
 	for i := 0; i < 40; i++ {
@@ -390,7 +390,7 @@ func TestPolicyReplayRate(t *testing.T) {
 	if got := adjust(0, true); got != rl.MaxPPS {
 		t.Errorf("sustained headroom: rate %v, want the %v ceiling", got, rl.MaxPPS)
 	}
-	if got := adjust(2*rl.TargetBacklog, true); got != rl.MaxPPS/2 {
+	if got := adjust(2*targetBacklog, true); got != rl.MaxPPS/2 {
 		t.Errorf("backlog over target: rate %v, want halved to %v", got, rl.MaxPPS/2)
 	}
 	if got := adjust(0, false); got != 0 || p.State() != StateDegraded {

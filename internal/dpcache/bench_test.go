@@ -71,10 +71,10 @@ func BenchmarkCacheReplay(b *testing.B) {
 	}
 }
 
-// TestSuspectBacklogDrainsWithoutHinter pins the short-circuit fallback:
-// packets classed suspect while a hinter was installed must still be
-// served after the hinter is removed (the legacy path drains the suspect
-// leftovers once the benign side is empty).
+// TestSuspectBacklogDrainsWithoutHinter: packets classed suspect while a
+// hinter was installed must still be served after the hinter is removed
+// (the weighted schedule serves suspects whenever the benign side is
+// empty).
 func TestSuspectBacklogDrainsWithoutHinter(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &nullSink{}

@@ -485,18 +485,6 @@ func (c *Cache) emitOne() {
 		c.deliver(e)
 		return
 	}
-	if c.hinter == nil {
-		// No attribution verdicts: every ingest lands on the benign side,
-		// so skip the credit bookkeeping and serve the legacy plain
-		// round-robin directly. The suspect fallback only drains leftovers
-		// queued while a hinter was still installed.
-		if e := c.popRR(&c.queues, &c.next); e != nil {
-			c.deliver(e)
-		} else if e := c.popRR(&c.suspects, &c.susNext); e != nil {
-			c.deliver(e)
-		}
-		return
-	}
 	if c.credit > 0 {
 		if e := c.popRR(&c.queues, &c.next); e != nil {
 			c.credit--

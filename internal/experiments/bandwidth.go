@@ -79,26 +79,27 @@ func MeasureBandwidth(profile switchsim.Profile, withFG bool, attackPPS float64,
 }
 
 // RunBandwidthSweep reproduces Figure 10 (software profile) or Figure 11
-// (hardware profile).
+// (hardware profile): a one-seed sweep over rates, split into its two
+// curves.
 func RunBandwidthSweep(title string, profile switchsim.Profile, rates []float64) (*BandwidthResult, error) {
+	sweep, err := RunSweep(SweepConfig{
+		Profiles: []switchsim.Profile{profile},
+		Rates:    rates,
+		Seeds:    []int64{BandwidthSeed},
+		Shards:   1,
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &BandwidthResult{
 		Title:    title,
 		Profile:  profile.Name,
 		Baseline: BandwidthCurve{Label: "OpenFlow"},
 		Guarded:  BandwidthCurve{Label: "OpenFlow + FloodGuard"},
 	}
-	for _, r := range rates {
-		bw, err := MeasureBandwidth(profile, false, r, BandwidthSeed)
-		if err != nil {
-			return nil, err
-		}
-		res.Baseline.Points = append(res.Baseline.Points, BandwidthPoint{AttackPPS: r, BandwidthBits: bw})
-
-		bw, err = MeasureBandwidth(profile, true, r, BandwidthSeed)
-		if err != nil {
-			return nil, err
-		}
-		res.Guarded.Points = append(res.Guarded.Points, BandwidthPoint{AttackPPS: r, BandwidthBits: bw})
+	for _, p := range sweep.Points {
+		res.Baseline.Points = append(res.Baseline.Points, BandwidthPoint{AttackPPS: p.AttackPPS, BandwidthBits: p.BaselineBits})
+		res.Guarded.Points = append(res.Guarded.Points, BandwidthPoint{AttackPPS: p.AttackPPS, BandwidthBits: p.FloodGuardBits})
 	}
 	return res, nil
 }

@@ -148,7 +148,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	costs, err := RunFig13(DefaultFig13State(), 10)
+	costs, err := RunFig13(10)
 	if err != nil {
 		t.Fatal(err)
 	}

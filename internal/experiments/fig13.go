@@ -24,56 +24,45 @@ type RuleGenCost struct {
 	OfflineCost time.Duration
 }
 
-// Fig13StateSize controls how much state each app carries during the
-// measurement; the firewall's multi-table program dominates regardless.
-type Fig13StateSize struct {
-	LearnedMACs  int
-	LearnedIPs   int
-	BlockedPorts int
-	BlockedNets  int
-	Routes       int
-	BlockedMACs  int
-}
+// The state each app carries during the Figure 13 measurement mirrors a
+// small operational network; the firewall's multi-table program
+// dominates regardless.
+const (
+	fig13LearnedMACs  = 24
+	fig13LearnedIPs   = 24
+	fig13BlockedPorts = 16
+	fig13BlockedNets  = 12
+	fig13Routes       = 48
+	fig13BlockedMACs  = 12
+)
 
-// DefaultFig13State mirrors a small operational network.
-func DefaultFig13State() Fig13StateSize {
-	return Fig13StateSize{
-		LearnedMACs:  24,
-		LearnedIPs:   24,
-		BlockedPorts: 16,
-		BlockedNets:  12,
-		Routes:       48,
-		BlockedMACs:  12,
-	}
-}
-
-// fig13Subjects builds the five evaluation apps with populated state.
-func fig13Subjects(size Fig13StateSize) []*controller.App {
+// Fig13Subjects builds the five evaluation apps with populated state.
+func Fig13Subjects() []*controller.App {
 	var out []*controller.App
 	add := func(prog *appir.Program, st *appir.State) {
 		out = append(out, &controller.App{Prog: prog, State: st})
 	}
 
 	prog, st := apps.L2Learning()
-	for i := 0; i < size.LearnedMACs; i++ {
+	for i := 0; i < fig13LearnedMACs; i++ {
 		st.Learn("macToPort", appir.MACValue(netpkt.MACFromUint64(uint64(i+1))), appir.U16Value(uint16(i%8+1)))
 	}
 	add(prog, st)
 
-	add(apps.IPBalancer(apps.DefaultIPBalancerConfig()))
+	add(apps.IPBalancer())
 
 	prog, st = apps.L3Learning()
-	for i := 0; i < size.LearnedIPs; i++ {
+	for i := 0; i < fig13LearnedIPs; i++ {
 		st.Learn("ipToPort", appir.IPValue(netpkt.IPv4(0x0a000001+uint32(i))), appir.U16Value(uint16(i%8+1)))
 	}
 	add(prog, st)
 
 	prog, st = apps.OFFirewall()
-	PopulateFirewall(st, size.BlockedPorts, size.BlockedNets, size.Routes)
+	PopulateFirewall(st, fig13BlockedPorts, fig13BlockedNets, fig13Routes)
 	add(prog, st)
 
 	prog, st = apps.MACBlocker()
-	for i := 0; i < size.BlockedMACs; i++ {
+	for i := 0; i < fig13BlockedMACs; i++ {
 		st.Learn("blockedMACs", appir.MACValue(netpkt.MACFromUint64(uint64(0x600+i))), appir.BoolValue(true))
 	}
 	add(prog, st)
@@ -83,13 +72,12 @@ func fig13Subjects(size Fig13StateSize) []*controller.App {
 // RunFig13 measures the average wall-clock cost of deriving proactive
 // flow rules per application (Algorithm 2 over live state), over iters
 // repetitions.
-func RunFig13(size Fig13StateSize, iters int) ([]RuleGenCost, error) {
+func RunFig13(iters int) ([]RuleGenCost, error) {
 	if iters <= 0 {
 		iters = 50
 	}
-	subjects := fig13Subjects(size)
 	var out []RuleGenCost
-	for _, app := range subjects {
+	for _, app := range Fig13Subjects() {
 		an, err := core.NewAnalyzer(core.DefaultAnalyzer(), []*controller.App{app})
 		if err != nil {
 			return nil, err

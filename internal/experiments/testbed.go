@@ -92,7 +92,7 @@ func buildApp(name string, cost time.Duration) *controller.App {
 	case "arp_hub":
 		prog, st = apps.ARPHub()
 	case "ip_balancer":
-		prog, st = apps.IPBalancer(apps.DefaultIPBalancerConfig())
+		prog, st = apps.IPBalancer()
 	case "l3_learning":
 		prog, st = apps.L3Learning()
 	case "of_firewall":

@@ -167,107 +167,80 @@ type Event struct {
 	C      float64
 }
 
-// Config sizes a Journal.
-type Config struct {
-	// Recorders is the number of producer slots. Required.
-	Recorders int
-	// RingCapacity is each recorder's SPSC ring size (rounded up to a
-	// power of two). Default 2048.
-	RingCapacity int
-	// Retain is the flight-recorder depth: how many events each
-	// recorder keeps, FIFO, after draining. Default 8192.
-	Retain int
-}
-
 // Journal owns the recorder set and the flight-recorder retention.
 // All methods on a nil *Journal are safe no-ops (returning nil /
 // zero), so callers can thread an optional journal without branching.
 type Journal struct {
-	recs   []*Recorder
-	retain []retainRing
-	window atomic.Int32
-	// shards is the ForEngine layout split point (-1 for flat
-	// journals created with New).
-	shards  int
+	recs    []*Recorder
+	retain  []retainRing
+	window  atomic.Int32
+	shards  int     // recorder slots before the cache, attrib and control ones
 	scratch []Event // consumer-owned drain batch buffer
 }
 
-// New builds a journal with cfg.Recorders independent producer slots.
-func New(cfg Config) *Journal {
-	if cfg.Recorders <= 0 {
-		cfg.Recorders = 1
-	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 2048
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 8192
-	}
+const (
+	// ringCapacity is each recorder's SPSC ring size.
+	ringCapacity = 2048
+	// retainDepth is the flight-recorder depth: how many events each
+	// recorder keeps, FIFO, after draining.
+	retainDepth = 8192
+)
+
+// ForEngine builds a journal with the rtc-engine recorder layout: slots
+// 0..shards-1 for the shard goroutines, then one slot each for the
+// cache stage, the attribution roll, and the controller/harness.
+// Accessors below address the slots by role; each returned *Recorder
+// must only be used from a single goroutine (SPSC contract).
+func ForEngine(shards int) *Journal {
+	return newJournal(shards, ringCapacity, retainDepth)
+}
+
+// newJournal builds the ForEngine layout with ringCap-slot rings (rounded
+// up to a power of two) and retain events of retention per recorder.
+func newJournal(shards, ringCap, retain int) *Journal {
+	shards = max(shards, 0)
 	j := &Journal{
-		recs:    make([]*Recorder, cfg.Recorders),
-		retain:  make([]retainRing, cfg.Recorders),
-		shards:  -1,
+		recs:    make([]*Recorder, shards+3),
+		retain:  make([]retainRing, shards+3),
+		shards:  shards,
 		scratch: make([]Event, 256),
 	}
 	for i := range j.recs {
 		j.recs[i] = &Recorder{
 			id:   uint8(i),
 			win:  &j.window,
-			ring: spsc.New[Event](cfg.RingCapacity),
+			ring: spsc.New[Event](ringCap),
 		}
-		j.retain[i].buf = make([]Event, cfg.Retain)
+		j.retain[i].buf = make([]Event, retain)
 	}
 	return j
 }
 
-// ForEngine builds a journal with the standard rtc-engine recorder
-// layout: slots 0..shards-1 for the shard goroutines, then one slot
-// each for the cache stage, the attribution roll, and the controller/
-// harness. Accessors below address the slots by role.
-func ForEngine(shards int) *Journal {
-	if shards < 0 {
-		shards = 0
-	}
-	j := New(Config{Recorders: shards + 3})
-	j.shards = shards
-	return j
-}
-
-// Recorder returns producer slot i, or nil when j is nil or i is out
-// of range. The returned *Recorder must only be used from a single
-// goroutine (SPSC contract).
-func (j *Journal) Recorder(i int) *Recorder {
-	if j == nil || i < 0 || i >= len(j.recs) {
-		return nil
-	}
-	return j.recs[i]
-}
-
-// ShardRec / CacheRec / AttribRec / ControlRec address the ForEngine
-// layout. On a flat journal (New) only Recorder(i) is meaningful.
+// ShardRec returns shard i's recorder, or nil when j is nil or i is out
+// of range.
 func (j *Journal) ShardRec(i int) *Recorder {
-	if j == nil || j.shards < 0 || i < 0 || i >= j.shards {
+	if j == nil || i < 0 || i >= j.shards {
 		return nil
 	}
 	return j.recs[i]
 }
 
 func (j *Journal) CacheRec() *Recorder {
-	if j == nil || j.shards < 0 {
+	if j == nil {
 		return nil
 	}
 	return j.recs[j.shards]
 }
 
 func (j *Journal) AttribRec() *Recorder {
-	if j == nil || j.shards < 0 {
+	if j == nil {
 		return nil
 	}
 	return j.recs[j.shards+1]
 }
 
 func (j *Journal) ControlRec() *Recorder {
-	if j == nil || j.shards < 0 {
+	if j == nil {
 		return nil
 	}
 	return j.recs[j.shards+2]

@@ -17,7 +17,7 @@ func TestTotalOrderProperty(t *testing.T) {
 	const shards = 4
 	const perProducer = 5000
 	// Ring big enough that nothing drops even if the drainer lags.
-	j := New(Config{Recorders: shards, RingCapacity: 16384, Retain: perProducer + 1})
+	j := newJournal(shards, 16384, perProducer+1)
 	stop := make(chan struct{})
 	var drained sync.WaitGroup
 	drained.Add(1)
@@ -39,7 +39,7 @@ func TestTotalOrderProperty(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			rec := j.Recorder(p)
+			rec := j.ShardRec(p)
 			rng := rand.New(rand.NewSource(int64(p) + 1))
 			for i := 0; i < perProducer; i++ {
 				rec.Record(KindSuspect, 0, 0, 1, uint16(p), rng.Float64(), 0, 0)
@@ -95,8 +95,8 @@ func TestTotalOrderProperty(t *testing.T) {
 // TestRetentionEvictsOldestFIFO: the flight recorder keeps the most
 // recent Retain events per recorder regardless of drain timing.
 func TestRetentionEvictsOldestFIFO(t *testing.T) {
-	j := New(Config{Recorders: 1, RingCapacity: 64, Retain: 10})
-	rec := j.Recorder(0)
+	j := newJournal(0, 64, 10)
+	rec := j.ControlRec()
 	for i := 0; i < 35; i++ {
 		rec.Record(KindBlame, 0, 0, 1, 7, float64(i), 0, 0)
 		if i%3 == 0 { // drain at awkward times on purpose
@@ -118,8 +118,8 @@ func TestRetentionEvictsOldestFIFO(t *testing.T) {
 // TestRingOverflowCountsDrops: an undrained ring rejects the excess
 // and the journal reports exactly how many events were lost.
 func TestRingOverflowCountsDrops(t *testing.T) {
-	j := New(Config{Recorders: 1, RingCapacity: 16, Retain: 64})
-	rec := j.Recorder(0)
+	j := newJournal(0, 16, 64)
+	rec := j.ControlRec()
 	for i := 0; i < 100; i++ {
 		rec.Record(KindRingDrop, 0, 0, 1, 1, 0, 0, 0)
 	}
@@ -143,13 +143,8 @@ func TestNilSafety(t *testing.T) {
 	if j.Drain() != 0 || j.Dropped() != 0 || j.Events() != nil || j.Window() != 0 {
 		t.Fatal("nil journal must be inert")
 	}
-	if j.ShardRec(0) != nil || j.CacheRec() != nil || j.AttribRec() != nil || j.ControlRec() != nil || j.Recorder(0) != nil {
+	if j.ShardRec(0) != nil || j.CacheRec() != nil || j.AttribRec() != nil || j.ControlRec() != nil {
 		t.Fatal("nil journal accessors must return nil recorders")
-	}
-	// Flat journals have no engine layout.
-	flat := New(Config{Recorders: 2})
-	if flat.ShardRec(0) != nil || flat.CacheRec() != nil {
-		t.Fatal("flat journal must not expose engine-layout recorders")
 	}
 	// Engine layout out-of-range shard.
 	eng := ForEngine(2)

@@ -133,7 +133,7 @@ func (a *attacker) rate(w int, blamed bool) float64 {
 	case ProfileRamp:
 		// A quarter of the attack span, capped: with the attribution
 		// baseline frozen above the rate floor, a slower ramp is still
-		// detected, but later than the DetectWindows deadline the liveness
+		// detected, but later than the detectWindows deadline the liveness
 		// checker enforces — sub-deadline evasion is the slow profile's
 		// role, not ramp's.
 		ramp := (a.stop - a.start) / 4

@@ -119,15 +119,6 @@ type Config struct {
 	// BenignLossCeiling is the cumulative benign collateral-loss
 	// fraction the invariant checker tolerates (default 0.01).
 	BenignLossCeiling float64
-	// DetectWindows bounds how long an above-floor attacker may run
-	// before its port must be blamed (default 12).
-	DetectWindows int
-	// HealSlackWindows is added to the attribution heal horizon when
-	// checking that blame clears after an attacker stops (default 4).
-	HealSlackWindows int
-	// DrainSlackWindows bounds how many windows a chaos-degraded backlog
-	// may take to drain after the outage ends (default 8).
-	DrainSlackWindows int
 	// FlowModsPerWindow applies rule churn at every window barrier: this
 	// many hot flows, round-robin, are strict-deleted and immediately
 	// re-added (two flow_mods each), exercising rule application against
@@ -221,15 +212,6 @@ func (c *Config) Normalize() {
 	}
 	if c.FlowModsPerWindow > c.HotFlows {
 		c.FlowModsPerWindow = c.HotFlows
-	}
-	if c.DetectWindows <= 0 {
-		c.DetectWindows = 12
-	}
-	if c.HealSlackWindows <= 0 {
-		c.HealSlackWindows = 4
-	}
-	if c.DrainSlackWindows <= 0 {
-		c.DrainSlackWindows = 8
 	}
 }
 

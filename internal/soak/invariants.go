@@ -17,6 +17,19 @@ func (v Violation) String() string {
 	return fmt.Sprintf("w%d %s: %s", v.Window, v.Invariant, v.Detail)
 }
 
+// The liveness invariants' horizons, in windows.
+const (
+	// detectWindows bounds how long an above-floor attacker may run
+	// before its port must be blamed.
+	detectWindows = 12
+	// healSlackWindows is added to the attribution heal horizon when
+	// checking that blame clears after an attacker stops.
+	healSlackWindows = 4
+	// drainSlackWindows bounds how many windows a chaos-degraded backlog
+	// may take to drain after the outage ends.
+	drainSlackWindows = 8
+)
+
 // checker holds the soak invariant catalog and the cross-window state
 // the liveness checks need (blame streaks, drain deadlines).
 type checker struct {
@@ -24,7 +37,7 @@ type checker struct {
 	atks     []*attacker
 	plan     []windowChaos
 	floorPPS float64 // attribution blame floor (3x per-port benign rate)
-	healHor  int     // attrib heal windows + configured slack
+	healHor  int     // attrib heal windows + healSlackWindows
 
 	aboveSince []int // per attacker: start of current above-floor-unblamed streak (-1 none)
 	everBlamed []bool
@@ -43,7 +56,7 @@ func newChecker(cfg *Config, atks []*attacker, plan []windowChaos, floorPPS floa
 		atks:       atks,
 		plan:       plan,
 		floorPPS:   floorPPS,
-		healHor:    healWindows + cfg.HealSlackWindows,
+		healHor:    healWindows + healSlackWindows,
 		aboveSince: make([]int, len(atks)),
 		everBlamed: make([]bool, len(atks)),
 		drainBy:    -1,
@@ -171,14 +184,14 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 			continue
 		}
 		// Detection: an above-floor attacker cannot run unblamed for more
-		// than DetectWindows consecutive windows.
+		// than detectWindows consecutive windows.
 		above := float64(attackerInj[i])/winSecs >= c.floorPPS
 		switch {
 		case !above || blamed:
 			c.aboveSince[i] = -1
 		case c.aboveSince[i] < 0:
 			c.aboveSince[i] = w
-		case w-c.aboveSince[i]+1 > c.cfg.DetectWindows:
+		case w-c.aboveSince[i]+1 > detectWindows:
 			c.overdueNow++
 			add("liveness", "%s port %d above the blame floor for %d windows without blame",
 				a.profile, a.port, w-c.aboveSince[i]+1)
@@ -193,12 +206,12 @@ func (c *checker) check(w int, ws *WindowStats, attackerBlamed []bool, benignBla
 	// Degraded drain: after an outage the benign backlog must fall back
 	// under the degraded threshold within the drain slack.
 	if c.plan[w].Outage {
-		c.drainBy = w + 1 + c.cfg.DrainSlackWindows
+		c.drainBy = w + 1 + drainSlackWindows
 	}
 	if c.drainBy >= 0 && w >= c.drainBy {
 		if benignBacklog >= c.degradedThreshold() {
 			add("liveness", "benign backlog %d still degraded %d windows after the outage",
-				benignBacklog, w-c.drainBy+1+c.cfg.DrainSlackWindows)
+				benignBacklog, w-c.drainBy+1+drainSlackWindows)
 		} else {
 			c.drainBy = -1
 		}

@@ -39,7 +39,7 @@ func entrySubjects(t testing.TB, prog []byte) []deltaSubject {
 	var out []deltaSubject
 	for _, mk := range []func() (*appir.Program, *appir.State){
 		apps.L2Learning, apps.ARPHub, apps.L3Learning, apps.OFFirewall, apps.MACBlocker, apps.Route, crossReads,
-		func() (*appir.Program, *appir.State) { return apps.IPBalancer(apps.DefaultIPBalancerConfig()) },
+		apps.IPBalancer,
 	} {
 		p, st := mk()
 		paths, err := Explore(p)

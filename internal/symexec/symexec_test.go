@@ -125,8 +125,9 @@ func TestDeriveRulesL2Learning(t *testing.T) {
 }
 
 func TestDeriveRulesIPBalancer(t *testing.T) {
-	cfg := apps.DefaultIPBalancerConfig()
-	prog, st := apps.IPBalancer(cfg)
+	prog, st := apps.IPBalancer()
+	vip, _ := st.Scalar("vip")
+	replicaLo, _ := st.Scalar("replicaLo")
 	rules, err := DeriveRules(explore(t, prog), st)
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +139,12 @@ func TestDeriveRulesIPBalancer(t *testing.T) {
 		if r.Rule.Match.NwSrcMaskLen() != 1 {
 			t.Errorf("nw_src mask = %d, want /1", r.Rule.Match.NwSrcMaskLen())
 		}
-		if got := r.Rule.Match.NwDst; got != cfg.VIP {
+		if got := r.Rule.Match.NwDst; got != vip.IP() {
 			t.Errorf("nw_dst = %v, want VIP", got)
 		}
 	}
 	// After the Figure 8 repartition, re-derivation must follow.
-	st.SetScalar("replicaHi", appir.IPValue(cfg.ReplicaLo))
+	st.SetScalar("replicaHi", replicaLo)
 	rules2, err := DeriveRules(explore(t, prog), st)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +155,8 @@ func TestDeriveRulesIPBalancer(t *testing.T) {
 			hiRewrite = r.Rule.Actions[0].(openflow.ActionSetNwDst).IP
 		}
 	}
-	if hiRewrite != cfg.ReplicaLo {
-		t.Errorf("after repartition, high half rewrites to %v, want %v", hiRewrite, cfg.ReplicaLo)
+	if hiRewrite != replicaLo.IP() {
+		t.Errorf("after repartition, high half rewrites to %v, want %v", hiRewrite, replicaLo.IP())
 	}
 }
 
