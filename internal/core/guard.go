@@ -18,13 +18,9 @@ import (
 
 // protectedSwitch is one datapath under FloodGuard's protection.
 type protectedSwitch struct {
-	sw *switchsim.Switch
 	dp controller.Datapath
 
-	ingressPorts   []uint16 // from FeaturesReply, excluding the cache port
-	migrationRules []openflow.FlowMod
-	migrated       bool
-	portRules      map[uint16][]openflow.FlowMod // selective: per diverted port
+	ingressPorts []uint16 // sorted; from FeaturesReply, excluding the cache port
 
 	bufferFrac float64 // latest utilization from StatsReply
 }
@@ -42,8 +38,8 @@ type Guard struct {
 	history  []Transition
 	analyzer *Analyzer
 	// attrib, when armed by cfg.Attribution.Enabled, blames ports and
-	// sources; nil otherwise. verdicts keeps its last roll's verdicts for
-	// protected ingress ports, the policy's selective-migration input.
+	// sources; nil otherwise. verdicts is the policy's port input (see
+	// refreshPorts).
 	attrib   *attrib.Attributor
 	verdicts []attrib.Verdict
 
@@ -83,8 +79,8 @@ type Guard struct {
 	gRate      telemetry.FloatGauge
 	gMigRate   telemetry.FloatGauge
 	gScore     telemetry.FloatGauge
-	// gMigratedPorts mirrors the number of individually diverted ports
-	// across all switches (selective mode; blanket migration leaves it 0).
+	// gMigratedPorts mirrors the number of diverted ports across all
+	// switches.
 	gMigratedPorts telemetry.Gauge
 
 	// trace, when armed by Instrument, samples packet lifecycles.
@@ -136,7 +132,7 @@ func NewGuard(eng *netsim.Engine, ctrl *controller.Controller, cfg Config) (*Gua
 	if cfg.Attribution.Enabled {
 		g.attrib = attrib.New(cfg.Attribution.Params)
 	}
-	g.policy = NewPolicy(cfg.Detection, cfg.RateLimit, g.selectiveActive())
+	g.policy = NewPolicy(cfg.Detection, cfg.RateLimit)
 	// Shared default cache (paper §IV.E: "ideally, we only need to deploy
 	// one data plane cache to serve all switches").
 	g.cache = dpcache.New(eng, cfg.Cache, g)
@@ -156,23 +152,19 @@ func NewGuard(eng *netsim.Engine, ctrl *controller.Controller, cfg Config) (*Gua
 	return g, nil
 }
 
-// selectiveActive reports whether per-port selective migration governs
-// rule installation. The DisableINPORTTag ablation forces blanket mode:
-// its single untagged rule cannot discriminate ports.
+// selectiveActive reports whether attribution's verdicts pick the ports
+// to divert; otherwise migration is blanket and every port is suspect.
+// The DisableINPORTTag ablation forces blanket mode: its single untagged
+// rule cannot discriminate ports.
 func (g *Guard) selectiveActive() bool {
 	return g.attrib != nil && g.cfg.Attribution.Selective && !g.cfg.DisableINPORTTag
 }
 
 // PortMigrated reports whether an ingress port currently routes its
-// table-miss traffic to the cache: its own diversion rules in selective
-// mode, the switch-wide rule set in blanket mode. Engine goroutine only.
+// table-miss traffic to the cache: whether the policy diverts it.
+// Engine goroutine only.
 func (g *Guard) PortMigrated(dpid uint64, port uint16) bool {
-	ps, ok := g.switches[dpid]
-	if !ok {
-		return false
-	}
-	_, diverted := ps.portRules[port]
-	return diverted || ps.migrated
+	return slices.Contains(g.policy.Diverted(), PortMove{DPID: dpid, Port: port, Divert: true})
 }
 
 // Cache returns the guard's data plane cache, shared by every protected
@@ -224,7 +216,7 @@ func (g *Guard) Instrument(reg *telemetry.Registry) *telemetry.Tracer {
 	reg.RegisterFloatGauge("fg_guard_score",
 		"Composite detection score (>=1 triggers).", &g.gScore)
 	reg.RegisterGauge("fg_guard_migrated_ports",
-		"Ports individually diverted to the cache (selective migration).", &g.gMigratedPorts)
+		"Ingress ports diverted to the cache.", &g.gMigratedPorts)
 	if g.attrib != nil {
 		g.attrib.Register(reg, "fg_attrib")
 	}
@@ -252,7 +244,7 @@ func (g *Guard) Protect(sw *switchsim.Switch) error {
 	if sw.DPID == 0 {
 		return fmt.Errorf("floodguard: datapath id 0 is reserved")
 	}
-	ps := &protectedSwitch{sw: sw, dp: dp, portRules: make(map[uint16][]openflow.FlowMod)}
+	ps := &protectedSwitch{dp: dp}
 	sw.AttachPort(g.cfg.CachePort, g.cache.Adapter(sw.DPID), 1e9, 100*time.Microsecond)
 	sw.SetNoFlood(g.cfg.CachePort, true)
 	for _, p := range sw.Ports() {
@@ -260,7 +252,9 @@ func (g *Guard) Protect(sw *switchsim.Switch) error {
 			ps.ingressPorts = append(ps.ingressPorts, p)
 		}
 	}
+	slices.Sort(ps.ingressPorts)
 	g.switches[sw.DPID] = ps
+	g.refreshPorts()
 	return nil
 }
 
@@ -333,6 +327,8 @@ func (g *Guard) onMessage(dp controller.Datapath, f openflow.Framed) {
 				ps.ingressPorts = append(ps.ingressPorts, p.PortNo)
 			}
 		}
+		slices.Sort(ps.ingressPorts)
+		g.refreshPorts()
 	case openflow.StatsReply:
 		if m.Table.BufferSize > 0 {
 			ps.bufferFrac = float64(m.Table.BufferUsed) / float64(m.Table.BufferSize)
@@ -346,40 +342,47 @@ func (g *Guard) onMessage(dp controller.Datapath, f openflow.Framed) {
 // the live port set, or a port added mid-defense becomes an unmigrated
 // path to the controller.
 func (g *Guard) onPortStatus(ps *protectedSwitch, m openflow.PortStatus) {
-	if m.Port.PortNo == g.cfg.CachePort {
+	port := m.Port.PortNo
+	if port == g.cfg.CachePort {
 		return
 	}
-	switch m.Reason {
-	case openflow.PortAdded:
-		if slices.Contains(ps.ingressPorts, m.Port.PortNo) {
-			return
-		}
-		ps.ingressPorts = append(ps.ingressPorts, m.Port.PortNo)
-		// Selective mode leaves a fresh port alone: it has no blame yet,
-		// and the per-window reconciliation diverts it if it earns some.
-		if ps.migrated && !g.selectiveActive() {
-			rules := dpcache.MigrationRules([]uint16{m.Port.PortNo}, g.cfg.CachePort)
-			sendRules(ps.dp, openflow.FlowAdd, rules...)
-			ps.migrationRules = append(ps.migrationRules, rules...)
-		}
-	case openflow.PortDeleted:
-		ps.ingressPorts = slices.DeleteFunc(ps.ingressPorts, func(p uint16) bool { return p == m.Port.PortNo })
-		// The port leaves the policy's input, which withdraws its
-		// diversion (or its fallback designation) on the spot.
+	i, known := slices.BinarySearch(ps.ingressPorts, port)
+	switch {
+	case m.Reason == openflow.PortAdded && !known:
+		ps.ingressPorts = slices.Insert(ps.ingressPorts, i, port)
+	case m.Reason == openflow.PortDeleted && known:
+		ps.ingressPorts = slices.Delete(ps.ingressPorts, i, i+1)
+	default:
+		return
+	}
+	// The port joins or leaves the policy's input, which diverts or
+	// withdraws it (or its fallback designation) on the spot.
+	g.refreshPorts()
+	g.step(TickNone)
+}
+
+// refreshPorts rebuilds the policy's port input after the protected
+// ports changed. Blanket migration marks every protected ingress port
+// suspect, in (datapath, port) order. Selective migration keeps the last
+// roll's verdicts for the ports still protected; a fresh port waits for
+// the next roll.
+func (g *Guard) refreshPorts() {
+	if g.selectiveActive() {
 		g.verdicts = slices.DeleteFunc(g.verdicts, func(v attrib.Verdict) bool {
-			return v.DPID == ps.sw.DPID && v.Port == m.Port.PortNo
+			ps := g.switches[v.DPID]
+			return ps == nil || !slices.Contains(ps.ingressPorts, v.Port)
 		})
-		g.step(TickNone)
-		if ps.migrated {
-			keep := ps.migrationRules[:0]
-			for _, fm := range ps.migrationRules {
-				if fm.Match.InPort == m.Port.PortNo {
-					sendRules(ps.dp, openflow.FlowDeleteStrict, fm)
-				} else {
-					keep = append(keep, fm)
-				}
-			}
-			ps.migrationRules = keep
+		return
+	}
+	dpids := make([]uint64, 0, len(g.switches))
+	for dpid := range g.switches {
+		dpids = append(dpids, dpid)
+	}
+	slices.Sort(dpids)
+	g.verdicts = g.verdicts[:0]
+	for _, dpid := range dpids {
+		for _, p := range g.switches[dpid].ingressPorts {
+			g.verdicts = append(g.verdicts, attrib.Verdict{DPID: dpid, Port: p, Suspect: true})
 		}
 	}
 }
@@ -430,11 +433,10 @@ func worstBufferFrac(switches map[uint64]*protectedSwitch) float64 {
 // policy reconciles migration with this window's verdicts, then step.
 func (g *Guard) sample() {
 	if g.attrib != nil {
-		g.verdicts = g.verdicts[:0]
-		for _, v := range g.attrib.Roll(g.cfg.Detection.SampleInterval) {
-			if ps := g.switches[v.DPID]; ps != nil && slices.Contains(ps.ingressPorts, v.Port) {
-				g.verdicts = append(g.verdicts, v)
-			}
+		roll := g.attrib.Roll(g.cfg.Detection.SampleInterval)
+		if g.selectiveActive() {
+			g.verdicts = append(g.verdicts[:0], roll...)
+			g.refreshPorts()
 		}
 	}
 	g.step(TickSample)
@@ -462,7 +464,7 @@ func (g *Guard) step(tick Tick) {
 }
 
 // apply carries out one step's decisions: record the transitions, move
-// the migration rules, set the replay rate, keep the clocks the state
+// the diversion rules, set the replay rate, keep the clocks the state
 // needs, and derive proactive rules on a fresh Init.
 func (g *Guard) apply(d Decisions) {
 	for _, tr := range d.Transitions {
@@ -475,20 +477,7 @@ func (g *Guard) apply(d Decisions) {
 			g.degradedAllowed = 0
 		}
 	}
-	for _, m := range d.Moves {
-		if ps := g.switches[m.DPID]; m.Divert {
-			g.migratePort(ps, m.Port)
-		} else {
-			g.unmigratePort(ps, m.Port)
-		}
-	}
-	for _, ps := range g.switches {
-		if d.Migrating {
-			g.installMigration(ps)
-		} else {
-			g.removeMigration(ps)
-		}
-	}
+	g.move(d.Moves)
 	g.cache.SetRate(d.Rate)
 	// The replay-rate controller runs from detection, phased from it,
 	// until the drain completes; the tracker runs while the proactive
@@ -539,68 +528,50 @@ func (g *Guard) ruleTargets() (map[uint64]RuleTarget, []RuleTarget) {
 	return scoped, nil
 }
 
-// installMigration arms blanket migration on one switch: per-ingress-port
-// TOS-tagging wildcard rules to the cache port.
-func (g *Guard) installMigration(ps *protectedSwitch) {
-	if ps.migrated {
-		return
+// move carries out the policy's migration changes, one datapath's run
+// at a time: each is the port's TOS-tagging wildcard flow_mod to the
+// cache port (§IV.C.1, Figure 6).
+func (g *Guard) move(moves []PortMove) {
+	for i, j := 0, 0; i < len(moves); i = j {
+		dpid := moves[i].DPID
+		dp, gained := g.switches[dpid].dp, 0
+		for j = i; j < len(moves) && moves[j].DPID == dpid; j++ {
+			switch m := moves[j]; {
+			case !g.cfg.DisableINPORTTag:
+				sendRule(dp, m.Divert, dpcache.MigrationRule(m.Port, g.cfg.CachePort))
+			case m.Divert:
+				gained++
+			default:
+				gained--
+			}
+		}
+		if !g.cfg.DisableINPORTTag {
+			continue
+		}
+		// Ablation: one untagged wildcard rule (TOS 0, INPORT lost), held
+		// while any of the switch's ports is diverted.
+		now := 0
+		for _, d := range g.policy.Diverted() {
+			if d.DPID == dpid {
+				now++
+			}
+		}
+		if was := now - gained; (was > 0) != (now > 0) {
+			fm := dpcache.MigrationRule(0, g.cfg.CachePort)
+			fm.Match = openflow.MatchAll()
+			sendRule(dp, now > 0, fm)
+		}
 	}
-	if g.cfg.DisableINPORTTag {
-		// Ablation: one untagged wildcard rule; INPORT is lost.
-		m := openflow.MatchAll()
-		ps.migrationRules = []openflow.FlowMod{{
-			Match:    m,
-			Command:  openflow.FlowAdd,
-			Priority: 1,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-			Actions: []openflow.Action{
-				openflow.ActionSetNwTOS{TOS: 0},
-				openflow.Output(g.cfg.CachePort),
-			},
-		}}
-	} else {
-		ps.migrationRules = dpcache.MigrationRules(ps.ingressPorts, g.cfg.CachePort)
-	}
-	sendRules(ps.dp, openflow.FlowAdd, ps.migrationRules...)
-	ps.migrated = true
+	g.gMigratedPorts.Set(int64(len(g.policy.Diverted())))
 }
 
-func (g *Guard) removeMigration(ps *protectedSwitch) {
-	if ps.migrated {
-		sendRules(ps.dp, openflow.FlowDeleteStrict, ps.migrationRules...)
-		ps.migrationRules, ps.migrated = nil, false
+// sendRule installs a diversion rule on dp, or strictly deletes it.
+func sendRule(dp controller.Datapath, install bool, fm openflow.FlowMod) {
+	fm.Command = openflow.FlowDeleteStrict
+	if install {
+		fm.Command = openflow.FlowAdd
 	}
-}
-
-// sendRules sends the diversion rules to dp as cmd flow_mods.
-func sendRules(dp controller.Datapath, cmd openflow.FlowModCommand, rules ...openflow.FlowMod) {
-	for _, fm := range rules {
-		fm.Command = cmd
-		dp.Send(openflow.Framed{Msg: fm})
-	}
-}
-
-// migratePort installs one port's diversion rules (selective mode).
-func (g *Guard) migratePort(ps *protectedSwitch, port uint16) {
-	if _, ok := ps.portRules[port]; ok || port == g.cfg.CachePort {
-		return
-	}
-	rules := dpcache.MigrationRules([]uint16{port}, g.cfg.CachePort)
-	sendRules(ps.dp, openflow.FlowAdd, rules...)
-	ps.portRules[port] = rules
-	g.gMigratedPorts.Inc()
-}
-
-// unmigratePort withdraws one port's diversion rules.
-func (g *Guard) unmigratePort(ps *protectedSwitch, port uint16) {
-	rules, ok := ps.portRules[port]
-	if !ok {
-		return
-	}
-	sendRules(ps.dp, openflow.FlowDeleteStrict, rules...)
-	delete(ps.portRules, port)
-	g.gMigratedPorts.Dec()
+	dp.Send(openflow.Framed{Msg: fm})
 }
 
 // track is the application tracker: it re-derives and re-installs

@@ -548,3 +548,54 @@ func TestGuardStopAfterReentryFreezesRate(t *testing.T) {
 		t.Errorf("cache rate = %v after Stop, want 123 (a replay-rate ticker outlived the guard)", got)
 	}
 }
+
+// TestUntaggedAblationHoldsOneRule: under DisableINPORTTag a switch holds
+// one untagged wildcard rule while any of its ports is diverted. A port
+// leaving mid-Defense keeps it for the others; Finish removes it.
+func TestUntaggedAblationHoldsOneRule(t *testing.T) {
+	cfg := defaultTestConfig()
+	cfg.DisableINPORTTag = true
+	b := newBed(t, cfg)
+	untagged := func() int {
+		n := 0
+		for _, e := range b.sw.Table().Entries() {
+			if e.Priority != 1 {
+				continue
+			}
+			if e.Match.Wildcards&openflow.WildInPort == 0 {
+				t.Errorf("tagged diversion rule for port %d under the ablation", e.Match.InPort)
+			}
+			n++
+		}
+		return n
+	}
+	b.flooder.Start(200)
+	b.eng.RunFor(2 * time.Second)
+	if b.guard.State() != StateDefense {
+		t.Fatalf("state = %v, want defense", b.guard.State())
+	}
+	if got := untagged(); got != 1 {
+		t.Fatalf("priority-1 rules = %d, want the one untagged wildcard", got)
+	}
+
+	b.sw.DetachPort(2)
+	b.eng.RunFor(200 * time.Millisecond)
+	if b.guard.State() != StateDefense {
+		t.Fatalf("state = %v, want defense", b.guard.State())
+	}
+	if got := untagged(); got != 1 {
+		t.Errorf("priority-1 rules after port 2 left = %d, want 1", got)
+	}
+	if b.guard.PortMigrated(0x1, 2) || !b.guard.PortMigrated(0x1, 1) || !b.guard.PortMigrated(0x1, 3) {
+		t.Error("after port 2 left, want ports 1 and 3 diverted and port 2 not")
+	}
+
+	b.flooder.Stop()
+	b.eng.RunFor(30 * time.Second)
+	if b.guard.State() != StateIdle {
+		t.Fatalf("state = %v, want idle after drain", b.guard.State())
+	}
+	if got := untagged(); got != 0 {
+		t.Errorf("priority-1 rules after finish = %d, want 0", got)
+	}
+}

@@ -83,14 +83,16 @@ type Observation struct {
 	Backlog    time.Duration // the controller's work backlog
 	Reachable  bool          // the sideband to the cache is up
 	Drained    bool          // every cache queue is empty
-	// Verdicts are the latest window's attribution verdicts for the
-	// ports migration can divert, in attrib.Roll's (datapath, port)
-	// order. Only selective migration reads them.
+	// Verdicts are the ports migration can divert, in (datapath, port)
+	// order: the diverted set is every Suspect port, plus a fallback.
+	// Blanket migration marks every protected ingress port suspect;
+	// selective migration passes the latest window's attribution
+	// verdicts.
 	Verdicts []attrib.Verdict
 }
 
-// PortMove is one selective-migration change: Divert installs the
-// port's diversion rules, !Divert withdraws them.
+// PortMove is one migration change: Divert installs the port's
+// diversion rule, !Divert withdraws it.
 type PortMove struct {
 	DPID   uint64
 	Port   uint16
@@ -102,11 +104,8 @@ type PortMove struct {
 // derive when asked. Its slices are valid until the next Step.
 type Decisions struct {
 	Transitions []Transition
-	// Migrating asks blanket migration to divert every ingress port
-	// (selective mode moves port by port instead).
-	Migrating bool
-	Moves     []PortMove // selective migration's changes, in port order
-	Rate      float64    // the cache's replay rate (0 parks replay)
+	Moves       []PortMove // migration's changes, in (datapath, port) order
+	Rate        float64    // the cache's replay rate (0 parks replay)
 	// Derive asks for the proactive rules of a fresh Init; the shell
 	// answers with a TickDerived step once they are installed.
 	Derive bool
@@ -116,16 +115,15 @@ type Decisions struct {
 const rateEWMAAlpha = 0.4
 
 // Policy is FloodGuard's decision logic as plain memory: the Figure 3
-// state machine, the saturation detector, selective migration and the
+// state machine, the saturation detector, per-port migration and the
 // replay-rate controller. It reads no clock and starts no goroutine; a
 // shell builds an Observation at each of its ticks and carries out the
 // Decisions that Step returns. Every step recomputes the wanted
 // migration from (state, sideband, verdicts), so no edge can be missed.
 type Policy struct {
-	det       DetectionConfig
-	rl        RateLimitConfig
-	selective bool
-	quietN    int // QuietPeriod in detection windows, rounded up
+	det    DetectionConfig
+	rl     RateLimitConfig
+	quietN int // QuietPeriod in detection windows, rounded up
 
 	state FSMState
 
@@ -140,18 +138,17 @@ type Policy struct {
 	replay float64 // replay rate the cache was last given
 	active bool    // migration was wanted after the last step
 
-	// Selective migration: the ports diverted now (sorted), the
-	// per-datapath fallback ports, and the scratch they swap with.
+	// Migration: the ports diverted now (sorted), the per-datapath
+	// fallback ports, and the scratch they swap with.
 	diverted, want []PortMove
 	fallback, fb   []PortMove
 
 	dec Decisions
 }
 
-// NewPolicy returns an Idle policy. selective picks per-port migration
-// driven by Observation.Verdicts over blanket migration.
-func NewPolicy(det DetectionConfig, rl RateLimitConfig, selective bool) *Policy {
-	p := &Policy{det: det, rl: rl, selective: selective, state: StateIdle}
+// NewPolicy returns an Idle policy.
+func NewPolicy(det DetectionConfig, rl RateLimitConfig) *Policy {
+	p := &Policy{det: det, rl: rl, state: StateIdle}
 	if det.QuietPeriod > 0 && det.SampleInterval > 0 {
 		p.quietN = int((det.QuietPeriod + det.SampleInterval - 1) / det.SampleInterval)
 	}
@@ -170,6 +167,11 @@ func (p *Policy) MigrationRate() float64 { return p.migRate }
 
 // Score returns the last window's composite detection score.
 func (p *Policy) Score() float64 { return p.score }
+
+// Diverted returns the ports diverted after the last Step, in (datapath,
+// port) order: every Moves applied so far, summed. It is valid until the
+// next Step.
+func (p *Policy) Diverted() []PortMove { return p.diverted }
 
 // Step folds one observation in and returns what the shell must do.
 func (p *Policy) Step(o Observation) Decisions {
@@ -200,7 +202,7 @@ func (p *Policy) Step(o Observation) Decisions {
 	d.Derive = p.state == StateInit && len(d.Transitions) > 0
 	p.reconcile(up, o.Verdicts)
 	p.steer(up, d.Derive, o.Tick == TickAdjust, o.Backlog)
-	d.Migrating, d.Rate = p.active && !p.selective, p.replay
+	d.Rate = p.replay
 	return *d
 }
 
@@ -280,18 +282,15 @@ func (p *Policy) scoreOf(ratePPS, bufferFrac float64, backlog time.Duration) flo
 }
 
 // reconcile recomputes the migration wanted from (state, sideband,
-// verdicts) and, in selective mode, diffs it against what is diverted.
-// Migration is wanted in Init and Defense with the sideband up. Selective
-// mode diverts the blamed ports; a datapath with none blamed when
-// coverage starts diverts its loudest port as a fallback, so Defense
-// never starts uncovered, until a real verdict lands there.
+// verdicts) and diffs it against what is diverted. Migration is wanted
+// in Init and Defense with the sideband up, and diverts the suspect
+// ports; a datapath with none suspect when coverage starts diverts its
+// loudest port as a fallback, so Defense never starts uncovered, until a
+// real verdict lands there.
 func (p *Policy) reconcile(up bool, vs []attrib.Verdict) {
 	active := up && (p.state == StateInit || p.state == StateDefense)
 	starting := active && !p.active
 	p.active = active
-	if !p.selective {
-		return
-	}
 	want, fb := p.want[:0], p.fb[:0]
 	for i, j := 0, 0; active && i < len(vs); i = j {
 		dpid, blamed := vs[i].DPID, false

@@ -12,20 +12,43 @@ import (
 
 // Policy observations for the default detector (50 ms windows, 60 pps
 // threshold): a hot window carries 2 000 pps of packet_ins, a calm one
-// none. Each helper takes the sideband health.
+// none. Each helper takes the sideband health and carries blanket
+// migration's port input.
 func hotObs(up bool) Observation {
-	return Observation{Tick: TickSample, PacketIns: 100, Reachable: up}
+	return Observation{Tick: TickSample, PacketIns: 100, Reachable: up, Verdicts: blanket}
 }
-func calmObs(up bool) Observation { return Observation{Tick: TickSample, Reachable: up} }
+func calmObs(up bool) Observation {
+	return Observation{Tick: TickSample, Reachable: up, Verdicts: blanket}
+}
 func drainedObs(up bool) Observation {
-	return Observation{Tick: TickSample, Reachable: up, Drained: true}
+	return Observation{Tick: TickSample, Reachable: up, Drained: true, Verdicts: blanket}
 }
 func tickObs(t Tick, up bool) Observation {
-	return Observation{Tick: t, Reachable: up}
+	return Observation{Tick: t, Reachable: up, Verdicts: blanket}
 }
 
-func testPolicy(selective bool) *Policy {
-	return NewPolicy(DefaultDetection(), DefaultRateLimit(), selective)
+// blanket is what a blanket-migration shell supplies: every ingress port
+// of datapath 1, suspect.
+var blanket = []attrib.Verdict{{DPID: 1, Port: 1, Suspect: true}, {DPID: 1, Port: 2, Suspect: true}}
+
+// divertAll is the step that diverts every port of blanket's input.
+var divertAll = []PortMove{{DPID: 1, Port: 1, Divert: true}, {DPID: 1, Port: 2, Divert: true}}
+
+// migrating reports whether every port of blanket's input is diverted
+// (the sum of every Moves so far) and fails the test if only some are.
+func migrating(t *testing.T, p *Policy) bool {
+	t.Helper()
+	switch got := p.Diverted(); {
+	case len(got) == 0:
+		return false
+	case !slices.Equal(got, divertAll):
+		t.Fatalf("diverted %+v: want every port of the input or none", got)
+	}
+	return true
+}
+
+func testPolicy() *Policy {
+	return NewPolicy(DefaultDetection(), DefaultRateLimit())
 }
 
 // repeat steps o until the policy leaves its state (or n steps pass) and
@@ -40,9 +63,9 @@ func repeat(p *Policy, o Observation, n int) []Transition {
 }
 
 // policyIn drives a fresh policy into state s through observations only.
-func policyIn(t *testing.T, s FSMState, selective bool) *Policy {
+func policyIn(t *testing.T, s FSMState) *Policy {
 	t.Helper()
-	p := testPolicy(selective)
+	p := testPolicy()
 	steps := map[FSMState][]Observation{
 		StateIdle:     nil,
 		StateInit:     {hotObs(true)},
@@ -60,26 +83,26 @@ func policyIn(t *testing.T, s FSMState, selective bool) *Policy {
 }
 
 func TestFSMLegalCycle(t *testing.T) {
-	p := testPolicy(false)
+	p := testPolicy()
 	if p.State() != StateIdle {
 		t.Fatalf("initial state = %v", p.State())
 	}
 	d := p.Step(hotObs(true))
-	if len(d.Transitions) != 0 || d.Migrating || d.Rate != 0 {
+	if len(d.Transitions) != 0 || len(d.Moves) != 0 || d.Rate != 0 {
 		t.Fatalf("one hot window already acted: %+v", d)
 	}
 	d = p.Step(hotObs(true))
-	if p.State() != StateInit || !d.Derive || !d.Migrating || d.Rate != DefaultRateLimit().MinPPS {
+	if p.State() != StateInit || !d.Derive || !slices.Equal(d.Moves, divertAll) || d.Rate != DefaultRateLimit().MinPPS {
 		t.Fatalf("detection: state %v, decisions %+v; want init deriving, migrating at the floor rate", p.State(), d)
 	}
-	if d = p.Step(tickObs(TickDerived, true)); p.State() != StateDefense || !d.Migrating || d.Derive {
+	if d = p.Step(tickObs(TickDerived, true)); p.State() != StateDefense || !migrating(t, p) || d.Derive {
 		t.Fatalf("derived: state %v, decisions %+v", p.State(), d)
 	}
 	repeat(p, calmObs(true), 100)
 	if p.State() != StateFinish {
 		t.Fatalf("state after calm = %v, want finish", p.State())
 	}
-	if d = p.Step(calmObs(true)); d.Migrating || d.Rate == 0 {
+	if d = p.Step(calmObs(true)); migrating(t, p) || d.Rate == 0 {
 		t.Fatalf("finish: decisions %+v; want migration off, replay still draining", d)
 	}
 	if p.Step(drainedObs(false)); p.State() != StateFinish {
@@ -91,14 +114,14 @@ func TestFSMLegalCycle(t *testing.T) {
 }
 
 func TestFSMFinishCanReenterInit(t *testing.T) {
-	p := policyIn(t, StateFinish, false)
+	p := policyIn(t, StateFinish)
 	p.Step(Observation{Tick: TickAdjust, Reachable: true}) // grow the replay rate off the floor
 	trs := repeat(p, hotObs(true), 10)
 	if p.State() != StateInit || len(trs) != 1 || trs[0].From != StateFinish {
 		t.Fatalf("re-detection: state %v, transitions %+v", p.State(), trs)
 	}
 	d := p.Step(tickObs(TickNone, true))
-	if !d.Migrating || d.Rate != DefaultRateLimit().MinPPS {
+	if !migrating(t, p) || d.Rate != DefaultRateLimit().MinPPS {
 		t.Errorf("re-entered Init: decisions %+v; want migrating, replay back at the floor", d)
 	}
 }
@@ -129,7 +152,7 @@ func probes() []Observation {
 func TestFSMRejectsIllegalTransitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	obs := probes()
-	p := testPolicy(true)
+	p := testPolicy()
 	seen := map[[2]FSMState]bool{}
 	for i := 0; i < 20000; i++ {
 		o := obs[rng.Intn(len(obs))]
@@ -160,7 +183,7 @@ func TestFSMTransitionMatrix(t *testing.T) {
 	for _, from := range all {
 		exits := map[FSMState]bool{}
 		for _, o := range probes() {
-			p := policyIn(t, from, false)
+			p := policyIn(t, from)
 			if trs := repeat(p, o, 100); len(trs) > 0 {
 				exits[trs[0].To] = true
 			}
@@ -304,7 +327,7 @@ func TestGuardScoreEdgeCases(t *testing.T) {
 			for i, f := range tc.bufferFracs {
 				switches[uint64(i+1)] = &protectedSwitch{bufferFrac: f}
 			}
-			p := NewPolicy(tc.det, DefaultRateLimit(), false)
+			p := NewPolicy(tc.det, DefaultRateLimit())
 			got := p.scoreOf(tc.ratePPS, worstBufferFrac(switches), tc.backlog)
 			if math.IsNaN(got) || math.Abs(got-tc.want) > 1e-9 {
 				t.Errorf("score(%v) = %v, want %v", tc.ratePPS, got, tc.want)
@@ -320,7 +343,7 @@ func TestPolicyDetectorWindows(t *testing.T) {
 	det := DefaultDetection()
 	det.QuietPeriod = 120 * time.Millisecond // 2.4 windows: three calm ones
 	det.TriggerSamples = 3
-	p := NewPolicy(det, DefaultRateLimit(), false)
+	p := NewPolicy(det, DefaultRateLimit())
 	// 80 pps windows sit just over the 60 pps threshold, so one empty
 	// window drags the EWMA under it and breaks the run.
 	warm := Observation{Tick: TickSample, PacketIns: 4, Reachable: true}
@@ -347,7 +370,7 @@ func TestPolicyDetectorWindows(t *testing.T) {
 // keep the attack on even when packet_ins are calm; in Degraded,
 // migration is withdrawn, so only the score counts.
 func TestPolicyAttackOverSignals(t *testing.T) {
-	p := policyIn(t, StateDefense, false)
+	p := policyIn(t, StateDefense)
 	o := calmObs(true)
 	absorb := func(up bool) {
 		o.Reachable = up
@@ -374,7 +397,7 @@ func TestPolicyAttackOverSignals(t *testing.T) {
 // down, and restarts at the floor when it heals.
 func TestPolicyReplayRate(t *testing.T) {
 	rl := DefaultRateLimit()
-	p := policyIn(t, StateDefense, false)
+	p := policyIn(t, StateDefense)
 	adjust := func(backlog time.Duration, up bool) float64 {
 		return p.Step(Observation{Tick: TickAdjust, Backlog: backlog, Reachable: up}).Rate
 	}
@@ -405,18 +428,53 @@ func TestPolicyReplayRate(t *testing.T) {
 // migrates nothing; a heal before the rules are derived arms migration
 // and replay at once.
 func TestPolicyHealDuringInitMigrates(t *testing.T) {
-	p := testPolicy(false)
+	p := testPolicy()
 	repeat(p, hotObs(false), 10)
 	d := p.Step(tickObs(TickNone, false))
-	if p.State() != StateInit || d.Migrating || d.Rate != 0 {
+	if p.State() != StateInit || migrating(t, p) || d.Rate != 0 {
 		t.Fatalf("detected with the sideband down: state %v, decisions %+v", p.State(), d)
 	}
-	if d = p.Step(tickObs(TickNone, true)); !d.Migrating || d.Rate != DefaultRateLimit().MinPPS {
+	if d = p.Step(tickObs(TickNone, true)); !slices.Equal(d.Moves, divertAll) || d.Rate != DefaultRateLimit().MinPPS {
 		t.Fatalf("healed in init: decisions %+v; want migrating at the floor rate", d)
 	}
-	if d = p.Step(tickObs(TickDerived, true)); p.State() != StateDefense || !d.Migrating {
+	if d = p.Step(tickObs(TickDerived, true)); p.State() != StateDefense || !migrating(t, p) {
 		t.Fatalf("derived: state %v, decisions %+v", p.State(), d)
 	}
+}
+
+// TestPolicyBlanketMigration: a blanket shell supplies every port of two
+// datapaths as suspect. Detection diverts all of them in one step, in
+// (datapath, port) order; Degraded withdraws them, the heal re-diverts
+// them, and Finish withdraws them again.
+func TestPolicyBlanketMigration(t *testing.T) {
+	all := []attrib.Verdict{
+		{DPID: 1, Port: 1, Suspect: true}, {DPID: 1, Port: 4, Suspect: true},
+		{DPID: 7, Port: 2, Suspect: true}, {DPID: 7, Port: 3, Suspect: true},
+	}
+	moves := func(on bool) []PortMove {
+		out := make([]PortMove, len(all))
+		for i, v := range all {
+			out[i] = PortMove{DPID: v.DPID, Port: v.Port, Divert: on}
+		}
+		return out
+	}
+	obs := func(o Observation) Observation { o.Verdicts = all; return o }
+	p := testPolicy()
+	check := func(what string, o Observation, want FSMState, moves []PortMove) {
+		t.Helper()
+		var got []PortMove
+		for i := 0; i < 100 && (i == 0 || p.State() != want); i++ {
+			got = append(got, p.Step(obs(o)).Moves...)
+		}
+		if p.State() != want || !slices.Equal(got, moves) {
+			t.Fatalf("%s: state %v, moves %+v; want %v, %+v", what, p.State(), got, want, moves)
+		}
+	}
+	check("detection", hotObs(true), StateInit, moves(true))
+	check("derived", tickObs(TickDerived, true), StateDefense, nil)
+	check("sideband lost", tickObs(TickNone, false), StateDegraded, moves(false))
+	check("sideband healed", tickObs(TickNone, true), StateDefense, moves(true))
+	check("attack over", calmObs(true), StateFinish, moves(false))
 }
 
 // verdicts builds one window's verdicts for datapath 1: ports 1..n with
@@ -504,7 +562,7 @@ func TestPolicySelectiveMigration(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := testPolicy(true)
+			p := testPolicy()
 			for i, s := range tc.steps {
 				if got := p.Step(s.o).Moves; !slices.Equal(got, s.moves) {
 					t.Fatalf("step %d (%v): moves %+v, want %+v", i, p.State(), got, s.moves)
@@ -517,7 +575,7 @@ func TestPolicySelectiveMigration(t *testing.T) {
 // TestPolicySteadyDefenseStepAllocatesNothing: a Defense step with
 // selective verdicts, on every tick kind, reuses the policy's buffers.
 func TestPolicySteadyDefenseStepAllocatesNothing(t *testing.T) {
-	p := policyIn(t, StateDefense, true)
+	p := policyIn(t, StateDefense)
 	vs := verdicts([]float64{0, 1.2, 1.4, 0}, []float64{5, 150, 200, 5})
 	obs := []Observation{hotObs(true), tickObs(TickAdjust, true), tickObs(TickNone, true)}
 	for i := range obs {

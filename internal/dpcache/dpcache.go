@@ -215,6 +215,12 @@ type Config struct {
 // hinter is installed and Config.BenignWeight is unset.
 const DefaultBenignWeight = 4
 
+func (c *Config) normalize() {
+	if c.BenignWeight <= 0 {
+		c.BenignWeight = DefaultBenignWeight
+	}
+}
+
 // DefaultConfig mirrors the prototype's dimensions.
 func DefaultConfig() Config {
 	return Config{
@@ -316,10 +322,8 @@ type Cache struct {
 
 // New creates a cache on the engine; Start arms the scheduler.
 func New(eng *netsim.Engine, cfg Config, sink Sink) *Cache {
+	cfg.normalize()
 	c := &Cache{eng: eng, cfg: cfg, sink: sink, rate: cfg.InitialRatePPS}
-	if c.cfg.BenignWeight <= 0 {
-		c.cfg.BenignWeight = DefaultBenignWeight
-	}
 	c.ratePPS.Set(cfg.InitialRatePPS)
 	for i := range c.queues {
 		c.queues[i] = newFIFO(cfg.QueueCapacity)
@@ -633,27 +637,23 @@ func (c *Cache) Register(reg *telemetry.Registry, prefix string) {
 	})
 }
 
-// MigrationRules builds the per-ingress-port wildcard rules the agent
-// installs to divert table-miss traffic to the cache (paper §IV.C.1,
-// Figure 6): lowest priority, match in_port, set the TOS tag, output to
-// the cache port.
-func MigrationRules(ingressPorts []uint16, cachePort uint16) []openflow.FlowMod {
-	rules := make([]openflow.FlowMod, 0, len(ingressPorts))
-	for _, p := range ingressPorts {
-		m := openflow.MatchAll()
-		m.Wildcards &^= openflow.WildInPort
-		m.InPort = p
-		rules = append(rules, openflow.FlowMod{
-			Match:    m,
-			Command:  openflow.FlowAdd,
-			Priority: 1, // below every application and proactive rule
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-			Actions: []openflow.Action{
-				openflow.ActionSetNwTOS{TOS: EncodeInPortTOS(p)},
-				openflow.Output(cachePort),
-			},
-		})
+// MigrationRule builds the wildcard rule the agent installs to divert one
+// ingress port's table-miss traffic to the cache (paper §IV.C.1, Figure
+// 6): lowest priority, match in_port, set the TOS tag, output to the
+// cache port.
+func MigrationRule(port, cachePort uint16) openflow.FlowMod {
+	m := openflow.MatchAll()
+	m.Wildcards &^= openflow.WildInPort
+	m.InPort = port
+	return openflow.FlowMod{
+		Match:    m,
+		Command:  openflow.FlowAdd,
+		Priority: 1, // below every application and proactive rule
+		BufferID: openflow.NoBuffer,
+		OutPort:  openflow.PortNone,
+		Actions: []openflow.Action{
+			openflow.ActionSetNwTOS{TOS: EncodeInPortTOS(port)},
+			openflow.Output(cachePort),
+		},
 	}
-	return rules
 }

@@ -247,9 +247,9 @@ func TestPriorityQueueForCacheResidentRules(t *testing.T) {
 }
 
 func TestMigrationRules(t *testing.T) {
-	rules := MigrationRules([]uint16{1, 2, 3}, 99)
-	if len(rules) != 3 {
-		t.Fatalf("rules = %d, want one per ingress port", len(rules))
+	var rules []openflow.FlowMod
+	for _, p := range []uint16{1, 2, 3} {
+		rules = append(rules, MigrationRule(p, 99))
 	}
 	for i, fm := range rules {
 		if fm.Priority != 1 {

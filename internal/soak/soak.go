@@ -360,7 +360,7 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	// the scenario's ReplayPPS, so its rate decision goes unused.
 	det := core.DefaultDetection()
 	det.SampleInterval = cfg.Window
-	policy := core.NewPolicy(det, core.DefaultRateLimit(), true)
+	policy := core.NewPolicy(det, core.DefaultRateLimit())
 	var prevMisses uint64
 
 	// SLO health engine: three declarative objectives evaluated every

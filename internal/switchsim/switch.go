@@ -349,34 +349,28 @@ func (s *Switch) miss(pkt netpkt.Packet, inPort uint16, frameLen int) {
 		s.amplifiedIns.Inc()
 	}
 	s.packetIns.Inc()
-	traced := s.trace.Sample()
 	var t0 time.Time
-	if traced {
+	if s.trace.Sample() {
 		t0 = s.eng.Now()
 	}
-	s.eng.Schedule(s.profile.MissProcDelay, func() {
-		if !traced {
-			s.sendToController(msg)
-			return
-		}
-		// Sampled miss: record the packet_in stage — miss processing plus
-		// control channel transit — at the moment of controller delivery.
-		s.nextXID++
-		xid := s.nextXID
-		s.ctlUp.Send(openflow.FrameLen(msg), func() {
-			s.trace.Observe(telemetry.StagePacketIn, s.eng.Now().Sub(t0))
-			s.ctl.FromSwitch(s, openflow.Framed{XID: xid, Msg: msg})
-		})
-	})
+	s.eng.Schedule(s.profile.MissProcDelay, func() { s.sendTraced(msg, t0) })
 }
 
-func (s *Switch) sendToController(m openflow.Message) {
+func (s *Switch) sendToController(m openflow.Message) { s.sendTraced(m, time.Time{}) }
+
+// sendTraced sends m up the control channel under the next xid. A
+// non-zero since marks a sampled miss: its packet_in stage, miss
+// processing plus control channel transit, is recorded on delivery.
+func (s *Switch) sendTraced(m openflow.Message, since time.Time) {
 	if s.ctl == nil {
 		return
 	}
 	s.nextXID++
 	xid := s.nextXID
 	s.ctlUp.Send(openflow.FrameLen(m), func() {
+		if !since.IsZero() {
+			s.trace.Observe(telemetry.StagePacketIn, s.eng.Now().Sub(since))
+		}
 		s.ctl.FromSwitch(s, openflow.Framed{XID: xid, Msg: m})
 	})
 }
