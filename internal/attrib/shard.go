@@ -8,6 +8,8 @@
 package attrib
 
 import (
+	"slices"
+
 	"floodguard/internal/netpkt"
 	"floodguard/internal/sketch"
 )
@@ -17,7 +19,8 @@ import (
 // state; Flush merges into the parent Attributor and resets the locals.
 type ShardObserver struct {
 	a     *Attributor
-	ports map[uint64]uint64     // portKey -> samples since the last Flush
+	ports []portCount           // samples per port since the last Flush
+	last  int                   // the ports entry Observe counted last
 	srcs  *sketch.CountMinLocal // same geometry+seed as a.srcs
 	tcp   *tcpDeltas            // handshake verdicts since the last Flush
 }
@@ -25,22 +28,34 @@ type ShardObserver struct {
 // NewShardObserver builds a shard-local observer bound to a.
 func (a *Attributor) NewShardObserver() *ShardObserver {
 	return &ShardObserver{
-		a:     a,
-		ports: make(map[uint64]uint64, 16),
-		srcs:  sketch.NewCountMinLocal(sketchRows, sketchCols, a.cfg.Seed),
-		tcp:   newTCPDeltas(a.cfg.TCPMaxSources, a.cfg.Seed),
+		a:    a,
+		srcs: sketch.NewCountMinLocal(sketchRows, sketchCols, a.cfg.Seed),
+		tcp:  newTCPDeltas(a.cfg.TCPMaxSources, a.cfg.Seed),
 	}
 }
 
 // Observe feeds one sampled packet_in header. Owner goroutine only; it
 // touches only shard-local plain memory — no lock, no atomic, no
-// allocation once the port is known.
+// allocation once the port is known. Ports are few and a flood comes in
+// on one, so the port's count is found by checking the last one counted,
+// then a scan.
 func (o *ShardObserver) Observe(origin uint64, inPort uint16, pkt *netpkt.Packet) {
-	o.ports[portKey(origin, inPort)]++
+	k := portKey(origin, inPort)
+	if o.last >= len(o.ports) || o.ports[o.last].key != k {
+		o.last = slices.IndexFunc(o.ports, func(c portCount) bool { return c.key == k })
+		if o.last < 0 {
+			o.last = len(o.ports)
+			o.ports = append(o.ports, portCount{key: k})
+		}
+	}
+	o.ports[o.last].n++
 	if pkt != nil && pkt.IsIP() {
 		o.srcs.Update(uint64(pkt.NwSrc), 1)
 	}
 }
+
+// portCount is one port's sample count since the last Flush.
+type portCount struct{ key, n uint64 }
 
 // Flush folds the buffered observations into the parent Attributor —
 // the window-boundary merge. Port counts join the open detection window
@@ -52,11 +67,11 @@ func (o *ShardObserver) Flush() {
 	a := o.a
 	if len(o.ports) > 0 {
 		a.mu.Lock()
-		for k, n := range o.ports {
-			a.stateLocked(k).count += n
+		for _, c := range o.ports {
+			a.stateLocked(c.key).count += c.n
 		}
 		a.mu.Unlock()
-		clear(o.ports)
+		o.ports = o.ports[:0]
 	}
 	if o.srcs.Total() > 0 {
 		// Same rows/cols/seed by construction — AbsorbLocal cannot fail.

@@ -21,23 +21,26 @@ import (
 // ErrTableFull reports a flow-mod rejected for lack of table capacity.
 var ErrTableFull = errors.New("flowtable: table full")
 
-// Entry is one installed flow rule with its counters.
+// Entry is one installed flow rule with its counters. The fields a
+// lookup reads (match, priority, order, chain) come first and the
+// counters a hit writes next, so a lookup touches the rule's first two
+// cache lines and no further.
 type Entry struct {
-	Match       openflow.Match
-	Priority    uint16
-	NotifyRem   bool // beside Priority: fills its padding, so the chain link below costs no size class
+	Match     openflow.Match
+	Priority  uint16
+	NotifyRem bool   // beside Priority: fills its padding, so the chain link below costs no size class
+	seq       uint64 // insertion order, breaks priority ties (first wins)
+	next      *Entry // classifier chain: the next rule under the same subtable key
+
+	Packets     uint64
+	Bytes       uint64
+	LastMatched time.Time
+
 	Actions     []openflow.Action
 	Cookie      uint64
 	IdleTimeout time.Duration
 	HardTimeout time.Duration
-
 	Installed   time.Time
-	LastMatched time.Time
-	Packets     uint64
-	Bytes       uint64
-
-	seq  uint64 // insertion order, breaks priority ties (first wins)
-	next *Entry // classifier chain: the next rule under the same subtable key
 }
 
 // String renders the rule in ovs-ofctl style.

@@ -63,31 +63,6 @@ func (e *Ethernet) Encode(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, e.EtherType)
 }
 
-// DecodeEthernet parses an Ethernet header and returns the payload.
-func DecodeEthernet(b []byte) (Ethernet, []byte, error) {
-	var e Ethernet
-	if len(b) < ethHeaderLen {
-		return e, nil, fmt.Errorf("ethernet: %w", ErrTruncated)
-	}
-	copy(e.Dst[:], b[0:6])
-	copy(e.Src[:], b[6:12])
-	et := binary.BigEndian.Uint16(b[12:14])
-	rest := b[14:]
-	if et == EtherTypeVLAN {
-		if len(b) < ethVLANHeaderLen {
-			return e, nil, fmt.Errorf("ethernet 802.1q: %w", ErrTruncated)
-		}
-		tci := binary.BigEndian.Uint16(b[14:16])
-		e.HasVLAN = true
-		e.VLANPCP = uint8(tci >> 13)
-		e.VLANID = tci & 0x0fff
-		et = binary.BigEndian.Uint16(b[16:18])
-		rest = b[18:]
-	}
-	e.EtherType = et
-	return e, rest, nil
-}
-
 // ARP is an IPv4-over-Ethernet ARP message.
 type ARP struct {
 	Opcode    uint16
@@ -112,32 +87,10 @@ func (a *ARP) Encode(b []byte) []byte {
 	return b
 }
 
-// DecodeARP parses an ARP message.
-func DecodeARP(b []byte) (ARP, error) {
-	var a ARP
-	if len(b) < arpLen {
-		return a, fmt.Errorf("arp: %w", ErrTruncated)
-	}
-	if hw := binary.BigEndian.Uint16(b[0:2]); hw != 1 {
-		return a, fmt.Errorf("arp: unsupported hardware type %d", hw)
-	}
-	if pt := binary.BigEndian.Uint16(b[2:4]); pt != EtherTypeIPv4 {
-		return a, fmt.Errorf("arp: unsupported protocol type %#04x", pt)
-	}
-	a.Opcode = binary.BigEndian.Uint16(b[6:8])
-	copy(a.SenderMAC[:], b[8:14])
-	a.SenderIP = IPv4(binary.BigEndian.Uint32(b[14:18]))
-	copy(a.TargetMAC[:], b[18:24])
-	a.TargetIP = IPv4(binary.BigEndian.Uint32(b[24:28]))
-	return a, nil
-}
-
-// IPv4Header is an IPv4 header without options.
+// IPv4Header is an IPv4 header without options. Encode writes
+// identification 0 and TTL 64.
 type IPv4Header struct {
 	TOS      uint8
-	TotalLen uint16
-	ID       uint16
-	TTL      uint8
 	Protocol uint8
 	Src      IPv4
 	Dst      IPv4
@@ -145,57 +98,21 @@ type IPv4Header struct {
 
 const ipv4HeaderLen = 20
 
-// Encode appends the wire form of h (with checksum) to b. TotalLen is
-// computed from payloadLen when zero.
+// Encode appends the wire form of h (with checksum) to b, its total
+// length counting payloadLen bytes after the header.
 func (h *IPv4Header) Encode(b []byte, payloadLen int) []byte {
-	total := h.TotalLen
-	if total == 0 {
-		total = uint16(ipv4HeaderLen + payloadLen)
-	}
 	start := len(b)
 	b = append(b, 0x45, h.TOS)
-	b = binary.BigEndian.AppendUint16(b, total)
-	b = binary.BigEndian.AppendUint16(b, h.ID)
+	b = binary.BigEndian.AppendUint16(b, uint16(ipv4HeaderLen+payloadLen))
+	b = binary.BigEndian.AppendUint16(b, 0) // identification
 	b = binary.BigEndian.AppendUint16(b, 0) // flags+fragment
-	ttl := h.TTL
-	if ttl == 0 {
-		ttl = 64
-	}
-	b = append(b, ttl, h.Protocol)
+	b = append(b, 64, h.Protocol)           // TTL, protocol
 	b = binary.BigEndian.AppendUint16(b, 0) // checksum placeholder
 	b = binary.BigEndian.AppendUint32(b, uint32(h.Src))
 	b = binary.BigEndian.AppendUint32(b, uint32(h.Dst))
 	cs := Checksum(b[start:])
 	binary.BigEndian.PutUint16(b[start+10:start+12], cs)
 	return b
-}
-
-// DecodeIPv4 parses an IPv4 header and returns the payload. Options are
-// skipped; fragments are not reassembled.
-func DecodeIPv4(b []byte) (IPv4Header, []byte, error) {
-	var h IPv4Header
-	if len(b) < ipv4HeaderLen {
-		return h, nil, fmt.Errorf("ipv4: %w", ErrTruncated)
-	}
-	if ver := b[0] >> 4; ver != 4 {
-		return h, nil, fmt.Errorf("ipv4: bad version %d", ver)
-	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl < ipv4HeaderLen || len(b) < ihl {
-		return h, nil, fmt.Errorf("ipv4: bad IHL %d: %w", ihl, ErrTruncated)
-	}
-	h.TOS = b[1]
-	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
-	h.ID = binary.BigEndian.Uint16(b[4:6])
-	h.TTL = b[8]
-	h.Protocol = b[9]
-	h.Src = IPv4(binary.BigEndian.Uint32(b[12:16]))
-	h.Dst = IPv4(binary.BigEndian.Uint32(b[16:20]))
-	end := int(h.TotalLen)
-	if end > len(b) || end < ihl {
-		end = len(b)
-	}
-	return h, b[ihl:end], nil
 }
 
 // TCPHeader is a TCP header. Options holds the raw option bytes between
@@ -207,7 +124,6 @@ type TCPHeader struct {
 	Seq     uint32
 	Ack     uint32
 	Flags   uint8
-	Window  uint16
 	Options []byte
 }
 
@@ -226,8 +142,8 @@ func tcpOptionsWireLen(n int) int {
 	return (n + 3) &^ 3
 }
 
-// Encode appends the wire form of t (checksum left zero — the simulated
-// data plane does not verify L4 checksums) to b.
+// Encode appends the wire form of t (window 65535, checksum left zero —
+// the simulated data plane does not verify L4 checksums) to b.
 func (t *TCPHeader) Encode(b []byte) []byte {
 	opts := t.Options
 	if len(opts) > MaxTCPOptionsLen {
@@ -239,39 +155,11 @@ func (t *TCPHeader) Encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, t.Seq)
 	b = binary.BigEndian.AppendUint32(b, t.Ack)
 	b = append(b, uint8(off/4)<<4, t.Flags)
-	win := t.Window
-	if win == 0 {
-		win = 65535
-	}
-	b = binary.BigEndian.AppendUint16(b, win)
-	b = binary.BigEndian.AppendUint16(b, 0) // checksum
-	b = binary.BigEndian.AppendUint16(b, 0) // urgent
+	b = binary.BigEndian.AppendUint16(b, 65535) // window
+	b = binary.BigEndian.AppendUint16(b, 0)     // checksum
+	b = binary.BigEndian.AppendUint16(b, 0)     // urgent
 	b = append(b, opts...)
 	return appendZeros(b, off-tcpHeaderLen-len(opts))
-}
-
-// DecodeTCP parses a TCP header and returns the payload. t.Options
-// aliases b's option region (empty stays nil); callers that outlive the
-// frame buffer must copy it.
-func DecodeTCP(b []byte) (TCPHeader, []byte, error) {
-	var t TCPHeader
-	if len(b) < tcpHeaderLen {
-		return t, nil, fmt.Errorf("tcp: %w", ErrTruncated)
-	}
-	t.SrcPort = binary.BigEndian.Uint16(b[0:2])
-	t.DstPort = binary.BigEndian.Uint16(b[2:4])
-	t.Seq = binary.BigEndian.Uint32(b[4:8])
-	t.Ack = binary.BigEndian.Uint32(b[8:12])
-	off := int(b[12]>>4) * 4
-	if off < tcpHeaderLen || len(b) < off {
-		return t, nil, fmt.Errorf("tcp: bad data offset %d: %w", off, ErrTruncated)
-	}
-	t.Flags = b[13]
-	t.Window = binary.BigEndian.Uint16(b[14:16])
-	if off > tcpHeaderLen {
-		t.Options = b[tcpHeaderLen:off]
-	}
-	return t, b[off:], nil
 }
 
 // ValidateTCPOptions walks a TCP option block as a kind/length TLV list
@@ -303,42 +191,24 @@ func ValidateTCPOptions(opts []byte) error {
 type UDPHeader struct {
 	SrcPort uint16
 	DstPort uint16
-	Length  uint16
 }
 
 const udpHeaderLen = 8
 
-// Encode appends the wire form of u to b. Length is computed from
-// payloadLen when zero.
+// Encode appends the wire form of u to b, its length counting
+// payloadLen bytes after the header.
 func (u *UDPHeader) Encode(b []byte, payloadLen int) []byte {
-	length := u.Length
-	if length == 0 {
-		length = uint16(udpHeaderLen + payloadLen)
-	}
 	b = binary.BigEndian.AppendUint16(b, u.SrcPort)
 	b = binary.BigEndian.AppendUint16(b, u.DstPort)
-	b = binary.BigEndian.AppendUint16(b, length)
+	b = binary.BigEndian.AppendUint16(b, uint16(udpHeaderLen+payloadLen))
 	return binary.BigEndian.AppendUint16(b, 0) // checksum optional in IPv4
 }
 
-// DecodeUDP parses a UDP header and returns the payload.
-func DecodeUDP(b []byte) (UDPHeader, []byte, error) {
-	var u UDPHeader
-	if len(b) < udpHeaderLen {
-		return u, nil, fmt.Errorf("udp: %w", ErrTruncated)
-	}
-	u.SrcPort = binary.BigEndian.Uint16(b[0:2])
-	u.DstPort = binary.BigEndian.Uint16(b[2:4])
-	u.Length = binary.BigEndian.Uint16(b[4:6])
-	return u, b[udpHeaderLen:], nil
-}
-
-// ICMPHeader is an ICMP echo-style header.
+// ICMPHeader is an ICMP echo-style header; Encode writes identifier and
+// sequence number 0.
 type ICMPHeader struct {
 	Type uint8
 	Code uint8
-	ID   uint16
-	Seq  uint16
 }
 
 const icmpHeaderLen = 8
@@ -352,26 +222,11 @@ const (
 // Encode appends the wire form of i (with checksum over header+payload) to b.
 func (i *ICMPHeader) Encode(b, payload []byte) []byte {
 	start := len(b)
-	b = append(b, i.Type, i.Code, 0, 0)
-	b = binary.BigEndian.AppendUint16(b, i.ID)
-	b = binary.BigEndian.AppendUint16(b, i.Seq)
+	b = append(b, i.Type, i.Code, 0, 0, 0, 0, 0, 0) // checksum, identifier, sequence
 	b = append(b, payload...)
 	cs := Checksum(b[start:])
 	binary.BigEndian.PutUint16(b[start+2:start+4], cs)
 	return b
-}
-
-// DecodeICMP parses an ICMP header and returns the payload.
-func DecodeICMP(b []byte) (ICMPHeader, []byte, error) {
-	var i ICMPHeader
-	if len(b) < icmpHeaderLen {
-		return i, nil, fmt.Errorf("icmp: %w", ErrTruncated)
-	}
-	i.Type = b[0]
-	i.Code = b[1]
-	i.ID = binary.BigEndian.Uint16(b[4:6])
-	i.Seq = binary.BigEndian.Uint16(b[6:8])
-	return i, b[icmpHeaderLen:], nil
 }
 
 // Checksum computes the RFC 1071 Internet checksum of b.

@@ -1,6 +1,7 @@
 package netpkt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -203,71 +204,110 @@ func appendZeros(b []byte, n int) []byte {
 	return append(b, zeroPad[:n]...)
 }
 
-// Parse decodes a wire-format frame into the flattened view. Unknown upper
-// layers are tolerated: the fields for layers that fail to parse stay zero
-// and no error is returned unless the Ethernet header itself is invalid.
+// The errors Parse returns. Each wraps ErrTruncated and is built once,
+// so a refused frame costs no allocation.
+var (
+	errEthTruncated  = fmt.Errorf("ethernet: %w", ErrTruncated)
+	errVLANTruncated = fmt.Errorf("ethernet 802.1q: %w", ErrTruncated)
+)
+
+// Parse decodes a wire-format frame into the flattened view, writing each
+// field straight into the Packet it returns. Only a frame too short for
+// its Ethernet header (802.1Q tag included) is an error, and then the
+// Packet is zero. An upper layer that does not decode is tolerated: its
+// fields and every layer's above it stay zero. PayloadLen counts what
+// follows the innermost decoded header, bounded by the IPv4 total
+// length when that length is plausible. TCPOptions aliases frame (nil
+// when the segment has none); callers that outlive the frame buffer
+// must copy it.
 func Parse(frame []byte) (Packet, error) {
 	var p Packet
-	eth, rest, err := DecodeEthernet(frame)
-	if err != nil {
-		return p, err
+	if len(frame) < ethHeaderLen {
+		return Packet{}, errEthTruncated
 	}
-	p.EthSrc = eth.Src
-	p.EthDst = eth.Dst
-	p.EthType = eth.EtherType
-	p.HasVLAN = eth.HasVLAN
-	p.VLANID = eth.VLANID
-	p.VLANPCP = eth.VLANPCP
-
-	switch eth.EtherType {
+	p.EthDst = MAC(frame[0:6])
+	p.EthSrc = MAC(frame[6:12])
+	p.EthType = binary.BigEndian.Uint16(frame[12:14])
+	rest := frame[ethHeaderLen:]
+	if p.EthType == EtherTypeVLAN {
+		if len(frame) < ethVLANHeaderLen {
+			return Packet{}, errVLANTruncated
+		}
+		tci := binary.BigEndian.Uint16(frame[14:16])
+		p.HasVLAN = true
+		p.VLANPCP = uint8(tci >> 13)
+		p.VLANID = tci & 0x0fff
+		p.EthType = binary.BigEndian.Uint16(frame[16:18])
+		rest = frame[ethVLANHeaderLen:]
+	}
+	switch p.EthType {
 	case EtherTypeARP:
-		arp, err := DecodeARP(rest)
-		if err != nil {
-			return p, nil //nolint:nilerr // tolerate malformed upper layer
+		// Ethernet hardware, IPv4 protocol; the MACs are not kept.
+		if len(rest) >= arpLen && binary.BigEndian.Uint16(rest[0:2]) == 1 &&
+			binary.BigEndian.Uint16(rest[2:4]) == EtherTypeIPv4 {
+			p.ARPOp = binary.BigEndian.Uint16(rest[6:8])
+			p.NwSrc = IPv4(binary.BigEndian.Uint32(rest[14:18]))
+			p.NwDst = IPv4(binary.BigEndian.Uint32(rest[24:28]))
 		}
-		p.ARPOp = arp.Opcode
-		p.NwSrc = arp.SenderIP
-		p.NwDst = arp.TargetIP
 	case EtherTypeIPv4:
-		h, l4, err := DecodeIPv4(rest)
-		if err != nil {
-			return p, nil //nolint:nilerr
+		if len(rest) < ipv4HeaderLen || rest[0]>>4 != 4 {
+			break
 		}
-		p.NwSrc = h.Src
-		p.NwDst = h.Dst
-		p.NwProto = h.Protocol
-		p.NwTOS = h.TOS
-		switch h.Protocol {
-		case ProtoTCP:
-			t, payload, err := DecodeTCP(l4)
-			if err == nil {
-				p.TpSrc = t.SrcPort
-				p.TpDst = t.DstPort
-				p.TCPFlags = t.Flags
-				p.TCPSeq = t.Seq
-				p.TCPAck = t.Ack
-				p.TCPOptions = t.Options
-				p.PayloadLen = len(payload)
-			}
-		case ProtoUDP:
-			u, payload, err := DecodeUDP(l4)
-			if err == nil {
-				p.TpSrc = u.SrcPort
-				p.TpDst = u.DstPort
-				p.PayloadLen = len(payload)
-			}
-		case ProtoICMP:
-			ic, payload, err := DecodeICMP(l4)
-			if err == nil {
-				p.TpSrc = uint16(ic.Type)
-				p.TpDst = uint16(ic.Code)
-				p.PayloadLen = len(payload)
-			}
-		default:
-			p.PayloadLen = len(l4)
+		ihl := int(rest[0]&0x0f) * 4
+		if ihl < ipv4HeaderLen || len(rest) < ihl {
+			break
 		}
+		p.NwTOS = rest[1]
+		p.NwProto = rest[9]
+		p.NwSrc = IPv4(binary.BigEndian.Uint32(rest[12:16]))
+		p.NwDst = IPv4(binary.BigEndian.Uint32(rest[16:20]))
+		end := int(binary.BigEndian.Uint16(rest[2:4]))
+		if end > len(rest) || end < ihl {
+			end = len(rest)
+		}
+		p.parseL4(rest[ihl:end])
 	default:
 		p.PayloadLen = len(rest)
 	}
 	return p, nil
+}
+
+// parseL4 fills the transport fields of an IPv4 packet from l4, the
+// datagram after the IP header. A TCP data offset below the fixed
+// header or past the end of l4, or a header l4 cannot hold, leaves them
+// zero.
+func (p *Packet) parseL4(l4 []byte) {
+	switch p.NwProto {
+	case ProtoTCP:
+		if len(l4) < tcpHeaderLen {
+			return
+		}
+		off := int(l4[12]>>4) * 4
+		if off < tcpHeaderLen || len(l4) < off {
+			return
+		}
+		p.TpSrc = binary.BigEndian.Uint16(l4[0:2])
+		p.TpDst = binary.BigEndian.Uint16(l4[2:4])
+		p.TCPSeq = binary.BigEndian.Uint32(l4[4:8])
+		p.TCPAck = binary.BigEndian.Uint32(l4[8:12])
+		p.TCPFlags = l4[13]
+		if off > tcpHeaderLen {
+			p.TCPOptions = l4[tcpHeaderLen:off]
+		}
+		p.PayloadLen = len(l4) - off
+	case ProtoUDP:
+		if len(l4) >= udpHeaderLen {
+			p.TpSrc = binary.BigEndian.Uint16(l4[0:2])
+			p.TpDst = binary.BigEndian.Uint16(l4[2:4])
+			p.PayloadLen = len(l4) - udpHeaderLen
+		}
+	case ProtoICMP:
+		if len(l4) >= icmpHeaderLen {
+			p.TpSrc = uint16(l4[0])
+			p.TpDst = uint16(l4[1])
+			p.PayloadLen = len(l4) - icmpHeaderLen
+		}
+	default:
+		p.PayloadLen = len(l4)
+	}
 }

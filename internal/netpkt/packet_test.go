@@ -1,6 +1,7 @@
 package netpkt
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -83,22 +84,19 @@ func TestParseARPRequestZeroesTargetMAC(t *testing.T) {
 	}
 	req := f.ARPRequestPacket()
 	frame := req.Marshal()
-	eth, rest, err := DecodeEthernet(frame)
+	p, err := Parse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eth.Dst.IsBroadcast() {
-		t.Errorf("ARP request dst = %v, want broadcast", eth.Dst)
+	if !p.EthDst.IsBroadcast() {
+		t.Errorf("ARP request dst = %v, want broadcast", p.EthDst)
 	}
-	arp, err := DecodeARP(rest)
-	if err != nil {
-		t.Fatal(err)
+	// Parse does not keep the ARP MACs: read the target MAC off the wire.
+	if tm := MAC(frame[ethHeaderLen+18 : ethHeaderLen+24]); !tm.IsZero() {
+		t.Errorf("ARP request target MAC = %v, want zero", tm)
 	}
-	if !arp.TargetMAC.IsZero() {
-		t.Errorf("ARP request target MAC = %v, want zero", arp.TargetMAC)
-	}
-	if arp.Opcode != ARPRequest {
-		t.Errorf("opcode = %d, want %d", arp.Opcode, ARPRequest)
+	if p.ARPOp != ARPRequest {
+		t.Errorf("opcode = %d, want %d", p.ARPOp, ARPRequest)
 	}
 }
 
@@ -119,24 +117,43 @@ func TestChecksumKnownVector(t *testing.T) {
 	}
 }
 
-func TestDecodeTruncated(t *testing.T) {
-	if _, _, err := DecodeEthernet(make([]byte, 5)); err == nil {
-		t.Error("DecodeEthernet(short) succeeded")
+// TestParseTruncated: a frame too short for its Ethernet header is an
+// error wrapping ErrTruncated; a layer above it cut short is not, and
+// leaves that layer's fields zero.
+func TestParseTruncated(t *testing.T) {
+	for _, n := range []int{0, 5, ethHeaderLen - 1} {
+		if _, err := Parse(make([]byte, n)); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Parse(%d bytes) = %v, want ErrTruncated", n, err)
+		}
 	}
-	if _, err := DecodeARP(make([]byte, 10)); err == nil {
-		t.Error("DecodeARP(short) succeeded")
+	tagged := Packet{EthType: EtherTypeLLDP, HasVLAN: true, VLANID: 7}
+	if _, err := Parse(tagged.Marshal()[:ethVLANHeaderLen-1]); !errors.Is(err, ErrTruncated) {
+		t.Errorf("Parse(short 802.1Q tag) = %v, want ErrTruncated", err)
 	}
-	if _, _, err := DecodeIPv4(make([]byte, 10)); err == nil {
-		t.Error("DecodeIPv4(short) succeeded")
+	flow := Flow{SrcIP: MustIPv4("10.0.0.1"), DstIP: MustIPv4("10.0.0.2"), SrcPort: 1, DstPort: 2}
+	for _, c := range []struct {
+		name  string
+		proto uint8
+		cut   int // bytes kept past the Ethernet header
+	}{
+		{"ipv4", ProtoUDP, 10},
+		{"tcp", ProtoTCP, ipv4HeaderLen + 10},
+		{"udp", ProtoUDP, ipv4HeaderLen + 3},
+		{"icmp", ProtoICMP, ipv4HeaderLen + 3},
+	} {
+		flow.Proto = c.proto
+		full := flow.Packet(0)
+		p, err := Parse(full.Marshal()[:ethHeaderLen+c.cut])
+		if err != nil {
+			t.Errorf("%s: Parse = %v, want the frame kept", c.name, err)
+		}
+		if p.TpSrc != 0 || p.TpDst != 0 || p.PayloadLen != 0 {
+			t.Errorf("%s: L4 fields %d>%d payload %d from a truncated header, want zero", c.name, p.TpSrc, p.TpDst, p.PayloadLen)
+		}
 	}
-	if _, _, err := DecodeTCP(make([]byte, 10)); err == nil {
-		t.Error("DecodeTCP(short) succeeded")
-	}
-	if _, _, err := DecodeUDP(make([]byte, 3)); err == nil {
-		t.Error("DecodeUDP(short) succeeded")
-	}
-	if _, _, err := DecodeICMP(make([]byte, 3)); err == nil {
-		t.Error("DecodeICMP(short) succeeded")
+	arp := Packet{EthType: EtherTypeARP, ARPOp: ARPReply, NwSrc: 1, NwDst: 2}
+	if p, err := Parse(arp.Marshal()[:ethHeaderLen+10]); err != nil || p.ARPOp != 0 || p.NwSrc != 0 {
+		t.Errorf("short ARP: Parse = %+v, %v; want no ARP fields and no error", p, err)
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 
 // FuzzTCP drives the TCP segment codec with coverage-guided input:
 // malformed data offsets and truncated option lists must never panic,
-// anything DecodeTCP accepts must re-encode to a header DecodeTCP
-// accepts again with identical fields (modulo the documented window
-// normalisation), and the parsed option bytes must survive a full
-// Packet Marshal/Parse round trip.
+// anything the layered TCP decoder accepts must re-encode to a header it
+// accepts again with identical fields, and the parsed option bytes must
+// survive a full Packet Marshal/Parse round trip.
 func FuzzTCP(f *testing.F) {
 	base := func(off uint8, flags uint8) []byte {
 		h := []byte{
@@ -45,14 +44,13 @@ func FuzzTCP(f *testing.F) {
 		// Option validation must tolerate arbitrary bytes.
 		_ = ValidateTCPOptions(seg)
 
-		h, payload, err := DecodeTCP(seg)
+		h, payload, err := decodeTCP(seg)
 		if err != nil {
 			return
 		}
-		// Re-encode and re-decode: the header must be a fixpoint. The one
-		// sanctioned difference is Encode's zero-window normalisation.
+		// Re-encode and re-decode: the header must be a fixpoint.
 		out := h.Encode(nil)
-		h2, rest, err := DecodeTCP(out)
+		h2, rest, err := decodeTCP(out)
 		if err != nil {
 			t.Fatalf("re-encoded header rejected: %v (% x)", err, out)
 		}
@@ -60,9 +58,6 @@ func FuzzTCP(f *testing.F) {
 			t.Fatalf("re-encoded header has %d trailing bytes", len(rest))
 		}
 		want := h
-		if want.Window == 0 {
-			want.Window = 65535
-		}
 		if len(want.Options) == 0 {
 			want.Options = nil
 		}
@@ -141,7 +136,7 @@ func TestTCPOptionsPadding(t *testing.T) {
 	if len(out) != tcpHeaderLen+4 {
 		t.Fatalf("misaligned options encoded to %d bytes, want %d", len(out), tcpHeaderLen+4)
 	}
-	h2, _, err := DecodeTCP(out)
+	h2, _, err := decodeTCP(out)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -259,11 +259,11 @@ func TestShardStepHandsOffAtBatchTop(t *testing.T) {
 	within(t, "the Apply to count itself waiting", func() bool { return s.waiters.Load() == 1 })
 
 	done := make(chan int, 1)
-	go func() { done <- s.step(make([]Item, shardBatch)) }()
+	go func() { done <- s.step() }()
 	select {
 	case n := <-done:
 		if n != shardBatch {
-			t.Errorf("step popped %d packets, want %d", n, shardBatch)
+			t.Errorf("step carried %d packets, want %d", n, shardBatch)
 		}
 	case <-time.After(boundedWait):
 		t.Fatalf("step did not return within %v", boundedWait)

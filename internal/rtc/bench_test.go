@@ -52,10 +52,14 @@ func warmShard(tb testing.TB, cfg Config) (e *Engine, s *Shard, items []Item, dr
 			items[i] = Item{Pkt: sg.Next(), InPort: port}
 		}
 	}
-	buf := make([]CacheItem, 256)
 	drain = func() {
 		s.publish() // the batch end: commits the reserved ring slots
-		for s.toCache != nil && s.toCache.PopBatch(buf) > 0 {
+		for s.toCache != nil {
+			n := len(s.toCache.Peek(256))
+			if n == 0 {
+				break
+			}
+			s.toCache.Release(n)
 		}
 	}
 	now := time.Now()

@@ -3,8 +3,8 @@ package spsc
 import "testing"
 
 // TestRingAllocatesNothing is the absolute witness for the ring's
-// 0 allocs/op budget: single push/pop, the 64-wide batch ops and a
-// 64-slot Reserve/Commit batch.
+// 0 allocs/op budget: single push/pop, the 64-wide batch ops, a
+// 64-slot Reserve/Commit batch and a 64-wide Peek/Release.
 func TestRingAllocatesNothing(t *testing.T) {
 	r := New[uint64](1024)
 	if a := testing.AllocsPerRun(1000, func() {
@@ -33,5 +33,17 @@ func TestRingAllocatesNothing(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("64 Reserves+Commit+PopBatch allocate %v, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		if r.PushBatch(in) != 64 {
+			t.Fatal("short batch")
+		}
+		for n := 0; n < 64; {
+			got := r.Peek(64)
+			n += len(got)
+			r.Release(len(got))
+		}
+	}); a != 0 {
+		t.Errorf("PushBatch+Peek/Release of 64 allocates %v, want 0", a)
 	}
 }

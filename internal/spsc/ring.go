@@ -2,8 +2,9 @@
 // buffer — the handoff primitive of the run-to-completion packet engine.
 // Exactly one goroutine may push and exactly one may pop; under that
 // contract every operation is wait-free for the producer and lock-free
-// for the consumer, and the hot paths (Push, the batched push and pop and
-// Reserve/Commit) perform no allocation and take no mutex.
+// for the consumer, and the hot paths (Push, the batched push and pop,
+// Reserve/Commit and Peek/Release) perform no allocation and take no
+// mutex.
 //
 // The consumer's blocking wait is busy-poll-then-park: it spins briefly
 // (the common case under load — the ring refills within nanoseconds),
@@ -37,6 +38,8 @@ type cacheLinePad [64]byte
 //
 // Reserve/Commit is PushBatch in place: elements produced one at a time
 // are filled where they lie and published by one tail store, one fence.
+// Peek/Release is PopBatch in place on the consumer's side: elements are
+// read where they lie and handed back by one head store.
 type Ring[T any] struct {
 	buf  []T
 	mask uint64
@@ -152,6 +155,36 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 		r.head.Store(h + n)
 	}
 	return int(n)
+}
+
+// Peek returns the oldest elements ready for the consumer, in place: at
+// most max of them, and never past the end of the buffer, so a run that
+// wraps comes back over two Peeks. The slots stay the consumer's — the
+// producer cannot overwrite them — until Release hands them back, so a
+// consumer that reads in place pays no copy, only the capacity it holds.
+// Consumer only.
+func (r *Ring[T]) Peek(max int) []T {
+	h := r.head.Load()
+	n := uint64(max)
+	if avail := r.tailSeen - h; n > avail {
+		r.tailSeen = r.tail.Load()
+		if avail = r.tailSeen - h; n > avail {
+			n = avail
+		}
+	}
+	i := h & r.mask
+	if end := r.mask + 1 - i; n > end {
+		n = end
+	}
+	return r.buf[i : i+n : i+n]
+}
+
+// Release hands the first n elements of the last Peek back to the
+// producer with a single index store. Consumer only.
+func (r *Ring[T]) Release(n int) {
+	if n > 0 {
+		r.head.Store(r.head.Load() + uint64(n))
+	}
 }
 
 // popSpins is how many empty polls the consumer tolerates before
