@@ -1,10 +1,12 @@
 // Package netpkt models the network packets that flow through the simulated
 // data plane: Ethernet frames carrying ARP, IPv4, TCP, UDP and ICMP.
 //
-// The package provides full binary codecs for each layer (with checksums),
-// a flattened Packet view holding the header fields an OpenFlow 1.0 switch
-// matches on, and traffic generators for both benign flows and the spoofed
-// table-miss floods used by the data-to-control plane saturation attack.
+// The package provides a flattened Packet view holding the header fields
+// an OpenFlow 1.0 switch matches on, a per-layer encoder (with checksums)
+// that Marshal builds frames from, one decoder (Parse) that reads a frame
+// straight into a Packet without per-layer header structs, and traffic
+// generators for both benign flows and the spoofed table-miss floods used
+// by the data-to-control plane saturation attack.
 package netpkt
 
 import (
