@@ -3,7 +3,7 @@ GO ?= go
 # a real hunt: make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-cpus bench-harness bench-record bench-compare race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
+.PHONY: all build test test-cpus bench-harness bench-record bench-compare bench-pair race vet loc bench bench-all bench-telemetry profile-paper profile-soak cover cover-live check fuzz soak-short ci
 
 all: build test
 
@@ -65,6 +65,18 @@ bench-compare:
 			repr(env["cpu_model"]), "x", env["nproc"], "- nothing to compare")'
 	@if [ -f .bench_build/base.json ]; then \
 		bash bench/run.sh -compare .bench_build/base.json .bench_build/now.json; fi
+
+# A claim's measurement: PAIRS alternating pairs of one workload, the
+# BASE revision (built from git archive in a temporary directory) first
+# in every pair, then this working tree, through bench/run.sh with the
+# same seed. Prints each pair, then per end-to-end metric each side's
+# median and quartiles and this tree's wins. ARGS go to both runs (CI
+# passes --smoke). Needs python3.
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(SEED)" || \
+		{ echo 'usage: make bench-pair BASE=<rev> WORKLOAD=<name> SEED=<seed> [PAIRS=10] [ARGS=--smoke]'; exit 2; }
+	python3 scripts/bench_pair.py $(BASE) $(WORKLOAD) $(SEED) $(PAIRS) $(ARGS)
 
 # The concurrent protocols (ring handoffs, in-band Apply, the shard
 # window flush) are the ones most worth racing; run the whole tree so

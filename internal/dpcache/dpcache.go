@@ -394,7 +394,7 @@ func (c *Cache) arm() {
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
-	c.ticker = c.eng.NewTicker(interval, c.emitOne)
+	c.ticker = c.eng.NewTicker(interval, c.tick)
 }
 
 // UseRuleTable enables the §IV.E design option: packets matching a rule
@@ -405,7 +405,10 @@ func (c *Cache) UseRuleTable(tbl *flowtable.Table) { c.rules = tbl }
 func (c *Cache) RuleTable() *flowtable.Table { return c.rules }
 
 // Ingest accepts a migrated table-miss packet from the identified
-// datapath, tagged with its original INPORT in the TOS field.
+// datapath, tagged with its original INPORT in the TOS field. It resumes
+// a parked replay ticker (see netsim.Ticker): called once every event
+// due at now has fired, as the rtc engine does, the replay instants are
+// those of a ticker that never parked.
 func (c *Cache) Ingest(origin uint64, pkt netpkt.Packet) {
 	c.scratch = pkt
 	p := &c.scratch
@@ -431,6 +434,9 @@ func (c *Cache) Ingest(origin uint64, pkt netpkt.Packet) {
 	e := c.queueFor(p, inPort, hint).slot()
 	e.origin, e.pkt, e.inPort, e.hint, e.arrived = origin, *p, inPort, hint, c.eng.Now()
 	c.noteBacklog()
+	if c.ticker != nil {
+		c.ticker.Resume()
+	}
 }
 
 // noteBacklog advances the backlog high-watermark after an enqueue —
@@ -477,33 +483,44 @@ type Adapter struct {
 // DeliverFromSwitch implements the switch PortPeer.
 func (a *Adapter) DeliverFromSwitch(pkt netpkt.Packet) { a.c.Ingest(a.origin, pkt) }
 
+// tick is one replay slot. A slot that finds every queue empty parks the
+// ticker until the next Ingest resumes it on the same grid: the slots it
+// skips would have found every queue empty too, and only the first of
+// those changes anything (emitOne refills a spent credit), which this
+// one already did.
+func (c *Cache) tick() {
+	if !c.emitOne() {
+		c.ticker.Park()
+	}
+}
+
 // emitOne serves the priority queue first, then one packet from the
 // benign/suspect pair under weighted round-robin: up to BenignWeight
 // benign deliveries per suspect one while both sides have backlog, with
 // a round-robin cursor across the protocol classes inside each side.
 // Whichever side is empty yields its slot to the other, so the link is
-// never idled by the split.
-func (c *Cache) emitOne() {
-	if e := c.priority.pop(); e != nil {
+// never idled by the split. It reports whether it delivered a packet.
+func (c *Cache) emitOne() bool {
+	e := c.priority.pop()
+	if e != nil {
 		c.prioSrvd.Inc()
-		c.deliver(e)
-		return
-	}
-	if c.credit > 0 {
-		if e := c.popRR(&c.queues, &c.next); e != nil {
+	} else if c.credit > 0 {
+		if e = c.popRR(&c.queues, &c.next); e != nil {
 			c.credit--
-			c.deliver(e)
-		} else if e := c.popRR(&c.suspects, &c.susNext); e != nil {
-			c.deliver(e)
+		} else {
+			e = c.popRR(&c.suspects, &c.susNext)
 		}
-		return
+	} else {
+		c.credit = c.cfg.BenignWeight
+		if e = c.popRR(&c.suspects, &c.susNext); e == nil {
+			e = c.popRR(&c.queues, &c.next)
+		}
 	}
-	c.credit = c.cfg.BenignWeight
-	if e := c.popRR(&c.suspects, &c.susNext); e != nil {
-		c.deliver(e)
-	} else if e := c.popRR(&c.queues, &c.next); e != nil {
-		c.deliver(e)
+	if e == nil {
+		return false
 	}
+	c.deliver(e)
+	return true
 }
 
 // popRR pops one entry round-robin from a queue set, advancing its

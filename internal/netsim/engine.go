@@ -170,14 +170,28 @@ func (e *Engine) RunFor(d time.Duration) int { return e.RunUntil(e.now.Add(d)) }
 //
 // It owns its event: every firing re-pushes the same Event with a fresh
 // schedule sequence, so a running ticker allocates nothing. That is safe
-// because the event is re-pushed only after Step popped it (arm runs
-// from fire, or once from NewTicker), so it is never in the queue twice.
+// because the event is pushed again only after Step popped it (by fire,
+// by Resume of a parked ticker, or once by NewTicker), so it is never in
+// the queue twice.
+//
+// A ticker with nothing to do parks: fn calls Park, and the ticker does
+// not re-arm and costs nothing until Resume re-arms it at the first
+// instant of its grid (its last firing plus a whole number of
+// intervals) strictly after now. When every Resume comes after all
+// events due at now have fired (from outside any event, such as between
+// RunUntil calls), the firings after it land on exactly the instants
+// an always-running ticker's would. From inside an event at exactly a
+// grid instant Resume arms the next grid instant: whether the
+// always-running ticker would still have fired at now depends on
+// schedule order the parked one no longer has.
 type Ticker struct {
 	eng      *Engine
 	interval time.Duration
 	fn       func()
 	ev       Event
 	stopped  bool
+	firing   bool
+	parked   bool
 }
 
 // NewTicker starts a periodic task; the first firing is one interval from
@@ -199,10 +213,40 @@ func (t *Ticker) fire() {
 	if t.stopped {
 		return
 	}
+	t.firing = true
 	t.fn()
-	if !t.stopped {
+	t.firing = false
+	if !t.stopped && !t.parked {
 		t.arm()
 	}
+}
+
+// Park keeps the ticker from re-arming after the current firing. It acts
+// only from fn; anywhere else the event may still be queued, and Park
+// does nothing.
+func (t *Ticker) Park() {
+	if t.firing {
+		t.parked = true
+	}
+}
+
+// Resume re-arms a parked ticker at the first instant of its grid
+// strictly after now. It does nothing to a running or stopped ticker.
+func (t *Ticker) Resume() {
+	if t.parked {
+		t.resume()
+	}
+}
+
+// resume is Resume's slow path, kept out of line so that Resume, which
+// the data plane cache calls on every ingest, inlines to one branch.
+func (t *Ticker) resume() {
+	t.parked = false
+	if t.firing || t.stopped {
+		return // fire re-arms one interval from now, the next grid instant
+	}
+	last := t.ev.at
+	t.eng.push(&t.ev, last.Add((t.eng.now.Sub(last)/t.interval+1)*t.interval))
 }
 
 // Stop cancels the ticker.

@@ -255,9 +255,147 @@ func TestTickerOrderMatchesClosureTicker(t *testing.T) {
 	}
 }
 
+// parkScenario drives one ticker through a seeded schedule of work that
+// arrives from outside any event, between RunUntil calls, and returns
+// the instants of the firings that found work. With park set the
+// ticker parks on a firing that finds none and every arrival resumes
+// it; without, it runs throughout and an idle firing does nothing. The
+// schedule lands arrivals exactly on grid instants, spans idle gaps of
+// many intervals, stops the ticker (and resumes the stopped one) and
+// replaces it with a NewTicker, parked or not. A second ticker on a
+// commensurate interval fires at the same instants; its firings are
+// returned too. onGrid counts arrivals exactly on a grid instant that
+// found no work pending.
+func parkScenario(seed int64, park bool) (work, other []time.Duration, onGrid int) {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	pending := 0
+	var tk *Ticker
+	var origin time.Duration
+	var iv time.Duration
+	start := func(interval time.Duration) {
+		origin, iv = e.Elapsed(), interval
+		tk = e.NewTicker(interval, func() {
+			if pending == 0 {
+				if park {
+					tk.Park()
+				}
+				return
+			}
+			pending--
+			work = append(work, e.Elapsed())
+		})
+	}
+	start(10 * time.Millisecond)
+	e.NewTicker(5*time.Millisecond, func() { other = append(other, e.Elapsed()) })
+	for step := 0; step < 500; step++ {
+		now := e.Elapsed()
+		var next time.Duration
+		switch rng.Intn(4) {
+		case 0: // exactly on a later grid instant of the current ticker
+			k := (now-origin)/iv + 1 + time.Duration(rng.Intn(4))
+			next = origin + k*iv
+		case 1: // a long idle gap
+			next = now + time.Duration(5+rng.Intn(40))*iv + time.Duration(rng.Intn(int(iv)))
+		default: // a short hop, possibly inside the same interval
+			next = now + time.Duration(rng.Intn(int(2*iv)))
+		}
+		e.RunUntil(Epoch.Add(next))
+		switch op := rng.Intn(20); {
+		case op < 16:
+			if pending == 0 && (next-origin)%iv == 0 {
+				onGrid++
+			}
+			pending += 1 + rng.Intn(3)
+			if park {
+				tk.Resume()
+			}
+		case op < 18:
+			tk.Stop()
+			if park {
+				tk.Resume() // must not revive a stopped ticker
+			}
+		default:
+			tk.Stop()
+			start(time.Duration(5+5*rng.Intn(3)) * time.Millisecond)
+		}
+	}
+	e.RunFor(time.Second)
+	return work, other, onGrid
+}
+
+// TestTickerParkResumeMatchesAlwaysOn holds a parking ticker to one that
+// never parks: resumed from outside events, its working firings land on
+// exactly the same instants.
+func TestTickerParkResumeMatchesAlwaysOn(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		got, gotOther, onGrid := parkScenario(seed, true)
+		want, wantOther, _ := parkScenario(seed, false)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: parked ticker worked at %d instants, always-on at %d; first difference at %d\n got %v\nwant %v",
+				seed, len(got), len(want), firstDiff(got, want), got, want)
+		}
+		if !slices.Equal(gotOther, wantOther) {
+			t.Fatalf("seed %d: the second ticker's firings differ", seed)
+		}
+		if len(got) < 100 || onGrid == 0 {
+			t.Fatalf("seed %d: scenario too thin: %d working firings, %d arrivals on a grid instant", seed, len(got), onGrid)
+		}
+	}
+}
+
+func firstDiff(a, b []time.Duration) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestTickerResumeInsideEventAtGridInstant pins the documented corner: a
+// Resume from inside an event due at exactly a grid instant arms the
+// next grid instant, not the current one. Park outside fn does nothing,
+// and a Park and Resume within one firing leave the ticker running.
+func TestTickerResumeInsideEventAtGridInstant(t *testing.T) {
+	e := NewEngine()
+	ms := time.Millisecond
+	var fired []time.Duration
+	var tk *Ticker
+	parkNext := true
+	tk = e.NewTicker(10*ms, func() {
+		fired = append(fired, e.Elapsed())
+		if parkNext {
+			tk.Park()
+		}
+	})
+	tk.Park() // not from fn: no effect
+	e.At(Epoch.Add(30*ms), func() { parkNext = false; tk.Resume() })
+	e.RunUntil(Epoch.Add(60 * ms))
+	want := []time.Duration{10 * ms, 40 * ms, 50 * ms, 60 * ms}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+
+	e = NewEngine()
+	fired = nil
+	tk = e.NewTicker(10*ms, func() {
+		fired = append(fired, e.Elapsed())
+		tk.Park()
+		tk.Resume()
+	})
+	e.RunUntil(Epoch.Add(30 * ms))
+	if want := []time.Duration{10 * ms, 20 * ms, 30 * ms}; !slices.Equal(fired, want) {
+		t.Fatalf("park+resume in one firing: fired at %v, want %v", fired, want)
+	}
+	if n := e.Pending(); n != 1 {
+		t.Fatalf("%d events pending, want the ticker's one", n)
+	}
+}
+
 // TestTickerAllocatesNothing is the witness behind the owned event: a
-// running ticker's fire-and-re-arm allocates nothing, while a one-shot
-// At pays exactly its Event.
+// running ticker's fire-and-re-arm allocates nothing, nor does a park
+// and resume, while a one-shot At pays exactly its Event.
 func TestTickerAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -267,6 +405,20 @@ func TestTickerAllocatesNothing(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("ticker never fired")
+	}
+
+	e = NewEngine()
+	var tk *Ticker
+	tk = e.NewTicker(time.Microsecond, func() { n++; tk.Park() })
+	e.Step()
+	if a := testing.AllocsPerRun(1000, func() {
+		e.RunFor(3 * time.Microsecond)
+		tk.Resume()
+	}); a != 0 {
+		t.Errorf("ticker park + resume allocates %v, want 0", a)
+	}
+	if e.Pending() != 1 {
+		t.Fatal("resumed ticker not pending")
 	}
 
 	e = NewEngine()

@@ -143,11 +143,11 @@ func TestShardBodyAllocatesNothing(t *testing.T) {
 		e.Start()
 		defer e.Stop()
 		for i := 0; i < 8192; i++ {
-			e.InjectItem(items[i&63])
+			e.InjectItem(&items[i&63])
 		}
 		i := 0
 		if a := testing.AllocsPerRun(4096, func() {
-			e.InjectItem(items[i&63])
+			e.InjectItem(&items[i&63])
 			if i++; i&1023 == 0 {
 				e.Advance(time.Duration(i) * time.Millisecond) // replay ticks
 			}

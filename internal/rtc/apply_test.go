@@ -251,7 +251,7 @@ func TestShardStepHandsOffAtBatchTop(t *testing.T) {
 	s.partMu.Lock()
 	pkt := netpkt.NewSpoofGen(47, netpkt.FloodUDP, 0).Next()
 	for i := 0; i < shardBatch+16; i++ {
-		if !e.InjectItem(Item{Pkt: pkt, InPort: 1}) {
+		if !e.InjectItem(&Item{Pkt: pkt, InPort: 1}) {
 			t.Fatalf("ingress refused packet %d", i)
 		}
 	}
@@ -530,14 +530,14 @@ func TestApplyQuiescentInline(t *testing.T) {
 		if err := e.Apply(exactMod(&pkt, 1, 2)); err != nil {
 			t.Fatalf("manual apply: %v", err)
 		}
-		e.InjectItem(Item{Pkt: pkt, InPort: 1})
+		e.InjectItem(&Item{Pkt: pkt, InPort: 1})
 		if _, fwd, _, _ := e.Counters(); fwd != 1 {
 			t.Fatalf("packet after the add forwarded %d times, want 1", fwd)
 		}
 		if err := e.Apply(del); err != nil {
 			t.Fatalf("manual delete: %v", err)
 		}
-		e.InjectItem(Item{Pkt: pkt, InPort: 1})
+		e.InjectItem(&Item{Pkt: pkt, InPort: 1})
 		if _, fwd, miss, _ := e.Counters(); fwd != 1 || miss != 1 {
 			t.Fatalf("packet after the delete: forwarded %d, missed %d; want 1 and 1", fwd, miss)
 		}

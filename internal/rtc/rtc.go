@@ -414,20 +414,21 @@ func (e *Engine) publishManual() {
 // clock it is the cache goroutine, so mutate it only after Stop.
 func (e *Engine) Cache() *dpcache.Cache { return e.cache }
 
-// InjectItem hands one item to its owning shard. Against the wall clock
-// it pushes to the shard's ingress ring and returns false when the ring
-// is full; one producer per shard — concurrent injectors must partition
-// ports so no two push to the same shard. In manual mode it runs the
-// shard body on the caller, stamped with virtual time: lookup,
-// attribution, the SYN-proxy tier and, for a miss, cache ingest are
-// done when it returns true.
-func (e *Engine) InjectItem(it Item) bool {
+// InjectItem hands one item to its owning shard; it reads *it and does
+// not keep it, so a producer may refill one Item for every packet.
+// Against the wall clock it copies the item into the shard's ingress
+// ring and returns false when the ring is full; one producer per shard —
+// concurrent injectors must partition ports so no two push to the same
+// shard. In manual mode it runs the shard body on the caller, on *it in
+// place, stamped with virtual time: lookup, attribution, the SYN-proxy
+// tier and, for a miss, cache ingest are done when it returns true.
+func (e *Engine) InjectItem(it *Item) bool {
 	s := e.shards[e.ShardFor(it.InPort)]
 	if e.cfg.Manual {
-		s.processOne(&it, e.sim.Now())
+		s.processOne(it, e.sim.Now())
 		return true
 	}
-	return s.in.Push(it)
+	return s.in.Push(*it)
 }
 
 // Start launches the shard goroutines and the cache-stage goroutine; in

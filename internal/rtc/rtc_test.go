@@ -246,8 +246,8 @@ func runMode(t *testing.T, shards int, manual bool) (*Engine, Snapshot) {
 		case 2:
 			apply(exactMod(&flows[0].Pkt, flows[0].InPort, 2))
 		}
-		for _, it := range items {
-			if !e.InjectItem(it) {
+		for i := range items {
+			if !e.InjectItem(&items[i]) {
 				t.Fatalf("manual=%v: ingress ring refused an item", manual)
 			}
 		}

@@ -2,6 +2,7 @@ package soak
 
 import (
 	"floodguard/internal/netpkt"
+	"floodguard/internal/rtc"
 )
 
 // attacker is one adaptive adversary bound to its own ingress port. All
@@ -178,30 +179,31 @@ var (
 	malformedBadTLV     = []byte{2, 1, 0, 0}
 )
 
-// packet emits the attacker's next SYN. The rotate profile moves to a
-// fresh source every window (dodging the source heavy-hitter test); the
-// others keep one fixed source. Destination fields cycle so every
-// packet is a distinct microflow (guaranteed table miss). The malformed
-// profile cycles contradictory flags, misaligned option lengths, and
-// truncated option TLVs — each a distinct guard verdict.
-func (a *attacker) packet(w int) netpkt.Packet {
+// fill writes the attacker's next SYN and its port into it, every
+// field (see writeFlow). The rotate profile moves to a fresh source
+// every window (dodging the source heavy-hitter test); the others keep
+// one fixed source. Destination fields cycle so every packet is a
+// distinct microflow (guaranteed table miss). The malformed profile
+// cycles contradictory flags, misaligned option lengths, and truncated
+// option TLVs — each a distinct guard verdict.
+func (a *attacker) fill(it *rtc.Item, w int) {
 	src := a.srcBase
 	if a.profile == ProfileRotate {
 		src += uint32(w) % 997
 	}
 	n := a.n
 	a.n++
-	p := netpkt.Packet{
-		EthSrc:   netpkt.MAC{0x02, 0xaa, byte(a.port), byte(n >> 16), byte(n >> 8), byte(n)},
-		EthDst:   netpkt.MAC{0x02, 0x0b, 0x00, 0x00, 0x00, 0x02},
-		EthType:  netpkt.EtherTypeIPv4,
-		NwSrc:    netpkt.IPv4(src),
-		NwDst:    netpkt.IPv4(attackDstBase | uint32(n&0xFF)),
-		NwProto:  netpkt.ProtoTCP,
-		TpSrc:    uint16(1024 + n%60000),
-		TpDst:    uint16(80),
-		TCPFlags: netpkt.TCPSyn,
-	}
+	p := &it.Pkt
+	p.EthSrc = netpkt.MAC{0x02, 0xaa, byte(a.port), byte(n >> 16), byte(n >> 8), byte(n)}
+	p.EthDst = netpkt.MAC{0x02, 0x0b, 0x00, 0x00, 0x00, 0x02}
+	p.EthType, p.HasVLAN, p.VLANID, p.VLANPCP, p.ARPOp = netpkt.EtherTypeIPv4, false, 0, 0, 0
+	p.NwSrc = netpkt.IPv4(src)
+	p.NwDst = netpkt.IPv4(attackDstBase | uint32(n&0xFF))
+	p.NwProto, p.NwTOS = netpkt.ProtoTCP, 0
+	p.TpSrc = uint16(1024 + n%60000)
+	p.TpDst = 80
+	p.TCPFlags, p.TCPSeq, p.TCPAck, p.TCPOptions = netpkt.TCPSyn, 0, 0, nil
+	p.PayloadLen = 0
 	if a.profile == ProfileMalformed {
 		switch n % 3 {
 		case 0:
@@ -212,5 +214,5 @@ func (a *attacker) packet(w int) netpkt.Packet {
 			p.TCPOptions = malformedBadTLV
 		}
 	}
-	return p
+	it.InPort = a.port
 }

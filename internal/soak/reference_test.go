@@ -65,7 +65,7 @@ func (r *reference) CacheEmit(origin uint64, origInPort uint16, pkt netpkt.Packe
 	r.seen(origin, origInPort, pkt, queued)
 }
 
-func (r *reference) InjectItem(it rtc.Item) bool {
+func (r *reference) InjectItem(it *rtc.Item) bool {
 	shard := int(it.InPort) % r.shards
 	p := &it.Pkt
 	if r.table.Lookup(p, it.InPort, time.Time{}, p.WireLen()) != nil {

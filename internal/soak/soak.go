@@ -114,7 +114,7 @@ type pipeline interface {
 	Apply(m openflow.FlowMod) error
 	Start()
 	Stop()
-	InjectItem(it rtc.Item) bool
+	InjectItem(it *rtc.Item) bool
 	Flush()
 	Advance(d time.Duration)
 	Counters() (processed, forwarded, misses, ringDrops uint64)
@@ -347,6 +347,10 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 	attackerBlamed := make([]bool, len(atks))
 	attackerInj := make([]int, len(atks))
 	var slots []uint8
+	// Every injected packet is written into this one item: InjectItem
+	// does not keep it, and an item passed through the pipeline interface
+	// escapes, so one per packet would be one allocation per packet.
+	it := new(rtc.Item)
 	var benignBlamed []uint16
 	outage := false
 
@@ -468,12 +472,10 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// Inject: each packet is through its shard, and a miss into the
 		// cache, when InjectItem returns.
 		for _, s := range slots {
-			var it rtc.Item
 			if s == 0 {
-				it.Pkt, it.InPort = gen.next()
+				gen.fill(it)
 			} else {
-				a := atks[s-1]
-				it.Pkt, it.InPort = a.packet(w), a.port
+				atks[s-1].fill(it, w)
 			}
 			pipe.InjectItem(it)
 		}
@@ -486,8 +488,8 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// cookie SYN-ACKs are in the box as soon as the SYNs are in.
 		var winTCP uint64
 		for i := 0; i < cfg.TCPConns; i++ {
-			pkt, port := tgen.syn()
-			pipe.InjectItem(rtc.Item{Pkt: pkt, InPort: port})
+			tgen.fillSyn(it)
+			pipe.InjectItem(it)
 			winTCP++
 		}
 
@@ -495,7 +497,8 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// SYN-ACK with its valid ACK, so the established flows are in the
 		// cache before the barrier snapshot.
 		for _, a := range box.takeClientAcks() {
-			pipe.InjectItem(rtc.Item{Pkt: a.pkt, InPort: a.inPort})
+			it.Pkt, it.InPort = a.pkt, a.inPort
+			pipe.InjectItem(it)
 			winTCP++
 		}
 		cumInjTCP += winTCP
@@ -713,7 +716,8 @@ func renderDump(jnl *journal.Journal, cfg *Config, res *Result, slos []string, t
 
 // hotFlowMod builds the exact-match flow_mod for benign hot flow f.
 func hotFlowMod(gen *benignGen, f int) openflow.FlowMod {
-	pkt := gen.flowPacket(f)
+	var pkt netpkt.Packet
+	writeFlow(&pkt, f)
 	return openflow.FlowMod{
 		Match:    openflow.ExactFrom(&pkt, gen.port(f)),
 		Command:  openflow.FlowAdd,

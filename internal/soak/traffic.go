@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"floodguard/internal/netpkt"
+	"floodguard/internal/rtc"
 )
 
 // Address plan: benign sources live in 10.0.0.0/8 (one address per
@@ -37,23 +38,23 @@ type tcpConnGen struct {
 	syns uint64 // cumulative SYNs offered
 }
 
-// syn returns the next connection's SYN and its ingress port.
-func (g *tcpConnGen) syn() (netpkt.Packet, uint16) {
+// fillSyn writes the next connection's SYN and its ingress port into it.
+func (g *tcpConnGen) fillSyn(it *rtc.Item) {
 	id := g.next
 	g.next++
 	g.syns++
-	return netpkt.Packet{
-		EthSrc:   netpkt.MAC{0x02, 0x10, byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)},
-		EthDst:   netpkt.MAC{0x02, 0x0b, 0x00, 0x00, 0x00, 0x02},
-		EthType:  netpkt.EtherTypeIPv4,
-		NwSrc:    netpkt.IPv4(tcpClientBase | uint32(id%(1<<20))),
-		NwDst:    netpkt.IPv4(tcpServerAddr),
-		NwProto:  netpkt.ProtoTCP,
-		TpSrc:    uint16(1024 + id%60000),
-		TpDst:    80,
-		TCPSeq:   uint32(id)*2654435761 + 1,
-		TCPFlags: netpkt.TCPSyn,
-	}, uint16(1 + id%uint64(g.cfg.Ports))
+	p := &it.Pkt
+	p.EthSrc = netpkt.MAC{0x02, 0x10, byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
+	p.EthDst = netpkt.MAC{0x02, 0x0b, 0x00, 0x00, 0x00, 0x02}
+	p.EthType, p.HasVLAN, p.VLANID, p.VLANPCP, p.ARPOp = netpkt.EtherTypeIPv4, false, 0, 0, 0
+	p.NwSrc = netpkt.IPv4(tcpClientBase | uint32(id%(1<<20)))
+	p.NwDst = netpkt.IPv4(tcpServerAddr)
+	p.NwProto, p.NwTOS = netpkt.ProtoTCP, 0
+	p.TpSrc = uint16(1024 + id%60000)
+	p.TpDst = 80
+	p.TCPFlags, p.TCPSeq, p.TCPAck, p.TCPOptions = netpkt.TCPSyn, uint32(id)*2654435761+1, 0, nil
+	p.PayloadLen = 0
+	it.InPort = uint16(1 + id%uint64(g.cfg.Ports))
 }
 
 // benignGen draws the benign workload: a zipf head over the flow
@@ -90,25 +91,28 @@ func (g *benignGen) port(flow int) uint16 {
 	return uint16(1 + flow%g.cfg.Ports)
 }
 
-// flowPacket materialises benign flow id as a UDP packet. Every field
-// is a pure function of the id, so an installed rule for a hot flow
-// matches every packet of that flow exactly.
-func (g *benignGen) flowPacket(flow int) netpkt.Packet {
+// writeFlow writes benign flow id into *p as a UDP packet, every field:
+// the harness refills one item per packet, and writes field by field
+// because a composite literal stored through a pointer is built on the
+// stack and then copied. Every field is a pure function of the id, so an
+// installed rule for a hot flow matches every packet of that flow
+// exactly.
+func writeFlow(p *netpkt.Packet, flow int) {
 	id := uint32(flow)
-	return netpkt.Packet{
-		EthSrc:  netpkt.MAC{0x02, 0x0a, byte(id >> 16), byte(id >> 8), byte(id), 0x01},
-		EthDst:  netpkt.MAC{0x02, 0x0b, 0x00, 0x00, 0x00, 0x02},
-		EthType: netpkt.EtherTypeIPv4,
-		NwSrc:   netpkt.IPv4(benignSrcBase | (id & 0x00FFFFFF)),
-		NwDst:   netpkt.IPv4(benignDstBase | (id & 0xFFFF)),
-		NwProto: netpkt.ProtoUDP,
-		TpSrc:   uint16(1024 + id%32768),
-		TpDst:   uint16(53 + id%512),
-	}
+	p.EthSrc = netpkt.MAC{0x02, 0x0a, byte(id >> 16), byte(id >> 8), byte(id), 0x01}
+	p.EthDst = netpkt.MAC{0x02, 0x0b, 0x00, 0x00, 0x00, 0x02}
+	p.EthType, p.HasVLAN, p.VLANID, p.VLANPCP, p.ARPOp = netpkt.EtherTypeIPv4, false, 0, 0, 0
+	p.NwSrc = netpkt.IPv4(benignSrcBase | (id & 0x00FFFFFF))
+	p.NwDst = netpkt.IPv4(benignDstBase | (id & 0xFFFF))
+	p.NwProto, p.NwTOS = netpkt.ProtoUDP, 0
+	p.TpSrc = uint16(1024 + id%32768)
+	p.TpDst = uint16(53 + id%512)
+	p.TCPFlags, p.TCPSeq, p.TCPAck, p.TCPOptions = 0, 0, 0, nil
+	p.PayloadLen = 0
 }
 
-// next draws one benign packet and returns it with its ingress port.
-func (g *benignGen) next() (netpkt.Packet, uint16) {
+// fill draws one benign packet into it, with its ingress port.
+func (g *benignGen) fill(it *rtc.Item) {
 	var flow int
 	g.zipfAcc += g.cfg.ZipfShare
 	if g.zipfAcc >= 1 {
@@ -130,5 +134,6 @@ func (g *benignGen) next() (netpkt.Packet, uint16) {
 	} else {
 		g.missInj++
 	}
-	return g.flowPacket(flow), g.port(flow)
+	writeFlow(&it.Pkt, flow)
+	it.InPort = g.port(flow)
 }
