@@ -94,14 +94,10 @@ loc:
 		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)" \
 		"$$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 
-# Substrate microbenches only (-run=^$ skips tests). The root package's
-# scenario benches each replay a full experiment per iteration, so bench
-# filters them out; bench-all regenerates the paper's tables and figures
-# too and takes correspondingly long.
+# Substrate microbenches only (-run=^$ skips tests); bench-all adds the
+# root package's derivation benchmarks.
 bench:
 	$(GO) test -bench=. -benchtime=100x -benchmem -run=^$$ ./internal/...
-	$(GO) test -bench='OpenFlow|PacketMarshalParse|FlowTableLookup|CacheIngestEmit|ConcreteInterpreter' \
-		-benchtime=100x -benchmem -run=^$$ .
 
 bench-all:
 	$(GO) test -bench=. -benchtime=100x -benchmem -run=^$$ ./...
@@ -118,15 +114,15 @@ bench-telemetry:
 soak-short:
 	$(GO) test -short -count=1 -run 'TestSoak|TestDifferential' ./internal/soak/
 
-# Where the paper stack's time goes: a CPU profile of the Figure 10
+# Where the paper stack's time goes: a CPU profile of TestFig10Shape's
 # software-switch points (the paper_defense workload's inner loop: the
-# testbed with and without FloodGuard at 130 and 500 pps), cumulative,
-# this module's frames only. One iteration is ~0.2 s of samples — enough
-# to see a 40 % frame, not a 4 % one; raise PROFILE_BENCHTIME (20x) to
-# size something small. PROFILE_MODE=alloc profiles allocations instead
-# (every one recorded) and prints the top allocation sites by bytes and
-# by object count. The test binary and profile stay under PROFILE_DIR,
-# outside the tree.
+# testbed without FloodGuard at 130 and 500 pps, with it at 500),
+# cumulative, this module's frames only. One run is ~0.2 s of samples —
+# enough to see a 40 % frame, not a 4 % one; raise PROFILE_BENCHTIME
+# (20x runs the test 20 times) to size something small. PROFILE_MODE=alloc
+# profiles allocations instead (every one recorded) and prints the top
+# allocation sites by bytes and by object count. The test binary and
+# profile stay under PROFILE_DIR, outside the tree.
 PROFILE_DIR ?= /tmp/fg-profile
 PROFILE_BENCHTIME ?= 1x
 PROFILE_MODE ?= cpu
@@ -136,13 +132,13 @@ alloc-tops = for idx in alloc_space alloc_objects; do \
 profile-paper:
 	mkdir -p $(PROFILE_DIR)
 ifeq ($(PROFILE_MODE),alloc)
-	$(GO) test -run '^$$' -bench 'Fig10Software$$' -benchtime $(PROFILE_BENCHTIME) -memprofilerate 1 \
-		-o $(PROFILE_DIR)/floodguard.test -memprofile $(PROFILE_DIR)/paper.mem .
-	$(call alloc-tops,$(PROFILE_DIR)/floodguard.test,$(PROFILE_DIR)/paper.mem)
+	$(GO) test -run '^TestFig10Shape$$' -count $(patsubst %x,%,$(PROFILE_BENCHTIME)) -memprofilerate 1 \
+		-o $(PROFILE_DIR)/experiments.test -memprofile $(PROFILE_DIR)/paper.mem ./internal/experiments
+	$(call alloc-tops,$(PROFILE_DIR)/experiments.test,$(PROFILE_DIR)/paper.mem)
 else
-	$(GO) test -run '^$$' -bench 'Fig10Software$$' -benchtime $(PROFILE_BENCHTIME) \
-		-o $(PROFILE_DIR)/floodguard.test -cpuprofile $(PROFILE_DIR)/paper.cpu .
-	$(call cpu-top,$(PROFILE_DIR)/floodguard.test,$(PROFILE_DIR)/paper.cpu)
+	$(GO) test -run '^TestFig10Shape$$' -count $(patsubst %x,%,$(PROFILE_BENCHTIME)) \
+		-o $(PROFILE_DIR)/experiments.test -cpuprofile $(PROFILE_DIR)/paper.cpu ./internal/experiments
+	$(call cpu-top,$(PROFILE_DIR)/experiments.test,$(PROFILE_DIR)/paper.cpu)
 endif
 
 # The same two views of the soak_adaptive shape (the guarded

@@ -8,6 +8,7 @@ package floodguard_test
 // does real solver enumeration work.
 
 import (
+	"strconv"
 	"testing"
 
 	"floodguard/internal/appir"
@@ -26,7 +27,7 @@ const deriveBenchTables = 8
 func syntheticPaths(n int) ([]symexec.Path, *appir.State) {
 	st := appir.NewState()
 	for t := 0; t < deriveBenchTables; t++ {
-		name := "bench" + itoa(t)
+		name := "bench" + strconv.Itoa(t)
 		for i := 0; i < 16; i++ {
 			st.Learn(name,
 				appir.MACValue(netpkt.MACFromUint64(uint64(t*100+i+1))),
@@ -35,7 +36,7 @@ func syntheticPaths(n int) ([]symexec.Path, *appir.State) {
 	}
 	paths := make([]symexec.Path, n)
 	for i := range paths {
-		table := "bench" + itoa(i%deriveBenchTables)
+		table := "bench" + strconv.Itoa(i%deriveBenchTables)
 		paths[i] = symexec.Path{
 			ID: i,
 			Conds: []appir.Cond{
@@ -61,7 +62,7 @@ func syntheticPaths(n int) ([]symexec.Path, *appir.State) {
 func BenchmarkDeriveRules(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		paths, st := syntheticPaths(n)
-		b.Run("paths-"+itoa(n), func(b *testing.B) {
+		b.Run("paths-"+strconv.Itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := symexec.DeriveRules(paths, st); err != nil {
@@ -133,7 +134,7 @@ func BenchmarkDeriveFirewall16k(b *testing.B) {
 func BenchmarkDeriveRulesMemo(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		paths, st := syntheticPaths(n)
-		b.Run("cold/paths-"+itoa(n), func(b *testing.B) {
+		b.Run("cold/paths-"+strconv.Itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := symexec.NewMemo(paths)
@@ -142,7 +143,7 @@ func BenchmarkDeriveRulesMemo(b *testing.B) {
 				}
 			}
 		})
-		b.Run("warm/paths-"+itoa(n), func(b *testing.B) {
+		b.Run("warm/paths-"+strconv.Itoa(n), func(b *testing.B) {
 			m := symexec.NewMemo(paths)
 			if _, err := m.Derive(st, symexec.DeriveOptions{}); err != nil {
 				b.Fatal(err)
@@ -154,7 +155,7 @@ func BenchmarkDeriveRulesMemo(b *testing.B) {
 				}
 			}
 		})
-		b.Run("churn/paths-"+itoa(n), func(b *testing.B) {
+		b.Run("churn/paths-"+strconv.Itoa(n), func(b *testing.B) {
 			m := symexec.NewMemo(paths)
 			if _, err := m.Derive(st, symexec.DeriveOptions{}); err != nil {
 				b.Fatal(err)

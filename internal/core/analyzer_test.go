@@ -149,6 +149,54 @@ func TestNeedsUpdateStrategies(t *testing.T) {
 			t.Error("NeedsUpdate true after re-derivation")
 		}
 	})
+	// §IV.D's accuracy / overhead trade-off (abl-update): 200 learns,
+	// the tracker polled after every pollEvery-th. The interval strategy
+	// is every-change polled on the tracker's ticker, here every 10th
+	// change. lag is how far the installed rules trail the learned
+	// entries right after a poll.
+	t.Run("ablation", func(t *testing.T) {
+		legs := []struct {
+			name      string
+			cfg       AnalyzerConfig
+			pollEvery int
+			maxLag    int
+		}{
+			{"every-change", AnalyzerConfig{Strategy: UpdateEveryChange}, 1, 0},
+			{"interval", AnalyzerConfig{Strategy: UpdateEveryChange}, 10, 0},
+			{"every-20", AnalyzerConfig{Strategy: UpdateEveryN, EveryN: 20}, 1, 19},
+		}
+		derivations := make([]uint64, len(legs))
+		for l, leg := range legs {
+			an, st := l2Analyzer(t, leg.cfg)
+			tgt := []RuleTarget{&recordingTarget{}}
+			if _, _, err := an.SyncScoped(nil, tgt); err != nil {
+				t.Fatal(err)
+			}
+			maxLag := 0
+			for i := 1; i <= 200; i++ {
+				learnMAC(st, byte(i), uint16(i%8+1))
+				if i%leg.pollEvery != 0 {
+					continue
+				}
+				if an.NeedsUpdate() {
+					if _, _, err := an.SyncScoped(nil, tgt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				maxLag = max(maxLag, i-an.InstalledCount())
+			}
+			derivations[l] = an.Derivations.Value()
+			t.Logf("%s: %d derivations, installed rules trail by up to %d after a poll",
+				leg.name, derivations[l], maxLag)
+			if maxLag != leg.maxLag {
+				t.Errorf("%s: installed rules trail by up to %d after a poll, want %d", leg.name, maxLag, leg.maxLag)
+			}
+		}
+		if !(derivations[0] > derivations[1] && derivations[1] > derivations[2]) {
+			t.Errorf("derivations every-change %d, interval %d, every-20 %d: want strictly decreasing",
+				derivations[0], derivations[1], derivations[2])
+		}
+	})
 }
 
 func TestAnalyzerStateSensitiveReport(t *testing.T) {

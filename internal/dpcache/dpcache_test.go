@@ -143,6 +143,44 @@ func TestRoundRobinAcrossProtocols(t *testing.T) {
 	}
 }
 
+// TestQueueDisciplineAblation is the paper's case for four protocol
+// queues served round-robin (abl-queues): one benign TCP packet behind a
+// 1 000-packet spoofed UDP backlog, replayed at 50 pps (one slot per
+// 20 ms), waits a slot or two; one FIFO makes it wait out the backlog.
+func TestQueueDisciplineAblation(t *testing.T) {
+	const slot = 20 * time.Millisecond
+	tcpWait := func(single bool) time.Duration {
+		eng := netsim.NewEngine()
+		sink := &collect{}
+		c := New(eng, Config{QueueCapacity: 4096, InitialRatePPS: 50, SingleQueue: single}, sink)
+		g := netpkt.NewSpoofGen(3, netpkt.FloodUDP, 64)
+		for i := 0; i < 1000; i++ {
+			p := g.Next()
+			p.NwTOS = EncodeInPortTOS(1)
+			c.Ingest(0, p)
+		}
+		c.Ingest(0, tagged(netpkt.ProtoTCP, 2, 80))
+		c.Start()
+		defer c.Stop()
+		eng.RunFor(30 * time.Second)
+		for i, p := range sink.packets {
+			if p.NwProto == netpkt.ProtoTCP {
+				return sink.delays[i]
+			}
+		}
+		t.Fatalf("single=%t: TCP packet never replayed (%d emitted)", single, len(sink.packets))
+		return 0
+	}
+	rr, fifo := tcpWait(false), tcpWait(true)
+	t.Logf("TCP packet's wait: round-robin %v, single FIFO %v", rr, fifo)
+	if rr > 3*slot {
+		t.Errorf("round-robin: TCP packet waited %v, want <= 3 slots (%v)", rr, 3*slot)
+	}
+	if fifo < 1000*slot {
+		t.Errorf("single FIFO: TCP packet waited %v, want >= the 1 000-packet backlog (%v)", fifo, 1000*slot)
+	}
+}
+
 func TestRateLimitHonoured(t *testing.T) {
 	eng := netsim.NewEngine()
 	sink := &collect{}

@@ -204,12 +204,16 @@ const soakConnCapacity = 1024
 // because that is the order the seeded outputs were pinned with.
 type synackBox struct {
 	got  []synackRec // client SYN-ACKs since the last take
-	acks []synackRec // the last take's ACKs; reused by the next one
+	acks []synackRec // the last take; reused by the next one
 }
 
+// synackRec keeps what the completing ACK needs of a client SYN-ACK,
+// so the per-window sort moves 36 bytes a record, not a whole packet.
 type synackRec struct {
-	inPort uint16
-	pkt    netpkt.Packet
+	inPort, cport, sport uint16      // cport and sport: the SYN-ACK's TpDst and TpSrc
+	client, server       netpkt.IPv4 // the SYN-ACK's NwDst and NwSrc
+	seq, ack             uint32      // the SYN-ACK's TCPSeq and TCPAck
+	clientMAC, serverMAC netpkt.MAC
 }
 
 // collect keeps only SYN-ACKs addressed to the client plan. Every
@@ -220,43 +224,45 @@ func (b *synackBox) collect(_ uint64, inPort uint16, sa netpkt.Packet) {
 	if !isTCPClientSrc(sa.NwDst) { // SYN-ACK's destination is the client
 		return
 	}
-	b.got = append(b.got, synackRec{inPort: inPort, pkt: sa})
+	b.got = append(b.got, synackRec{
+		inPort: inPort, client: sa.NwDst, server: sa.NwSrc, cport: sa.TpDst, sport: sa.TpSrc,
+		seq: sa.TCPSeq, ack: sa.TCPAck, clientMAC: sa.EthDst, serverMAC: sa.EthSrc,
+	})
 }
 
-// takeClientAcks drains the box and returns the closed-loop completing
-// ACKs for the benign TCP client plan, in deterministic order. The
+// takeClientAcks drains the box and returns the client SYN-ACKs in
+// deterministic order; completingAck builds each one's ACK. The
 // returned slice is valid until the next call.
 func (b *synackBox) takeClientAcks() []synackRec {
-	out := b.acks[:0]
-	for _, r := range b.got {
-		sa := r.pkt
-		out = append(out, synackRec{inPort: r.inPort, pkt: netpkt.Packet{
-			EthSrc:   sa.EthDst,
-			EthDst:   sa.EthSrc,
-			EthType:  netpkt.EtherTypeIPv4,
-			NwSrc:    sa.NwDst,
-			NwDst:    sa.NwSrc,
-			NwProto:  netpkt.ProtoTCP,
-			TpSrc:    sa.TpDst,
-			TpDst:    sa.TpSrc,
-			TCPFlags: netpkt.TCPAck,
-			TCPSeq:   sa.TCPAck,
-			TCPAck:   sa.TCPSeq + 1,
-		}})
-	}
-	b.got = b.got[:0]
+	out := b.got
+	b.got, b.acks = b.acks[:0], out
 	// Every client connection is a distinct (source, source port), so
 	// the keys are unique and any sort yields the same order.
 	slices.SortFunc(out, func(a, b synackRec) int {
 		return cmp.Or(
 			cmp.Compare(a.inPort, b.inPort),
-			cmp.Compare(a.pkt.NwSrc, b.pkt.NwSrc),
-			cmp.Compare(a.pkt.TpSrc, b.pkt.TpSrc),
-			cmp.Compare(a.pkt.TCPAck, b.pkt.TCPAck),
+			cmp.Compare(a.client, b.client),
+			cmp.Compare(a.cport, b.cport),
 		)
 	})
-	b.acks = out
 	return out
+}
+
+// completingAck is the closed-loop client's valid ACK for the SYN-ACK r.
+func (r *synackRec) completingAck() netpkt.Packet {
+	return netpkt.Packet{
+		EthSrc:   r.clientMAC,
+		EthDst:   r.serverMAC,
+		EthType:  netpkt.EtherTypeIPv4,
+		NwSrc:    r.client,
+		NwDst:    r.server,
+		NwProto:  netpkt.ProtoTCP,
+		TpSrc:    r.cport,
+		TpDst:    r.sport,
+		TCPFlags: netpkt.TCPAck,
+		TCPSeq:   r.ack,
+		TCPAck:   r.seq + 1,
+	}
 }
 
 // attribConfigFor derives attribution thresholds from the traffic
@@ -496,8 +502,9 @@ func run(cfg Config, build func(rtc.Config) pipeline) (*Result, error) {
 		// Closed-loop handshake completion: answer every client cookie
 		// SYN-ACK with its valid ACK, so the established flows are in the
 		// cache before the barrier snapshot.
-		for _, a := range box.takeClientAcks() {
-			it.Pkt, it.InPort = a.pkt, a.inPort
+		acks := box.takeClientAcks()
+		for i := range acks {
+			it.Pkt, it.InPort = acks[i].completingAck(), acks[i].inPort
 			pipe.InjectItem(it)
 			winTCP++
 		}

@@ -358,15 +358,28 @@ func (s *Switch) miss(pkt netpkt.Packet, inPort uint16, frameLen int) {
 
 func (s *Switch) sendToController(m openflow.Message) { s.sendTraced(m, time.Time{}) }
 
-// sendTraced sends m up the control channel under the next xid. A
-// non-zero since marks a sampled miss: its packet_in stage, miss
-// processing plus control channel transit, is recorded on delivery.
+// sendTraced sends an unsolicited m up the control channel under the
+// next switch xid. A non-zero since marks a sampled miss: its packet_in
+// stage, miss processing plus control channel transit, is recorded on
+// delivery.
 func (s *Switch) sendTraced(m openflow.Message, since time.Time) {
 	if s.ctl == nil {
 		return
 	}
 	s.nextXID++
-	xid := s.nextXID
+	s.send(s.nextXID, m, since)
+}
+
+// reply answers the controller's request req under req's xid, as
+// OpenFlow 1.0 requires of a reply and of the error a refused request
+// draws.
+func (s *Switch) reply(req openflow.Framed, m openflow.Message) {
+	if s.ctl != nil {
+		s.send(req.XID, m, time.Time{})
+	}
+}
+
+func (s *Switch) send(xid uint32, m openflow.Message, since time.Time) {
 	s.ctlUp.Send(openflow.FrameLen(m), func() {
 		if !since.IsZero() {
 			s.trace.Observe(telemetry.StagePacketIn, s.eng.Now().Sub(since))
@@ -388,13 +401,13 @@ func (s *Switch) handleControl(f openflow.Framed) {
 	case openflow.Hello:
 		s.sendToController(openflow.Hello{})
 	case openflow.EchoRequest:
-		s.sendToController(openflow.EchoReply{Data: m.Data})
+		s.reply(f, openflow.EchoReply{Data: m.Data})
 	case openflow.FeaturesRequest:
 		ports := make([]openflow.PhyPort, 0, len(s.ports))
 		for no := range s.ports {
 			ports = append(ports, openflow.PhyPort{PortNo: no, Name: fmt.Sprintf("eth%d", no)})
 		}
-		s.sendToController(openflow.FeaturesReply{
+		s.reply(f, openflow.FeaturesReply{
 			DatapathID: s.DPID,
 			NBuffers:   uint32(s.profile.BufferSlots),
 			NTables:    1,
@@ -402,7 +415,7 @@ func (s *Switch) handleControl(f openflow.Framed) {
 		})
 	case openflow.FlowMod:
 		if _, err := s.table.Apply(m, s.eng.Now()); err != nil {
-			s.sendToController(openflow.Error{ErrType: 3 /* flow_mod_failed */, Code: 0 /* all_tables_full */})
+			s.reply(f, openflow.Error{ErrType: 3 /* flow_mod_failed */, Code: 0 /* all_tables_full */})
 			return
 		}
 		if m.Command == openflow.FlowAdd && m.BufferID != openflow.NoBuffer {
@@ -411,10 +424,10 @@ func (s *Switch) handleControl(f openflow.Framed) {
 	case openflow.PacketOut:
 		s.packetOut(m)
 	case openflow.BarrierRequest:
-		s.sendToController(openflow.BarrierReply{})
+		s.reply(f, openflow.BarrierReply{})
 	case openflow.StatsRequest:
 		st := s.Stats()
-		s.sendToController(openflow.StatsReply{Table: openflow.TableStats{
+		s.reply(f, openflow.StatsReply{Table: openflow.TableStats{
 			ActiveRules:  uint32(st.TableRules),
 			MaxRules:     uint32(st.TableCapacity),
 			BufferUsed:   uint32(st.BufferUsed),

@@ -219,21 +219,33 @@ func TestHelloFeaturesEchoBarrierStats(t *testing.T) {
 	eng.RunFor(time.Second)
 
 	var gotHello, gotFeatures, gotEcho, gotBarrier, gotStats bool
+	// Each reply carries its request's xid; the hello is unsolicited
+	// and keeps the switch's own counter.
+	wantXID := func(f openflow.Framed, xid uint32) {
+		t.Helper()
+		if f.XID != xid {
+			t.Errorf("%T xid = %d, want the request's %d", f.Msg, f.XID, xid)
+		}
+	}
 	for _, f := range ctl.msgs {
 		switch m := f.Msg.(type) {
 		case openflow.Hello:
 			gotHello = true
 		case openflow.FeaturesReply:
 			gotFeatures = true
+			wantXID(f, 2)
 			if m.DatapathID != 0x1 || len(m.Ports) != 2 {
 				t.Errorf("features = %+v", m)
 			}
 		case openflow.EchoReply:
 			gotEcho = string(m.Data) == "x"
+			wantXID(f, 3)
 		case openflow.BarrierReply:
 			gotBarrier = true
+			wantXID(f, 4)
 		case openflow.StatsReply:
 			gotStats = true
+			wantXID(f, 5)
 		}
 	}
 	if !gotHello || !gotFeatures || !gotEcho || !gotBarrier || !gotStats {
@@ -253,13 +265,16 @@ func TestTableFullSendsError(t *testing.T) {
 	g := netpkt.NewSpoofGen(2, netpkt.FloodUDP, 0)
 	p1, p2 := g.Next(), g.Next()
 	sw.FromController(openflow.Framed{XID: 1, Msg: flowModFor(&p1, 1, 2)})
-	sw.FromController(openflow.Framed{XID: 2, Msg: flowModFor(&p2, 1, 2)})
+	sw.FromController(openflow.Framed{XID: 7, Msg: flowModFor(&p2, 1, 2)})
 	eng.RunFor(time.Second)
 
 	gotErr := false
 	for _, f := range ctl.msgs {
 		if _, ok := f.Msg.(openflow.Error); ok {
 			gotErr = true
+			if f.XID != 7 {
+				t.Errorf("error xid = %d, want the refused flow_mod's 7", f.XID)
+			}
 		}
 	}
 	if !gotErr {

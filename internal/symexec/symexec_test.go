@@ -376,3 +376,16 @@ func TestExploreAllAppsBounded(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkSymbolicExecution(b *testing.B) {
+	progs, _ := apps.EvaluationSet()
+	for _, prog := range progs {
+		b.Run(prog.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Explore(prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
